@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import QuadratureFailure
-from .linalg import clip_psd, hermitian_sqrt, hermitianize
+from .linalg import clip_psd, eigh, hermitian_sqrt, hermitianize
 
 _QUAD_NODES = 4096
 _QUAD_TOL = 1e-9
@@ -70,6 +70,11 @@ class ChannelStatistics:
     @cached_property
     def r_sqrt(self) -> np.ndarray:
         return hermitian_sqrt(self.r_corr)
+
+    @cached_property
+    def r_eigs(self) -> np.ndarray:
+        """Eigenvalues of R, ascending, with rounding negatives clipped to 0."""
+        return np.clip(eigh(self.r_corr)[0], 0.0, None)
 
 
 @dataclass(frozen=True)

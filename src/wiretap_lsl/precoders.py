@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics
-from .detequiv import LslRate, lsl_secrecy_rate, solve_fixed_point
+from .detequiv import LslRate, lsl_secrecy_rate
 from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
 from .linalg import clip_psd, eigh, gsvd, hermitianize
 
@@ -126,20 +126,15 @@ def gsvd_power_allocation(sigma_m2, sigma_e2, v_diag, budget: float, mu: float) 
     v = np.asarray(v_diag, dtype=float)
     if mu <= 0:
         raise ValueError("mu must be > 0")
-    levels = np.zeros_like(sm)
-    active = sm > se
     gain = (sm - se) / (np.log(2.0) * mu * v)
     prod = sm * se
-    for i in np.flatnonzero(active):
-        if prod[i] > 1e-14:
-            disc = 1.0 - 4.0 * prod[i] + 4.0 * prod[i] * gain[i]
-            if disc <= 0:
-                continue
-            levels[i] = max(0.0, (-1.0 + np.sqrt(disc)) / (2.0 * prod[i]))
-        else:
-            # sigma_e -> 0 limit: the quadratic degenerates to linear.
-            levels[i] = max(0.0, gain[i] - 1.0)
-    return levels
+    quadratic = prod > 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = 1.0 - 4.0 * prod + 4.0 * prod * gain
+        root = (-1.0 + np.sqrt(disc)) / (2.0 * prod)
+    # sigma_e -> 0 limit (prod <= 1e-14): the quadratic degenerates to linear.
+    levels = np.where(quadratic, np.where(disc > 0, root, 0.0), gain - 1.0)
+    return np.where(sm > se, np.maximum(0.0, levels), 0.0)
 
 
 def gsvd_precoder(
@@ -176,19 +171,18 @@ def gsvd_precoder(
     if total_power(lo) < budget or total_power(hi) > budget:
         raise BisectionFailure("power budget not bracketed by the mu search range")
     for _ in range(_BISECT_MAX_ITER):
-        mid = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
-        if abs(total_power(mid) - budget) <= _POWER_TOL:
-            lo = hi = mid
+        mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
+        levels = gsvd_power_allocation(sm2, se2, v_diag, budget, mu)
+        excess = float(np.dot(levels, v_diag)) - budget
+        if abs(excess) <= _POWER_TOL:
             break
-        if total_power(mid) > budget:
-            lo = mid
+        if excess > 0:
+            lo = mu
         else:
-            hi = mid
-    mu = np.sqrt(lo * hi)
-    if abs(total_power(mu) - budget) > _POWER_TOL:
-        raise BisectionFailure(f"residual power mismatch {total_power(mu) - budget:.3e}")
+            hi = mu
+    else:
+        raise BisectionFailure(f"residual power mismatch {excess:.3e}")
 
-    levels = gsvd_power_allocation(sm2, se2, v_diag, budget, mu)
     v_inv = np.linalg.inv(fact.v)
     p = hermitianize(v_inv.conj().T @ np.diag(levels.astype(complex)) @ v_inv)
     return Precoder(p=p, strategy=Strategy.GSVD_BEAMFORMING, trace_budget=budget)
@@ -201,6 +195,12 @@ def optimize(
 ) -> tuple[Precoder, LslRate, int]:
     """Alternate fixed-point statistics and precoder design until the
     secrecy rate stabilizes. Returns (precoder, rate, outer iterations).
+
+    Each precoder matrix determines the next one, so a matrix that
+    recurs bit for bit puts the loop on a cycle whose steps have all
+    failed the convergence test: it would run to the cap. The loop then
+    stops and returns the cycle's state at the cap, the same result as
+    iterating there.
     """
     strategy = Strategy(strategy)
     m = stats_m.num_tx
@@ -209,17 +209,23 @@ def optimize(
     if strategy is Strategy.ISOTROPIC:
         return precoder, rate, 1
 
+    history = [(precoder, rate)]
+    first_seen = {precoder.p.tobytes(): 0}
     for it in range(1, _OUTER_MAX_ITER + 1):
-        fp_m = solve_fixed_point(stats_m, precoder)
+        # rate holds the fixed points solved for the current precoder.
         if strategy is Strategy.WATER_FILLING:
-            new_precoder = waterfill_precoder(stats_m, fp_m.e)
+            new_precoder = waterfill_precoder(stats_m, rate.fp_main.e)
         else:
-            fp_e = solve_fixed_point(stats_e, precoder)
-            new_precoder = gsvd_precoder(stats_m, stats_e, fp_m.e, fp_e.e)
+            new_precoder = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
         new_rate = lsl_secrecy_rate(stats_m, stats_e, new_precoder)
         converged = abs(new_rate.rs - rate.rs) < _OUTER_TOL
         precoder, rate = new_precoder, new_rate
         if converged:
             return precoder, rate, it
+        start = first_seen.setdefault(precoder.p.tobytes(), it)
+        if start != it:
+            precoder, rate = history[start + (_OUTER_MAX_ITER - start) % (it - start)]
+            break
+        history.append((precoder, rate))
     warnings.warn("outer precoder loop hit its iteration cap", OuterLoopNoConvergence)
     return precoder, rate, _OUTER_MAX_ITER

@@ -45,7 +45,7 @@ def test_criterion_02_scalar_lsl_mi():
     # sometimes quoted comes from rounding e to 7 digits).
     stats = iid_stats(1.0, 1, 1)
     fp = solve_fixed_point(stats, np.eye(1))
-    mi = lsl_mutual_information(stats, np.eye(1), fp)
+    mi = lsl_mutual_information(stats, fp)
     expected = 2.0 * np.log(1.0 + GOLDEN) - GOLDEN**2
     err = abs(mi - expected)
     report(2, err <= 1e-8, f"mi={mi:.10f}, oracle={expected:.10f}, err={err:.2e}")
@@ -61,7 +61,7 @@ def test_criterion_03_scalar_rayleigh_oracle():
 def test_criterion_04_lsl_consistency_large_dim():
     stats = iid_stats(10.0, 64, 64)
     fp = solve_fixed_point(stats, np.eye(64))
-    mi = lsl_mutual_information(stats, np.eye(64), fp)
+    mi = lsl_mutual_information(stats, fp)
     est = mc_ergodic_mi(stats, np.eye(64), 200, seed=64)
     rel = abs(est.mean - mi) / mi
     report(4, rel <= 0.005, f"lsl={mi:.6f}, mc={est.mean:.6f}, rel={rel:.4%}")

@@ -107,6 +107,14 @@ class TestSampleChannel:
         assert rel <= 0.05
 
 
+class TestStatisticsCache:
+    def test_r_eigs_cached_and_clipped(self):
+        stats = ChannelStatistics(snr=1.0, num_rx=2, num_tx=2, t_corr=np.eye(2), r_corr=np.ones((2, 2)))
+        assert stats.r_eigs is stats.r_eigs
+        assert np.all(stats.r_eigs >= 0.0)
+        assert np.allclose(stats.r_eigs, [0.0, 2.0], atol=1e-12)
+
+
 class TestValidation:
     def test_bad_array_spec(self):
         with pytest.raises(ValueError):

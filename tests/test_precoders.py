@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
+from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
-from wiretap_lsl.detequiv import lsl_objective, lsl_secrecy_rate, solve_fixed_point
-from wiretap_lsl.errors import AllZeroGains
+from wiretap_lsl.detequiv import lsl_objective, lsl_secrecy_rate
+from wiretap_lsl.errors import AllZeroGains, OuterLoopNoConvergence
+from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.precoders import (
     Strategy,
@@ -24,6 +26,67 @@ def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
 
 def iid_stats(snr, n, m):
     return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
+
+
+def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
+    """Scalar loop over subchannels: the oracle for gsvd_power_allocation."""
+    sm = np.asarray(sigma_m2, dtype=float)
+    se = np.asarray(sigma_e2, dtype=float)
+    v = np.asarray(v_diag, dtype=float)
+    levels = np.zeros_like(sm)
+    gain = (sm - se) / (np.log(2.0) * mu * v)
+    prod = sm * se
+    for i in np.flatnonzero(sm > se):
+        if prod[i] > 1e-14:
+            disc = 1.0 - 4.0 * prod[i] + 4.0 * prod[i] * gain[i]
+            if disc <= 0:
+                continue
+            levels[i] = max(0.0, (-1.0 + np.sqrt(disc)) / (2.0 * prod[i]))
+        else:
+            levels[i] = max(0.0, gain[i] - 1.0)
+    return levels
+
+
+def reference_optimize(strategy, stats_m, stats_e):
+    """The outer loop run to convergence or to the cap, step by step: the
+    oracle for optimize, which skips ahead once the loop cycles."""
+    precoder = isotropic_precoder(stats_m.num_tx)
+    rate = lsl_secrecy_rate(stats_m, stats_e, precoder)
+    for it in range(1, precoders._OUTER_MAX_ITER + 1):
+        if strategy is Strategy.WATER_FILLING:
+            new_precoder = waterfill_precoder(stats_m, rate.fp_main.e)
+        else:
+            new_precoder = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
+        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_precoder)
+        converged = abs(new_rate.rs - rate.rs) < precoders._OUTER_TOL
+        precoder, rate = new_precoder, new_rate
+        if converged:
+            return precoder, rate, it
+    return precoder, rate, precoders._OUTER_MAX_ITER
+
+
+def sweep_point_stats(m, n_main, n_eave, snr_main_db, snr_eave_db, spacing, spread):
+    config = ExperimentConfig(
+        m=m,
+        n_main=n_main,
+        n_eave=n_eave,
+        sweep="snr",
+        sweep_grid=(0.0,),
+        snr_main_db=snr_main_db,
+        snr_eave_db=snr_eave_db,
+        array_main=ArraySpec(m, spacing, 40.0, spread),
+        array_eave=ArraySpec(m, spacing, -10.0, spread),
+    )
+    return build_statistics(config)
+
+
+# GSVD outer loops that never converge: the first alternates between two
+# precoders from its first iterations on; the second enters a cycle of
+# five after about twenty.
+CYCLING_POINTS = [
+    (4, 3, 6, 17.0, 7.5, 1.8, 56.0),
+    (2, 5, 1, 20.0, 20.0, 0.3970337807969213, 41.54485717078261),
+]
 
 
 class TestIsotropic:
@@ -128,6 +191,26 @@ class TestGsvdPowerAllocation:
         levels = gsvd_power_allocation([0.8, 0.6], [0.2, 0.4], [1.0, 2.0], 1.0, 1e9)
         assert np.all(levels == 0)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 64
+        sm = rng.uniform(0.0, 1.0, k)
+        se = rng.uniform(0.0, 1.0, k)
+        se[:8] = rng.choice([0.0, 1e-17, 1e-15], 8)  # prod <= 1e-14: linear branch
+        se[8:12] = sm[8:12]  # ties
+        sm[12:20], se[12:20] = 0.9, 0.5  # prod > 1/4: disc <= 0 once mu is large
+        v = 10.0 ** rng.uniform(-2.0, 2.0, k)
+        active, prod = sm > se, sm * se
+        assert np.any(~active) and np.any(active & (prod <= 1e-14))
+        disc_le_0 = False
+        for mu in [1e-12, 1e-6, 1e-2, 0.3, 1.0, 7.0, 1e3, 1e12, 1e200]:
+            expected = reference_power_allocation(sm, se, v, mu)
+            assert np.array_equal(gsvd_power_allocation(sm, se, v, float(k), mu), expected)
+            disc = 1.0 - 4.0 * prod + 4.0 * prod * (sm - se) / (np.log(2.0) * mu * v)
+            disc_le_0 |= bool(np.any(active & (prod > 1e-14) & (disc <= 0)))
+        assert disc_le_0
+
 
 class TestGsvdPrecoder:
     def test_symmetric_channels_zero_precoder(self):
@@ -180,7 +263,74 @@ class TestGsvdPrecoder:
         assert all(b <= a + 1e-12 for a, b in zip(powers, powers[1:]))
 
 
+class TestGsvdBisection:
+    def test_each_mu_evaluated_once(self, monkeypatch):
+        mus = []
+        original = precoders.gsvd_power_allocation
+
+        def recording(sm2, se2, v_diag, budget, mu):
+            mus.append(mu)
+            return original(sm2, se2, v_diag, budget, mu)
+
+        monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
+        main = correlated_stats(10.0, 3, 4, 40.0)
+        eave = correlated_stats(10.0, 2, 4, -10.0)
+        gsvd_precoder(main, eave, em=1.2, ee=0.9)
+        assert len(mus) > 3
+        assert len(set(mus)) == len(mus)
+
+
 class TestOptimize:
+    def test_fixed_points_reused_across_outer_iterations(self, monkeypatch):
+        calls = []
+        original = detequiv.solve_fixed_point
+
+        def counting(stats, p):
+            calls.append(stats)
+            return original(stats, p)
+
+        monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
+        monkeypatch.setattr(precoders, "solve_fixed_point", counting, raising=False)
+        main, eave = build_statistics(figure_preset("fig5"), spacing=1.0)
+        _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+        # One solve per link for the isotropic start, then per new precoder.
+        assert len(calls) == 2 * (iterations + 1)
+
+    @pytest.mark.parametrize("point", CYCLING_POINTS)
+    def test_cycle_skip_matches_the_full_loop(self, point):
+        main, eave = sweep_point_stats(*point)
+        with pytest.warns(OuterLoopNoConvergence):
+            p, rate, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+        ref_p, ref_rate, ref_iterations = reference_optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+        assert iterations == ref_iterations == precoders._OUTER_MAX_ITER
+        assert np.array_equal(p.p, ref_p.p)
+        assert rate.rs == ref_rate.rs
+        assert (rate.fp_main.e, rate.fp_eave.e) == (ref_rate.fp_main.e, ref_rate.fp_eave.e)
+
+    def test_cycle_skip_stops_designing_precoders(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return gsvd_precoder(*args)
+
+        monkeypatch.setattr(precoders, "gsvd_precoder", counting)
+        main, eave = sweep_point_stats(*CYCLING_POINTS[0])
+        with pytest.warns(OuterLoopNoConvergence):
+            _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+        assert iterations == precoders._OUTER_MAX_ITER
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("strategy", [Strategy.WATER_FILLING, Strategy.GSVD_BEAMFORMING])
+    @pytest.mark.parametrize("spacing", [0.2, 1.0, 2.5])
+    def test_converging_loop_matches_the_full_loop(self, strategy, spacing):
+        main, eave = build_statistics(figure_preset("fig5"), spacing=spacing)
+        p, rate, iterations = optimize(strategy, main, eave)
+        ref_p, ref_rate, ref_iterations = reference_optimize(strategy, main, eave)
+        assert iterations == ref_iterations < precoders._OUTER_MAX_ITER
+        assert np.array_equal(p.p, ref_p.p)
+        assert rate.rs == ref_rate.rs
+
     def test_isotropic_matches_direct_rate(self):
         main = correlated_stats(5.0, 3, 3, 40.0)
         eave = correlated_stats(5.0, 2, 3, -10.0)
