@@ -3,14 +3,7 @@ large-system deterministic equivalents, with transmit-covariance
 optimization and seeded Monte Carlo validation.
 """
 
-from .channel import (
-    ArraySpec,
-    ChannelRealization,
-    ChannelStatistics,
-    complex_gaussian_matrix,
-    gen_correlation,
-    sample_channel,
-)
+from .channel import ArraySpec, ChannelStatistics, gen_correlation
 from .detequiv import (
     FixedPoint,
     LslRate,
@@ -36,7 +29,6 @@ from .precoders import (
 
 __all__ = [
     "ArraySpec",
-    "ChannelRealization",
     "ChannelStatistics",
     "ExperimentConfig",
     "FixedPoint",
@@ -47,7 +39,6 @@ __all__ = [
     "PowerAllocation",
     "Strategy",
     "SweepResult",
-    "complex_gaussian_matrix",
     "eigh",
     "figure_preset",
     "gen_correlation",
@@ -65,7 +56,6 @@ __all__ = [
     "optimize",
     "parse_config",
     "run_sweep",
-    "sample_channel",
     "solve_fixed_point",
     "validate_lsl",
     "waterfill_levels",

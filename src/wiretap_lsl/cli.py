@@ -39,6 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     if args.config is None and args.preset is None:
         raise ValidationError("either --config or --preset is required")
+    if args.config is not None and args.preset is not None:
+        raise ValidationError("--config and --preset are mutually exclusive")
     if args.preset is not None:
         config = figure_preset(args.preset)
     else:

@@ -1,9 +1,18 @@
 """Seeded Monte Carlo estimation of ergodic rates.
 
 The ground truth against which every deterministic-equivalent value is
-validated. Realizations are drawn in fixed-size blocks with per-block
-RNG streams derived from a master seed, so estimates are bit-identical
-for a given seed regardless of how blocks would be scheduled.
+validated. Realizations are drawn in fixed-size blocks of 256 with
+per-block RNG streams derived from a master seed, so estimates are
+bit-identical for a given seed regardless of how blocks would be
+scheduled. Each block consumes its stream in a fixed order (all real
+parts of W, then all imaginary parts), which the kernel's rearranged
+arithmetic leaves unchanged: the same seed draws the same channels.
+
+Per block the kernel does two 2-D products, W T^(1/2) and H P^(1/2)
+(plus a batched R^(1/2) H when R is not the identity), and one batched
+Cholesky of a Gram matrix in the smaller of N and M.
+Blocks bound the memory: drawing all n realizations at once would
+allocate n * N * M complex values per array.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import numpy as np
 
 from .channel import ChannelStatistics, sample_channel_block
 from .detequiv import _precoder_matrix
+from .linalg import hermitian_sqrt
 
 _BLOCK_SIZE = 256
 
@@ -32,13 +42,20 @@ def _block_seeds(seed: int, num_blocks: int):
     return np.random.SeedSequence(seed).spawn(num_blocks)
 
 
-def _logdet_block(h: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(1/M) ln det(I + H P Hᴴ) for a (count, N, M) stack of channels."""
+def _logdet_block(h: np.ndarray, p_sqrt: np.ndarray) -> np.ndarray:
+    """(1/M) ln det(I + H P Hᴴ) for a (count, N, M) stack of channels.
+
+    With G = H P^(1/2), the Sylvester identity det(I_N + G Gᴴ) =
+    det(I_M + Gᴴ G) lets the Cholesky factor the smaller Gram matrix.
+    The Gram matrix is not symmetrized first: the factorization reads
+    one triangle and the real part of the diagonal.
+    """
     count, n, m = h.shape
-    gram = np.eye(n) + h @ p @ h.conj().transpose(0, 2, 1)
-    # Symmetrize before the batched Cholesky; rounding breaks exact
-    # conjugate symmetry at high SNR.
-    gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+    g = (h.reshape(count * n, m) @ p_sqrt).reshape(count, n, m)
+    g_h = g.conj().transpose(0, 2, 1)
+    gram = g @ g_h if n <= m else g_h @ g
+    diag = np.arange(gram.shape[1])
+    gram[:, diag, diag] += 1.0
     chol = np.linalg.cholesky(gram)
     diags = np.diagonal(chol, axis1=1, axis2=2).real
     return 2.0 * np.sum(np.log(diags), axis=1) / m
@@ -48,7 +65,7 @@ def mc_ergodic_mi(stats: ChannelStatistics, p, n: int, seed: int) -> McEstimate:
     """Average per-antenna MI over n sampled channel realizations."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pmat = _precoder_matrix(p)
+    p_sqrt = hermitian_sqrt(_precoder_matrix(p))
     num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     values = np.empty(n)
     offset = 0
@@ -56,7 +73,7 @@ def mc_ergodic_mi(stats: ChannelStatistics, p, n: int, seed: int) -> McEstimate:
         count = min(_BLOCK_SIZE, n - offset)
         rng = np.random.default_rng(child)
         h = sample_channel_block(stats, count, rng)
-        values[offset : offset + count] = _logdet_block(h, pmat)
+        values[offset : offset + count] = _logdet_block(h, p_sqrt)
         offset += count
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0

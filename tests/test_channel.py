@@ -1,18 +1,55 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
-from wiretap_lsl.channel import (
-    ArraySpec,
-    ChannelStatistics,
-    complex_gaussian_matrix,
-    gen_correlation,
-    sample_channel,
-)
+from wiretap_lsl import channel
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
+from wiretap_lsl.errors import QuadratureFailure
 
 
 def iid_stats(snr, n, m):
     return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
+
+
+@lru_cache(maxsize=2)
+def full_interval_nodes(nodes):
+    return roots_legendre(nodes)
+
+
+def reference_correlation_row(spec, nodes=4096):
+    """Full-interval rule: `nodes` Gauss-Legendre nodes over all of [-pi, pi].
+
+    With 4096 nodes this is the quadrature the windowed rule replaced.
+    """
+    theta = np.deg2rad((spec.mean_angle_deg + 180.0) % 360.0 - 180.0)
+    spread = np.deg2rad(spec.angle_spread_deg)
+    x, w = full_interval_nodes(nodes)
+    phi = np.pi * x
+    weight = np.pi * w * np.exp(-((phi - theta) ** 2) / (2.0 * spread**2))
+    k = np.arange(spec.num_antennas)
+    phase = np.exp(2j * np.pi * spec.spacing_wavelengths * np.outer(k, np.sin(phi)))
+    row = phase @ weight
+    return row / row[0].real
+
+
+def adaptive_entry(spec, offset):
+    """Correlation between antennas `offset` apart by adaptive quadrature over [-pi, pi]."""
+    theta = np.deg2rad((spec.mean_angle_deg + 180.0) % 360.0 - 180.0)
+    spread = np.deg2rad(spec.angle_spread_deg)
+
+    def weight(phi):
+        return np.exp(-((phi - theta) ** 2) / (2 * spread**2))
+
+    # The weight is below exp(-72) of its peak outside theta +- 12 sigma.
+    lo, hi = max(-np.pi, theta - 12 * spread), min(np.pi, theta + 12 * spread)
+    arg = 2 * np.pi * spec.spacing_wavelengths * offset
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=500)
+    re = quad(lambda p: np.cos(arg * np.sin(p)) * weight(p), lo, hi, **kw)[0]
+    im = quad(lambda p: np.sin(arg * np.sin(p)) * weight(p), lo, hi, **kw)[0]
+    return (re + 1j * im) / quad(weight, lo, hi, **kw)[0]
 
 
 class TestGenCorrelation:
@@ -59,52 +96,128 @@ class TestGenCorrelation:
         assert lam.min() >= -1e-12
 
 
+class TestQuadrature:
+    PRESET_SPECS = [
+        ArraySpec(m, spacing, theta, 5.0)
+        for m in (2, 4, 6)
+        for theta in (40.0, -10.0)
+        for spacing in np.round(np.arange(0.2, 3.0 + 1e-9, 0.1), 10)
+    ]
+
+    def test_preset_rows_match_full_interval_rule(self):
+        for spec in self.PRESET_SPECS:
+            row = channel._correlation_row(spec)
+            assert np.abs(row - reference_correlation_row(spec)).max() <= 1e-12, spec
+
+    def test_random_rows_match_full_interval_rule(self):
+        # Where the weight peaks within a few spreads of +-pi, the
+        # full-interval rule itself is off by up to ~4e-11 (its 4096- and
+        # 8192-node rows differ by more than that); the bound adds that
+        # self-estimate of its error to 1e-12.
+        rng = np.random.default_rng(20260)
+        for _ in range(300):
+            spec = ArraySpec(
+                int(rng.integers(1, 33)),
+                float(rng.uniform(0.0, 3.0)),
+                float(rng.uniform(-360.0, 360.0)),
+                float(rng.uniform(0.5, 60.0)),
+            )
+            reference = reference_correlation_row(spec)
+            err = np.abs(channel._correlation_row(spec) - reference).max()
+            if err > 1e-12:
+                own_error = np.abs(reference - reference_correlation_row(spec, 8192)).max()
+                assert err <= 1e-12 + own_error, spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ArraySpec(4, 1.0, 40.0, 0.5), ArraySpec(4, 1.0, 175.0, 5.0), ArraySpec(4, 1.0, 180.0, 0.5)],
+        ids=["narrow-spread", "window-reaches-pi", "peak-at-pi"],
+    )
+    def test_matches_adaptive_quadrature(self, spec):
+        row = channel._correlation_row(spec)
+        for offset in range(1, spec.num_antennas):
+            assert abs(row[offset] - adaptive_entry(spec, offset)) <= 1e-12
+
+    def test_default_spec_needs_few_nodes(self, monkeypatch):
+        # The cold start is cheap only while the window keeps the rule small.
+        used = []
+        real = channel._leggauss
+
+        def recording(nodes):
+            used.append(nodes)
+            return real(nodes)
+
+        monkeypatch.setattr(channel, "_leggauss", recording)
+        channel._correlation_row.cache_clear()
+        gen_correlation(ArraySpec(6, 1.0, 40.0, 5.0))
+        assert max(used) <= 256
+
+    def test_failure_when_rows_never_settle(self, monkeypatch):
+        spec = ArraySpec(32, 3.0, 0.0, 60.0)
+        monkeypatch.setattr(channel, "_QUAD_MAX_NODES", 128)
+        channel._correlation_row.cache_clear()
+        with pytest.raises(QuadratureFailure):
+            gen_correlation(spec)
+
+
 class TestComplexGaussian:
+    """The i.i.d. draws W inside sample_channel_block (T = I, R = I)."""
+
     def test_moments(self):
-        rng = np.random.default_rng(101)
-        w = complex_gaussian_matrix(1000, 1000, rng)
+        stats = iid_stats(snr=1000.0, n=1, m=1000)
+        w = sample_channel_block(stats, 1000, np.random.default_rng(101))
         assert abs(w.mean()) <= 3e-3
         assert np.mean(np.abs(w) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_reproducible(self):
-        w1 = complex_gaussian_matrix(5, 5, np.random.default_rng(7))
-        w2 = complex_gaussian_matrix(5, 5, np.random.default_rng(7))
-        assert np.array_equal(w1, w2)
+        # The stream is all real parts, then all imaginary parts.
+        stats = iid_stats(snr=5.0, n=4, m=5)
+        w = sample_channel_block(stats, 3, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        re = rng.standard_normal((3, 4, 5))
+        im = rng.standard_normal((3, 4, 5))
+        assert np.allclose(w, (re + 1j * im) / np.sqrt(2.0), rtol=0, atol=1e-15)
 
 
 class TestSampleChannel:
     def test_iid_unit_variance(self):
         m = 10
         stats = iid_stats(snr=float(m), n=10, m=m)
-        rng = np.random.default_rng(0)
-        entries = np.concatenate(
-            [sample_channel(stats, rng).h.ravel() for _ in range(1000)]
-        )
-        assert np.mean(np.abs(entries) ** 2) == pytest.approx(1.0, rel=0.02)
+        h = sample_channel_block(stats, 1000, np.random.default_rng(0))
+        assert h.shape == (1000, 10, m)
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_snr(self):
         stats = iid_stats(snr=0.0, n=3, m=2)
-        h = sample_channel(stats, np.random.default_rng(1)).h
+        h = sample_channel_block(stats, 4, np.random.default_rng(1))
         assert np.all(h == 0)
 
     def test_fixed_seed_bit_identical(self):
         stats = iid_stats(snr=2.0, n=4, m=3)
-        h1 = sample_channel(stats, np.random.default_rng(99)).h
-        h2 = sample_channel(stats, np.random.default_rng(99)).h
+        h1 = sample_channel_block(stats, 5, np.random.default_rng(99))
+        h2 = sample_channel_block(stats, 5, np.random.default_rng(99))
         assert np.array_equal(h1, h2)
 
-    def test_kronecker_covariance(self):
-        m, n, snr = 3, 4, 2.0
-        t = gen_correlation(ArraySpec(m, 0.5, 40.0, 20.0))
-        r = np.eye(n)
+    @staticmethod
+    def covariance_error(t, r, snr):
+        n, m = r.shape[0], t.shape[0]
         stats = ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
-        rng = np.random.default_rng(5)
-        samples = np.stack([sample_channel(stats, rng).h for _ in range(10_000)])
+        samples = sample_channel_block(stats, 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(H) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
         target = (snr / m) * np.kron(t.T, r)
-        rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
-        assert rel <= 0.05
+        return np.linalg.norm(emp - target) / np.linalg.norm(target)
+
+    def test_kronecker_covariance(self):
+        t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
+        assert self.covariance_error(t, np.eye(4), snr=2.0) <= 0.05
+
+    def test_kronecker_covariance_correlated_receiver(self):
+        t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
+        r = gen_correlation(ArraySpec(4, 0.7, -30.0, 10.0))
+        stats = ChannelStatistics(snr=2.0, num_rx=4, num_tx=3, t_corr=t, r_corr=r)
+        assert not stats.r_is_identity
+        assert self.covariance_error(t, r, snr=2.0) <= 0.05
 
 
 class TestStatisticsCache:
@@ -113,6 +226,13 @@ class TestStatisticsCache:
         assert stats.r_eigs is stats.r_eigs
         assert np.all(stats.r_eigs >= 0.0)
         assert np.allclose(stats.r_eigs, [0.0, 2.0], atol=1e-12)
+
+    def test_r_is_identity(self):
+        assert iid_stats(snr=1.0, n=3, m=2).r_is_identity
+        r = np.eye(3)
+        r[0, 1] = r[1, 0] = 1e-3
+        stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=np.eye(2), r_corr=r)
+        assert not stats.r_is_identity
 
 
 class TestValidation:

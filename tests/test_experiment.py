@@ -178,6 +178,12 @@ class TestCli:
     def test_missing_config_and_preset(self):
         assert cli_main(["run"]) == 1
 
+    def test_config_and_preset_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", output_path=str(tmp_path / "out.csv"))
+        assert cli_main(["run", "--config", cfg_path, "--preset", "fig3", "--no-mc"]) == 1
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_config_path(self):
         assert cli_main(["run", "--config", "/does/not/exist.json"]) == 1
 

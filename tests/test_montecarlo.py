@@ -1,14 +1,95 @@
 import numpy as np
 import pytest
 
-from wiretap_lsl.channel import ChannelStatistics
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.experiment import figure_preset
-from wiretap_lsl.linalg import hermitianize
-from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate, validate_lsl
+from wiretap_lsl.linalg import hermitian_sqrt, hermitianize
+from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate, validate_lsl
 
 
 def iid_stats(snr, n, m):
     return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
+
+
+def reference_mc_ergodic_mi(stats, p, n, seed):
+    """The direct kernel: H = sqrt(rho/M) R^(1/2) W T^(1/2), Cholesky of I_N + H P Hᴴ.
+
+    Returns (mean, std_error) over n realizations drawn in blocks of 256
+    from the same per-block streams as mc_ergodic_mi.
+    """
+    values = []
+    children = np.random.SeedSequence(seed).spawn((n + 255) // 256)
+    for b, child in enumerate(children):
+        count = min(256, n - 256 * b)
+        rng = np.random.default_rng(child)
+        nr, m = stats.num_rx, stats.num_tx
+        re = rng.standard_normal((count, nr, m))
+        im = rng.standard_normal((count, nr, m))
+        w = (re + 1j * im) / np.sqrt(2.0)
+        h = np.sqrt(stats.snr / m) * (stats.r_sqrt @ w @ stats.t_sqrt)
+        gram = np.eye(nr) + h @ p @ h.conj().transpose(0, 2, 1)
+        gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
+        chol = np.linalg.cholesky(gram)
+        diags = np.diagonal(chol, axis1=1, axis2=2).real
+        values.append(2.0 * np.sum(np.log(diags), axis=1) / m)
+    values = np.concatenate(values)
+    return values.mean(), (values.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0)
+
+
+def correlated_stats(snr, n, m, r_corr=None):
+    t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
+    r = np.eye(n) if r_corr is None else r_corr
+    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+
+
+def generic_precoder(m, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    p = a @ a.conj().T
+    return hermitianize(m * p / np.trace(p).real)
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize(
+        "snr, n, m, p, r",
+        [
+            (10.0, 2, 4, generic_precoder(4), None),
+            (10.0, 4, 4, generic_precoder(4, 1), None),
+            (10.0, 12, 4, generic_precoder(4, 2), None),
+            (3.0, 3, 1, np.eye(1), None),
+            (1e6, 3, 4, generic_precoder(4, 3), None),
+            (5.0, 6, 4, np.diag([2.0, 0.0, 2.0, 0.0]).astype(complex), None),
+            (5.0, 2, 4, np.diag([4.0, 0.0, 0.0, 0.0]).astype(complex), None),
+            (10.0, 5, 4, generic_precoder(4, 5), gen_correlation(ArraySpec(5, 0.7, -30.0, 10.0))),
+        ],
+        ids=["n<m", "n=m", "n>m", "m=1", "60dB", "rank2-p", "rank1-p", "correlated-r"],
+    )
+    def test_matches_direct_kernel(self, snr, n, m, p, r):
+        stats = correlated_stats(snr, n, m, r_corr=r)
+        est = mc_ergodic_mi(stats, p, 700, seed=17)
+        mean, std_error = reference_mc_ergodic_mi(stats, p, 700, seed=17)
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_high_snr_tall_channel_matches_svd(self, n):
+        # At 60 dB with N > M the direct kernel's I_N + H P Hᴴ carries N - M
+        # unit eigenvalues next to ~1e6 ones and is off from the SVD value
+        # by up to ~1e-11, so it cannot be the oracle here; the M x M Gram
+        # has no such eigenvalues.
+        stats = correlated_stats(1e6, n, 4)
+        p_sqrt = hermitian_sqrt(generic_precoder(4, 4))
+        h = sample_channel_block(stats, 256, np.random.default_rng(1))
+        sv = np.linalg.svd(h @ p_sqrt, compute_uv=False)
+        expected = np.sum(np.log1p(sv**2), axis=1) / 4
+        assert np.allclose(_logdet_block(h, p_sqrt), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, m", [(2, 4), (12, 4)])
+    def test_zero_snr_exact(self, n, m):
+        stats = correlated_stats(0.0, n, m)
+        est = mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2)
+        assert reference_mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2) == (0.0, 0.0)
+        assert est.mean == 0.0 and est.std_error == 0.0
 
 
 class TestMcErgodicMi:
