@@ -51,24 +51,13 @@ class LslRate:
         return max(0.0, self.i_main - self.i_eave)
 
 
-def _precoder_matrix(p) -> np.ndarray:
-    """Accept either a Precoder or a bare Hermitian matrix."""
-    return np.asarray(getattr(p, "p", p), dtype=complex)
-
-
-def _spectra(stats: ChannelStatistics, p) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of R (cached on stats) and of the symmetrized T^(1/2) P T^(1/2)."""
-    k = hermitianize(stats.t_sqrt @ _precoder_matrix(p) @ stats.t_sqrt)
-    k_eigs, _ = eigh(k)
-    return stats.r_eigs, np.clip(k_eigs, 0.0, None)
-
-
-def solve_fixed_point(stats: ChannelStatistics, p) -> FixedPoint:
+def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     """Solve e = (rho/N) tr{R(I+dR)^-1}, d = (rho/M) tr{K(I+b e K)^-1}.
 
-    K is the symmetrized T^(1/2) P T^(1/2). The first equation gives e
-    as an explicit function e(d), which turns the pair into the scalar
-    equation
+    K is the symmetrized T^(1/2) P T^(1/2); its eigenvalues, clipped at
+    0, come from the solve's only eigendecomposition and are returned as
+    k_eigs. The first equation gives e as an explicit function e(d),
+    which turns the pair into the scalar equation
 
         g(d) = d - (rho/M) sum_i k_i / (1 + b e(d) k_i) = 0.
 
@@ -85,7 +74,9 @@ def solve_fixed_point(stats: ChannelStatistics, p) -> FixedPoint:
     """
     rho, beta = stats.snr, stats.beta
     n, m = stats.num_rx, stats.num_tx
-    r_eigs, k_eigs = _spectra(stats, p)
+    r_eigs = stats.r_eigs
+    k = hermitianize(stats.t_sqrt @ p @ stats.t_sqrt)
+    k_eigs = np.clip(eigh(k)[0], 0.0, None)
 
     lo, hi = 0.0, (rho / m) * float(np.sum(k_eigs))
     delta = hi
@@ -126,7 +117,7 @@ def lsl_mutual_information(stats: ChannelStatistics, fp: FixedPoint) -> float:
     return float((term_t + term_r) / m - (beta / rho) * fp.delta * fp.e)
 
 
-def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p) -> LslRate:
+def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p: np.ndarray) -> LslRate:
     """Clamped difference of both links' deterministic-equivalent MIs."""
     if stats_m.num_tx != stats_e.num_tx:
         raise ValueError("both links must share the transmit antenna count")
@@ -138,22 +129,3 @@ def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p) 
         fp_main=fp_m,
         fp_eave=fp_e,
     )
-
-
-def lsl_objective(
-    em: float,
-    ee: float,
-    stats_m: ChannelStatistics,
-    stats_e: ChannelStatistics,
-    p,
-) -> float:
-    """Optimization surrogate: clamped gap of the two log-det terms only.
-
-    em and ee are frozen trace parameters; the residual -(b/rho) d e
-    terms of the full MI expression are deliberately absent.
-    """
-    m = stats_m.num_tx
-    _, k_m = _spectra(stats_m, p)
-    _, k_e = _spectra(stats_e, p)
-    gap = np.sum(np.log1p(stats_m.beta * em * k_m)) - np.sum(np.log1p(stats_e.beta * ee * k_e))
-    return float(max(0.0, gap / m))

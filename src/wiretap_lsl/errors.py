@@ -5,10 +5,6 @@ class WiretapError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPositiveDefinite(WiretapError):
-    """Cholesky-type factorization hit a non-positive pivot."""
-
-
 class NotPsd(WiretapError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
@@ -50,4 +46,4 @@ class UnknownPreset(WiretapError):
 
 
 class OuterLoopNoConvergence(UserWarning):
-    """Precoder/statistics alternation hit its outer iteration cap."""
+    """Precoder design and statistics alternation hit its outer iteration cap."""

@@ -6,15 +6,17 @@ reported in bits (per antenna and total).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .channel import ArraySpec, ChannelStatistics, gen_correlation
-from .errors import ParseError, UnknownPreset, ValidationError
+from .errors import ParseError, UnknownPreset, ValidationError, WiretapError
 from .montecarlo import mc_secrecy_rate
 from .precoders import Strategy, optimize
 
@@ -66,8 +68,15 @@ class ExperimentConfig:
         grid = tuple(float(v) for v in self.sweep_grid)
         if not grid:
             raise ValidationError("sweep_grid must be nonempty")
+        if not all(math.isfinite(v) for v in grid):
+            raise ValidationError("sweep_grid values must be finite")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValidationError("sweep_grid must be strictly ascending")
+        # Grid values become antenna counts or spacings at each point.
+        if self.sweep == "ne" and round(grid[0]) < 1:
+            raise ValidationError("ne sweep values must round to >= 1")
+        if self.sweep == "spacing" and grid[0] < 0:
+            raise ValidationError("spacing sweep values must be >= 0")
         object.__setattr__(self, "sweep_grid", grid)
         if self.mc_realizations < 1:
             raise ValidationError("mc_realizations must be >= 1")
@@ -158,51 +167,43 @@ def parse_config(path: str) -> ExperimentConfig:
     return config_from_dict(raw, source=path)
 
 
+# Flat config keys that build the two ArraySpecs, with their defaults;
+# every other accepted key is an ExperimentConfig field of the same name.
+_ARRAY_KEYS = {
+    "spacing_wavelengths": DEFAULT_SPACING,
+    "theta_main_deg": DEFAULT_THETA_MAIN,
+    "theta_eave_deg": DEFAULT_THETA_EAVE,
+    "angle_spread_deg": DEFAULT_SPREAD,
+}
+
+_CONFIG_FIELDS = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("array_main", "array_eave")]
+CONFIG_KEYS = frozenset(f.name for f in _CONFIG_FIELDS) | frozenset(_ARRAY_KEYS)
+
+
+def _coerce(hint, value):
+    """Convert one JSON value to its field type; tuples convert elementwise."""
+    if typing.get_origin(hint) is tuple:
+        return tuple(typing.get_args(hint)[0](v) for v in value)
+    return hint(value)
+
+
 def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
-    known = {
-        "m",
-        "n_main",
-        "n_eave",
-        "sweep",
-        "sweep_grid",
-        "snr_main_db",
-        "snr_eave_db",
-        "strategies",
-        "mc_realizations",
-        "seed",
-        "output_path",
-        "spacing_wavelengths",
-        "theta_main_deg",
-        "theta_eave_deg",
-        "angle_spread_deg",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - CONFIG_KEYS
     if unknown:
         raise ParseError(f"{source}: unknown fields {sorted(unknown)}")
-    missing = {"m", "n_main", "n_eave", "sweep", "sweep_grid"} - set(raw)
+    missing = {f.name for f in _CONFIG_FIELDS if f.default is dataclasses.MISSING} - set(raw)
     if missing:
         raise ParseError(f"{source}: missing fields {sorted(missing)}")
 
+    hints = typing.get_type_hints(ExperimentConfig)
     try:
-        m = int(raw["m"])
-        spacing = float(raw.get("spacing_wavelengths", DEFAULT_SPACING))
-        spread = float(raw.get("angle_spread_deg", DEFAULT_SPREAD))
-        array_main = ArraySpec(m, spacing, float(raw.get("theta_main_deg", DEFAULT_THETA_MAIN)), spread)
-        array_eave = ArraySpec(m, spacing, float(raw.get("theta_eave_deg", DEFAULT_THETA_EAVE)), spread)
+        values = {f.name: _coerce(hints[f.name], raw[f.name]) for f in _CONFIG_FIELDS if f.name in raw}
+        array = {key: float(raw.get(key, default)) for key, default in _ARRAY_KEYS.items()}
+        m, spacing, spread = values["m"], array["spacing_wavelengths"], array["angle_spread_deg"]
         return ExperimentConfig(
-            m=m,
-            n_main=int(raw["n_main"]),
-            n_eave=int(raw["n_eave"]),
-            sweep=str(raw["sweep"]),
-            sweep_grid=tuple(float(v) for v in raw["sweep_grid"]),
-            snr_main_db=float(raw.get("snr_main_db", 10.0)),
-            snr_eave_db=float(raw.get("snr_eave_db", 10.0)),
-            array_main=array_main,
-            array_eave=array_eave,
-            strategies=tuple(Strategy(s) for s in raw.get("strategies", ["iso", "wf", "gsvd"])),
-            mc_realizations=int(raw.get("mc_realizations", DEFAULT_MC_REALIZATIONS)),
-            seed=int(raw.get("seed", 0)),
-            output_path=str(raw.get("output_path", "sweep.csv")),
+            **values,
+            array_main=ArraySpec(m, spacing, array["theta_main_deg"], spread),
+            array_eave=ArraySpec(m, spacing, array["theta_eave_deg"], spread),
         )
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{source}: {exc}") from exc
@@ -247,45 +248,51 @@ def _point_seed(base_seed: int, grid_index: int, strategy_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Numerical failures of one sweep point, reported as error rows; any
+# other exception is a fault in the program and propagates.
+_POINT_FAILURES = (WiretapError, np.linalg.LinAlgError)
+
+
+def _error_row(config: ExperimentConfig, value: float, strategy: Strategy, exc: Exception) -> SweepRow:
+    return SweepRow(config.sweep, value, strategy.value, None, None, None, None, None, error=str(exc))
+
+
 def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
-    """Run every (grid point, strategy) pair; failures become error rows."""
+    """Run every (grid point, strategy) pair; a point that fails with a
+    package error or a LinAlgError becomes an error row."""
     ln2 = math.log(2.0)
     rows = []
     for gi, value in enumerate(config.sweep_grid):
         try:
             stats_m, stats_e = _point_statistics(config, value)
-        except Exception as exc:  # noqa: BLE001 - per-point fault isolation
-            for strategy in config.strategies:
-                rows.append(
-                    SweepRow(config.sweep, value, strategy.value, None, None, None, None, None, error=str(exc))
-                )
+        except _POINT_FAILURES as exc:
+            rows.extend(_error_row(config, value, strategy, exc) for strategy in config.strategies)
             continue
         for si, strategy in enumerate(config.strategies):
             try:
-                precoder, rate, iterations = optimize(strategy, stats_m, stats_e)
+                p, rate, iterations = optimize(strategy, stats_m, stats_e)
                 mc_mean_bits = mc_se = None
                 if include_mc:
                     mc = mc_secrecy_rate(
-                        stats_m, stats_e, precoder, config.mc_realizations, _point_seed(config.seed, gi, si)
+                        stats_m, stats_e, p, config.mc_realizations, _point_seed(config.seed, gi, si)
                     )
                     mc_mean_bits = mc.mean / ln2
                     mc_se = mc.std_error / ln2
-                rows.append(
-                    SweepRow(
-                        sweep_var=config.sweep,
-                        sweep_value=value,
-                        strategy=strategy.value,
-                        rs_lsl_per_antenna_bits=rate.rs / ln2,
-                        rs_lsl_total_bits=rate.rs * config.m / ln2,
-                        rs_mc_per_antenna_bits=mc_mean_bits,
-                        rs_mc_std_error=mc_se,
-                        outer_iterations=iterations,
-                    )
+            except _POINT_FAILURES as exc:
+                rows.append(_error_row(config, value, strategy, exc))
+                continue
+            rows.append(
+                SweepRow(
+                    sweep_var=config.sweep,
+                    sweep_value=value,
+                    strategy=strategy.value,
+                    rs_lsl_per_antenna_bits=rate.rs / ln2,
+                    rs_lsl_total_bits=rate.rs * config.m / ln2,
+                    rs_mc_per_antenna_bits=mc_mean_bits,
+                    rs_mc_std_error=mc_se,
+                    outer_iterations=iterations,
                 )
-            except Exception as exc:  # noqa: BLE001
-                rows.append(
-                    SweepRow(config.sweep, value, strategy.value, None, None, None, None, None, error=str(exc))
-                )
+            )
     return SweepResult(config=config, rows=tuple(rows))
 
 

@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernel: log-determinants, square roots and a GSVD.
+"""Dense complex-matrix kernel: eigendecompositions, square roots and a GSVD.
 
 All matrices are numpy arrays of complex128. Hermitian inputs are
 symmetrized at the boundary so that downstream eigen-solvers see exactly
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConvergenceFailure, NotPositiveDefinite, NotPsd, RankDeficient
+from .errors import ConvergenceFailure, NotPsd, RankDeficient
 
 _PSD_FLOOR = -1e-12
 _RANK_RTOL = 1e-10
@@ -21,20 +21,6 @@ _RANK_RTOL = 1e-10
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Return (A + Aᴴ)/2, the exactly conjugate-symmetric part of A."""
     return 0.5 * (a + a.conj().T)
-
-
-def logdet_hpd(a: np.ndarray) -> float:
-    """ln det(A) for Hermitian positive definite A via Cholesky.
-
-    Raises NotPositiveDefinite if the factorization breaks down, which
-    signals an invalid covariance somewhere upstream.
-    """
-    a = hermitianize(np.asarray(a, dtype=complex))
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return float(2.0 * np.sum(np.log(np.diag(chol).real)))
 
 
 def eigh(a: np.ndarray):
@@ -63,12 +49,12 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     return hermitianize((q * np.sqrt(lam)) @ q.conj().T)
 
 
-def clip_psd(a: np.ndarray, floor: float = _PSD_FLOOR) -> np.ndarray:
+def clip_psd(a: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues of a Hermitian matrix to zero."""
     lam, q = eigh(a)
     if lam.min() >= 0.0:
         return hermitianize(np.asarray(a, dtype=complex))
-    if lam.min() < floor:
+    if lam.min() < _PSD_FLOOR:
         raise NotPsd(f"eigenvalue {lam.min():.3e} below PSD tolerance")
     lam = np.clip(lam, 0.0, None)
     return hermitianize((q * lam) @ q.conj().T)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics, sample_channel_block
-from .detequiv import _precoder_matrix
 from .linalg import hermitian_sqrt
 
 _BLOCK_SIZE = 256
@@ -61,11 +60,11 @@ def _logdet_block(h: np.ndarray, p_sqrt: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(diags), axis=1) / m
 
 
-def mc_ergodic_mi(stats: ChannelStatistics, p, n: int, seed: int) -> McEstimate:
+def mc_ergodic_mi(stats: ChannelStatistics, p: np.ndarray, n: int, seed: int) -> McEstimate:
     """Average per-antenna MI over n sampled channel realizations."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p_sqrt = hermitian_sqrt(_precoder_matrix(p))
+    p_sqrt = hermitian_sqrt(p)
     num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     values = np.empty(n)
     offset = 0
@@ -83,7 +82,7 @@ def mc_ergodic_mi(stats: ChannelStatistics, p, n: int, seed: int) -> McEstimate:
 def mc_secrecy_rate(
     stats_m: ChannelStatistics,
     stats_e: ChannelStatistics,
-    p,
+    p: np.ndarray,
     n: int,
     seed: int,
 ) -> McEstimate:
@@ -98,45 +97,3 @@ def mc_secrecy_rate(
     mean = max(0.0, est_m.mean - est_e.mean)
     std_error = float(np.hypot(est_m.std_error, est_e.std_error))
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n, seed=seed)
-
-
-@dataclass(frozen=True)
-class ValidationRow:
-    """One cross-check of the deterministic equivalent against Monte Carlo."""
-
-    snr_db: float
-    strategy: str
-    rs_lsl: float
-    rs_mc: float
-    std_error: float
-    flagged: bool
-
-
-def validate_lsl(config, snr_grid, n: int, seed: int) -> list[ValidationRow]:
-    """Run both pipelines per (SNR, strategy) and flag disagreements.
-
-    A point is flagged when |rs_lsl - rs_mc| > max(3*std_error,
-    0.02*rs_mc). Flags are reported, never raised.
-    """
-    from .experiment import build_statistics  # local import to avoid a cycle
-    from .precoders import optimize
-
-    rows = []
-    for snr_db in snr_grid:
-        stats_m, stats_e = build_statistics(config, snr_db=snr_db)
-        for strategy in config.strategies:
-            precoder, rate, _ = optimize(strategy, stats_m, stats_e)
-            mc = mc_secrecy_rate(stats_m, stats_e, precoder, n, seed)
-            gap = abs(rate.rs - mc.mean)
-            flagged = gap > max(3.0 * mc.std_error, 0.02 * mc.mean)
-            rows.append(
-                ValidationRow(
-                    snr_db=float(snr_db),
-                    strategy=str(strategy.value if hasattr(strategy, "value") else strategy),
-                    rs_lsl=rate.rs,
-                    rs_mc=mc.mean,
-                    std_error=mc.std_error,
-                    flagged=flagged,
-                )
-            )
-    return rows

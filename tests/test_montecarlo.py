@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
-from wiretap_lsl.experiment import figure_preset
 from wiretap_lsl.linalg import hermitian_sqrt, hermitianize
-from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate, validate_lsl
+from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate
 
 
 def iid_stats(snr, n, m):
@@ -153,15 +152,3 @@ class TestMcSecrecyRate:
         eave = iid_stats(50.0, 2, 2)
         est = mc_secrecy_rate(main, eave, np.eye(2), 500, seed=6)
         assert est.mean == 0.0
-
-
-class TestValidateLsl:
-    def test_empty_grid(self):
-        config = figure_preset("fig2")
-        assert validate_lsl(config, [], 100, seed=0) == []
-
-    def test_small_run_no_flags(self):
-        config = figure_preset("fig2")
-        rows = validate_lsl(config, [10.0], 4000, seed=21)
-        assert len(rows) == 3
-        assert all(not row.flagged for row in rows)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from wiretap_lsl import detequiv, precoders
+from wiretap_lsl import detequiv, experiment, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
-from wiretap_lsl.detequiv import lsl_objective, lsl_secrecy_rate
+from wiretap_lsl.detequiv import lsl_secrecy_rate
 from wiretap_lsl.errors import AllZeroGains, OuterLoopNoConvergence
 from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset
 from wiretap_lsl.linalg import gsvd
+from wiretap_lsl.montecarlo import mc_ergodic_mi
 from wiretap_lsl.precoders import (
     Strategy,
     gsvd_power_allocation,
@@ -50,19 +51,19 @@ def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
 def reference_optimize(strategy, stats_m, stats_e):
     """The outer loop run to convergence or to the cap, step by step: the
     oracle for optimize, which skips ahead once the loop cycles."""
-    precoder = isotropic_precoder(stats_m.num_tx)
-    rate = lsl_secrecy_rate(stats_m, stats_e, precoder)
+    p = isotropic_precoder(stats_m.num_tx)
+    rate = lsl_secrecy_rate(stats_m, stats_e, p)
     for it in range(1, precoders._OUTER_MAX_ITER + 1):
         if strategy is Strategy.WATER_FILLING:
-            new_precoder = waterfill_precoder(stats_m, rate.fp_main.e)
+            new_p = waterfill_precoder(stats_m, rate.fp_main.e)
         else:
-            new_precoder = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
-        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_precoder)
+            new_p = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
+        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_p)
         converged = abs(new_rate.rs - rate.rs) < precoders._OUTER_TOL
-        precoder, rate = new_precoder, new_rate
+        p, rate = new_p, new_rate
         if converged:
-            return precoder, rate, it
-    return precoder, rate, precoders._OUTER_MAX_ITER
+            return p, rate, it
+    return p, rate, precoders._OUTER_MAX_ITER
 
 
 def sweep_point_stats(m, n_main, n_eave, snr_main_db, snr_eave_db, spacing, spread):
@@ -92,8 +93,8 @@ CYCLING_POINTS = [
 class TestIsotropic:
     def test_identity(self):
         p = isotropic_precoder(3)
-        assert np.array_equal(p.p, np.eye(3))
-        assert np.trace(p.p).real == 3.0
+        assert np.array_equal(p, np.eye(3))
+        assert np.trace(p).real == 3.0
 
     def test_symmetric_channels_zero_rate(self):
         stats = iid_stats(2.0, 2, 2)
@@ -140,12 +141,12 @@ class TestWaterfillLevels:
 class TestWaterfillPrecoder:
     def test_identity_correlation(self):
         p = waterfill_precoder(iid_stats(1.0, 3, 3), em=0.5)
-        assert np.allclose(p.p, np.eye(3), atol=1e-12)
+        assert np.allclose(p, np.eye(3), atol=1e-12)
 
     def test_rank_one_correlation(self):
         stats = correlated_stats(1.0, 2, 4, 40.0, spacing=0.0)
         p = waterfill_precoder(stats, em=0.5)
-        lam = np.linalg.eigvalsh(p.p)
+        lam = np.linalg.eigvalsh(p)
         assert lam[-1] == pytest.approx(4.0, abs=1e-8)
         assert np.abs(lam[:-1]).max() <= 1e-8
 
@@ -156,22 +157,22 @@ class TestWaterfillPrecoder:
         t = np.diag([4.0, 1.0]) / (beta * em)
         stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=t, r_corr=np.eye(3))
         p = waterfill_precoder(stats, em=em)
-        lam = np.sort(np.linalg.eigvalsh(p.p))
+        lam = np.sort(np.linalg.eigvalsh(p))
         assert np.allclose(lam, [0.625, 1.375], atol=1e-10)
 
 
 class TestGsvdPowerAllocation:
     def test_eave_dominant_zero(self):
-        levels = gsvd_power_allocation([0.2], [0.8], [1.0], 1.0, 0.1)
+        levels = gsvd_power_allocation([0.2], [0.8], [1.0], 0.1)
         assert levels[0] == 0.0
 
     def test_tie_zero(self):
-        levels = gsvd_power_allocation([0.5], [0.5], [1.0], 1.0, 0.1)
+        levels = gsvd_power_allocation([0.5], [0.5], [1.0], 0.1)
         assert levels[0] == 0.0
 
     def test_matches_scalar_kkt_oracle(self):
         sm, se, v, mu = 0.8, 0.2, 1.0, 0.05
-        level = gsvd_power_allocation([sm], [se], [v], 1.0, mu)[0]
+        level = gsvd_power_allocation([sm], [se], [v], mu)[0]
         assert level > 0
 
         def negated(p):
@@ -188,7 +189,7 @@ class TestGsvdPowerAllocation:
         assert level == pytest.approx(root, abs=1e-8)
 
     def test_high_mu_shuts_everything_off(self):
-        levels = gsvd_power_allocation([0.8, 0.6], [0.2, 0.4], [1.0, 2.0], 1.0, 1e9)
+        levels = gsvd_power_allocation([0.8, 0.6], [0.2, 0.4], [1.0, 2.0], 1e9)
         assert np.all(levels == 0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -206,7 +207,7 @@ class TestGsvdPowerAllocation:
         disc_le_0 = False
         for mu in [1e-12, 1e-6, 1e-2, 0.3, 1.0, 7.0, 1e3, 1e12, 1e200]:
             expected = reference_power_allocation(sm, se, v, mu)
-            assert np.array_equal(gsvd_power_allocation(sm, se, v, float(k), mu), expected)
+            assert np.array_equal(gsvd_power_allocation(sm, se, v, mu), expected)
             disc = 1.0 - 4.0 * prod + 4.0 * prod * (sm - se) / (np.log(2.0) * mu * v)
             disc_le_0 |= bool(np.any(active & (prod > 1e-14) & (disc <= 0)))
         assert disc_le_0
@@ -216,14 +217,14 @@ class TestGsvdPrecoder:
     def test_symmetric_channels_zero_precoder(self):
         stats = correlated_stats(1.0, 2, 3, 40.0)
         p = gsvd_precoder(stats, stats, em=0.5, ee=0.5)
-        assert np.all(p.p == 0)
+        assert np.all(p == 0)
         assert lsl_secrecy_rate(stats, stats, p).rs == 0.0
 
     def test_trace_budget(self):
         main = correlated_stats(10.0, 3, 4, 40.0)
         eave = correlated_stats(10.0, 2, 4, -10.0)
         p = gsvd_precoder(main, eave, em=1.2, ee=0.9)
-        assert np.trace(p.p).real <= 4.0 + 1e-6
+        assert np.trace(p).real <= 4.0 + 1e-6
 
     def test_power_identity_and_separability(self):
         m = 4
@@ -236,16 +237,16 @@ class TestGsvdPrecoder:
         b = np.sqrt(eave.beta * ee) * eave.t_sqrt
         f = gsvd(a, b)
         # P = V^-H diag(levels) V^-1, so V^H P V recovers the diagonal
-        levels = np.diag(f.v.conj().T @ p.p @ f.v).real
+        levels = np.diag(f.v.conj().T @ p @ f.v).real
         # allocated power, weighted by the V^-1 gram diagonal, uses the
         # whole budget
         assert np.dot(levels, f.v_inv_gram_diag) == pytest.approx(m, abs=1e-8)
-        # subchannel-separable form of the objective
-        direct = lsl_objective(em, ee, main, eave, p)
-        separable = np.sum(
-            np.log1p(f.sigma_m**2 * levels) - np.log1p(f.sigma_e**2 * levels)
-        ) / m
-        assert direct == pytest.approx(max(0.0, separable), abs=1e-8)
+        # the log-det gap at frozen (em, ee) separates over subchannels
+        k_m = np.linalg.eigvalsh(main.t_sqrt @ p @ main.t_sqrt)
+        k_e = np.linalg.eigvalsh(eave.t_sqrt @ p @ eave.t_sqrt)
+        direct = np.sum(np.log1p(main.beta * em * k_m)) - np.sum(np.log1p(eave.beta * ee * k_e))
+        separable = np.sum(np.log1p(f.sigma_m**2 * levels) - np.log1p(f.sigma_e**2 * levels))
+        assert direct / m == pytest.approx(separable / m, abs=1e-8)
 
     def test_total_power_monotone_in_mu(self):
         main = correlated_stats(10.0, 3, 4, 40.0)
@@ -255,7 +256,7 @@ class TestGsvdPrecoder:
         f = gsvd(a, b)
         powers = [
             np.dot(
-                gsvd_power_allocation(f.sigma_m**2, f.sigma_e**2, f.v_inv_gram_diag, 4.0, mu),
+                gsvd_power_allocation(f.sigma_m**2, f.sigma_e**2, f.v_inv_gram_diag, mu),
                 f.v_inv_gram_diag,
             )
             for mu in np.logspace(-6, 2, 30)
@@ -268,9 +269,9 @@ class TestGsvdBisection:
         mus = []
         original = precoders.gsvd_power_allocation
 
-        def recording(sm2, se2, v_diag, budget, mu):
+        def recording(sm2, se2, v_diag, mu):
             mus.append(mu)
-            return original(sm2, se2, v_diag, budget, mu)
+            return original(sm2, se2, v_diag, mu)
 
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
         main = correlated_stats(10.0, 3, 4, 40.0)
@@ -303,7 +304,7 @@ class TestOptimize:
             p, rate, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
         ref_p, ref_rate, ref_iterations = reference_optimize(Strategy.GSVD_BEAMFORMING, main, eave)
         assert iterations == ref_iterations == precoders._OUTER_MAX_ITER
-        assert np.array_equal(p.p, ref_p.p)
+        assert np.array_equal(p, ref_p)
         assert rate.rs == ref_rate.rs
         assert (rate.fp_main.e, rate.fp_eave.e) == (ref_rate.fp_main.e, ref_rate.fp_eave.e)
 
@@ -328,7 +329,7 @@ class TestOptimize:
         p, rate, iterations = optimize(strategy, main, eave)
         ref_p, ref_rate, ref_iterations = reference_optimize(strategy, main, eave)
         assert iterations == ref_iterations < precoders._OUTER_MAX_ITER
-        assert np.array_equal(p.p, ref_p.p)
+        assert np.array_equal(p, ref_p)
         assert rate.rs == ref_rate.rs
 
     def test_isotropic_matches_direct_rate(self):
@@ -344,15 +345,24 @@ class TestOptimize:
         eave = iid_stats(1.0, 2, 3)
         p, rate, iterations = optimize(Strategy.WATER_FILLING, main, eave)
         assert iterations <= 2
-        assert np.allclose(p.p, np.eye(3), atol=1e-10)
+        assert np.allclose(p, np.eye(3), atol=1e-10)
 
     def test_every_strategy_respects_trace_budget(self):
-        main = correlated_stats(10.0, 4, 4, 40.0)
-        eave = correlated_stats(10.0, 3, 4, -10.0)
-        for strategy in Strategy:
-            p, _, _ = optimize(strategy, main, eave)
-            assert np.trace(p.p).real <= 4.0 + 1e-6
-            assert np.linalg.eigvalsh(p.p).min() >= -1e-10
+        # Precoders are not clipped to PSD after design: on every preset
+        # point each one must already sit inside the trace budget and
+        # above the -1e-12 eigenvalue floor that the Monte Carlo square
+        # root enforces. One test over all points keeps a single test id.
+        for name in ("fig2", "fig3", "fig4", "fig5"):
+            config = figure_preset(name)
+            for value in config.sweep_grid:
+                main, eave = experiment._point_statistics(config, value)
+                for strategy in Strategy:
+                    point = f"{name} {config.sweep}={value} {strategy.value}"
+                    p, _, _ = optimize(strategy, main, eave)
+                    assert np.trace(p).real <= config.m + 1e-6, point
+                    assert np.linalg.eigvalsh(p).min() >= -1e-12, point
+                    mc_ergodic_mi(main, p, 16, seed=0)
+                    mc_ergodic_mi(eave, p, 16, seed=0)
 
     def test_strategy_accepts_string(self):
         main = iid_stats(1.0, 2, 2)
