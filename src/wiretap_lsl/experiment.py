@@ -20,25 +20,11 @@ from .errors import ParseError, UnknownPreset, ValidationError, WiretapError
 from .montecarlo import mc_secrecy_rate
 from .precoders import Strategy, optimize
 
-CSV_COLUMNS = [
-    "sweep_var",
-    "sweep_value",
-    "strategy",
-    "rs_lsl_per_antenna_bits",
-    "rs_lsl_total_bits",
-    "rs_mc_per_antenna_bits",
-    "rs_mc_std_error",
-    "outer_iterations",
-    "error",
-]
-
 SWEEP_KINDS = ("snr", "ne", "spacing")
 
-# Common caption values shared by all experiments.
-DEFAULT_SPACING = 1.0
-DEFAULT_THETA_MAIN = 40.0
+# ArraySpec's defaults are the main link's caption values; the
+# eavesdropper shares all of them but its mean angle.
 DEFAULT_THETA_EAVE = -10.0
-DEFAULT_SPREAD = 5.0
 DEFAULT_MC_REALIZATIONS = 10_000
 
 
@@ -81,9 +67,9 @@ class ExperimentConfig:
         if self.mc_realizations < 1:
             raise ValidationError("mc_realizations must be >= 1")
         if self.array_main is None:
-            object.__setattr__(self, "array_main", _default_array(self.m, DEFAULT_THETA_MAIN))
+            object.__setattr__(self, "array_main", ArraySpec(self.m))
         if self.array_eave is None:
-            object.__setattr__(self, "array_eave", _default_array(self.m, DEFAULT_THETA_EAVE))
+            object.__setattr__(self, "array_eave", ArraySpec(self.m, mean_angle_deg=DEFAULT_THETA_EAVE))
         object.__setattr__(self, "strategies", tuple(Strategy(s) for s in self.strategies))
 
 
@@ -100,6 +86,9 @@ class SweepRow:
     error: str = ""
 
 
+CSV_COLUMNS = [f.name for f in dataclasses.fields(SweepRow)]
+
+
 @dataclass(frozen=True)
 class SweepResult:
     config: ExperimentConfig
@@ -108,15 +97,6 @@ class SweepResult:
     @property
     def num_failed(self) -> int:
         return sum(1 for row in self.rows if row.error)
-
-
-def _default_array(m: int, theta: float) -> ArraySpec:
-    return ArraySpec(
-        num_antennas=m,
-        spacing_wavelengths=DEFAULT_SPACING,
-        mean_angle_deg=theta,
-        angle_spread_deg=DEFAULT_SPREAD,
-    )
 
 
 def db_to_linear(db: float) -> float:
@@ -170,10 +150,10 @@ def parse_config(path: str) -> ExperimentConfig:
 # Flat config keys that build the two ArraySpecs, with their defaults;
 # every other accepted key is an ExperimentConfig field of the same name.
 _ARRAY_KEYS = {
-    "spacing_wavelengths": DEFAULT_SPACING,
-    "theta_main_deg": DEFAULT_THETA_MAIN,
+    "spacing_wavelengths": ArraySpec.spacing_wavelengths,
+    "theta_main_deg": ArraySpec.mean_angle_deg,
     "theta_eave_deg": DEFAULT_THETA_EAVE,
-    "angle_spread_deg": DEFAULT_SPREAD,
+    "angle_spread_deg": ArraySpec.angle_spread_deg,
 }
 
 _CONFIG_FIELDS = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("array_main", "array_eave")]
@@ -305,20 +285,11 @@ def write_csv(result: SweepResult, path: str, timestamp: bool = True) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in result.rows:
-            writer.writerow(
-                [
-                    row.sweep_var,
-                    _fmt(row.sweep_value),
-                    row.strategy,
-                    _fmt(row.rs_lsl_per_antenna_bits),
-                    _fmt(row.rs_lsl_total_bits),
-                    _fmt(row.rs_mc_per_antenna_bits),
-                    _fmt(row.rs_mc_std_error),
-                    "" if row.outer_iterations is None else row.outer_iterations,
-                    row.error,
-                ]
-            )
+            writer.writerow([_fmt(getattr(row, column)) for column in CSV_COLUMNS])
 
 
 def _fmt(value) -> str:
-    return "" if value is None else format(value, ".12g")
+    """One CSV cell: floats to 12 significant digits, None as empty."""
+    if value is None:
+        return ""
+    return format(value, ".12g") if isinstance(value, float) else str(value)

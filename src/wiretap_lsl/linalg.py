@@ -1,4 +1,5 @@
-"""Dense complex-matrix kernel: eigendecompositions, square roots and a GSVD.
+"""Dense complex-matrix kernel: eigendecompositions, square roots and a
+GSVD built from two SVDs.
 
 All matrices are numpy arrays of complex128. Hermitian inputs are
 symmetrized at the boundary so that downstream eigen-solvers see exactly
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConvergenceFailure, NotPsd, RankDeficient
 
@@ -62,68 +62,55 @@ def clip_psd(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GsvdFactorization:
-    """Joint factorization A = U_M diag(σ_M) Vᴴ, B = U_E diag(σ_E) Vᴴ.
+    """Joint diagonalization of two square matrices A and B.
 
-    σ_M² + σ_E² = 1 elementwise and σ_M is sorted descending.
-    v_inv_gram_diag holds the diagonal of V⁻¹V⁻ᴴ, needed by the
-    per-subchannel power constraint.
+    With X = v_inv_h, Xᴴ Aᴴ A X = diag(σ_M²) and Xᴴ Bᴴ B X = diag(σ_E²),
+    so A = U_M diag(σ_M) Vᴴ and B = U_E diag(σ_E) Vᴴ with V⁻ᴴ = X and
+    unitary U_M, U_E. σ_M² + σ_E² = 1 elementwise and σ_M is sorted
+    descending. v_inv_gram_diag holds the diagonal of V⁻¹V⁻ᴴ (the
+    squared column norms of X), needed by the per-subchannel power
+    constraint.
     """
 
-    u_m: np.ndarray
-    u_e: np.ndarray
     sigma_m: np.ndarray
     sigma_e: np.ndarray
-    v: np.ndarray
+    v_inv_h: np.ndarray
     v_inv_gram_diag: np.ndarray
 
 
 def gsvd(a: np.ndarray, b: np.ndarray) -> GsvdFactorization:
     """Generalized SVD of two square matrices with a shared right factor.
 
-    Route: QR of the stacked [A; B], then a cosine-sine decomposition of
-    the orthonormal factor. Requires the stacked matrix to have full
-    column rank (relative tolerance 1e-10 on its singular values).
+    Route: the thin SVD [A; B] = U Σ Yᴴ, then the SVD of the lower block
+    U[M:] = Z diag(σ_E) Wᴴ. U[:M] W has orthogonal columns whose norms
+    are σ_M, and X = Y Σ⁻¹ W maps A and B onto U[:M] W and U[M:] W.
+    Requires the stacked matrix to have full column rank (relative
+    tolerance 1e-10 on Σ).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     m = a.shape[0]
     if a.shape != (m, m) or b.shape != (m, m):
         raise ValueError("gsvd expects two square matrices of equal size")
-    stacked = np.vstack([a, b])
-    sv = np.linalg.svd(stacked, compute_uv=False)
+    u, sv, yh = np.linalg.svd(np.vstack([a, b]), full_matrices=False)
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise RankDeficient(
             f"stacked matrix condition {sv[0] / max(sv[-1], 1e-300):.3e}"
         )
 
-    q, r = np.linalg.qr(stacked)
-    # Complete the orthonormal factor to a full unitary; null_space keeps
-    # the leading M columns bitwise intact, which the CS step relies on.
-    complement = sla.null_space(q.conj().T)
-    q_full = np.hstack([q, complement])
-    u, cs, vdh = sla.cossin(q_full, p=m, q=m)
-    u_m = u[:m, :m]
-    u_e = u[m:, m:]
-    sigma_m = np.diag(cs[:m, :m]).real.copy()
-    sigma_e = np.diag(cs[m:, :m]).real.copy()
-    vh = vdh[:m, :m] @ r
-
-    order = np.argsort(-sigma_m, kind="stable")
-    u_m = u_m[:, order]
-    u_e = u_e[:, order]
-    sigma_m = sigma_m[order]
-    sigma_e = sigma_e[order]
-    vh = vh[order, :]
-
-    v = vh.conj().T
-    v_inv = np.linalg.inv(v)
-    v_inv_gram_diag = np.einsum("ij,ij->i", v_inv, v_inv.conj()).real
+    # The subchannels that favor A have small sines, which only the
+    # lower block resolves; their cosines cluster at 1. Reversed, the
+    # sines ascend and the cosines descend.
+    _, sigma_e, wh = np.linalg.svd(u[m:])
+    sigma_e = sigma_e[::-1]
+    w = wh[::-1].conj().T
+    sigma_m = np.linalg.norm(u[:m] @ w, axis=0)
+    v_inv_h = (yh.conj().T / sv) @ w
+    v_inv_gram_diag = np.einsum("ij,ij->j", v_inv_h, v_inv_h.conj()).real
 
     return GsvdFactorization(
-        u_m=u_m,
-        u_e=u_e,
         sigma_m=sigma_m,
         sigma_e=sigma_e,
-        v=v,
+        v_inv_h=v_inv_h,
         v_inv_gram_diag=v_inv_gram_diag,
     )

@@ -180,8 +180,8 @@ def gsvd_precoder(
     else:
         raise BisectionFailure(f"residual power mismatch {excess:.3e}")
 
-    v_inv = np.linalg.inv(fact.v)
-    return _within_budget(hermitianize(v_inv.conj().T @ np.diag(levels.astype(complex)) @ v_inv))
+    x = fact.v_inv_h
+    return _within_budget(hermitianize((x * levels) @ x.conj().T))
 
 
 def optimize(

@@ -50,16 +50,20 @@ class TestHermitianSqrt:
 
 class TestGsvd:
     def test_identity_pair(self):
-        f = gsvd(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+        eye = np.eye(2, dtype=complex)
+        f = gsvd(eye, eye)
         assert np.allclose(f.sigma_m, 1 / np.sqrt(2), atol=1e-12)
         assert np.allclose(f.sigma_e, 1 / np.sqrt(2), atol=1e-12)
+        check_factorization(f, eye, eye)
 
     def test_hand_computed_2x2(self):
         # Column norms of the stacked [diag(2,1); I] are sqrt(5) and
         # sqrt(2); normalizing each column gives the cosine/sine split.
-        f = gsvd(np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex))
+        a, b = np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex)
+        f = gsvd(a, b)
         assert np.allclose(f.sigma_m**2, [4 / 5, 1 / 2], atol=1e-12)
         assert np.allclose(f.sigma_e**2, [1 / 5, 1 / 2], atol=1e-12)
+        check_factorization(f, a, b)
 
     def test_rank_deficient_raises(self):
         a = np.zeros((3, 3), dtype=complex)
@@ -77,16 +81,27 @@ class TestGsvd:
             f = gsvd(a, b)
             check_factorization(f, a, b)
 
+    def test_small_sines_to_relative_accuracy(self):
+        # The subchannels that favor A have tiny sines; they must come
+        # out to relative accuracy, not to the absolute roundoff that a
+        # route through the cosines (all near 1 there) would give.
+        rng = np.random.default_rng(7)
+        sigma_e = np.array([0.9, 0.5, 1e-6, 1e-9])
+        sigma_m = np.sqrt(1 - sigma_e**2)
+        u_m = np.linalg.qr(random_complex(rng, 4, 4))[0]
+        u_e = np.linalg.qr(random_complex(rng, 4, 4))[0]
+        vh = random_complex(rng, 4, 4)
+        f = gsvd(u_m @ np.diag(sigma_m) @ vh, u_e @ np.diag(sigma_e) @ vh)
+        assert np.allclose(f.sigma_e, np.sort(sigma_e), rtol=1e-5, atol=0)
+
 
 def check_factorization(f, a, b):
-    m = a.shape[0]
-    vh = f.v.conj().T
-    assert np.linalg.norm(f.u_m @ np.diag(f.sigma_m) @ vh - a) <= 1e-8 * (1 + np.linalg.norm(a))
-    assert np.linalg.norm(f.u_e @ np.diag(f.sigma_e) @ vh - b) <= 1e-8 * (1 + np.linalg.norm(b))
-    assert np.linalg.norm(f.u_m.conj().T @ f.u_m - np.eye(m)) <= 1e-10
-    assert np.linalg.norm(f.u_e.conj().T @ f.u_e - np.eye(m)) <= 1e-10
+    """X = V^-H jointly diagonalizes AᴴA and BᴴB into σ_M² and σ_E²."""
+    x = f.v_inv_h
+    ax, bx = a @ x, b @ x
+    assert np.linalg.norm(ax.conj().T @ ax - np.diag(f.sigma_m**2)) <= 1e-8
+    assert np.linalg.norm(bx.conj().T @ bx - np.diag(f.sigma_e**2)) <= 1e-8
     assert np.abs(f.sigma_m**2 + f.sigma_e**2 - 1).max() <= 1e-10
     assert np.all(np.diff(f.sigma_m) <= 1e-14)
-    v_inv = np.linalg.inv(f.v)
-    assert np.allclose(f.v_inv_gram_diag, np.diag(v_inv @ v_inv.conj().T).real, atol=1e-10)
+    assert np.allclose(f.v_inv_gram_diag, np.diag(x.conj().T @ x).real, atol=1e-10)
     assert np.all(f.v_inv_gram_diag > 0)

@@ -236,8 +236,9 @@ class TestGsvdPrecoder:
         a = np.sqrt(main.beta * em) * main.t_sqrt
         b = np.sqrt(eave.beta * ee) * eave.t_sqrt
         f = gsvd(a, b)
-        # P = V^-H diag(levels) V^-1, so V^H P V recovers the diagonal
-        levels = np.diag(f.v.conj().T @ p @ f.v).real
+        # P = X diag(levels) Xᴴ with X = V^-H, so X⁻¹ P X⁻ᴴ recovers the diagonal
+        x_inv = np.linalg.inv(f.v_inv_h)
+        levels = np.diag(x_inv @ p @ x_inv.conj().T).real
         # allocated power, weighted by the V^-1 gram diagonal, uses the
         # whole budget
         assert np.dot(levels, f.v_inv_gram_diag) == pytest.approx(m, abs=1e-8)

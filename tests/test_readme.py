@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from wiretap_lsl.experiment import CONFIG_KEYS
+from wiretap_lsl.experiment import CONFIG_KEYS, CSV_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,3 +29,8 @@ def test_documented_config_fields_match_parser():
     documented = set(example) | set(re.findall(r"`(\w+)`", optional))
     assert len(documented) == 15
     assert documented == CONFIG_KEYS
+
+
+def test_documented_csv_columns_match_writer():
+    documented = re.search(r"CSV columns, in order: `([^`]*)`", README).group(1)
+    assert [name.strip() for name in documented.split(",")] == CSV_COLUMNS
