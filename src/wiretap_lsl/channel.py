@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import QuadratureFailure
-from .linalg import clip_psd, eigh, hermitian_sqrt, hermitianize
+from .linalg import congruence, hermitianize, psd_eigh
 
 _QUAD_MIN_NODES = 64
 _QUAD_MAX_NODES = 8192
@@ -48,7 +48,12 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """Statistical CSI of one link: SNR, sizes and correlation matrices."""
+    """Statistical CSI of one link: SNR, sizes and correlation matrices.
+
+    t_eigh and r_eigh are each matrix's eigenvalues (ascending, clipped at
+    0) and eigenvectors, computed once, on first use; the square roots and
+    r_eigs come from them.
+    """
 
     snr: float
     num_rx: int
@@ -69,22 +74,31 @@ class ChannelStatistics:
         object.__setattr__(self, "beta", self.num_rx / self.num_tx)
 
     @cached_property
+    def t_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return psd_eigh(self.t_corr)
+
+    @cached_property
+    def r_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return psd_eigh(self.r_corr)
+
+    @cached_property
     def t_sqrt(self) -> np.ndarray:
-        return hermitian_sqrt(self.t_corr)
+        lam, q = self.t_eigh
+        return congruence(q, np.sqrt(lam))
 
     @cached_property
     def r_sqrt(self) -> np.ndarray:
-        return hermitian_sqrt(self.r_corr)
+        lam, q = self.r_eigh
+        return congruence(q, np.sqrt(lam))
+
+    @property
+    def r_eigs(self) -> np.ndarray:
+        return self.r_eigh[0]
 
     @cached_property
     def r_is_identity(self) -> bool:
         """Whether R = I exactly, so that sampling can skip R^(1/2)."""
         return bool(np.array_equal(self.r_corr, np.eye(self.num_rx)))
-
-    @cached_property
-    def r_eigs(self) -> np.ndarray:
-        """Eigenvalues of R, ascending, with rounding negatives clipped to 0."""
-        return np.clip(eigh(self.r_corr)[0], 0.0, None)
 
 
 @lru_cache(maxsize=8)
@@ -140,7 +154,10 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
     m = spec.num_antennas
     idx = np.subtract.outer(np.arange(m), np.arange(m))
     full = np.where(idx >= 0, row[np.abs(idx)], row[np.abs(idx)].conj())
-    t = clip_psd(hermitianize(full))
+    t = hermitianize(full)
+    lam, q = psd_eigh(t)
+    if lam[0] == 0.0:  # an eigenvalue was clipped, or is exactly 0
+        t = congruence(q, lam)
     # Rescale to an exactly unit diagonal (congruence, preserves PSD).
     d = np.sqrt(np.diag(t).real)
     t = t / np.outer(d, d)

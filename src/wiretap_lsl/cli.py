@@ -7,7 +7,7 @@ import dataclasses
 import sys
 
 from .errors import ParseError, UnknownPreset, ValidationError
-from .experiment import figure_preset, parse_config, run_sweep, write_csv
+from .experiment import PRESETS, figure_preset, parse_config, run_sweep, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="path to a JSON experiment config")
     run.add_argument(
         "--preset",
-        choices=["fig2", "fig3", "fig4", "fig5"],
+        choices=list(PRESETS),
         help="use a published-figure configuration instead of a config file",
     )
     run.add_argument("--out", help="output CSV path (overrides the config)")
@@ -45,14 +45,8 @@ def _load_config(args):
         config = figure_preset(args.preset)
     else:
         config = parse_config(args.config)
-    overrides = {}
-    if args.out is not None:
-        overrides["output_path"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mc is not None:
-        overrides["mc_realizations"] = args.mc
-    return dataclasses.replace(config, **overrides) if overrides else config
+    overrides = {"output_path": args.out, "seed": args.seed, "mc_realizations": args.mc}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

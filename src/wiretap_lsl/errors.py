@@ -9,10 +9,6 @@ class NotPsd(WiretapError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class ConvergenceFailure(WiretapError):
-    """An iterative eigen/SVD solver failed to converge."""
-
-
 class RankDeficient(WiretapError):
     """Stacked matrix for the GSVD is numerically rank deficient."""
 

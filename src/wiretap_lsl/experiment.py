@@ -64,8 +64,19 @@ class ExperimentConfig:
         if self.sweep == "spacing" and grid[0] < 0:
             raise ValidationError("spacing sweep values must be >= 0")
         object.__setattr__(self, "sweep_grid", grid)
+        snrs_db = (self.snr_main_db, self.snr_eave_db, *(grid if self.sweep == "snr" else ()))
+        try:
+            finite = all(math.isfinite(v) and math.isfinite(db_to_linear(v)) for v in snrs_db)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError("SNRs must be finite in dB and in linear scale")
         if self.mc_realizations < 1:
             raise ValidationError("mc_realizations must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if not self.strategies:
+            raise ValidationError("strategies must be nonempty")
         if self.array_main is None:
             object.__setattr__(self, "array_main", ArraySpec(self.m))
         if self.array_eave is None:
@@ -103,34 +114,25 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+_SNR_GRID = tuple(np.arange(-5.0, 20.0 + 1e-9, 2.5))
+_FIG45 = dict(m=4, n_main=4, n_eave=2, snr_main_db=0.0, snr_eave_db=0.0)
+
+# The four published figures, by name.
+PRESETS = {
+    "fig2": ExperimentConfig(m=6, n_main=6, n_eave=2, sweep="snr", sweep_grid=_SNR_GRID),
+    "fig3": ExperimentConfig(m=2, n_main=3, n_eave=4, sweep="snr", sweep_grid=_SNR_GRID),
+    "fig4": ExperimentConfig(**_FIG45, sweep="ne", sweep_grid=tuple(float(v) for v in range(1, 13))),
+    "fig5": ExperimentConfig(
+        **_FIG45, sweep="spacing", sweep_grid=tuple(np.round(np.arange(0.2, 3.0 + 1e-9, 0.1), 10))
+    ),
+}
+
+
 def figure_preset(name: str) -> ExperimentConfig:
-    """Experiment configurations matching the four published figures."""
-    snr_grid = tuple(np.arange(-5.0, 20.0 + 1e-9, 2.5))
-    if name == "fig2":
-        return ExperimentConfig(m=6, n_main=6, n_eave=2, sweep="snr", sweep_grid=snr_grid)
-    if name == "fig3":
-        return ExperimentConfig(m=2, n_main=3, n_eave=4, sweep="snr", sweep_grid=snr_grid)
-    if name == "fig4":
-        return ExperimentConfig(
-            m=4,
-            n_main=4,
-            n_eave=2,
-            sweep="ne",
-            sweep_grid=tuple(float(v) for v in range(1, 13)),
-            snr_main_db=0.0,
-            snr_eave_db=0.0,
-        )
-    if name == "fig5":
-        return ExperimentConfig(
-            m=4,
-            n_main=4,
-            n_eave=2,
-            sweep="spacing",
-            sweep_grid=tuple(np.round(np.arange(0.2, 3.0 + 1e-9, 0.1), 10)),
-            snr_main_db=0.0,
-            snr_eave_db=0.0,
-        )
-    raise UnknownPreset(name)
+    """Experiment configuration matching one of the published figures."""
+    if name not in PRESETS:
+        raise UnknownPreset(name)
+    return PRESETS[name]
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -189,38 +191,28 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
         raise ValidationError(f"{source}: {exc}") from exc
 
 
-def build_statistics(
-    config: ExperimentConfig,
-    snr_db: float | None = None,
-    n_eave: int | None = None,
-    spacing: float | None = None,
-) -> tuple[ChannelStatistics, ChannelStatistics]:
-    """Materialize per-link statistical CSI at one sweep point."""
-    array_main = config.array_main
-    array_eave = config.array_eave
-    if spacing is not None:
-        array_main = replace(array_main, spacing_wavelengths=spacing)
-        array_eave = replace(array_eave, spacing_wavelengths=spacing)
-    snr_main = db_to_linear(config.snr_main_db if snr_db is None else snr_db)
-    snr_eave = db_to_linear(config.snr_eave_db if snr_db is None else snr_db)
-    ne = config.n_eave if n_eave is None else n_eave
-    t_main = gen_correlation(array_main)
-    t_eave = gen_correlation(array_eave)
-    stats_m = ChannelStatistics(
-        snr=snr_main, num_rx=config.n_main, num_tx=config.m, t_corr=t_main, r_corr=np.eye(config.n_main)
-    )
-    stats_e = ChannelStatistics(
-        snr=snr_eave, num_rx=ne, num_tx=config.m, t_corr=t_eave, r_corr=np.eye(ne)
-    )
-    return stats_m, stats_e
-
-
-def _point_statistics(config: ExperimentConfig, value: float):
+def point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
+    """The config of one sweep point: the grid value in the swept field."""
     if config.sweep == "snr":
-        return build_statistics(config, snr_db=value)
+        return replace(config, snr_main_db=value, snr_eave_db=value)
     if config.sweep == "ne":
-        return build_statistics(config, n_eave=int(round(value)))
-    return build_statistics(config, spacing=value)
+        return replace(config, n_eave=int(round(value)))
+    return replace(
+        config,
+        array_main=replace(config.array_main, spacing_wavelengths=value),
+        array_eave=replace(config.array_eave, spacing_wavelengths=value),
+    )
+
+
+def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, ChannelStatistics]:
+    """Materialize both links' statistical CSI for a config."""
+
+    def link(snr_db: float, num_rx: int, array: ArraySpec) -> ChannelStatistics:
+        snr, t = db_to_linear(snr_db), gen_correlation(array)
+        return ChannelStatistics(snr=snr, num_rx=num_rx, num_tx=config.m, t_corr=t, r_corr=np.eye(num_rx))
+
+    main = link(config.snr_main_db, config.n_main, config.array_main)
+    return main, link(config.snr_eave_db, config.n_eave, config.array_eave)
 
 
 def _point_seed(base_seed: int, grid_index: int, strategy_index: int) -> int:
@@ -244,7 +236,7 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
     rows = []
     for gi, value in enumerate(config.sweep_grid):
         try:
-            stats_m, stats_e = _point_statistics(config, value)
+            stats_m, stats_e = build_statistics(point_config(config, value))
         except _POINT_FAILURES as exc:
             rows.extend(_error_row(config, value, strategy, exc) for strategy in config.strategies)
             continue

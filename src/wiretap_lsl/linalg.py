@@ -1,5 +1,6 @@
-"""Dense complex-matrix kernel: eigendecompositions, square roots and a
-GSVD built from two SVDs.
+"""Dense complex-matrix kernel: one PSD eigendecomposition, the
+covariances and square roots built from it, and a GSVD built from two
+SVDs.
 
 All matrices are numpy arrays of complex128. Hermitian inputs are
 symmetrized at the boundary so that downstream eigen-solvers see exactly
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotPsd, RankDeficient
+from .errors import NotPsd, RankDeficient
 
 _PSD_FLOOR = -1e-12
 _RANK_RTOL = 1e-10
@@ -23,41 +24,28 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def eigh(a: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
+def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian PSD matrix.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix).
-    """
-    a = hermitianize(np.asarray(a, dtype=complex))
-    try:
-        lam, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return lam, q
-
-
-def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
     Eigenvalues in [-1e-12, 0) are treated as rounding noise and clipped
     to zero; anything more negative raises NotPsd.
     """
-    lam, q = eigh(a)
-    if lam.min() < _PSD_FLOOR:
-        raise NotPsd(f"eigenvalue {lam.min():.3e} below PSD tolerance")
-    lam = np.clip(lam, 0.0, None)
-    return hermitianize((q * np.sqrt(lam)) @ q.conj().T)
+    lam, q = np.linalg.eigh(hermitianize(np.asarray(a, dtype=complex)))
+    if lam[0] < _PSD_FLOOR:
+        raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")
+    return np.clip(lam, 0.0, None), q
 
 
-def clip_psd(a: np.ndarray) -> np.ndarray:
-    """Clip tiny negative eigenvalues of a Hermitian matrix to zero."""
-    lam, q = eigh(a)
-    if lam.min() >= 0.0:
-        return hermitianize(np.asarray(a, dtype=complex))
-    if lam.min() < _PSD_FLOOR:
-        raise NotPsd(f"eigenvalue {lam.min():.3e} below PSD tolerance")
-    lam = np.clip(lam, 0.0, None)
-    return hermitianize((q * lam) @ q.conj().T)
+def congruence(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """X diag(d) Xᴴ, exactly Hermitian: a covariance built from a factor."""
+    return hermitianize((x * d) @ x.conj().T)
+
+
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """Principal square root of a Hermitian PSD matrix (see psd_eigh)."""
+    lam, q = psd_eigh(a)
+    return congruence(q, np.sqrt(lam))
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class McEstimate:
     seed: int
 
 
-def _block_seeds(seed: int, num_blocks: int):
-    return np.random.SeedSequence(seed).spawn(num_blocks)
-
-
 def _logdet_block(h: np.ndarray, p_sqrt: np.ndarray) -> np.ndarray:
     """(1/M) ln det(I + H P Hᴴ) for a (count, N, M) stack of channels.
 
@@ -68,7 +64,7 @@ def mc_ergodic_mi(stats: ChannelStatistics, p: np.ndarray, n: int, seed: int) ->
     num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     values = np.empty(n)
     offset = 0
-    for child in _block_seeds(seed, num_blocks):
+    for child in np.random.SeedSequence(seed).spawn(num_blocks):
         count = min(_BLOCK_SIZE, n - offset)
         rng = np.random.default_rng(child)
         h = sample_channel_block(stats, count, rng)

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import ChannelStatistics
 from .detequiv import LslRate, lsl_secrecy_rate
 from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
-from .linalg import eigh, gsvd, hermitianize
+from .linalg import congruence, gsvd
 
 _TRACE_SLACK = 1e-6
 _POWER_TOL = 1e-8
@@ -47,8 +47,7 @@ def _within_budget(p: np.ndarray) -> np.ndarray:
 
     No PSD clip follows: the designs are Hermitian PSD up to roundoff
     (eigenvalues >= -3.5e-15 over the presets and 20 stress passes),
-    far above the -1e-12 floor that hermitian_sqrt enforces on the
-    Monte Carlo path.
+    far above the -1e-12 floor that psd_eigh enforces.
     """
     budget = float(p.shape[0])
     trace = float(np.trace(p).real)
@@ -73,27 +72,21 @@ def waterfill_levels(gains, budget: float) -> PowerAllocation:
     gains = np.asarray(gains, dtype=float)
     if budget <= 0:
         raise ValueError("budget must be > 0")
-    positive = gains > 0
-    if not positive.any():
+    k_max = int(np.count_nonzero(gains > 0))
+    if k_max == 0:
         raise AllZeroGains("water-filling needs at least one positive gain")
 
     order = np.argsort(-gains)
-    sorted_gains = gains[order]
-    k_max = int(positive.sum())
-    inv = 1.0 / sorted_gains[:k_max]
-    # Largest active set whose common water level clears its worst channel.
-    level = None
-    for k in range(k_max, 0, -1):
-        candidate = (budget + inv[:k].sum()) / k
-        if candidate > inv[k - 1]:
-            level = candidate
-            active = k
-            break
-    assert level is not None  # k = 1 always qualifies
-    levels_sorted = np.zeros_like(gains)
-    levels_sorted[:active] = level - inv[:active]
+    inv = 1.0 / gains[order[:k_max]]
+    # Water level of each active set of the k strongest channels; the
+    # largest set whose level clears its worst channel is the answer.
+    water = (budget + np.cumsum(inv)) / np.arange(1, k_max + 1)
+    clears = water > inv
+    clears[0] = True  # exact for k = 1, unless budget + inv[0] rounds to inv[0]
+    active = int(np.flatnonzero(clears)[-1]) + 1
+    level = water[active - 1]
     levels = np.zeros_like(gains)
-    levels[order] = levels_sorted
+    levels[order[:active]] = level - inv[:active]
     return PowerAllocation(levels=levels, mu=1.0 / level)
 
 
@@ -105,10 +98,10 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
     """
     if em <= 0:
         raise ValueError("em must be > 0")
-    lam, q = eigh(stats_m.t_corr)
-    gains = stats_m.beta * em * np.clip(lam, 0.0, None)
+    lam, q = stats_m.t_eigh
+    gains = stats_m.beta * em * lam
     alloc = waterfill_levels(gains, float(stats_m.num_tx))
-    return _within_budget(hermitianize((q * alloc.levels) @ q.conj().T))
+    return _within_budget(congruence(q, alloc.levels))
 
 
 def gsvd_power_allocation(sigma_m2, sigma_e2, v_diag, mu: float) -> np.ndarray:
@@ -180,8 +173,7 @@ def gsvd_precoder(
     else:
         raise BisectionFailure(f"residual power mismatch {excess:.3e}")
 
-    x = fact.v_inv_h
-    return _within_budget(hermitianize((x * levels) @ x.conj().T))
+    return _within_budget(congruence(fact.v_inv_h, levels))
 
 
 def optimize(

@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import exp1
 
-from wiretap_lsl.channel import ChannelStatistics
+from helpers import iid_stats
 from wiretap_lsl.detequiv import lsl_mutual_information, lsl_secrecy_rate, solve_fixed_point
-from wiretap_lsl.experiment import build_statistics, figure_preset
+from wiretap_lsl.experiment import build_statistics, figure_preset, point_config
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate
 from wiretap_lsl.precoders import (
@@ -21,10 +21,6 @@ from wiretap_lsl.precoders import (
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def iid_stats(snr, n, m):
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
 
 
 def report(num, ok, detail):
@@ -72,7 +68,7 @@ def test_criterion_05_fig2_reproduction():
     worst = ""
     ok = True
     for snr_db in (0.0, 10.0, 20.0):
-        stats_m, stats_e = build_statistics(config, snr_db=snr_db)
+        stats_m, stats_e = build_statistics(point_config(config, snr_db))
         for strategy in Strategy:
             precoder, rate, _ = optimize(strategy, stats_m, stats_e)
             mc = mc_secrecy_rate(stats_m, stats_e, precoder, 10_000, seed=2026)
@@ -89,7 +85,7 @@ def test_criterion_06_fig3_strategy_ordering():
     ok = True
     detail = []
     for snr_db in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
-        stats_m, stats_e = build_statistics(config, snr_db=snr_db)
+        stats_m, stats_e = build_statistics(point_config(config, snr_db))
         rs = {s: optimize(s, stats_m, stats_e)[1].rs for s in Strategy}
         if not (
             rs[Strategy.GSVD_BEAMFORMING] >= rs[Strategy.WATER_FILLING] - 1e-9
@@ -102,7 +98,7 @@ def test_criterion_06_fig3_strategy_ordering():
 
 def test_criterion_07_eavesdropper_scaling():
     config = figure_preset("fig4")
-    stats_m, stats_e = build_statistics(config, n_eave=12)
+    stats_m, stats_e = build_statistics(point_config(config, 12))
     rs = {s: optimize(s, stats_m, stats_e)[1].rs for s in Strategy}
     ok = (
         rs[Strategy.ISOTROPIC] == 0.0
@@ -121,7 +117,7 @@ def test_criterion_08_spacing_non_monotonicity():
     config = figure_preset("fig5")
     rates = []
     for spacing in config.sweep_grid:
-        stats_m, stats_e = build_statistics(config, spacing=spacing)
+        stats_m, stats_e = build_statistics(point_config(config, spacing))
         rates.append(optimize(Strategy.GSVD_BEAMFORMING, stats_m, stats_e)[1].rs)
     rates = np.array(rates)
     margin = 1e-6
@@ -168,7 +164,7 @@ def test_criterion_09_gsvd_property_suite():
 
 def test_criterion_10_symmetry_zero():
     config = figure_preset("fig2")
-    stats_m, _ = build_statistics(config, snr_db=10.0)
+    stats_m, _ = build_statistics(point_config(config, 10.0))
     ok = True
     detail = []
     for strategy in Strategy:

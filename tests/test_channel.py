@@ -5,13 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
+from helpers import iid_stats
 from wiretap_lsl import channel
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.errors import QuadratureFailure
-
-
-def iid_stats(snr, n, m):
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
 
 
 @lru_cache(maxsize=2)
@@ -226,6 +223,22 @@ class TestStatisticsCache:
         assert stats.r_eigs is stats.r_eigs
         assert np.all(stats.r_eigs >= 0.0)
         assert np.allclose(stats.r_eigs, [0.0, 2.0], atol=1e-12)
+
+    def test_r_spectrum_and_sqrt_share_one_factorization(self, monkeypatch):
+        calls = []
+        original = channel.psd_eigh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(channel, "psd_eigh", counting)
+        r = np.array([[1.0, 0.5j, 0.1], [-0.5j, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=np.eye(2), r_corr=r)
+        eigs, sqrt = stats.r_eigs, stats.r_sqrt
+        assert len(calls) == 1 and calls[0] is r
+        assert np.allclose(eigs, np.linalg.eigvalsh(r), atol=1e-12)
+        assert np.allclose(sqrt @ sqrt, r, atol=1e-12)
 
     def test_r_is_identity(self):
         assert iid_stats(snr=1.0, n=3, m=2).r_is_identity

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import iid_stats
 from wiretap_lsl import detequiv
 from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
 from wiretap_lsl.detequiv import (
@@ -8,14 +9,10 @@ from wiretap_lsl.detequiv import (
     lsl_secrecy_rate,
     solve_fixed_point,
 )
-from wiretap_lsl.errors import NoConvergence
+from wiretap_lsl.errors import NoConvergence, NotPsd
 from wiretap_lsl.linalg import hermitianize
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def iid_stats(snr, n, m):
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
 
 
 def scalar_delta(rho, beta):
@@ -101,18 +98,22 @@ class TestFixedPoint:
         fp = solve_fixed_point(iid_stats(5.0, 3, 2), np.eye(2))
         assert fp.residual <= 1e-12
 
+    def test_precoder_below_psd_floor_raises(self):
+        with pytest.raises(NotPsd):
+            solve_fixed_point(iid_stats(1.0, 2, 2), np.diag([1.0, -1e-6]).astype(complex))
+
 
 class TestSpectraOnce:
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         calls = []
-        original = detequiv.eigh
+        original = detequiv.psd_eigh
 
         def counting(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(detequiv, "eigh", counting)
+        monkeypatch.setattr(detequiv, "psd_eigh", counting)
         return calls
 
     def test_one_eigendecomposition_per_link(self, eigh_calls):

@@ -243,6 +243,30 @@ class TestCli:
     def test_bad_config_path(self):
         assert cli_main(["run", "--config", "/does/not/exist.json"]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": -5},
+            {"sweep_grid": [0.0, 4000.0]},
+            {"sweep": "ne", "sweep_grid": [1.0, 2.0], "snr_main_db": float("nan")},
+            {"strategies": []},
+        ],
+        ids=["negative-seed", "snr-overflow", "nan-snr", "no-strategies"],
+    )
+    def test_config_rejected_before_the_sweep(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out.csv"
+        cfg_path = write_config(tmp_path / "c.json", output_path=str(out), **overrides)
+        assert cli_main(["run", "--config", cfg_path, "--no-mc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--preset", "fig3", "--no-mc", "--seed", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
     def test_preset_no_mc(self, tmp_path):
         out = tmp_path / "fig3.csv"
         code = cli_main(

@@ -2,30 +2,42 @@ import numpy as np
 import pytest
 
 from wiretap_lsl.errors import NotPsd, RankDeficient
-from wiretap_lsl.linalg import eigh, gsvd, hermitian_sqrt, hermitianize
+from wiretap_lsl.linalg import congruence, gsvd, hermitian_sqrt, psd_eigh
 
 
 def random_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-class TestEigh:
+class TestPsdEigh:
     def test_diagonal_input(self):
-        lam, q = eigh(np.diag([3.0, 1.0]))
+        lam, q = psd_eigh(np.diag([3.0, 1.0]))
         assert np.allclose(lam, [1.0, 3.0])
         assert np.allclose(np.abs(q), [[0, 1], [1, 0]])
 
     def test_identity(self):
-        lam, q = eigh(np.eye(4))
+        lam, q = psd_eigh(np.eye(4))
         assert np.allclose(lam, 1.0)
         assert np.allclose(q.conj().T @ q, np.eye(4), atol=1e-12)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
-        a = hermitianize(random_complex(rng, 4, 4))
-        lam, q = eigh(a)
-        recon = (q * lam) @ q.conj().T
+        g = random_complex(rng, 4, 4)
+        a = g @ g.conj().T
+        lam, q = psd_eigh(a)
+        recon = congruence(q, lam)
+        assert np.array_equal(recon, recon.conj().T)
         assert np.linalg.norm(recon - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
+
+    def test_rounding_negatives_clipped(self):
+        # Between the -1e-12 floor and 0 an eigenvalue is rounding noise.
+        lam, _ = psd_eigh(np.diag([2.0, -5e-13, 1.0]))
+        assert lam.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("negative", [-2e-12, -1e-6])
+    def test_below_floor_raises(self, negative):
+        with pytest.raises(NotPsd):
+            psd_eigh(np.diag([1.0, negative]))
 
 
 class TestHermitianSqrt:

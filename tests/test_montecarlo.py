@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import iid_stats
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.linalg import hermitian_sqrt, hermitianize
 from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate
-
-
-def iid_stats(snr, n, m):
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
 
 
 def reference_mc_ergodic_mi(stats, p, n, seed):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from wiretap_lsl import detequiv, experiment, precoders
+from helpers import iid_stats
+from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
 from wiretap_lsl.errors import AllZeroGains, OuterLoopNoConvergence
-from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset
+from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.montecarlo import mc_ergodic_mi
 from wiretap_lsl.precoders import (
@@ -23,10 +24,6 @@ from wiretap_lsl.precoders import (
 def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
     t = gen_correlation(ArraySpec(m, spacing, theta, spread))
     return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=np.eye(n))
-
-
-def iid_stats(snr, n, m):
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
 
 
 def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
@@ -119,6 +116,35 @@ class TestWaterfillLevels:
     def test_all_zero_gains(self):
         with pytest.raises(AllZeroGains):
             waterfill_levels([0.0, 0.0], 1.0)
+
+    def test_budget_below_rounding_of_strongest_inverse_gain(self):
+        # 4 + 1e20 rounds to 1e20, so even the one-channel water level
+        # does not clear its channel in floating point; k = 1 is taken.
+        alloc = waterfill_levels([1e-20, 1e-21], 4.0)
+        assert alloc.levels.tolist() == [0.0, 0.0]
+        assert alloc.mu == 1e-20
+
+    def test_matches_active_set_loop(self):
+        # The largest active set whose water level clears its worst
+        # channel, searched one set at a time, is the oracle. Below 8
+        # channels the cumulative sum adds in the loop's order, so the
+        # results are bit for bit; from 8 on, numpy's pairwise sum does
+        # not, and they agree to roundoff.
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            gains = rng.exponential(size=int(rng.integers(1, 17))) * 10.0 ** rng.uniform(-3, 3)
+            budget = float(rng.uniform(0.1, 10.0))
+            inv = 1.0 / np.sort(gains)[::-1]
+            k = max(k for k in range(1, len(inv) + 1) if (budget + inv[:k].sum()) / k > inv[k - 1])
+            level = (budget + inv[:k].sum()) / k
+            expected = np.where(1.0 / gains <= inv[k - 1], level - 1.0 / gains, 0.0)
+            alloc = waterfill_levels(gains, budget)
+            if len(gains) < 8:
+                assert alloc.mu == 1.0 / level
+                assert np.array_equal(alloc.levels, expected)
+            else:
+                assert alloc.mu == pytest.approx(1.0 / level, rel=1e-13)
+                assert np.allclose(alloc.levels, expected, rtol=1e-13, atol=1e-13 * budget)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_kkt_conditions(self, seed):
@@ -293,10 +319,27 @@ class TestOptimize:
 
         monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
         monkeypatch.setattr(precoders, "solve_fixed_point", counting, raising=False)
-        main, eave = build_statistics(figure_preset("fig5"), spacing=1.0)
+        main, eave = build_statistics(point_config(figure_preset("fig5"), 1.0))
         _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
         # One solve per link for the isotropic start, then per new precoder.
         assert len(calls) == 2 * (iterations + 1)
+
+    def test_waterfilling_factors_t_once(self, monkeypatch):
+        main = correlated_stats(10.0, 4, 4, 40.0)
+        eave = correlated_stats(10.0, 2, 4, -10.0)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        _, _, iterations = optimize(Strategy.WATER_FILLING, main, eave)
+        assert 1 < iterations < precoders._OUTER_MAX_ITER
+        # T and R once per link, then K once per link and precoder: the
+        # water-filling steps reuse the main link's cached T spectrum.
+        assert len(calls) == 4 + 2 * (iterations + 1)
 
     @pytest.mark.parametrize("point", CYCLING_POINTS)
     def test_cycle_skip_matches_the_full_loop(self, point):
@@ -326,7 +369,7 @@ class TestOptimize:
     @pytest.mark.parametrize("strategy", [Strategy.WATER_FILLING, Strategy.GSVD_BEAMFORMING])
     @pytest.mark.parametrize("spacing", [0.2, 1.0, 2.5])
     def test_converging_loop_matches_the_full_loop(self, strategy, spacing):
-        main, eave = build_statistics(figure_preset("fig5"), spacing=spacing)
+        main, eave = build_statistics(point_config(figure_preset("fig5"), spacing))
         p, rate, iterations = optimize(strategy, main, eave)
         ref_p, ref_rate, ref_iterations = reference_optimize(strategy, main, eave)
         assert iterations == ref_iterations < precoders._OUTER_MAX_ITER
@@ -356,7 +399,7 @@ class TestOptimize:
         for name in ("fig2", "fig3", "fig4", "fig5"):
             config = figure_preset(name)
             for value in config.sweep_grid:
-                main, eave = experiment._point_statistics(config, value)
+                main, eave = build_statistics(point_config(config, value))
                 for strategy in Strategy:
                     point = f"{name} {config.sweep}={value} {strategy.value}"
                     p, _, _ = optimize(strategy, main, eave)

@@ -4,6 +4,8 @@ import json
 import re
 from pathlib import Path
 
+import wiretap_lsl
+from wiretap_lsl import errors
 from wiretap_lsl.experiment import CONFIG_KEYS, CSV_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -34,3 +36,13 @@ def test_documented_config_fields_match_parser():
 def test_documented_csv_columns_match_writer():
     documented = re.search(r"CSV columns, in order: `([^`]*)`", README).group(1)
     assert [name.strip() for name in documented.split(",")] == CSV_COLUMNS
+
+
+def test_documented_error_classes_exist():
+    # A bare CamelCase name in README is the package's own: exported, or
+    # an error class. Other libraries' names are written qualified.
+    named = set(re.findall(r"`([A-Z][a-z]+[A-Z]\w*)`", README)) - set(wiretap_lsl.__all__)
+    assert {"RankDeficient", "BisectionFailure", "ValidationError"} <= named
+    for name in sorted(named):
+        cls = getattr(errors, name, None)
+        assert isinstance(cls, type) and issubclass(cls, errors.WiretapError), name
