@@ -51,8 +51,8 @@ class ChannelStatistics:
     """Statistical CSI of one link: SNR, sizes and correlation matrices.
 
     t_eigh and r_eigh are each matrix's eigenvalues (ascending, clipped at
-    0) and eigenvectors, computed once, on first use; the square roots and
-    r_eigs come from them.
+    0) and eigenvectors, computed once, on first use; t_sqrt and r_eigs
+    come from them.
     """
 
     snr: float
@@ -86,19 +86,16 @@ class ChannelStatistics:
         lam, q = self.t_eigh
         return congruence(q, np.sqrt(lam))
 
-    @cached_property
-    def r_sqrt(self) -> np.ndarray:
-        lam, q = self.r_eigh
-        return congruence(q, np.sqrt(lam))
-
     @property
     def r_eigs(self) -> np.ndarray:
         return self.r_eigh[0]
 
-    @cached_property
-    def r_is_identity(self) -> bool:
-        """Whether R = I exactly, so that sampling can skip R^(1/2)."""
-        return bool(np.array_equal(self.r_corr, np.eye(self.num_rx)))
+    def k_eigs(self, p: np.ndarray) -> np.ndarray:
+        """Eigenvalues of K = T^(1/2) P T^(1/2), clipped at 0 (see psd_eigh).
+
+        With r_eigs they are all of the link that a rate depends on.
+        """
+        return psd_eigh(self.t_sqrt @ p @ self.t_sqrt)[0]
 
 
 @lru_cache(maxsize=8)
@@ -166,20 +163,24 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
 
 
 def sample_channel_block(
-    stats: ChannelStatistics, count: int, rng: np.random.Generator
+    stats: ChannelStatistics, k_eigs: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sample `count` channels H = sqrt(rho/M) R^(1/2) W T^(1/2) as a (count, N, M) array.
+    """Sample `count` precoded channels G = sqrt(rho/M) diag(sqrt(r)) W diag(sqrt(k)).
+
+    r = stats.r_eigs and k = k_eigs are the eigenvalues of R and of
+    K = T^(1/2) P T^(1/2), with eigenvectors Q_R and Q_K. For the Kronecker
+    channel H = sqrt(rho/M) R^(1/2) W T^(1/2), H P Hᴴ = Q_R G' G'ᴴ Q_Rᴴ,
+    where G' is G with W replaced by Q_Rᴴ W Q_K, which has the law of W.
+    So ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ).
 
     W has i.i.d. circular complex Gaussian entries of unit variance,
     drawn as two standard-normal (count, N, M) arrays: real parts, then
-    imaginary parts. The 1/sqrt(2) of W and sqrt(rho/M) are folded into
-    one M x M factor, so the transmit side is a single (count*N, M) by
-    (M, M) product. R^(1/2) is applied only when R is not the identity.
+    imaginary parts. Its 1/sqrt(2) and sqrt(rho/M) are folded into one
+    N x M elementwise scaling.
     """
     n, m = stats.num_rx, stats.num_tx
     w = np.empty((count, n, m), dtype=complex)
     w.real = rng.standard_normal((count, n, m))
     w.imag = rng.standard_normal((count, n, m))
-    tx_factor = np.sqrt(stats.snr / (2.0 * m)) * stats.t_sqrt
-    h = (w.reshape(count * n, m) @ tx_factor).reshape(count, n, m)
-    return h if stats.r_is_identity else stats.r_sqrt @ h
+    w *= np.sqrt(np.outer(stats.r_eigs, (stats.snr / (2.0 * m)) * k_eigs))
+    return w

@@ -15,7 +15,6 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .errors import NoConvergence
-from .linalg import psd_eigh
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 10_000
@@ -55,10 +54,10 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     """Solve e = (rho/N) tr{R(I+dR)^-1}, d = (rho/M) tr{K(I+b e K)^-1}.
 
     K is the symmetrized T^(1/2) P T^(1/2); its eigenvalues, clipped at
-    0, come from the solve's only eigendecomposition and are returned as
-    k_eigs (one below -1e-12 raises NotPsd). The first equation gives e
-    as an explicit function e(d), which turns the pair into the scalar
-    equation
+    0, come from stats.k_eigs, the solve's only eigendecomposition, and
+    are returned as k_eigs (one below -1e-12 raises NotPsd). The first
+    equation gives e as an explicit function e(d), which turns the pair
+    into the scalar equation
 
         g(d) = d - (rho/M) sum_i k_i / (1 + b e(d) k_i) = 0.
 
@@ -76,7 +75,7 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     rho, beta = stats.snr, stats.beta
     n, m = stats.num_rx, stats.num_tx
     r_eigs = stats.r_eigs
-    k_eigs = psd_eigh(stats.t_sqrt @ p @ stats.t_sqrt)[0]
+    k_eigs = stats.k_eigs(p)
 
     lo, hi = 0.0, (rho / m) * float(np.sum(k_eigs))
     delta = hi

@@ -81,6 +81,8 @@ class ExperimentConfig:
             object.__setattr__(self, "array_main", ArraySpec(self.m))
         if self.array_eave is None:
             object.__setattr__(self, "array_eave", ArraySpec(self.m, mean_angle_deg=DEFAULT_THETA_EAVE))
+        if self.array_main.num_antennas != self.m or self.array_eave.num_antennas != self.m:
+            raise ValidationError("array_main and array_eave must have m antennas")
         object.__setattr__(self, "strategies", tuple(Strategy(s) for s in self.strategies))
 
 
@@ -102,7 +104,6 @@ CSV_COLUMNS = [f.name for f in dataclasses.fields(SweepRow)]
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: ExperimentConfig
     rows: tuple[SweepRow, ...]
 
     @property
@@ -265,7 +266,7 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
                     outer_iterations=iterations,
                 )
             )
-    return SweepResult(config=config, rows=tuple(rows))
+    return SweepResult(rows=tuple(rows))
 
 
 def write_csv(result: SweepResult, path: str, timestamp: bool = True) -> None:

@@ -1,6 +1,5 @@
 """Dense complex-matrix kernel: one PSD eigendecomposition, the
-covariances and square roots built from it, and a GSVD built from two
-SVDs.
+covariances built from it, and a GSVD built from two SVDs.
 
 All matrices are numpy arrays of complex128. Hermitian inputs are
 symmetrized at the boundary so that downstream eigen-solvers see exactly
@@ -40,12 +39,6 @@ def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def congruence(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """X diag(d) Xᴴ, exactly Hermitian: a covariance built from a factor."""
     return hermitianize((x * d) @ x.conj().T)
-
-
-def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix (see psd_eigh)."""
-    lam, q = psd_eigh(a)
-    return congruence(q, np.sqrt(lam))
 
 
 @dataclass(frozen=True)

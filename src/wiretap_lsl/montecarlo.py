@@ -5,13 +5,13 @@ validated. Realizations are drawn in fixed-size blocks of 256 with
 per-block RNG streams derived from a master seed, so estimates are
 bit-identical for a given seed regardless of how blocks would be
 scheduled. Each block consumes its stream in a fixed order (all real
-parts of W, then all imaginary parts), which the kernel's rearranged
-arithmetic leaves unchanged: the same seed draws the same channels.
+parts of W, then all imaginary parts).
 
-Per block the kernel does two 2-D products, W T^(1/2) and H P^(1/2)
-(plus a batched R^(1/2) H when R is not the identity), and one batched
-Cholesky of a Gram matrix in the smaller of N and M.
-Blocks bound the memory: drawing all n realizations at once would
+W is unitarily invariant, so a link enters only through R's spectrum
+and that of K = T^(1/2) P T^(1/2), one eigendecomposition per call (see
+sample_channel_block). Per block the kernel does one elementwise scaling
+of W and one batched Cholesky of a Gram matrix in the smaller of N and
+M. Blocks bound the memory: drawing all n realizations at once would
 allocate n * N * M complex values per array.
 """
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics, sample_channel_block
-from .linalg import hermitian_sqrt
 
 _BLOCK_SIZE = 256
 
@@ -34,19 +33,17 @@ class McEstimate:
     mean: float
     std_error: float
     num_realizations: int
-    seed: int
 
 
-def _logdet_block(h: np.ndarray, p_sqrt: np.ndarray) -> np.ndarray:
-    """(1/M) ln det(I + H P Hᴴ) for a (count, N, M) stack of channels.
+def _logdet_block(g: np.ndarray) -> np.ndarray:
+    """(1/M) ln det(I + G Gᴴ) for a (count, N, M) stack of precoded channels.
 
-    With G = H P^(1/2), the Sylvester identity det(I_N + G Gᴴ) =
-    det(I_M + Gᴴ G) lets the Cholesky factor the smaller Gram matrix.
-    The Gram matrix is not symmetrized first: the factorization reads
-    one triangle and the real part of the diagonal.
+    The Sylvester identity det(I_N + G Gᴴ) = det(I_M + Gᴴ G) lets the
+    Cholesky factor the smaller Gram matrix. The Gram matrix is not
+    symmetrized first: the factorization reads one triangle and the real
+    part of the diagonal.
     """
-    count, n, m = h.shape
-    g = (h.reshape(count * n, m) @ p_sqrt).reshape(count, n, m)
+    count, n, m = g.shape
     g_h = g.conj().transpose(0, 2, 1)
     gram = g @ g_h if n <= m else g_h @ g
     diag = np.arange(gram.shape[1])
@@ -60,19 +57,19 @@ def mc_ergodic_mi(stats: ChannelStatistics, p: np.ndarray, n: int, seed: int) ->
     """Average per-antenna MI over n sampled channel realizations."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p_sqrt = hermitian_sqrt(p)
+    k_eigs = stats.k_eigs(p)
     num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     values = np.empty(n)
     offset = 0
     for child in np.random.SeedSequence(seed).spawn(num_blocks):
         count = min(_BLOCK_SIZE, n - offset)
         rng = np.random.default_rng(child)
-        h = sample_channel_block(stats, count, rng)
-        values[offset : offset + count] = _logdet_block(h, p_sqrt)
+        g = sample_channel_block(stats, k_eigs, count, rng)
+        values[offset : offset + count] = _logdet_block(g)
         offset += count
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(mean=mean, std_error=std_error, num_realizations=n, seed=seed)
+    return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
 def mc_secrecy_rate(
@@ -92,4 +89,4 @@ def mc_secrecy_rate(
     est_e = mc_ergodic_mi(stats_e, p, n, seed)
     mean = max(0.0, est_m.mean - est_e.mean)
     std_error = float(np.hypot(est_m.std_error, est_e.std_error))
-    return McEstimate(mean=mean, std_error=std_error, num_realizations=n, seed=seed)
+    return McEstimate(mean=mean, std_error=std_error, num_realizations=n)

@@ -158,18 +158,18 @@ class TestQuadrature:
 
 
 class TestComplexGaussian:
-    """The i.i.d. draws W inside sample_channel_block (T = I, R = I)."""
+    """The i.i.d. draws W inside sample_channel_block (R = I, k = 1)."""
 
     def test_moments(self):
         stats = iid_stats(snr=1000.0, n=1, m=1000)
-        w = sample_channel_block(stats, 1000, np.random.default_rng(101))
+        w = sample_channel_block(stats, np.ones(1000), 1000, np.random.default_rng(101))
         assert abs(w.mean()) <= 3e-3
         assert np.mean(np.abs(w) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_reproducible(self):
         # The stream is all real parts, then all imaginary parts.
         stats = iid_stats(snr=5.0, n=4, m=5)
-        w = sample_channel_block(stats, 3, np.random.default_rng(7))
+        w = sample_channel_block(stats, np.ones(5), 3, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         re = rng.standard_normal((3, 4, 5))
         im = rng.standard_normal((3, 4, 5))
@@ -180,41 +180,44 @@ class TestSampleChannel:
     def test_iid_unit_variance(self):
         m = 10
         stats = iid_stats(snr=float(m), n=10, m=m)
-        h = sample_channel_block(stats, 1000, np.random.default_rng(0))
+        h = sample_channel_block(stats, np.ones(m), 1000, np.random.default_rng(0))
         assert h.shape == (1000, 10, m)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_snr(self):
         stats = iid_stats(snr=0.0, n=3, m=2)
-        h = sample_channel_block(stats, 4, np.random.default_rng(1))
+        h = sample_channel_block(stats, np.ones(2), 4, np.random.default_rng(1))
         assert np.all(h == 0)
 
     def test_fixed_seed_bit_identical(self):
         stats = iid_stats(snr=2.0, n=4, m=3)
-        h1 = sample_channel_block(stats, 5, np.random.default_rng(99))
-        h2 = sample_channel_block(stats, 5, np.random.default_rng(99))
+        k = np.array([0.0, 1.0, 2.0])
+        h1 = sample_channel_block(stats, k, 5, np.random.default_rng(99))
+        h2 = sample_channel_block(stats, k, 5, np.random.default_rng(99))
         assert np.array_equal(h1, h2)
 
     @staticmethod
-    def covariance_error(t, r, snr):
+    def covariance_error(t, r, snr, p):
+        # In the eigenbases of R and K = T^(1/2) P T^(1/2) the Kronecker
+        # covariance (rho/M) K^T (x) R is diagonal: (rho/M) r_i k_j.
         n, m = r.shape[0], t.shape[0]
         stats = ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
-        samples = sample_channel_block(stats, 10_000, np.random.default_rng(5))
-        vecs = samples.reshape(len(samples), -1, order="F")  # vec(H) stacks columns
+        k = stats.k_eigs(p)
+        samples = sample_channel_block(stats, k, 10_000, np.random.default_rng(5))
+        vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
-        target = (snr / m) * np.kron(t.T, r)
+        target = (snr / m) * np.diag(np.kron(k, np.linalg.eigvalsh(r)))
         return np.linalg.norm(emp - target) / np.linalg.norm(target)
 
     def test_kronecker_covariance(self):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
-        assert self.covariance_error(t, np.eye(4), snr=2.0) <= 0.05
+        assert self.covariance_error(t, np.eye(4), snr=2.0, p=np.eye(3)) <= 0.05
 
     def test_kronecker_covariance_correlated_receiver(self):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
         r = gen_correlation(ArraySpec(4, 0.7, -30.0, 10.0))
-        stats = ChannelStatistics(snr=2.0, num_rx=4, num_tx=3, t_corr=t, r_corr=r)
-        assert not stats.r_is_identity
-        assert self.covariance_error(t, r, snr=2.0) <= 0.05
+        p = np.array([[1.5, 0.3j, 0.0], [-0.3j, 1.0, 0.2], [0.0, 0.2, 0.5]])
+        assert self.covariance_error(t, r, snr=2.0, p=p) <= 0.05
 
 
 class TestStatisticsCache:
@@ -224,7 +227,14 @@ class TestStatisticsCache:
         assert np.all(stats.r_eigs >= 0.0)
         assert np.allclose(stats.r_eigs, [0.0, 2.0], atol=1e-12)
 
-    def test_r_spectrum_and_sqrt_share_one_factorization(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_identity_receiver_spectrum_is_exactly_ones(self, n):
+        # Sampling scales by sqrt(r) with no R = I branch; that matches
+        # R = I exactly only because its spectrum is exactly ones.
+        assert iid_stats(snr=1.0, n=n, m=2).r_eigs.tolist() == [1.0] * n
+
+    def test_k_eigs_reuse_t_factorization(self, monkeypatch):
+        t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
         calls = []
         original = channel.psd_eigh
 
@@ -233,19 +243,13 @@ class TestStatisticsCache:
             return original(a)
 
         monkeypatch.setattr(channel, "psd_eigh", counting)
-        r = np.array([[1.0, 0.5j, 0.1], [-0.5j, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=np.eye(2), r_corr=r)
-        eigs, sqrt = stats.r_eigs, stats.r_sqrt
-        assert len(calls) == 1 and calls[0] is r
-        assert np.allclose(eigs, np.linalg.eigvalsh(r), atol=1e-12)
-        assert np.allclose(sqrt @ sqrt, r, atol=1e-12)
-
-    def test_r_is_identity(self):
-        assert iid_stats(snr=1.0, n=3, m=2).r_is_identity
-        r = np.eye(3)
-        r[0, 1] = r[1, 0] = 1e-3
-        stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=np.eye(2), r_corr=r)
-        assert not stats.r_is_identity
+        stats = ChannelStatistics(snr=1.0, num_rx=2, num_tx=3, t_corr=t, r_corr=np.eye(2))
+        p = np.diag([0.5, 1.0, 1.5])
+        k = stats.k_eigs(p)
+        stats.k_eigs(np.eye(3))
+        assert len(calls) == 3 and calls[0] is t
+        assert np.allclose(k, np.linalg.eigvalsh(stats.t_sqrt @ p @ stats.t_sqrt), atol=1e-12)
+        assert np.allclose(stats.t_sqrt @ stats.t_sqrt, t, atol=1e-12)
 
 
 class TestValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import iid_stats
-from wiretap_lsl import detequiv
+from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
 from wiretap_lsl.detequiv import (
     lsl_mutual_information,
@@ -107,21 +107,24 @@ class TestSpectraOnce:
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         calls = []
-        original = detequiv.psd_eigh
+        original = channel.psd_eigh
 
         def counting(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(detequiv, "psd_eigh", counting)
+        monkeypatch.setattr(channel, "psd_eigh", counting)
         return calls
 
     def test_one_eigendecomposition_per_link(self, eigh_calls):
         main = fig_default_stats(10.0)
         eave = iid_stats(10.0, 2, 4)
+        for stats in (main, eave):  # T's and R's spectra, cached per link
+            stats.t_sqrt, stats.r_eigs
+        eigh_calls.clear()
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         # One eigendecomposition of K = T^(1/2) P T^(1/2) per link, main
-        # first; R's spectrum is cached on the statistics.
+        # first.
         assert len(eigh_calls) == 2
         assert np.allclose(eigh_calls[0], main.t_corr, atol=1e-12)
         assert np.allclose(eigh_calls[1], eave.t_corr, atol=1e-12)

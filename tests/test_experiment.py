@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from wiretap_lsl import experiment
+from wiretap_lsl import cli, experiment
+from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import ParseError, QuadratureFailure, RankDeficient, UnknownPreset, ValidationError
 from wiretap_lsl.experiment import (
@@ -78,6 +80,12 @@ class TestParseConfig:
         path = write_config(tmp_path / "c.json", n_main=0)
         with pytest.raises(ValidationError):
             parse_config(path)
+
+    @pytest.mark.parametrize("link", ["array_main", "array_eave"])
+    def test_array_antennas_must_match_m(self, link):
+        # Caught here, not as a shape error from the first sweep point.
+        with pytest.raises(ValidationError, match="m antennas"):
+            ExperimentConfig(m=4, n_main=4, n_eave=2, sweep="snr", sweep_grid=(0.0,), **{link: ArraySpec(6)})
 
     def test_spacing_sweep_grid(self, tmp_path):
         grid = [round(0.2 + 0.1 * i, 10) for i in range(29)]
@@ -265,6 +273,15 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli_main(["run", "--preset", "fig3", "--no-mc", "--seed", "-5", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_array_antenna_mismatch_rejected(self, tmp_path, capsys, monkeypatch):
+        # A preset with m changed but its arrays kept fails at load time.
+        monkeypatch.setattr(cli, "figure_preset", lambda name: dataclasses.replace(figure_preset(name), m=3))
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--preset", "fig3", "--no-mc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "m antennas" in err
         assert not out.exists()
 
     def test_preset_no_mc(self, tmp_path):

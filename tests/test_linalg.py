@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wiretap_lsl.errors import NotPsd, RankDeficient
-from wiretap_lsl.linalg import congruence, gsvd, hermitian_sqrt, psd_eigh
+from wiretap_lsl.linalg import congruence, gsvd, psd_eigh
 
 
 def random_complex(rng, rows, cols):
@@ -38,26 +38,6 @@ class TestPsdEigh:
     def test_below_floor_raises(self, negative):
         with pytest.raises(NotPsd):
             psd_eigh(np.diag([1.0, negative]))
-
-
-class TestHermitianSqrt:
-    def test_identity(self):
-        assert np.allclose(hermitian_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal(self):
-        assert np.allclose(hermitian_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-    def test_multiply_back(self):
-        rng = np.random.default_rng(11)
-        g = random_complex(rng, 6, 6)
-        a = g @ g.conj().T / 6
-        s = hermitian_sqrt(a)
-        assert np.linalg.norm(s @ s - a) <= 1e-9 * np.linalg.norm(a)
-        assert np.allclose(s, s.conj().T)
-
-    def test_not_psd_raises(self):
-        with pytest.raises(NotPsd):
-            hermitian_sqrt(np.diag([1.0, -1e-6]))
 
 
 class TestGsvd:

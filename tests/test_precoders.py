@@ -394,8 +394,8 @@ class TestOptimize:
     def test_every_strategy_respects_trace_budget(self):
         # Precoders are not clipped to PSD after design: on every preset
         # point each one must already sit inside the trace budget and
-        # above the -1e-12 eigenvalue floor that the Monte Carlo square
-        # root enforces. One test over all points keeps a single test id.
+        # above the -1e-12 eigenvalue floor that the spectrum of
+        # K = T^(1/2) P T^(1/2) enforces. One test over all points keeps a single test id.
         for name in ("fig2", "fig3", "fig4", "fig5"):
             config = figure_preset(name)
             for value in config.sweep_grid:
