@@ -10,7 +10,7 @@ doubling until two successive rows agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -30,6 +30,7 @@ class ArraySpec:
     """Uniform linear array plus the angular power profile seen by it.
 
     Angles are in degrees at this interface; spacing is in wavelengths.
+    All are finite: a large finite spread gives the uniform-azimuth limit.
     """
 
     num_antennas: int
@@ -40,6 +41,8 @@ class ArraySpec:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
+        if not np.isfinite([self.spacing_wavelengths, self.mean_angle_deg, self.angle_spread_deg]).all():
+            raise ValueError("spacing_wavelengths, mean_angle_deg and angle_spread_deg must be finite")
         if self.spacing_wavelengths < 0:
             raise ValueError("spacing_wavelengths must be >= 0")
         if self.angle_spread_deg <= 0:
@@ -60,7 +63,6 @@ class ChannelStatistics:
     num_tx: int
     t_corr: np.ndarray
     r_corr: np.ndarray
-    beta: float = field(init=False)
 
     def __post_init__(self):
         if self.num_rx < 1 or self.num_tx < 1:
@@ -71,7 +73,10 @@ class ChannelStatistics:
             raise ValueError("t_corr must be num_tx x num_tx")
         if self.r_corr.shape != (self.num_rx, self.num_rx):
             raise ValueError("r_corr must be num_rx x num_rx")
-        object.__setattr__(self, "beta", self.num_rx / self.num_tx)
+
+    @property
+    def beta(self) -> float:
+        return self.num_rx / self.num_tx
 
     @cached_property
     def t_eigh(self) -> tuple[np.ndarray, np.ndarray]:

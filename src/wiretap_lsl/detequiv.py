@@ -1,15 +1,18 @@
 """Large-system (deterministic-equivalent) rates for correlated MIMO links.
 
-The ergodic mutual information of one link is approximated by a
-closed-form expression parameterized by a pair (e, delta) that solves
-two coupled trace equations; the secrecy rate is the clamped difference
-of the two links' approximations. All rates here are in nats per
-transmit antenna; conversion to bits happens at the reporting boundary.
+A link at a precoder P is seen through the spectra of R and of
+K = T^(1/2) P T^(1/2). Its ergodic MI is approximated in closed form from
+them and a pair (e, delta) that solves two coupled trace equations
+(Hachem, Loubaton and Najim, 2007). FixedPoint is that evaluated link,
+which Monte Carlo samples too. The secrecy rate is the clamped difference
+of the two links' MIs. All rates here are in nats per transmit antenna;
+conversion to bits happens at the reporting boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,40 +25,52 @@ _FP_MAX_ITER = 10_000
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """Solution (e, delta) of one link's coupled trace equations.
-
-    k_eigs are the eigenvalues of K = T^(1/2) P T^(1/2) the solve used,
-    kept so the mutual information needs no second eigendecomposition.
-    """
+    """One link evaluated at a precoder P: the solution (e, delta) of its
+    coupled trace equations, the eigenvalues k_eigs of K = T^(1/2) P T^(1/2)
+    that the solve used, and the link's stats; together they give its MI."""
 
     e: float
     delta: float
     iterations: int
     residual: float
     k_eigs: np.ndarray = field(repr=False, compare=False)
+    stats: ChannelStatistics = field(repr=False, compare=False)
+
+    @cached_property
+    def mi(self) -> float:
+        """Deterministic-equivalent ergodic MI, nats per transmit antenna.
+
+        (1/M) ln det(I + b e K) + (1/M) ln det(I + d R) - (b/rho) d e, with
+        K = T^(1/2) P T^(1/2) (same determinant as T P, but guaranteed HPD).
+        """
+        rho, beta, m = self.stats.snr, self.stats.beta, self.stats.num_tx
+        if rho == 0.0:
+            return 0.0
+        term_t = np.sum(np.log1p(beta * self.e * self.k_eigs))
+        term_r = np.sum(np.log1p(self.delta * self.stats.r_eigs))
+        return float((term_t + term_r) / m - (beta / rho) * self.delta * self.e)
 
 
 @dataclass(frozen=True)
 class LslRate:
-    """Deterministic-equivalent rates: both links' MI and their clamped gap,
-    plus the fixed points they were computed from."""
+    """Deterministic-equivalent secrecy rate: the clamped gap of the MIs
+    of both links, evaluated at the same precoder."""
 
-    i_main: float
-    i_eave: float
     fp_main: FixedPoint
     fp_eave: FixedPoint
 
     @property
     def rs(self) -> float:
-        return max(0.0, self.i_main - self.i_eave)
+        return max(0.0, self.fp_main.mi - self.fp_eave.mi)
 
 
 def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     """Solve e = (rho/N) tr{R(I+dR)^-1}, d = (rho/M) tr{K(I+b e K)^-1}.
 
     K is the symmetrized T^(1/2) P T^(1/2); its eigenvalues, clipped at
-    0, come from stats.k_eigs, the solve's only eigendecomposition, and
-    are returned as k_eigs (one below -1e-12 raises NotPsd). The first
+    0, come from stats.k_eigs, the solve's only eigendecomposition (one
+    below -1e-12 raises NotPsd). The returned FixedPoint carries them and
+    stats, so its mi and Monte Carlo reuse that factorization. The first
     equation gives e as an explicit function e(d), which turns the pair
     into the scalar equation
 
@@ -87,7 +102,7 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
         g = delta - (rho / m) * np.sum(k_eigs / k_den)
         residual = abs(g) / max(1.0, delta)
         if residual <= _FP_TOL:
-            return FixedPoint(e=float(e), delta=float(delta), iterations=it, residual=float(residual), k_eigs=k_eigs)
+            return FixedPoint(float(e), float(delta), it, float(residual), k_eigs, stats)
         if g < 0.0:
             lo = delta
         else:
@@ -101,30 +116,8 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     raise NoConvergence(f"fixed point residual {residual:.3e} after {_FP_MAX_ITER} iterations")
 
 
-def lsl_mutual_information(stats: ChannelStatistics, fp: FixedPoint) -> float:
-    """Deterministic-equivalent ergodic MI, nats per transmit antenna.
-
-    (1/M) ln det(I + b e K) + (1/M) ln det(I + d R) - (b/rho) d e, with
-    K = T^(1/2) P T^(1/2) (same determinant as T P, but guaranteed HPD)
-    for the precoder P that fp was solved for.
-    """
-    rho, beta, m = stats.snr, stats.beta, stats.num_tx
-    if rho == 0.0:
-        return 0.0
-    term_t = np.sum(np.log1p(beta * fp.e * fp.k_eigs))
-    term_r = np.sum(np.log1p(fp.delta * stats.r_eigs))
-    return float((term_t + term_r) / m - (beta / rho) * fp.delta * fp.e)
-
-
 def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p: np.ndarray) -> LslRate:
     """Clamped difference of both links' deterministic-equivalent MIs."""
     if stats_m.num_tx != stats_e.num_tx:
         raise ValueError("both links must share the transmit antenna count")
-    fp_m = solve_fixed_point(stats_m, p)
-    fp_e = solve_fixed_point(stats_e, p)
-    return LslRate(
-        i_main=lsl_mutual_information(stats_m, fp_m),
-        i_eave=lsl_mutual_information(stats_e, fp_e),
-        fp_main=fp_m,
-        fp_eave=fp_e,
-    )
+    return LslRate(fp_main=solve_fixed_point(stats_m, p), fp_eave=solve_fixed_point(stats_e, p))

@@ -7,12 +7,13 @@ bit-identical for a given seed regardless of how blocks would be
 scheduled. Each block consumes its stream in a fixed order (all real
 parts of W, then all imaginary parts).
 
-W is unitarily invariant, so a link enters only through R's spectrum
-and that of K = T^(1/2) P T^(1/2), one eigendecomposition per call (see
-sample_channel_block). Per block the kernel does one elementwise scaling
-of W and one batched Cholesky of a Gram matrix in the smaller of N and
-M. Blocks bound the memory: drawing all n realizations at once would
-allocate n * N * M complex values per array.
+W is unitarily invariant, so a link at a precoder P enters only through
+R's spectrum and that of K = T^(1/2) P T^(1/2) (see sample_channel_block),
+both held by the FixedPoint solved at P: this module never sees P and
+makes no eigendecomposition. Per block the kernel does one elementwise
+scaling of W and one batched Cholesky of a Gram matrix in the smaller of
+N and M. Blocks bound the memory: drawing all n realizations at once
+would allocate n * N * M complex values per array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStatistics, sample_channel_block
+from .channel import sample_channel_block
+from .detequiv import FixedPoint, LslRate
 
 _BLOCK_SIZE = 256
 
@@ -53,18 +55,17 @@ def _logdet_block(g: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(diags), axis=1) / m
 
 
-def mc_ergodic_mi(stats: ChannelStatistics, p: np.ndarray, n: int, seed: int) -> McEstimate:
-    """Average per-antenna MI over n sampled channel realizations."""
+def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int) -> McEstimate:
+    """Average per-antenna MI of fp's link at its precoder over n sampled channels."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k_eigs = stats.k_eigs(p)
     num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
     values = np.empty(n)
     offset = 0
     for child in np.random.SeedSequence(seed).spawn(num_blocks):
         count = min(_BLOCK_SIZE, n - offset)
         rng = np.random.default_rng(child)
-        g = sample_channel_block(stats, k_eigs, count, rng)
+        g = sample_channel_block(fp.stats, fp.k_eigs, count, rng)
         values[offset : offset + count] = _logdet_block(g)
         offset += count
     mean = float(values.mean())
@@ -72,21 +73,15 @@ def mc_ergodic_mi(stats: ChannelStatistics, p: np.ndarray, n: int, seed: int) ->
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
-def mc_secrecy_rate(
-    stats_m: ChannelStatistics,
-    stats_e: ChannelStatistics,
-    p: np.ndarray,
-    n: int,
-    seed: int,
-) -> McEstimate:
-    """Clamped difference of the two links' Monte Carlo mean MIs.
+def mc_secrecy_rate(rate: LslRate, n: int, seed: int) -> McEstimate:
+    """Clamped difference of the Monte Carlo mean MIs of rate's two links.
 
     The clamp is applied to the difference of the averages, never per
     realization. Both links consume the same seed (common random
     numbers), so identical statistics yield an exact zero.
     """
-    est_m = mc_ergodic_mi(stats_m, p, n, seed)
-    est_e = mc_ergodic_mi(stats_e, p, n, seed)
+    est_m = mc_ergodic_mi(rate.fp_main, n, seed)
+    est_e = mc_ergodic_mi(rate.fp_eave, n, seed)
     mean = max(0.0, est_m.mean - est_e.mean)
     std_error = float(np.hypot(est_m.std_error, est_e.std_error))
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)

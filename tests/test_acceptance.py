@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import exp1
 
 from helpers import iid_stats
-from wiretap_lsl.detequiv import lsl_mutual_information, lsl_secrecy_rate, solve_fixed_point
+from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import build_statistics, figure_preset, point_config
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate
@@ -39,26 +39,23 @@ def test_criterion_02_scalar_lsl_mi():
     # Analytic oracle: MI = 2 ln(1+e) - e^2 at e = (sqrt(5)-1)/2, which
     # is 0.58045763886910... nats (the coarser figure 0.5804581
     # sometimes quoted comes from rounding e to 7 digits).
-    stats = iid_stats(1.0, 1, 1)
-    fp = solve_fixed_point(stats, np.eye(1))
-    mi = lsl_mutual_information(stats, fp)
+    mi = solve_fixed_point(iid_stats(1.0, 1, 1), np.eye(1)).mi
     expected = 2.0 * np.log(1.0 + GOLDEN) - GOLDEN**2
     err = abs(mi - expected)
     report(2, err <= 1e-8, f"mi={mi:.10f}, oracle={expected:.10f}, err={err:.2e}")
 
 
 def test_criterion_03_scalar_rayleigh_oracle():
-    est = mc_ergodic_mi(iid_stats(1.0, 1, 1), np.eye(1), 10**6, seed=12345)
+    est = mc_ergodic_mi(solve_fixed_point(iid_stats(1.0, 1, 1), np.eye(1)), 10**6, seed=12345)
     truth = float(np.e * exp1(1.0))
     z = abs(est.mean - truth) / est.std_error
     report(3, z <= 3.0, f"mc={est.mean:.6f}, truth={truth:.6f}, z={z:.2f}")
 
 
 def test_criterion_04_lsl_consistency_large_dim():
-    stats = iid_stats(10.0, 64, 64)
-    fp = solve_fixed_point(stats, np.eye(64))
-    mi = lsl_mutual_information(stats, fp)
-    est = mc_ergodic_mi(stats, np.eye(64), 200, seed=64)
+    fp = solve_fixed_point(iid_stats(10.0, 64, 64), np.eye(64))
+    mi = fp.mi
+    est = mc_ergodic_mi(fp, 200, seed=64)
     rel = abs(est.mean - mi) / mi
     report(4, rel <= 0.005, f"lsl={mi:.6f}, mc={est.mean:.6f}, rel={rel:.4%}")
 
@@ -70,8 +67,8 @@ def test_criterion_05_fig2_reproduction():
     for snr_db in (0.0, 10.0, 20.0):
         stats_m, stats_e = build_statistics(point_config(config, snr_db))
         for strategy in Strategy:
-            precoder, rate, _ = optimize(strategy, stats_m, stats_e)
-            mc = mc_secrecy_rate(stats_m, stats_e, precoder, 10_000, seed=2026)
+            _, rate, _ = optimize(strategy, stats_m, stats_e)
+            mc = mc_secrecy_rate(rate, 10_000, seed=2026)
             gap = abs(rate.rs - mc.mean)
             tol = max(3.0 * mc.std_error, 0.02 * mc.mean)
             if gap > tol:
@@ -168,8 +165,8 @@ def test_criterion_10_symmetry_zero():
     ok = True
     detail = []
     for strategy in Strategy:
-        precoder, rate, _ = optimize(strategy, stats_m, stats_m)
-        mc = mc_secrecy_rate(stats_m, stats_m, precoder, 1000, seed=10)
+        _, rate, _ = optimize(strategy, stats_m, stats_m)
+        mc = mc_secrecy_rate(rate, 1000, seed=10)
         if rate.rs != 0.0 or mc.mean != 0.0:
             ok = False
             detail.append(f"{strategy.value}: lsl={rate.rs}, mc={mc.mean}")

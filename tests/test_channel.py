@@ -261,6 +261,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ArraySpec(2, 1.0, 40.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("spacing_wavelengths", float("nan")),
+            ("spacing_wavelengths", float("inf")),
+            ("mean_angle_deg", float("nan")),
+            ("mean_angle_deg", float("inf")),
+            ("mean_angle_deg", float("-inf")),
+            ("angle_spread_deg", float("nan")),
+            ("angle_spread_deg", float("inf")),
+        ],
+    )
+    def test_non_finite_array_spec(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ArraySpec(2, **{field: value})
+
     def test_beta(self):
         stats = iid_stats(snr=1.0, n=3, m=2)
         assert stats.beta == 1.5

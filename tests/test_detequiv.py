@@ -4,11 +4,7 @@ import pytest
 from helpers import iid_stats
 from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
-from wiretap_lsl.detequiv import (
-    lsl_mutual_information,
-    lsl_secrecy_rate,
-    solve_fixed_point,
-)
+from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.errors import NoConvergence, NotPsd
 from wiretap_lsl.linalg import hermitianize
 
@@ -141,18 +137,16 @@ class TestSpectraOnce:
 
 class TestMutualInformation:
     def test_zero_snr(self):
-        stats = iid_stats(0.0, 2, 2)
-        fp = solve_fixed_point(stats, np.eye(2))
-        assert lsl_mutual_information(stats, fp) == 0.0
+        fp = solve_fixed_point(iid_stats(0.0, 2, 2), np.eye(2))
+        assert fp.mi == 0.0
 
     def test_scalar_analytic_value(self):
         # Oracle: plug e = delta = (sqrt(5)-1)/2 into the closed form:
         # 2 ln(1+e) - e^2 = 0.5804576388691... nats.
-        stats = iid_stats(1.0, 1, 1)
-        fp = solve_fixed_point(stats, np.eye(1))
+        fp = solve_fixed_point(iid_stats(1.0, 1, 1), np.eye(1))
         expected = 2.0 * np.log(1.0 + GOLDEN) - GOLDEN**2
         assert expected == pytest.approx(0.5804576388691, abs=1e-12)
-        assert lsl_mutual_information(stats, fp) == pytest.approx(expected, abs=1e-8)
+        assert fp.mi == pytest.approx(expected, abs=1e-8)
 
     def test_unitary_congruence_invariance(self):
         rng = np.random.default_rng(8)
@@ -165,20 +159,31 @@ class TestMutualInformation:
 
         def mi(t_mat, p_mat):
             stats = ChannelStatistics(snr=3.0, num_rx=m, num_tx=m, t_corr=t_mat, r_corr=np.eye(m))
-            fp = solve_fixed_point(stats, p_mat)
-            return lsl_mutual_information(stats, fp)
+            return solve_fixed_point(stats, p_mat).mi
 
         base = mi(t, p)
         rotated = mi(hermitianize(q @ t @ q.conj().T), hermitianize(q @ p @ q.conj().T))
         assert rotated == pytest.approx(base, abs=1e-10)
+
+    def test_transposed_link_same_total_mi(self):
+        # H = sqrt(rho/M) R^(1/2) W K^(1/2) and its transpose, the link
+        # with T = R, R = K, P = I and rho N / M, have the same
+        # ln det(I + H Hᴴ); the DE keeps that symmetry, with R != I.
+        m, n, rho = 4, 6, 5.0
+        t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
+        r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
+        p = np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex)
+        fp = solve_fixed_point(ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r), p)
+        transposed = ChannelStatistics(snr=rho * n / m, num_rx=m, num_tx=n, t_corr=r, r_corr=np.diag(fp.k_eigs))
+        fq = solve_fixed_point(transposed, np.eye(n))
+        assert n * fq.mi == pytest.approx(m * fp.mi, rel=1e-12)
 
     def test_monotone_in_snr(self):
         t = gen_correlation(ArraySpec(3, 1.0, 40.0, 5.0))
         previous = -1.0
         for snr in [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]:
             stats = ChannelStatistics(snr=snr, num_rx=3, num_tx=3, t_corr=t, r_corr=np.eye(3))
-            fp = solve_fixed_point(stats, np.eye(3))
-            mi = lsl_mutual_information(stats, fp)
+            mi = solve_fixed_point(stats, np.eye(3)).mi
             assert mi > previous
             previous = mi
 
@@ -193,7 +198,7 @@ class TestSecrecyRate:
         main = iid_stats(1.0, 2, 2)
         eave = iid_stats(100.0, 2, 2)
         rate = lsl_secrecy_rate(main, eave, np.eye(2))
-        assert rate.i_eave > rate.i_main
+        assert rate.fp_eave.mi > rate.fp_main.mi
         assert rate.rs == 0.0
 
     def test_transmit_dim_mismatch(self):

@@ -200,6 +200,17 @@ class TestRunSweep:
         assert len(result.rows) == 3
         assert result.num_failed == 0
 
+    def test_snr_range_edges_run(self):
+        # The accepted SNR range is closed at +-1000 dB. At -1000 dB gsvd's
+        # fixed mu range cannot bracket the power budget (a typed
+        # BisectionFailure row); every other row runs to a rate.
+        cfg = ExperimentConfig(
+            m=4, n_main=4, n_eave=2, sweep="snr", sweep_grid=(-1000.0, 1000.0), mc_realizations=64
+        )
+        rows = run_sweep(cfg).rows
+        assert all(row.strategy == "gsvd" for row in rows if row.error)
+        assert all(math.isfinite(row.rs_mc_per_antenna_bits) for row in rows if not row.error)
+
     def test_numerical_failure_becomes_error_row(self, monkeypatch):
         def failing(strategy, stats_m, stats_e):
             raise RankDeficient("stacked matrix condition 1e12")
@@ -257,9 +268,24 @@ class TestCli:
             {"seed": -5},
             {"sweep_grid": [0.0, 4000.0]},
             {"sweep": "ne", "sweep_grid": [1.0, 2.0], "snr_main_db": float("nan")},
+            {"sweep_grid": [-3230.0]},
+            {"sweep_grid": [2000.0]},
+            {"sweep": "ne", "sweep_grid": [1.0, 2.0], "snr_eave_db": -1000.5},
+            {"spacing_wavelengths": float("nan")},
+            {"theta_main_deg": float("inf")},
             {"strategies": []},
         ],
-        ids=["negative-seed", "snr-overflow", "nan-snr", "no-strategies"],
+        ids=[
+            "negative-seed",
+            "snr-overflow",
+            "nan-snr",
+            "snr-underflow",
+            "snr-2000-db",
+            "snr-just-below-range",
+            "nan-spacing",
+            "inf-mean-angle",
+            "no-strategies",
+        ],
     )
     def test_config_rejected_before_the_sweep(self, tmp_path, capsys, overrides):
         out = tmp_path / "out.csv"

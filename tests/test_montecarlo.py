@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import iid_stats
 from wiretap_lsl import channel
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
-from wiretap_lsl.errors import NotPsd
+from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
+from wiretap_lsl.experiment import figure_preset, run_sweep
 from wiretap_lsl.linalg import hermitianize
 from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate
 
@@ -80,7 +83,7 @@ class TestKernelOracle:
         # means, from independent seeds, within 4 combined standard
         # errors, and the standard errors within 5%.
         stats = correlated_stats(snr, n, m, r_corr=r)
-        est = mc_ergodic_mi(stats, p, 20_000, seed=17)
+        est = mc_ergodic_mi(solve_fixed_point(stats, p), 20_000, seed=17)
         mean, std_error = reference_mc_ergodic_mi(stats, p, 20_000, seed=18)
         assert abs(est.mean - mean) <= 4.0 * np.hypot(est.std_error, std_error)
         assert est.std_error == pytest.approx(std_error, rel=0.05)
@@ -94,7 +97,7 @@ class TestKernelOracle:
         r = np.diag(np.linspace(0.5, 1.5, n)).astype(complex)
         p = np.diag(np.linspace(0.0, 2.0, m)).astype(complex)
         stats = ChannelStatistics(snr=10.0, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
-        est = mc_ergodic_mi(stats, p, 700, seed=17)
+        est = mc_ergodic_mi(solve_fixed_point(stats, p), 700, seed=17)
         mean, std_error = reference_mc_ergodic_mi(stats, p, 700, seed=17)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-14)
@@ -114,64 +117,73 @@ class TestKernelOracle:
     @pytest.mark.parametrize("n, m", [(2, 4), (12, 4)])
     def test_zero_snr_exact(self, n, m):
         stats = correlated_stats(0.0, n, m)
-        est = mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2)
+        est = mc_ergodic_mi(solve_fixed_point(stats, generic_precoder(m)), 300, seed=2)
         assert reference_mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2) == (0.0, 0.0)
         assert est.mean == 0.0 and est.std_error == 0.0
 
 
 class TestSpectra:
-    def test_one_eigendecomposition_per_link_and_no_square_root(self, monkeypatch):
+    @pytest.fixture
+    def eighs(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_no_eigendecomposition_and_no_square_root(self, eighs, monkeypatch):
         main = correlated_stats(10.0, 5, 4, r_corr=receive_correlation(5))
         eave = correlated_stats(10.0, 2, 4)
-        for stats in (main, eave):  # T's and R's spectra, cached per link
-            stats.t_sqrt, stats.r_eigs
-        eighs, congruences = [], []
-        original_eigh, original_congruence = np.linalg.eigh, channel.congruence
-
-        def counting_eigh(a, *args, **kwargs):
-            eighs.append(a)
-            return original_eigh(a, *args, **kwargs)
+        rate = lsl_secrecy_rate(main, eave, generic_precoder(4, 6))
+        eighs.clear()
+        congruences = []
+        original_congruence = channel.congruence
 
         def counting_congruence(*args):
             congruences.append(args)
             return original_congruence(*args)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(channel, "congruence", counting_congruence)
-        p = generic_precoder(4, 6)
-        mc_secrecy_rate(main, eave, p, 600, seed=1)
-        # Only K = T^(1/2) P T^(1/2), main link first; no square root of
-        # P or R is built.
-        assert len(eighs) == 2 and not congruences
-        assert np.allclose(eighs[0], main.t_sqrt @ p @ main.t_sqrt, atol=1e-12)
-        assert np.allclose(eighs[1], eave.t_sqrt @ p @ eave.t_sqrt, atol=1e-12)
+        # The rate's fixed points hold both links' spectra: MC factors
+        # nothing and builds no square root.
+        mc_secrecy_rate(rate, 600, seed=1)
+        assert not eighs and not congruences
 
-    def test_precoder_below_psd_floor_raises(self):
-        with pytest.raises(NotPsd):
-            mc_ergodic_mi(iid_stats(1.0, 2, 2), np.diag([1.0, -1e-6]).astype(complex), 10, seed=0)
+    def test_sweep_factors_as_often_with_mc_as_without(self, eighs):
+        config = replace(figure_preset("fig3"), sweep_grid=(10.0,), mc_realizations=16)
+        run_sweep(config, include_mc=False)
+        without_mc = len(eighs)
+        eighs.clear()
+        result = run_sweep(config, include_mc=True)
+        assert result.num_failed == 0
+        assert len(eighs) == without_mc > 0
 
 
 class TestMcErgodicMi:
     def test_same_seed_bit_identical(self):
         stats = iid_stats(3.0, 3, 2)
-        a = mc_ergodic_mi(stats, np.eye(2), 1000, seed=42)
-        b = mc_ergodic_mi(stats, np.eye(2), 1000, seed=42)
+        a = mc_ergodic_mi(solve_fixed_point(stats, np.eye(2)), 1000, seed=42)
+        b = mc_ergodic_mi(solve_fixed_point(stats, np.eye(2)), 1000, seed=42)
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_zero_snr(self):
-        est = mc_ergodic_mi(iid_stats(0.0, 2, 2), np.eye(2), 100, seed=0)
+        est = mc_ergodic_mi(solve_fixed_point(iid_stats(0.0, 2, 2), np.eye(2)), 100, seed=0)
         assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_single_realization(self):
-        est = mc_ergodic_mi(iid_stats(1.0, 2, 2), np.eye(2), 1, seed=5)
+        est = mc_ergodic_mi(solve_fixed_point(iid_stats(1.0, 2, 2), np.eye(2)), 1, seed=5)
         assert est.num_realizations == 1
         assert est.std_error == 0.0
         assert est.mean > 0
 
     def test_std_error_scaling(self):
         stats = iid_stats(5.0, 2, 2)
-        small = mc_ergodic_mi(stats, np.eye(2), 2000, seed=1)
-        large = mc_ergodic_mi(stats, np.eye(2), 8000, seed=1)
+        small = mc_ergodic_mi(solve_fixed_point(stats, np.eye(2)), 2000, seed=1)
+        large = mc_ergodic_mi(solve_fixed_point(stats, np.eye(2)), 8000, seed=1)
         ratio = small.std_error / large.std_error
         assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -182,33 +194,33 @@ class TestMcErgodicMi:
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         p = np.diag([2.0, 0.7, 0.3])
-        base = mc_ergodic_mi(stats, p, 20_000, seed=11)
-        rotated = mc_ergodic_mi(stats, hermitianize(q @ p @ q.conj().T), 20_000, seed=12)
+        base = mc_ergodic_mi(solve_fixed_point(stats, p), 20_000, seed=11)
+        rotated = mc_ergodic_mi(solve_fixed_point(stats, hermitianize(q @ p @ q.conj().T)), 20_000, seed=12)
         combined = np.hypot(base.std_error, rotated.std_error)
         assert abs(base.mean - rotated.mean) < 3 * combined
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            mc_ergodic_mi(iid_stats(1.0, 2, 2), np.eye(2), 0, seed=0)
+            mc_ergodic_mi(solve_fixed_point(iid_stats(1.0, 2, 2), np.eye(2)), 0, seed=0)
 
 
 class TestMcSecrecyRate:
     def test_identical_statistics_exact_zero(self):
         stats = iid_stats(2.0, 3, 3)
-        est = mc_secrecy_rate(stats, stats, np.eye(3), 500, seed=3)
+        est = mc_secrecy_rate(lsl_secrecy_rate(stats, stats, np.eye(3)), 500, seed=3)
         assert est.mean == 0.0
 
     def test_combined_std_error(self):
         main = iid_stats(5.0, 3, 2)
         eave = iid_stats(1.0, 2, 2)
-        est = mc_secrecy_rate(main, eave, np.eye(2), 2000, seed=4)
-        em = mc_ergodic_mi(main, np.eye(2), 2000, seed=4)
-        ee = mc_ergodic_mi(eave, np.eye(2), 2000, seed=4)
+        est = mc_secrecy_rate(lsl_secrecy_rate(main, eave, np.eye(2)), 2000, seed=4)
+        em = mc_ergodic_mi(solve_fixed_point(main, np.eye(2)), 2000, seed=4)
+        ee = mc_ergodic_mi(solve_fixed_point(eave, np.eye(2)), 2000, seed=4)
         assert est.mean == max(0.0, em.mean - ee.mean)
         assert est.std_error == pytest.approx(np.hypot(em.std_error, ee.std_error))
 
     def test_clamped_at_zero(self):
         main = iid_stats(1.0, 2, 2)
         eave = iid_stats(50.0, 2, 2)
-        est = mc_secrecy_rate(main, eave, np.eye(2), 500, seed=6)
+        est = mc_secrecy_rate(lsl_secrecy_rate(main, eave, np.eye(2)), 500, seed=6)
         assert est.mean == 0.0
