@@ -55,7 +55,8 @@ class ChannelStatistics:
 
     t_eigh and r_eigh are each matrix's eigenvalues (ascending, clipped at
     0) and eigenvectors, computed once, on first use; t_sqrt and r_eigs
-    come from them.
+    come from them. Nothing here depends on the precoder: the spectrum
+    of K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at P.
     """
 
     snr: float
@@ -94,13 +95,6 @@ class ChannelStatistics:
     @property
     def r_eigs(self) -> np.ndarray:
         return self.r_eigh[0]
-
-    def k_eigs(self, p: np.ndarray) -> np.ndarray:
-        """Eigenvalues of K = T^(1/2) P T^(1/2), clipped at 0 (see psd_eigh).
-
-        With r_eigs they are all of the link that a rate depends on.
-        """
-        return psd_eigh(self.t_sqrt @ p @ self.t_sqrt)[0]
 
 
 @lru_cache(maxsize=8)

@@ -25,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="path to a JSON experiment config")
     run.add_argument(
         "--preset",
-        choices=list(PRESETS),
-        help="use a published-figure configuration instead of a config file",
+        help=f"use a published-figure configuration ({', '.join(PRESETS)}) instead of a config file",
     )
     run.add_argument("--out", help="output CSV path (overrides the config)")
     run.add_argument("--seed", type=int, help="master RNG seed (overrides the config)")

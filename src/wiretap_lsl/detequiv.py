@@ -18,6 +18,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .errors import NoConvergence
+from .linalg import psd_eigh
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 10_000
@@ -67,12 +68,12 @@ class LslRate:
 def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     """Solve e = (rho/N) tr{R(I+dR)^-1}, d = (rho/M) tr{K(I+b e K)^-1}.
 
-    K is the symmetrized T^(1/2) P T^(1/2); its eigenvalues, clipped at
-    0, come from stats.k_eigs, the solve's only eigendecomposition (one
-    below -1e-12 raises NotPsd). The returned FixedPoint carries them and
-    stats, so its mi and Monte Carlo reuse that factorization. The first
-    equation gives e as an explicit function e(d), which turns the pair
-    into the scalar equation
+    K is the symmetrized T^(1/2) P T^(1/2), factored here and nowhere
+    else; its eigenvalues are clipped at 0 (one below -1e-12 raises
+    NotPsd). The returned FixedPoint carries them and stats, so its mi
+    and Monte Carlo reuse that factorization. The first equation gives
+    e as an explicit function e(d), which turns the pair into the scalar
+    equation
 
         g(d) = d - (rho/M) sum_i k_i / (1 + b e(d) k_i) = 0.
 
@@ -90,7 +91,7 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     rho, beta = stats.snr, stats.beta
     n, m = stats.num_rx, stats.num_tx
     r_eigs = stats.r_eigs
-    k_eigs = stats.k_eigs(p)
+    k_eigs = psd_eigh(stats.t_sqrt @ p @ stats.t_sqrt)[0]
 
     lo, hi = 0.0, (rho / m) * float(np.sum(k_eigs))
     delta = hi

@@ -131,7 +131,7 @@ PRESETS = {
 def figure_preset(name: str) -> ExperimentConfig:
     """Experiment configuration matching one of the published figures."""
     if name not in PRESETS:
-        raise UnknownPreset(name)
+        raise UnknownPreset(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
     return PRESETS[name]
 
 
@@ -163,9 +163,12 @@ CONFIG_KEYS = frozenset(f.name for f in _CONFIG_FIELDS) | frozenset(_ARRAY_KEYS)
 
 
 def _coerce(hint, value):
-    """Convert one JSON value to its field type; tuples convert elementwise."""
+    """Convert one JSON value to its field type, tuples elementwise; an int
+    field rejects a boolean or a non-integral number instead of truncating it."""
     if typing.get_origin(hint) is tuple:
         return tuple(typing.get_args(hint)[0](v) for v in value)
+    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{value!r} is not an integer")
     return hint(value)
 
 
@@ -215,11 +218,6 @@ def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, Chann
     return main, link(config.snr_eave_db, config.n_eave, config.array_eave)
 
 
-def _point_seed(base_seed: int, grid_index: int, strategy_index: int) -> int:
-    ss = np.random.SeedSequence([int(base_seed), grid_index, strategy_index])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 # Numerical failures of one sweep point, reported as error rows; any
 # other exception is a fault in the program and propagates.
 _POINT_FAILURES = (WiretapError, np.linalg.LinAlgError)
@@ -245,7 +243,7 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
                 _, rate, iterations = optimize(strategy, stats_m, stats_e)
                 mc_mean_bits = mc_se = None
                 if include_mc:
-                    mc = mc_secrecy_rate(rate, config.mc_realizations, _point_seed(config.seed, gi, si))
+                    mc = mc_secrecy_rate(rate, config.mc_realizations, (config.seed, gi, si))
                     mc_mean_bits = mc.mean / ln2
                     mc_se = mc.std_error / ln2
             except _POINT_FAILURES as exc:

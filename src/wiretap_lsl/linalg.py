@@ -8,8 +8,6 @@ conjugate-symmetric data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotPsd, RankDeficient
@@ -41,26 +39,13 @@ def congruence(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     return hermitianize((x * d) @ x.conj().T)
 
 
-@dataclass(frozen=True)
-class GsvdFactorization:
-    """Joint diagonalization of two square matrices A and B.
-
-    With X = v_inv_h, Xᴴ Aᴴ A X = diag(σ_M²) and Xᴴ Bᴴ B X = diag(σ_E²),
-    so A = U_M diag(σ_M) Vᴴ and B = U_E diag(σ_E) Vᴴ with V⁻ᴴ = X and
-    unitary U_M, U_E. σ_M² + σ_E² = 1 elementwise and σ_M is sorted
-    descending. v_inv_gram_diag holds the diagonal of V⁻¹V⁻ᴴ (the
-    squared column norms of X), needed by the per-subchannel power
-    constraint.
-    """
-
-    sigma_m: np.ndarray
-    sigma_e: np.ndarray
-    v_inv_h: np.ndarray
-    v_inv_gram_diag: np.ndarray
-
-
-def gsvd(a: np.ndarray, b: np.ndarray) -> GsvdFactorization:
+def gsvd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generalized SVD of two square matrices with a shared right factor.
+
+    Returns (sigma_m, sigma_e, x) with Xᴴ Aᴴ A X = diag(σ_M²) and
+    Xᴴ Bᴴ B X = diag(σ_E²), so A = U_M diag(σ_M) Vᴴ and
+    B = U_E diag(σ_E) Vᴴ with V⁻ᴴ = X and unitary U_M, U_E.
+    σ_M² + σ_E² = 1 elementwise and σ_M is sorted descending.
 
     Route: the thin SVD [A; B] = U Σ Yᴴ, then the SVD of the lower block
     U[M:] = Z diag(σ_E) Wᴴ. U[:M] W has orthogonal columns whose norms
@@ -86,12 +71,4 @@ def gsvd(a: np.ndarray, b: np.ndarray) -> GsvdFactorization:
     sigma_e = sigma_e[::-1]
     w = wh[::-1].conj().T
     sigma_m = np.linalg.norm(u[:m] @ w, axis=0)
-    v_inv_h = (yh.conj().T / sv) @ w
-    v_inv_gram_diag = np.einsum("ij,ij->j", v_inv_h, v_inv_h.conj()).real
-
-    return GsvdFactorization(
-        sigma_m=sigma_m,
-        sigma_e=sigma_e,
-        v_inv_h=v_inv_h,
-        v_inv_gram_diag=v_inv_gram_diag,
-    )
+    return sigma_m, sigma_e, (yh.conj().T / sv) @ w

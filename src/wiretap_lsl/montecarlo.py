@@ -1,11 +1,10 @@
 """Seeded Monte Carlo estimation of ergodic rates.
 
 The ground truth against which every deterministic-equivalent value is
-validated. Realizations are drawn in fixed-size blocks of 256 with
-per-block RNG streams derived from a master seed, so estimates are
-bit-identical for a given seed regardless of how blocks would be
-scheduled. Each block consumes its stream in a fixed order (all real
-parts of W, then all imaginary parts).
+validated. Each estimate draws from one generator, seeded by the
+caller, in blocks of 256 realizations taken in order, so a seed gives
+the same estimate every time and the first k full blocks do not depend
+on n. Each block draws all real parts of W, then all imaginary parts.
 
 W is unitarily invariant, so a link at a precoder P enters only through
 R's spectrum and that of K = T^(1/2) P T^(1/2) (see sample_channel_block),
@@ -55,25 +54,24 @@ def _logdet_block(g: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(diags), axis=1) / m
 
 
-def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int) -> McEstimate:
-    """Average per-antenna MI of fp's link at its precoder over n sampled channels."""
+def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int | tuple[int, ...]) -> McEstimate:
+    """Average per-antenna MI of fp's link at its precoder over n channels
+    sampled from one generator seeded by seed, an int or a tuple of ints.
+    A Generator raises TypeError: the links of a rate could not share it."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    num_blocks = (n + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = np.empty(n)
-    offset = 0
-    for child in np.random.SeedSequence(seed).spawn(num_blocks):
+    for offset in range(0, n, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, n - offset)
-        rng = np.random.default_rng(child)
         g = sample_channel_block(fp.stats, fp.k_eigs, count, rng)
         values[offset : offset + count] = _logdet_block(g)
-        offset += count
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
-def mc_secrecy_rate(rate: LslRate, n: int, seed: int) -> McEstimate:
+def mc_secrecy_rate(rate: LslRate, n: int, seed: int | tuple[int, ...]) -> McEstimate:
     """Clamped difference of the Monte Carlo mean MIs of rate's two links.
 
     The clamp is applied to the difference of the averages, never per

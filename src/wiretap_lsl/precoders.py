@@ -94,10 +94,9 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
     """Water-filling over the main channel's effective statistics.
 
     Gains are the eigenvalues of beta*em*T (the KKT-consistent squared
-    singular values).
+    singular values). em = 0 only at rho = 0, where no gain is positive
+    and waterfill_levels raises AllZeroGains.
     """
-    if em <= 0:
-        raise ValueError("em must be > 0")
     lam, q = stats_m.t_eigh
     gains = stats_m.beta * em * lam
     alloc = waterfill_levels(gains, float(stats_m.num_tx))
@@ -143,10 +142,12 @@ def gsvd_precoder(
     m = stats_m.num_tx
     a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
     b = np.sqrt(stats_e.beta * ee) * stats_e.t_sqrt
-    fact = gsvd(a, b)
-    sm2 = fact.sigma_m**2
-    se2 = fact.sigma_e**2
-    v_diag = fact.v_inv_gram_diag
+    sigma_m, sigma_e, x = gsvd(a, b)
+    sm2 = sigma_m**2
+    se2 = sigma_e**2
+    # P = X diag(levels) Xᴴ has trace sum_i levels[i] ||x_i||², so the
+    # squared column norms of X are the subchannels' power costs.
+    v_diag = np.einsum("ij,ij->j", x, x.conj()).real
     budget = float(m)
 
     # Rounding can split an exact sigma tie by ~1e-16; such subchannels
@@ -173,7 +174,7 @@ def gsvd_precoder(
     else:
         raise BisectionFailure(f"residual power mismatch {excess:.3e}")
 
-    return _within_budget(congruence(fact.v_inv_h, levels))
+    return _within_budget(congruence(x, levels))
 
 
 def optimize(

@@ -132,26 +132,27 @@ def test_criterion_09_gsvd_property_suite():
         m = int(rng.integers(2, 9))
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        f = gsvd(a, b)
-        ax, bx = a @ f.v_inv_h, b @ f.v_inv_h
+        sigma_m, sigma_e, x = gsvd(a, b)
+        ax, bx = a @ x, b @ x
         checks = [
-            np.linalg.norm(ax.conj().T @ ax - np.diag(f.sigma_m**2)) <= 1e-8,
-            np.linalg.norm(bx.conj().T @ bx - np.diag(f.sigma_e**2)) <= 1e-8,
-            np.abs(f.sigma_m**2 + f.sigma_e**2 - 1).max() <= 1e-10,
-            bool(np.all(np.diff(f.sigma_m) <= 1e-14)),
+            np.linalg.norm(ax.conj().T @ ax - np.diag(sigma_m**2)) <= 1e-8,
+            np.linalg.norm(bx.conj().T @ bx - np.diag(sigma_e**2)) <= 1e-8,
+            np.abs(sigma_m**2 + sigma_e**2 - 1).max() <= 1e-10,
+            bool(np.all(np.diff(sigma_m) <= 1e-14)),
         ]
-        sm2, se2 = f.sigma_m**2, f.sigma_e**2
+        sm2, se2 = sigma_m**2, sigma_e**2
+        cost = np.sum(np.abs(x) ** 2, axis=0)  # power cost of each subchannel
         if np.any(sm2 > se2):
             budget = float(m)
 
             def excess(log_mu):
-                levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, np.exp(log_mu))
-                return np.dot(levels, f.v_inv_gram_diag) - budget
+                levels = gsvd_power_allocation(sm2, se2, cost, np.exp(log_mu))
+                return np.dot(levels, cost) - budget
 
             log_mu = brentq(excess, np.log(1e-12), np.log(1e12), xtol=1e-13)
-            levels = gsvd_power_allocation(sm2, se2, f.v_inv_gram_diag, np.exp(log_mu))
+            levels = gsvd_power_allocation(sm2, se2, cost, np.exp(log_mu))
             if np.any(levels > 0):
-                checks.append(abs(np.dot(levels, f.v_inv_gram_diag) - budget) <= 1e-8)
+                checks.append(abs(np.dot(levels, cost) - budget) <= 1e-8)
         if not all(checks):
             ok = False
             detail = f"trial {trial} (m={m}) failed checks {checks}"

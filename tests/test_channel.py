@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from helpers import iid_stats
-from wiretap_lsl import channel
+from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
+from wiretap_lsl.detequiv import solve_fixed_point
 from wiretap_lsl.errors import QuadratureFailure
 
 
@@ -202,7 +203,7 @@ class TestSampleChannel:
         # covariance (rho/M) K^T (x) R is diagonal: (rho/M) r_i k_j.
         n, m = r.shape[0], t.shape[0]
         stats = ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
-        k = stats.k_eigs(p)
+        k = solve_fixed_point(stats, p).k_eigs
         samples = sample_channel_block(stats, k, 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
@@ -242,11 +243,15 @@ class TestStatisticsCache:
             calls.append(a)
             return original(a)
 
+        # T is factored in channel, K in detequiv: count both.
         monkeypatch.setattr(channel, "psd_eigh", counting)
+        monkeypatch.setattr(detequiv, "psd_eigh", counting)
         stats = ChannelStatistics(snr=1.0, num_rx=2, num_tx=3, t_corr=t, r_corr=np.eye(2))
+        stats.r_eigs  # R's one factorization, before counting starts
+        calls.clear()
         p = np.diag([0.5, 1.0, 1.5])
-        k = stats.k_eigs(p)
-        stats.k_eigs(np.eye(3))
+        k = solve_fixed_point(stats, p).k_eigs
+        solve_fixed_point(stats, np.eye(3))
         assert len(calls) == 3 and calls[0] is t
         assert np.allclose(k, np.linalg.eigvalsh(stats.t_sqrt @ p @ stats.t_sqrt), atol=1e-12)
         assert np.allclose(stats.t_sqrt @ stats.t_sqrt, t, atol=1e-12)

@@ -109,7 +109,9 @@ class TestSpectraOnce:
             calls.append(a)
             return original(a)
 
+        # T and R are factored in channel, K in detequiv.
         monkeypatch.setattr(channel, "psd_eigh", counting)
+        monkeypatch.setattr(detequiv, "psd_eigh", counting)
         return calls
 
     def test_one_eigendecomposition_per_link(self, eigh_calls):

@@ -16,6 +16,7 @@ from wiretap_lsl.experiment import (
     run_sweep,
     write_csv,
 )
+from wiretap_lsl.montecarlo import McEstimate
 from wiretap_lsl.precoders import Strategy
 
 
@@ -124,10 +125,17 @@ class TestParseConfig:
 
     def test_values_coerced_to_field_types(self, tmp_path):
         path = write_config(
-            tmp_path / "c.json", m="2", n_main=3.0, sweep_grid=[0, 10], strategies=["gsvd"], seed="5"
+            tmp_path / "c.json",
+            m="2",
+            n_main=3.0,
+            sweep_grid=[0, 10],
+            strategies=["gsvd"],
+            seed="5",
+            mc_realizations=1e4,
         )
         cfg = parse_config(path)
-        assert (cfg.m, cfg.n_main, cfg.seed) == (2, 3, 5)
+        assert (cfg.m, cfg.n_main, cfg.seed, cfg.mc_realizations) == (2, 3, 5, 10_000)
+        assert type(cfg.mc_realizations) is int
         assert cfg.sweep_grid == (0.0, 10.0)
         assert cfg.strategies == (Strategy.GSVD_BEAMFORMING,)
         assert cfg.snr_main_db == ExperimentConfig.snr_main_db
@@ -211,6 +219,19 @@ class TestRunSweep:
         assert all(row.strategy == "gsvd" for row in rows if row.error)
         assert all(math.isfinite(row.rs_mc_per_antenna_bits) for row in rows if not row.error)
 
+    def test_mc_seeded_by_seed_grid_index_and_strategy_index(self, monkeypatch):
+        seeds = []
+
+        def recording(rate, n, seed):
+            seeds.append(seed)
+            return McEstimate(mean=0.0, std_error=0.0, num_realizations=n)
+
+        monkeypatch.setattr(experiment, "mc_secrecy_rate", recording)
+        config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), seed=7)
+        result = run_sweep(config)
+        assert seeds == [(7, gi, si) for gi in range(2) for si in range(3)]
+        assert len(set(seeds)) == len(result.rows)
+
     def test_numerical_failure_becomes_error_row(self, monkeypatch):
         def failing(strategy, stats_m, stats_e):
             raise RankDeficient("stacked matrix condition 1e12")
@@ -274,6 +295,12 @@ class TestCli:
             {"spacing_wavelengths": float("nan")},
             {"theta_main_deg": float("inf")},
             {"strategies": []},
+            {"m": 2.7},
+            {"n_eave": 3.9},
+            {"seed": 1.5},
+            {"mc_realizations": 2.5},
+            {"m": True},
+            {"seed": float("inf")},
         ],
         ids=[
             "negative-seed",
@@ -285,6 +312,12 @@ class TestCli:
             "nan-spacing",
             "inf-mean-angle",
             "no-strategies",
+            "fractional-m",
+            "fractional-n-eave",
+            "fractional-seed",
+            "fractional-mc-realizations",
+            "boolean-m",
+            "infinite-seed",
         ],
     )
     def test_config_rejected_before_the_sweep(self, tmp_path, capsys, overrides):
@@ -293,6 +326,13 @@ class TestCli:
         assert cli_main(["run", "--config", cfg_path, "--no-mc"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_preset_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--preset", "fig9", "--no-mc", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "fig2, fig3, fig4, fig5" in err
         assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):

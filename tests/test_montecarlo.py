@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import iid_stats
-from wiretap_lsl import channel
+from wiretap_lsl import channel, montecarlo
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import figure_preset, run_sweep
@@ -22,15 +22,14 @@ def reference_mc_ergodic_mi(stats, p, n, seed):
 
     R^(1/2) and T^(1/2) are built here from r_corr and t_corr, apart from
     the package's spectra. Returns (mean, std_error) over n realizations
-    drawn in blocks of 256 from the same per-block streams as
-    mc_ergodic_mi.
+    drawn in blocks of 256, in order, from one generator seeded as
+    mc_ergodic_mi seeds its own.
     """
     r_sqrt, t_sqrt = principal_sqrt(stats.r_corr), principal_sqrt(stats.t_corr)
     values = []
-    children = np.random.SeedSequence(seed).spawn((n + 255) // 256)
-    for b, child in enumerate(children):
-        count = min(256, n - 256 * b)
-        rng = np.random.default_rng(child)
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, 256):
+        count = min(256, n - start)
         nr, m = stats.num_rx, stats.num_tx
         re = rng.standard_normal((count, nr, m))
         im = rng.standard_normal((count, nr, m))
@@ -108,7 +107,7 @@ class TestKernelOracle:
         # eigenvalues next to ~1e6 ones and is off from the SVD value by
         # up to ~1e-11; the M x M Gram has no such eigenvalues.
         stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
-        k_eigs = stats.k_eigs(generic_precoder(4, 4))
+        k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
         g = sample_channel_block(stats, k_eigs, 256, np.random.default_rng(1))
         sv = np.linalg.svd(g, compute_uv=False)
         expected = np.sum(np.log1p(sv**2), axis=1) / 4
@@ -199,6 +198,43 @@ class TestMcErgodicMi:
         combined = np.hypot(base.std_error, rotated.std_error)
         assert abs(base.mean - rotated.mean) < 3 * combined
 
+    def test_one_generator_and_no_spawned_streams(self, monkeypatch):
+        # The blocks run in one loop, so one generator draws them in order.
+        generators, spawned = [], []
+        original_rng = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            generators.append(args)
+            return original_rng(*args, **kwargs)
+
+        class RecordingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
+        fp = solve_fixed_point(iid_stats(2.0, 2, 2), np.eye(2))
+        mc_ergodic_mi(fp, 10_000, seed=(3, 1, 2))
+        assert len(generators) == 1 and not spawned
+
+    def test_first_full_blocks_independent_of_n(self, monkeypatch):
+        blocks = []
+        original = montecarlo.sample_channel_block
+
+        def recording(*args):
+            blocks.append(original(*args))
+            return blocks[-1].copy()
+
+        monkeypatch.setattr(montecarlo, "sample_channel_block", recording)
+        fp = solve_fixed_point(iid_stats(2.0, 3, 2), np.eye(2))
+        mc_ergodic_mi(fp, 512, seed=8)
+        short = blocks[:]
+        blocks.clear()
+        mc_ergodic_mi(fp, 700, seed=8)
+        assert [len(b) for b in short] == [256, 256] and [len(b) for b in blocks] == [256, 256, 188]
+        assert all(np.array_equal(a, b) for a, b in zip(short, blocks))
+
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             mc_ergodic_mi(solve_fixed_point(iid_stats(1.0, 2, 2), np.eye(2)), 0, seed=0)
@@ -218,6 +254,12 @@ class TestMcSecrecyRate:
         ee = mc_ergodic_mi(solve_fixed_point(eave, np.eye(2)), 2000, seed=4)
         assert est.mean == max(0.0, em.mean - ee.mean)
         assert est.std_error == pytest.approx(np.hypot(em.std_error, ee.std_error))
+
+    def test_generator_seed_refused(self):
+        # The two links would consume a Generator in turn, not share it.
+        stats = iid_stats(2.0, 3, 3)
+        with pytest.raises(TypeError):
+            mc_secrecy_rate(lsl_secrecy_rate(stats, stats, np.eye(3)), 500, seed=np.random.default_rng(3))
 
     def test_clamped_at_zero(self):
         main = iid_stats(1.0, 2, 2)

@@ -25,6 +25,11 @@ def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
     return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=np.eye(n))
 
 
+def column_norms2(x):
+    """Squared column norms of the GSVD's X: the subchannels' power costs."""
+    return np.sum(np.abs(x) ** 2, axis=0)
+
+
 def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
     """Scalar loop over subchannels: the oracle for gsvd_power_allocation."""
     sm = np.asarray(sigma_m2, dtype=float)
@@ -260,31 +265,48 @@ class TestGsvdPrecoder:
 
         a = np.sqrt(main.beta * em) * main.t_sqrt
         b = np.sqrt(eave.beta * ee) * eave.t_sqrt
-        f = gsvd(a, b)
+        sigma_m, sigma_e, x = gsvd(a, b)
         # P = X diag(levels) Xᴴ with X = V^-H, so X⁻¹ P X⁻ᴴ recovers the diagonal
-        x_inv = np.linalg.inv(f.v_inv_h)
+        x_inv = np.linalg.inv(x)
         levels = np.diag(x_inv @ p @ x_inv.conj().T).real
-        # allocated power, weighted by the V^-1 gram diagonal, uses the
-        # whole budget
-        assert np.dot(levels, f.v_inv_gram_diag) == pytest.approx(m, abs=1e-8)
+        # allocated power, weighted by the squared column norms of X,
+        # uses the whole budget
+        assert np.dot(levels, column_norms2(x)) == pytest.approx(m, abs=1e-8)
         # the log-det gap at frozen (em, ee) separates over subchannels
         k_m = np.linalg.eigvalsh(main.t_sqrt @ p @ main.t_sqrt)
         k_e = np.linalg.eigvalsh(eave.t_sqrt @ p @ eave.t_sqrt)
         direct = np.sum(np.log1p(main.beta * em * k_m)) - np.sum(np.log1p(eave.beta * ee * k_e))
-        separable = np.sum(np.log1p(f.sigma_m**2 * levels) - np.log1p(f.sigma_e**2 * levels))
+        separable = np.sum(np.log1p(sigma_m**2 * levels) - np.log1p(sigma_e**2 * levels))
         assert direct / m == pytest.approx(separable / m, abs=1e-8)
+
+    def test_power_costs_are_squared_column_norms(self, monkeypatch):
+        # P = X diag(levels) Xᴴ spends levels[i] ||x_i||² of the budget on
+        # subchannel i.
+        main = correlated_stats(10.0, 4, 4, 40.0)
+        eave = correlated_stats(10.0, 2, 4, -10.0)
+        costs = []
+        original = precoders.gsvd_power_allocation
+
+        def recording(sm2, se2, v_diag, mu):
+            costs.append(v_diag)
+            return original(sm2, se2, v_diag, mu)
+
+        monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
+        gsvd_precoder(main, eave, em=1.2, ee=0.9)
+        _, _, x = gsvd(np.sqrt(main.beta * 1.2) * main.t_sqrt, np.sqrt(eave.beta * 0.9) * eave.t_sqrt)
+        assert costs and all(cost is costs[0] for cost in costs)
+        assert np.allclose(costs[0], np.diag(x.conj().T @ x).real, atol=1e-10)
+        assert np.all(costs[0] > 0)
 
     def test_total_power_monotone_in_mu(self):
         main = correlated_stats(10.0, 3, 4, 40.0)
         eave = correlated_stats(10.0, 2, 4, -10.0)
         a = np.sqrt(main.beta * 1.0) * main.t_sqrt
         b = np.sqrt(eave.beta * 1.0) * eave.t_sqrt
-        f = gsvd(a, b)
+        sigma_m, sigma_e, x = gsvd(a, b)
+        cost = column_norms2(x)
         powers = [
-            np.dot(
-                gsvd_power_allocation(f.sigma_m**2, f.sigma_e**2, f.v_inv_gram_diag, mu),
-                f.v_inv_gram_diag,
-            )
+            np.dot(gsvd_power_allocation(sigma_m**2, sigma_e**2, cost, mu), cost)
             for mu in np.logspace(-6, 2, 30)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(powers, powers[1:]))
@@ -405,6 +427,13 @@ class TestOptimize:
                     p, _, _ = optimize(strategy, main, eave)
                     assert np.trace(p).real <= config.m + 1e-6, point
                     assert np.linalg.eigvalsh(p).min() >= -1e-12, point
+
+    def test_waterfilling_at_zero_snr_raises_typed_error(self):
+        # At rho = 0 the fixed point gives e = 0, so no gain is positive.
+        main = correlated_stats(0.0, 3, 4, 40.0)
+        eave = correlated_stats(0.0, 2, 4, -10.0)
+        with pytest.raises(AllZeroGains):
+            optimize(Strategy.WATER_FILLING, main, eave)
 
     def test_strategy_accepts_string(self):
         main = iid_stats(1.0, 2, 2)
