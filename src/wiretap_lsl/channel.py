@@ -10,6 +10,7 @@ doubling until two successive rows agree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -162,7 +163,10 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
 
 
 def sample_channel_block(
-    stats: ChannelStatistics, k_eigs: np.ndarray, count: int, rng: np.random.Generator
+    stats: ChannelStatistics | Sequence[ChannelStatistics],
+    k_eigs: np.ndarray | Sequence[np.ndarray],
+    count: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Sample `count` precoded channels G = sqrt(rho/M) diag(sqrt(r)) W diag(sqrt(k)).
 
@@ -176,10 +180,18 @@ def sample_channel_block(
     drawn as two standard-normal (count, N, M) arrays: real parts, then
     imaginary parts. Its 1/sqrt(2) and sqrt(rho/M) are folded into one
     N x M elementwise scaling.
+
+    Several links with the same M, given as equal-length sequences of
+    stats and of k_eigs, share one W drawn with the most rows any of them
+    has: each link scales W's first N rows. Each link keeps its law, and
+    their channels come back stacked by rows, (count, sum of the N, M).
+    One link, alone or in a sequence, draws exactly the same block.
     """
-    n, m = stats.num_rx, stats.num_tx
+    if isinstance(stats, ChannelStatistics):
+        stats, k_eigs = (stats,), (k_eigs,)
+    n, m = max(s.num_rx for s in stats), stats[0].num_tx
     w = np.empty((count, n, m), dtype=complex)
     w.real = rng.standard_normal((count, n, m))
     w.imag = rng.standard_normal((count, n, m))
-    w *= np.sqrt(np.outer(stats.r_eigs, (stats.snr / (2.0 * m)) * k_eigs))
-    return w
+    scales = [np.sqrt(np.outer(s.r_eigs, (s.snr / (2.0 * m)) * k)) for s, k in zip(stats, k_eigs)]
+    return np.concatenate([w[:, : len(scale)] * scale for scale in scales], axis=1)

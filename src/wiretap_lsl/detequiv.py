@@ -51,6 +51,25 @@ class FixedPoint:
         term_r = np.sum(np.log1p(self.delta * self.stats.r_eigs))
         return float((term_t + term_r) / m - (beta / rho) * self.delta * self.e)
 
+    @cached_property
+    def mi_variance(self) -> float:
+        """Variance of one realization of the per-antenna MI that Monte
+        Carlo averages, from the CLT for Kronecker channels (Hachem,
+        Loubaton and Najim, Ann. Appl. Probab., 2008): -ln(1 - a b) / M^2,
+        with a = (rho/N) sum r^2 / (1 + delta r)^2 and
+        b = (rho/M) beta sum k^2 / (1 + beta e k)^2.
+
+        1 - a b is the derivative dg of solve_fixed_point's scalar equation
+        at its root, here evaluated on demand so that the solve does no
+        extra work.
+        """
+        rho, beta = self.stats.snr, self.stats.beta
+        n, m = self.stats.num_rx, self.stats.num_tx
+        r, k = self.stats.r_eigs, self.k_eigs
+        a = (rho / n) * np.sum((r / (1.0 + self.delta * r)) ** 2)
+        b = (rho / m) * beta * np.sum((k / (1.0 + beta * self.e * k)) ** 2)
+        return float(-np.log1p(-a * b) / m**2)
+
 
 @dataclass(frozen=True)
 class LslRate:

@@ -197,6 +197,22 @@ class TestSampleChannel:
         h2 = sample_channel_block(stats, k, 5, np.random.default_rng(99))
         assert np.array_equal(h1, h2)
 
+    def test_links_share_w(self):
+        # Each link scales the first N rows of one W draw; the taller link
+        # sets the rows drawn. One link in a sequence draws the block it
+        # draws alone.
+        main = ChannelStatistics(snr=2.0, num_rx=2, num_tx=3, t_corr=np.eye(3), r_corr=np.diag([0.5, 1.5]))
+        eave = iid_stats(snr=6.0, n=4, m=3)
+        k_main, k_eave = np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 2.0])
+        g = sample_channel_block([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
+        alone = sample_channel_block(eave, k_eave, 5, np.random.default_rng(3))
+        assert g.shape == (5, 6, 3)
+        assert np.array_equal(g[:, 2:], alone)
+        assert np.array_equal(sample_channel_block([eave], [k_eave], 5, np.random.default_rng(3)), alone)
+        w = alone[:, :2, 1:] / np.sqrt(np.outer([1.0, 1.0], k_eave[1:]))
+        expected = w * np.sqrt(np.outer(main.r_eigs, (2.0 / 6.0) * k_main[1:]))
+        assert np.allclose(g[:, :2, 1:], expected, rtol=1e-14, atol=0)
+
     @staticmethod
     def covariance_error(t, r, snr, p):
         # In the eigenbases of R and K = T^(1/2) P T^(1/2) the Kronecker

@@ -190,6 +190,40 @@ class TestMutualInformation:
             previous = mi
 
 
+class TestMiVariance:
+    def test_zero_snr(self):
+        assert solve_fixed_point(iid_stats(0.0, 3, 2), np.eye(2)).mi_variance == 0.0
+
+    def test_newton_derivative_at_the_root(self):
+        # -ln(dg) / M^2 with dg the derivative of g(d) = d - (rho/M)
+        # sum k / (1 + b e(d) k), e(d) = (rho/N) sum r / (1 + d r).
+        m, n, rho = 4, 6, 5.0
+        t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
+        r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
+        stats = ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+        fp = solve_fixed_point(stats, np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex))
+
+        def g(d):
+            e = (rho / n) * np.sum(stats.r_eigs / (1.0 + d * stats.r_eigs))
+            return d - (rho / m) * np.sum(fp.k_eigs / (1.0 + stats.beta * e * fp.k_eigs))
+
+        h = 1e-5 * fp.delta
+        dg = (g(fp.delta + h) - g(fp.delta - h)) / (2.0 * h)
+        assert fp.mi_variance == pytest.approx(-np.log(dg) / m**2, rel=1e-7)
+
+    def test_transposed_link_same_variance(self):
+        # ln det(I + H Hᴴ) of a link and of its transpose are the same
+        # random variable, so M^2 and N^2 times the per-antenna variances agree.
+        m, n, rho = 4, 6, 5.0
+        t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
+        r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
+        p = np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex)
+        fp = solve_fixed_point(ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r), p)
+        transposed = ChannelStatistics(snr=rho * n / m, num_rx=m, num_tx=n, t_corr=r, r_corr=np.diag(fp.k_eigs))
+        fq = solve_fixed_point(transposed, np.eye(n))
+        assert n**2 * fq.mi_variance == pytest.approx(m**2 * fp.mi_variance, rel=1e-10)
+
+
 class TestSecrecyRate:
     def test_identical_statistics_zero(self):
         stats = iid_stats(2.0, 3, 3)
