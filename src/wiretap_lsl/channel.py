@@ -177,7 +177,7 @@ def sample_channel_block(
     So ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ).
 
     W has i.i.d. circular complex Gaussian entries of unit variance,
-    drawn as two standard-normal (count, N, M) arrays: real parts, then
+    drawn as one standard-normal (2, count, N, M) array: real parts, then
     imaginary parts. Its 1/sqrt(2) and sqrt(rho/M) are folded into one
     N x M elementwise scaling.
 
@@ -191,7 +191,11 @@ def sample_channel_block(
         stats, k_eigs = (stats,), (k_eigs,)
     n, m = max(s.num_rx for s in stats), stats[0].num_tx
     w = np.empty((count, n, m), dtype=complex)
-    w.real = rng.standard_normal((count, n, m))
-    w.imag = rng.standard_normal((count, n, m))
-    scales = [np.sqrt(np.outer(s.r_eigs, (s.snr / (2.0 * m)) * k)) for s, k in zip(stats, k_eigs)]
-    return np.concatenate([w[:, : len(scale)] * scale for scale in scales], axis=1)
+    w.real, w.imag = rng.standard_normal((2, count, n, m))
+    g = np.empty((count, sum(s.num_rx for s in stats), m), dtype=complex)
+    start = 0
+    for s, k in zip(stats, k_eigs):
+        scale = np.sqrt(np.outer(s.r_eigs, (s.snr / (2.0 * m)) * k))
+        np.multiply(w[:, : s.num_rx], scale, out=g[:, start : start + s.num_rx])
+        start += s.num_rx
+    return g

@@ -228,8 +228,13 @@ def _error_row(config: ExperimentConfig, value: float, strategy: Strategy, exc: 
 
 
 def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
-    """Run every (grid point, strategy) pair; a point that fails with a
-    package error or a LinAlgError becomes an error row."""
+    """Run every (grid point, strategy) pair; a point or strategy that
+    fails with a package error or a LinAlgError becomes error rows.
+
+    At each grid point every strategy is optimized first. Then one Monte
+    Carlo call, seeded by (seed, grid index), estimates the rates of all
+    that succeeded on shared draws; if it fails, so do their rows.
+    """
     ln2 = math.log(2.0)
     rows = []
     for gi, value in enumerate(config.sweep_grid):
@@ -238,17 +243,28 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
         except _POINT_FAILURES as exc:
             rows.extend(_error_row(config, value, strategy, exc) for strategy in config.strategies)
             continue
-        for si, strategy in enumerate(config.strategies):
+        # Per strategy: [rate, outer iterations, MC estimate], or the exception.
+        outcomes = []
+        for strategy in config.strategies:
             try:
                 _, rate, iterations = optimize(strategy, stats_m, stats_e)
-                mc_mean_bits = mc_se = None
-                if include_mc:
-                    mc = mc_secrecy_rate(rate, config.mc_realizations, (config.seed, gi, si))
-                    mc_mean_bits = mc.mean / ln2
-                    mc_se = mc.std_error / ln2
+                outcomes.append([rate, iterations, None])
             except _POINT_FAILURES as exc:
-                rows.append(_error_row(config, value, strategy, exc))
+                outcomes.append(exc)
+        solved = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+        if include_mc and solved:
+            try:
+                estimates = mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, (config.seed, gi))
+            except _POINT_FAILURES as exc:
+                outcomes = [o if isinstance(o, Exception) else exc for o in outcomes]
+            else:
+                for outcome, mc in zip(solved, estimates):
+                    outcome[2] = mc
+        for strategy, outcome in zip(config.strategies, outcomes):
+            if isinstance(outcome, Exception):
+                rows.append(_error_row(config, value, strategy, outcome))
                 continue
+            rate, iterations, mc = outcome
             rows.append(
                 SweepRow(
                     sweep_var=config.sweep,
@@ -256,8 +272,8 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
                     strategy=strategy.value,
                     rs_lsl_per_antenna_bits=rate.rs / ln2,
                     rs_lsl_total_bits=rate.rs * config.m / ln2,
-                    rs_mc_per_antenna_bits=mc_mean_bits,
-                    rs_mc_std_error=mc_se,
+                    rs_mc_per_antenna_bits=None if mc is None else mc.mean / ln2,
+                    rs_mc_std_error=None if mc is None else mc.std_error / ln2,
                     outer_iterations=iterations,
                 )
             )

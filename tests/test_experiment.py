@@ -8,7 +8,14 @@ import pytest
 from wiretap_lsl import cli, experiment
 from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.cli import main as cli_main
-from wiretap_lsl.errors import ParseError, QuadratureFailure, RankDeficient, UnknownPreset, ValidationError
+from wiretap_lsl.errors import (
+    BisectionFailure,
+    ParseError,
+    QuadratureFailure,
+    RankDeficient,
+    UnknownPreset,
+    ValidationError,
+)
 from wiretap_lsl.experiment import (
     ExperimentConfig,
     figure_preset,
@@ -219,18 +226,94 @@ class TestRunSweep:
         assert all(row.strategy == "gsvd" for row in rows if row.error)
         assert all(math.isfinite(row.rs_mc_per_antenna_bits) for row in rows if not row.error)
 
-    def test_mc_seeded_by_seed_grid_index_and_strategy_index(self, monkeypatch):
-        seeds = []
+    def test_mc_once_per_grid_point_seeded_by_seed_and_grid_index(self, monkeypatch):
+        calls = []
 
-        def recording(rate, n, seed):
-            seeds.append(seed)
-            return McEstimate(mean=0.0, std_error=0.0, num_realizations=n)
+        def recording(rates, n, seed):
+            calls.append((len(rates), n, seed))
+            return [McEstimate(mean=0.0, std_error=0.0, num_realizations=n)] * len(rates)
 
         monkeypatch.setattr(experiment, "mc_secrecy_rate", recording)
         config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), seed=7)
         result = run_sweep(config)
-        assert seeds == [(7, gi, si) for gi in range(2) for si in range(3)]
-        assert len(set(seeds)) == len(result.rows)
+        assert calls == [(3, config.mc_realizations, (7, gi)) for gi in range(2)]
+        assert len(result.rows) == 6 and result.num_failed == 0
+
+    @pytest.mark.parametrize(
+        "preset, grid",
+        [("fig2", (20.0,)), ("fig4", (3.0, 4.0))],
+        ids=["unequal-n", "equal-n"],
+    )
+    def test_row_mc_independent_of_other_strategies(self, preset, grid):
+        # Every rate at a point shares the draws, and each keeps its own
+        # regression: the wf row is the same, bit for bit, whether or not
+        # the other strategies' links share its kernel stacks. fig4 at
+        # N_E = 4 stacks all six links of a point together.
+        config = dataclasses.replace(figure_preset(preset), sweep_grid=grid, mc_realizations=600)
+        together = run_sweep(config).rows
+        alone = run_sweep(dataclasses.replace(config, strategies=("wf",))).rows
+        assert alone == tuple(row for row in together if row.strategy == "wf")
+        assert all(row.rs_mc_std_error > 0 for row in alone)
+
+    @staticmethod
+    def failing_gsvd(monkeypatch):
+        original = experiment.optimize
+
+        def optimize(strategy, stats_m, stats_e):
+            if strategy is Strategy.GSVD_BEAMFORMING:
+                raise BisectionFailure("no multiplier meets the budget")
+            return original(strategy, stats_m, stats_e)
+
+        monkeypatch.setattr(experiment, "optimize", optimize)
+
+    def test_failed_strategy_leaves_other_rows_unchanged(self, monkeypatch):
+        config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), mc_realizations=600)
+        without = run_sweep(dataclasses.replace(config, strategies=("iso", "wf"))).rows
+        self.failing_gsvd(monkeypatch)
+        rows = run_sweep(config).rows
+        assert [row.error for row in rows if row.strategy == "gsvd"] == ["no multiplier meets the budget"] * 2
+        assert tuple(row for row in rows if row.strategy != "gsvd") == without
+
+    def test_mc_failure_fails_exactly_its_points_rows(self, monkeypatch):
+        original = experiment.mc_secrecy_rate
+
+        def failing_at_point_1(rates, n, seed):
+            if seed[1] == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(rates, n, seed)
+
+        self.failing_gsvd(monkeypatch)
+        monkeypatch.setattr(experiment, "mc_secrecy_rate", failing_at_point_1)
+        config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 5.0, 10.0), mc_realizations=300)
+        rows = run_sweep(config).rows
+        errors = [(row.sweep_value, row.strategy, row.error) for row in rows if row.error]
+        assert errors == [
+            (0.0, "gsvd", "no multiplier meets the budget"),
+            (5.0, "iso", "SVD did not converge"),
+            (5.0, "wf", "SVD did not converge"),
+            (5.0, "gsvd", "no multiplier meets the budget"),
+            (10.0, "gsvd", "no multiplier meets the budget"),
+        ]
+        numbers = ["rs_lsl_per_antenna_bits", "rs_lsl_total_bits", "rs_mc_per_antenna_bits", "rs_mc_std_error"]
+        for row in rows:
+            values = [getattr(row, field) for field in numbers + ["outer_iterations"]]
+            if row.error:
+                assert values == [None] * len(values)
+            else:
+                assert all(math.isfinite(v) for v in values)
+
+    def test_mc_changes_no_other_column_or_row_order(self):
+        # At -1000 dB gsvd's mu range cannot bracket the budget: an error
+        # row with and without MC alike.
+        config = ExperimentConfig(
+            m=4, n_main=4, n_eave=2, sweep="snr", sweep_grid=(-1000.0, 0.0, 10.0), mc_realizations=300
+        )
+        with_mc = run_sweep(config, include_mc=True).rows
+        without_mc = run_sweep(config, include_mc=False).rows
+        assert any(row.error for row in with_mc)
+        assert all(row.rs_mc_per_antenna_bits is not None for row in with_mc if not row.error)
+        blank = {"rs_mc_per_antenna_bits": None, "rs_mc_std_error": None}
+        assert [dataclasses.replace(row, **blank) for row in with_mc] == list(without_mc)
 
     def test_numerical_failure_becomes_error_row(self, monkeypatch):
         def failing(strategy, stats_m, stats_e):

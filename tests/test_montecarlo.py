@@ -12,7 +12,15 @@ from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, s
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep
 from wiretap_lsl.linalg import hermitianize
-from wiretap_lsl.montecarlo import _logdet_block, mc_ergodic_mi, mc_secrecy_rate
+from wiretap_lsl.montecarlo import (
+    _SMALL_GRAM,
+    _Eliminator,
+    _kernel,
+    _logdet_block,
+    _logdet_cholesky,
+    mc_ergodic_mi,
+    mc_secrecy_rate,
+)
 
 
 def principal_sqrt(a):
@@ -122,6 +130,81 @@ class TestKernelOracle:
         est = mc_ergodic_mi(solve_fixed_point(stats, generic_precoder(m)), 300, seed=2)
         assert reference_mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2) == (0.0, 0.0)
         assert est.mean == 0.0 and est.std_error == 0.0
+
+
+def channel_stack(count, links, n, m, snr, seed):
+    """(count, links, n, m) channels sqrt(rho/M) diag(a) W diag(sqrt(b)),
+    with fixed weights a and b, and b's smallest entry 0."""
+    rng = np.random.default_rng(seed)
+    shape = (count, links, n, m)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    a, b = rng.uniform(0.2, 1.5, n), np.linspace(0.0, 2.0, m)
+    return np.sqrt(snr / m) * a[:, None] * w * np.sqrt(b)
+
+
+def svd_logdet(g):
+    sv = np.linalg.svd(g, compute_uv=False)
+    return np.sum(np.log1p(sv**2), axis=-1) / g.shape[-1]
+
+
+BRANCHES = {
+    "elimination": lambda g, moments=None: _Eliminator(g.shape)(g, moments),
+    "cholesky": _logdet_cholesky,
+}
+# Gram orders up to _SMALL_GRAM, then above it; 1e6 is 60 dB.
+KERNEL_CASES = [
+    (1, 4, 10.0),
+    (4, 1, 10.0),
+    (3, 5, 10.0),
+    (4, 4, 10.0),
+    (6, 2, 10.0),
+    (5, 5, 1e6),
+    (2, 6, 1e6),
+    (7, 12, 10.0),
+    (8, 8, 10.0),
+    (12, 7, 10.0),
+    (9, 9, 1e6),
+    (16, 10, 1e6),
+]
+KERNEL_IDS = [f"{n}x{m}-{10 * np.log10(snr):g}dB" for n, m, snr in KERNEL_CASES]
+
+
+class TestLogdetKernels:
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("n, m, snr", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_matches_svd(self, branch, n, m, snr):
+        g = channel_stack(64, 2, n, m, snr, seed=n * m)
+        assert np.allclose(BRANCHES[branch](g), svd_logdet(g), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    @pytest.mark.parametrize("n, m, snr", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_moments_are_trace_and_squared_frobenius_norm(self, branch, n, m, snr):
+        g = channel_stack(64, 2, n, m, snr, seed=n + m)
+        moments = np.empty((2, 64, 2))
+        BRANCHES[branch](g, moments)
+        gram = g @ g.conj().swapaxes(-1, -2)
+        assert np.allclose(moments[0], np.trace(gram, axis1=-2, axis2=-1).real, rtol=1e-12, atol=0)
+        assert np.allclose(moments[1], np.sum(np.abs(gram) ** 2, axis=(-2, -1)), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
+    def test_branches_agree_at_the_crossover(self, n, m):
+        g = channel_stack(64, 3, _SMALL_GRAM + n, _SMALL_GRAM + m, 10.0, seed=4)
+        moments = np.empty((2, 2, 64, 3))
+        eliminated = BRANCHES["elimination"](g, moments[0])
+        assert np.allclose(eliminated, _logdet_cholesky(g, moments[1]), rtol=1e-12, atol=0)
+        assert np.allclose(moments[0], moments[1], rtol=1e-12, atol=0)
+        assert isinstance(_kernel(g.shape), _Eliminator)
+        assert _kernel((64, 3, _SMALL_GRAM + n + 1, _SMALL_GRAM + m + 1)) is _logdet_cholesky
+
+    def test_reused_eliminator_matches_a_fresh_one(self):
+        # The kernel keeps its arrays across calls; a shorter last block
+        # uses their leading part.
+        kernel = _Eliminator((256, 3, 4, 6))
+        for count, snr in [(256, 10.0), (256, 1e6), (100, 0.1)]:
+            g = channel_stack(count, 3, 4, 6, snr, seed=count)
+            reused, fresh = np.empty((2, count, 3)), np.empty((2, count, 3))
+            assert np.array_equal(kernel(g, reused), _logdet_block(g, fresh))
+            assert np.array_equal(reused, fresh)
 
 
 class TestSpectra:
@@ -287,6 +370,32 @@ class TestMcSecrecyRate:
         assert est.num_realizations == n
         assert (est.std_error == 0.0) == (n == 1)
 
+    @pytest.mark.parametrize(
+        "m, n_main, n_eave", [(3, 4, 2), (3, 4, 4), (8, 8, 9)], ids=["unequal-n", "equal-n", "large-gram"]
+    )
+    @pytest.mark.parametrize("n", [1, 6, 7, 700])
+    def test_sequence_matches_each_rate_alone(self, monkeypatch, m, n_main, n_eave, n):
+        # The rates of one sweep point: the same two links at three
+        # precoders. One W per block serves all six links, and each
+        # rate's estimate is, bit for bit, the one it gets alone.
+        main = correlated_stats(10.0, n_main, m, r_corr=receive_correlation(n_main))
+        eave = correlated_stats(4.0, n_eave, m)
+        precoders = (np.eye(m), generic_precoder(m, 1), generic_precoder(m, 2))
+        rates = [lsl_secrecy_rate(main, eave, p) for p in precoders]
+        shapes = []
+        original = montecarlo.sample_channel_block
+
+        def recording(*args):
+            g = original(*args)
+            shapes.append(g.shape)
+            return g
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "sample_channel_block", recording)
+            estimates = mc_secrecy_rate(rates, n, seed=(5, 1))
+        assert shapes == [(min(256, n - start), 3 * (n_main + n_eave), m) for start in range(0, n, 256)]
+        assert estimates == [mc_secrecy_rate(rate, n, seed=(5, 1)) for rate in rates]
+
     def test_moments_rescaled_at_high_snr(self):
         # At 60 dB the squared Frobenius norms are ~1e13; left unscaled,
         # the least-squares rank cut drops the intercept and the estimate
@@ -391,7 +500,7 @@ class TestPresetStandardErrors:
     def test_every_row_at_or_below_the_reference(self):
         # perfbench/reference.json holds each fig2-fig5 row at seed 0 with
         # 10,000 unpaired realizations. At the default count the weakest
-        # row, fig2 at 20 dB with wf, reports 1/1.013 of its reference SE.
+        # row, fig2 at 20 dB with wf, reports 0.947 of its reference SE.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         reference = json.loads(path.read_text())["presets"]
         for name, config in PRESETS.items():
