@@ -54,10 +54,11 @@ class ArraySpec:
 class ChannelStatistics:
     """Statistical CSI of one link: SNR, sizes and correlation matrices.
 
-    t_eigh and r_eigh are each matrix's eigenvalues (ascending, clipped at
-    0) and eigenvectors, computed once, on first use; t_sqrt and r_eigs
-    come from them. Nothing here depends on the precoder: the spectrum
-    of K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at P.
+    t_eigh is T's eigenvalues (ascending, clipped at 0) and eigenvectors,
+    and t_sqrt is built from them; r_eigs is R's eigenvalues alone, all
+    that the solver and the sampler read of R. Each is computed once, on
+    first use. Nothing here depends on the precoder: the spectrum of
+    K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at P.
     """
 
     snr: float
@@ -85,17 +86,13 @@ class ChannelStatistics:
         return psd_eigh(self.t_corr)
 
     @cached_property
-    def r_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return psd_eigh(self.r_corr)
-
-    @cached_property
     def t_sqrt(self) -> np.ndarray:
         lam, q = self.t_eigh
         return congruence(q, np.sqrt(lam))
 
-    @property
+    @cached_property
     def r_eigs(self) -> np.ndarray:
-        return self.r_eigh[0]
+        return psd_eigh(self.r_corr)[0]
 
 
 @lru_cache(maxsize=8)
@@ -163,32 +160,29 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
 
 
 def sample_channel_block(
-    stats: ChannelStatistics | Sequence[ChannelStatistics],
-    k_eigs: np.ndarray | Sequence[np.ndarray],
+    stats: Sequence[ChannelStatistics],
+    k_eigs: Sequence[np.ndarray],
     count: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Sample `count` precoded channels G = sqrt(rho/M) diag(sqrt(r)) W diag(sqrt(k)).
+    """Sample `count` precoded channels G = sqrt(rho/M) diag(sqrt(r)) W diag(sqrt(k))
+    of each link, given as equal-length sequences of stats and k_eigs.
 
-    r = stats.r_eigs and k = k_eigs are the eigenvalues of R and of
-    K = T^(1/2) P T^(1/2), with eigenvectors Q_R and Q_K. For the Kronecker
+    A link's r, its stats' r_eigs, and k, its entry of k_eigs, are the
+    eigenvalues of R and of K = T^(1/2) P T^(1/2), with eigenvectors Q_R
+    and Q_K. For the Kronecker
     channel H = sqrt(rho/M) R^(1/2) W T^(1/2), H P Hᴴ = Q_R G' G'ᴴ Q_Rᴴ,
     where G' is G with W replaced by Q_Rᴴ W Q_K, which has the law of W.
     So ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ).
 
     W has i.i.d. circular complex Gaussian entries of unit variance,
     drawn as one standard-normal (2, count, N, M) array: real parts, then
-    imaginary parts. Its 1/sqrt(2) and sqrt(rho/M) are folded into one
-    N x M elementwise scaling.
-
-    Several links with the same M, given as equal-length sequences of
-    stats and of k_eigs, share one W drawn with the most rows any of them
-    has: each link scales W's first N rows. Each link keeps its law, and
-    their channels come back stacked by rows, (count, sum of the N, M).
-    One link, alone or in a sequence, draws exactly the same block.
+    imaginary parts, with N the most rows any link has. The links share
+    M and this one W: each scales W's first N rows, folding W's
+    1/sqrt(2) and sqrt(rho/M) into one N x M elementwise scaling, and
+    keeps its law. Their channels come back stacked by rows,
+    (count, sum of the N, M).
     """
-    if isinstance(stats, ChannelStatistics):
-        stats, k_eigs = (stats,), (k_eigs,)
     n, m = max(s.num_rx for s in stats), stats[0].num_tx
     w = np.empty((count, n, m), dtype=complex)
     w.real, w.imag = rng.standard_normal((2, count, n, m))

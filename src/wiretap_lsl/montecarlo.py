@@ -5,8 +5,9 @@ validated. Each estimate draws from one generator, seeded by the
 caller, in blocks of 256 realizations taken in order, so a seed gives
 the same estimate every time and the first k full blocks do not depend
 on n. Each block draws all real parts of W, then all imaginary parts.
-A sweep makes one call per grid point, seeded by (seed, grid index),
-for the rates of all its strategies.
+mc_secrecy_rate takes a sequence of rates and returns the list of
+their estimates; a sweep makes one call per grid point, seeded by
+(seed, grid index), for the rates of all its strategies.
 
 W is unitarily invariant, so a link at a precoder P enters only through
 R's spectrum and that of K = T^(1/2) P T^(1/2) (see sample_channel_block),
@@ -22,7 +23,8 @@ The links with the same N then go through the log-det kernel as one
 stack. Up to order _SMALL_GRAM the kernel keeps the batch on the last
 axis and builds the Gram matrix and its Gaussian elimination with one
 vectorized operation per entry row; larger Gram matrices take a stacked
-matmul and a batched Cholesky, one link at a time.
+matmul and a batched Cholesky, one link at a time. Either kernel also
+returns the Gram moments that the estimate regresses on.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -67,35 +69,30 @@ class McEstimate:
     num_realizations: int
 
 
-def _logdet_block(g: np.ndarray, moments: np.ndarray | None = None) -> np.ndarray:
-    """(1/M) ln det(I + G Gᴴ) for a (count, ..., N, M) stack of precoded channels.
+def _kernel(shape: tuple[int, ...]):
+    """The log-det kernel for stacks of precoded channels of this shape,
+    (count, ..., N, M): kernel(g, moments) returns (1/M) ln det(I + G Gᴴ)
+    of each channel and writes the Gram matrix's trace and squared
+    Frobenius norm into moments, a (2, count, ...) array. Elimination
+    over the batch up to order _SMALL_GRAM, matmul and Cholesky above.
 
     The Sylvester identity det(I_N + G Gᴴ) = det(I_M + Gᴴ G) lets either
-    kernel work on the smaller Gram matrix, of order d = min(N, M). If
-    moments, a (2, ...) array, is given, the Gram matrix's trace and
-    squared Frobenius norm, the same for either Gram matrix, are written
-    into it before the identity is added.
+    kernel work on the smaller Gram matrix, of order d = min(N, M), whose
+    trace and squared norm are those of the larger one.
     """
-    return _kernel(g.shape)(g, moments)
-
-
-def _kernel(shape: tuple[int, ...]):
-    """The _logdet_block kernel for stacks of this shape: elimination
-    over the batch up to order _SMALL_GRAM, matmul and Cholesky above."""
     return _Eliminator(shape) if min(shape[-2:]) <= _SMALL_GRAM else _logdet_cholesky
 
 
-def _logdet_cholesky(g: np.ndarray, moments: np.ndarray | None = None) -> np.ndarray:
-    """_logdet_block by a stacked matmul and a batched Cholesky. The Gram
+def _logdet_cholesky(g: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """The kernel by a stacked matmul and a batched Cholesky. The Gram
     matrix is not symmetrized first: the factorization reads one triangle
     and the real part of the diagonal."""
     n, m = g.shape[-2:]
     g_h = g.conj().swapaxes(-1, -2)
     gram = g @ g_h if n <= m else g_h @ g
-    if moments is not None:
-        moments[0] = np.einsum("...ii->...", gram).real
-        flat = gram.view(float).reshape(*gram.shape[:-2], -1)
-        moments[1] = np.einsum("...i,...i->...", flat, flat)
+    moments[0] = np.einsum("...ii->...", gram).real
+    flat = gram.view(float).reshape(*gram.shape[:-2], -1)
+    moments[1] = np.einsum("...i,...i->...", flat, flat)
     diag = np.arange(gram.shape[-1])
     gram[..., diag, diag] += 1.0
     chol = np.linalg.cholesky(gram)
@@ -104,9 +101,9 @@ def _logdet_cholesky(g: np.ndarray, moments: np.ndarray | None = None) -> np.nda
 
 
 class _Eliminator:
-    """_logdet_block for stacks of one shape with the batch as the last
-    axis of every array, so that each step is one vectorized operation
-    over all matrices.
+    """The kernel for stacks of one shape with the batch flattened onto
+    the last axis of every array, so that each step is one vectorized
+    operation over all matrices.
 
     The d rows of the smaller factor (G, or the transpose of G, whose
     Gram matrix is the conjugate of Gᴴ G: same determinant and moments)
@@ -118,15 +115,19 @@ class _Eliminator:
 
     The arrays are allocated once, for the shape given, and every call
     reuses them; a stack with a shorter first axis uses their leading
-    part. Fresh arrays for every block page-faulted on each call and
-    took twice the time.
+    columns. Fresh arrays for every block page-faulted on each call and
+    took twice the time. Every step works on two columns at least:
+    numpy sums a lone column pairwise but several in sequence, so a
+    stack of one matrix would differ in its last bits from the same
+    matrix in a larger stack. A padding column holds zeros or an earlier
+    block's channel, and its results are dropped.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         *batch, n, m = shape
         self.transpose, self.m = n > m, m
-        d, length, size = min(n, m), max(n, m), int(np.prod(batch))
-        self.rows = np.empty((d, length, *batch), dtype=complex)
+        d, length, size = min(n, m), max(n, m), max(2, int(np.prod(batch)))
+        self.rows = np.zeros((d, length, size), dtype=complex)
         self.products = np.empty((d, length, size), dtype=complex)
         # Only the upper triangle is ever written: the lower stays 0.
         self.gram = np.zeros((d, d, size), dtype=complex)
@@ -134,34 +135,34 @@ class _Eliminator:
         self.scaled = np.empty((d, size), dtype=complex)
         self.update = np.empty((d, size), dtype=complex)
 
-    def __call__(self, g: np.ndarray, moments: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, g: np.ndarray, moments: np.ndarray) -> np.ndarray:
         batch = g.shape[:-2]
-        rows = self.rows[:, :, : batch[0]]
-        np.copyto(rows, np.moveaxis(g.swapaxes(-1, -2) if self.transpose else g, (-2, -1), (0, 1)))
-        d, length = rows.shape[:2]
-        rows = rows.reshape(d, length, -1)
-        size = rows.shape[2]
-        gram, pivots = self.gram[:, :, :size], self.pivots[:, :size]
+        d, length = self.rows.shape[:2]
+        size = int(np.prod(batch))
+        cols = max(2, size)
+        rows = self.rows[:, :, :cols]
+        factor = g.swapaxes(-1, -2) if self.transpose else g
+        np.copyto(rows[:, :, :size].reshape(d, length, *batch), np.moveaxis(factor, (-2, -1), (0, 1)))
+        gram, pivots = self.gram[:, :, :cols], self.pivots[:, :cols]
         for i in range(d):
-            products = np.multiply(rows[i].conj(), rows[i:], out=self.products[: d - i, :, :size])
+            products = np.multiply(rows[i].conj(), rows[i:], out=self.products[: d - i, :, :cols])
             products.sum(axis=1, out=gram[i, i:])
-        if moments is not None:
-            diag = np.einsum("iib->ib", gram).real
-            flat = gram.view(float).reshape(d * d, -1)
-            squares = np.einsum("kb,kb->b", flat, flat)
-            # The lower triangle is 0, so the off-diagonal entries count twice.
-            moments[0] = diag.sum(axis=0).reshape(batch)
-            trace_sq = np.einsum("ib,ib->b", diag, diag)
-            moments[1] = (2.0 * (squares[0::2] + squares[1::2]) - trace_sq).reshape(batch)
+        diag = np.einsum("iib->ib", gram).real
+        flat = gram.view(float).reshape(d * d, -1)
+        squares = np.einsum("kb,kb->b", flat, flat)
+        # The lower triangle is 0, so the off-diagonal entries count twice.
+        trace_sq = np.einsum("ib,ib->b", diag, diag)
+        moments[0] = diag.sum(axis=0)[:size].reshape(batch)
+        moments[1] = (2.0 * (squares[0::2] + squares[1::2]) - trace_sq)[:size].reshape(batch)
         for k in range(d):
             np.add(gram[k, k].real, 1.0, out=pivots[k])
             row = gram[k, k + 1 :]
-            scaled = np.conjugate(row, out=self.scaled[: d - k - 1, :size])
+            scaled = np.conjugate(row, out=self.scaled[: d - k - 1, :cols])
             np.divide(scaled, pivots[k], out=scaled)
             for j in range(k + 1, d):
-                update = np.multiply(scaled[j - k - 1], row[j - k - 1 :], out=self.update[: d - j, :size])
+                update = np.multiply(scaled[j - k - 1], row[j - k - 1 :], out=self.update[: d - j, :cols])
                 np.subtract(gram[j, j:], update, out=gram[j, j:])
-        return np.log(pivots).sum(axis=0).reshape(batch) / self.m
+        return np.log(pivots).sum(axis=0)[:size].reshape(batch) / self.m
 
 
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
@@ -171,6 +172,8 @@ def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> n
     the same N go through the kernel as one stack."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not fps:
+        return np.empty((0, 3, n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = sorted(range(len(fps)), key=lambda i: fps[i].stats.num_rx)
     stats = [fps[i].stats for i in order]
@@ -238,12 +241,9 @@ def _secrecy_estimate(rate: LslRate, sample: np.ndarray) -> McEstimate:
     return McEstimate(mean=max(0.0, mean), std_error=std_error, num_realizations=n)
 
 
-def mc_secrecy_rate(
-    rates: LslRate | Sequence[LslRate], n: int, seed: int | tuple[int, ...]
-) -> McEstimate | list[McEstimate]:
-    """Clamped Monte Carlo estimate of the difference of the mean MIs of
-    a rate's two links; for a sequence of rates, the list of their
-    estimates.
+def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...]) -> list[McEstimate]:
+    """Clamped Monte Carlo estimates, one per rate, of the difference of
+    the mean MIs of the rate's two links.
 
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
@@ -257,14 +257,11 @@ def mc_secrecy_rate(
     the plain paired mean is used. The clamp is applied to the estimate,
     never per realization.
 
-    Several rates, all with the same M, share every W too, and each
-    keeps its own law and its own regression. Where all their links
-    have the same numbers of receive antennas, as the rates of one sweep
-    point do, each estimate equals that of its rate alone, bit for bit.
+    All rates, which must share M, share every W too, and each keeps its
+    own law and its own regression. Where all their links have the same
+    numbers of receive antennas, as the rates of one sweep point do, each
+    estimate equals that of its rate alone, bit for bit. No rates give
+    no estimates.
     """
-    single = isinstance(rates, LslRate)
-    if single:
-        rates = (rates,)
     sample = _sample([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
-    estimates = [_secrecy_estimate(rate, sample[2 * i : 2 * i + 2]) for i, rate in enumerate(rates)]
-    return estimates[0] if single else estimates
+    return [_secrecy_estimate(rate, sample[2 * i : 2 * i + 2]) for i, rate in enumerate(rates)]

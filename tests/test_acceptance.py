@@ -68,7 +68,7 @@ def test_criterion_05_fig2_reproduction():
         stats_m, stats_e = build_statistics(point_config(config, snr_db))
         for strategy in Strategy:
             _, rate, _ = optimize(strategy, stats_m, stats_e)
-            mc = mc_secrecy_rate(rate, 10_000, seed=2026)
+            mc = mc_secrecy_rate([rate], 10_000, seed=2026)[0]
             gap = abs(rate.rs - mc.mean)
             tol = max(3.0 * mc.std_error, 0.02 * mc.mean)
             if gap > tol:
@@ -167,7 +167,7 @@ def test_criterion_10_symmetry_zero():
     detail = []
     for strategy in Strategy:
         _, rate, _ = optimize(strategy, stats_m, stats_m)
-        mc = mc_secrecy_rate(rate, 1000, seed=10)
+        mc = mc_secrecy_rate([rate], 1000, seed=10)[0]
         if rate.rs != 0.0 or mc.mean != 0.0:
             ok = False
             detail.append(f"{strategy.value}: lsl={rate.rs}, mc={mc.mean}")

@@ -163,14 +163,14 @@ class TestComplexGaussian:
 
     def test_moments(self):
         stats = iid_stats(snr=1000.0, n=1, m=1000)
-        w = sample_channel_block(stats, np.ones(1000), 1000, np.random.default_rng(101))
+        w = sample_channel_block([stats], [np.ones(1000)], 1000, np.random.default_rng(101))
         assert abs(w.mean()) <= 3e-3
         assert np.mean(np.abs(w) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_reproducible(self):
         # The stream is all real parts, then all imaginary parts.
         stats = iid_stats(snr=5.0, n=4, m=5)
-        w = sample_channel_block(stats, np.ones(5), 3, np.random.default_rng(7))
+        w = sample_channel_block([stats], [np.ones(5)], 3, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         re = rng.standard_normal((3, 4, 5))
         im = rng.standard_normal((3, 4, 5))
@@ -181,34 +181,32 @@ class TestSampleChannel:
     def test_iid_unit_variance(self):
         m = 10
         stats = iid_stats(snr=float(m), n=10, m=m)
-        h = sample_channel_block(stats, np.ones(m), 1000, np.random.default_rng(0))
+        h = sample_channel_block([stats], [np.ones(m)], 1000, np.random.default_rng(0))
         assert h.shape == (1000, 10, m)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_snr(self):
         stats = iid_stats(snr=0.0, n=3, m=2)
-        h = sample_channel_block(stats, np.ones(2), 4, np.random.default_rng(1))
+        h = sample_channel_block([stats], [np.ones(2)], 4, np.random.default_rng(1))
         assert np.all(h == 0)
 
     def test_fixed_seed_bit_identical(self):
         stats = iid_stats(snr=2.0, n=4, m=3)
         k = np.array([0.0, 1.0, 2.0])
-        h1 = sample_channel_block(stats, k, 5, np.random.default_rng(99))
-        h2 = sample_channel_block(stats, k, 5, np.random.default_rng(99))
+        h1 = sample_channel_block([stats], [k], 5, np.random.default_rng(99))
+        h2 = sample_channel_block([stats], [k], 5, np.random.default_rng(99))
         assert np.array_equal(h1, h2)
 
     def test_links_share_w(self):
         # Each link scales the first N rows of one W draw; the taller link
-        # sets the rows drawn. One link in a sequence draws the block it
-        # draws alone.
+        # sets the rows drawn.
         main = ChannelStatistics(snr=2.0, num_rx=2, num_tx=3, t_corr=np.eye(3), r_corr=np.diag([0.5, 1.5]))
         eave = iid_stats(snr=6.0, n=4, m=3)
         k_main, k_eave = np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 2.0])
         g = sample_channel_block([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
-        alone = sample_channel_block(eave, k_eave, 5, np.random.default_rng(3))
+        alone = sample_channel_block([eave], [k_eave], 5, np.random.default_rng(3))
         assert g.shape == (5, 6, 3)
         assert np.array_equal(g[:, 2:], alone)
-        assert np.array_equal(sample_channel_block([eave], [k_eave], 5, np.random.default_rng(3)), alone)
         w = alone[:, :2, 1:] / np.sqrt(np.outer([1.0, 1.0], k_eave[1:]))
         expected = w * np.sqrt(np.outer(main.r_eigs, (2.0 / 6.0) * k_main[1:]))
         assert np.allclose(g[:, :2, 1:], expected, rtol=1e-14, atol=0)
@@ -220,7 +218,7 @@ class TestSampleChannel:
         n, m = r.shape[0], t.shape[0]
         stats = ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
         k = solve_fixed_point(stats, p).k_eigs
-        samples = sample_channel_block(stats, k, 10_000, np.random.default_rng(5))
+        samples = sample_channel_block([stats], [k], 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
         target = (snr / m) * np.diag(np.kron(k, np.linalg.eigvalsh(r)))

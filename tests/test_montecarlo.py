@@ -16,7 +16,6 @@ from wiretap_lsl.montecarlo import (
     _SMALL_GRAM,
     _Eliminator,
     _kernel,
-    _logdet_block,
     _logdet_cholesky,
     mc_ergodic_mi,
     mc_secrecy_rate,
@@ -119,10 +118,10 @@ class TestKernelOracle:
         # up to ~1e-11; the M x M Gram has no such eigenvalues.
         stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
         k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
-        g = sample_channel_block(stats, k_eigs, 256, np.random.default_rng(1))
+        g = sample_channel_block([stats], [k_eigs], 256, np.random.default_rng(1))
         sv = np.linalg.svd(g, compute_uv=False)
         expected = np.sum(np.log1p(sv**2), axis=1) / 4
-        assert np.allclose(_logdet_block(g), expected, rtol=1e-12, atol=0)
+        assert np.allclose(_kernel(g.shape)(g, np.empty((2, 256))), expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n, m", [(2, 4), (12, 4)])
     def test_zero_snr_exact(self, n, m):
@@ -148,7 +147,7 @@ def svd_logdet(g):
 
 
 BRANCHES = {
-    "elimination": lambda g, moments=None: _Eliminator(g.shape)(g, moments),
+    "elimination": lambda g, moments: _Eliminator(g.shape)(g, moments),
     "cholesky": _logdet_cholesky,
 }
 # Gram orders up to _SMALL_GRAM, then above it; 1e6 is 60 dB.
@@ -174,7 +173,7 @@ class TestLogdetKernels:
     @pytest.mark.parametrize("n, m, snr", KERNEL_CASES, ids=KERNEL_IDS)
     def test_matches_svd(self, branch, n, m, snr):
         g = channel_stack(64, 2, n, m, snr, seed=n * m)
-        assert np.allclose(BRANCHES[branch](g), svd_logdet(g), rtol=1e-12, atol=0)
+        assert np.allclose(BRANCHES[branch](g, np.empty((2, 64, 2))), svd_logdet(g), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("n, m, snr", KERNEL_CASES, ids=KERNEL_IDS)
@@ -203,7 +202,7 @@ class TestLogdetKernels:
         for count, snr in [(256, 10.0), (256, 1e6), (100, 0.1)]:
             g = channel_stack(count, 3, 4, 6, snr, seed=count)
             reused, fresh = np.empty((2, count, 3)), np.empty((2, count, 3))
-            assert np.array_equal(kernel(g, reused), _logdet_block(g, fresh))
+            assert np.array_equal(kernel(g, reused), _Eliminator(g.shape)(g, fresh))
             assert np.array_equal(reused, fresh)
 
 
@@ -235,7 +234,7 @@ class TestSpectra:
         monkeypatch.setattr(channel, "congruence", counting_congruence)
         # The rate's fixed points hold both links' spectra: MC factors
         # nothing and builds no square root.
-        mc_secrecy_rate(rate, 600, seed=1)
+        mc_secrecy_rate([rate], 600, seed=1)
         assert not eighs and not congruences
 
     def test_sweep_factors_as_often_with_mc_as_without(self, eighs):
@@ -329,32 +328,32 @@ class TestMcErgodicMi:
 class TestMcSecrecyRate:
     def test_identical_statistics_exact_zero(self):
         stats = iid_stats(2.0, 3, 3)
-        est = mc_secrecy_rate(lsl_secrecy_rate(stats, stats, np.eye(3)), 500, seed=3)
+        est = mc_secrecy_rate([lsl_secrecy_rate(stats, stats, np.eye(3))], 500, seed=3)[0]
         assert est.mean == 0.0
 
     def test_generator_seed_refused(self):
         # The two links would consume a Generator in turn, not share it.
         stats = iid_stats(2.0, 3, 3)
         with pytest.raises(TypeError):
-            mc_secrecy_rate(lsl_secrecy_rate(stats, stats, np.eye(3)), 500, seed=np.random.default_rng(3))
+            mc_secrecy_rate([lsl_secrecy_rate(stats, stats, np.eye(3))], 500, seed=np.random.default_rng(3))
 
     def test_clamped_at_zero(self):
         main = iid_stats(1.0, 2, 2)
         eave = iid_stats(50.0, 2, 2)
-        est = mc_secrecy_rate(lsl_secrecy_rate(main, eave, np.eye(2)), 500, seed=6)
+        est = mc_secrecy_rate([lsl_secrecy_rate(main, eave, np.eye(2))], 500, seed=6)[0]
         assert est.mean == 0.0
 
     def test_zero_snr_exact(self):
         # Every Gram moment is identically 0: its coefficient is the
         # minimum-norm 0, and nothing divides 0 by 0.
         rate = lsl_secrecy_rate(correlated_stats(0.0, 3, 2), correlated_stats(0.0, 5, 2), generic_precoder(2))
-        est = mc_secrecy_rate(rate, 600, seed=2)
+        est = mc_secrecy_rate([rate], 600, seed=2)[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
     @pytest.mark.parametrize("n", [1, 6, 7, DEFAULT_MC_REALIZATIONS])
     def test_identical_links_exact_zero_at_every_n(self, n):
         stats = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
-        est = mc_secrecy_rate(lsl_secrecy_rate(stats, stats, generic_precoder(3, 7)), n, seed=5)
+        est = mc_secrecy_rate([lsl_secrecy_rate(stats, stats, generic_precoder(3, 7))], n, seed=5)[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
     @pytest.mark.parametrize("n", [1, 6])
@@ -364,20 +363,24 @@ class TestMcSecrecyRate:
         main = correlated_stats(10.0, 3, 2)
         eave = correlated_stats(2.0, 3, 2)
         rate = lsl_secrecy_rate(main, eave, generic_precoder(2, 8))
-        est = mc_secrecy_rate(rate, n, seed=9)
+        est = mc_secrecy_rate([rate], n, seed=9)[0]
         em, ee = mc_ergodic_mi(rate.fp_main, n, seed=9), mc_ergodic_mi(rate.fp_eave, n, seed=9)
         assert est.mean == pytest.approx(em.mean - ee.mean, rel=1e-12)
         assert est.num_realizations == n
         assert (est.std_error == 0.0) == (n == 1)
 
     @pytest.mark.parametrize(
-        "m, n_main, n_eave", [(3, 4, 2), (3, 4, 4), (8, 8, 9)], ids=["unequal-n", "equal-n", "large-gram"]
+        "m, n_main, n_eave",
+        [(3, 4, 2), (3, 4, 4), (8, 8, 9), (4, 4, 2), (6, 6, 2), (6, 6, 8), (4, 8, 3)],
+        ids=["unequal-n", "equal-n", "large-gram", "fig4", "fig2", "tall-eave", "tall-main"],
     )
-    @pytest.mark.parametrize("n", [1, 6, 7, 700])
+    @pytest.mark.parametrize("n", [1, 6, 7, 257, 700])
     def test_sequence_matches_each_rate_alone(self, monkeypatch, m, n_main, n_eave, n):
         # The rates of one sweep point: the same two links at three
         # precoders. One W per block serves all six links, and each
-        # rate's estimate is, bit for bit, the one it gets alone.
+        # rate's estimate is, bit for bit, the one it gets alone. A rate
+        # alone with unequal N runs each link as a stack of one; at n = 1
+        # and n = 257 its last block holds a single matrix.
         main = correlated_stats(10.0, n_main, m, r_corr=receive_correlation(n_main))
         eave = correlated_stats(4.0, n_eave, m)
         precoders = (np.eye(m), generic_precoder(m, 1), generic_precoder(m, 2))
@@ -394,7 +397,10 @@ class TestMcSecrecyRate:
             patch.setattr(montecarlo, "sample_channel_block", recording)
             estimates = mc_secrecy_rate(rates, n, seed=(5, 1))
         assert shapes == [(min(256, n - start), 3 * (n_main + n_eave), m) for start in range(0, n, 256)]
-        assert estimates == [mc_secrecy_rate(rate, n, seed=(5, 1)) for rate in rates]
+        assert estimates == [mc_secrecy_rate([rate], n, seed=(5, 1))[0] for rate in rates]
+
+    def test_no_rates_no_estimates(self):
+        assert mc_secrecy_rate([], 300, seed=0) == []
 
     def test_moments_rescaled_at_high_snr(self):
         # At 60 dB the squared Frobenius norms are ~1e13; left unscaled,
@@ -405,7 +411,7 @@ class TestMcSecrecyRate:
         main = ChannelStatistics(snr=1e6, num_rx=4, num_tx=4, t_corr=t_main, r_corr=np.eye(4))
         eave = ChannelStatistics(snr=2.5e5, num_rx=4, num_tx=4, t_corr=t_eave, r_corr=np.eye(4))
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
-        est = mc_secrecy_rate(rate, 3000, seed=1)
+        est = mc_secrecy_rate([rate], 3000, seed=1)[0]
         em, ee = mc_ergodic_mi(rate.fp_main, 3000, seed=1), mc_ergodic_mi(rate.fp_eave, 3000, seed=1)
         assert abs(est.mean - (em.mean - ee.mean)) <= 4.0 * np.hypot(em.std_error, ee.std_error)
         assert est.mean == pytest.approx(rate.rs, rel=1e-3)
@@ -443,7 +449,7 @@ class TestPairedEstimator:
         rate = lsl_secrecy_rate(iid_stats(rho, 2, 1), iid_stats(rho, 1, 1), np.eye(1))
         truth = gamma_mi(rho, 2) - gamma_mi(rho, 1)
         n = DEFAULT_MC_REALIZATIONS
-        estimates = [mc_secrecy_rate(rate, n, seed=s) for s in range(100)]
+        estimates = [mc_secrecy_rate([rate], n, seed=s)[0] for s in range(100)]
         means = np.array([e.mean for e in estimates])
         errors = np.array([e.std_error for e in estimates])
         assert abs(np.mean((means - truth) / errors)) <= 0.35
@@ -454,8 +460,8 @@ class TestPairedEstimator:
 
     def test_same_seed_bit_identical(self):
         rate = self.unequal_rate()
-        a = mc_secrecy_rate(rate, 1000, seed=(4, 2, 1))
-        b = mc_secrecy_rate(rate, 1000, seed=(4, 2, 1))
+        a = mc_secrecy_rate([rate], 1000, seed=(4, 2, 1))
+        b = mc_secrecy_rate([rate], 1000, seed=(4, 2, 1))
         assert a == b
 
     def test_one_generator_and_no_spawned_streams(self, monkeypatch):
@@ -474,7 +480,7 @@ class TestPairedEstimator:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
-        mc_secrecy_rate(rate, 3000, seed=(3, 1, 2))
+        mc_secrecy_rate([rate], 3000, seed=(3, 1, 2))
         assert len(generators) == 1 and not spawned
 
     def test_first_full_blocks_independent_of_n(self, monkeypatch):
@@ -487,10 +493,10 @@ class TestPairedEstimator:
 
         monkeypatch.setattr(montecarlo, "sample_channel_block", recording)
         rate = self.unequal_rate()
-        mc_secrecy_rate(rate, 512, seed=8)
+        mc_secrecy_rate([rate], 512, seed=8)
         short = blocks[:]
         blocks.clear()
-        mc_secrecy_rate(rate, 700, seed=8)
+        mc_secrecy_rate([rate], 700, seed=8)
         assert [b.shape for b in short] == [(256, 7, 3)] * 2
         assert [len(b) for b in blocks] == [256, 256, 188]
         assert all(np.array_equal(a, b) for a, b in zip(short, blocks))
