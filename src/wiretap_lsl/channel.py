@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import QuadratureFailure
-from .linalg import congruence, hermitianize, psd_eigh
+from .linalg import congruence, psd_eigh
 
 _QUAD_MIN_NODES = 64
 _QUAD_MAX_NODES = 8192
@@ -147,8 +147,7 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
     row = _correlation_row(spec)
     m = spec.num_antennas
     idx = np.subtract.outer(np.arange(m), np.arange(m))
-    full = np.where(idx >= 0, row[np.abs(idx)], row[np.abs(idx)].conj())
-    t = hermitianize(full)
+    t = np.where(idx >= 0, row[np.abs(idx)], row[np.abs(idx)].conj())
     lam, q = psd_eigh(t)
     if lam[0] == 0.0:  # an eigenvalue was clipped, or is exactly 0
         t = congruence(q, lam)
@@ -156,7 +155,7 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
     d = np.sqrt(np.diag(t).real)
     t = t / np.outer(d, d)
     np.fill_diagonal(t, 1.0)
-    return hermitianize(t)
+    return t
 
 
 def sample_channel_block(

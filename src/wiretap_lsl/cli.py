@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import ParseError, UnknownPreset, ValidationError
@@ -45,7 +46,12 @@ def _load_config(args):
     else:
         config = parse_config(args.config)
     overrides = {"output_path": args.out, "seed": args.seed, "mc_realizations": args.mc}
-    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    # The CSV is written after the sweep, so an unwritable path fails now.
+    out = config.output_path
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValidationError(f"output path {out} is a directory or lies in a missing directory")
+    return config
 
 
 def main(argv=None) -> int:

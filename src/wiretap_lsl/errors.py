@@ -22,11 +22,11 @@ class NoConvergence(WiretapError):
 
 
 class AllZeroGains(WiretapError):
-    """Water-filling called with no strictly positive channel gain."""
+    """Water-filling called with no channel gain whose reciprocal is finite."""
 
 
 class BisectionFailure(WiretapError):
-    """No multiplier in the search bracket meets the power budget."""
+    """No mu meets the power budget before the GSVD bisection's midpoint reaches a bracket end."""
 
 
 class ParseError(WiretapError):

@@ -23,7 +23,6 @@ _TRACE_SLACK = 1e-6
 _POWER_TOL = 1e-8
 _MU_LO = 1e-12
 _MU_HI = 1e12
-_BISECT_MAX_ITER = 200
 _OUTER_TOL = 1e-9
 _OUTER_MAX_ITER = 100
 
@@ -67,14 +66,15 @@ def waterfill_levels(gains, budget: float) -> PowerAllocation:
     """Exact water-filling over parallel subchannels with power gains.
 
     levels[i] = max(0, 1/mu - 1/gains[i]), with mu fixed by the budget
-    through an active-set computation (no numerical search).
+    through an active-set computation (no numerical search). A gain whose
+    reciprocal overflows, such as a subnormal one, counts as zero.
     """
     gains = np.asarray(gains, dtype=float)
     if budget <= 0:
         raise ValueError("budget must be > 0")
-    k_max = int(np.count_nonzero(gains > 0))
+    k_max = int(np.count_nonzero(gains > 1.0 / np.finfo(float).max))
     if k_max == 0:
-        raise AllZeroGains("water-filling needs at least one positive gain")
+        raise AllZeroGains("water-filling needs a gain whose reciprocal is finite")
 
     order = np.argsort(-gains)
     inv = 1.0 / gains[order[:k_max]]
@@ -137,7 +137,9 @@ def gsvd_precoder(
     Factorizes the two effective transmit square roots jointly, allocates
     power over the resulting parallel subchannels, and maps the diagonal
     allocation back through V^-H. Returns the zero covariance when no
-    subchannel favors the legitimate receiver.
+    subchannel favors the legitimate receiver. Each bisection step stops
+    or strictly shrinks the bracket, so no mu is evaluated twice; once the
+    midpoint rounds onto an end of the bracket, BisectionFailure is raised.
     """
     m = stats_m.num_tx
     a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
@@ -148,33 +150,25 @@ def gsvd_precoder(
     # P = X diag(levels) Xᴴ has trace sum_i levels[i] ||x_i||², so the
     # squared column norms of X are the subchannels' power costs.
     v_diag = np.einsum("ij,ij->j", x, x.conj()).real
-    budget = float(m)
 
     # Rounding can split an exact sigma tie by ~1e-16; such subchannels
     # carry no secrecy gain and must not count as active.
     if not np.any(sm2 > se2 + 1e-12):
         return np.zeros((m, m), dtype=complex)
 
-    def total_power(mu: float) -> float:
-        return float(np.dot(gsvd_power_allocation(sm2, se2, v_diag, mu), v_diag))
-
     lo, hi = _MU_LO, _MU_HI
-    if total_power(lo) < budget or total_power(hi) > budget:
-        raise BisectionFailure("power budget not bracketed by the mu search range")
-    for _ in range(_BISECT_MAX_ITER):
-        mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
+    mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
+    while lo < mu < hi:
         levels = gsvd_power_allocation(sm2, se2, v_diag, mu)
-        excess = float(np.dot(levels, v_diag)) - budget
+        excess = float(np.dot(levels, v_diag)) - m  # the trace budget is M
         if abs(excess) <= _POWER_TOL:
-            break
+            return _within_budget(congruence(x, levels))
         if excess > 0:
             lo = mu
         else:
             hi = mu
-    else:
-        raise BisectionFailure(f"residual power mismatch {excess:.3e}")
-
-    return _within_budget(congruence(x, levels))
+        mu = np.sqrt(lo * hi)
+    raise BisectionFailure(f"power budget not met for mu in [{_MU_LO:g}, {_MU_HI:g}]; last excess {excess:.3e}")
 
 
 def optimize(

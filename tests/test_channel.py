@@ -74,8 +74,15 @@ class TestGenCorrelation:
         oracle = (re - 1j * im) / den
         assert abs(t[0, 1] - oracle) <= 1e-10
 
-    def test_hermitian_symmetry_exact(self):
-        t = gen_correlation(ArraySpec(5, 1.5, -10.0, 5.0))
+    # Spacing 0 clips an eigenvalue and rebuilds T from its eigenpairs;
+    # M = 64 is the largest accepted array.
+    @pytest.mark.parametrize(
+        "spec",
+        [ArraySpec(5, 1.5, -10.0, 5.0), ArraySpec(5, 0.0, 40.0, 5.0), ArraySpec(64, 1.0, 40.0, 5.0)],
+        ids=["m5", "m5-spacing0-clipped", "m64"],
+    )
+    def test_hermitian_symmetry_exact(self, spec):
+        t = gen_correlation(spec)
         assert np.array_equal(t, t.conj().T)
 
     def test_mean_angle_periodicity(self):

@@ -18,13 +18,15 @@ from wiretap_lsl.errors import (
 )
 from wiretap_lsl.experiment import (
     ExperimentConfig,
+    build_statistics,
     figure_preset,
     parse_config,
+    point_config,
     run_sweep,
     write_csv,
 )
 from wiretap_lsl.montecarlo import McEstimate
-from wiretap_lsl.precoders import Strategy
+from wiretap_lsl.precoders import Strategy, optimize
 
 
 def write_config(path, **overrides):
@@ -223,8 +225,10 @@ class TestRunSweep:
             m=4, n_main=4, n_eave=2, sweep="snr", sweep_grid=(-1000.0, 1000.0), mc_realizations=64
         )
         rows = run_sweep(cfg).rows
-        assert all(row.strategy == "gsvd" for row in rows if row.error)
+        assert [(row.sweep_value, row.strategy) for row in rows if row.error] == [(-1000.0, "gsvd")]
         assert all(math.isfinite(row.rs_mc_per_antenna_bits) for row in rows if not row.error)
+        with pytest.raises(BisectionFailure):
+            optimize(Strategy.GSVD_BEAMFORMING, *build_statistics(point_config(cfg, -1000.0)))
 
     def test_mc_once_per_grid_point_seeded_by_seed_and_grid_index(self, monkeypatch):
         calls = []
@@ -417,6 +421,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "fig2, fig3, fig4, fig5" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["out-flag", "output-path"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_output_path_rejected_before_the_sweep(self, tmp_path, capsys, monkeypatch, flag, target):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out = str(tmp_path / target)
+        if flag:
+            args = ["run", "--preset", "fig3", "--no-mc", "--out", out]
+        else:
+            args = ["run", "--config", write_config(tmp_path / "c.json", output_path=out), "--no-mc"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if flag else ["c.json"])
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -6,7 +6,7 @@ from helpers import iid_stats
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
-from wiretap_lsl.errors import AllZeroGains, OuterLoopNoConvergence
+from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
 from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.precoders import (
@@ -120,6 +120,14 @@ class TestWaterfillLevels:
     def test_all_zero_gains(self):
         with pytest.raises(AllZeroGains):
             waterfill_levels([0.0, 0.0], 1.0)
+
+    def test_gain_with_overflowing_reciprocal_counts_as_zero(self):
+        # 1 / 1.36e-309 overflows; such a channel stays off, without a warning.
+        alloc = waterfill_levels([1.36e-309, 5.0, 0.0], 5.0)
+        assert alloc.levels.tolist() == [0.0, 5.0, 0.0]
+        assert alloc.mu == waterfill_levels([5.0], 5.0).mu
+        with pytest.raises(AllZeroGains):
+            waterfill_levels([1.36e-309, 0.0], 1.0)
 
     def test_budget_below_rounding_of_strongest_inverse_gain(self):
         # 4 + 1e20 rounds to 1e20, so even the one-channel water level
@@ -313,7 +321,8 @@ class TestGsvdPrecoder:
 
 
 class TestGsvdBisection:
-    def test_each_mu_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize("fails", [False, True], ids=["converges", "fails"])
+    def test_each_mu_evaluated_once(self, monkeypatch, fails):
         mus = []
         original = precoders.gsvd_power_allocation
 
@@ -322,9 +331,16 @@ class TestGsvdBisection:
             return original(sm2, se2, v_diag, mu)
 
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
-        main = correlated_stats(10.0, 3, 4, 40.0)
-        eave = correlated_stats(10.0, 2, 4, -10.0)
-        gsvd_precoder(main, eave, em=1.2, ee=0.9)
+        if fails:
+            # A stress point whose first GSVD step narrows the bracket
+            # until the midpoint rounds onto an end.
+            main, eave = sweep_point_stats(4, 14, 5, -40.0, -40.0, 0.021275485809498784, 16.805879122516238)
+            with pytest.raises(BisectionFailure):
+                optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+        else:
+            main = correlated_stats(10.0, 3, 4, 40.0)
+            eave = correlated_stats(10.0, 2, 4, -10.0)
+            gsvd_precoder(main, eave, em=1.2, ee=0.9)
         assert len(mus) > 3
         assert len(set(mus)) == len(mus)
 

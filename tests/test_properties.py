@@ -5,7 +5,7 @@ import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretap_lsl.channel import ArraySpec
@@ -33,8 +33,26 @@ def configs(draw):
     )
 
 
+def tiny_spacing_config():
+    """At spacing 4.55e-278, T has an eigenvalue of 1.36e-309, a gain
+    whose reciprocal overflows in water-filling."""
+    spacing = 4.550709719544675e-278
+    return ExperimentConfig(
+        m=5,
+        n_main=1,
+        n_eave=1,
+        sweep="snr",
+        sweep_grid=(0.0,),
+        snr_main_db=0.0,
+        snr_eave_db=0.0,
+        array_main=ArraySpec(5, spacing, angle_spread_deg=0.5),
+        array_eave=ArraySpec(5, spacing, DEFAULT_THETA_EAVE, 0.5),
+    )
+
+
 @settings(max_examples=100)
 @given(configs())
+@example(tiny_spacing_config())
 def test_every_strategy_returns_a_valid_covariance_or_a_typed_error(config):
     try:
         stats_m, stats_e = build_statistics(config)
