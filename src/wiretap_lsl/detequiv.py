@@ -47,8 +47,8 @@ class FixedPoint:
         rho, beta, m = self.stats.snr, self.stats.beta, self.stats.num_tx
         if rho == 0.0:
             return 0.0
-        term_t = np.sum(np.log1p(beta * self.e * self.k_eigs))
-        term_r = np.sum(np.log1p(self.delta * self.stats.r_eigs))
+        term_t = np.log1p(beta * self.e * self.k_eigs).sum()
+        term_r = np.log1p(self.delta * self.stats.r_eigs).sum()
         return float((term_t + term_r) / m - (beta / rho) * self.delta * self.e)
 
     @cached_property
@@ -112,14 +112,19 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     r_eigs = stats.r_eigs
     k_eigs = psd_eigh(stats.t_sqrt @ p @ stats.t_sqrt)[0]
 
-    lo, hi = 0.0, (rho / m) * float(np.sum(k_eigs))
+    # Loop invariants; each product keeps the equations' left-to-right
+    # grouping, and x.sum() is np.sum(x) without its dispatch, so every
+    # iterate is bit-identical to the plain transcription.
+    rho_n, rho_m = rho / n, rho / m
+    rho_m_beta = rho_m * beta
+    lo, hi = 0.0, rho_m * float(k_eigs.sum())
     delta = hi
     residual = np.inf
     for it in range(1, _FP_MAX_ITER + 1):
-        r_den = 1.0 + delta * r_eigs
-        e = (rho / n) * np.sum(r_eigs / r_den)
-        k_den = 1.0 + beta * e * k_eigs
-        g = delta - (rho / m) * np.sum(k_eigs / k_den)
+        r_q = r_eigs / (1.0 + delta * r_eigs)
+        e = rho_n * r_q.sum()
+        k_q = k_eigs / (1.0 + beta * e * k_eigs)
+        g = delta - rho_m * k_q.sum()
         residual = abs(g) / max(1.0, delta)
         if residual <= _FP_TOL:
             return FixedPoint(float(e), float(delta), it, float(residual), k_eigs, stats)
@@ -127,8 +132,8 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
             lo = delta
         else:
             hi = delta
-        de = -(rho / n) * np.sum((r_eigs / r_den) ** 2)
-        dg = 1.0 + (rho / m) * beta * de * np.sum((k_eigs / k_den) ** 2)
+        de = -rho_n * (r_q**2).sum()
+        dg = 1.0 + rho_m_beta * de * (k_q**2).sum()
         if dg > 0.0 and lo < delta - g / dg < hi:
             delta -= g / dg
         else:

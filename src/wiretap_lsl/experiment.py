@@ -16,9 +16,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .channel import ArraySpec, ChannelStatistics, gen_correlation
+from .detequiv import lsl_secrecy_rate
 from .errors import ParseError, UnknownPreset, ValidationError, WiretapError
 from .montecarlo import mc_secrecy_rate
-from .precoders import Strategy, optimize
+from .precoders import Strategy, isotropic_precoder, optimize
 
 SWEEP_KINDS = ("snr", "ne", "spacing")
 
@@ -163,9 +164,13 @@ CONFIG_KEYS = frozenset(f.name for f in _CONFIG_FIELDS) | frozenset(_ARRAY_KEYS)
 
 
 def _coerce(hint, value):
-    """Convert one JSON value to its field type, tuples elementwise; an int
-    field rejects a boolean or a non-integral number instead of truncating it."""
+    """Convert one JSON value to its field type, tuples elementwise from a
+    JSON list only (a string or object would iterate as characters or
+    keys); an int field rejects a boolean or a non-integral number instead
+    of truncating it."""
     if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
         return tuple(typing.get_args(hint)[0](v) for v in value)
     if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{value!r} is not an integer")
@@ -231,15 +236,18 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
     """Run every (grid point, strategy) pair; a point or strategy that
     fails with a package error or a LinAlgError becomes error rows.
 
-    At each grid point every strategy is optimized first. Then one Monte
-    Carlo call, seeded by (seed, grid index), estimates the rates of all
-    that succeeded on shared draws; if it fails, so do their rows.
+    At each grid point both links are solved once at P = I, the start
+    that every strategy's optimize shares; if that solve fails, so does
+    every row of the point. Then every strategy is optimized, and one
+    Monte Carlo call, seeded by (seed, grid index), estimates the rates
+    of all that succeeded on shared draws; if it fails, so do their rows.
     """
     ln2 = math.log(2.0)
     rows = []
     for gi, value in enumerate(config.sweep_grid):
         try:
             stats_m, stats_e = build_statistics(point_config(config, value))
+            start = lsl_secrecy_rate(stats_m, stats_e, isotropic_precoder(config.m))
         except _POINT_FAILURES as exc:
             rows.extend(_error_row(config, value, strategy, exc) for strategy in config.strategies)
             continue
@@ -247,7 +255,7 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
         outcomes = []
         for strategy in config.strategies:
             try:
-                _, rate, iterations = optimize(strategy, stats_m, stats_e)
+                _, rate, iterations = optimize(strategy, start)
                 outcomes.append([rate, iterations, None])
             except _POINT_FAILURES as exc:
                 outcomes.append(exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ _MU_LO = 1e-12
 _MU_HI = 1e12
 _OUTER_TOL = 1e-9
 _OUTER_MAX_ITER = 100
+_LN2 = np.log(2.0)
 
 
 class Strategy(str, enum.Enum):
@@ -103,27 +105,54 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
     return _within_budget(congruence(q, alloc.levels))
 
 
-def gsvd_power_allocation(sigma_m2, sigma_e2, v_diag, mu: float) -> np.ndarray:
+class SubchannelTerms(NamedTuple):
+    """The mu-independent arrays of the GSVD power allocation: for squared
+    generalized singular values sm, se and power costs v, diff = sm - se,
+    the multiples of p = sm * se that the closed form reads, and its two
+    masks. gsvd_precoder builds them once per call, not once per mu."""
+
+    diff: np.ndarray
+    v: np.ndarray
+    quadratic: np.ndarray
+    one_minus_4p: np.ndarray
+    four_p: np.ndarray
+    two_p: np.ndarray
+    active: np.ndarray
+
+
+def subchannel_terms(sigma_m2, sigma_e2, v_diag) -> SubchannelTerms:
+    """The allocation's terms, grouped as its closed form evaluates them."""
+    sm = np.asarray(sigma_m2, dtype=float)
+    se = np.asarray(sigma_e2, dtype=float)
+    prod = sm * se
+    four_p = 4.0 * prod
+    return SubchannelTerms(
+        diff=sm - se,
+        v=np.asarray(v_diag, dtype=float),
+        quadratic=prod > 1e-14,
+        one_minus_4p=1.0 - four_p,
+        four_p=four_p,
+        two_p=2.0 * prod,
+        active=sm > se,
+    )
+
+
+def gsvd_power_allocation(terms: SubchannelTerms, mu: float) -> np.ndarray:
     """Closed-form per-subchannel powers for GSVD beamforming at a given mu.
 
     Subchannels where the main-channel share does not exceed the
     eavesdropper's get zero power; a negative discriminant likewise
     means the subchannel cannot pay for itself at this mu.
     """
-    sm = np.asarray(sigma_m2, dtype=float)
-    se = np.asarray(sigma_e2, dtype=float)
-    v = np.asarray(v_diag, dtype=float)
     if mu <= 0:
         raise ValueError("mu must be > 0")
-    gain = (sm - se) / (np.log(2.0) * mu * v)
-    prod = sm * se
-    quadratic = prod > 1e-14
+    gain = terms.diff / (_LN2 * mu * terms.v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        disc = 1.0 - 4.0 * prod + 4.0 * prod * gain
-        root = (-1.0 + np.sqrt(disc)) / (2.0 * prod)
+        disc = terms.one_minus_4p + terms.four_p * gain
+        root = (-1.0 + np.sqrt(disc)) / terms.two_p
     # sigma_e -> 0 limit (prod <= 1e-14): the quadratic degenerates to linear.
-    levels = np.where(quadratic, np.where(disc > 0, root, 0.0), gain - 1.0)
-    return np.where(sm > se, np.maximum(0.0, levels), 0.0)
+    levels = np.where(terms.quadratic, np.where(disc > 0, root, 0.0), gain - 1.0)
+    return np.where(terms.active, np.maximum(0.0, levels), 0.0)
 
 
 def gsvd_precoder(
@@ -156,10 +185,11 @@ def gsvd_precoder(
     if not np.any(sm2 > se2 + 1e-12):
         return np.zeros((m, m), dtype=complex)
 
+    terms = subchannel_terms(sm2, se2, v_diag)
     lo, hi = _MU_LO, _MU_HI
     mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
     while lo < mu < hi:
-        levels = gsvd_power_allocation(sm2, se2, v_diag, mu)
+        levels = gsvd_power_allocation(terms, mu)
         excess = float(np.dot(levels, v_diag)) - m  # the trace budget is M
         if abs(excess) <= _POWER_TOL:
             return _within_budget(congruence(x, levels))
@@ -171,13 +201,14 @@ def gsvd_precoder(
     raise BisectionFailure(f"power budget not met for mu in [{_MU_LO:g}, {_MU_HI:g}]; last excess {excess:.3e}")
 
 
-def optimize(
-    strategy: Strategy,
-    stats_m: ChannelStatistics,
-    stats_e: ChannelStatistics,
-) -> tuple[np.ndarray, LslRate, int]:
+def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, int]:
     """Alternate fixed-point statistics and precoder design until the
     secrecy rate stabilizes. Returns (covariance, rate, outer iterations).
+
+    start is the rate at the isotropic precoder,
+    lsl_secrecy_rate(stats_m, stats_e, isotropic_precoder(M)); the links'
+    stats are read from its fixed points, and every strategy at a point
+    can share it. iso returns (I, start, 1).
 
     Each precoder matrix determines the next one, so a matrix that
     recurs bit for bit puts the loop on a cycle whose steps have all
@@ -186,8 +217,8 @@ def optimize(
     iterating there.
     """
     strategy = Strategy(strategy)
-    p = isotropic_precoder(stats_m.num_tx)
-    rate = lsl_secrecy_rate(stats_m, stats_e, p)
+    stats_m, stats_e = start.fp_main.stats, start.fp_eave.stats
+    p, rate = isotropic_precoder(stats_m.num_tx), start
     if strategy is Strategy.ISOTROPIC:
         return p, rate, 1
 

@@ -7,16 +7,16 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import exp1
 
-from helpers import iid_stats
-from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
+from helpers import iid_stats, isotropic_start
+from wiretap_lsl.detequiv import solve_fixed_point
 from wiretap_lsl.experiment import build_statistics, figure_preset, point_config
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate
 from wiretap_lsl.precoders import (
     Strategy,
     gsvd_power_allocation,
-    isotropic_precoder,
     optimize,
+    subchannel_terms,
     waterfill_levels,
 )
 
@@ -65,9 +65,9 @@ def test_criterion_05_fig2_reproduction():
     worst = ""
     ok = True
     for snr_db in (0.0, 10.0, 20.0):
-        stats_m, stats_e = build_statistics(point_config(config, snr_db))
+        start = isotropic_start(*build_statistics(point_config(config, snr_db)))
         for strategy in Strategy:
-            _, rate, _ = optimize(strategy, stats_m, stats_e)
+            _, rate, _ = optimize(strategy, start)
             mc = mc_secrecy_rate([rate], 10_000, seed=2026)[0]
             gap = abs(rate.rs - mc.mean)
             tol = max(3.0 * mc.std_error, 0.02 * mc.mean)
@@ -82,8 +82,8 @@ def test_criterion_06_fig3_strategy_ordering():
     ok = True
     detail = []
     for snr_db in (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
-        stats_m, stats_e = build_statistics(point_config(config, snr_db))
-        rs = {s: optimize(s, stats_m, stats_e)[1].rs for s in Strategy}
+        start = isotropic_start(*build_statistics(point_config(config, snr_db)))
+        rs = {s: optimize(s, start)[1].rs for s in Strategy}
         if not (
             rs[Strategy.GSVD_BEAMFORMING] >= rs[Strategy.WATER_FILLING] - 1e-9
             and rs[Strategy.GSVD_BEAMFORMING] >= rs[Strategy.ISOTROPIC] - 1e-9
@@ -95,8 +95,8 @@ def test_criterion_06_fig3_strategy_ordering():
 
 def test_criterion_07_eavesdropper_scaling():
     config = figure_preset("fig4")
-    stats_m, stats_e = build_statistics(point_config(config, 12))
-    rs = {s: optimize(s, stats_m, stats_e)[1].rs for s in Strategy}
+    start = isotropic_start(*build_statistics(point_config(config, 12)))
+    rs = {s: optimize(s, start)[1].rs for s in Strategy}
     ok = (
         rs[Strategy.ISOTROPIC] == 0.0
         and rs[Strategy.WATER_FILLING] == 0.0
@@ -114,8 +114,8 @@ def test_criterion_08_spacing_non_monotonicity():
     config = figure_preset("fig5")
     rates = []
     for spacing in config.sweep_grid:
-        stats_m, stats_e = build_statistics(point_config(config, spacing))
-        rates.append(optimize(Strategy.GSVD_BEAMFORMING, stats_m, stats_e)[1].rs)
+        start = isotropic_start(*build_statistics(point_config(config, spacing)))
+        rates.append(optimize(Strategy.GSVD_BEAMFORMING, start)[1].rs)
     rates = np.array(rates)
     margin = 1e-6
     interior = range(1, len(rates) - 1)
@@ -144,13 +144,14 @@ def test_criterion_09_gsvd_property_suite():
         cost = np.sum(np.abs(x) ** 2, axis=0)  # power cost of each subchannel
         if np.any(sm2 > se2):
             budget = float(m)
+            terms = subchannel_terms(sm2, se2, cost)
 
             def excess(log_mu):
-                levels = gsvd_power_allocation(sm2, se2, cost, np.exp(log_mu))
+                levels = gsvd_power_allocation(terms, np.exp(log_mu))
                 return np.dot(levels, cost) - budget
 
             log_mu = brentq(excess, np.log(1e-12), np.log(1e12), xtol=1e-13)
-            levels = gsvd_power_allocation(sm2, se2, cost, np.exp(log_mu))
+            levels = gsvd_power_allocation(terms, np.exp(log_mu))
             if np.any(levels > 0):
                 checks.append(abs(np.dot(levels, cost) - budget) <= 1e-8)
         if not all(checks):
@@ -165,8 +166,9 @@ def test_criterion_10_symmetry_zero():
     stats_m, _ = build_statistics(point_config(config, 10.0))
     ok = True
     detail = []
+    start = isotropic_start(stats_m, stats_m)
     for strategy in Strategy:
-        _, rate, _ = optimize(strategy, stats_m, stats_m)
+        _, rate, _ = optimize(strategy, start)
         mc = mc_secrecy_rate([rate], 1000, seed=10)[0]
         if rate.rs != 0.0 or mc.mean != 0.0:
             ok = False

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from wiretap_lsl import cli, experiment
+from helpers import isotropic_start
+from wiretap_lsl import cli, detequiv, experiment
 from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import (
     BisectionFailure,
+    NoConvergence,
     ParseError,
     QuadratureFailure,
     RankDeficient,
@@ -150,6 +152,17 @@ class TestParseConfig:
         assert cfg.snr_main_db == ExperimentConfig.snr_main_db
         assert cfg.output_path == ExperimentConfig.output_path
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sweep_grid", "159"), ("strategies", {"iso": 1})],
+        ids=["string-grid", "object-strategies"],
+    )
+    def test_tuple_field_must_be_a_list(self, tmp_path, field, value):
+        # A string iterates as characters and an object as its keys.
+        path = write_config(tmp_path / "c.json", **{field: value})
+        with pytest.raises(ValidationError, match="is not a list"):
+            parse_config(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"m": 2, "n_main": 3, "n_eave": 4, "sweep": "snr"}))
@@ -228,7 +241,7 @@ class TestRunSweep:
         assert [(row.sweep_value, row.strategy) for row in rows if row.error] == [(-1000.0, "gsvd")]
         assert all(math.isfinite(row.rs_mc_per_antenna_bits) for row in rows if not row.error)
         with pytest.raises(BisectionFailure):
-            optimize(Strategy.GSVD_BEAMFORMING, *build_statistics(point_config(cfg, -1000.0)))
+            optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(*build_statistics(point_config(cfg, -1000.0))))
 
     def test_mc_once_per_grid_point_seeded_by_seed_and_grid_index(self, monkeypatch):
         calls = []
@@ -263,10 +276,10 @@ class TestRunSweep:
     def failing_gsvd(monkeypatch):
         original = experiment.optimize
 
-        def optimize(strategy, stats_m, stats_e):
+        def optimize(strategy, start):
             if strategy is Strategy.GSVD_BEAMFORMING:
                 raise BisectionFailure("no multiplier meets the budget")
-            return original(strategy, stats_m, stats_e)
+            return original(strategy, start)
 
         monkeypatch.setattr(experiment, "optimize", optimize)
 
@@ -320,7 +333,7 @@ class TestRunSweep:
         assert [dataclasses.replace(row, **blank) for row in with_mc] == list(without_mc)
 
     def test_numerical_failure_becomes_error_row(self, monkeypatch):
-        def failing(strategy, stats_m, stats_e):
+        def failing(strategy, start):
             raise RankDeficient("stacked matrix condition 1e12")
 
         monkeypatch.setattr(experiment, "optimize", failing)
@@ -328,6 +341,37 @@ class TestRunSweep:
         (row,) = run_sweep(cfg, include_mc=False).rows
         assert row.error == "stacked matrix condition 1e12"
         assert row.rs_lsl_per_antenna_bits is None
+
+    def test_isotropic_start_failure_fails_every_strategy(self, monkeypatch):
+        original = detequiv.solve_fixed_point
+
+        def failing_at_identity(stats, p):
+            if np.array_equal(p, np.eye(stats.num_tx)):
+                raise NoConvergence("fixed point residual 1.000e-03 after 10000 iterations")
+            return original(stats, p)
+
+        monkeypatch.setattr(detequiv, "solve_fixed_point", failing_at_identity)
+        cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0, 5.0))
+        rows = run_sweep(cfg, include_mc=False).rows
+        assert len(rows) == 6
+        assert all(row.error == "fixed point residual 1.000e-03 after 10000 iterations" for row in rows)
+
+    def test_one_isotropic_solve_per_point(self, monkeypatch):
+        # Both links once at P = I for every strategy, then once per link
+        # and outer iteration of wf and gsvd; iso adds no solve.
+        calls = []
+        original = detequiv.solve_fixed_point
+
+        def counting(stats, p):
+            calls.append(stats)
+            return original(stats, p)
+
+        monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
+        config = dataclasses.replace(figure_preset("fig5"), sweep_grid=(1.0,))
+        rows = run_sweep(config, include_mc=False).rows
+        iterations = {row.strategy: row.outer_iterations for row in rows}
+        assert iterations["iso"] == 1 and iterations["wf"] > 1 and iterations["gsvd"] > 1
+        assert len(calls) == 2 + 2 * (iterations["wf"] + iterations["gsvd"])
 
     def test_statistics_failure_fails_every_strategy(self, monkeypatch):
         def failing(spec):
@@ -340,7 +384,7 @@ class TestRunSweep:
         assert all(row.error == "row did not settle" for row in rows)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(strategy, stats_m, stats_e):
+        def broken(strategy, start):
             raise TypeError("unexpected argument")
 
         monkeypatch.setattr(experiment, "optimize", broken)
@@ -388,6 +432,8 @@ class TestCli:
             {"mc_realizations": 2.5},
             {"m": True},
             {"seed": float("inf")},
+            {"sweep_grid": "159"},
+            {"strategies": {"iso": 1}},
         ],
         ids=[
             "negative-seed",
@@ -405,6 +451,8 @@ class TestCli:
             "fractional-mc-realizations",
             "boolean-m",
             "infinite-seed",
+            "string-grid",
+            "object-strategies",
         ],
     )
     def test_config_rejected_before_the_sweep(self, tmp_path, capsys, overrides):

@@ -507,6 +507,9 @@ class TestPresetStandardErrors:
         # perfbench/reference.json holds each fig2-fig5 row at seed 0 with
         # 10,000 unpaired realizations. At the default count the weakest
         # row, fig2 at 20 dB with wf, reports 0.947 of its reference SE.
+        # The deterministic columns pass the benchmark's own gate: 1e-9
+        # relative, absolute below 1 bit (worst gap today 2.45e-10), and
+        # the same outer iteration count.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         reference = json.loads(path.read_text())["presets"]
         for name, config in PRESETS.items():
@@ -517,6 +520,10 @@ class TestPresetStandardErrors:
             ]
             for row, ref in zip(rows, reference[name]):
                 assert row.rs_mc_std_error <= ref["rs_mc_std_error"], (name, row)
+                for column in ("rs_lsl_per_antenna_bits", "rs_lsl_total_bits"):
+                    gap = abs(getattr(row, column) - ref[column])
+                    assert gap <= 1e-9 * max(1.0, abs(ref[column])), (name, column, row)
+                assert row.outer_iterations == ref["outer_iterations"], (name, row)
 
 
 CLT_CASES = [

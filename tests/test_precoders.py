@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from helpers import iid_stats
+from helpers import iid_stats, isotropic_start
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
@@ -15,6 +15,7 @@ from wiretap_lsl.precoders import (
     gsvd_precoder,
     isotropic_precoder,
     optimize,
+    subchannel_terms,
     waterfill_levels,
     waterfill_precoder,
 )
@@ -201,16 +202,16 @@ class TestWaterfillPrecoder:
 
 class TestGsvdPowerAllocation:
     def test_eave_dominant_zero(self):
-        levels = gsvd_power_allocation([0.2], [0.8], [1.0], 0.1)
+        levels = gsvd_power_allocation(subchannel_terms([0.2], [0.8], [1.0]), 0.1)
         assert levels[0] == 0.0
 
     def test_tie_zero(self):
-        levels = gsvd_power_allocation([0.5], [0.5], [1.0], 0.1)
+        levels = gsvd_power_allocation(subchannel_terms([0.5], [0.5], [1.0]), 0.1)
         assert levels[0] == 0.0
 
     def test_matches_scalar_kkt_oracle(self):
         sm, se, v, mu = 0.8, 0.2, 1.0, 0.05
-        level = gsvd_power_allocation([sm], [se], [v], mu)[0]
+        level = gsvd_power_allocation(subchannel_terms([sm], [se], [v]), mu)[0]
         assert level > 0
 
         def negated(p):
@@ -227,7 +228,7 @@ class TestGsvdPowerAllocation:
         assert level == pytest.approx(root, abs=1e-8)
 
     def test_high_mu_shuts_everything_off(self):
-        levels = gsvd_power_allocation([0.8, 0.6], [0.2, 0.4], [1.0, 2.0], 1e9)
+        levels = gsvd_power_allocation(subchannel_terms([0.8, 0.6], [0.2, 0.4], [1.0, 2.0]), 1e9)
         assert np.all(levels == 0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -245,7 +246,7 @@ class TestGsvdPowerAllocation:
         disc_le_0 = False
         for mu in [1e-12, 1e-6, 1e-2, 0.3, 1.0, 7.0, 1e3, 1e12, 1e200]:
             expected = reference_power_allocation(sm, se, v, mu)
-            assert np.array_equal(gsvd_power_allocation(sm, se, v, mu), expected)
+            assert np.array_equal(gsvd_power_allocation(subchannel_terms(sm, se, v), mu), expected)
             disc = 1.0 - 4.0 * prod + 4.0 * prod * (sm - se) / (np.log(2.0) * mu * v)
             disc_le_0 |= bool(np.any(active & (prod > 1e-14) & (disc <= 0)))
         assert disc_le_0
@@ -295,9 +296,9 @@ class TestGsvdPrecoder:
         costs = []
         original = precoders.gsvd_power_allocation
 
-        def recording(sm2, se2, v_diag, mu):
-            costs.append(v_diag)
-            return original(sm2, se2, v_diag, mu)
+        def recording(terms, mu):
+            costs.append(terms.v)
+            return original(terms, mu)
 
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
         gsvd_precoder(main, eave, em=1.2, ee=0.9)
@@ -314,7 +315,7 @@ class TestGsvdPrecoder:
         sigma_m, sigma_e, x = gsvd(a, b)
         cost = column_norms2(x)
         powers = [
-            np.dot(gsvd_power_allocation(sigma_m**2, sigma_e**2, cost, mu), cost)
+            np.dot(gsvd_power_allocation(subchannel_terms(sigma_m**2, sigma_e**2, cost), mu), cost)
             for mu in np.logspace(-6, 2, 30)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(powers, powers[1:]))
@@ -326,9 +327,9 @@ class TestGsvdBisection:
         mus = []
         original = precoders.gsvd_power_allocation
 
-        def recording(sm2, se2, v_diag, mu):
+        def recording(terms, mu):
             mus.append(mu)
-            return original(sm2, se2, v_diag, mu)
+            return original(terms, mu)
 
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
         if fails:
@@ -336,7 +337,7 @@ class TestGsvdBisection:
             # until the midpoint rounds onto an end.
             main, eave = sweep_point_stats(4, 14, 5, -40.0, -40.0, 0.021275485809498784, 16.805879122516238)
             with pytest.raises(BisectionFailure):
-                optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+                optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(main, eave))
         else:
             main = correlated_stats(10.0, 3, 4, 40.0)
             eave = correlated_stats(10.0, 2, 4, -10.0)
@@ -354,12 +355,13 @@ class TestOptimize:
             calls.append(stats)
             return original(stats, p)
 
+        start = isotropic_start(*build_statistics(point_config(figure_preset("fig5"), 1.0)))
         monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
         monkeypatch.setattr(precoders, "solve_fixed_point", counting, raising=False)
-        main, eave = build_statistics(point_config(figure_preset("fig5"), 1.0))
-        _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
-        # One solve per link for the isotropic start, then per new precoder.
-        assert len(calls) == 2 * (iterations + 1)
+        _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, start)
+        # The isotropic start is given: one solve per link and new precoder.
+        assert iterations > 1
+        assert len(calls) == 2 * iterations
 
     def test_waterfilling_factors_t_once(self, monkeypatch):
         main = correlated_stats(10.0, 4, 4, 40.0)
@@ -372,7 +374,7 @@ class TestOptimize:
             return original(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        _, _, iterations = optimize(Strategy.WATER_FILLING, main, eave)
+        _, _, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert 1 < iterations < precoders._OUTER_MAX_ITER
         # T and R once per link, then K once per link and precoder: the
         # water-filling steps reuse the main link's cached T spectrum.
@@ -382,7 +384,7 @@ class TestOptimize:
     def test_cycle_skip_matches_the_full_loop(self, point):
         main, eave = sweep_point_stats(*point)
         with pytest.warns(OuterLoopNoConvergence):
-            p, rate, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+            p, rate, iterations = optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(main, eave))
         ref_p, ref_rate, ref_iterations = reference_optimize(Strategy.GSVD_BEAMFORMING, main, eave)
         assert iterations == ref_iterations == precoders._OUTER_MAX_ITER
         assert np.array_equal(p, ref_p)
@@ -399,7 +401,7 @@ class TestOptimize:
         monkeypatch.setattr(precoders, "gsvd_precoder", counting)
         main, eave = sweep_point_stats(*CYCLING_POINTS[0])
         with pytest.warns(OuterLoopNoConvergence):
-            _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, main, eave)
+            _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(main, eave))
         assert iterations == precoders._OUTER_MAX_ITER
         assert len(calls) <= 5
 
@@ -407,7 +409,7 @@ class TestOptimize:
     @pytest.mark.parametrize("spacing", [0.2, 1.0, 2.5])
     def test_converging_loop_matches_the_full_loop(self, strategy, spacing):
         main, eave = build_statistics(point_config(figure_preset("fig5"), spacing))
-        p, rate, iterations = optimize(strategy, main, eave)
+        p, rate, iterations = optimize(strategy, isotropic_start(main, eave))
         ref_p, ref_rate, ref_iterations = reference_optimize(strategy, main, eave)
         assert iterations == ref_iterations < precoders._OUTER_MAX_ITER
         assert np.array_equal(p, ref_p)
@@ -416,15 +418,17 @@ class TestOptimize:
     def test_isotropic_matches_direct_rate(self):
         main = correlated_stats(5.0, 3, 3, 40.0)
         eave = correlated_stats(5.0, 2, 3, -10.0)
-        p, rate, iterations = optimize(Strategy.ISOTROPIC, main, eave)
-        assert iterations == 1
+        start = isotropic_start(main, eave)
+        p, rate, iterations = optimize(Strategy.ISOTROPIC, start)
+        assert iterations == 1 and rate is start
+        assert np.array_equal(p, isotropic_precoder(3))
         direct = lsl_secrecy_rate(main, eave, isotropic_precoder(3))
         assert rate.rs == pytest.approx(direct.rs, abs=1e-12)
 
     def test_waterfilling_identity_correlation_immediate(self):
         main = iid_stats(5.0, 3, 3)
         eave = iid_stats(1.0, 2, 3)
-        p, rate, iterations = optimize(Strategy.WATER_FILLING, main, eave)
+        p, rate, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert iterations <= 2
         assert np.allclose(p, np.eye(3), atol=1e-10)
 
@@ -437,10 +441,10 @@ class TestOptimize:
         for name in ("fig2", "fig3", "fig4", "fig5"):
             config = figure_preset(name)
             for value in config.sweep_grid:
-                main, eave = build_statistics(point_config(config, value))
+                start = isotropic_start(*build_statistics(point_config(config, value)))
                 for strategy in Strategy:
                     point = f"{name} {config.sweep}={value} {strategy.value}"
-                    p, _, _ = optimize(strategy, main, eave)
+                    p, _, _ = optimize(strategy, start)
                     assert np.trace(p).real <= config.m + 1e-6, point
                     assert np.linalg.eigvalsh(p).min() >= -1e-12, point
 
@@ -449,10 +453,10 @@ class TestOptimize:
         main = correlated_stats(0.0, 3, 4, 40.0)
         eave = correlated_stats(0.0, 2, 4, -10.0)
         with pytest.raises(AllZeroGains):
-            optimize(Strategy.WATER_FILLING, main, eave)
+            optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
 
     def test_strategy_accepts_string(self):
         main = iid_stats(1.0, 2, 2)
         eave = iid_stats(1.0, 2, 2)
-        _, rate, _ = optimize("iso", main, eave)
+        _, rate, _ = optimize("iso", isotropic_start(main, eave))
         assert rate.rs == 0.0

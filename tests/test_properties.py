@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import isotropic_start
 from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.errors import OuterLoopNoConvergence, WiretapError
 from wiretap_lsl.experiment import DEFAULT_THETA_EAVE, ExperimentConfig, build_statistics
@@ -55,7 +56,7 @@ def tiny_spacing_config():
 @example(tiny_spacing_config())
 def test_every_strategy_returns_a_valid_covariance_or_a_typed_error(config):
     try:
-        stats_m, stats_e = build_statistics(config)
+        start = isotropic_start(*build_statistics(config))
     except WiretapError:
         return
     for strategy in Strategy:
@@ -63,7 +64,7 @@ def test_every_strategy_returns_a_valid_covariance_or_a_typed_error(config):
             # Only the outer cap is recorded; every other filter holds.
             warnings.filterwarnings("always", category=OuterLoopNoConvergence)
             try:
-                p, rate, iterations = optimize(strategy, stats_m, stats_e)
+                p, rate, iterations = optimize(strategy, start)
             except WiretapError:
                 continue
         # A capped loop warns, reports the cap, and still returns a valid state.

@@ -20,6 +20,7 @@ def fenced_block(heading: str, lang: str) -> str:
 def test_quick_start_runs(capsys):
     code = fenced_block("## Library quick start", "python")
     assert "n=10_000" in code
+    assert 'optimize("gsvd", start)' in code
     exec(compile(code.replace("n=10_000", "n=200"), "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert "secrecy rate (nats/tx antenna):" in out and "Monte Carlo:" in out
