@@ -6,6 +6,14 @@ the azimuth angle, normalized to a unit diagonal. The integrals run
 over the window theta +- 10 sigma clipped to [-pi, pi], outside which
 the spectrum is below exp(-50) of its peak, with Gauss-Legendre node
 doubling until two successive rows agree.
+
+The Gauss-Legendre rules, 64 * 2**k nodes up to _QUAD_MAX_NODES, are
+read from gauss_legendre.npz beside this module: for each node count,
+the non-negative nodes (ascending) and their weights. The rules are
+symmetric, so that half rebuilds each one exactly. Regenerate the table
+from the package root with scipy:
+
+    python -c "import numpy as np; from scipy.special import roots_legendre as r; np.savez('src/wiretap_lsl/gauss_legendre.npz', **{str(n): np.stack(r(n))[:, n // 2 :] for n in (64 << k for k in range(8))})"
 """
 
 from __future__ import annotations
@@ -13,9 +21,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import QuadratureFailure
 from .linalg import congruence, psd_eigh
@@ -24,6 +32,7 @@ _QUAD_MIN_NODES = 64
 _QUAD_MAX_NODES = 8192
 _QUAD_TOL = 1e-9
 _QUAD_WINDOW_SPREADS = 10.0
+_QUAD_TABLE = Path(__file__).with_name("gauss_legendre.npz")
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,11 @@ class ChannelStatistics:
 
 
 @lru_cache(maxsize=8)
-def _leggauss(n: int):
-    return roots_legendre(n)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-node Gauss-Legendre rule."""
+    with np.load(_QUAD_TABLE) as table:
+        x, w = table[str(n)]
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 @lru_cache(maxsize=256)

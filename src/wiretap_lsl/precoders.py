@@ -109,7 +109,9 @@ class SubchannelTerms(NamedTuple):
     """The mu-independent arrays of the GSVD power allocation: for squared
     generalized singular values sm, se and power costs v, diff = sm - se,
     the multiples of p = sm * se that the closed form reads, and its two
-    masks. gsvd_precoder builds them once per call, not once per mu."""
+    masks. two_p is 1 where the subchannel is linear (p <= 1e-14), so the
+    quadratic root computed and discarded there stays finite.
+    gsvd_precoder builds them once per call, not once per mu."""
 
     diff: np.ndarray
     v: np.ndarray
@@ -126,13 +128,14 @@ def subchannel_terms(sigma_m2, sigma_e2, v_diag) -> SubchannelTerms:
     se = np.asarray(sigma_e2, dtype=float)
     prod = sm * se
     four_p = 4.0 * prod
+    quadratic = prod > 1e-14
     return SubchannelTerms(
         diff=sm - se,
         v=np.asarray(v_diag, dtype=float),
-        quadratic=prod > 1e-14,
+        quadratic=quadratic,
         one_minus_4p=1.0 - four_p,
         four_p=four_p,
-        two_p=2.0 * prod,
+        two_p=np.where(quadratic, 2.0 * prod, 1.0),
         active=sm > se,
     )
 
@@ -147,11 +150,11 @@ def gsvd_power_allocation(terms: SubchannelTerms, mu: float) -> np.ndarray:
     if mu <= 0:
         raise ValueError("mu must be > 0")
     gain = terms.diff / (_LN2 * mu * terms.v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = terms.one_minus_4p + terms.four_p * gain
-        root = (-1.0 + np.sqrt(disc)) / terms.two_p
+    disc = terms.one_minus_4p + terms.four_p * gain
+    # A non-positive discriminant gives the root -1/(2p) < 0, clipped to 0.
+    root = (-1.0 + np.sqrt(np.maximum(disc, 0.0))) / terms.two_p
     # sigma_e -> 0 limit (prod <= 1e-14): the quadratic degenerates to linear.
-    levels = np.where(terms.quadratic, np.where(disc > 0, root, 0.0), gain - 1.0)
+    levels = np.where(terms.quadratic, root, gain - 1.0)
     return np.where(terms.active, np.maximum(0.0, levels), 0.0)
 
 

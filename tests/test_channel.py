@@ -1,4 +1,8 @@
+import json
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from helpers import iid_stats
+import wiretap_lsl
 from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import solve_fixed_point
@@ -144,7 +149,9 @@ class TestQuadrature:
             assert abs(row[offset] - adaptive_entry(spec, offset)) <= 1e-12
 
     def test_default_spec_needs_few_nodes(self, monkeypatch):
-        # The cold start is cheap only while the window keeps the rule small.
+        # The rules come from a stored table, so the cold start no longer
+        # pays for node generation; the window keeps row_at's own cost,
+        # linear in the nodes, small.
         used = []
         real = channel._leggauss
 
@@ -163,6 +170,51 @@ class TestQuadrature:
         channel._correlation_row.cache_clear()
         with pytest.raises(QuadratureFailure):
             gen_correlation(spec)
+
+
+class TestLegendreTable:
+    """The stored Gauss-Legendre rules that _leggauss reads."""
+
+    SIZES = [channel._QUAD_MIN_NODES << k for k in range(8)]
+
+    def test_sizes_double_from_min_to_max(self):
+        assert self.SIZES[-1] == channel._QUAD_MAX_NODES
+        with np.load(channel._QUAD_TABLE) as table:
+            stored = {int(name): table[name].shape for name in table.files}
+        assert sorted(stored) == self.SIZES
+        assert all(shape == (2, n // 2) for n, shape in stored.items())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rule_properties(self, n):
+        x, w = channel._leggauss(n)
+        assert x.shape == w.shape == (n,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0)
+        assert np.all(w > 0) and abs(w.sum() - 2.0) <= 1e-14
+        # Exact for polynomials of degree < 2n, up to the rounding of the
+        # nodes (at most 5.4e-13, at 2048); odd powers cancel by symmetry.
+        for j in range(1, 6):
+            assert abs(np.dot(w, x ** (2 * j)) - 2.0 / (2 * j + 1)) <= 1e-12
+
+    @pytest.mark.parametrize("n", SIZES[:6])
+    def test_matches_scipy(self, n):
+        # A tolerance, not bitwise: another scipy may round differently.
+        # The 4096- and 8192-node rules cost scipy seconds to compute.
+        x, w = channel._leggauss(n)
+        ref_x, ref_w = roots_legendre(n)
+        np.testing.assert_array_max_ulp(x, ref_x, maxulp=2)
+        np.testing.assert_array_max_ulp(w, ref_w, maxulp=2)
+
+    def test_import_loads_no_scipy(self):
+        # A fresh process: this one has imported scipy for the tests.
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import wiretap_lsl; "
+            "from wiretap_lsl.channel import ArraySpec, gen_correlation; gen_correlation(ArraySpec(6)); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        )
+        src = str(Path(wiretap_lsl.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == []
 
 
 class TestComplexGaussian:

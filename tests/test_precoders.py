@@ -231,6 +231,19 @@ class TestGsvdPowerAllocation:
         levels = gsvd_power_allocation(subchannel_terms([0.8, 0.6], [0.2, 0.4], [1.0, 2.0]), 1e9)
         assert np.all(levels == 0)
 
+    def test_no_floating_point_error_on_discarded_branches(self):
+        # errstate(all="raise") turns every divide or invalid operation
+        # into an error, even one whose result np.where would discard:
+        # the square root of a negative discriminant (p = 0.72) and the
+        # quadratic root's division where p = 0.
+        sm, se, v, mu = np.array([0.9, 0.6]), np.array([0.8, 0.0]), np.ones(2), 0.5
+        terms = subchannel_terms(sm, se, v)
+        assert terms.one_minus_4p[0] + terms.four_p[0] * 0.1 / (np.log(2.0) * mu) < 0
+        with np.errstate(all="raise"):
+            levels = gsvd_power_allocation(terms, mu)
+        assert levels[0] == 0.0
+        assert levels[1] == 0.6 / (np.log(2.0) * mu) - 1.0
+
     @pytest.mark.parametrize("seed", range(10))
     def test_bitwise_equal_to_scalar_loop(self, seed):
         rng = np.random.default_rng(seed)
