@@ -61,30 +61,36 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class ChannelStatistics:
-    """Statistical CSI of one link: SNR, sizes and correlation matrices.
-
-    t_eigh is T's eigenvalues (ascending, clipped at 0) and eigenvectors,
-    and t_sqrt is built from them; r_eigs is R's eigenvalues alone, all
-    that the solver and the sampler read of R. Each is computed once, on
-    first use. Nothing here depends on the precoder: the spectrum of
-    K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at P.
+    """Statistical CSI of one link: SNR, transmit correlation T and R's
+    eigenvalues r_eigs, all that the solver and the sampler read of R (a
+    caller with a full R passes np.linalg.eigvalsh(R)); the antenna
+    counts are the orders of T and R. t_eigh is T's eigenvalues
+    (ascending, clipped at 0) and eigenvectors, and t_sqrt is built from
+    them, each once, on first use. The spectrum of K = T^(1/2) P T^(1/2)
+    belongs to the FixedPoint solved at P, not to the link.
     """
 
     snr: float
-    num_rx: int
-    num_tx: int
     t_corr: np.ndarray
-    r_corr: np.ndarray
+    r_eigs: np.ndarray
 
     def __post_init__(self):
-        if self.num_rx < 1 or self.num_tx < 1:
-            raise ValueError("antenna counts must be >= 1")
-        if self.snr < 0:
+        if not self.snr >= 0:
             raise ValueError("snr must be >= 0")
-        if self.t_corr.shape != (self.num_tx, self.num_tx):
-            raise ValueError("t_corr must be num_tx x num_tx")
-        if self.r_corr.shape != (self.num_rx, self.num_rx):
-            raise ValueError("r_corr must be num_rx x num_rx")
+        if self.t_corr.ndim != 2 or self.t_corr.shape[0] != self.t_corr.shape[1] or not self.t_corr.size:
+            raise ValueError("t_corr must be a nonempty square matrix")
+        r = np.asarray(self.r_eigs, dtype=float)
+        if r.ndim != 1 or not r.size or not ((0 <= r) & (r < np.inf)).all():
+            raise ValueError("r_eigs must be a nonempty 1-D array of finite values >= 0")
+        object.__setattr__(self, "r_eigs", r)
+
+    @cached_property
+    def num_rx(self) -> int:
+        return len(self.r_eigs)
+
+    @cached_property
+    def num_tx(self) -> int:
+        return self.t_corr.shape[0]
 
     @property
     def beta(self) -> float:
@@ -98,10 +104,6 @@ class ChannelStatistics:
     def t_sqrt(self) -> np.ndarray:
         lam, q = self.t_eigh
         return congruence(q, np.sqrt(lam))
-
-    @cached_property
-    def r_eigs(self) -> np.ndarray:
-        return psd_eigh(self.r_corr)[0]
 
 
 @lru_cache(maxsize=8)

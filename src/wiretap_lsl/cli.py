@@ -49,8 +49,8 @@ def _load_config(args):
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     # The CSV is written after the sweep, so an unwritable path fails now.
     out = config.output_path
-    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
-        raise ValidationError(f"output path {out} is a directory or lies in a missing directory")
+    if not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValidationError(f"output path {out!r} is empty, is a directory or lies in a missing directory")
     return config
 
 

@@ -164,16 +164,22 @@ CONFIG_KEYS = frozenset(f.name for f in _CONFIG_FIELDS) | frozenset(_ARRAY_KEYS)
 
 
 def _coerce(hint, value):
-    """Convert one JSON value to its field type, tuples elementwise from a
-    JSON list only (a string or object would iterate as characters or
-    keys); an int field rejects a boolean or a non-integral number instead
-    of truncating it."""
+    """Convert one JSON value to its field type, accepting only that
+    type's JSON form: a list for a tuple, converted elementwise (a string
+    or object would iterate as characters or keys); a number, never a
+    boolean, for an int or a float, and an integral one for an int; a
+    string for anything else."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ValueError(f"{value!r} is not a list")
-        return tuple(typing.get_args(hint)[0](v) for v in value)
-    if hint is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"{value!r} is not an integer")
+        return tuple(_coerce(typing.get_args(hint)[0], v) for v in value)
+    if hint in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{value!r} is not a number")
+        if hint is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{value!r} is not an integer")
+    elif not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
     return hint(value)
 
 
@@ -188,14 +194,14 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
     hints = typing.get_type_hints(ExperimentConfig)
     try:
         values = {f.name: _coerce(hints[f.name], raw[f.name]) for f in _CONFIG_FIELDS if f.name in raw}
-        array = {key: float(raw.get(key, default)) for key, default in _ARRAY_KEYS.items()}
+        array = {key: _coerce(float, raw.get(key, default)) for key, default in _ARRAY_KEYS.items()}
         m, spacing, spread = values["m"], array["spacing_wavelengths"], array["angle_spread_deg"]
         return ExperimentConfig(
             **values,
             array_main=ArraySpec(m, spacing, array["theta_main_deg"], spread),
             array_eave=ArraySpec(m, spacing, array["theta_eave_deg"], spread),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{source}: {exc}") from exc
 
 
@@ -213,11 +219,11 @@ def point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
 
 
 def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, ChannelStatistics]:
-    """Materialize both links' statistical CSI for a config."""
+    """Materialize both links' statistical CSI for a config; every
+    receiver is uncorrelated, R = I, whose spectrum is all ones."""
 
     def link(snr_db: float, num_rx: int, array: ArraySpec) -> ChannelStatistics:
-        snr, t = db_to_linear(snr_db), gen_correlation(array)
-        return ChannelStatistics(snr=snr, num_rx=num_rx, num_tx=config.m, t_corr=t, r_corr=np.eye(num_rx))
+        return ChannelStatistics(db_to_linear(snr_db), gen_correlation(array), np.ones(num_rx))
 
     main = link(config.snr_main_db, config.n_main, config.array_main)
     return main, link(config.snr_eave_db, config.n_eave, config.array_eave)

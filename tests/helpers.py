@@ -9,7 +9,7 @@ from wiretap_lsl.precoders import isotropic_precoder
 
 def iid_stats(snr, n, m):
     """Uncorrelated link: T = I (M x M) and R = I (N x N)."""
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=np.eye(m), r_corr=np.eye(n))
+    return ChannelStatistics(snr=snr, t_corr=np.eye(m), r_eigs=np.ones(n))
 
 
 def isotropic_start(stats_m, stats_e):

@@ -15,6 +15,7 @@ from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import solve_fixed_point
 from wiretap_lsl.errors import QuadratureFailure
+from wiretap_lsl.linalg import psd_eigh
 
 
 @lru_cache(maxsize=2)
@@ -259,7 +260,7 @@ class TestSampleChannel:
     def test_links_share_w(self):
         # Each link scales the first N rows of one W draw; the taller link
         # sets the rows drawn.
-        main = ChannelStatistics(snr=2.0, num_rx=2, num_tx=3, t_corr=np.eye(3), r_corr=np.diag([0.5, 1.5]))
+        main = ChannelStatistics(snr=2.0, t_corr=np.eye(3), r_eigs=np.array([0.5, 1.5]))
         eave = iid_stats(snr=6.0, n=4, m=3)
         k_main, k_eave = np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 2.0])
         g = sample_channel_block([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
@@ -274,8 +275,8 @@ class TestSampleChannel:
     def covariance_error(t, r, snr, p):
         # In the eigenbases of R and K = T^(1/2) P T^(1/2) the Kronecker
         # covariance (rho/M) K^T (x) R is diagonal: (rho/M) r_i k_j.
-        n, m = r.shape[0], t.shape[0]
-        stats = ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+        m = t.shape[0]
+        stats = ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
         k = solve_fixed_point(stats, p).k_eigs
         samples = sample_channel_block([stats], [k], 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
@@ -295,17 +296,12 @@ class TestSampleChannel:
 
 
 class TestStatisticsCache:
-    def test_r_eigs_cached_and_clipped(self):
-        stats = ChannelStatistics(snr=1.0, num_rx=2, num_tx=2, t_corr=np.eye(2), r_corr=np.ones((2, 2)))
-        assert stats.r_eigs is stats.r_eigs
-        assert np.all(stats.r_eigs >= 0.0)
-        assert np.allclose(stats.r_eigs, [0.0, 2.0], atol=1e-12)
-
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_identity_receiver_spectrum_is_exactly_ones(self, n):
-        # Sampling scales by sqrt(r) with no R = I branch; that matches
-        # R = I exactly only because its spectrum is exactly ones.
-        assert iid_stats(snr=1.0, n=n, m=2).r_eigs.tolist() == [1.0] * n
+        # The sweep gives R = I as np.ones(N), bit for bit the spectrum
+        # that a factorization of I returns, so rates did not move when
+        # the sweep stopped factorizing it.
+        assert psd_eigh(np.eye(n))[0].tolist() == np.linalg.eigvalsh(np.eye(n)).tolist() == [1.0] * n
 
     def test_k_eigs_reuse_t_factorization(self, monkeypatch):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
@@ -316,12 +312,11 @@ class TestStatisticsCache:
             calls.append(a)
             return original(a)
 
-        # T is factored in channel, K in detequiv: count both.
+        # T is factored in channel, K in detequiv: count both. R is
+        # never factored; the link holds its spectrum.
         monkeypatch.setattr(channel, "psd_eigh", counting)
         monkeypatch.setattr(detequiv, "psd_eigh", counting)
-        stats = ChannelStatistics(snr=1.0, num_rx=2, num_tx=3, t_corr=t, r_corr=np.eye(2))
-        stats.r_eigs  # R's one factorization, before counting starts
-        calls.clear()
+        stats = ChannelStatistics(snr=1.0, t_corr=t, r_eigs=np.ones(2))
         p = np.diag([0.5, 1.0, 1.5])
         k = solve_fixed_point(stats, p).k_eigs
         solve_fixed_point(stats, np.eye(3))
@@ -357,8 +352,36 @@ class TestValidation:
 
     def test_beta(self):
         stats = iid_stats(snr=1.0, n=3, m=2)
-        assert stats.beta == 1.5
+        assert (stats.num_rx, stats.num_tx, stats.beta) == (3, 2, 1.5)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ChannelStatistics(snr=1.0, num_rx=2, num_tx=2, t_corr=np.eye(3), r_corr=np.eye(2))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr", float("nan")),
+            ("snr", -1.0),
+            ("t_corr", np.ones((2, 3))),
+            ("t_corr", np.ones(3)),
+            ("t_corr", np.empty((0, 0))),
+            ("r_eigs", np.array([-1e-3, 1.0])),
+            ("r_eigs", np.array([float("nan"), 1.0])),
+            ("r_eigs", np.array([float("inf"), 1.0])),
+            ("r_eigs", np.eye(2)),
+            ("r_eigs", np.empty(0)),
+        ],
+        ids=[
+            "nan-snr",
+            "negative-snr",
+            "non-square-t",
+            "1d-t",
+            "empty-t",
+            "negative-r",
+            "nan-r",
+            "inf-r",
+            "2d-r",
+            "empty-r",
+        ],
+    )
+    def test_invalid_link_rejected(self, field, value):
+        link = {"snr": 1.0, "t_corr": np.eye(2), "r_eigs": np.ones(3), field: value}
+        with pytest.raises(ValueError, match=field):
+            ChannelStatistics(**link)

@@ -26,7 +26,7 @@ def scalar_delta(rho, beta):
 
 def fig_default_stats(snr_db, m=4):
     t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
-    return ChannelStatistics(snr=10.0 ** (snr_db / 10.0), num_rx=m, num_tx=m, t_corr=t, r_corr=np.eye(m))
+    return ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, r_eigs=np.ones(m))
 
 
 class TestFixedPoint:
@@ -109,7 +109,7 @@ class TestSpectraOnce:
             calls.append(a)
             return original(a)
 
-        # T and R are factored in channel, K in detequiv.
+        # T is factored in channel, K in detequiv; R never is.
         monkeypatch.setattr(channel, "psd_eigh", counting)
         monkeypatch.setattr(detequiv, "psd_eigh", counting)
         return calls
@@ -117,8 +117,8 @@ class TestSpectraOnce:
     def test_one_eigendecomposition_per_link(self, eigh_calls):
         main = fig_default_stats(10.0)
         eave = iid_stats(10.0, 2, 4)
-        for stats in (main, eave):  # T's and R's spectra, cached per link
-            stats.t_sqrt, stats.r_eigs
+        for stats in (main, eave):  # T's spectrum, cached per link
+            stats.t_sqrt
         eigh_calls.clear()
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         # One eigendecomposition of K = T^(1/2) P T^(1/2) per link, main
@@ -160,7 +160,7 @@ class TestMutualInformation:
         q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
 
         def mi(t_mat, p_mat):
-            stats = ChannelStatistics(snr=3.0, num_rx=m, num_tx=m, t_corr=t_mat, r_corr=np.eye(m))
+            stats = ChannelStatistics(snr=3.0, t_corr=t_mat, r_eigs=np.ones(m))
             return solve_fixed_point(stats, p_mat).mi
 
         base = mi(t, p)
@@ -175,8 +175,8 @@ class TestMutualInformation:
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
         r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
         p = np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex)
-        fp = solve_fixed_point(ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r), p)
-        transposed = ChannelStatistics(snr=rho * n / m, num_rx=m, num_tx=n, t_corr=r, r_corr=np.diag(fp.k_eigs))
+        fp = solve_fixed_point(ChannelStatistics(snr=rho, t_corr=t, r_eigs=np.linalg.eigvalsh(r)), p)
+        transposed = ChannelStatistics(snr=rho * n / m, t_corr=r, r_eigs=fp.k_eigs)
         fq = solve_fixed_point(transposed, np.eye(n))
         assert n * fq.mi == pytest.approx(m * fp.mi, rel=1e-12)
 
@@ -184,7 +184,7 @@ class TestMutualInformation:
         t = gen_correlation(ArraySpec(3, 1.0, 40.0, 5.0))
         previous = -1.0
         for snr in [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]:
-            stats = ChannelStatistics(snr=snr, num_rx=3, num_tx=3, t_corr=t, r_corr=np.eye(3))
+            stats = ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.ones(3))
             mi = solve_fixed_point(stats, np.eye(3)).mi
             assert mi > previous
             previous = mi
@@ -200,7 +200,7 @@ class TestMiVariance:
         m, n, rho = 4, 6, 5.0
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
         r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
-        stats = ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+        stats = ChannelStatistics(snr=rho, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
         fp = solve_fixed_point(stats, np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex))
 
         def g(d):
@@ -218,8 +218,8 @@ class TestMiVariance:
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
         r = gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
         p = np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex)
-        fp = solve_fixed_point(ChannelStatistics(snr=rho, num_rx=n, num_tx=m, t_corr=t, r_corr=r), p)
-        transposed = ChannelStatistics(snr=rho * n / m, num_rx=m, num_tx=n, t_corr=r, r_corr=np.diag(fp.k_eigs))
+        fp = solve_fixed_point(ChannelStatistics(snr=rho, t_corr=t, r_eigs=np.linalg.eigvalsh(r)), p)
+        transposed = ChannelStatistics(snr=rho * n / m, t_corr=r, r_eigs=fp.k_eigs)
         fq = solve_fixed_point(transposed, np.eye(n))
         assert n**2 * fq.mi_variance == pytest.approx(m**2 * fp.mi_variance, rel=1e-10)
 

@@ -134,33 +134,60 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(path)
 
-    def test_values_coerced_to_field_types(self, tmp_path):
+    def test_values_converted_from_their_json_forms(self, tmp_path):
         path = write_config(
             tmp_path / "c.json",
-            m="2",
             n_main=3.0,
             sweep_grid=[0, 10],
             strategies=["gsvd"],
-            seed="5",
             mc_realizations=1e4,
+            spacing_wavelengths=2,
         )
         cfg = parse_config(path)
-        assert (cfg.m, cfg.n_main, cfg.seed, cfg.mc_realizations) == (2, 3, 5, 10_000)
-        assert type(cfg.mc_realizations) is int
-        assert cfg.sweep_grid == (0.0, 10.0)
+        assert (cfg.m, cfg.n_main, cfg.mc_realizations) == (2, 3, 10_000)
+        assert type(cfg.n_main) is int and type(cfg.mc_realizations) is int
+        assert cfg.sweep_grid == (0.0, 10.0) and all(type(v) is float for v in cfg.sweep_grid)
+        assert cfg.array_main.spacing_wavelengths == 2.0
         assert cfg.strategies == (Strategy.GSVD_BEAMFORMING,)
         assert cfg.snr_main_db == ExperimentConfig.snr_main_db
         assert cfg.output_path == ExperimentConfig.output_path
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("sweep_grid", "159"), ("strategies", {"iso": 1})],
-        ids=["string-grid", "object-strategies"],
+        "field, value, form",
+        [
+            ("m", "2", "number"),
+            ("seed", "5", "number"),
+            ("snr_main_db", True, "number"),
+            ("sweep_grid", ["0.0", 10.0], "number"),
+            ("sweep_grid", [0.0, True], "number"),
+            ("spacing_wavelengths", "1", "number"),
+            ("theta_eave_deg", None, "number"),
+            ("output_path", None, "string"),
+            ("sweep", 1, "string"),
+            ("strategies", ["iso", 1], "string"),
+            ("sweep_grid", "159", "list"),
+            ("strategies", {"iso": 1}, "list"),
+        ],
+        ids=[
+            "string-m",
+            "string-seed",
+            "boolean-snr",
+            "string-grid-value",
+            "boolean-grid-value",
+            "string-spacing",
+            "null-angle",
+            "null-output-path",
+            "number-sweep",
+            "number-strategy",
+            "string-grid",
+            "object-strategies",
+        ],
     )
-    def test_tuple_field_must_be_a_list(self, tmp_path, field, value):
-        # A string iterates as characters and an object as its keys.
+    def test_value_not_in_its_json_form_rejected(self, tmp_path, field, value, form):
+        # A string for a list would iterate as characters, an object as
+        # its keys.
         path = write_config(tmp_path / "c.json", **{field: value})
-        with pytest.raises(ValidationError, match="is not a list"):
+        with pytest.raises(ValidationError, match=f"is not a {form}"):
             parse_config(path)
 
     def test_missing_field(self, tmp_path):
@@ -373,6 +400,26 @@ class TestRunSweep:
         assert iterations["iso"] == 1 and iterations["wf"] > 1 and iterations["gsvd"] > 1
         assert len(calls) == 2 + 2 * (iterations["wf"] + iterations["gsvd"])
 
+    def test_factorizations_per_point(self, monkeypatch):
+        # Two eigendecompositions of each link's T (gen_correlation's
+        # PSD check, then t_eigh) and one of K per fixed-point solve; R is
+        # given by its spectrum and never factorized.
+        eighs, solves = [], []
+        original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_point
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(a)
+            return original_eigh(a, *args, **kwargs)
+
+        def counting_solve(stats, p):
+            solves.append(stats)
+            return original_solve(stats, p)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(detequiv, "solve_fixed_point", counting_solve)
+        run_sweep(dataclasses.replace(figure_preset("fig3"), sweep_grid=(10.0,)), include_mc=False)
+        assert len(eighs) == 4 + len(solves) == 12
+
     def test_statistics_failure_fails_every_strategy(self, monkeypatch):
         def failing(spec):
             raise QuadratureFailure("row did not settle")
@@ -434,6 +481,11 @@ class TestCli:
             {"seed": float("inf")},
             {"sweep_grid": "159"},
             {"strategies": {"iso": 1}},
+            {"m": "2"},
+            {"snr_main_db": True},
+            {"sweep_grid": ["0.0", True]},
+            {"spacing_wavelengths": "1"},
+            {"snr_eave_db": 10**400},
         ],
         ids=[
             "negative-seed",
@@ -453,6 +505,11 @@ class TestCli:
             "infinite-seed",
             "string-grid",
             "object-strategies",
+            "string-m",
+            "boolean-snr",
+            "string-and-boolean-grid",
+            "string-spacing",
+            "integer-too-large-for-a-float",
         ],
     )
     def test_config_rejected_before_the_sweep(self, tmp_path, capsys, overrides):
@@ -471,13 +528,13 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [True, False], ids=["out-flag", "output-path"])
-    @pytest.mark.parametrize("target", ["missing/out.csv", "."], ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing/out.csv", ".", ""], ids=["missing-directory", "directory", "empty"])
     def test_unwritable_output_path_rejected_before_the_sweep(self, tmp_path, capsys, monkeypatch, flag, target):
         def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep ran")
 
         monkeypatch.setattr(cli, "run_sweep", no_sweep)
-        out = str(tmp_path / target)
+        out = str(tmp_path / target) if target else target
         if flag:
             args = ["run", "--preset", "fig3", "--no-mc", "--out", out]
         else:
@@ -486,6 +543,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ([] if flag else ["c.json"])
+
+    def test_null_output_path_rejected(self, tmp_path, capsys, monkeypatch):
+        # Cast with str(), null once named the CSV "None" in the working
+        # directory.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path / "c.json", output_path=None)
+        assert cli_main(["run", "--config", cfg_path, "--no-mc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "is not a string" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

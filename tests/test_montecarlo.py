@@ -27,15 +27,16 @@ def principal_sqrt(a):
     return (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.conj().T
 
 
-def reference_mc_ergodic_mi(stats, p, n, seed):
+def reference_mc_ergodic_mi(stats, r_corr, p, n, seed):
     """The direct kernel: H = sqrt(rho/M) R^(1/2) W T^(1/2), Cholesky of I_N + H P Hᴴ.
 
-    R^(1/2) and T^(1/2) are built here from r_corr and t_corr, apart from
-    the package's spectra. Returns (mean, std_error) over n realizations
+    R^(1/2) and T^(1/2) are built here from the full R, r_corr, whose
+    spectrum alone the link holds, and from t_corr, apart from the
+    package's spectra. Returns (mean, std_error) over n realizations
     drawn in blocks of 256, in order, from one generator seeded as
     mc_ergodic_mi seeds its own.
     """
-    r_sqrt, t_sqrt = principal_sqrt(stats.r_corr), principal_sqrt(stats.t_corr)
+    r_sqrt, t_sqrt = principal_sqrt(r_corr), principal_sqrt(stats.t_corr)
     values = []
     rng = np.random.default_rng(seed)
     for start in range(0, n, 256):
@@ -56,8 +57,8 @@ def reference_mc_ergodic_mi(stats, p, n, seed):
 
 def correlated_stats(snr, n, m, r_corr=None):
     t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
-    r = np.eye(n) if r_corr is None else r_corr
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+    r_eigs = np.ones(n) if r_corr is None else np.linalg.eigvalsh(r_corr)
+    return ChannelStatistics(snr=snr, t_corr=t, r_eigs=r_eigs)
 
 
 def receive_correlation(n):
@@ -93,7 +94,7 @@ class TestKernelOracle:
         # errors, and the standard errors within 5%.
         stats = correlated_stats(snr, n, m, r_corr=r)
         est = mc_ergodic_mi(solve_fixed_point(stats, p), 20_000, seed=17)
-        mean, std_error = reference_mc_ergodic_mi(stats, p, 20_000, seed=18)
+        mean, std_error = reference_mc_ergodic_mi(stats, np.eye(n) if r is None else r, p, 20_000, seed=18)
         assert abs(est.mean - mean) <= 4.0 * np.hypot(est.std_error, std_error)
         assert est.std_error == pytest.approx(std_error, rel=0.05)
 
@@ -105,9 +106,9 @@ class TestKernelOracle:
         t = np.diag(np.linspace(0.4, 1.6, m)).astype(complex)
         r = np.diag(np.linspace(0.5, 1.5, n)).astype(complex)
         p = np.diag(np.linspace(0.0, 2.0, m)).astype(complex)
-        stats = ChannelStatistics(snr=10.0, num_rx=n, num_tx=m, t_corr=t, r_corr=r)
+        stats = ChannelStatistics(snr=10.0, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
         est = mc_ergodic_mi(solve_fixed_point(stats, p), 700, seed=17)
-        mean, std_error = reference_mc_ergodic_mi(stats, p, 700, seed=17)
+        mean, std_error = reference_mc_ergodic_mi(stats, r, p, 700, seed=17)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-14)
 
@@ -127,7 +128,7 @@ class TestKernelOracle:
     def test_zero_snr_exact(self, n, m):
         stats = correlated_stats(0.0, n, m)
         est = mc_ergodic_mi(solve_fixed_point(stats, generic_precoder(m)), 300, seed=2)
-        assert reference_mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2) == (0.0, 0.0)
+        assert reference_mc_ergodic_mi(stats, np.eye(n), generic_precoder(m), 300, seed=2) == (0.0, 0.0)
         assert est.mean == 0.0 and est.std_error == 0.0
 
 
@@ -408,8 +409,8 @@ class TestMcSecrecyRate:
         # reads 0. Equal N: both links see the same W alone and paired.
         t_main = gen_correlation(ArraySpec(4, 0.5, 40.0, 10.0))
         t_eave = gen_correlation(ArraySpec(4, 0.5, -10.0, 10.0))
-        main = ChannelStatistics(snr=1e6, num_rx=4, num_tx=4, t_corr=t_main, r_corr=np.eye(4))
-        eave = ChannelStatistics(snr=2.5e5, num_rx=4, num_tx=4, t_corr=t_eave, r_corr=np.eye(4))
+        main = ChannelStatistics(snr=1e6, t_corr=t_main, r_eigs=np.ones(4))
+        eave = ChannelStatistics(snr=2.5e5, t_corr=t_eave, r_eigs=np.ones(4))
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         est = mc_secrecy_rate([rate], 3000, seed=1)[0]
         em, ee = mc_ergodic_mi(rate.fp_main, 3000, seed=1), mc_ergodic_mi(rate.fp_eave, 3000, seed=1)
@@ -549,9 +550,8 @@ class TestCltVariance:
         # (worst at M = N = 2); the sample variance alone is uncertain by
         # about 1.5% there.
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
-        stats = ChannelStatistics(
-            snr=10.0 ** (snr_db / 10.0), num_rx=n, num_tx=m, t_corr=t, r_corr=receive_correlation(n)
-        )
+        r_eigs = np.linalg.eigvalsh(receive_correlation(n))
+        stats = ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, r_eigs=r_eigs)
         fp = solve_fixed_point(stats, generic_precoder(m, CLT_CASES.index((m, n, snr_db))))
         est = mc_ergodic_mi(fp, 20_480, seed=CLT_CASES.index((m, n, snr_db)))
         assert est.std_error**2 * 20_480 == pytest.approx(fp.mi_variance, rel=0.08)

@@ -23,7 +23,7 @@ from wiretap_lsl.precoders import (
 
 def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
     t = gen_correlation(ArraySpec(m, spacing, theta, spread))
-    return ChannelStatistics(snr=snr, num_rx=n, num_tx=m, t_corr=t, r_corr=np.eye(n))
+    return ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.ones(n))
 
 
 def column_norms2(x):
@@ -194,7 +194,7 @@ class TestWaterfillPrecoder:
         # two-channel case with budget 2.
         em, beta = 0.7, 1.5
         t = np.diag([4.0, 1.0]) / (beta * em)
-        stats = ChannelStatistics(snr=1.0, num_rx=3, num_tx=2, t_corr=t, r_corr=np.eye(3))
+        stats = ChannelStatistics(snr=1.0, t_corr=t, r_eigs=np.ones(3))
         p = waterfill_precoder(stats, em=em)
         lam = np.sort(np.linalg.eigvalsh(p))
         assert np.allclose(lam, [0.625, 1.375], atol=1e-10)
@@ -389,9 +389,9 @@ class TestOptimize:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         _, _, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert 1 < iterations < precoders._OUTER_MAX_ITER
-        # T and R once per link, then K once per link and precoder: the
+        # T once per link, then K once per link and precoder: the
         # water-filling steps reuse the main link's cached T spectrum.
-        assert len(calls) == 4 + 2 * (iterations + 1)
+        assert len(calls) == 2 + 2 * (iterations + 1)
 
     @pytest.mark.parametrize("point", CYCLING_POINTS)
     def test_cycle_skip_matches_the_full_loop(self, point):
