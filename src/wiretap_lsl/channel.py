@@ -59,7 +59,7 @@ class ArraySpec:
             raise ValueError("angle_spread_deg must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelStatistics:
     """Statistical CSI of one link: SNR, transmit correlation T and R's
     eigenvalues r_eigs, all that the solver and the sampler read of R (a
@@ -68,6 +68,9 @@ class ChannelStatistics:
     (ascending, clipped at 0) and eigenvectors, and t_sqrt is built from
     them, each once, on first use. The spectrum of K = T^(1/2) P T^(1/2)
     belongs to the FixedPoint solved at P, not to the link.
+
+    A link compares and hashes by identity: its fields are arrays, whose
+    == is elementwise and which do not hash.
     """
 
     snr: float

@@ -9,6 +9,7 @@ with trace at most M.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,9 +25,16 @@ _TRACE_SLACK = 1e-6
 _POWER_TOL = 1e-8
 _MU_LO = 1e-12
 _MU_HI = 1e12
+# The Newton search that lets the bisection skip steps aims at a power
+# excess of +-_NEWTON_AIM * _POWER_TOL, takes an end whose excess is
+# within _NEWTON_TIGHT * _POWER_TOL as close enough, and gives up after
+# _NEWTON_MAX_STEPS evaluations.
+_NEWTON_AIM = 1.1
+_NEWTON_TIGHT = 1.5
+_NEWTON_MAX_STEPS = 60
 _OUTER_TOL = 1e-9
 _OUTER_MAX_ITER = 100
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 
 
 class Strategy(str, enum.Enum):
@@ -158,6 +166,71 @@ def gsvd_power_allocation(terms: SubchannelTerms, mu: float) -> np.ndarray:
     return np.where(terms.active, np.maximum(0.0, levels), 0.0)
 
 
+def _power_excess(terms: SubchannelTerms, m: int, mu: float, evaluated: dict) -> tuple[np.ndarray, float]:
+    """(levels, power minus the trace budget M) at mu, allocated once per mu."""
+    if mu not in evaluated:
+        levels = gsvd_power_allocation(terms, mu)
+        evaluated[mu] = levels, float(np.dot(levels, terms.v)) - m
+    return evaluated[mu]
+
+
+def _newton_step(terms: SubchannelTerms, mu: float, levels: np.ndarray, excess: float, target: float) -> float:
+    """The Newton step from mu towards excess = target, or NaN.
+
+    d excess / d log mu = -slope / (ln2 mu) and d excess / d (1/mu) =
+    slope / ln2, where slope sums diff / (1 + 2 p level) over the powered
+    subchannels. The excess is convex in log mu and, but for the kinks
+    where a subchannel switches on, concave in 1/mu, so a step from above
+    the target is taken in log mu and one from below in 1/mu: either
+    lands on its own side of the target.
+    """
+    if not math.isfinite(excess):
+        return math.nan
+    slope = float(np.dot(terms.diff / (1.0 + 0.5 * terms.four_p * levels), levels > 0))
+    if not slope > 0:
+        return math.nan
+    if excess > target:
+        return mu * math.exp(min((excess - target) * _LN2 * mu / slope, 700.0))
+    return 1.0 / (1.0 / mu + (target - excess) * _LN2 / slope)
+
+
+def _newton_bracket(terms: SubchannelTerms, m: int, evaluated: dict) -> tuple[float, float]:
+    """Evaluated multipliers over < under whose power excess is above +tol
+    at over and below -tol at under; 0 and inf stand for no such point.
+
+    Newton steps aim just outside the band |excess| <= tol, first on the
+    side of the current point, then on the other, until the excess at
+    both ends is within _NEWTON_TIGHT * tol. The first point is the root
+    of the linear model with every active subchannel powered, exact when
+    all of them are linear and powered. A step that leaves (over, under)
+    or repeats a point is replaced by the geometric midpoint, and the
+    search ends when that fails too: any evaluated ends are valid.
+    """
+    active = terms.active
+    mu = float(np.sum(terms.diff[active]) / (_LN2 * (m + np.sum(terms.v[active]))))
+    over, under = 0.0, math.inf
+    excess_over, excess_under = math.inf, -math.inf
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not over < mu < under or mu in evaluated:
+            mu = math.sqrt(over) * math.sqrt(under)
+            if not over < mu < under or mu in evaluated:
+                break
+        levels, excess = _power_excess(terms, m, mu, evaluated)
+        if excess > _POWER_TOL:
+            over, excess_over = mu, excess
+        elif excess < -_POWER_TOL:
+            under, excess_under = mu, excess
+        need_over = excess_over > _NEWTON_TIGHT * _POWER_TOL
+        need_under = excess_under < -_NEWTON_TIGHT * _POWER_TOL
+        if need_over and (excess > 0 or not need_under):
+            mu = _newton_step(terms, mu, levels, excess, _NEWTON_AIM * _POWER_TOL)
+        elif need_under:
+            mu = _newton_step(terms, mu, levels, excess, -_NEWTON_AIM * _POWER_TOL)
+        else:
+            break
+    return over, under
+
+
 def gsvd_precoder(
     stats_m: ChannelStatistics,
     stats_e: ChannelStatistics,
@@ -169,9 +242,23 @@ def gsvd_precoder(
     Factorizes the two effective transmit square roots jointly, allocates
     power over the resulting parallel subchannels, and maps the diagonal
     allocation back through V^-H. Returns the zero covariance when no
-    subchannel favors the legitimate receiver. Each bisection step stops
-    or strictly shrinks the bracket, so no mu is evaluated twice; once the
-    midpoint rounds onto an end of the bracket, BisectionFailure is raised.
+    subchannel favors the legitimate receiver.
+
+    mu is where a bisection of log mu over [_MU_LO, _MU_HI] first finds
+    the allocation's power within _POWER_TOL of the budget M. A Newton
+    search (_newton_bracket) first evaluates a mu = over whose power
+    excess is above +tol and a mu = under whose excess is below -tol, both
+    close to the root. The bisection then takes every step at mu <= over
+    or mu >= under without evaluating it: such a step raises the lower end
+    or lowers the upper end of the bracket. These skips are exact. Every
+    operation of gsvd_power_allocation and of the dot product with the
+    power costs is correctly rounded and monotone in mu, so the computed
+    excess never increases with mu, and the bisection would have taken
+    the same branch at each skipped step. The stop, the covariance and
+    every BisectionFailure message are thus those of the bisection that
+    evaluates each step. Each step stops or strictly shrinks the bracket,
+    and no mu is evaluated twice; once the midpoint rounds onto an end of
+    the bracket, BisectionFailure reports the excess at the last midpoint.
     """
     m = stats_m.num_tx
     a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
@@ -189,18 +276,24 @@ def gsvd_precoder(
         return np.zeros((m, m), dtype=complex)
 
     terms = subchannel_terms(sm2, se2, v_diag)
+    evaluated = {}
+    over, under = _newton_bracket(terms, m, evaluated)
     lo, hi = _MU_LO, _MU_HI
-    mu = np.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
+    mu = math.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
     while lo < mu < hi:
-        levels = gsvd_power_allocation(terms, mu)
-        excess = float(np.dot(levels, v_diag)) - m  # the trace budget is M
-        if abs(excess) <= _POWER_TOL:
-            return _within_budget(congruence(x, levels))
+        last = mu
+        if over < mu < under:
+            levels, excess = _power_excess(terms, m, mu, evaluated)
+            if abs(excess) <= _POWER_TOL:
+                return _within_budget(congruence(x, levels))
+        else:  # decided by the Newton search, which knows only the sign
+            excess = math.inf if mu <= over else -math.inf
         if excess > 0:
             lo = mu
         else:
             hi = mu
-        mu = np.sqrt(lo * hi)
+        mu = math.sqrt(lo * hi)
+    excess = _power_excess(terms, m, last, evaluated)[1]
     raise BisectionFailure(f"power budget not met for mu in [{_MU_LO:g}, {_MU_HI:g}]; last excess {excess:.3e}")
 
 

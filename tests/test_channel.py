@@ -325,6 +325,15 @@ class TestStatisticsCache:
         assert np.allclose(stats.t_sqrt @ stats.t_sqrt, t, atol=1e-12)
 
 
+class TestIdentity:
+    def test_links_compare_and_hash_by_identity(self):
+        link, twin = iid_stats(1.0, 2, 2), iid_stats(1.0, 2, 2)
+        assert link == link and link != twin
+        assert hash(link) == hash(link) != hash(twin)
+        assert link in {link} and twin not in {link}
+        assert len({link, twin, link}) == 2
+
+
 class TestValidation:
     def test_bad_array_spec(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from helpers import iid_stats, isotropic_start
+from helpers import iid_stats, isotropic_start, reference_gsvd_precoder
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
-from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
-from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config
+from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, WiretapError
+from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config, run_sweep
 from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.precoders import (
     Strategy,
@@ -331,7 +331,7 @@ class TestGsvdPrecoder:
             np.dot(gsvd_power_allocation(subchannel_terms(sigma_m**2, sigma_e**2, cost), mu), cost)
             for mu in np.logspace(-6, 2, 30)
         ]
-        assert all(b <= a + 1e-12 for a, b in zip(powers, powers[1:]))
+        assert all(b <= a for a, b in zip(powers, powers[1:]))
 
 
 class TestGsvdBisection:
@@ -357,6 +357,141 @@ class TestGsvdBisection:
             gsvd_precoder(main, eave, em=1.2, ee=0.9)
         assert len(mus) > 3
         assert len(set(mus)) == len(mus)
+
+
+def same_outcome(args):
+    """gsvd_precoder returns the oracle's bytes, or raises its error."""
+    try:
+        expected = reference_gsvd_precoder(*args)
+    except WiretapError as err:  # BisectionFailure, or RankDeficient from the GSVD
+        with pytest.raises(type(err)) as raised:
+            gsvd_precoder(*args)
+        return str(raised.value) == str(err)
+    return gsvd_precoder(*args).tobytes() == expected.tobytes()
+
+
+@pytest.fixture(scope="module")
+def preset_gsvd_pass():
+    """The gsvd_precoder inputs of a one-pass fig2-fig5 sweep without MC,
+    and the number of power allocations it makes."""
+    inputs, mus = [], []
+    design, allocate = precoders.gsvd_precoder, precoders.gsvd_power_allocation
+
+    def recording(*args):
+        inputs.append(args)
+        return design(*args)
+
+    def counting(terms, mu):
+        mus.append(mu)
+        return allocate(terms, mu)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(precoders, "gsvd_precoder", recording)
+        patch.setattr(precoders, "gsvd_power_allocation", counting)
+        for name in ("fig2", "fig3", "fig4", "fig5"):
+            run_sweep(figure_preset(name), include_mc=False)
+    return inputs, len(mus)
+
+
+def random_unitary(rng, m):
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_link_pair(rng):
+    """Two links over one array of M = 1 to 64 antennas, with e's of -200 to
+    +60 dB. Main and eavesdropper share eigenvectors and part of their
+    spectrum, so some subchannels nearly tie, and the eavesdropper misses
+    some directions, so some subchannels are linear (p <= 1e-14)."""
+    m = min(64, int(2.0 ** rng.uniform(0.0, 6.0)))
+    n = int(rng.integers(1, 2 * m + 1))
+    q = random_unitary(rng, m)
+    lam_m = rng.exponential(1.0, m)
+    lam_e = np.where(rng.random(m) < 0.3, lam_m, rng.exponential(1.0, m))
+    lam_e[rng.random(m) < 0.2] = 0.0
+    lam_m[np.argmax(lam_m)] += 1.0  # keeps [A; B] of full rank where lam_e is 0
+    lam_m[lam_e == 0.0] = np.maximum(lam_m[lam_e == 0.0], 0.1)
+    main = ChannelStatistics(snr=1.0, t_corr=(q * lam_m) @ q.conj().T, r_eigs=np.ones(n))
+    eave = ChannelStatistics(snr=1.0, t_corr=(q * lam_e) @ q.conj().T, r_eigs=np.ones(n))
+    em = 10.0 ** rng.uniform(-20.0, 6.0)
+    ee = em if rng.random() < 0.3 else 10.0 ** rng.uniform(-20.0, 6.0)
+    return main, eave, em, ee
+
+
+def random_gsvd(rng):
+    """A GSVD of M = 1 to 64 subchannels with exact ties, linear
+    subchannels (sigma_e = 0 or below 1e-7) and power costs scaled as at
+    -200 to +60 dB."""
+    m = min(64, int(2.0 ** rng.uniform(0.0, 6.0)))
+    sigma_e = np.sqrt(rng.uniform(0.0, 1.0, m))
+    kind = rng.random(m)
+    sigma_e[kind < 0.2] = np.sqrt(0.5)
+    sigma_e[(kind >= 0.2) & (kind < 0.35)] = 0.0
+    sigma_e[(kind >= 0.35) & (kind < 0.45)] = 10.0 ** rng.uniform(-16.0, -7.0)
+    sigma_m = np.sqrt(1.0 - sigma_e**2)
+    sigma_m[kind < 0.2] = np.sqrt(0.5)
+    scale = 10.0 ** (-rng.uniform(-200.0, 60.0) / 20.0)
+    x = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return sigma_m, sigma_e, x
+
+
+class TestGsvdSkips:
+    """gsvd_precoder skips the bisection steps that a Newton search has
+    already decided, and must still return what the full bisection
+    (reference_gsvd_precoder) returns, bit for bit."""
+
+    def test_power_evaluations_per_preset_pass(self, preset_gsvd_pass):
+        # The full bisection makes 5,581 allocations in this pass, about
+        # 33 per design.
+        inputs, evaluations = preset_gsvd_pass
+        assert (len(inputs), evaluations) == (169, 1166)
+
+    def test_preset_pass_matches_full_bisection(self, preset_gsvd_pass):
+        inputs, _ = preset_gsvd_pass
+        assert all(same_outcome(args) for args in inputs)
+
+    def test_random_links_match_full_bisection(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        failing = sweep_point_stats(4, 14, 5, -40.0, -40.0, 0.021275485809498784, 16.805879122516238)
+        floor = build_statistics(
+            point_config(ExperimentConfig(m=4, n_main=4, n_eave=2, sweep="snr", sweep_grid=(-1000.0,)), -1000.0)
+        )
+        cases = []
+        for main, eave in (failing, floor):
+            start = isotropic_start(main, eave)
+            cases.append((main, eave, start.fp_main.e, start.fp_eave.e))
+        cases += [random_link_pair(rng) for _ in range(500)]
+        outcomes = [same_outcome(args) for args in cases]
+        links = {m: iid_stats(1.0, 1, m) for m in range(1, 65)}
+        for _ in range(1500):
+            factors = random_gsvd(rng)
+            monkeypatch.setattr(precoders, "gsvd", lambda a, b: factors)
+            link = links[len(factors[0])]
+            outcomes.append(same_outcome((link, link, 1.0, 1.0)))
+        assert len(outcomes) == 2002 and all(outcomes)
+
+    def test_total_power_exactly_monotone_in_mu(self):
+        # The skips rest on this: the computed power never increases with
+        # mu, not even from one float to the next.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            k = int(rng.integers(1, 65))
+            se2 = rng.uniform(0.0, 1.0, k)
+            kind = rng.random(k)
+            se2[kind < 0.2] = 0.5
+            se2[(kind >= 0.2) & (kind < 0.4)] = rng.choice([0.0, 1e-17, 1e-15])
+            sm2 = 1.0 - se2
+            v = 10.0 ** rng.uniform(-3.0, 3.0, k) * 10.0 ** rng.uniform(-20.0, 20.0)
+            terms = subchannel_terms(sm2, se2, v)
+            active = terms.active
+            if not active.any():
+                continue
+            knees = terms.diff[active] / (np.log(2.0) * v[active])  # gain 1: a subchannel switches on
+            centers = np.concatenate([knees, 10.0 ** rng.uniform(np.log10(knees.min()) - 3, np.log10(knees.max()), 8)])
+            cluster = (centers.view(np.int64)[:, None] + np.arange(-8, 9)).ravel().view(np.float64)
+            mus = np.unique(np.concatenate([cluster, np.logspace(-14, 14, 57)]))
+            powers = [np.dot(gsvd_power_allocation(terms, mu), v) for mu in mus]
+            assert all(b <= a for a, b in zip(powers, powers[1:]))
 
 
 class TestOptimize:
