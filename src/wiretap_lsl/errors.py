@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class WiretapError(Exception):
     """Base class for all package-specific errors."""
@@ -43,3 +45,18 @@ class UnknownPreset(WiretapError):
 
 class OuterLoopNoConvergence(UserWarning):
     """Precoder design and statistics alternation hit its outer iteration cap."""
+
+
+# The numerical failures of one input: a package error, or LAPACK failing
+# on it. Batched solvers report them per element and a sweep as error
+# rows; any other exception is a fault in the program and propagates.
+NUMERICAL_FAILURES = (WiretapError, np.linalg.LinAlgError)
+
+
+def as_value(exc: Exception) -> Exception:
+    """exc, caught to be kept as a result, without its traceback. Each
+    frame of the traceback holds its caller's, up to the frame that
+    caught exc, whose locals hold the results that exc goes into; that
+    cycle would keep those frames and results alive until the cyclic
+    garbage collector runs."""
+    return exc.with_traceback(None)

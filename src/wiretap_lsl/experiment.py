@@ -16,10 +16,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .channel import ArraySpec, ChannelStatistics, gen_correlation
-from .detequiv import lsl_secrecy_rate
-from .errors import ParseError, UnknownPreset, ValidationError, WiretapError
+from .detequiv import lsl_secrecy_rates
+from .errors import NUMERICAL_FAILURES, ParseError, UnknownPreset, ValidationError, as_value
 from .montecarlo import mc_secrecy_rate
-from .precoders import Strategy, isotropic_precoder, optimize
+from .precoders import Strategy, isotropic_precoder, optimize_many
 
 SWEEP_KINDS = ("snr", "ne", "spacing")
 
@@ -229,47 +229,74 @@ def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, Chann
     return main, link(config.snr_eave_db, config.n_eave, config.array_eave)
 
 
-# Numerical failures of one sweep point, reported as error rows; any
-# other exception is a fault in the program and propagates.
-_POINT_FAILURES = (WiretapError, np.linalg.LinAlgError)
-
-
 def _error_row(config: ExperimentConfig, value: float, strategy: Strategy, exc: Exception) -> SweepRow:
     return SweepRow(config.sweep, value, strategy.value, None, None, None, None, None, error=str(exc))
 
 
+# Grid points whose outer loops run in lockstep at a time. Each point of
+# a chunk keeps its links, start and loops alive until the chunk is done,
+# so this bounds what a sweep holds at once, whatever its grid length.
+_LOCKSTEP_POINTS = 16
+
+
 def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
     """Run every (grid point, strategy) pair; a point or strategy that
-    fails with a package error or a LinAlgError becomes error rows.
+    fails with a package error or a LinAlgError becomes error rows, and
+    any other exception, a fault in the program, propagates.
 
-    At each grid point both links are solved once at P = I, the start
-    that every strategy's optimize shares; if that solve fails, so does
-    every row of the point. Then every strategy is optimized, and one
-    Monte Carlo call, seeded by (seed, grid index), estimates the rates
-    of all that succeeded on shared draws; if it fails, so do their rows.
+    The grid runs in chunks of _LOCKSTEP_POINTS points. In each, every
+    point's links are built first, and both links of every point are
+    solved at P = I in one batch: the start that every strategy's outer
+    loop at the point shares. If either step fails at a point, so does
+    every row of the point. Then the outer loops of all (point,
+    strategy) pairs of the chunk run in lockstep (optimize_many), and
+    last, point by point, one Monte Carlo call, seeded by (seed, grid
+    index), estimates the rates of all strategies that succeeded there
+    on shared draws; if it fails, so do their rows. Every row is what
+    optimizing each pair on its own gives, in grid order, then strategy
+    order.
     """
+    rows = []
+    for first in range(0, len(config.sweep_grid), _LOCKSTEP_POINTS):
+        rows.extend(_sweep_chunk(config, first, include_mc))
+    return SweepResult(rows=tuple(rows))
+
+
+def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool) -> list[SweepRow]:
+    """The rows of the _LOCKSTEP_POINTS grid points from index first."""
+    values = config.sweep_grid[first : first + _LOCKSTEP_POINTS]
+    # Per grid point: its links, then its start rate, or the exception
+    # that fails the point.
+    points = []
+    for value in values:
+        try:
+            points.append(build_statistics(point_config(config, value)))
+        except NUMERICAL_FAILURES as exc:
+            points.append(as_value(exc))
+    built = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
+    identity = isotropic_precoder(config.m)
+    for i, start in zip(built, lsl_secrecy_rates([(*points[i], identity) for i in built])):
+        points[i] = start
+    started = [point for point in points if not isinstance(point, Exception)]
+    optimized = iter(optimize_many([(strategy, start) for start in started for strategy in config.strategies]))
+
     ln2 = math.log(2.0)
     rows = []
-    for gi, value in enumerate(config.sweep_grid):
-        try:
-            stats_m, stats_e = build_statistics(point_config(config, value))
-            start = lsl_secrecy_rate(stats_m, stats_e, isotropic_precoder(config.m))
-        except _POINT_FAILURES as exc:
-            rows.extend(_error_row(config, value, strategy, exc) for strategy in config.strategies)
+    for gi, (value, point) in enumerate(zip(values, points), start=first):
+        if isinstance(point, Exception):
+            rows.extend(_error_row(config, value, strategy, point) for strategy in config.strategies)
             continue
         # Per strategy: [rate, outer iterations, MC estimate], or the exception.
         outcomes = []
-        for strategy in config.strategies:
-            try:
-                _, rate, iterations = optimize(strategy, start)
-                outcomes.append([rate, iterations, None])
-            except _POINT_FAILURES as exc:
-                outcomes.append(exc)
+        for _ in config.strategies:
+            outcome = next(optimized)
+            outcomes.append(outcome if isinstance(outcome, Exception) else [outcome[1], outcome[2], None])
         solved = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
         if include_mc and solved:
             try:
                 estimates = mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, (config.seed, gi))
-            except _POINT_FAILURES as exc:
+            except NUMERICAL_FAILURES as exc:
+                exc = as_value(exc)
                 outcomes = [o if isinstance(o, Exception) else exc for o in outcomes]
             else:
                 for outcome, mc in zip(solved, estimates):
@@ -291,7 +318,7 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
                     outer_iterations=iterations,
                 )
             )
-    return SweepResult(rows=tuple(rows))
+    return rows
 
 
 def write_csv(result: SweepResult, path: str, timestamp: bool = True) -> None:

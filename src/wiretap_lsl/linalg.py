@@ -17,8 +17,9 @@ _RANK_RTOL = 1e-10
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Return (A + Aᴴ)/2, the exactly conjugate-symmetric part of A."""
-    return 0.5 * (a + a.conj().T)
+    """Return (A + Aᴴ)/2, the exactly conjugate-symmetric part of A, or
+    of each matrix of a stack (..., M, M)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -28,10 +29,24 @@ def psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues in [-1e-12, 0) are treated as rounding noise and clipped
     to zero; anything more negative raises NotPsd.
     """
+    lam, q, (error,) = psd_eigh_stack(np.asarray(a)[None])
+    if error is not None:
+        raise error
+    return lam[0], q[0]
+
+
+def psd_eigh_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[NotPsd | None]]:
+    """psd_eigh of each matrix of a stack (B, M, M), in one LAPACK call.
+
+    Returns the clipped eigenvalues (B, M), the eigenvectors (B, M, M)
+    and, per matrix, None or the NotPsd that psd_eigh raises for it.
+    Each matrix's results are bit for bit those of psd_eigh on it alone.
+    """
     lam, q = np.linalg.eigh(hermitianize(np.asarray(a, dtype=complex)))
-    if lam[0] < _PSD_FLOOR:
-        raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")
-    return np.clip(lam, 0.0, None), q
+    errors = [
+        NotPsd(f"eigenvalue {low:.3e} below PSD tolerance") if low < _PSD_FLOOR else None for low in lam[:, 0].tolist()
+    ]
+    return np.maximum(lam, 0.0), q, errors
 
 
 def congruence(x: np.ndarray, d: np.ndarray) -> np.ndarray:

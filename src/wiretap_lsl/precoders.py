@@ -11,14 +11,15 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelStatistics
-from .detequiv import LslRate, lsl_secrecy_rate
-from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence
+from .detequiv import LslRate, lsl_secrecy_rates
+from .errors import NUMERICAL_FAILURES, AllZeroGains, BisectionFailure, OuterLoopNoConvergence, as_value
 from .linalg import congruence, gsvd
 
 _TRACE_SLACK = 1e-6
@@ -311,30 +312,89 @@ def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, i
     failed the convergence test: it would run to the cap. The loop then
     stops and returns the cycle's state at the cap, the same result as
     iterating there.
-    """
-    strategy = Strategy(strategy)
-    stats_m, stats_e = start.fp_main.stats, start.fp_eave.stats
-    p, rate = isotropic_precoder(stats_m.num_tx), start
-    if strategy is Strategy.ISOTROPIC:
-        return p, rate, 1
 
-    history = [(p, rate)]
-    first_seen = {p.tobytes(): 0}
-    for it in range(1, _OUTER_MAX_ITER + 1):
-        # rate holds the fixed points solved for the current p.
-        if strategy is Strategy.WATER_FILLING:
-            new_p = waterfill_precoder(stats_m, rate.fp_main.e)
+    This is the one-start case of optimize_many.
+    """
+    (result,) = optimize_many([(strategy, start)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.ndarray, LslRate, int] | Exception]:
+    """optimize(strategy, start) of every (strategy, start) in jobs, with
+    all their outer loops in lockstep.
+
+    Each outer iteration designs the next precoder of every running
+    loop, then solves both links at all of them in one
+    lsl_secrecy_rates call. A loop leaves the lockstep when it converges,
+    reaches a cycle or fails, and each keeps its own cap, cycle detection
+    and OuterLoopNoConvergence warning. Returns, in the order of jobs,
+    what optimize returns for each, or the numerical failure it would
+    raise (a WiretapError or a LinAlgError), without its traceback; any
+    other exception propagates.
+    """
+    results = [None] * len(jobs)
+    running = []
+    for slot, (strategy, start) in enumerate(jobs):
+        loop = _OuterLoop(Strategy(strategy), start)
+        if loop.strategy is Strategy.ISOTROPIC:
+            results[slot] = loop.p, start, 1
         else:
-            new_p = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
-        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_p)
-        converged = abs(new_rate.rs - rate.rs) < _OUTER_TOL
-        p, rate = new_p, new_rate
+            running.append((slot, loop))
+    for it in range(1, _OUTER_MAX_ITER + 1):
+        if not running:
+            break
+        designed = []
+        for slot, loop in running:
+            try:
+                designed.append((slot, loop, loop.design()))
+            except NUMERICAL_FAILURES as exc:
+                results[slot] = as_value(exc)
+        rates = lsl_secrecy_rates([(loop.stats_m, loop.stats_e, p) for _, loop, p in designed])
+        running = []
+        for (slot, loop, p), rate in zip(designed, rates):
+            outcome = rate if isinstance(rate, Exception) else loop.advance(it, p, rate)
+            if outcome is None:
+                running.append((slot, loop))
+            else:
+                results[slot] = outcome
+    for slot, loop in running:
+        results[slot] = _capped(loop.p, loop.rate)
+    return results
+
+
+class _OuterLoop:
+    """One optimize call between outer iterations: the current precoder
+    and its rate, and the precoders seen so far."""
+
+    def __init__(self, strategy: Strategy, start: LslRate):
+        self.strategy = strategy
+        self.stats_m, self.stats_e = start.fp_main.stats, start.fp_eave.stats
+        self.p, self.rate = isotropic_precoder(self.stats_m.num_tx), start
+        self.history = [(self.p, self.rate)]
+        self.first_seen = {self.p.tobytes(): 0}
+
+    def design(self) -> np.ndarray:
+        """The next precoder; rate holds the fixed points solved for p."""
+        if self.strategy is Strategy.WATER_FILLING:
+            return waterfill_precoder(self.stats_m, self.rate.fp_main.e)
+        return gsvd_precoder(self.stats_m, self.stats_e, self.rate.fp_main.e, self.rate.fp_eave.e)
+
+    def advance(self, it: int, p: np.ndarray, rate: LslRate) -> tuple[np.ndarray, LslRate, int] | None:
+        """Move to outer iteration it's precoder p and its rate; return
+        optimize's result if the loop stops there, else None."""
+        converged = abs(rate.rs - self.rate.rs) < _OUTER_TOL
+        self.p, self.rate = p, rate
         if converged:
             return p, rate, it
-        start = first_seen.setdefault(p.tobytes(), it)
+        start = self.first_seen.setdefault(p.tobytes(), it)
         if start != it:
-            p, rate = history[start + (_OUTER_MAX_ITER - start) % (it - start)]
-            break
-        history.append((p, rate))
+            return _capped(*self.history[start + (_OUTER_MAX_ITER - start) % (it - start)])
+        self.history.append((p, rate))
+        return None
+
+
+def _capped(p: np.ndarray, rate: LslRate) -> tuple[np.ndarray, LslRate, int]:
     warnings.warn("outer precoder loop hit its iteration cap", OuterLoopNoConvergence)
     return p, rate, _OUTER_MAX_ITER

@@ -1,11 +1,13 @@
 """Shared test fixtures."""
 
+import math
+
 import numpy as np
 
-from wiretap_lsl import precoders
+from wiretap_lsl import detequiv, experiment, precoders
 from wiretap_lsl.channel import ChannelStatistics
-from wiretap_lsl.detequiv import lsl_secrecy_rate
-from wiretap_lsl.errors import BisectionFailure
+from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rate
+from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
 from wiretap_lsl.linalg import congruence
 from wiretap_lsl.precoders import gsvd_power_allocation, isotropic_precoder, subchannel_terms
 
@@ -52,3 +54,96 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee):
     raise BisectionFailure(
         f"power budget not met for mu in [{precoders._MU_LO:g}, {precoders._MU_HI:g}]; last excess {excess:.3e}"
     )
+
+
+def reference_solve_fixed_point(stats, p):
+    """The fixed-point solve of one link on 1-D arrays, with K factored
+    by its own np.linalg.eigh call: the oracle that every element of a
+    batched solve must match field for field, k_eigs byte for byte, and
+    NotPsd and NoConvergence messages included. It reads _FP_MAX_ITER
+    from detequiv, so a test that patches it there patches it here."""
+    k = np.asarray(stats.t_sqrt @ p @ stats.t_sqrt, dtype=complex)
+    lam = np.linalg.eigh(0.5 * (k + k.conj().T))[0]
+    if lam[0] < -1e-12:
+        raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")
+    k_eigs = np.clip(lam, 0.0, None)
+    rho, beta = stats.snr, stats.beta
+    n, m = stats.num_rx, stats.num_tx
+    r_eigs = stats.r_eigs
+    lo, hi = 0.0, (rho / m) * float(k_eigs.sum())
+    delta = hi
+    residual = np.inf
+    for it in range(1, detequiv._FP_MAX_ITER + 1):
+        r_q = r_eigs / (1.0 + delta * r_eigs)
+        e = (rho / n) * np.sum(r_q)
+        k_q = k_eigs / (1.0 + beta * e * k_eigs)
+        g = delta - (rho / m) * np.sum(k_q)
+        residual = abs(g) / max(1.0, delta)
+        if residual <= detequiv._FP_TOL:
+            return FixedPoint(float(e), float(delta), it, float(residual), k_eigs, stats)
+        if g < 0.0:
+            lo = delta
+        else:
+            hi = delta
+        de = -(rho / n) * np.sum(r_q**2)
+        dg = 1.0 + (rho / m) * beta * de * np.sum(k_q**2)
+        if dg > 0.0 and lo < delta - g / dg < hi:
+            delta -= g / dg
+        else:
+            delta = 0.5 * (lo + hi)
+    raise NoConvergence(f"fixed point residual {residual:.3e} after {detequiv._FP_MAX_ITER} iterations")
+
+
+def reference_run_sweep(config, include_mc=True):
+    """run_sweep one grid point at a time, each strategy optimized on its
+    own with optimize(strategy, start): the oracle whose rows run_sweep
+    must match, error texts included. It reads build_statistics and
+    mc_secrecy_rate from the experiment module and optimize from the
+    precoders module, so a test that patches them there patches them
+    here."""
+    failures = (WiretapError, np.linalg.LinAlgError)
+    ln2 = math.log(2.0)
+    rows = []
+    for gi, value in enumerate(config.sweep_grid):
+        try:
+            stats_m, stats_e = experiment.build_statistics(experiment.point_config(config, value))
+            start = lsl_secrecy_rate(stats_m, stats_e, precoders.isotropic_precoder(config.m))
+        except failures as exc:
+            rows.extend(experiment._error_row(config, value, strategy, exc) for strategy in config.strategies)
+            continue
+        # Per strategy: [rate, outer iterations, MC estimate], or the exception.
+        outcomes = []
+        for strategy in config.strategies:
+            try:
+                _, rate, iterations = precoders.optimize(strategy, start)
+                outcomes.append([rate, iterations, None])
+            except failures as exc:
+                outcomes.append(exc)
+        solved = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+        if include_mc and solved:
+            try:
+                rates = [o[0] for o in solved]
+                estimates = experiment.mc_secrecy_rate(rates, config.mc_realizations, (config.seed, gi))
+            except failures as exc:
+                outcomes = [o if isinstance(o, Exception) else exc for o in outcomes]
+            else:
+                for outcome, mc in zip(solved, estimates):
+                    outcome[2] = mc
+        for strategy, outcome in zip(config.strategies, outcomes):
+            if isinstance(outcome, Exception):
+                rows.append(experiment._error_row(config, value, strategy, outcome))
+                continue
+            rate, iterations, mc = outcome
+            rows.append(
+                experiment.SweepRow(
+                    sweep_var=config.sweep,
+                    sweep_value=value,
+                    strategy=strategy.value,
+                    rs_lsl_per_antenna_bits=rate.rs / ln2,
+                    rs_lsl_total_bits=rate.rs * config.m / ln2,
+                    rs_mc_per_antenna_bits=None if mc is None else mc.mean / ln2,
+                    rs_mc_std_error=None if mc is None else mc.std_error / ln2,
+                    outer_iterations=iterations,
+                )
+            )
+    return experiment.SweepResult(rows=tuple(rows))

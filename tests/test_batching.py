@@ -1,0 +1,307 @@
+"""The batched solves and the lockstep sweep against their one-at-a-time
+oracles: every element of a batched fixed-point solve is the solve of its
+pair alone, and run_sweep gives the rows of optimizing each (grid point,
+strategy) pair on its own, bit for bit, error texts included."""
+
+import dataclasses
+import gc
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import reference_run_sweep, reference_solve_fixed_point
+from wiretap_lsl import detequiv, experiment, precoders
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
+from wiretap_lsl.detequiv import solve_fixed_point, solve_fixed_points
+from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
+from wiretap_lsl.experiment import ExperimentConfig, figure_preset, run_sweep
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from run import stress_configs  # noqa: E402
+
+PRESETS = ("fig2", "fig3", "fig4", "fig5")
+
+
+def fields(fp):
+    return fp.e, fp.delta, fp.iterations, fp.residual, fp.k_eigs.tobytes(), fp.stats
+
+
+def outcome(solve, stats, p):
+    """A solve's fields, or its error's type and message."""
+    try:
+        return fields(solve(stats, p))
+    except WiretapError as err:
+        return type(err), str(err)
+
+
+def batch_outcome(result):
+    return (type(result), str(result)) if isinstance(result, Exception) else fields(result)
+
+
+@pytest.fixture(scope="module")
+def preset_pairs():
+    """Every (link, P) that one no-MC fig2-fig5 pass solves."""
+    pairs = []
+    original = detequiv.solve_fixed_points
+
+    def recording(batch):
+        pairs.extend(batch)
+        return original(batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detequiv, "solve_fixed_points", recording)
+        for name in PRESETS:
+            run_sweep(figure_preset(name), include_mc=False)
+    return pairs
+
+
+def random_pair(rng):
+    """A link of M = 1 to 32 antennas, N = 1 to 4M, -40 to +60 dB and
+    spacing 0 to 3 wavelengths, with R = I or a random spectrum, and a
+    random precoder of trace M."""
+    m = int(rng.integers(1, 33))
+    n = int(rng.integers(1, 4 * m + 1))
+    spec = ArraySpec(m, float(rng.uniform(0.0, 3.0)), float(rng.uniform(-90.0, 90.0)), float(rng.uniform(0.5, 60.0)))
+    r_eigs = np.ones(n) if rng.random() < 0.5 else rng.exponential(1.0, n)
+    stats = ChannelStatistics(10.0 ** (rng.uniform(-40.0, 60.0) / 10.0), gen_correlation(spec), r_eigs)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    p = g @ g.conj().T
+    return stats, m * p / np.trace(p).real
+
+
+def in_random_batches(rng, pairs):
+    """solve_fixed_points over a random partition of pairs into batches of
+    1 to 32, in random order; the results in the order of pairs."""
+    order = rng.permutation(len(pairs))
+    results = [None] * len(pairs)
+    start = 0
+    while start < len(order):
+        chunk = order[start : start + int(rng.integers(1, 33))]
+        start += len(chunk)
+        for i, result in zip(chunk, solve_fixed_points([pairs[i] for i in chunk])):
+            results[i] = result
+    return results
+
+
+class TestBatchedSolve:
+    def test_preset_pass_matches_single_solves(self, preset_pairs):
+        assert len(preset_pairs) == 1066
+        results = in_random_batches(np.random.default_rng(20), preset_pairs)
+        for (stats, p), result in zip(preset_pairs, results):
+            expected = fields(reference_solve_fixed_point(stats, p))
+            assert fields(solve_fixed_point(stats, p)) == expected
+            assert fields(result) == expected
+
+    def test_random_links_match_single_solves(self):
+        rng = np.random.default_rng(21)
+        pairs = [random_pair(rng) for _ in range(1000)]
+        results = in_random_batches(rng, pairs)
+        for (stats, p), result in zip(pairs, results):
+            expected = outcome(reference_solve_fixed_point, stats, p)
+            assert outcome(solve_fixed_point, stats, p) == expected
+            assert batch_outcome(result) == expected
+
+    def test_failures_stay_with_their_pairs(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        pairs = [random_pair(rng) for _ in range(12)]
+        m = pairs[3][0].num_tx
+        pairs[3] = pairs[3][0], np.diag(np.r_[-1e-6, np.ones(m - 1)]).astype(complex)
+        # Three iterations are too few for some pairs, not for all.
+        monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 3)
+        expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
+        kinds = [e[0] if isinstance(e[0], type) else "solved" for e in expected]
+        assert kinds[3] is NotPsd and set(kinds) == {NotPsd, NoConvergence, "solved"}
+        assert [batch_outcome(r) for r in solve_fixed_points(pairs)] == expected
+        assert [outcome(solve_fixed_point, stats, p) for stats, p in pairs] == expected
+
+    def test_nan_residual_hides_no_other_pair(self, monkeypatch):
+        # An infinite SNR gives e = inf * 0, so that link's residual is NaN
+        # at every iteration; the links after it in the batch, with the
+        # same (N, M), still stop when their own residuals are small.
+        t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
+        pairs = [(ChannelStatistics(snr, t, np.ones(2)), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
+        monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 50)
+        with np.errstate(invalid="ignore"):
+            expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
+            results = solve_fixed_points(pairs)
+        assert expected[0] == (NoConvergence, "fixed point residual nan after 50 iterations")
+        assert all(not isinstance(e[0], type) for e in expected[1:])
+        assert [batch_outcome(r) for r in results] == expected
+
+    def test_stacks_split_and_lapack_failure_stays_with_its_pair(self, monkeypatch):
+        # A stack holds at most _STACK_ENTRIES matrix entries. When LAPACK
+        # fails on a stack, its matrices are factored one at a time, and
+        # only the one it fails on gets the error.
+        rng = np.random.default_rng(23)
+        pairs = [random_pair(rng) for _ in range(40)]
+        sizes = [stats.num_tx for stats, _ in pairs]
+        bad = next(i for i, m in enumerate(sizes) if m <= 4 and sizes.count(m) > 1)
+        stats, p = pairs[bad]
+        k_bad = stats.t_sqrt @ p @ stats.t_sqrt
+        expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
+        stacks, failed = [], []
+        original = detequiv.psd_eigh_stack
+
+        def flaky(ks):
+            stacks.append(ks.shape)
+            if any(np.array_equal(k, k_bad) for k in ks):
+                failed.append(len(ks))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(ks)
+
+        monkeypatch.setattr(detequiv, "_STACK_ENTRIES", 64)
+        monkeypatch.setattr(detequiv, "psd_eigh_stack", flaky)
+        results = solve_fixed_points(pairs)
+        assert all(b * m * m <= 64 or b == 1 for b, m, _ in stacks) and failed[0] > 1 and failed[1:] == [1]
+        assert isinstance(results[bad], np.linalg.LinAlgError) and str(results[bad]) == "Eigenvalues did not converge"
+        assert [batch_outcome(r) for i, r in enumerate(results) if i != bad] == expected[:bad] + expected[bad + 1 :]
+
+    def test_empty_batch(self):
+        assert solve_fixed_points([]) == [] and detequiv.lsl_secrecy_rates([]) == []
+        assert precoders.optimize_many([]) == []
+
+
+def sweep_rows(config, include_mc, sweep):
+    """The rows of sweep(config) and the messages of every warning it
+    raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = sweep(config, include_mc=include_mc).rows
+    return rows, [str(w.message) for w in caught]
+
+
+def assert_same_sweep(config, include_mc=False):
+    """run_sweep's rows are the oracle's, repr for repr, with the same
+    warnings."""
+    rows, caught = sweep_rows(config, include_mc, run_sweep)
+    expected, expected_caught = sweep_rows(config, include_mc, reference_run_sweep)
+    assert [repr(dataclasses.astuple(row)) for row in rows] == [repr(dataclasses.astuple(row)) for row in expected]
+    assert caught == expected_caught
+    return rows, caught
+
+
+# The two wf outer loops that settle on a period-2 cycle; the second point
+# caps gsvd too.
+WF_CYCLES = [(6, 1, 10, 30.66, 26.50, 0.494, 2.226), (4, 2, 11, 39.1, -8.9, 2.24, 1.5)]
+
+
+class TestLockstepSweep:
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("include_mc", [False, True], ids=["no-mc", "mc"])
+    def test_presets(self, name, include_mc):
+        config = dataclasses.replace(figure_preset(name), mc_realizations=64)
+        rows, caught = assert_same_sweep(config, include_mc)
+        assert not caught and not any(row.error for row in rows)
+
+    def test_grid_longer_than_one_lockstep(self, monkeypatch):
+        # The 11 points of fig2 run in chunks of 4, one lockstep each,
+        # with MC still seeded by each point's index in the whole grid.
+        jobs = []
+        original = experiment.optimize_many
+
+        def counting(batch):
+            jobs.append(len(batch))
+            return original(batch)
+
+        monkeypatch.setattr(experiment, "_LOCKSTEP_POINTS", 4)
+        monkeypatch.setattr(experiment, "optimize_many", counting)
+        assert_same_sweep(dataclasses.replace(figure_preset("fig2"), mc_realizations=64), include_mc=True)
+        assert jobs == [12, 12, 9]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_stress_pass(self, index):
+        configs = stress_configs(1, index, False)
+        rows = [row for _, config in configs for row in assert_same_sweep(config)[0]]
+        assert any(row.error for row in rows)
+
+    def test_failures_leave_no_reference_cycles(self):
+        # A failure kept as a row's value holds no traceback, whose frames
+        # would hold it in turn, with every loop and link of its lockstep.
+        configs = stress_configs(1, 0, False)
+
+        def sweep():
+            return [row for _, config in configs for row in run_sweep(config, include_mc=False).rows]
+
+        sweep()  # loads the quadrature table, whose parsing makes cycles
+        gc.collect()
+        gc.disable()
+        try:
+            rows = sweep()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert any(row.error for row in rows) and unreachable == 0
+
+    @pytest.mark.parametrize("point", WF_CYCLES)
+    def test_capped_loops_warn_once_each(self, point):
+        m, n_main, n_eave, snr_main_db, snr_eave_db, spacing, spread = point
+        config = ExperimentConfig(
+            m=m,
+            n_main=n_main,
+            n_eave=n_eave,
+            sweep="spacing",
+            sweep_grid=(spacing,),
+            snr_main_db=snr_main_db,
+            snr_eave_db=snr_eave_db,
+            array_main=ArraySpec(m, spacing, 40.0, spread),
+            array_eave=ArraySpec(m, spacing, -10.0, spread),
+        )
+        rows, caught = assert_same_sweep(config)
+        capped = [row.strategy for row in rows if row.outer_iterations == precoders._OUTER_MAX_ITER]
+        assert "wf" in capped and len(caught) == len(capped)
+
+    def test_design_failing_mid_loop(self, monkeypatch):
+        # The third gsvd design at 5 dB raises, two outer iterations into
+        # a loop of four, while wf there runs on for seven: that row alone
+        # fails.
+        original = precoders.gsvd_precoder
+        designs = {}
+
+        def failing(stats_m, stats_e, em, ee):
+            count = designs[stats_m.snr] = designs.get(stats_m.snr, 0) + 1
+            if stats_m.snr == experiment.db_to_linear(5.0) and count == 3:
+                raise BisectionFailure("no multiplier meets the budget")
+            return original(stats_m, stats_e, em, ee)
+
+        monkeypatch.setattr(precoders, "gsvd_precoder", failing)
+        config = dataclasses.replace(figure_preset("fig2"), sweep_grid=(0.0, 5.0, 10.0), mc_realizations=64)
+        rows = run_sweep(config).rows
+        designs.clear()
+        assert rows == reference_run_sweep(config).rows
+        assert [(row.sweep_value, row.strategy, row.error) for row in rows if row.error] == [
+            (5.0, "gsvd", "no multiplier meets the budget")
+        ]
+        assert designs[experiment.db_to_linear(5.0)] == 3
+
+
+class TestWorkGuard:
+    def test_preset_pass_work(self, monkeypatch):
+        # One no-MC fig2-fig5 pass makes the element solves, fixed-point
+        # iterations and outer iterations of optimizing each (point,
+        # strategy) pair on its own, in far fewer eigendecompositions:
+        # 1,318 when every K was factored alone, against one stack per
+        # batched solve: the starts of 5 chunks (fig5's 29 points run as
+        # 16 and 13) and 47 lockstep outer iterations. Every link still
+        # factors its T twice, 252 in all.
+        eighs, batches, iterations = [], [], []
+        original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(a)
+            return original_eigh(a, *args, **kwargs)
+
+        def counting_solve(pairs):
+            results = original_solve(pairs)
+            batches.append(len(pairs))
+            iterations.extend(fp.iterations for fp in results)
+            return results
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
+        rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
+        assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 4944, 533)
+        assert (len(batches), len(eighs)) == (52, 52 + 252)

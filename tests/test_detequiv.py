@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import iid_stats
-from wiretap_lsl import channel, detequiv
+from wiretap_lsl import detequiv
 from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.errors import NoConvergence, NotPsd
@@ -103,15 +103,15 @@ class TestSpectraOnce:
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         calls = []
-        original = channel.psd_eigh
+        original = np.linalg.eigh
 
         def counting(a):
             calls.append(a)
             return original(a)
 
-        # T is factored in channel, K in detequiv; R never is.
-        monkeypatch.setattr(channel, "psd_eigh", counting)
-        monkeypatch.setattr(detequiv, "psd_eigh", counting)
+        # T is factored in channel, K in detequiv, each through
+        # np.linalg.eigh; R never is.
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         return calls
 
     def test_one_eigendecomposition_per_link(self, eigh_calls):
@@ -121,11 +121,12 @@ class TestSpectraOnce:
             stats.t_sqrt
         eigh_calls.clear()
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
-        # One eigendecomposition of K = T^(1/2) P T^(1/2) per link, main
-        # first.
-        assert len(eigh_calls) == 2
-        assert np.allclose(eigh_calls[0], main.t_corr, atol=1e-12)
-        assert np.allclose(eigh_calls[1], eave.t_corr, atol=1e-12)
+        # One stacked eigendecomposition holds K = T^(1/2) P T^(1/2) of
+        # each link, main first.
+        (stack,) = eigh_calls
+        assert stack.shape == (2, 4, 4)
+        assert np.allclose(stack[0], main.t_corr, atol=1e-12)
+        assert np.allclose(stack[1], eave.t_corr, atol=1e-12)
         assert rate.fp_main == solve_fixed_point(main, np.eye(4))
         assert rate.fp_eave == solve_fixed_point(eave, np.eye(4))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import isotropic_start
-from wiretap_lsl import cli, detequiv, experiment
+from wiretap_lsl import cli, detequiv, experiment, precoders
 from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import (
@@ -301,14 +301,10 @@ class TestRunSweep:
 
     @staticmethod
     def failing_gsvd(monkeypatch):
-        original = experiment.optimize
+        def gsvd_precoder(*args):
+            raise BisectionFailure("no multiplier meets the budget")
 
-        def optimize(strategy, start):
-            if strategy is Strategy.GSVD_BEAMFORMING:
-                raise BisectionFailure("no multiplier meets the budget")
-            return original(strategy, start)
-
-        monkeypatch.setattr(experiment, "optimize", optimize)
+        monkeypatch.setattr(precoders, "gsvd_precoder", gsvd_precoder)
 
     def test_failed_strategy_leaves_other_rows_unchanged(self, monkeypatch):
         config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), mc_realizations=600)
@@ -360,24 +356,27 @@ class TestRunSweep:
         assert [dataclasses.replace(row, **blank) for row in with_mc] == list(without_mc)
 
     def test_numerical_failure_becomes_error_row(self, monkeypatch):
-        def failing(strategy, start):
-            raise RankDeficient("stacked matrix condition 1e12")
+        def failing(jobs):
+            return [RankDeficient("stacked matrix condition 1e12") for _ in jobs]
 
-        monkeypatch.setattr(experiment, "optimize", failing)
+        monkeypatch.setattr(experiment, "optimize_many", failing)
         cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0,), strategies=("gsvd",))
         (row,) = run_sweep(cfg, include_mc=False).rows
         assert row.error == "stacked matrix condition 1e12"
         assert row.rs_lsl_per_antenna_bits is None
 
     def test_isotropic_start_failure_fails_every_strategy(self, monkeypatch):
-        original = detequiv.solve_fixed_point
+        original = detequiv.solve_fixed_points
 
-        def failing_at_identity(stats, p):
-            if np.array_equal(p, np.eye(stats.num_tx)):
-                raise NoConvergence("fixed point residual 1.000e-03 after 10000 iterations")
-            return original(stats, p)
+        def failing_at_identity(pairs):
+            return [
+                NoConvergence("fixed point residual 1.000e-03 after 10000 iterations")
+                if np.array_equal(p, np.eye(stats.num_tx))
+                else fp
+                for (stats, p), fp in zip(pairs, original(pairs))
+            ]
 
-        monkeypatch.setattr(detequiv, "solve_fixed_point", failing_at_identity)
+        monkeypatch.setattr(detequiv, "solve_fixed_points", failing_at_identity)
         cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0, 5.0))
         rows = run_sweep(cfg, include_mc=False).rows
         assert len(rows) == 6
@@ -385,40 +384,47 @@ class TestRunSweep:
 
     def test_one_isotropic_solve_per_point(self, monkeypatch):
         # Both links once at P = I for every strategy, then once per link
-        # and outer iteration of wf and gsvd; iso adds no solve.
-        calls = []
-        original = detequiv.solve_fixed_point
+        # and outer iteration of wf and gsvd; iso adds no solve. The
+        # starts are one batch, and so is each lockstep outer iteration.
+        batches = []
+        original = detequiv.solve_fixed_points
 
-        def counting(stats, p):
-            calls.append(stats)
-            return original(stats, p)
+        def counting(pairs):
+            batches.append([stats for stats, _ in pairs])
+            return original(pairs)
 
-        monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
-        config = dataclasses.replace(figure_preset("fig5"), sweep_grid=(1.0,))
+        monkeypatch.setattr(detequiv, "solve_fixed_points", counting)
+        config = dataclasses.replace(figure_preset("fig5"), sweep_grid=(1.0, 2.0))
         rows = run_sweep(config, include_mc=False).rows
-        iterations = {row.strategy: row.outer_iterations for row in rows}
-        assert iterations["iso"] == 1 and iterations["wf"] > 1 and iterations["gsvd"] > 1
-        assert len(calls) == 2 + 2 * (iterations["wf"] + iterations["gsvd"])
+        iterations = {(row.sweep_value, row.strategy): row.outer_iterations for row in rows}
+        for value in (1.0, 2.0):
+            assert iterations[value, "iso"] == 1 and iterations[value, "wf"] > 1 and iterations[value, "gsvd"] > 1
+        loops = [n for (_, strategy), n in iterations.items() if strategy != "iso"]
+        assert len(batches[0]) == 4  # both links of both points at P = I
+        assert len(batches) == 1 + max(loops)
+        assert sum(map(len, batches)) == 4 + 2 * sum(loops)
 
     def test_factorizations_per_point(self, monkeypatch):
         # Two eigendecompositions of each link's T (gen_correlation's
-        # PSD check, then t_eigh) and one of K per fixed-point solve; R is
-        # given by its spectrum and never factorized.
-        eighs, solves = [], []
-        original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_point
+        # PSD check, then t_eigh), then one stack per batched solve that
+        # holds K of each of its links: the starts, then one per lockstep
+        # outer iteration. R is given by its spectrum and never factorized.
+        eighs, batches = [], []
+        original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
 
         def counting_eigh(a, *args, **kwargs):
-            eighs.append(a)
+            eighs.append(len(a))
             return original_eigh(a, *args, **kwargs)
 
-        def counting_solve(stats, p):
-            solves.append(stats)
-            return original_solve(stats, p)
+        def counting_solve(pairs):
+            batches.append(len(pairs))
+            return original_solve(pairs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(detequiv, "solve_fixed_point", counting_solve)
-        run_sweep(dataclasses.replace(figure_preset("fig3"), sweep_grid=(10.0,)), include_mc=False)
-        assert len(eighs) == 4 + len(solves) == 12
+        monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
+        rows = run_sweep(dataclasses.replace(figure_preset("fig3"), sweep_grid=(10.0,)), include_mc=False).rows
+        assert eighs == [1] * 4 + batches
+        assert len(batches) == 1 + max(row.outer_iterations for row in rows) and sum(batches) == 8
 
     def test_statistics_failure_fails_every_strategy(self, monkeypatch):
         def failing(spec):
@@ -431,10 +437,10 @@ class TestRunSweep:
         assert all(row.error == "row did not settle" for row in rows)
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(strategy, start):
+        def broken(jobs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(experiment, "optimize", broken)
+        monkeypatch.setattr(experiment, "optimize_many", broken)
         cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0,), strategies=("gsvd",))
         with pytest.raises(TypeError):
             run_sweep(cfg, include_mc=False)

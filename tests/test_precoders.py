@@ -497,15 +497,14 @@ class TestGsvdSkips:
 class TestOptimize:
     def test_fixed_points_reused_across_outer_iterations(self, monkeypatch):
         calls = []
-        original = detequiv.solve_fixed_point
+        original = detequiv.solve_fixed_points
 
-        def counting(stats, p):
-            calls.append(stats)
-            return original(stats, p)
+        def counting(pairs):
+            calls.extend(stats for stats, _ in pairs)
+            return original(pairs)
 
         start = isotropic_start(*build_statistics(point_config(figure_preset("fig5"), 1.0)))
-        monkeypatch.setattr(detequiv, "solve_fixed_point", counting)
-        monkeypatch.setattr(precoders, "solve_fixed_point", counting, raising=False)
+        monkeypatch.setattr(detequiv, "solve_fixed_points", counting)
         _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, start)
         # The isotropic start is given: one solve per link and new precoder.
         assert iterations > 1
@@ -521,12 +520,14 @@ class TestOptimize:
             calls.append(a)
             return original(a)
 
+        for stats in (main, eave):
+            stats.t_sqrt  # T factored once per link, before counting
         monkeypatch.setattr(np.linalg, "eigh", counting)
         _, _, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert 1 < iterations < precoders._OUTER_MAX_ITER
-        # T once per link, then K once per link and precoder: the
-        # water-filling steps reuse the main link's cached T spectrum.
-        assert len(calls) == 2 + 2 * (iterations + 1)
+        # One stack of both links' K per precoder: the water-filling
+        # steps reuse the main link's cached T spectrum.
+        assert [len(a) for a in calls] == [2] * (iterations + 1)
 
     @pytest.mark.parametrize("point", CYCLING_POINTS)
     def test_cycle_skip_matches_the_full_loop(self, point):

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import run  # noqa: E402
 import tracer  # noqa: E402
-from wiretap_lsl import detequiv, experiment, montecarlo  # noqa: E402
+from wiretap_lsl import detequiv, experiment, montecarlo, precoders  # noqa: E402
 from wiretap_lsl.channel import ArraySpec  # noqa: E402
 
 
@@ -30,7 +30,8 @@ def test_layer_field_names_a_module_level_callable(name):
 
 def test_every_extractor_reads_a_real_return_value(tmp_path):
     # One small MC sweep over every strategy reaches every traced function
-    # but mc_ergodic_mi, which is called here directly.
+    # but those it batches: mc_ergodic_mi, solve_fixed_point,
+    # lsl_secrecy_rate and optimize, which are called here directly.
     config = experiment.ExperimentConfig(
         m=3,
         n_main=3,
@@ -44,8 +45,10 @@ def test_every_extractor_reads_a_real_return_value(tmp_path):
     with tracer.Tracer() as traced:
         result = experiment.run_sweep(config)
         experiment.write_csv(result, str(tmp_path / "out.csv"))
-        fp = detequiv.solve_fixed_point(experiment.build_statistics(config)[0], np.eye(3))
-        montecarlo.mc_ergodic_mi(fp, 64, seed=0)
+        stats_m, stats_e = experiment.build_statistics(config)
+        start = detequiv.lsl_secrecy_rate(stats_m, stats_e, np.eye(3))
+        precoders.optimize(precoders.Strategy.GSVD_BEAMFORMING, start)
+        montecarlo.mc_ergodic_mi(detequiv.solve_fixed_point(stats_m, np.eye(3)), 64, seed=0)
     assert result.num_failed == 0
     for name, (_, _, extract) in tracer.TRACED.items():
         if extract is None or not traced.present(name):
