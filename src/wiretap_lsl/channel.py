@@ -197,14 +197,17 @@ def sample_channel_block(
     M and this one W: each scales W's first N rows, folding W's
     1/sqrt(2) and sqrt(rho/M) into one N x M elementwise scaling, and
     keeps its law. Their channels come back stacked by rows,
-    (count, sum of the N, M).
+    (count, sum of the N, M). Links that differ in M, or sequences of
+    different lengths, raise ValueError.
     """
     n, m = max(s.num_rx for s in stats), stats[0].num_tx
+    if any(s.num_tx != m for s in stats):
+        raise ValueError("all links must share the transmit antenna count")
     w = np.empty((count, n, m), dtype=complex)
     w.real, w.imag = rng.standard_normal((2, count, n, m))
     g = np.empty((count, sum(s.num_rx for s in stats), m), dtype=complex)
     start = 0
-    for s, k in zip(stats, k_eigs):
+    for s, k in zip(stats, k_eigs, strict=True):
         scale = np.sqrt(np.outer(s.r_eigs, (s.snr / (2.0 * m)) * k))
         np.multiply(w[:, : s.num_rx], scale, out=g[:, start : start + s.num_rx])
         start += s.num_rx

@@ -170,9 +170,9 @@ def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: lis
     the error that factoring it raises, for each i in slots, with one
     psd_eigh_stack. If LAPACK fails on the stack, its matrices are
     factored one at a time, so that the failure stays with its pair."""
-    t_sqrt = _stack([pairs[i][0].t_sqrt for i in slots])
+    t_sqrt = np.stack([pairs[i][0].t_sqrt for i in slots])
     try:
-        k_eigs, _, errors = psd_eigh_stack(t_sqrt @ _stack([pairs[i][1] for i in slots]) @ t_sqrt)
+        k_eigs, _, errors = psd_eigh_stack(t_sqrt @ np.stack([pairs[i][1] for i in slots]) @ t_sqrt)
     except np.linalg.LinAlgError as exc:
         if len(slots) > 1:
             for i in slots:
@@ -184,29 +184,16 @@ def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: lis
         spectra[i] = k if error is None else error
 
 
-def _stack(matrices: list) -> np.ndarray:
-    """np.stack(matrices), without its checks for a single matrix."""
-    return np.asarray(matrices[0])[None] if len(matrices) == 1 else np.stack(matrices)
-
-
 def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: list[int], results: list) -> None:
     """The safeguarded Newton iteration of solve_fixed_point for links
     that share (N, M), writing each FixedPoint or NoConvergence to
-    results[slot]. More than one link run on (N, B) and (M, B) arrays
-    whose columns are contiguous, so each column's sum is a 1-D sum. One
-    link runs on 1-D arrays and NumPy scalars, exactly as the plain
-    transcription: through (N, 1) arrays, its solve took 1.35 to 1.42
-    times as long (the 1,066 solves of a preset pass, one at a time,
-    minima of 30 interleaved rounds on one BLAS thread, three runs)."""
+    results[slot]. The links run on (N, B) and (M, B) arrays whose
+    columns are contiguous, so each column's sum is a 1-D sum."""
     n, m = stats[0].num_rx, stats[0].num_tx
     beta = n / m
-    batch = len(slots) > 1
-    if batch:
-        r = np.stack([s.r_eigs for s in stats]).T
-        k = np.stack(k_eigs).T
-        rho = np.array([s.snr for s in stats])
-    else:
-        r, k, rho = stats[0].r_eigs, k_eigs[0], stats[0].snr
+    r = np.stack([s.r_eigs for s in stats]).T
+    k = np.stack(k_eigs).T
+    rho = np.array([s.snr for s in stats])
 
     # Loop invariants; each product keeps the equations' left-to-right
     # grouping, x * x is x**2, and np.add.reduce(x, 0) is np.sum(x) of
@@ -215,22 +202,21 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
     column_sum = np.add.reduce
     rho_n, rho_m = rho / n, rho / m
     rho_m_beta = rho_m * beta
-    hi = rho_m * column_sum(k, 0)
-    hi = hi.tolist() if batch else [float(hi)]
+    hi = (rho_m * column_sum(k, 0)).tolist()
     lo = [0.0] * len(hi)
     delta = list(hi)
     residual = [np.inf] * len(hi)
     for it in range(1, _FP_MAX_ITER + 1):
-        d = np.array(delta) if batch else delta[0]
+        d = np.array(delta)
         r_q = r / (1.0 + d * r)
         e = rho_n * column_sum(r_q, 0)
         k_q = k / (1.0 + beta * e * k)
         g = d - rho_m * column_sum(k_q, 0)
-        g_list = g.tolist() if batch else [float(g)]
+        g_list = g.tolist()
         residual = [abs(gj) / max(1.0, dj) for gj, dj in zip(g_list, delta)]
         # Each residual on its own: a NaN one must not hide the others.
         if any(res <= _FP_TOL for res in residual):
-            e_list = e.tolist() if batch else [float(e)]
+            e_list = e.tolist()
             keep = []
             for j, res in enumerate(residual):
                 if res <= _FP_TOL:
@@ -247,7 +233,7 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
             rho_n, rho_m, rho_m_beta = rho_n[keep], rho_m[keep], rho_m_beta[keep]
         de = -rho_n * column_sum(r_q * r_q, 0)
         dg = 1.0 + rho_m_beta * de * column_sum(k_q * k_q, 0)
-        dg_list = dg.tolist() if batch else [float(dg)]
+        dg_list = dg.tolist()
         for j, (dj, gj, dgj) in enumerate(zip(delta, g_list, dg_list)):
             if gj < 0.0:
                 lo[j] = dj

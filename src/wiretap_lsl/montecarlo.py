@@ -23,8 +23,8 @@ The links with the same N then go through the log-det kernel as one
 stack. Up to order _SMALL_GRAM the kernel keeps the batch on the last
 axis and builds the Gram matrix and its Gaussian elimination with one
 vectorized operation per entry row; larger Gram matrices take a stacked
-matmul and a batched Cholesky, one link at a time. Either kernel also
-returns the Gram moments that the estimate regresses on.
+matmul and a batched Cholesky. Either kernel also returns the Gram
+moments that the estimate regresses on.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -69,24 +69,13 @@ class McEstimate:
     num_realizations: int
 
 
-def _kernel(shape: tuple[int, ...]):
-    """The log-det kernel for stacks of precoded channels of this shape,
-    (count, ..., N, M): kernel(g, moments) returns (1/M) ln det(I + G Gᴴ)
-    of each channel and writes the Gram matrix's trace and squared
-    Frobenius norm into moments, a (2, count, ...) array. Elimination
-    over the batch up to order _SMALL_GRAM, matmul and Cholesky above.
-
-    The Sylvester identity det(I_N + G Gᴴ) = det(I_M + Gᴴ G) lets either
-    kernel work on the smaller Gram matrix, of order d = min(N, M), whose
-    trace and squared norm are those of the larger one.
-    """
-    return _Eliminator(shape) if min(shape[-2:]) <= _SMALL_GRAM else _logdet_cholesky
-
-
 def _logdet_cholesky(g: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """The kernel by a stacked matmul and a batched Cholesky. The Gram
-    matrix is not symmetrized first: the factorization reads one triangle
-    and the real part of the diagonal."""
+    """The log-det kernel: (1/M) ln det(I + G Gᴴ) of each channel of a
+    stack g, (..., N, M), by a stacked matmul and a batched Cholesky of
+    the smaller Gram matrix (det(I_N + G Gᴴ) = det(I_M + Gᴴ G)), whose
+    trace and squared Frobenius norm, those of the larger one, go into
+    moments, (2, ...). The Gram matrix is not symmetrized first: the
+    factorization reads one triangle and the real part of the diagonal."""
     n, m = g.shape[-2:]
     g_h = g.conj().swapaxes(-1, -2)
     gram = g @ g_h if n <= m else g_h @ g
@@ -101,7 +90,7 @@ def _logdet_cholesky(g: np.ndarray, moments: np.ndarray) -> np.ndarray:
 
 
 class _Eliminator:
-    """The kernel for stacks of one shape with the batch flattened onto
+    """The same kernel for stacks of one shape with the batch flattened onto
     the last axis of every array, so that each step is one vectorized
     operation over all matrices.
 
@@ -169,7 +158,8 @@ def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> n
     """Per-realization MI, Gram trace and squared Gram Frobenius norm of
     each link of fps, shape (links, 3, n), drawn in blocks from one
     generator seeded by seed. All links share every W; the links with
-    the same N go through the kernel as one stack."""
+    the same N go as one stack through _Eliminator up to Gram order
+    _SMALL_GRAM, through _logdet_cholesky above it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not fps:
@@ -179,14 +169,13 @@ def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> n
     stats = [fps[i].stats for i in order]
     k_eigs = [fps[i].k_eigs for i in order]
     m, size = stats[0].num_tx, min(n, _BLOCK_SIZE)
-    # (first link, first row, links, N, kernel) of each stack: a run of
-    # equal N, or one link where the Gram matrix is too large to gain.
+    # (first link, first row, links, N, kernel) of each run of equal N.
     stacks, first, start = [], 0, 0
     for rows, run in itertools.groupby(s.num_rx for s in stats):
-        run_length = len(list(run))
-        for links in [run_length] if min(rows, m) <= _SMALL_GRAM else [1] * run_length:
-            stacks.append((first, start, links, rows, _kernel((size, links, rows, m))))
-            first, start = first + links, start + links * rows
+        links = len(list(run))
+        kernel = _Eliminator((size, links, rows, m)) if min(rows, m) <= _SMALL_GRAM else _logdet_cholesky
+        stacks.append((first, start, links, rows, kernel))
+        first, start = first + links, start + links * rows
     out = np.empty((len(fps), 3, n))
     for offset in range(0, n, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, n - offset)
@@ -257,11 +246,11 @@ def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...
     the plain paired mean is used. The clamp is applied to the estimate,
     never per realization.
 
-    All rates, which must share M, share every W too, and each keeps its
-    own law and its own regression. Where all their links have the same
-    numbers of receive antennas, as the rates of one sweep point do, each
-    estimate equals that of its rate alone, bit for bit. No rates give
-    no estimates.
+    All rates share every W, so they must share M (else ValueError), and
+    each keeps its own law and its own regression. Where all their links
+    have the same numbers of receive antennas, as the rates of one sweep
+    point do, each estimate equals that of its rate alone, bit for bit.
+    No rates give no estimates.
     """
     sample = _sample([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
     return [_secrecy_estimate(rate, sample[2 * i : 2 * i + 2]) for i, rate in enumerate(rates)]

@@ -329,10 +329,11 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     loop, then solves both links at all of them in one
     lsl_secrecy_rates call. A loop leaves the lockstep when it converges,
     reaches a cycle or fails, and each keeps its own cap, cycle detection
-    and OuterLoopNoConvergence warning. Returns, in the order of jobs,
-    what optimize returns for each, or the numerical failure it would
-    raise (a WiretapError or a LinAlgError), without its traceback; any
-    other exception propagates.
+    and OuterLoopNoConvergence warning; the cycle replay stays until the
+    benchmark stops pinning it (ROADMAP items 1 and 3). Returns, in the
+    order of jobs, what optimize returns for each, or the numerical
+    failure it would raise (a WiretapError or a LinAlgError), without its
+    traceback; any other exception propagates.
     """
     results = [None] * len(jobs)
     running = []

@@ -286,9 +286,11 @@ class TestWorkGuard:
         # 1,318 when every K was factored alone, against one stack per
         # batched solve: the starts of 5 chunks (fig5's 29 points run as
         # 16 and 13) and 47 lockstep outer iterations. Every link still
-        # factors its T twice, 252 in all.
-        eighs, batches, iterations = [], [], []
+        # factors its T twice, 252 in all, and the 1,066 solves run as
+        # 154 Newton groups of one (N, M).
+        eighs, batches, iterations, groups = [], [], [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
+        original_newton = detequiv._newton
 
         def counting_eigh(a, *args, **kwargs):
             eighs.append(a)
@@ -300,8 +302,14 @@ class TestWorkGuard:
             iterations.extend(fp.iterations for fp in results)
             return results
 
+        def counting_newton(stats, k_eigs, slots, results):
+            groups.append(len(slots))
+            return original_newton(stats, k_eigs, slots, results)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
+        monkeypatch.setattr(detequiv, "_newton", counting_newton)
         rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
         assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 4944, 533)
         assert (len(batches), len(eighs)) == (52, 52 + 252)
+        assert (len(groups), sum(groups)) == (154, 1066)

@@ -271,6 +271,20 @@ class TestSampleChannel:
         expected = w * np.sqrt(np.outer(main.r_eigs, (2.0 / 6.0) * k_main[1:]))
         assert np.allclose(g[:, :2, 1:], expected, rtol=1e-14, atol=0)
 
+    def test_links_must_share_m(self):
+        # Every link scales W's M columns: a narrower link after a wider
+        # one was broadcast over them, and before it failed to broadcast.
+        wide, narrow = iid_stats(2.0, 3, 4), iid_stats(2.0, 3, 1)
+        for stats in ([wide, narrow], [narrow, wide]):
+            with pytest.raises(ValueError, match="transmit antenna count"):
+                sample_channel_block(stats, [np.ones(s.num_tx) for s in stats], 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("links, spectra", [(2, 1), (1, 2)])
+    def test_one_spectrum_per_link(self, links, spectra):
+        # Two links and one spectrum left the second link's rows unwritten.
+        with pytest.raises(ValueError):
+            sample_channel_block([iid_stats(2.0, 2, 3)] * links, [np.ones(3)] * spectra, 4, np.random.default_rng(0))
+
     @staticmethod
     def covariance_error(t, r, snr, p):
         # In the eigenbases of R and K = T^(1/2) P T^(1/2) the Kronecker

@@ -12,14 +12,7 @@ from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, s
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep
 from wiretap_lsl.linalg import hermitianize
-from wiretap_lsl.montecarlo import (
-    _SMALL_GRAM,
-    _Eliminator,
-    _kernel,
-    _logdet_cholesky,
-    mc_ergodic_mi,
-    mc_secrecy_rate,
-)
+from wiretap_lsl.montecarlo import _SMALL_GRAM, _Eliminator, _logdet_cholesky, mc_ergodic_mi, mc_secrecy_rate
 
 
 def principal_sqrt(a):
@@ -72,6 +65,12 @@ def generic_precoder(m, seed=0):
     return hermitianize(m * p / np.trace(p).real)
 
 
+BRANCHES = {
+    "elimination": lambda g, moments: _Eliminator(g.shape)(g, moments),
+    "cholesky": _logdet_cholesky,
+}
+
+
 class TestKernelOracle:
     @pytest.mark.parametrize(
         "snr, n, m, p, r",
@@ -112,17 +111,18 @@ class TestKernelOracle:
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-14)
 
+    @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("n", [6, 12])
-    def test_high_snr_tall_channel_matches_svd(self, n):
+    def test_high_snr_tall_channel_matches_svd(self, branch, n):
         # At 60 dB with N > M an N x N Gram I_N + G Gᴴ carries N - M unit
         # eigenvalues next to ~1e6 ones and is off from the SVD value by
-        # up to ~1e-11; the M x M Gram has no such eigenvalues.
+        # up to ~1e-11; the M x M Gram that both kernels take has none.
         stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
         k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
         g = sample_channel_block([stats], [k_eigs], 256, np.random.default_rng(1))
         sv = np.linalg.svd(g, compute_uv=False)
         expected = np.sum(np.log1p(sv**2), axis=1) / 4
-        assert np.allclose(_kernel(g.shape)(g, np.empty((2, 256))), expected, rtol=1e-12, atol=0)
+        assert np.allclose(BRANCHES[branch](g, np.empty((2, 256))), expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n, m", [(2, 4), (12, 4)])
     def test_zero_snr_exact(self, n, m):
@@ -147,10 +147,6 @@ def svd_logdet(g):
     return np.sum(np.log1p(sv**2), axis=-1) / g.shape[-1]
 
 
-BRANCHES = {
-    "elimination": lambda g, moments: _Eliminator(g.shape)(g, moments),
-    "cholesky": _logdet_cholesky,
-}
 # Gram orders up to _SMALL_GRAM, then above it; 1e6 is 60 dB.
 KERNEL_CASES = [
     (1, 4, 10.0),
@@ -193,8 +189,35 @@ class TestLogdetKernels:
         eliminated = BRANCHES["elimination"](g, moments[0])
         assert np.allclose(eliminated, _logdet_cholesky(g, moments[1]), rtol=1e-12, atol=0)
         assert np.allclose(moments[0], moments[1], rtol=1e-12, atol=0)
-        assert isinstance(_kernel(g.shape), _Eliminator)
-        assert _kernel((64, 3, _SMALL_GRAM + n + 1, _SMALL_GRAM + m + 1)) is _logdet_cholesky
+
+    @pytest.mark.parametrize("above", [0, 1], ids=["at", "above"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
+    def test_sample_switches_kernel_above_small_gram(self, monkeypatch, n, m, above):
+        # The six links of three rates with one N go as one stack: up to
+        # Gram order _SMALL_GRAM through one eliminator, above it through
+        # the Cholesky kernel.
+        rows, cols = _SMALL_GRAM + n + above, _SMALL_GRAM + m + above
+        main, eave = correlated_stats(10.0, rows, cols), correlated_stats(3.0, rows, cols)
+        rates = [lsl_secrecy_rate(main, eave, generic_precoder(cols, seed)) for seed in range(3)]
+        eliminators, choleskys = [], []
+
+        class RecordingEliminator(_Eliminator):
+            def __init__(self, shape):
+                eliminators.append(shape)
+                super().__init__(shape)
+
+        def recording_cholesky(g, moments):
+            choleskys.append(g.shape)
+            return _logdet_cholesky(g, moments)
+
+        monkeypatch.setattr(montecarlo, "_Eliminator", RecordingEliminator)
+        monkeypatch.setattr(montecarlo, "_logdet_cholesky", recording_cholesky)
+        mc_secrecy_rate(rates, 300, seed=1)
+        if above:
+            assert not eliminators
+            assert choleskys == [(256, 6, rows, cols), (44, 6, rows, cols)]
+        else:
+            assert eliminators == [(256, 6, rows, cols)] and not choleskys
 
     def test_reused_eliminator_matches_a_fresh_one(self):
         # The kernel keeps its arrays across calls; a shorter last block
@@ -399,6 +422,15 @@ class TestMcSecrecyRate:
             estimates = mc_secrecy_rate(rates, n, seed=(5, 1))
         assert shapes == [(min(256, n - start), 3 * (n_main + n_eave), m) for start in range(0, n, 256)]
         assert estimates == [mc_secrecy_rate([rate], n, seed=(5, 1))[0] for rate in rates]
+
+    def test_rates_must_share_m(self):
+        # A rate at M = 1 after one at M = 4 was sampled with W's four
+        # columns; in the other order the sampler failed to broadcast.
+        wide = lsl_secrecy_rate(correlated_stats(10.0, 4, 4), correlated_stats(1.0, 4, 4), np.eye(4))
+        narrow = lsl_secrecy_rate(correlated_stats(10.0, 4, 1), correlated_stats(1.0, 4, 1), np.eye(1))
+        for rates in ([wide, narrow], [narrow, wide]):
+            with pytest.raises(ValueError, match="transmit antenna count"):
+                mc_secrecy_rate(rates, 300, seed=0)
 
     def test_no_rates_no_estimates(self):
         assert mc_secrecy_rate([], 300, seed=0) == []
