@@ -197,12 +197,16 @@ def sample_channel_block(
     M and this one W: each scales W's first N rows, folding W's
     1/sqrt(2) and sqrt(rho/M) into one N x M elementwise scaling, and
     keeps its law. Their channels come back stacked by rows,
-    (count, sum of the N, M). Links that differ in M, or sequences of
-    different lengths, raise ValueError.
+    (count, sum of the N, M). Links that differ in M, a spectrum k
+    without its link's M entries, or sequences of different lengths
+    raise ValueError.
     """
     n, m = max(s.num_rx for s in stats), stats[0].num_tx
     if any(s.num_tx != m for s in stats):
         raise ValueError("all links must share the transmit antenna count")
+    for i, k in enumerate(k_eigs):
+        if np.shape(k) != (m,):
+            raise ValueError(f"spectrum {i} has shape {np.shape(k)}, not the ({m},) of its link's M")
     w = np.empty((count, n, m), dtype=complex)
     w.real, w.imag = rng.standard_normal((2, count, n, m))
     g = np.empty((count, sum(s.num_rx for s in stats), m), dtype=complex)

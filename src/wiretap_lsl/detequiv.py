@@ -32,28 +32,21 @@ _STACK_ENTRIES = 4096
 class FixedPoint:
     """One link evaluated at a precoder P: the solution (e, delta) of its
     coupled trace equations, the eigenvalues k_eigs of K = T^(1/2) P T^(1/2)
-    that the solve used, and the link's stats; together they give its MI."""
+    that the solve used, and the link's stats; together they give its MI.
+
+    mi is the deterministic-equivalent ergodic MI, nats per transmit
+    antenna: (1/M) ln det(I + b e K) + (1/M) ln det(I + d R) - (b/rho) d e,
+    with K = T^(1/2) P T^(1/2) (same determinant as T P, but guaranteed
+    HPD), and 0 at rho = 0. The solve evaluates it with (e, delta).
+    """
 
     e: float
     delta: float
     iterations: int
     residual: float
+    mi: float
     k_eigs: np.ndarray = field(repr=False, compare=False)
     stats: ChannelStatistics = field(repr=False, compare=False)
-
-    @cached_property
-    def mi(self) -> float:
-        """Deterministic-equivalent ergodic MI, nats per transmit antenna.
-
-        (1/M) ln det(I + b e K) + (1/M) ln det(I + d R) - (b/rho) d e, with
-        K = T^(1/2) P T^(1/2) (same determinant as T P, but guaranteed HPD).
-        """
-        rho, beta, m = self.stats.snr, self.stats.beta, self.stats.num_tx
-        if rho == 0.0:
-            return 0.0
-        term_t = np.log1p(beta * self.e * self.k_eigs).sum()
-        term_r = np.log1p(self.delta * self.stats.r_eigs).sum()
-        return float((term_t + term_r) / m - (beta / rho) * self.delta * self.e)
 
     @cached_property
     def mi_variance(self) -> float:
@@ -188,12 +181,17 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
     """The safeguarded Newton iteration of solve_fixed_point for links
     that share (N, M), writing each FixedPoint or NoConvergence to
     results[slot]. The links run on (N, B) and (M, B) arrays whose
-    columns are contiguous, so each column's sum is a 1-D sum."""
+    columns are contiguous, so each column's sum is a 1-D sum. The MIs
+    of all links that solve are evaluated together at the end."""
     n, m = stats[0].num_rx, stats[0].num_tx
     beta = n / m
-    r = np.stack([s.r_eigs for s in stats]).T
-    k = np.stack(k_eigs).T
+    spectra = np.stack([s.r_eigs for s in stats]).T, np.stack(k_eigs).T
+    r, k = spectra
     rho = np.array([s.snr for s in stats])
+    # Per link: its (e, delta, iterations, residual) once solved; and the
+    # links still iterating, by index.
+    solved = [None] * len(stats)
+    columns = list(range(len(stats)))
 
     # Loop invariants; each product keeps the equations' left-to-right
     # grouping, x * x is x**2, and np.add.reduce(x, 0) is np.sum(x) of
@@ -220,12 +218,12 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
             keep = []
             for j, res in enumerate(residual):
                 if res <= _FP_TOL:
-                    results[slots[j]] = FixedPoint(e_list[j], delta[j], it, res, k_eigs[j], stats[j])
+                    solved[columns[j]] = e_list[j], delta[j], it, res
                 else:
                     keep.append(j)
             if not keep:
-                return
-            stats, k_eigs, slots = [stats[j] for j in keep], [k_eigs[j] for j in keep], [slots[j] for j in keep]
+                break
+            columns = [columns[j] for j in keep]
             lo, hi, delta = [lo[j] for j in keep], [hi[j] for j in keep], [delta[j] for j in keep]
             g_list, residual = [g_list[j] for j in keep], [residual[j] for j in keep]
             # Rows of the transposes, so that the columns stay contiguous.
@@ -243,8 +241,34 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
                 delta[j] = dj - gj / dgj
             else:
                 delta[j] = 0.5 * (lo[j] + hi[j])
-    for slot, res in zip(slots, residual):
-        results[slot] = NoConvergence(f"fixed point residual {res:.3e} after {_FP_MAX_ITER} iterations")
+    else:
+        for j, res in zip(columns, residual):
+            results[slots[j]] = NoConvergence(f"fixed point residual {res:.3e} after {_FP_MAX_ITER} iterations")
+
+    done = [j for j, fp in enumerate(solved) if fp is not None]
+    if not done:
+        return
+    r, k = spectra
+    if len(done) < len(solved):
+        r, k, rho = r.T[done].T, k.T[done].T, rho[done]
+    e, delta = np.array([solved[j][0] for j in done]), np.array([solved[j][1] for j in done])
+    for j, mi in zip(done, _mi(beta, r, k, rho, e, delta)):
+        results[slots[j]] = FixedPoint(*solved[j], mi, k_eigs[j], stats[j])
+
+
+def _mi(beta: float, r: np.ndarray, k: np.ndarray, rho: np.ndarray, e: np.ndarray, delta: np.ndarray) -> list[float]:
+    """FixedPoint.mi of each column of _newton's (N, B) spectra r and
+    (M, B) spectra k, whose columns are contiguous, at its rho, e and
+    delta (B,). Each product keeps the formula's left-to-right grouping
+    and each column's sum is a 1-D sum, so every MI is bit for bit that
+    of its link alone. rho = 0 gives 0.0."""
+    m = k.shape[0]
+    term_t = np.add.reduce(np.log1p(beta * e * k), 0)
+    term_r = np.add.reduce(np.log1p(delta * r), 0)
+    positive = rho > 0.0
+    scale = np.divide(beta, rho, out=np.zeros_like(rho), where=positive)
+    mi = (term_t + term_r) / m - scale * delta * e
+    return np.where(positive, mi, 0.0).tolist()
 
 
 def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p: np.ndarray) -> LslRate:

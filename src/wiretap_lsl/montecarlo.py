@@ -246,8 +246,9 @@ def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...
     the plain paired mean is used. The clamp is applied to the estimate,
     never per realization.
 
-    All rates share every W, so they must share M (else ValueError), and
-    each keeps its own law and its own regression. Where all their links
+    All rates share every W, so they must share M, and each link's
+    k_eigs must hold M eigenvalues (else ValueError); each rate keeps
+    its own law and its own regression. Where all their links
     have the same numbers of receive antennas, as the rates of one sweep
     point do, each estimate equals that of its rate alone, bit for bit.
     No rates give no estimates.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,6 +23,8 @@ from .errors import NUMERICAL_FAILURES, AllZeroGains, BisectionFailure, OuterLoo
 from .linalg import congruence, gsvd
 
 _TRACE_SLACK = 1e-6
+# A gain at or below this has no finite reciprocal and counts as zero.
+_SMALLEST_GAIN = 1.0 / np.finfo(float).max
 _POWER_TOL = 1e-8
 _MU_LO = 1e-12
 _MU_HI = 1e12
@@ -53,16 +55,17 @@ class PowerAllocation:
 
 
 def _within_budget(p: np.ndarray) -> np.ndarray:
-    """Return a designed covariance after checking its trace against M.
+    """Return designed covariances, a stack (B, M, M), after checking
+    each one's trace against M.
 
     No PSD clip follows: the designs are Hermitian PSD up to roundoff
     (eigenvalues >= -3.5e-15 over the presets and 20 stress passes),
     far above the -1e-12 floor that psd_eigh enforces.
     """
-    budget = float(p.shape[0])
-    trace = float(np.trace(p).real)
-    if trace > budget + _TRACE_SLACK:
-        raise ValueError(f"trace {trace:.6f} exceeds budget {budget}")
+    budget = float(p.shape[-1])
+    for trace in np.trace(p, axis1=-2, axis2=-1).real.tolist():
+        if trace > budget + _TRACE_SLACK:
+            raise ValueError(f"trace {trace:.6f} exceeds budget {budget}")
     return p
 
 
@@ -73,32 +76,73 @@ def isotropic_precoder(m: int) -> np.ndarray:
     return np.eye(m, dtype=complex)
 
 
+def _groups(links: Sequence[tuple[ChannelStatistics, ...]], results: list) -> list[list[int]]:
+    """The indices of the items whose links, links[i], factor their T,
+    grouped by M in order of first appearance; an item whose link fails
+    to factor gets that error in results[i] instead."""
+    groups = {}
+    for i, item_links in enumerate(links):
+        try:
+            for stats in item_links:
+                stats.t_eigh  # factors T on first use, which can fail
+        except NUMERICAL_FAILURES as exc:
+            results[i] = as_value(exc)
+        else:
+            groups.setdefault(item_links[0].num_tx, []).append(i)
+    return list(groups.values())
+
+
 def waterfill_levels(gains, budget: float) -> PowerAllocation:
     """Exact water-filling over parallel subchannels with power gains.
 
     levels[i] = max(0, 1/mu - 1/gains[i]), with mu fixed by the budget
     through an active-set computation (no numerical search). A gain whose
-    reciprocal overflows, such as a subnormal one, counts as zero.
+    reciprocal overflows, such as a subnormal one, counts as zero; with
+    no other gain, raises AllZeroGains. The one-row case of
+    waterfill_stack.
     """
-    gains = np.asarray(gains, dtype=float)
     if budget <= 0:
         raise ValueError("budget must be > 0")
-    k_max = int(np.count_nonzero(gains > 1.0 / np.finfo(float).max))
-    if k_max == 0:
-        raise AllZeroGains("water-filling needs a gain whose reciprocal is finite")
+    levels, mu, (error,) = waterfill_stack(np.asarray(gains, dtype=float)[None], budget)
+    if error is not None:
+        raise error
+    return PowerAllocation(levels=levels[0], mu=mu[0])
 
-    order = np.argsort(-gains)
-    inv = 1.0 / gains[order[:k_max]]
+
+def waterfill_stack(gains: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, list[AllZeroGains | None]]:
+    """waterfill_levels of each row of gains (B, M) with one budget:
+    the levels (B, M), the multipliers mu (B,) and, per row, None or the
+    AllZeroGains that fails it, whose row of levels and mu are NaN.
+
+    Each row is sorted on its own, and its water levels are a cumsum
+    along the row, which is sequential, so every row's results are bit
+    for bit those of the row alone. A gain that counts as zero is never
+    inverted, so zero and subnormal gains raise no floating-point
+    warning.
+    """
+    gains = np.asarray(gains, dtype=float)
+    count, m = gains.shape
+    rank, row = np.arange(m), np.arange(count)[:, None]
+    order = np.argsort(-gains, axis=-1)
+    ranked = gains[row, order]
+    usable = ranked > _SMALLEST_GAIN  # sorted, the usable gains come first
+    inv = 1.0 / np.where(usable, ranked, np.inf)
     # Water level of each active set of the k strongest channels; the
     # largest set whose level clears its worst channel is the answer.
-    water = (budget + np.cumsum(inv)) / np.arange(1, k_max + 1)
-    clears = water > inv
-    clears[0] = True  # exact for k = 1, unless budget + inv[0] rounds to inv[0]
-    active = int(np.flatnonzero(clears)[-1]) + 1
-    level = water[active - 1]
-    levels = np.zeros_like(gains)
-    levels[order[:active]] = level - inv[:active]
-    return PowerAllocation(levels=levels, mu=1.0 / level)
+    water = (budget + np.cumsum(inv, axis=-1)) / (rank + 1)
+    clears = (water > inv) & usable
+    clears[:, 0] = True  # exact for k = 1, unless budget + inv[0] rounds to inv[0]
+    active = m - np.argmax(clears[:, ::-1], axis=-1)
+    level = water[row[:, 0], active - 1]
+    levels = np.empty(gains.shape)
+    levels[row, order] = np.where(rank < active[:, None], level[:, None] - inv, 0.0)
+    mu = 1.0 / level
+    failed = ~usable[:, 0]
+    message = "water-filling needs a gain whose reciprocal is finite"
+    errors = [AllZeroGains(message) if f else None for f in failed.tolist()]
+    if failed.any():
+        levels[failed], mu[failed] = np.nan, np.nan
+    return levels, mu, errors
 
 
 def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
@@ -106,21 +150,54 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
 
     Gains are the eigenvalues of beta*em*T (the KKT-consistent squared
     singular values). em = 0 only at rho = 0, where no gain is positive
-    and waterfill_levels raises AllZeroGains.
+    and waterfill_levels raises AllZeroGains. The one-item case of
+    waterfill_precoders.
     """
-    lam, q = stats_m.t_eigh
-    gains = stats_m.beta * em * lam
-    alloc = waterfill_levels(gains, float(stats_m.num_tx))
-    return _within_budget(congruence(q, alloc.levels))
+    (result,) = waterfill_precoders([(stats_m, em)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> list[np.ndarray | Exception]:
+    """waterfill_precoder of every (stats_m, em) in items, those with the
+    same M as one stack: one waterfill_stack and one stacked congruence.
+    An item that fails gets, in place of its covariance, the error that
+    waterfill_precoder raises for it."""
+    results = [None] * len(items)
+    for slots in _groups([item[:1] for item in items], results):
+        links = [items[i][0] for i in slots]
+        lam = np.stack([stats.t_eigh[0] for stats in links])
+        q = np.stack([stats.t_eigh[1] for stats in links])
+        scale = np.array([stats.beta * items[i][1] for stats, i in zip(links, slots)])
+        levels, _, errors = waterfill_stack(scale[:, None] * lam, float(lam.shape[-1]))
+        _covariances(slots, q, levels, errors, results)
+    return results
+
+
+def _covariances(slots: list[int], x: np.ndarray, levels: np.ndarray, errors: list, results: list) -> None:
+    """Write to results[slot] the error of each slot that has one, and
+    else the covariance X diag(levels) Xᴴ of its rows of the stacks x
+    (B, M, M) and levels (B, M), all from one stacked congruence."""
+    good = [j for j, error in enumerate(errors) if error is None]
+    if len(good) < len(slots):
+        for slot, error in zip(slots, errors):
+            if error is not None:
+                results[slot] = error
+        x, levels = x[good], levels[good]
+    if good:
+        for j, p in zip(good, _within_budget(congruence(x, levels))):
+            results[slots[j]] = p
 
 
 class SubchannelTerms(NamedTuple):
-    """The mu-independent arrays of the GSVD power allocation: for squared
-    generalized singular values sm, se and power costs v, diff = sm - se,
-    the multiples of p = sm * se that the closed form reads, and its two
-    masks. two_p is 1 where the subchannel is linear (p <= 1e-14), so the
-    quadratic root computed and discarded there stays finite.
-    gsvd_precoder builds them once per call, not once per mu."""
+    """The mu-independent arrays of the GSVD power allocation, each
+    (..., M): for squared generalized singular values sm, se and power
+    costs v, diff = sm - se, the multiples of p = sm * se that the closed
+    form reads, and its two masks. two_p is 1 where the subchannel is
+    linear (p <= 1e-14), so the quadratic root computed and discarded
+    there stays finite. gsvd_precoders builds them once per stack, not
+    once per mu."""
 
     diff: np.ndarray
     v: np.ndarray
@@ -129,6 +206,10 @@ class SubchannelTerms(NamedTuple):
     four_p: np.ndarray
     two_p: np.ndarray
     active: np.ndarray
+
+    def rows(self, index) -> SubchannelTerms:
+        """The terms of the rows index of a stack."""
+        return SubchannelTerms(*(terms[index] for terms in self))
 
 
 def subchannel_terms(sigma_m2, sigma_e2, v_diag) -> SubchannelTerms:
@@ -149,14 +230,15 @@ def subchannel_terms(sigma_m2, sigma_e2, v_diag) -> SubchannelTerms:
     )
 
 
-def gsvd_power_allocation(terms: SubchannelTerms, mu: float) -> np.ndarray:
-    """Closed-form per-subchannel powers for GSVD beamforming at a given mu.
+def gsvd_power_allocation(terms: SubchannelTerms, mu) -> np.ndarray:
+    """Closed-form per-subchannel powers for GSVD beamforming at a given mu,
+    or of each row of stacked terms (B, M) at its own mu (B, 1).
 
     Subchannels where the main-channel share does not exceed the
     eavesdropper's get zero power; a negative discriminant likewise
     means the subchannel cannot pay for itself at this mu.
     """
-    if mu <= 0:
+    if np.less_equal(mu, 0.0).any():
         raise ValueError("mu must be > 0")
     gain = terms.diff / (_LN2 * mu * terms.v)
     disc = terms.one_minus_4p + terms.four_p * gain
@@ -167,27 +249,40 @@ def gsvd_power_allocation(terms: SubchannelTerms, mu: float) -> np.ndarray:
     return np.where(terms.active, np.maximum(0.0, levels), 0.0)
 
 
-def _power_excess(terms: SubchannelTerms, m: int, mu: float, evaluated: dict) -> tuple[np.ndarray, float]:
-    """(levels, power minus the trace budget M) at mu, allocated once per mu."""
-    if mu not in evaluated:
-        levels = gsvd_power_allocation(terms, mu)
-        evaluated[mu] = levels, float(np.dot(levels, terms.v)) - m
-    return evaluated[mu]
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with that of b, (L, M) -> (L,):
+    a stack of (1, M) @ (M, 1) products, each the BLAS dot that np.dot
+    makes of the two rows alone."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _newton_step(terms: SubchannelTerms, mu: float, levels: np.ndarray, excess: float, target: float) -> float:
+def _power_excess(terms: SubchannelTerms, m: int, mu: list[float]) -> tuple[np.ndarray, list[float], list[float]]:
+    """The levels (L, M) of the rows of terms at their multipliers mu and,
+    per row, its power minus the trace budget M and the slope that a
+    Newton step from mu reads: the sum of diff / (1 + 2 p level) over the
+    powered subchannels, or NaN where the excess is not finite."""
+    levels = gsvd_power_allocation(terms, np.array(mu)[:, None])
+    excess = (_row_dots(levels, terms.v) - m).tolist()
+    finite = [i for i, x in enumerate(excess) if math.isfinite(x)]
+    diff, four_p, powered = terms.diff, terms.four_p, levels
+    if len(finite) < len(mu):
+        diff, four_p, powered = diff[finite], four_p[finite], powered[finite]
+    slope = [math.nan] * len(mu)
+    dots = _row_dots(diff / (1.0 + 0.5 * four_p * powered), (powered > 0).astype(float))
+    for i, x in zip(finite, dots.tolist()):
+        slope[i] = x
+    return levels, excess, slope
+
+
+def _newton_step(mu: float, excess: float, slope: float, target: float) -> float:
     """The Newton step from mu towards excess = target, or NaN.
 
     d excess / d log mu = -slope / (ln2 mu) and d excess / d (1/mu) =
-    slope / ln2, where slope sums diff / (1 + 2 p level) over the powered
-    subchannels. The excess is convex in log mu and, but for the kinks
+    slope / ln2. The excess is convex in log mu and, but for the kinks
     where a subchannel switches on, concave in 1/mu, so a step from above
     the target is taken in log mu and one from below in 1/mu: either
     lands on its own side of the target.
     """
-    if not math.isfinite(excess):
-        return math.nan
-    slope = float(np.dot(terms.diff / (1.0 + 0.5 * terms.four_p * levels), levels > 0))
     if not slope > 0:
         return math.nan
     if excess > target:
@@ -195,20 +290,28 @@ def _newton_step(terms: SubchannelTerms, mu: float, levels: np.ndarray, excess: 
     return 1.0 / (1.0 / mu + (target - excess) * _LN2 / slope)
 
 
-def _newton_bracket(terms: SubchannelTerms, m: int, evaluated: dict) -> tuple[float, float]:
-    """Evaluated multipliers over < under whose power excess is above +tol
-    at over and below -tol at under; 0 and inf stand for no such point.
+def _search(diff: np.ndarray, v: np.ndarray, active: np.ndarray, m: int, evaluated: dict) -> Generator:
+    """The multiplier search of one row of the terms (its diff, v and
+    active): a generator that yields each mu it evaluates, finds
+    (levels, excess, slope) at mu in evaluated when resumed, and returns
+    the levels at the mu that gsvd_precoder takes, or the
+    BisectionFailure it raises.
 
-    Newton steps aim just outside the band |excess| <= tol, first on the
-    side of the current point, then on the other, until the excess at
-    both ends is within _NEWTON_TIGHT * tol. The first point is the root
-    of the linear model with every active subchannel powered, exact when
-    all of them are linear and powered. A step that leaves (over, under)
-    or repeats a point is replaced by the geometric midpoint, and the
-    search ends when that fails too: any evaluated ends are valid.
+    First a Newton search brackets the root: it evaluates a mu = over
+    whose power excess is above +tol and a mu = under whose excess is
+    below -tol, with 0 and inf for no such point. Its steps aim just
+    outside the band |excess| <= tol, first on the side of the current
+    point, then on the other, until the excess at both ends is within
+    _NEWTON_TIGHT * tol. The first point is the root of the linear
+    model with every active subchannel powered, exact when all of them
+    are linear and powered. A step that leaves (over, under) or repeats
+    a point is replaced by the geometric midpoint, and the search ends
+    when that fails too: any evaluated ends are valid.
+
+    Then the bisection of log mu over [_MU_LO, _MU_HI] evaluates only
+    its steps inside (over, under); see gsvd_precoder.
     """
-    active = terms.active
-    mu = float(np.sum(terms.diff[active]) / (_LN2 * (m + np.sum(terms.v[active]))))
+    mu = float(np.sum(diff[active]) / (_LN2 * (m + np.sum(v[active]))))
     over, under = 0.0, math.inf
     excess_over, excess_under = math.inf, -math.inf
     for _ in range(_NEWTON_MAX_STEPS):
@@ -216,7 +319,8 @@ def _newton_bracket(terms: SubchannelTerms, m: int, evaluated: dict) -> tuple[fl
             mu = math.sqrt(over) * math.sqrt(under)
             if not over < mu < under or mu in evaluated:
                 break
-        levels, excess = _power_excess(terms, m, mu, evaluated)
+        yield mu
+        _, excess, slope = evaluated[mu]
         if excess > _POWER_TOL:
             over, excess_over = mu, excess
         elif excess < -_POWER_TOL:
@@ -224,12 +328,69 @@ def _newton_bracket(terms: SubchannelTerms, m: int, evaluated: dict) -> tuple[fl
         need_over = excess_over > _NEWTON_TIGHT * _POWER_TOL
         need_under = excess_under < -_NEWTON_TIGHT * _POWER_TOL
         if need_over and (excess > 0 or not need_under):
-            mu = _newton_step(terms, mu, levels, excess, _NEWTON_AIM * _POWER_TOL)
+            mu = _newton_step(mu, excess, slope, _NEWTON_AIM * _POWER_TOL)
         elif need_under:
-            mu = _newton_step(terms, mu, levels, excess, -_NEWTON_AIM * _POWER_TOL)
+            mu = _newton_step(mu, excess, slope, -_NEWTON_AIM * _POWER_TOL)
         else:
             break
-    return over, under
+
+    lo, hi = _MU_LO, _MU_HI
+    mu = math.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
+    while lo < mu < hi:
+        last = mu
+        if over < mu < under:
+            if mu not in evaluated:
+                yield mu
+            levels, excess, _ = evaluated[mu]
+            if abs(excess) <= _POWER_TOL:
+                return levels
+        else:  # decided by the Newton search, which knows only the sign
+            excess = math.inf if mu <= over else -math.inf
+        if excess > 0:
+            lo = mu
+        else:
+            hi = mu
+        mu = math.sqrt(lo * hi)
+    if last not in evaluated:
+        yield last
+    return BisectionFailure(
+        f"power budget not met for mu in [{_MU_LO:g}, {_MU_HI:g}]; last excess {evaluated[last][1]:.3e}"
+    )
+
+
+def _searches(terms: SubchannelTerms, m: int) -> tuple[np.ndarray, list, list[dict]]:
+    """_search of every row of terms (B, M), all in lockstep: each round
+    evaluates the multipliers that the waiting searches yield as one
+    stack, adds them to their rows' evaluations and resumes those
+    searches. Every evaluation is bit for bit the one of its row alone,
+    so each search takes the steps it takes alone. Returns the levels
+    found (B, M), NaN in a failed row; per row, None or its
+    BisectionFailure; and each row's evaluations, mu -> (levels, excess,
+    slope)."""
+    evaluated = [{} for _ in terms.diff]
+    searches = [_search(*row, m, ev) for *row, ev in zip(terms.diff, terms.v, terms.active, evaluated)]
+    waiting = list(enumerate(searches))
+    found, errors = np.full(terms.diff.shape, np.nan), [None] * len(searches)
+    asked, rows = list(range(len(searches))), terms
+    while waiting:
+        asks = []
+        for j, search in waiting:
+            try:
+                asks.append((j, search, next(search)))
+            except StopIteration as stop:
+                if isinstance(stop.value, Exception):
+                    errors[j] = stop.value
+                else:
+                    found[j] = stop.value
+        if asks:
+            previous, asked = asked, [j for j, _, _ in asks]
+            if asked != previous:
+                rows = terms.rows(asked)
+            levels, excesses, slopes = _power_excess(rows, m, [mu for _, _, mu in asks])
+            for i, (j, _, mu) in enumerate(asks):
+                evaluated[j][mu] = levels[i], excesses[i], slopes[i]
+        waiting = [(j, search) for j, search, _ in asks]
+    return found, errors, evaluated
 
 
 def gsvd_precoder(
@@ -247,7 +408,7 @@ def gsvd_precoder(
 
     mu is where a bisection of log mu over [_MU_LO, _MU_HI] first finds
     the allocation's power within _POWER_TOL of the budget M. A Newton
-    search (_newton_bracket) first evaluates a mu = over whose power
+    search (_search) first evaluates a mu = over whose power
     excess is above +tol and a mu = under whose excess is below -tol, both
     close to the root. The bisection then takes every step at mu <= over
     or mu >= under without evaluating it: such a step raises the lower end
@@ -260,42 +421,64 @@ def gsvd_precoder(
     evaluates each step. Each step stops or strictly shrinks the bracket,
     and no mu is evaluated twice; once the midpoint rounds onto an end of
     the bracket, BisectionFailure reports the excess at the last midpoint.
+
+    The one-item case of gsvd_precoders.
     """
-    m = stats_m.num_tx
-    a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
-    b = np.sqrt(stats_e.beta * ee) * stats_e.t_sqrt
-    sigma_m, sigma_e, x = gsvd(a, b)
+    (result,) = gsvd_precoders([(stats_m, stats_e, em, ee)])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def gsvd_precoders(
+    items: Sequence[tuple[ChannelStatistics, ChannelStatistics, float, float]],
+) -> list[np.ndarray | Exception]:
+    """gsvd_precoder of every (stats_m, stats_e, em, ee) in items, those
+    with the same M as one stack: one gsvd, the multiplier searches of
+    all of them in lockstep (_searches) and one stacked congruence. An
+    item that fails gets, in place of its covariance, the error that
+    gsvd_precoder raises for it (RankDeficient, BisectionFailure, or a
+    LinAlgError from LAPACK)."""
+    results = [None] * len(items)
+    for slots in _groups([item[:2] for item in items], results):
+        _gsvd_designs(items, slots, results)
+    return results
+
+
+def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
+    """gsvd_precoders of the items at slots, which share M."""
+    mains = [items[i][0] for i in slots]
+    eaves = [items[i][1] for i in slots]
+    m = mains[0].num_tx
+    scale_m = np.sqrt(np.array([stats.beta * items[i][2] for stats, i in zip(mains, slots)]))
+    scale_e = np.sqrt(np.array([stats.beta * items[i][3] for stats, i in zip(eaves, slots)]))
+    a = scale_m[:, None, None] * np.stack([stats.t_sqrt for stats in mains])
+    b = scale_e[:, None, None] * np.stack([stats.t_sqrt for stats in eaves])
+    sigma_m, sigma_e, x, errors = gsvd(a, b)
     sm2 = sigma_m**2
     se2 = sigma_e**2
     # P = X diag(levels) Xᴴ has trace sum_i levels[i] ||x_i||², so the
     # squared column norms of X are the subchannels' power costs.
-    v_diag = np.einsum("ij,ij->j", x, x.conj()).real
+    v_diag = np.einsum("bij,bij->bj", x, x.conj()).real
 
     # Rounding can split an exact sigma tie by ~1e-16; such subchannels
     # carry no secrecy gain and must not count as active.
-    if not np.any(sm2 > se2 + 1e-12):
-        return np.zeros((m, m), dtype=complex)
-
-    terms = subchannel_terms(sm2, se2, v_diag)
-    evaluated = {}
-    over, under = _newton_bracket(terms, m, evaluated)
-    lo, hi = _MU_LO, _MU_HI
-    mu = math.sqrt(lo * hi)  # mu spans 24 decades; bisect in log scale
-    while lo < mu < hi:
-        last = mu
-        if over < mu < under:
-            levels, excess = _power_excess(terms, m, mu, evaluated)
-            if abs(excess) <= _POWER_TOL:
-                return _within_budget(congruence(x, levels))
-        else:  # decided by the Newton search, which knows only the sign
-            excess = math.inf if mu <= over else -math.inf
-        if excess > 0:
-            lo = mu
+    favored = (sm2 > se2 + 1e-12).any(-1).tolist()
+    powered = []
+    for j, (slot, error, any_favored) in enumerate(zip(slots, errors, favored)):
+        if error is not None:
+            results[slot] = error
+        elif not any_favored:
+            results[slot] = np.zeros((m, m), dtype=complex)
         else:
-            hi = mu
-        mu = math.sqrt(lo * hi)
-    excess = _power_excess(terms, m, last, evaluated)[1]
-    raise BisectionFailure(f"power budget not met for mu in [{_MU_LO:g}, {_MU_HI:g}]; last excess {excess:.3e}")
+            powered.append(j)
+    if not powered:
+        return
+    if len(powered) < len(slots):
+        slots = [slots[j] for j in powered]
+        x, sm2, se2, v_diag = x[powered], sm2[powered], se2[powered], v_diag[powered]
+    levels, errors, _ = _searches(subchannel_terms(sm2, se2, v_diag), m)
+    _covariances(slots, x, levels, errors, results)
 
 
 def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, int]:
@@ -326,10 +509,11 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     all their outer loops in lockstep.
 
     Each outer iteration designs the next precoder of every running
-    loop, then solves both links at all of them in one
-    lsl_secrecy_rates call. A loop leaves the lockstep when it converges,
-    reaches a cycle or fails, and each keeps its own cap, cycle detection
-    and OuterLoopNoConvergence warning; the cycle replay stays until the
+    loop, those of each (strategy, M) as one stack, then solves both
+    links at all of them in one lsl_secrecy_rates call. A loop leaves
+    the lockstep when it converges, reaches a cycle or fails, and each
+    keeps its own cap, cycle detection and OuterLoopNoConvergence
+    warning; the cycle replay stays until the
     benchmark stops pinning it (ROADMAP items 1 and 3). Returns, in the
     order of jobs, what optimize returns for each, or the numerical
     failure it would raise (a WiretapError or a LinAlgError), without its
@@ -347,11 +531,11 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
         if not running:
             break
         designed = []
-        for slot, loop in running:
-            try:
-                designed.append((slot, loop, loop.design()))
-            except NUMERICAL_FAILURES as exc:
-                results[slot] = as_value(exc)
+        for (slot, loop), p in zip(running, _designs([loop for _, loop in running])):
+            if isinstance(p, Exception):
+                results[slot] = p
+            else:
+                designed.append((slot, loop, p))
         rates = lsl_secrecy_rates([(loop.stats_m, loop.stats_e, p) for _, loop, p in designed])
         running = []
         for (slot, loop, p), rate in zip(designed, rates):
@@ -365,6 +549,25 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     return results
 
 
+def _designs(loops: list[_OuterLoop]) -> list[np.ndarray | Exception]:
+    """The next precoder of each loop from the fixed points of its rate,
+    or the error that designing it raises: the water-filling loops in
+    one waterfill_precoders call and the GSVD loops in one
+    gsvd_precoders call, each stacking its loops by M."""
+    designs = [None] * len(loops)
+    wf = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.WATER_FILLING]
+    gs = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.GSVD_BEAMFORMING]
+    if wf:
+        items = [(loops[i].stats_m, loops[i].rate.fp_main.e) for i in wf]
+        for i, p in zip(wf, waterfill_precoders(items)):
+            designs[i] = p
+    if gs:
+        items = [(loops[i].stats_m, loops[i].stats_e, loops[i].rate.fp_main.e, loops[i].rate.fp_eave.e) for i in gs]
+        for i, p in zip(gs, gsvd_precoders(items)):
+            designs[i] = p
+    return designs
+
+
 class _OuterLoop:
     """One optimize call between outer iterations: the current precoder
     and its rate, and the precoders seen so far."""
@@ -375,12 +578,6 @@ class _OuterLoop:
         self.p, self.rate = isotropic_precoder(self.stats_m.num_tx), start
         self.history = [(self.p, self.rate)]
         self.first_seen = {self.p.tobytes(): 0}
-
-    def design(self) -> np.ndarray:
-        """The next precoder; rate holds the fixed points solved for p."""
-        if self.strategy is Strategy.WATER_FILLING:
-            return waterfill_precoder(self.stats_m, self.rate.fp_main.e)
-        return gsvd_precoder(self.stats_m, self.stats_e, self.rate.fp_main.e, self.rate.fp_eave.e)
 
     def advance(self, it: int, p: np.ndarray, rate: LslRate) -> tuple[np.ndarray, LslRate, int] | None:
         """Move to outer iteration it's precoder p and its rate; return

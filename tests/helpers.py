@@ -7,9 +7,9 @@ import numpy as np
 from wiretap_lsl import detequiv, experiment, precoders
 from wiretap_lsl.channel import ChannelStatistics
 from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rate
-from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
-from wiretap_lsl.linalg import congruence
-from wiretap_lsl.precoders import gsvd_power_allocation, isotropic_precoder, subchannel_terms
+from wiretap_lsl.errors import AllZeroGains, BisectionFailure, NoConvergence, NotPsd, RankDeficient, WiretapError
+from wiretap_lsl.linalg import congruence, gsvd
+from wiretap_lsl.precoders import PowerAllocation, gsvd_power_allocation, isotropic_precoder, subchannel_terms
 
 
 def iid_stats(snr, n, m):
@@ -22,15 +22,107 @@ def isotropic_start(stats_m, stats_e):
     return lsl_secrecy_rate(stats_m, stats_e, isotropic_precoder(stats_m.num_tx))
 
 
-def reference_gsvd_precoder(stats_m, stats_e, em, ee):
+def gsvd_pair(a, b):
+    """The stacked gsvd of one pair (M, M): its sigma_m, sigma_e and x,
+    or its error raised."""
+    sigma_m, sigma_e, x, (error,) = gsvd(np.asarray(a)[None], np.asarray(b)[None])
+    if error is not None:
+        raise error
+    return sigma_m[0], sigma_e[0], x[0]
+
+
+def reference_gsvd(a, b):
+    """The GSVD of one pair of square matrices on 2-D arrays, with its
+    own two np.linalg.svd calls: the oracle that every pair of a stacked
+    gsvd must match byte for byte, RankDeficient messages included."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    m = a.shape[0]
+    u, sv, yh = np.linalg.svd(np.vstack([a, b]), full_matrices=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        raise RankDeficient(f"stacked matrix condition {sv[0] / max(sv[-1], 1e-300):.3e}")
+    _, sigma_e, wh = np.linalg.svd(u[m:])
+    sigma_e = sigma_e[::-1]
+    w = wh[::-1].conj().T
+    sigma_m = np.linalg.norm(u[:m] @ w, axis=0)
+    return sigma_m, sigma_e, (yh.conj().T / sv) @ w
+
+
+def reference_waterfill_levels(gains, budget):
+    """Water-filling of one gain vector on 1-D arrays: the oracle that
+    every row of waterfill_stack must match byte for byte."""
+    gains = np.asarray(gains, dtype=float)
+    k_max = int(np.count_nonzero(gains > 1.0 / np.finfo(float).max))
+    if k_max == 0:
+        raise AllZeroGains("water-filling needs a gain whose reciprocal is finite")
+    order = np.argsort(-gains)
+    inv = 1.0 / gains[order[:k_max]]
+    water = (budget + np.cumsum(inv)) / np.arange(1, k_max + 1)
+    clears = water > inv
+    clears[0] = True
+    active = int(np.flatnonzero(clears)[-1]) + 1
+    level = water[active - 1]
+    levels = np.zeros_like(gains)
+    levels[order[:active]] = level - inv[:active]
+    return PowerAllocation(levels=levels, mu=1.0 / level)
+
+
+def reference_newton_bracket(terms, m):
+    """The Newton search of one row of terms on 1-D arrays, each power
+    and slope an np.dot: the oracle of each row of a lockstep search.
+    Returns (over, under, evaluations)."""
+    tol, aim, tight = precoders._POWER_TOL, precoders._NEWTON_AIM, precoders._NEWTON_TIGHT
+    ln2 = math.log(2.0)
+
+    def step(mu, levels, excess, target):
+        if not math.isfinite(excess):
+            return math.nan
+        slope = float(np.dot(terms.diff / (1.0 + 0.5 * terms.four_p * levels), levels > 0))
+        if not slope > 0:
+            return math.nan
+        if excess > target:
+            return mu * math.exp(min((excess - target) * ln2 * mu / slope, 700.0))
+        return 1.0 / (1.0 / mu + (target - excess) * ln2 / slope)
+
+    active = terms.active
+    mu = float(np.sum(terms.diff[active]) / (ln2 * (m + np.sum(terms.v[active]))))
+    evaluated = {}
+    over, under = 0.0, math.inf
+    excess_over, excess_under = math.inf, -math.inf
+    for _ in range(precoders._NEWTON_MAX_STEPS):
+        if not over < mu < under or mu in evaluated:
+            mu = math.sqrt(over) * math.sqrt(under)
+            if not over < mu < under or mu in evaluated:
+                break
+        levels = gsvd_power_allocation(terms, mu)
+        excess = float(np.dot(levels, terms.v)) - m
+        evaluated[mu] = levels, excess
+        if excess > tol:
+            over, excess_over = mu, excess
+        elif excess < -tol:
+            under, excess_under = mu, excess
+        need_over = excess_over > tight * tol
+        need_under = excess_under < -tight * tol
+        if need_over and (excess > 0 or not need_under):
+            mu = step(mu, levels, excess, aim * tol)
+        elif need_under:
+            mu = step(mu, levels, excess, -aim * tol)
+        else:
+            break
+    return over, under, evaluated
+
+
+def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
     """gsvd_precoder with a bisection that evaluates the allocation at
     every step: the oracle that gsvd_precoder must match byte for byte,
-    BisectionFailure messages included. It takes the GSVD from the
-    precoders module, so a test that replaces it there replaces it here."""
+    BisectionFailure messages included. It takes the GSVD from
+    reference_gsvd, or uses the (sigma_m, sigma_e, x) given as factors."""
     m = stats_m.num_tx
-    a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
-    b = np.sqrt(stats_e.beta * ee) * stats_e.t_sqrt
-    sigma_m, sigma_e, x = precoders.gsvd(a, b)
+    if factors is None:
+        a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
+        b = np.sqrt(stats_e.beta * ee) * stats_e.t_sqrt
+        factors = reference_gsvd(a, b)
+    sigma_m, sigma_e, x = factors
     sm2 = sigma_m**2
     se2 = sigma_e**2
     v_diag = np.einsum("ij,ij->j", x, x.conj()).real
@@ -45,7 +137,10 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee):
         levels = gsvd_power_allocation(terms, mu)
         excess = float(np.dot(levels, v_diag)) - m  # the trace budget is M
         if abs(excess) <= precoders._POWER_TOL:
-            return precoders._within_budget(congruence(x, levels))
+            p = congruence(x, levels)
+            if np.trace(p).real > m + precoders._TRACE_SLACK:
+                raise ValueError(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
+            return p
         if excess > 0:
             lo = mu
         else:
@@ -54,6 +149,17 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee):
     raise BisectionFailure(
         f"power budget not met for mu in [{precoders._MU_LO:g}, {precoders._MU_HI:g}]; last excess {excess:.3e}"
     )
+
+
+def reference_mi(stats, e, delta, k_eigs):
+    """The deterministic-equivalent MI of one link on 1-D arrays: the
+    oracle of FixedPoint.mi, which the batched solve evaluates."""
+    rho, beta, m = stats.snr, stats.beta, stats.num_tx
+    if rho == 0.0:
+        return 0.0
+    term_t = np.log1p(beta * e * k_eigs).sum()
+    term_r = np.log1p(delta * stats.r_eigs).sum()
+    return float((term_t + term_r) / m - (beta / rho) * delta * e)
 
 
 def reference_solve_fixed_point(stats, p):
@@ -80,7 +186,8 @@ def reference_solve_fixed_point(stats, p):
         g = delta - (rho / m) * np.sum(k_q)
         residual = abs(g) / max(1.0, delta)
         if residual <= detequiv._FP_TOL:
-            return FixedPoint(float(e), float(delta), it, float(residual), k_eigs, stats)
+            e, delta = float(e), float(delta)
+            return FixedPoint(e, delta, it, float(residual), reference_mi(stats, e, delta, k_eigs), k_eigs, stats)
         if g < 0.0:
             lo = delta
         else:

@@ -7,10 +7,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import exp1
 
-from helpers import iid_stats, isotropic_start
+from helpers import gsvd_pair, iid_stats, isotropic_start
 from wiretap_lsl.detequiv import solve_fixed_point
 from wiretap_lsl.experiment import build_statistics, figure_preset, point_config
-from wiretap_lsl.linalg import gsvd
 from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate
 from wiretap_lsl.precoders import (
     Strategy,
@@ -132,7 +131,7 @@ def test_criterion_09_gsvd_property_suite():
         m = int(rng.integers(2, 9))
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        sigma_m, sigma_e, x = gsvd(a, b)
+        sigma_m, sigma_e, x = gsvd_pair(a, b)
         ax, bx = a @ x, b @ x
         checks = [
             np.linalg.norm(ax.conj().T @ ax - np.diag(sigma_m**2)) <= 1e-8,

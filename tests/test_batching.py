@@ -27,7 +27,7 @@ PRESETS = ("fig2", "fig3", "fig4", "fig5")
 
 
 def fields(fp):
-    return fp.e, fp.delta, fp.iterations, fp.residual, fp.k_eigs.tobytes(), fp.stats
+    return fp.e, fp.delta, fp.iterations, fp.residual, fp.mi, fp.k_eigs.tobytes(), fp.stats
 
 
 def outcome(solve, stats, p):
@@ -255,19 +255,22 @@ class TestLockstepSweep:
         assert "wf" in capped and len(caught) == len(capped)
 
     def test_design_failing_mid_loop(self, monkeypatch):
-        # The third gsvd design at 5 dB raises, two outer iterations into
+        # The third gsvd design at 5 dB fails, two outer iterations into
         # a loop of four, while wf there runs on for seven: that row alone
-        # fails.
-        original = precoders.gsvd_precoder
+        # fails. The designs of a step come as one stack; the failure is
+        # its element's value.
+        original = precoders.gsvd_precoders
         designs = {}
 
-        def failing(stats_m, stats_e, em, ee):
-            count = designs[stats_m.snr] = designs.get(stats_m.snr, 0) + 1
-            if stats_m.snr == experiment.db_to_linear(5.0) and count == 3:
-                raise BisectionFailure("no multiplier meets the budget")
-            return original(stats_m, stats_e, em, ee)
+        def failing(items):
+            results = original(items)
+            for i, (stats_m, _, _, _) in enumerate(items):
+                count = designs[stats_m.snr] = designs.get(stats_m.snr, 0) + 1
+                if stats_m.snr == experiment.db_to_linear(5.0) and count == 3:
+                    results[i] = BisectionFailure("no multiplier meets the budget")
+            return results
 
-        monkeypatch.setattr(precoders, "gsvd_precoder", failing)
+        monkeypatch.setattr(precoders, "gsvd_precoders", failing)
         config = dataclasses.replace(figure_preset("fig2"), sweep_grid=(0.0, 5.0, 10.0), mc_realizations=64)
         rows = run_sweep(config).rows
         designs.clear()

@@ -279,6 +279,13 @@ class TestSampleChannel:
             with pytest.raises(ValueError, match="transmit antenna count"):
                 sample_channel_block(stats, [np.ones(s.num_tx) for s in stats], 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_spectrum_must_have_m_entries(self, length):
+        # A 1-entry k was broadcast over the M = 3 columns, and a 2-entry
+        # one failed with numpy's broadcast error.
+        with pytest.raises(ValueError, match=rf"spectrum 1 has shape \({length},\), not the \(3,\)"):
+            sample_channel_block([iid_stats(2.0, 2, 3)] * 2, [np.ones(3), np.ones(length)], 4, np.random.default_rng(0))
+
     @pytest.mark.parametrize("links, spectra", [(2, 1), (1, 2)])
     def test_one_spectrum_per_link(self, links, spectra):
         # Two links and one spectrum left the second link's rows unwritten.

@@ -301,10 +301,11 @@ class TestRunSweep:
 
     @staticmethod
     def failing_gsvd(monkeypatch):
-        def gsvd_precoder(*args):
-            raise BisectionFailure("no multiplier meets the budget")
+        # Every GSVD design of a stack fails, each as its own value.
+        def gsvd_precoders(items):
+            return [BisectionFailure("no multiplier meets the budget") for _ in items]
 
-        monkeypatch.setattr(precoders, "gsvd_precoder", gsvd_precoder)
+        monkeypatch.setattr(precoders, "gsvd_precoders", gsvd_precoders)
 
     def test_failed_strategy_leaves_other_rows_unchanged(self, monkeypatch):
         config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), mc_realizations=600)

@@ -2,22 +2,33 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq, minimize_scalar
 
-from helpers import iid_stats, isotropic_start, reference_gsvd_precoder
+from helpers import (
+    gsvd_pair,
+    iid_stats,
+    isotropic_start,
+    reference_gsvd,
+    reference_gsvd_precoder,
+    reference_newton_bracket,
+    reference_waterfill_levels,
+)
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
-from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, WiretapError
+from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, RankDeficient, WiretapError
 from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config, run_sweep
-from wiretap_lsl.linalg import gsvd
+from wiretap_lsl.linalg import congruence, gsvd
 from wiretap_lsl.precoders import (
     Strategy,
     gsvd_power_allocation,
     gsvd_precoder,
+    gsvd_precoders,
     isotropic_precoder,
     optimize,
     subchannel_terms,
     waterfill_levels,
     waterfill_precoder,
+    waterfill_precoders,
+    waterfill_stack,
 )
 
 
@@ -287,7 +298,7 @@ class TestGsvdPrecoder:
 
         a = np.sqrt(main.beta * em) * main.t_sqrt
         b = np.sqrt(eave.beta * ee) * eave.t_sqrt
-        sigma_m, sigma_e, x = gsvd(a, b)
+        sigma_m, sigma_e, x = gsvd_pair(a, b)
         # P = X diag(levels) Xᴴ with X = V^-H, so X⁻¹ P X⁻ᴴ recovers the diagonal
         x_inv = np.linalg.inv(x)
         levels = np.diag(x_inv @ p @ x_inv.conj().T).real
@@ -303,29 +314,36 @@ class TestGsvdPrecoder:
 
     def test_power_costs_are_squared_column_norms(self, monkeypatch):
         # P = X diag(levels) Xᴴ spends levels[i] ||x_i||² of the budget on
-        # subchannel i.
+        # subchannel i. The costs are built once per design, with the
+        # allocation's other terms, and every allocation reads them.
         main = correlated_stats(10.0, 4, 4, 40.0)
         eave = correlated_stats(10.0, 2, 4, -10.0)
-        costs = []
-        original = precoders.gsvd_power_allocation
+        built, costs = [], []
+        original_terms, original = precoders.subchannel_terms, precoders.gsvd_power_allocation
+
+        def building(*args):
+            terms = original_terms(*args)
+            built.append(terms.v)
+            return terms
 
         def recording(terms, mu):
             costs.append(terms.v)
             return original(terms, mu)
 
+        monkeypatch.setattr(precoders, "subchannel_terms", building)
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
         gsvd_precoder(main, eave, em=1.2, ee=0.9)
-        _, _, x = gsvd(np.sqrt(main.beta * 1.2) * main.t_sqrt, np.sqrt(eave.beta * 0.9) * eave.t_sqrt)
-        assert costs and all(cost is costs[0] for cost in costs)
-        assert np.allclose(costs[0], np.diag(x.conj().T @ x).real, atol=1e-10)
-        assert np.all(costs[0] > 0)
+        _, _, x = gsvd_pair(np.sqrt(main.beta * 1.2) * main.t_sqrt, np.sqrt(eave.beta * 0.9) * eave.t_sqrt)
+        assert len(built) == 1 and costs and all(cost.tobytes() == built[0].tobytes() for cost in costs)
+        assert np.allclose(built[0][0], np.diag(x.conj().T @ x).real, atol=1e-10)
+        assert np.all(built[0] > 0)
 
     def test_total_power_monotone_in_mu(self):
         main = correlated_stats(10.0, 3, 4, 40.0)
         eave = correlated_stats(10.0, 2, 4, -10.0)
         a = np.sqrt(main.beta * 1.0) * main.t_sqrt
         b = np.sqrt(eave.beta * 1.0) * eave.t_sqrt
-        sigma_m, sigma_e, x = gsvd(a, b)
+        sigma_m, sigma_e, x = gsvd_pair(a, b)
         cost = column_norms2(x)
         powers = [
             np.dot(gsvd_power_allocation(subchannel_terms(sigma_m**2, sigma_e**2, cost), mu), cost)
@@ -341,7 +359,7 @@ class TestGsvdBisection:
         original = precoders.gsvd_power_allocation
 
         def recording(terms, mu):
-            mus.append(mu)
+            mus.extend(np.ravel(mu).tolist())  # one mu per row of a stack
             return original(terms, mu)
 
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
@@ -359,10 +377,11 @@ class TestGsvdBisection:
         assert len(set(mus)) == len(mus)
 
 
-def same_outcome(args):
-    """gsvd_precoder returns the oracle's bytes, or raises its error."""
+def same_outcome(args, factors=None):
+    """gsvd_precoder returns the oracle's bytes, or raises its error; the
+    oracle uses the GSVD factors given, if any."""
     try:
-        expected = reference_gsvd_precoder(*args)
+        expected = reference_gsvd_precoder(*args, factors=factors)
     except WiretapError as err:  # BisectionFailure, or RankDeficient from the GSVD
         with pytest.raises(type(err)) as raised:
             gsvd_precoder(*args)
@@ -373,24 +392,30 @@ def same_outcome(args):
 @pytest.fixture(scope="module")
 def preset_gsvd_pass():
     """The gsvd_precoder inputs of a one-pass fig2-fig5 sweep without MC,
-    and the number of power allocations it makes."""
-    inputs, mus = [], []
-    design, allocate = precoders.gsvd_precoder, precoders.gsvd_power_allocation
+    the size of each stacked gsvd that factors them, and the number of
+    power allocations it makes, each row of a stacked one counted."""
+    calls, stacks, rows = [], [], []
+    design, factor, allocate = precoders.gsvd_precoders, precoders.gsvd, precoders.gsvd_power_allocation
 
-    def recording(*args):
-        inputs.append(args)
-        return design(*args)
+    def recording(items):
+        calls.append(list(items))
+        return design(items)
+
+    def factoring(a, b):
+        stacks.append(len(a))
+        return factor(a, b)
 
     def counting(terms, mu):
-        mus.append(mu)
+        rows.append(np.size(mu))
         return allocate(terms, mu)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(precoders, "gsvd_precoder", recording)
+        patch.setattr(precoders, "gsvd_precoders", recording)
+        patch.setattr(precoders, "gsvd", factoring)
         patch.setattr(precoders, "gsvd_power_allocation", counting)
         for name in ("fig2", "fig3", "fig4", "fig5"):
             run_sweep(figure_preset(name), include_mc=False)
-    return inputs, len(mus)
+    return [item for items in calls for item in items], stacks, sum(rows), calls
 
 
 def random_unitary(rng, m):
@@ -418,11 +443,12 @@ def random_link_pair(rng):
     return main, eave, em, ee
 
 
-def random_gsvd(rng):
-    """A GSVD of M = 1 to 64 subchannels with exact ties, linear
+def random_gsvd(rng, m=None):
+    """A GSVD of M subchannels, or M = 1 to 64, with exact ties, linear
     subchannels (sigma_e = 0 or below 1e-7) and power costs scaled as at
     -200 to +60 dB."""
-    m = min(64, int(2.0 ** rng.uniform(0.0, 6.0)))
+    if m is None:
+        m = min(64, int(2.0 ** rng.uniform(0.0, 6.0)))
     sigma_e = np.sqrt(rng.uniform(0.0, 1.0, m))
     kind = rng.random(m)
     sigma_e[kind < 0.2] = np.sqrt(0.5)
@@ -442,12 +468,14 @@ class TestGsvdSkips:
 
     def test_power_evaluations_per_preset_pass(self, preset_gsvd_pass):
         # The full bisection makes 5,581 allocations in this pass, about
-        # 33 per design.
-        inputs, evaluations = preset_gsvd_pass
+        # 33 per design. The 169 designs are factored in 20 stacked
+        # GSVDs, one per outer step that has a gsvd loop running.
+        inputs, stacks, evaluations, _ = preset_gsvd_pass
         assert (len(inputs), evaluations) == (169, 1166)
+        assert (len(stacks), sum(stacks)) == (20, 169)
 
     def test_preset_pass_matches_full_bisection(self, preset_gsvd_pass):
-        inputs, _ = preset_gsvd_pass
+        inputs, _, _, _ = preset_gsvd_pass
         assert all(same_outcome(args) for args in inputs)
 
     def test_random_links_match_full_bisection(self, monkeypatch):
@@ -465,9 +493,9 @@ class TestGsvdSkips:
         links = {m: iid_stats(1.0, 1, m) for m in range(1, 65)}
         for _ in range(1500):
             factors = random_gsvd(rng)
-            monkeypatch.setattr(precoders, "gsvd", lambda a, b: factors)
+            monkeypatch.setattr(precoders, "gsvd", lambda a, b: (*(f[None] for f in factors), [None]))
             link = links[len(factors[0])]
-            outcomes.append(same_outcome((link, link, 1.0, 1.0)))
+            outcomes.append(same_outcome((link, link, 1.0, 1.0), factors))
         assert len(outcomes) == 2002 and all(outcomes)
 
     def test_total_power_exactly_monotone_in_mu(self):
@@ -492,6 +520,170 @@ class TestGsvdSkips:
             mus = np.unique(np.concatenate([cluster, np.logspace(-14, 14, 57)]))
             powers = [np.dot(gsvd_power_allocation(terms, mu), v) for mu in mus]
             assert all(b <= a for a, b in zip(powers, powers[1:]))
+
+
+def outcome_bytes(result):
+    """A design's bytes, or its error's type and message."""
+    return (type(result), str(result)) if isinstance(result, Exception) else result.tobytes()
+
+
+def oracle_bytes(oracle, *args, **kwargs):
+    """What outcome_bytes reads of the oracle's result or error."""
+    try:
+        return oracle(*args, **kwargs).tobytes()
+    except WiretapError as err:
+        return type(err), str(err)
+
+
+def reference_waterfill_precoder(stats_m, em):
+    """waterfill_precoder of one link, its levels from the 1-D oracle."""
+    lam, q = stats_m.t_eigh
+    return congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(stats_m.num_tx)).levels)
+
+
+def assert_rows_match_oracle(gains, budget):
+    """Each row of waterfill_stack is the 1-D oracle's, or its error."""
+    levels, mu, errors = waterfill_stack(gains, budget)
+    for row, row_levels, row_mu, error in zip(gains, levels, mu, errors):
+        try:
+            expected = reference_waterfill_levels(row, budget)
+        except AllZeroGains as err:
+            assert isinstance(error, AllZeroGains) and str(error) == str(err)
+            assert np.isnan(row_levels).all() and np.isnan(row_mu)
+        else:
+            assert error is None
+            assert (row_levels.tobytes(), row_mu) == (expected.levels.tobytes(), expected.mu)
+
+
+def assert_searches_match_oracle(terms, m):
+    """Each row of the lockstep multiplier search makes the evaluations
+    of the 1-D Newton search, in its order, and then evaluates only
+    inside that search's bracket, but for the excess that a
+    BisectionFailure reports."""
+    _, errors, evaluated = precoders._searches(terms, m)
+    for i, error in enumerate(errors):
+        over, under, ref_evaluated = reference_newton_bracket(terms.rows(i), m)
+        items = [(mu, lv.tobytes(), repr(ex)) for mu, (lv, ex, _) in evaluated[i].items()]
+        assert items[: len(ref_evaluated)] == [(mu, lv.tobytes(), repr(ex)) for mu, (lv, ex) in ref_evaluated.items()]
+        walk = items[len(ref_evaluated) :]
+        if isinstance(error, BisectionFailure):
+            walk = walk[:-1]
+        assert all(over < mu < under for mu, _, _ in walk)
+
+
+def stacked_terms(sigma_m, sigma_e, x):
+    """The allocation terms of the rows of a stacked GSVD that favor the
+    main link, as gsvd_precoders builds them."""
+    sm2, se2 = sigma_m**2, sigma_e**2
+    favored = np.any(sm2 > se2 + 1e-12, axis=-1)
+    v = np.einsum("bij,bij->bj", x, x.conj()).real
+    return subchannel_terms(sm2[favored], se2[favored], v[favored])
+
+
+def rank_deficient_pair(rng):
+    """Two links of M = 2 to 8 antennas whose transmit correlations share
+    a null direction, so that the stacked GSVD input lacks full rank
+    unless rounding leaves that direction's eigenvalues above 1e-20."""
+    m = int(rng.integers(2, 9))
+    q = random_unitary(rng, m)
+    links = []
+    for _ in range(2):
+        lam = rng.exponential(1.0, m)
+        lam[0] = 0.0
+        links.append(ChannelStatistics(snr=1.0, t_corr=(q * lam) @ q.conj().T, r_eigs=np.ones(2)))
+    return links[0], links[1], 1.0, 1.0
+
+
+@pytest.fixture(scope="module")
+def preset_wf_calls():
+    """The item lists of the waterfill_precoders calls of a one-pass
+    fig2-fig5 sweep without MC."""
+    calls = []
+    design = precoders.waterfill_precoders
+
+    def recording(items):
+        calls.append(list(items))
+        return design(items)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(precoders, "waterfill_precoders", recording)
+        for name in ("fig2", "fig3", "fig4", "fig5"):
+            run_sweep(figure_preset(name), include_mc=False)
+    return calls
+
+
+class TestStackedDesigns:
+    """The stacked designs against their 1-D oracles in helpers.py: each
+    element of a stack is, byte for byte, its design alone."""
+
+    def test_preset_gsvd_stacks_match_oracles(self, preset_gsvd_pass):
+        *_, calls = preset_gsvd_pass
+        for items in calls:
+            expected = [oracle_bytes(reference_gsvd_precoder, *item) for item in items]
+            assert [outcome_bytes(p) for p in gsvd_precoders(items)] == expected
+            a = np.stack([np.sqrt(main.beta * em) * main.t_sqrt for main, _, em, _ in items])
+            b = np.stack([np.sqrt(eave.beta * ee) * eave.t_sqrt for _, eave, _, ee in items])
+            *factors, errors = gsvd(a, b)
+            assert errors == [None] * len(items)
+            for i in range(len(items)):
+                assert [f[i].tobytes() for f in factors] == [f.tobytes() for f in reference_gsvd(a[i], b[i])]
+            assert_searches_match_oracle(stacked_terms(*factors), a.shape[-1])
+
+    def test_preset_wf_stacks_match_oracles(self, preset_wf_calls):
+        assert sum(map(len, preset_wf_calls)) == 301
+        for items in preset_wf_calls:
+            expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in items]
+            assert [outcome_bytes(p) for p in waterfill_precoders(items)] == expected
+            gains = np.stack([main.beta * em * main.t_eigh[0] for main, em in items])
+            assert_rows_match_oracle(gains, float(gains.shape[-1]))
+
+    def test_random_waterfill_stacks(self):
+        # M = 1 to 16, with tied, zero, subnormal and negative gains and
+        # rows that have no usable gain at all; none raises a warning.
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            count, m = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+            gains = rng.exponential(1.0, (count, m)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+            kind = rng.random((count, m))
+            gains[kind < 0.15] = gains[0, 0]
+            gains[(kind >= 0.15) & (kind < 0.25)] = 0.0
+            gains[(kind >= 0.25) & (kind < 0.3)] = rng.choice([5e-324, 1.36e-309, 2e-308])
+            gains[(kind >= 0.3) & (kind < 0.33)] = -1.0
+            if rng.random() < 0.2:
+                gains[int(rng.integers(count))] = rng.choice([0.0, 1e-310])
+            assert_rows_match_oracle(gains, float(rng.uniform(0.1, 10.0)))
+        assert_rows_match_oracle(np.array([[1e-20, 1e-21], [0.0, 0.0], [4.0, 1.0]]), 4.0)
+
+    def test_random_gsvd_stacks(self, monkeypatch):
+        # Stacks of GSVDs of one M, with exact ties, linear subchannels
+        # and power costs scaled as at -200 to +60 dB: every row's
+        # multiplier search and design is that of the row alone.
+        rng = np.random.default_rng(32)
+        for _ in range(150):
+            m = min(64, int(2.0 ** rng.uniform(0.0, 6.0)))
+            rows = [random_gsvd(rng, m) for _ in range(int(rng.integers(1, 9)))]
+            factors = [np.stack(f) for f in zip(*rows)]
+            assert_searches_match_oracle(stacked_terms(*factors), m)
+            monkeypatch.setattr(precoders, "gsvd", lambda a, b: (*factors, [None] * len(rows)))
+            link = iid_stats(1.0, 1, m)
+            expected = [oracle_bytes(reference_gsvd_precoder, link, link, 1.0, 1.0, factors=f) for f in rows]
+            assert [outcome_bytes(p) for p in gsvd_precoders([(link, link, 1.0, 1.0)] * len(rows))] == expected
+
+    def test_mixed_sizes_match_oracles(self):
+        # One call over links of M = 1 to 64 in random order, with
+        # rank-deficient pairs among them for gsvd and e = 0 for wf.
+        rng = np.random.default_rng(33)
+        items = [random_link_pair(rng) for _ in range(60)] + [rank_deficient_pair(rng) for _ in range(6)]
+        items = [items[i] for i in rng.permutation(len(items))]
+        expected = [oracle_bytes(reference_gsvd_precoder, *item) for item in items]
+        assert any(isinstance(e, tuple) and e[0] is RankDeficient for e in expected)
+        assert [outcome_bytes(p) for p in gsvd_precoders(items)] == expected
+        # Gains below about 1e-16 lose the budget to cancellation in
+        # water - 1/gain, so the water-filling's e stays above 1e-6.
+        wf = [(main, 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6.0, 6.0)) for main, _, _, _ in items]
+        expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in wf]
+        assert any(isinstance(e, tuple) and e[0] is AllZeroGains for e in expected)
+        assert [outcome_bytes(p) for p in waterfill_precoders(wf)] == expected
 
 
 class TestOptimize:
@@ -543,11 +735,11 @@ class TestOptimize:
     def test_cycle_skip_stops_designing_precoders(self, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return gsvd_precoder(*args)
+        def counting(items):
+            calls.extend(items)
+            return gsvd_precoders(items)
 
-        monkeypatch.setattr(precoders, "gsvd_precoder", counting)
+        monkeypatch.setattr(precoders, "gsvd_precoders", counting)
         main, eave = sweep_point_stats(*CYCLING_POINTS[0])
         with pytest.warns(OuterLoopNoConvergence):
             _, _, iterations = optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(main, eave))
