@@ -18,7 +18,6 @@ from the package root with scipy:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -175,44 +174,16 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
     return t
 
 
-def sample_channel_block(
-    stats: Sequence[ChannelStatistics],
-    k_eigs: Sequence[np.ndarray],
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample `count` precoded channels G = sqrt(rho/M) diag(sqrt(r)) W diag(sqrt(k))
-    of each link, given as equal-length sequences of stats and k_eigs.
+def sample_channel_block(count: int, num_rx: int, num_tx: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` matrices W, (count, num_rx, num_tx), of i.i.d.
+    circular complex Gaussian entries whose real and imaginary parts are
+    standard normal: one standard-normal (2, count, N, M) array, real
+    parts, then imaginary parts.
 
-    A link's r, its stats' r_eigs, and k, its entry of k_eigs, are the
-    eigenvalues of R and of K = T^(1/2) P T^(1/2), with eigenvectors Q_R
-    and Q_K. For the Kronecker
-    channel H = sqrt(rho/M) R^(1/2) W T^(1/2), H P Hᴴ = Q_R G' G'ᴴ Q_Rᴴ,
-    where G' is G with W replaced by Q_Rᴴ W Q_K, which has the law of W.
-    So ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ).
-
-    W has i.i.d. circular complex Gaussian entries of unit variance,
-    drawn as one standard-normal (2, count, N, M) array: real parts, then
-    imaginary parts, with N the most rows any link has. The links share
-    M and this one W: each scales W's first N rows, folding W's
-    1/sqrt(2) and sqrt(rho/M) into one N x M elementwise scaling, and
-    keeps its law. Their channels come back stacked by rows,
-    (count, sum of the N, M). Links that differ in M, a spectrum k
-    without its link's M entries, or sequences of different lengths
-    raise ValueError.
+    W is drawn once per block and left unscaled: every link that shares
+    it folds W's variance of 2 and its own SNR and spectra into its Gram
+    matrix (see montecarlo).
     """
-    n, m = max(s.num_rx for s in stats), stats[0].num_tx
-    if any(s.num_tx != m for s in stats):
-        raise ValueError("all links must share the transmit antenna count")
-    for i, k in enumerate(k_eigs):
-        if np.shape(k) != (m,):
-            raise ValueError(f"spectrum {i} has shape {np.shape(k)}, not the ({m},) of its link's M")
-    w = np.empty((count, n, m), dtype=complex)
-    w.real, w.imag = rng.standard_normal((2, count, n, m))
-    g = np.empty((count, sum(s.num_rx for s in stats), m), dtype=complex)
-    start = 0
-    for s, k in zip(stats, k_eigs, strict=True):
-        scale = np.sqrt(np.outer(s.r_eigs, (s.snr / (2.0 * m)) * k))
-        np.multiply(w[:, : s.num_rx], scale, out=g[:, start : start + s.num_rx])
-        start += s.num_rx
-    return g
+    w = np.empty((count, num_rx, num_tx), dtype=complex)
+    w.real, w.imag = rng.standard_normal((2, count, num_rx, num_tx))
+    return w

@@ -27,6 +27,10 @@ class AllZeroGains(WiretapError):
     """Water-filling called with no channel gain whose reciprocal is finite."""
 
 
+class OverBudget(WiretapError):
+    """Designed covariance whose trace exceeds the power budget M."""
+
+
 class BisectionFailure(WiretapError):
     """No mu meets the power budget before the GSVD bisection's midpoint reaches a bracket end."""
 

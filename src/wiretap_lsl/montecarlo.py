@@ -10,21 +10,30 @@ their estimates; a sweep makes one call per grid point, seeded by
 (seed, grid index), for the rates of all its strategies.
 
 W is unitarily invariant, so a link at a precoder P enters only through
-R's spectrum and that of K = T^(1/2) P T^(1/2) (see sample_channel_block),
-both held by the FixedPoint solved at P: this module never sees P and
-makes no eigendecomposition. Per block each link costs one elementwise
-scaling of W and ln det(I + Gram) of the Gram matrix in the smaller of
-N and M. Blocks bound the memory: drawing all n realizations at once
+the eigenvalues r of R and k of K = T^(1/2) P T^(1/2), with eigenvectors
+Q_R and Q_K, both spectra held by the FixedPoint solved at P: this
+module never sees P and makes no eigendecomposition. For the Kronecker
+channel H = sqrt(rho/M) R^(1/2) W T^(1/2), H P Hᴴ = Q_R G Gᴴ Q_Rᴴ with
+G = sqrt(rho/M) diag(sqrt(r)) W' diag(sqrt(k)), where W' = Q_Rᴴ W Q_K has
+the law of W; so ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ). Per
+block each link costs ln det(I + Gram) of its Gram matrix in the smaller
+of N and M. Blocks bound the memory: drawing all n realizations at once
 would allocate n * N * M complex values per array.
 
-Every link of every rate in a call shares each block's W, drawn with
-the rows of the tallest link; each link scales its own first N rows.
-The links with the same N then go through the log-det kernel as one
-stack. Up to order _SMALL_GRAM the kernel keeps the batch on the last
-axis and builds the Gram matrix and its Gaussian elimination with one
-vectorized operation per entry row; larger Gram matrices take a stacked
-matmul and a batched Cholesky. Either kernel also returns the Gram
-moments that the estimate regresses on.
+Every link of every rate in a call shares each block's W, drawn once by
+sample_channel_block with the rows of the tallest link, unscaled; each
+link reads W's first N rows. The links that share N and r form a group,
+whose Gram matrices are built once per block. Where N >= M a link's
+Gram matrix is Gᴴ G = diag(s) A diag(s), with A = Wᴴ diag(r) W over W's
+first N rows and s = sqrt((rho/2M) k), whose 1/2 undoes the variance 2
+of W's entries as drawn: the group forms A once and scales it per link,
+and no tall link's channel is ever built. The links of all strategies at a sweep
+point share N and r, hence A. Where N < M each link scales its rows of W
+into G and builds G Gᴴ. Up to Gram order _SMALL_GRAM the batch stays on
+the last axis, and one vectorized operation per entry row builds the
+Gram matrices and eliminates them; larger ones take stacked matmuls and
+a batched Cholesky. Either kernel also returns the Gram moments that the
+estimate regresses on.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -41,22 +50,24 @@ no taller than its own change none of its numbers.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_channel_block
+from .channel import ChannelStatistics, sample_channel_block
 from .detequiv import FixedPoint, LslRate
 
 _BLOCK_SIZE = 256
 # Up to this many realizations the secrecy rate is the plain paired mean:
 # the regression fits 5 coefficients.
 _MIN_REGRESSION = 6
-# Largest Gram order min(N, M) that _Eliminator takes. With the three
-# links of a sweep point stacked it was 1.1-1.5 times as fast as
-# _logdet_cholesky at order 6 and 0.7-1.1 times at order 8.
+# Largest Gram order min(N, M) that _Eliminator takes. A group of three
+# links with 256 realizations each, its Gram matrices built as _Group
+# builds them, took 1.4-2.7 times as long through _logdet_cholesky at
+# order 6 and 1.5-1.9 times at order 8 (medians over N = M, N > M and
+# N < M, one BLAS thread). No workload runs above order 6, so none has
+# timed a higher threshold end to end.
 _SMALL_GRAM = 6
 
 
@@ -69,16 +80,12 @@ class McEstimate:
     num_realizations: int
 
 
-def _logdet_cholesky(g: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """The log-det kernel: (1/M) ln det(I + G Gᴴ) of each channel of a
-    stack g, (..., N, M), by a stacked matmul and a batched Cholesky of
-    the smaller Gram matrix (det(I_N + G Gᴴ) = det(I_M + Gᴴ G)), whose
-    trace and squared Frobenius norm, those of the larger one, go into
-    moments, (2, ...). The Gram matrix is not symmetrized first: the
-    factorization reads one triangle and the real part of the diagonal."""
-    n, m = g.shape[-2:]
-    g_h = g.conj().swapaxes(-1, -2)
-    gram = g @ g_h if n <= m else g_h @ g
+def _logdet_cholesky(gram: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """The log-det kernel: ln det(I + Gram) of each Gram matrix of a
+    stack (..., d, d), whose trace and squared Frobenius norm go into
+    moments, (2, ...), by a batched Cholesky. The Gram matrices are not
+    symmetrized first: the factorization reads one triangle and the real
+    part of the diagonal. The stack is overwritten."""
     moments[0] = np.einsum("...ii->...", gram).real
     flat = gram.view(float).reshape(*gram.shape[:-2], -1)
     moments[1] = np.einsum("...i,...i->...", flat, flat)
@@ -86,107 +93,196 @@ def _logdet_cholesky(g: np.ndarray, moments: np.ndarray) -> np.ndarray:
     gram[..., diag, diag] += 1.0
     chol = np.linalg.cholesky(gram)
     diags = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return 2.0 * np.sum(np.log(diags), axis=-1) / m
+    return 2.0 * np.sum(np.log(diags), axis=-1)
 
 
 class _Eliminator:
-    """The same kernel for stacks of one shape with the batch flattened onto
-    the last axis of every array, so that each step is one vectorized
-    operation over all matrices.
+    """The same kernel for a stack of d x d Gram matrices held batch-last,
+    (d, d, size), so that each step is one vectorized operation over all
+    matrices. Only the upper triangle is read, and the lower must be 0.
 
-    The d rows of the smaller factor (G, or the transpose of G, whose
-    Gram matrix is the conjugate of Gᴴ G: same determinant and moments)
-    give the upper triangle of the conjugated Gram matrix one row at a
-    time. Gaussian elimination then takes ln det(I + Gram) as the sum of
-    the logs of its pivots. I + Gram is Hermitian positive definite with
-    a unit lower bound, so every pivot is at least 1 and no pivoting is
-    needed.
+    Gaussian elimination takes ln det(I + Gram) as the sum of the logs of
+    its pivots. I + Gram is Hermitian positive definite with a unit lower
+    bound, so every pivot is at least 1 and no pivoting is needed. Each
+    pivot row is scaled by the pivot's reciprocal: numpy divides a complex
+    value by a real one as its product with the reciprocal, so the bits
+    are those of the division, at less than half its cost.
 
-    The arrays are allocated once, for the shape given, and every call
-    reuses them; a stack with a shorter first axis uses their leading
-    columns. Fresh arrays for every block page-faulted on each call and
-    took twice the time. Every step works on two columns at least:
-    numpy sums a lone column pairwise but several in sequence, so a
-    stack of one matrix would differ in its last bits from the same
-    matrix in a larger stack. A padding column holds zeros or an earlier
-    block's channel, and its results are dropped.
+    The work arrays are allocated once, for the size given, and a smaller
+    stack uses their leading columns.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
-        *batch, n, m = shape
-        self.transpose, self.m = n > m, m
-        d, length, size = min(n, m), max(n, m), max(2, int(np.prod(batch)))
-        self.rows = np.zeros((d, length, size), dtype=complex)
-        self.products = np.empty((d, length, size), dtype=complex)
-        # Only the upper triangle is ever written: the lower stays 0.
-        self.gram = np.zeros((d, d, size), dtype=complex)
+    def __init__(self, d: int, size: int):
         self.pivots = np.empty((d, size))
         self.scaled = np.empty((d, size), dtype=complex)
         self.update = np.empty((d, size), dtype=complex)
 
-    def __call__(self, g: np.ndarray, moments: np.ndarray) -> np.ndarray:
-        batch = g.shape[:-2]
-        d, length = self.rows.shape[:2]
-        size = int(np.prod(batch))
-        cols = max(2, size)
-        rows = self.rows[:, :, :cols]
-        factor = g.swapaxes(-1, -2) if self.transpose else g
-        np.copyto(rows[:, :, :size].reshape(d, length, *batch), np.moveaxis(factor, (-2, -1), (0, 1)))
-        gram, pivots = self.gram[:, :, :cols], self.pivots[:, :cols]
-        for i in range(d):
-            products = np.multiply(rows[i].conj(), rows[i:], out=self.products[: d - i, :, :cols])
-            products.sum(axis=1, out=gram[i, i:])
+    def __call__(self, gram: np.ndarray, moments: np.ndarray) -> np.ndarray:
+        """ln det(I + Gram), (size,), of gram, which it overwrites; the
+        Gram trace and squared Frobenius norm go into moments, (2, size)."""
+        d, size = gram.shape[1:]
+        pivots = self.pivots[:, :size]
         diag = np.einsum("iib->ib", gram).real
         flat = gram.view(float).reshape(d * d, -1)
         squares = np.einsum("kb,kb->b", flat, flat)
         # The lower triangle is 0, so the off-diagonal entries count twice.
         trace_sq = np.einsum("ib,ib->b", diag, diag)
-        moments[0] = diag.sum(axis=0)[:size].reshape(batch)
-        moments[1] = (2.0 * (squares[0::2] + squares[1::2]) - trace_sq)[:size].reshape(batch)
+        moments[0] = diag.sum(axis=0)
+        moments[1] = 2.0 * (squares[0::2] + squares[1::2]) - trace_sq
         for k in range(d):
             np.add(gram[k, k].real, 1.0, out=pivots[k])
             row = gram[k, k + 1 :]
-            scaled = np.conjugate(row, out=self.scaled[: d - k - 1, :cols])
-            np.divide(scaled, pivots[k], out=scaled)
+            scaled = np.conjugate(row, out=self.scaled[: d - k - 1, :size])
+            np.multiply(scaled, 1.0 / pivots[k], out=scaled)
             for j in range(k + 1, d):
-                update = np.multiply(scaled[j - k - 1], row[j - k - 1 :], out=self.update[: d - j, :cols])
+                update = np.multiply(scaled[j - k - 1], row[j - k - 1 :], out=self.update[: d - j, :size])
                 np.subtract(gram[j, j:], update, out=gram[j, j:])
-        return np.log(pivots).sum(axis=0)[:size].reshape(batch) / self.m
+        return np.log(pivots).sum(axis=0)
+
+
+def _upper_gram(rows: np.ndarray, gram: np.ndarray, products: np.ndarray) -> None:
+    """Write gram[i, j] = sum over axis 1 of conj(rows[i]) rows[j] for
+    j >= i, one entry row at a time; products, of rows' shape, is work
+    space. The lower triangle of gram is left as it is."""
+    d = len(rows)
+    for i in range(d):
+        part = np.multiply(rows[i].conj(), rows[i:], out=products[: d - i])
+        part.sum(axis=1, out=gram[i, i:])
+
+
+class _Group:
+    """The links of one _sample call that share N and r, and the work
+    arrays of their blocks.
+
+    Up to Gram order _SMALL_GRAM the arrays are allocated once, for blocks
+    of up to size realizations, and every block reuses them; a shorter
+    block uses their leading columns. Fresh arrays for every block
+    page-faulted on each call and took twice the time. Every step works
+    on two realizations per link at least: numpy sums a lone column
+    pairwise but several in sequence, so a block of one realization would
+    differ in its last bits from the same realization in a larger block.
+    The padding column holds zeros or an earlier block's rows, so its
+    Gram matrices, which are rebuilt with every block, stay valid; its
+    results are dropped.
+    """
+
+    def __init__(self, stats: ChannelStatistics, weights: np.ndarray, size: int):
+        """stats is any link of the group, whose N, M and r it reads;
+        weights, (links, M), holds each link's (rho/2M) k."""
+        n, m = stats.num_rx, stats.num_tx
+        links, d = len(weights), min(n, m)
+        self.n, self.links, self.shared, self.small = n, links, n >= m, d <= _SMALL_GRAM
+        if self.shared:
+            self.sqrt_r = np.sqrt(stats.r_eigs)
+            s = np.sqrt(weights)
+            scales = s[:, :, None] * s[:, None, :]
+        else:
+            scales = np.sqrt(stats.r_eigs[:, None] * weights[:, None, :])
+        # Laid out to broadcast against the block: (links, 1, rows, M)
+        # above _SMALL_GRAM, (rows, M, links, 1) up to it.
+        if not self.small:
+            self.scales = scales[:, None]
+            return
+        self.scales = np.ascontiguousarray(scales.transpose(1, 2, 0))[..., None]
+        cols = max(2, size)
+        # The rows whose products build the Gram matrices: those of Wᵀ
+        # weighted by sqrt(r) for the shared A, else those of each link's G.
+        self.rows = np.zeros((m, n, cols) if self.shared else (n, m, links * cols), dtype=complex)
+        self.products = np.empty_like(self.rows)
+        # Only the upper triangles are ever written: the lower stay 0.
+        if self.shared:
+            self.a = np.zeros((m, m, cols), dtype=complex)
+        self.gram = np.zeros((d, d, links * cols), dtype=complex)
+        self.kernel = _Eliminator(d, links * cols)
+
+    def grams(self, w: np.ndarray) -> np.ndarray:
+        """The Gram matrices of the group's links on a block w of W,
+        (count, rows, M). Up to order _SMALL_GRAM, their upper triangles
+        batch-last, (d, d, links * c) with c = max(2, count) realizations
+        per link and the lower triangles 0; where N < M they are the
+        conjugates of G Gᴴ, with the same determinant and moments. Above
+        it the full matrices, (links, count, d, d)."""
+        x = w[:, : self.n]
+        if not self.small:
+            if self.shared:
+                x = x * self.sqrt_r[:, None]
+                return (x.conj().swapaxes(-1, -2) @ x) * self.scales
+            g = x * self.scales
+            return g @ g.conj().swapaxes(-1, -2)
+        count = len(w)
+        c = max(2, count)
+        d, size = len(self.gram), self.links * c
+        gram = self.gram[:, :, :size]
+        if self.shared:
+            rows, a = self.rows[:, :, :c], self.a[:, :, :c]
+            np.multiply(x.transpose(2, 1, 0), self.sqrt_r[:, None], out=rows[:, :, :count])
+            _upper_gram(rows, a, self.products[:, :, :c])
+            np.multiply(a[:, :, None], self.scales, out=gram.reshape(d, d, self.links, c))
+        else:
+            rows = self.rows[:, :, :size].reshape(d, -1, self.links, c)
+            np.multiply(x.transpose(1, 2, 0)[:, :, None], self.scales, out=rows[..., :count])
+            products = self.products[:, :, :size].reshape(rows.shape)
+            _upper_gram(rows, gram.reshape(d, d, self.links, c), products)
+        return gram
+
+    def __call__(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """ln det(I + Gram), (links, count), and the Gram trace and
+        squared Frobenius norm, (2, links, count), of the group's links on
+        a block w of W."""
+        count = len(w)
+        gram = self.grams(w)
+        if not self.small:
+            moments = np.empty((2, self.links, count))
+            return _logdet_cholesky(gram, moments), moments
+        c = max(2, count)
+        moments = np.empty((2, self.links, c))
+        logdet = self.kernel(gram, moments.reshape(2, -1))
+        return logdet.reshape(self.links, c)[:, :count], moments[:, :, :count]
+
+
+def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndarray]) -> np.ndarray:
+    """(rho/2M) k of each link, (links, M), given as equal-length
+    sequences of stats and k_eigs. With W as sample_channel_block draws
+    it, G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)). Links that differ in
+    M, a spectrum k without its link's M entries, or sequences of
+    different lengths raise ValueError."""
+    m = stats[0].num_tx
+    if any(s.num_tx != m for s in stats):
+        raise ValueError("all links must share the transmit antenna count")
+    for i, k in enumerate(k_eigs):
+        if np.shape(k) != (m,):
+            raise ValueError(f"spectrum {i} has shape {np.shape(k)}, not the ({m},) of its link's M")
+    return np.array([(s.snr / (2.0 * m)) * k for s, k in zip(stats, k_eigs, strict=True)])
 
 
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """Per-realization MI, Gram trace and squared Gram Frobenius norm of
     each link of fps, shape (links, 3, n), drawn in blocks from one
     generator seeded by seed. All links share every W; the links with
-    the same N go as one stack through _Eliminator up to Gram order
-    _SMALL_GRAM, through _logdet_cholesky above it."""
+    the same N and r form one _Group."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not fps:
         return np.empty((0, 3, n))
+    stats = [fp.stats for fp in fps]
+    weights = _column_weights(stats, [fp.k_eigs for fp in fps])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    order = sorted(range(len(fps)), key=lambda i: fps[i].stats.num_rx)
-    stats = [fps[i].stats for i in order]
-    k_eigs = [fps[i].k_eigs for i in order]
-    m, size = stats[0].num_tx, min(n, _BLOCK_SIZE)
-    # (first link, first row, links, N, kernel) of each run of equal N.
-    stacks, first, start = [], 0, 0
-    for rows, run in itertools.groupby(s.num_rx for s in stats):
-        links = len(list(run))
-        kernel = _Eliminator((size, links, rows, m)) if min(rows, m) <= _SMALL_GRAM else _logdet_cholesky
-        stacks.append((first, start, links, rows, kernel))
-        first, start = first + links, start + links * rows
+    members = {}
+    for i, s in enumerate(stats):
+        members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
+    size = min(n, _BLOCK_SIZE)
+    groups = [(links, _Group(stats[links[0]], weights[links], size)) for links in members.values()]
+    rows, m = max(s.num_rx for s in stats), stats[0].num_tx
     out = np.empty((len(fps), 3, n))
     for offset in range(0, n, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, n - offset)
-        g = sample_channel_block(stats, k_eigs, count, rng)
-        for first, start, links, rows, kernel in stacks:
-            stack = g[:, start : start + links * rows].reshape(count, links, rows, m)
-            moments = np.empty((2, count, links))
-            block = out[first : first + links, :, offset : offset + count]
-            block[:, 0] = kernel(stack, moments).T
-            block[:, 1:] = moments.transpose(2, 0, 1)
-    return out[np.argsort(order)]
+        w = sample_channel_block(count, rows, m, rng)
+        block = out[:, :, offset : offset + count]
+        for links, group in groups:
+            logdet, moments = group(w)
+            block[links, 0] = logdet / m
+            block[links, 1:] = moments.swapaxes(0, 1)
+    return out
 
 
 def _exact_moments(fp: FixedPoint) -> np.ndarray:

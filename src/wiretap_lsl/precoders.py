@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .detequiv import LslRate, lsl_secrecy_rates
-from .errors import NUMERICAL_FAILURES, AllZeroGains, BisectionFailure, OuterLoopNoConvergence, as_value
+from .errors import NUMERICAL_FAILURES, AllZeroGains, BisectionFailure, OuterLoopNoConvergence, OverBudget, as_value
 from .linalg import congruence, gsvd
 
 _TRACE_SLACK = 1e-6
@@ -54,19 +54,20 @@ class PowerAllocation:
     mu: float
 
 
-def _within_budget(p: np.ndarray) -> np.ndarray:
-    """Return designed covariances, a stack (B, M, M), after checking
-    each one's trace against M.
+def _within_budget(p: np.ndarray) -> list[np.ndarray | OverBudget]:
+    """Each designed covariance of a stack (B, M, M), or in its place an
+    OverBudget error when its trace exceeds M.
 
     No PSD clip follows: the designs are Hermitian PSD up to roundoff
     (eigenvalues >= -3.5e-15 over the presets and 20 stress passes),
     far above the -1e-12 floor that psd_eigh enforces.
     """
     budget = float(p.shape[-1])
-    for trace in np.trace(p, axis1=-2, axis2=-1).real.tolist():
-        if trace > budget + _TRACE_SLACK:
-            raise ValueError(f"trace {trace:.6f} exceeds budget {budget}")
-    return p
+    traces = np.trace(p, axis1=-2, axis2=-1).real.tolist()
+    return [
+        cov if trace <= budget + _TRACE_SLACK else OverBudget(f"trace {trace:.6f} exceeds budget {budget}")
+        for cov, trace in zip(p, traces)
+    ]
 
 
 def isotropic_precoder(m: int) -> np.ndarray:
@@ -178,7 +179,8 @@ def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> lis
 def _covariances(slots: list[int], x: np.ndarray, levels: np.ndarray, errors: list, results: list) -> None:
     """Write to results[slot] the error of each slot that has one, and
     else the covariance X diag(levels) Xᴴ of its rows of the stacks x
-    (B, M, M) and levels (B, M), all from one stacked congruence."""
+    (B, M, M) and levels (B, M), all from one stacked congruence, or the
+    OverBudget error of a covariance whose trace exceeds M."""
     good = [j for j, error in enumerate(errors) if error is None]
     if len(good) < len(slots):
         for slot, error in zip(slots, errors):

@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 
-from wiretap_lsl import detequiv, experiment, precoders
-from wiretap_lsl.channel import ChannelStatistics
+from wiretap_lsl import detequiv, experiment, montecarlo, precoders
+from wiretap_lsl.channel import ChannelStatistics, sample_channel_block
 from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rate
-from wiretap_lsl.errors import AllZeroGains, BisectionFailure, NoConvergence, NotPsd, RankDeficient, WiretapError
+from wiretap_lsl.errors import (
+    AllZeroGains,
+    BisectionFailure,
+    NoConvergence,
+    NotPsd,
+    OverBudget,
+    RankDeficient,
+    WiretapError,
+)
 from wiretap_lsl.linalg import congruence, gsvd
 from wiretap_lsl.precoders import PowerAllocation, gsvd_power_allocation, isotropic_precoder, subchannel_terms
 
@@ -15,6 +23,17 @@ from wiretap_lsl.precoders import PowerAllocation, gsvd_power_allocation, isotro
 def iid_stats(snr, n, m):
     """Uncorrelated link: T = I (M x M) and R = I (N x N)."""
     return ChannelStatistics(snr=snr, t_corr=np.eye(m), r_eigs=np.ones(n))
+
+
+def link_channels(stats, k_eigs, count, rng):
+    """The channels G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)) of the
+    links stats at the spectra k_eigs, on one block of count draws of W
+    from sample_channel_block with the rows of the tallest link, stacked
+    by rows, (count, sum of the N, M): each link scales W's first N rows.
+    Monte Carlo builds the Gram matrices of these channels."""
+    weights = montecarlo._column_weights(stats, k_eigs)
+    w = sample_channel_block(count, max(s.num_rx for s in stats), stats[0].num_tx, rng)
+    return np.concatenate([np.sqrt(np.outer(s.r_eigs, v)) * w[:, : s.num_rx] for s, v in zip(stats, weights)], axis=1)
 
 
 def isotropic_start(stats_m, stats_e):
@@ -139,7 +158,7 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
         if abs(excess) <= precoders._POWER_TOL:
             p = congruence(x, levels)
             if np.trace(p).real > m + precoders._TRACE_SLACK:
-                raise ValueError(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
+                raise OverBudget(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
             return p
         if excess > 0:
             lo = mu

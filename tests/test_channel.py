@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from helpers import iid_stats
+from helpers import iid_stats, link_channels
 import wiretap_lsl
 from wiretap_lsl import channel, detequiv
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
@@ -219,18 +219,16 @@ class TestLegendreTable:
 
 
 class TestComplexGaussian:
-    """The i.i.d. draws W inside sample_channel_block (R = I, k = 1)."""
+    """The i.i.d. draws W of sample_channel_block, scaled to unit variance."""
 
     def test_moments(self):
-        stats = iid_stats(snr=1000.0, n=1, m=1000)
-        w = sample_channel_block([stats], [np.ones(1000)], 1000, np.random.default_rng(101))
+        w = sample_channel_block(1000, 1, 1000, np.random.default_rng(101)) / np.sqrt(2.0)
         assert abs(w.mean()) <= 3e-3
         assert np.mean(np.abs(w) ** 2) == pytest.approx(1.0, rel=0.01)
 
     def test_reproducible(self):
         # The stream is all real parts, then all imaginary parts.
-        stats = iid_stats(snr=5.0, n=4, m=5)
-        w = sample_channel_block([stats], [np.ones(5)], 3, np.random.default_rng(7))
+        w = sample_channel_block(3, 4, 5, np.random.default_rng(7)) / np.sqrt(2.0)
         rng = np.random.default_rng(7)
         re = rng.standard_normal((3, 4, 5))
         im = rng.standard_normal((3, 4, 5))
@@ -238,23 +236,27 @@ class TestComplexGaussian:
 
 
 class TestSampleChannel:
+    """Each link's channel G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), as
+    helpers.link_channels scales it from the sampler's W with the column
+    weights that Monte Carlo uses."""
+
     def test_iid_unit_variance(self):
         m = 10
         stats = iid_stats(snr=float(m), n=10, m=m)
-        h = sample_channel_block([stats], [np.ones(m)], 1000, np.random.default_rng(0))
+        h = link_channels([stats], [np.ones(m)], 1000, np.random.default_rng(0))
         assert h.shape == (1000, 10, m)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
     def test_zero_snr(self):
         stats = iid_stats(snr=0.0, n=3, m=2)
-        h = sample_channel_block([stats], [np.ones(2)], 4, np.random.default_rng(1))
+        h = link_channels([stats], [np.ones(2)], 4, np.random.default_rng(1))
         assert np.all(h == 0)
 
     def test_fixed_seed_bit_identical(self):
         stats = iid_stats(snr=2.0, n=4, m=3)
         k = np.array([0.0, 1.0, 2.0])
-        h1 = sample_channel_block([stats], [k], 5, np.random.default_rng(99))
-        h2 = sample_channel_block([stats], [k], 5, np.random.default_rng(99))
+        h1 = link_channels([stats], [k], 5, np.random.default_rng(99))
+        h2 = link_channels([stats], [k], 5, np.random.default_rng(99))
         assert np.array_equal(h1, h2)
 
     def test_links_share_w(self):
@@ -263,8 +265,8 @@ class TestSampleChannel:
         main = ChannelStatistics(snr=2.0, t_corr=np.eye(3), r_eigs=np.array([0.5, 1.5]))
         eave = iid_stats(snr=6.0, n=4, m=3)
         k_main, k_eave = np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 2.0])
-        g = sample_channel_block([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
-        alone = sample_channel_block([eave], [k_eave], 5, np.random.default_rng(3))
+        g = link_channels([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
+        alone = link_channels([eave], [k_eave], 5, np.random.default_rng(3))
         assert g.shape == (5, 6, 3)
         assert np.array_equal(g[:, 2:], alone)
         w = alone[:, :2, 1:] / np.sqrt(np.outer([1.0, 1.0], k_eave[1:]))
@@ -277,20 +279,20 @@ class TestSampleChannel:
         wide, narrow = iid_stats(2.0, 3, 4), iid_stats(2.0, 3, 1)
         for stats in ([wide, narrow], [narrow, wide]):
             with pytest.raises(ValueError, match="transmit antenna count"):
-                sample_channel_block(stats, [np.ones(s.num_tx) for s in stats], 5, np.random.default_rng(0))
+                link_channels(stats, [np.ones(s.num_tx) for s in stats], 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("length", [1, 2, 4])
     def test_spectrum_must_have_m_entries(self, length):
         # A 1-entry k was broadcast over the M = 3 columns, and a 2-entry
         # one failed with numpy's broadcast error.
         with pytest.raises(ValueError, match=rf"spectrum 1 has shape \({length},\), not the \(3,\)"):
-            sample_channel_block([iid_stats(2.0, 2, 3)] * 2, [np.ones(3), np.ones(length)], 4, np.random.default_rng(0))
+            link_channels([iid_stats(2.0, 2, 3)] * 2, [np.ones(3), np.ones(length)], 4, np.random.default_rng(0))
 
     @pytest.mark.parametrize("links, spectra", [(2, 1), (1, 2)])
     def test_one_spectrum_per_link(self, links, spectra):
         # Two links and one spectrum left the second link's rows unwritten.
         with pytest.raises(ValueError):
-            sample_channel_block([iid_stats(2.0, 2, 3)] * links, [np.ones(3)] * spectra, 4, np.random.default_rng(0))
+            link_channels([iid_stats(2.0, 2, 3)] * links, [np.ones(3)] * spectra, 4, np.random.default_rng(0))
 
     @staticmethod
     def covariance_error(t, r, snr, p):
@@ -299,7 +301,7 @@ class TestSampleChannel:
         m = t.shape[0]
         stats = ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
         k = solve_fixed_point(stats, p).k_eigs
-        samples = sample_channel_block([stats], [k], 10_000, np.random.default_rng(5))
+        samples = link_channels([stats], [k], 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
         target = (snr / m) * np.diag(np.kron(k, np.linalg.eigvalsh(r)))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,13 +7,20 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from helpers import iid_stats
+from helpers import iid_stats, link_channels
 from wiretap_lsl import channel, montecarlo
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
-from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep
+from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep, write_csv
 from wiretap_lsl.linalg import hermitianize
-from wiretap_lsl.montecarlo import _SMALL_GRAM, _Eliminator, _logdet_cholesky, mc_ergodic_mi, mc_secrecy_rate
+from wiretap_lsl.montecarlo import (
+    _SMALL_GRAM,
+    _Eliminator,
+    _logdet_cholesky,
+    _upper_gram,
+    mc_ergodic_mi,
+    mc_secrecy_rate,
+)
 
 
 def principal_sqrt(a):
@@ -65,9 +73,32 @@ def generic_precoder(m, seed=0):
     return hermitianize(m * p / np.trace(p).real)
 
 
+def smaller_gram(g):
+    """The smaller Gram matrix of each channel of a stack g: Gᴴ G where
+    N > M, else G Gᴴ."""
+    g_h = g.conj().swapaxes(-1, -2)
+    return g_h @ g if g.shape[-2] > g.shape[-1] else g @ g_h
+
+
+def eliminated(g, moments):
+    """ln det(I + Gram) of each channel of a stack g, (..., N, M), as a
+    group of links whose channels are built runs it: _upper_gram over
+    the rows of G, or of Gᵀ where N > M, batch-last, then _Eliminator."""
+    factor = g.swapaxes(-1, -2) if g.shape[-2] > g.shape[-1] else g
+    rows = np.ascontiguousarray(np.moveaxis(factor, (-2, -1), (0, 1)).reshape(*factor.shape[-2:], -1))
+    d, size = len(rows), rows.shape[-1]
+    gram = np.zeros((d, d, size), dtype=complex)
+    _upper_gram(rows, gram, np.empty_like(rows))
+    flat = np.empty((2, size))
+    logdet = _Eliminator(d, size)(gram, flat)
+    moments[...] = flat.reshape(moments.shape)
+    return logdet.reshape(g.shape[:-2])
+
+
+# Each kernel on the Gram matrices of a channel stack g, per antenna.
 BRANCHES = {
-    "elimination": lambda g, moments: _Eliminator(g.shape)(g, moments),
-    "cholesky": _logdet_cholesky,
+    "elimination": lambda g, moments: eliminated(g, moments) / g.shape[-1],
+    "cholesky": lambda g, moments: _logdet_cholesky(smaller_gram(g), moments) / g.shape[-1],
 }
 
 
@@ -119,7 +150,7 @@ class TestKernelOracle:
         # up to ~1e-11; the M x M Gram that both kernels take has none.
         stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
         k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
-        g = sample_channel_block([stats], [k_eigs], 256, np.random.default_rng(1))
+        g = link_channels([stats], [k_eigs], 256, np.random.default_rng(1))
         sv = np.linalg.svd(g, compute_uv=False)
         expected = np.sum(np.log1p(sv**2), axis=1) / 4
         assert np.allclose(BRANCHES[branch](g, np.empty((2, 256))), expected, rtol=1e-12, atol=0)
@@ -187,47 +218,127 @@ class TestLogdetKernels:
         g = channel_stack(64, 3, _SMALL_GRAM + n, _SMALL_GRAM + m, 10.0, seed=4)
         moments = np.empty((2, 2, 64, 3))
         eliminated = BRANCHES["elimination"](g, moments[0])
-        assert np.allclose(eliminated, _logdet_cholesky(g, moments[1]), rtol=1e-12, atol=0)
+        assert np.allclose(eliminated, BRANCHES["cholesky"](g, moments[1]), rtol=1e-12, atol=0)
         assert np.allclose(moments[0], moments[1], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("above", [0, 1], ids=["at", "above"])
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
     def test_sample_switches_kernel_above_small_gram(self, monkeypatch, n, m, above):
-        # The six links of three rates with one N go as one stack: up to
-        # Gram order _SMALL_GRAM through one eliminator, above it through
-        # the Cholesky kernel.
+        # The six links of three rates with one N and one r go as one
+        # stack of Gram matrices: up to Gram order _SMALL_GRAM through one
+        # eliminator, above it through the Cholesky kernel.
         rows, cols = _SMALL_GRAM + n + above, _SMALL_GRAM + m + above
+        order = min(rows, cols)
         main, eave = correlated_stats(10.0, rows, cols), correlated_stats(3.0, rows, cols)
         rates = [lsl_secrecy_rate(main, eave, generic_precoder(cols, seed)) for seed in range(3)]
         eliminators, choleskys = [], []
 
         class RecordingEliminator(_Eliminator):
-            def __init__(self, shape):
-                eliminators.append(shape)
-                super().__init__(shape)
+            def __init__(self, d, size):
+                eliminators.append((d, size))
+                super().__init__(d, size)
 
-        def recording_cholesky(g, moments):
-            choleskys.append(g.shape)
-            return _logdet_cholesky(g, moments)
+        def recording_cholesky(gram, moments):
+            choleskys.append(gram.shape)
+            return _logdet_cholesky(gram, moments)
 
         monkeypatch.setattr(montecarlo, "_Eliminator", RecordingEliminator)
         monkeypatch.setattr(montecarlo, "_logdet_cholesky", recording_cholesky)
         mc_secrecy_rate(rates, 300, seed=1)
         if above:
             assert not eliminators
-            assert choleskys == [(256, 6, rows, cols), (44, 6, rows, cols)]
+            assert choleskys == [(6, 256, order, order), (6, 44, order, order)]
         else:
-            assert eliminators == [(256, 6, rows, cols)] and not choleskys
+            assert eliminators == [(order, 6 * 256)] and not choleskys
 
     def test_reused_eliminator_matches_a_fresh_one(self):
-        # The kernel keeps its arrays across calls; a shorter last block
-        # uses their leading part.
-        kernel = _Eliminator((256, 3, 4, 6))
-        for count, snr in [(256, 10.0), (256, 1e6), (100, 0.1)]:
-            g = channel_stack(count, 3, 4, 6, snr, seed=count)
-            reused, fresh = np.empty((2, count, 3)), np.empty((2, count, 3))
-            assert np.array_equal(kernel(g, reused), _Eliminator(g.shape)(g, fresh))
-            assert np.array_equal(reused, fresh)
+        # A group keeps its arrays, its eliminator's among them, across
+        # calls; a shorter last block uses their leading part, and a block
+        # of one realization pads it with an earlier block's column.
+        for n, m in [(4, 6), (6, 4)]:
+            stats = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
+            weights = montecarlo._column_weights([stats] * 3, [np.linspace(0.0, 2.0, m) * (i + 1) for i in range(3)])
+            group = montecarlo._Group(stats, weights, 256)
+            rng = np.random.default_rng(n)
+            for count, snr in [(256, 10.0), (256, 1e6), (100, 0.1), (1, 10.0)]:
+                w = np.sqrt(snr) * sample_channel_block(count, n, m, rng)
+                reused, fresh = group(w), montecarlo._Group(stats, weights, count)(w)
+                assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+
+class TestGroups:
+    """Each block's Gram matrices are built once per group of links that
+    share N and r: from one A = Wᴴ diag(r) W where N >= M, scaled per
+    link, and from each link's own channel where N < M."""
+
+    @pytest.mark.parametrize("n, m", [(5, 3), (2, 3), (9, 8)], ids=["n>m", "n<m", "large-gram"])
+    def test_equal_n_and_different_r_form_two_groups(self, monkeypatch, n, m):
+        # The main links of three rates share N and r, and so do their
+        # eavesdropper links; main and eavesdropper share N but not r.
+        main = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
+        eave = correlated_stats(4.0, n, m)
+        rates = [lsl_secrecy_rate(main, eave, generic_precoder(m, seed)) for seed in range(3)]
+        fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
+        groups = []
+
+        class RecordingGroup(montecarlo._Group):
+            def __init__(self, stats, weights, size):
+                groups.append((stats.r_eigs.tobytes(), len(weights)))
+                super().__init__(stats, weights, size)
+
+        monkeypatch.setattr(montecarlo, "_Group", RecordingGroup)
+        sample = montecarlo._sample(fps, 300, seed=(2, 5))
+        assert groups == [(main.r_eigs.tobytes(), 3), (eave.r_eigs.tobytes(), 3)]
+        for i, fp in enumerate(fps):
+            assert np.array_equal(sample[i], montecarlo._sample([fp], 300, seed=(2, 5))[0])
+
+    @pytest.mark.parametrize("n", [1, 257])
+    @pytest.mark.parametrize("n_main, n_eave, m", [(2, 2, 2), (4, 4, 4), (6, 2, 4), (2, 3, 4), (8, 9, 8)])
+    def test_rate_alone_raises_no_warning(self, n, n_main, n_eave, m):
+        # A block of one realization pads each link with a second column,
+        # which holds zeros or an earlier block's rows; its Gram matrices
+        # are rebuilt with the block, so they stay valid. At 40 dB an
+        # earlier block's eliminated values, eliminated again, give
+        # negative pivots.
+        main = correlated_stats(1e4, n_main, m, r_corr=receive_correlation(n_main))
+        rate = lsl_secrecy_rate(main, correlated_stats(3.0, n_eave, m), generic_precoder(m, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (estimate,) = mc_secrecy_rate([rate], n, seed=4)
+        assert np.isfinite([estimate.mean, estimate.std_error]).all()
+
+    @pytest.mark.parametrize("orders", [(1, 6), (7, 10)], ids=["eliminator", "cholesky"])
+    def test_grams_match_the_scaled_channels(self, orders):
+        # Each link's Gram matrix against Gᴴ G or G Gᴴ of its explicitly
+        # scaled channel G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), with
+        # zeros in r and k, N on both sides of M and W taller than N. An
+        # entry is at most sqrt(gram_ii gram_jj), which the tolerance is
+        # relative to.
+        rng = np.random.default_rng(orders[0])
+        for _ in range(40):
+            m = int(rng.integers(orders[0], orders[1] + 1))
+            n = int(rng.integers(orders[0], orders[1] + 4))
+            links, count = int(rng.integers(1, 4)), int(rng.integers(1, 257))
+            r = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2)
+            stats = ChannelStatistics(snr=10.0 ** rng.uniform(-2.0, 6.0), t_corr=np.eye(m), r_eigs=r)
+            k_eigs = [rng.uniform(0.0, 2.0, m) * (rng.random(m) > 0.2) for _ in range(links)]
+            weights = montecarlo._column_weights([stats] * links, k_eigs)
+            w = sample_channel_block(count, n + int(rng.integers(0, 3)), m, rng)
+            g = np.sqrt(r)[:, None] * w[None, :, :n] * np.sqrt(weights)[:, None, None]
+            g_h = g.conj().swapaxes(-1, -2)
+            expected = g_h @ g if n >= m else g @ g_h
+            group = montecarlo._Group(stats, weights, 256)
+            gram = group.grams(w)
+            if group.small:
+                d = len(gram)
+                upper = np.moveaxis(gram.reshape(d, d, links, -1)[..., :count], (0, 1), (-2, -1))
+                assert not np.tril(upper, -1).any()
+                upper = upper.conj() if n < m else upper
+                gram = upper + np.triu(upper, 1).conj().swapaxes(-1, -2)
+            assert group.small == (min(n, m) <= _SMALL_GRAM)
+            diag = np.einsum("...ii->...i", expected).real
+            bound = 1e-13 * np.sqrt(diag[..., :, None] * diag[..., None, :])
+            assert (np.abs(gram - expected) <= bound).all(), (n, m, links, count)
 
 
 class TestSpectra:
@@ -420,7 +531,7 @@ class TestMcSecrecyRate:
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "sample_channel_block", recording)
             estimates = mc_secrecy_rate(rates, n, seed=(5, 1))
-        assert shapes == [(min(256, n - start), 3 * (n_main + n_eave), m) for start in range(0, n, 256)]
+        assert shapes == [(min(256, n - start), max(n_main, n_eave), m) for start in range(0, n, 256)]
         assert estimates == [mc_secrecy_rate([rate], n, seed=(5, 1))[0] for rate in rates]
 
     def test_rates_must_share_m(self):
@@ -530,24 +641,30 @@ class TestPairedEstimator:
         short = blocks[:]
         blocks.clear()
         mc_secrecy_rate([rate], 700, seed=8)
-        assert [b.shape for b in short] == [(256, 7, 3)] * 2
+        assert [b.shape for b in short] == [(256, 5, 3)] * 2
         assert [len(b) for b in blocks] == [256, 256, 188]
         assert all(np.array_equal(a, b) for a, b in zip(short, blocks))
 
 
 class TestPresetStandardErrors:
-    def test_every_row_at_or_below_the_reference(self):
+    def test_every_row_at_or_below_the_reference(self, tmp_path):
         # perfbench/reference.json holds each fig2-fig5 row at seed 0 with
         # 10,000 unpaired realizations. At the default count the weakest
         # row, fig2 at 20 dB with wf, reports 0.947 of its reference SE.
         # The deterministic columns pass the benchmark's own gate: 1e-9
         # relative, absolute below 1 bit (worst gap today 2.45e-10), and
-        # the same outer iteration count.
+        # the same outer iteration count. The CSVs, MC columns included,
+        # are byte for byte those in tests/data: a change that moves the
+        # RNG stream or the estimator regenerates them and says so.
         path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
         reference = json.loads(path.read_text())["presets"]
         for name, config in PRESETS.items():
             assert config.mc_realizations == DEFAULT_MC_REALIZATIONS and config.seed == 0
-            rows = run_sweep(config).rows
+            result = run_sweep(config)
+            write_csv(result, str(tmp_path / f"{name}.csv"), timestamp=False)
+            golden = Path(__file__).resolve().parent / "data" / f"{name}-mc-seed0.csv"
+            assert (tmp_path / f"{name}.csv").read_bytes() == golden.read_bytes(), name
+            rows = result.rows
             assert [(r.sweep_value, r.strategy) for r in rows] == [
                 (r["sweep_value"], r["strategy"]) for r in reference[name]
             ]

@@ -14,7 +14,14 @@ from helpers import (
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate
-from wiretap_lsl.errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, RankDeficient, WiretapError
+from wiretap_lsl.errors import (
+    AllZeroGains,
+    BisectionFailure,
+    OuterLoopNoConvergence,
+    OverBudget,
+    RankDeficient,
+    WiretapError,
+)
 from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config, run_sweep
 from wiretap_lsl.linalg import congruence, gsvd
 from wiretap_lsl.precoders import (
@@ -538,7 +545,11 @@ def oracle_bytes(oracle, *args, **kwargs):
 def reference_waterfill_precoder(stats_m, em):
     """waterfill_precoder of one link, its levels from the 1-D oracle."""
     lam, q = stats_m.t_eigh
-    return congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(stats_m.num_tx)).levels)
+    m = stats_m.num_tx
+    p = congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(m)).levels)
+    if np.trace(p).real > m + precoders._TRACE_SLACK:
+        raise OverBudget(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
+    return p
 
 
 def assert_rows_match_oracle(gains, budget):
@@ -684,6 +695,21 @@ class TestStackedDesigns:
         expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in wf]
         assert any(isinstance(e, tuple) and e[0] is AllZeroGains for e in expected)
         assert [outcome_bytes(p) for p in waterfill_precoders(wf)] == expected
+
+    def test_over_budget_design_fails_alone(self):
+        # At M = 13 with gains from 4e-19 to 1.1e-17, water - 1/gain
+        # loses the budget to cancellation and the levels sum to 16. That
+        # element gets OverBudget as its result, and the other elements
+        # of its stack keep their bytes.
+        tiny = ChannelStatistics(snr=1.0, t_corr=np.diag(np.linspace(0.04, 1.1, 13)), r_eigs=np.ones(13))
+        assert tiny.beta * 1e-17 * tiny.t_eigh[0].min() == pytest.approx(4e-19)
+        good = ChannelStatistics(snr=1.0, t_corr=gen_correlation(ArraySpec(13, 0.5, 20.0, 10.0)), r_eigs=np.ones(13))
+        items = [(good, 1.0), (tiny, 1e-17), (good, 3.0)]
+        expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in items]
+        assert expected[1] == (OverBudget, "trace 16.000000 exceeds budget 13.0")
+        assert [outcome_bytes(p) for p in waterfill_precoders(items)] == expected
+        with pytest.raises(OverBudget):
+            waterfill_precoder(tiny, 1e-17)
 
 
 class TestOptimize:
