@@ -32,20 +32,27 @@ point share N and r, hence A. Where N < M each link scales its rows of W
 into G and builds G Gᴴ. Up to Gram order _SMALL_GRAM the batch stays on
 the last axis, and one vectorized operation per entry row builds the
 Gram matrices and eliminates them; larger ones take stacked matmuls and
-a batched Cholesky. Either kernel also returns the Gram moments that the
-estimate regresses on.
+a batched Cholesky. Both kernels return log-dets only; the group reads
+the control variates off the same Gram matrices, or off A.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
-standard error. The trace and squared Frobenius norm of each link's
-Gram matrix have closed-form means and serve as control variates: the
-difference is regressed on them, and the intercept is the estimate
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, ch. 4).
-Its standard error, the residual standard deviation over sqrt(n), is
-the spread of the estimate across seeds; it is smaller than that of
-the plain paired mean wherever the moments correlate with the
-difference. Each rate keeps its own regression; rates whose links are
-no taller than its own change none of its numbers.
+standard error. The control variates of a link are the first two terms
+of the Taylor expansion of ln det(I + S) about S's mean diag(s0):
+with D = S - diag(s0) and b = 1 / (1 + s0), L1 = sum b_i D_ii and
+L2 = sum b_i b_j |D_ij|^2, so that ln det(I + S) is about
+ln det(I + diag(s0)) + L1 - L2 / 2. The S_ii are independent weighted
+sums of unit exponentials, so E L1 = 0, and Var L1 and E L2 have closed
+forms for any spectra. Each link gives three columns of mean 0:
+z = L1 / sd(L1), q = L2 / E L2 - 1 and z^2 - 1. The difference is
+regressed on an intercept and both links' columns, and the intercept is
+the estimate (Glasserman, Monte Carlo Methods in Financial Engineering,
+2004, ch. 4). Its standard error, the residual standard deviation over
+sqrt(n), is the spread of the estimate across seeds; it is smaller than
+that of the plain paired mean wherever the variates correlate with the
+difference. Each rate keeps its own regression, solved in one stack
+with the others of its call; rates whose links are no taller than its
+own change none of its numbers.
 """
 
 from __future__ import annotations
@@ -59,9 +66,11 @@ from .channel import ChannelStatistics, sample_channel_block
 from .detequiv import FixedPoint, LslRate
 
 _BLOCK_SIZE = 256
-# Up to this many realizations the secrecy rate is the plain paired mean:
-# the regression fits 5 coefficients.
-_MIN_REGRESSION = 6
+# The regression's design: an intercept and three control variates per link.
+_COLUMNS = 7
+# Up to this many realizations the secrecy rate is the plain paired mean,
+# so that the regression keeps at least 2 residual degrees of freedom.
+_MIN_REGRESSION = _COLUMNS + 1
 # Largest Gram order min(N, M) that _Eliminator takes. A group of three
 # links with 256 realizations each, its Gram matrices built as _Group
 # builds them, took 1.4-2.7 times as long through _logdet_cholesky at
@@ -80,15 +89,11 @@ class McEstimate:
     num_realizations: int
 
 
-def _logdet_cholesky(gram: np.ndarray, moments: np.ndarray) -> np.ndarray:
+def _logdet_cholesky(gram: np.ndarray) -> np.ndarray:
     """The log-det kernel: ln det(I + Gram) of each Gram matrix of a
-    stack (..., d, d), whose trace and squared Frobenius norm go into
-    moments, (2, ...), by a batched Cholesky. The Gram matrices are not
+    stack (..., d, d), by a batched Cholesky. The Gram matrices are not
     symmetrized first: the factorization reads one triangle and the real
     part of the diagonal. The stack is overwritten."""
-    moments[0] = np.einsum("...ii->...", gram).real
-    flat = gram.view(float).reshape(*gram.shape[:-2], -1)
-    moments[1] = np.einsum("...i,...i->...", flat, flat)
     diag = np.arange(gram.shape[-1])
     gram[..., diag, diag] += 1.0
     chol = np.linalg.cholesky(gram)
@@ -117,18 +122,10 @@ class _Eliminator:
         self.scaled = np.empty((d, size), dtype=complex)
         self.update = np.empty((d, size), dtype=complex)
 
-    def __call__(self, gram: np.ndarray, moments: np.ndarray) -> np.ndarray:
-        """ln det(I + Gram), (size,), of gram, which it overwrites; the
-        Gram trace and squared Frobenius norm go into moments, (2, size)."""
+    def __call__(self, gram: np.ndarray) -> np.ndarray:
+        """ln det(I + Gram), (size,), of gram, which it overwrites."""
         d, size = gram.shape[1:]
         pivots = self.pivots[:, :size]
-        diag = np.einsum("iib->ib", gram).real
-        flat = gram.view(float).reshape(d * d, -1)
-        squares = np.einsum("kb,kb->b", flat, flat)
-        # The lower triangle is 0, so the off-diagonal entries count twice.
-        trace_sq = np.einsum("ib,ib->b", diag, diag)
-        moments[0] = diag.sum(axis=0)
-        moments[1] = 2.0 * (squares[0::2] + squares[1::2]) - trace_sq
         for k in range(d):
             np.add(gram[k, k].real, 1.0, out=pivots[k])
             row = gram[k, k + 1 :]
@@ -172,6 +169,40 @@ class _Group:
         n, m = stats.num_rx, stats.num_tx
         links, d = len(weights), min(n, m)
         self.n, self.links, self.shared, self.small = n, links, n >= m, d <= _SMALL_GRAM
+        # On the diagonal of a link's Gram matrix S, Gᴴ G where shared, else
+        # G Gᴴ, S_ii = sum_j alpha_i beta_j |W_ij|^2, each |W_ij|^2 / 2 an
+        # independent unit exponential: E S = diag(s0), and b = 1 / (1 + s0).
+        alpha, beta = (weights, stats.r_eigs) if self.shared else (stats.r_eigs, weights)
+        s0 = 2.0 * alpha * beta.sum(axis=-1, keepdims=True)
+        b = 1.0 / (1.0 + s0)
+        # The laws of L1 and L2: E L1 = 0, Var L1 = 4 sum(beta^2)
+        # sum((b alpha)^2) and E L2 = 4 sum(beta^2) (sum(b alpha))^2.
+        ba = b * alpha
+        beta_sq = 4.0 * (beta * beta).sum(axis=-1)
+        self.spread = np.sqrt(beta_sq * (ba * ba).sum(axis=1))
+        self.mean = beta_sq * ba.sum(axis=1) ** 2
+        # The moments read A where shared, whose S_ij is A_ij sqrt(alpha_i
+        # alpha_j), else the Gram matrices. With x_i = source_ii, o = b s0
+        # and v = b alpha where shared, else b, b_i D_ii = v_i x_i - o_i:
+        # L1 = sum(v x) - sum(o), and L2 = sum(v^2 x^2) - 2 sum(v o x) +
+        # sum(o^2) plus 2 v_i v_j |source_ij|^2 over the upper triangle.
+        # Over its law each is a constant plus a weighted sum of
+        # [|source|^2; x], (d + 1, d, c), whose weights are the link's
+        # terms: L1's on the last row only.
+        v, o = (ba if self.shared else b), b * s0
+        # Both moments are identically 0 where E L2 = 0: at rho = 0, or
+        # where r or k is 0. Their variates are then 0 too.
+        live = self.mean > 0.0
+        laws = np.array([self.spread, self.mean])
+        inv_spread, inv_mean = np.divide(1.0, laws, out=np.zeros_like(laws), where=live)[:, :, None]
+        self.terms = np.zeros((links, 2, d + 1, d))
+        self.terms[:, 0, d] = v * inv_spread
+        upper = np.triu(np.full((d, d), 2.0), 1) + np.eye(d)
+        self.terms[:, 1, :d] = v[:, :, None] * v[:, None, :] * inv_mean[:, :, None] * upper
+        self.terms[:, 1, d] = -2.0 * v * o * inv_mean
+        self.live = live.astype(float)[:, None]
+        self.constants = np.array([-o.sum(axis=1) * inv_spread[:, 0], (o * o).sum(axis=1) * inv_mean[:, 0]])[:, :, None]
+        self.constants[1] -= self.live
         if self.shared:
             self.sqrt_r = np.sqrt(stats.r_eigs)
             s = np.sqrt(weights)
@@ -201,12 +232,14 @@ class _Group:
         batch-last, (d, d, links * c) with c = max(2, count) realizations
         per link and the lower triangles 0; where N < M they are the
         conjugates of G Gᴴ, with the same determinant and moments. Above
-        it the full matrices, (links, count, d, d)."""
+        it the full matrices, (links, count, d, d). Where shared, self.a
+        holds A."""
         x = w[:, : self.n]
         if not self.small:
             if self.shared:
                 x = x * self.sqrt_r[:, None]
-                return (x.conj().swapaxes(-1, -2) @ x) * self.scales
+                self.a = x.conj().swapaxes(-1, -2) @ x
+                return self.a * self.scales
             g = x * self.scales
             return g @ g.conj().swapaxes(-1, -2)
         count = len(w)
@@ -225,19 +258,38 @@ class _Group:
             _upper_gram(rows, gram.reshape(d, d, self.links, c), products)
         return gram
 
+    def variates(self, source: np.ndarray) -> np.ndarray:
+        """The control variates z = L1 / sd(L1), q = L2 / E L2 - 1 and
+        z^2 - 1 of each link, (3, links, c), from the upper triangles of
+        source, (d, d, 1, c) A where shared, else (d, d, links, c) the
+        Gram matrices. Each has mean 0. Each link takes one einsum call,
+        whose shapes do not depend on the number of links."""
+        d = len(source)
+        parts = np.empty((d + 1,) + source.shape[1:])
+        np.square(source.real, out=parts[:d])
+        parts[:d] += np.square(source.imag)
+        parts[d] = np.einsum("ii...->i...", source).real
+        variates = np.empty((3, self.links, source.shape[-1]))
+        for link in range(self.links):
+            variates[:2, link] = np.einsum("tik,ikc->tc", self.terms[link], parts[:, :, 0 if self.shared else link])
+        variates[:2] += self.constants
+        np.multiply(variates[0], variates[0], out=variates[2])
+        variates[2] -= self.live
+        return variates
+
     def __call__(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ln det(I + Gram), (links, count), and the Gram trace and
-        squared Frobenius norm, (2, links, count), of the group's links on
-        a block w of W."""
+        """ln det(I + Gram), (links, count), and the control variates,
+        (3, links, count), of the group's links on a block w of W."""
         count = len(w)
         gram = self.grams(w)
         if not self.small:
-            moments = np.empty((2, self.links, count))
-            return _logdet_cholesky(gram, moments), moments
+            variates = self.variates(np.moveaxis(self.a[None] if self.shared else gram, (-2, -1), (0, 1)))
+            return _logdet_cholesky(gram), variates
         c = max(2, count)
-        moments = np.empty((2, self.links, c))
-        logdet = self.kernel(gram, moments.reshape(2, -1))
-        return logdet.reshape(self.links, c)[:, :count], moments[:, :, :count]
+        source = self.a[:, :, None, :c] if self.shared else gram.reshape(len(gram), -1, self.links, c)
+        variates = self.variates(source)
+        logdet = self.kernel(gram)
+        return logdet.reshape(self.links, c)[:, :count], variates[:, :, :count]
 
 
 def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndarray]) -> np.ndarray:
@@ -256,14 +308,14 @@ def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndar
 
 
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
-    """Per-realization MI, Gram trace and squared Gram Frobenius norm of
-    each link of fps, shape (links, 3, n), drawn in blocks from one
-    generator seeded by seed. All links share every W; the links with
-    the same N and r form one _Group."""
+    """Per-realization MI and the three control variates (see
+    _Group.variates) of each link of fps, shape (links, 4, n), drawn in
+    blocks from one generator seeded by seed. All links share every W;
+    the links with the same N and r form one _Group."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not fps:
-        return np.empty((0, 3, n))
+        return np.empty((0, 4, n))
     stats = [fp.stats for fp in fps]
     weights = _column_weights(stats, [fp.k_eigs for fp in fps])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -273,25 +325,16 @@ def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> n
     size = min(n, _BLOCK_SIZE)
     groups = [(links, _Group(stats[links[0]], weights[links], size)) for links in members.values()]
     rows, m = max(s.num_rx for s in stats), stats[0].num_tx
-    out = np.empty((len(fps), 3, n))
+    out = np.empty((len(fps), 4, n))
     for offset in range(0, n, _BLOCK_SIZE):
         count = min(_BLOCK_SIZE, n - offset)
         w = sample_channel_block(count, rows, m, rng)
         block = out[:, :, offset : offset + count]
         for links, group in groups:
-            logdet, moments = group(w)
+            logdet, variates = group(w)
             block[links, 0] = logdet / m
-            block[links, 1:] = moments.swapaxes(0, 1)
+            block[links, 1:] = variates.swapaxes(0, 1)
     return out
-
-
-def _exact_moments(fp: FixedPoint) -> np.ndarray:
-    """Means of the Gram trace and squared Frobenius norm of fp's link:
-    c sum(r) sum(k) and c^2 ((sum r)^2 sum k^2 + sum r^2 (sum k)^2), c = rho/M."""
-    r, k = fp.stats.r_eigs, fp.k_eigs
-    c = fp.stats.snr / fp.stats.num_tx
-    sr, sk = r.sum(), k.sum()
-    return np.array([c * sr * sk, c**2 * (sr**2 * np.dot(k, k) + np.dot(r, r) * sk**2)])
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
@@ -308,22 +351,38 @@ def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int | tuple[int, ...]) -> McEsti
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
-def _secrecy_estimate(rate: LslRate, sample: np.ndarray) -> McEstimate:
-    """The clamped control-variate estimate of rate from its links'
-    sample, shape (2, 3, n): main link, then eavesdropper."""
-    n = sample.shape[2]
-    diff = sample[0, 0] - sample[1, 0]
-    if n <= _MIN_REGRESSION:
-        mean, std_error = _mean_and_error(diff)
-    else:
-        exact = np.array([_exact_moments(rate.fp_main), _exact_moments(rate.fp_eave)])[:, :, None]
-        # A moment with mean 0 is identically 0; tiny keeps 0 / 0 out.
-        scaled = (sample[:, 1:] - exact) / np.maximum(exact, np.finfo(float).tiny)
-        design = np.column_stack([np.ones(n), scaled.reshape(-1, n).T])
-        coef, _, rank, _ = np.linalg.lstsq(design, diff, rcond=None)
-        resid = diff - design @ coef
-        mean, std_error = float(coef[0]), float(np.sqrt(resid @ resid / (n - rank) / n))
-    return McEstimate(mean=max(0.0, mean), std_error=std_error, num_realizations=n)
+def _secrecy_estimates(sample: np.ndarray) -> list[McEstimate]:
+    """The clamped control-variate estimates of rates from their links'
+    sample, shape (rates, 2, 4, n): main link, then eavesdropper.
+
+    The least-squares fit of each rate's difference on its design takes
+    the QR factor R of [design, difference], one stacked QR for all
+    rates, and then the SVD of R's leading _COLUMNS x _COLUMNS block with
+    np.linalg.lstsq's rank cut, eps * max(n, _COLUMNS) times the largest
+    singular value; the residual is R's last diagonal entry and the part
+    of R's last column along the singular vectors cut. Past the stacked
+    factorizations each rate's arithmetic is its own, on arrays whose
+    shapes do not depend on the number of rates."""
+    rates, n = len(sample), sample.shape[-1]
+    diff = sample[:, 0, 0] - sample[:, 1, 0]
+    if n <= _MIN_REGRESSION or not rates:
+        fits = [_mean_and_error(d) for d in diff]
+        return [McEstimate(mean=max(0.0, mean), std_error=error, num_realizations=n) for mean, error in fits]
+    # Each rate's [design, difference] by columns, so that the QR reads
+    # it in LAPACK's column-major order without a transposing copy.
+    system = np.empty((rates, _COLUMNS + 1, n))
+    system[:, 0] = 1.0
+    system[:, 1:_COLUMNS] = sample[:, :, 1:].reshape(rates, -1, n)
+    system[:, _COLUMNS] = diff
+    r = np.linalg.qr(system.swapaxes(1, 2), mode="r")
+    u, sv, vh = np.linalg.svd(r[:, :_COLUMNS, :_COLUMNS])
+    fits = []
+    for u_i, sv_i, vh_i, r_i in zip(u, sv, vh, r):
+        along = (u_i * r_i[:_COLUMNS, _COLUMNS, None]).sum(axis=0)
+        keep = sv_i > np.finfo(float).eps * max(n, _COLUMNS) * sv_i[0]
+        resid = r_i[_COLUMNS, _COLUMNS] ** 2 + (along[~keep] ** 2).sum()
+        fits.append(((vh_i[keep, 0] * along[keep] / sv_i[keep]).sum(), np.sqrt(resid / (n - keep.sum()) / n)))
+    return [McEstimate(mean=max(0.0, float(mean)), std_error=float(error), num_realizations=n) for mean, error in fits]
 
 
 def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...]) -> list[McEstimate]:
@@ -333,21 +392,22 @@ def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
     difference is regressed by least squares on an intercept and both
-    links' centred Gram moments, each divided by its mean so that no
-    column dwarfs the intercept's (the squared norm grows as rho^2, and
-    the least-squares rank cut would drop the intercept); the intercept
-    is the estimate and the residual standard deviation over sqrt(n) its
-    standard error. Moments that are identically zero, as at rho = 0, get
-    the minimum-norm coefficient 0. Up to _MIN_REGRESSION realizations
-    the plain paired mean is used. The clamp is applied to the estimate,
-    never per realization.
+    links' three control variates z, q and z^2 - 1 (see the module
+    docstring), each standardized by its closed-form law so that no
+    column dwarfs the intercept's and the least-squares rank cut keeps
+    it; the intercept is the estimate and the residual standard
+    deviation over sqrt(n) its standard error. A link whose variates are
+    identically zero, as at rho = 0, gets the minimum-norm coefficients
+    0. Up to _MIN_REGRESSION realizations the plain paired mean is used.
+    The clamp is applied to the estimate, never per realization.
 
     All rates share every W, so they must share M, and each link's
     k_eigs must hold M eigenvalues (else ValueError); each rate keeps
-    its own law and its own regression. Where all their links
+    its own law and its own regression, and the regressions of all
+    rates are one stacked solve. Where all their links
     have the same numbers of receive antennas, as the rates of one sweep
     point do, each estimate equals that of its rate alone, bit for bit.
     No rates give no estimates.
     """
     sample = _sample([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
-    return [_secrecy_estimate(rate, sample[2 * i : 2 * i + 2]) for i, rate in enumerate(rates)]
+    return _secrecy_estimates(sample.reshape(len(rates), 2, 4, n))

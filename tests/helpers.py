@@ -273,3 +273,16 @@ def reference_run_sweep(config, include_mc=True):
                 )
             )
     return experiment.SweepResult(rows=tuple(rows))
+
+
+def reference_secrecy_estimate(sample):
+    """The control-variate estimate of one rate from its links' sample,
+    (2, 4, n) as montecarlo._sample returns it, by np.linalg.lstsq on an
+    intercept and both links' variates: (mean, std_error), the mean
+    clamped at 0. The oracle for mc_secrecy_rate's stacked regression."""
+    n = sample.shape[-1]
+    diff = sample[0, 0] - sample[1, 0]
+    design = np.column_stack([np.ones(n), sample[:, 1:].reshape(-1, n).T])
+    coef, _, rank, _ = np.linalg.lstsq(design, diff, rcond=None)
+    resid = diff - design @ coef
+    return max(0.0, float(coef[0])), float(np.sqrt(resid @ resid / (n - rank) / n))
