@@ -30,7 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", help="output CSV path (overrides the config)")
     run.add_argument("--seed", type=int, help="master RNG seed (overrides the config)")
-    run.add_argument("--mc", type=int, help="Monte Carlo realizations per point")
+    run.add_argument(
+        "--mc",
+        type=int,
+        help="Monte Carlo target: the SE of this many unpaired realizations; each rate draws at most this many",
+    )
     run.add_argument("--no-mc", action="store_true", help="skip Monte Carlo validation")
     run.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
     return parser

@@ -26,7 +26,7 @@ SWEEP_KINDS = ("snr", "ne", "spacing")
 # ArraySpec's defaults are the main link's caption values; the
 # eavesdropper shares all of them but its mean angle.
 DEFAULT_THETA_EAVE = -10.0
-DEFAULT_MC_REALIZATIONS = 1_792
+DEFAULT_MC_REALIZATIONS = 16_384
 # Accepted SNRs in dB, NaN excluded. Near -3000 dB rho underflows and the
 # eigensolvers fail; near +2000 dB the fixed point runs to its cap.
 SNR_DB_LIMIT = 1000.0

@@ -45,18 +45,32 @@ ln det(I + diag(s0)) + L1 - L2 / 2. The S_ii are independent weighted
 sums of unit exponentials, so E L1 = 0, and Var L1 and E L2 have closed
 forms for any spectra. Each link gives three columns of mean 0:
 z = L1 / sd(L1), q = L2 / E L2 - 1 and z^2 - 1. The difference is
-regressed on an intercept and both links' columns, and the intercept is
-the estimate (Glasserman, Monte Carlo Methods in Financial Engineering,
-2004, ch. 4). Its standard error, the residual standard deviation over
-sqrt(n), is the spread of the estimate across seeds; it is smaller than
-that of the plain paired mean wherever the variates correlate with the
-difference. Each rate keeps its own regression, solved in one stack
-with the others of its call; rates whose links are no taller than its
-own change none of its numbers.
+regressed on an intercept and both links' columns (Glasserman, Monte
+Carlo Methods in Financial Engineering, 2004, ch. 4), cross-fitted: the
+realizations fall into _FOLDS folds, and the slopes applied to each one
+are fitted on the other folds. The estimate is the mean of the
+difference less the variates times those slopes, unbiased at any fixed
+count, as a fit that includes a realization's own draw is not: its
+O(p/n) bias grows as the count shrinks. Its standard error, the
+standard deviation of those terms over sqrt(n), is the spread of the
+estimate across seeds; it is smaller than that of the plain paired mean
+wherever the variates correlate with the difference.
+
+n sets a precision, not a count: each rate aims at the standard error
+that n unpaired realizations would give, sqrt((Var I_M + Var I_E) / n).
+Its pilot, the first _PILOT_BLOCKS blocks, estimates both variances and
+the cross-fitted one, and so the count that reaches that target, in
+whole blocks and at most n; the rate then fits the first count
+realizations of the stream. The point draws the largest count of its
+rates. A rate's count and estimate depend on its own realizations only,
+so where all links of a call have the same numbers of receive antennas,
+as at a sweep point, each rate's estimate is, bit for bit, the one it
+gets alone.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -66,11 +80,20 @@ from .channel import ChannelStatistics, sample_channel_block
 from .detequiv import FixedPoint, LslRate
 
 _BLOCK_SIZE = 256
+# A rate's pilot, the blocks that size its sample (see mc_secrecy_rate).
+_PILOT_BLOCKS = 2
 # The regression's design: an intercept and three control variates per link.
 _COLUMNS = 7
-# Up to this many realizations the secrecy rate is the plain paired mean,
-# so that the regression keeps at least 2 residual degrees of freedom.
-_MIN_REGRESSION = _COLUMNS + 1
+# The cross-fit's folds: realization i lies in fold i mod _FOLDS.
+_FOLDS = 8
+# Up to this many realizations the secrecy rate is the plain paired mean.
+# Past it the fit of every fold, on the n - ceil(n / _FOLDS) realizations
+# of the others, keeps at least 2 residual degrees of freedom: n = 11 is
+# the first n with n - ceil(n / _FOLDS) >= _COLUMNS + 2.
+_MIN_REGRESSION = 10
+# Eigenvalues of a fold's Gram matrix at most this times its largest are
+# cut: singular values of its design at most 1e-6 times the largest.
+_RANK_CUT = 1e-12
 # Largest Gram order min(N, M) that _Eliminator takes. A group of three
 # links with 256 realizations each, its Gram matrices built as _Group
 # builds them, took 1.4-2.7 times as long through _logdet_cholesky at
@@ -137,6 +160,13 @@ class _Eliminator:
         return np.log(pivots).sum(axis=0)
 
 
+@functools.cache
+def _upper_weights(d: int) -> np.ndarray:
+    """(d, d): 1 on the diagonal, 2 above it and 0 below, the weights of
+    |D_ij|^2 in L2 over the upper triangle of a Gram matrix."""
+    return np.triu(np.full((d, d), 2.0), 1) + np.eye(d)
+
+
 def _upper_gram(rows: np.ndarray, gram: np.ndarray, products: np.ndarray) -> None:
     """Write gram[i, j] = sum over axis 1 of conj(rows[i]) rows[j] for
     j >= i, one entry row at a time; products, of rows' shape, is work
@@ -148,7 +178,7 @@ def _upper_gram(rows: np.ndarray, gram: np.ndarray, products: np.ndarray) -> Non
 
 
 class _Group:
-    """The links of one _sample call that share N and r, and the work
+    """The links of one _Sampler that share N and r, and the work
     arrays of their blocks.
 
     Up to Gram order _SMALL_GRAM the arrays are allocated once, for blocks
@@ -175,12 +205,18 @@ class _Group:
         alpha, beta = (weights, stats.r_eigs) if self.shared else (stats.r_eigs, weights)
         s0 = 2.0 * alpha * beta.sum(axis=-1, keepdims=True)
         b = 1.0 / (1.0 + s0)
+        # Per link, (4, links, d): b alpha, o = b s0 and their squares,
+        # summed over each link's row by one reduction.
+        parts = np.empty((4, links, d))
+        np.multiply(b, alpha, out=parts[0])
+        np.multiply(b, s0, out=parts[1])
+        np.square(parts[:2], out=parts[2:])
+        ba_sum, o_sum, ba_sq, o_sq = parts.sum(axis=-1)
         # The laws of L1 and L2: E L1 = 0, Var L1 = 4 sum(beta^2)
         # sum((b alpha)^2) and E L2 = 4 sum(beta^2) (sum(b alpha))^2.
-        ba = b * alpha
         beta_sq = 4.0 * (beta * beta).sum(axis=-1)
-        self.spread = np.sqrt(beta_sq * (ba * ba).sum(axis=1))
-        self.mean = beta_sq * ba.sum(axis=1) ** 2
+        self.spread = np.sqrt(beta_sq * ba_sq)
+        self.mean = beta_sq * ba_sum**2
         # The moments read A where shared, whose S_ij is A_ij sqrt(alpha_i
         # alpha_j), else the Gram matrices. With x_i = source_ii, o = b s0
         # and v = b alpha where shared, else b, b_i D_ii = v_i x_i - o_i:
@@ -189,20 +225,18 @@ class _Group:
         # Over its law each is a constant plus a weighted sum of
         # [|source|^2; x], (d + 1, d, c), whose weights are the link's
         # terms: L1's on the last row only.
-        v, o = (ba if self.shared else b), b * s0
+        v, o = (parts[0] if self.shared else b), parts[1]
         # Both moments are identically 0 where E L2 = 0: at rho = 0, or
-        # where r or k is 0. Their variates are then 0 too.
+        # where r or k is 0. Their variates are then 0 too, and the
+        # reciprocals of both laws, (2, links, 1), are taken as 0.
         live = self.mean > 0.0
-        laws = np.array([self.spread, self.mean])
-        inv_spread, inv_mean = np.divide(1.0, laws, out=np.zeros_like(laws), where=live)[:, :, None]
+        inv_spread, inv_mean = (live / (np.array([self.spread, self.mean]) + ~live))[:, :, None]
         self.terms = np.zeros((links, 2, d + 1, d))
-        self.terms[:, 0, d] = v * inv_spread
-        upper = np.triu(np.full((d, d), 2.0), 1) + np.eye(d)
-        self.terms[:, 1, :d] = v[:, :, None] * v[:, None, :] * inv_mean[:, :, None] * upper
-        self.terms[:, 1, d] = -2.0 * v * o * inv_mean
+        np.multiply(v, inv_spread, out=self.terms[:, 0, d])
+        np.multiply((v * inv_mean)[:, :, None] * v[:, None, :], _upper_weights(d), out=self.terms[:, 1, :d])
+        np.multiply(-2.0 * v * o, inv_mean, out=self.terms[:, 1, d])
         self.live = live.astype(float)[:, None]
-        self.constants = np.array([-o.sum(axis=1) * inv_spread[:, 0], (o * o).sum(axis=1) * inv_mean[:, 0]])[:, :, None]
-        self.constants[1] -= self.live
+        self.constants = np.array([-o_sum * inv_spread[:, 0], o_sq * inv_mean[:, 0] - self.live[:, 0]])[:, :, None]
         if self.shared:
             self.sqrt_r = np.sqrt(stats.r_eigs)
             s = np.sqrt(weights)
@@ -307,34 +341,50 @@ def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndar
     return np.array([(s.snr / (2.0 * m)) * k for s, k in zip(stats, k_eigs, strict=True)])
 
 
-def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
+class _Sampler:
     """Per-realization MI and the three control variates (see
     _Group.variates) of each link of fps, shape (links, 4, n), drawn in
-    blocks from one generator seeded by seed. All links share every W;
-    the links with the same N and r form one _Group."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not fps:
-        return np.empty((0, 4, n))
-    stats = [fp.stats for fp in fps]
-    weights = _column_weights(stats, [fp.k_eigs for fp in fps])
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    members = {}
-    for i, s in enumerate(stats):
-        members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
-    size = min(n, _BLOCK_SIZE)
-    groups = [(links, _Group(stats[links[0]], weights[links], size)) for links in members.values()]
-    rows, m = max(s.num_rx for s in stats), stats[0].num_tx
-    out = np.empty((len(fps), 4, n))
-    for offset in range(0, n, _BLOCK_SIZE):
-        count = min(_BLOCK_SIZE, n - offset)
-        w = sample_channel_block(count, rows, m, rng)
-        block = out[:, :, offset : offset + count]
-        for links, group in groups:
-            logdet, variates = group(w)
-            block[links, 0] = logdet / m
-            block[links, 1:] = variates.swapaxes(0, 1)
-    return out
+    blocks from one generator seeded by seed, as far as asked. All links
+    share every W; the links with the same N and r form one _Group. The
+    realizations are written into one array, allocated for n and filled
+    from the start."""
+
+    def __init__(self, fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.out = np.empty((len(fps), 4, n))
+        self.drawn = 0 if fps else n
+        if not fps:
+            return
+        stats = [fp.stats for fp in fps]
+        weights = _column_weights(stats, [fp.k_eigs for fp in fps])
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+        members = {}
+        for i, s in enumerate(stats):
+            members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
+        size = min(n, _BLOCK_SIZE)
+        self.groups = [(links, _Group(stats[links[0]], weights[links], size)) for links in members.values()]
+        self.rows, self.m = max(s.num_rx for s in stats), stats[0].num_tx
+
+    def draw(self, count: int) -> np.ndarray:
+        """The first count realizations, (links, 4, count), drawing the
+        blocks not drawn yet; count is n or ends a block."""
+        n = self.out.shape[-1]
+        while self.drawn < count:
+            size = min(_BLOCK_SIZE, n - self.drawn)
+            w = sample_channel_block(size, self.rows, self.m, self.rng)
+            block = self.out[:, :, self.drawn : self.drawn + size]
+            for links, group in self.groups:
+                logdet, variates = group(w)
+                block[links, 0] = logdet / self.m
+                block[links, 1:] = variates.swapaxes(0, 1)
+            self.drawn += size
+        return self.out[:, :, :count]
+
+
+def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
+    """All n realizations of _Sampler(fps, n, seed), (links, 4, n)."""
+    return _Sampler(fps, n, seed).draw(n)
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
@@ -351,63 +401,98 @@ def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int | tuple[int, ...]) -> McEsti
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
-def _secrecy_estimates(sample: np.ndarray) -> list[McEstimate]:
-    """The clamped control-variate estimates of rates from their links'
-    sample, shape (rates, 2, 4, n): main link, then eavesdropper.
+def _cross_fit(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-fitted control-variate estimates of rates from their
+    links' sample, shape (rates, 2, 4, n): main link, then eavesdropper.
+    Returns each rate's estimate, unclamped, and the variance of its
+    per-realization terms, both (rates,); the standard error is the root
+    of that variance over n.
 
-    The least-squares fit of each rate's difference on its design takes
-    the QR factor R of [design, difference], one stacked QR for all
-    rates, and then the SVD of R's leading _COLUMNS x _COLUMNS block with
-    np.linalg.lstsq's rank cut, eps * max(n, _COLUMNS) times the largest
-    singular value; the residual is R's last diagonal entry and the part
-    of R's last column along the singular vectors cut. Past the stacked
-    factorizations each rate's arithmetic is its own, on arrays whose
-    shapes do not depend on the number of rates."""
+    Realization i lies in fold i mod _FOLDS. Each fold's slopes come from
+    the least-squares fit of the difference, centred on its mean, on an
+    intercept and both links' variates over the other folds, so that no
+    realization's own draw enters the coefficients applied to it; the
+    terms are the differences less the variates times those slopes. Each
+    fold's normal equations are the Gram sums of [design, difference]
+    over all folds less its own, one stacked matmul and one stacked eigh
+    for all rates and folds; eigenvalues at most _RANK_CUT times the
+    largest are cut, so degenerate columns take the minimum-norm
+    coefficients. Every step's shapes per rate do not depend on the
+    number of rates. Up to _MIN_REGRESSION realizations the terms are the
+    plain paired differences."""
     rates, n = len(sample), sample.shape[-1]
     diff = sample[:, 0, 0] - sample[:, 1, 0]
-    if n <= _MIN_REGRESSION or not rates:
-        fits = [_mean_and_error(d) for d in diff]
-        return [McEstimate(mean=max(0.0, mean), std_error=error, num_realizations=n) for mean, error in fits]
-    # Each rate's [design, difference] by columns, so that the QR reads
-    # it in LAPACK's column-major order without a transposing copy.
-    system = np.empty((rates, _COLUMNS + 1, n))
-    system[:, 0] = 1.0
-    system[:, 1:_COLUMNS] = sample[:, :, 1:].reshape(rates, -1, n)
-    system[:, _COLUMNS] = diff
-    r = np.linalg.qr(system.swapaxes(1, 2), mode="r")
-    u, sv, vh = np.linalg.svd(r[:, :_COLUMNS, :_COLUMNS])
-    fits = []
-    for u_i, sv_i, vh_i, r_i in zip(u, sv, vh, r):
-        along = (u_i * r_i[:_COLUMNS, _COLUMNS, None]).sum(axis=0)
-        keep = sv_i > np.finfo(float).eps * max(n, _COLUMNS) * sv_i[0]
-        resid = r_i[_COLUMNS, _COLUMNS] ** 2 + (along[~keep] ** 2).sum()
-        fits.append(((vh_i[keep, 0] * along[keep] / sv_i[keep]).sum(), np.sqrt(resid / (n - keep.sum()) / n)))
-    return [McEstimate(mean=max(0.0, float(mean)), std_error=float(error), num_realizations=n) for mean, error in fits]
+    if n <= _MIN_REGRESSION:
+        return diff.mean(axis=-1), (diff.var(axis=-1, ddof=1) if n > 1 else np.zeros(rates))
+    # [intercept, variates, centred difference] by rounds of the folds,
+    # padded with zero realizations to a whole round, which add nothing
+    # to any Gram sum: (rates, columns, rounds, folds).
+    rounds = -(-n // _FOLDS)
+    system = np.zeros((rates, _COLUMNS + 1, rounds * _FOLDS))
+    system[:, 0, :n] = 1.0
+    system[:, 1:_COLUMNS, :n] = sample[:, :, 1:].reshape(rates, -1, n)
+    centre = diff.mean(axis=-1)
+    np.subtract(diff, centre[:, None], out=system[:, _COLUMNS, :n])
+    folds = np.ascontiguousarray(system.reshape(rates, _COLUMNS + 1, rounds, _FOLDS).transpose(0, 3, 1, 2))
+    grams = folds @ folds.swapaxes(-1, -2)
+    held_out = grams.sum(axis=1, keepdims=True) - grams
+    lam, vec = np.linalg.eigh(held_out[..., :_COLUMNS, :_COLUMNS])
+    along = (vec * held_out[..., :_COLUMNS, _COLUMNS, None]).sum(axis=-2)
+    keep = lam > _RANK_CUT * lam[..., -1:]
+    coef = (vec * np.divide(along, lam, out=np.zeros_like(lam), where=keep)[..., None, :]).sum(axis=-1)
+    terms = folds[:, :, _COLUMNS] - (coef[..., 1:, None] * folds[:, :, 1:_COLUMNS]).sum(axis=-2)
+    terms = terms.swapaxes(1, 2).reshape(rates, -1)[:, :n]
+    return centre + terms.mean(axis=-1), terms.var(axis=-1, ddof=1)
 
 
 def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...]) -> list[McEstimate]:
     """Clamped Monte Carlo estimates, one per rate, of the difference of
-    the mean MIs of the rate's two links.
+    the mean MIs of the rate's two links, each at the standard error that
+    n unpaired realizations would give.
 
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
-    difference is regressed by least squares on an intercept and both
-    links' three control variates z, q and z^2 - 1 (see the module
-    docstring), each standardized by its closed-form law so that no
-    column dwarfs the intercept's and the least-squares rank cut keeps
-    it; the intercept is the estimate and the residual standard
-    deviation over sqrt(n) its standard error. A link whose variates are
-    identically zero, as at rho = 0, gets the minimum-norm coefficients
-    0. Up to _MIN_REGRESSION realizations the plain paired mean is used.
-    The clamp is applied to the estimate, never per realization.
+    difference is regressed on an intercept and both links' three control
+    variates z, q and z^2 - 1 (see the module docstring), each
+    standardized by its closed-form law, with coefficients cross-fitted
+    over _FOLDS folds (see _cross_fit); the estimate is the mean of the
+    difference less the variates' fitted part. A link whose variates are
+    identically zero, as at rho = 0, gets coefficients 0. Up to
+    _MIN_REGRESSION realizations the plain paired mean is used. The clamp
+    is applied to the estimate, never per realization.
+
+    Each rate's pilot is the first _PILOT_BLOCKS blocks, or all n if that
+    is fewer. The pilot's variances of the two MIs give the target
+    standard error, sqrt((Var I_M + Var I_E) / n), and its cross-fitted
+    variance the count that reaches it: n times their ratio, rounded up
+    to whole blocks and clipped to [pilot, n]. A rate's estimate is the
+    fit of its first count realizations: the pilot's fit, or a refit of
+    all count. The point draws the largest count. Where no variance is
+    seen, as at rho = 0, the count is the pilot.
 
     All rates share every W, so they must share M, and each link's
     k_eigs must hold M eigenvalues (else ValueError); each rate keeps
-    its own law and its own regression, and the regressions of all
-    rates are one stacked solve. Where all their links
-    have the same numbers of receive antennas, as the rates of one sweep
-    point do, each estimate equals that of its rate alone, bit for bit.
-    No rates give no estimates.
+    its own law, its own count and its own regression. Where all their
+    links have the same numbers of receive antennas, as the rates of one
+    sweep point do, each estimate equals that of its rate alone, bit for
+    bit. No rates give no estimates.
     """
-    sample = _sample([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
-    return _secrecy_estimates(sample.reshape(len(rates), 2, 4, n))
+    sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
+    if not rates:
+        return []
+    pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+    sample = sampler.draw(pilot).reshape(len(rates), 2, 4, pilot)
+    means, variances = _cross_fit(sample)
+    counts = np.full(len(rates), pilot)
+    if pilot < n:
+        spread = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
+        ratio = np.divide(variances, spread, out=np.zeros_like(spread), where=spread > 0.0)
+        counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n)
+    sample = sampler.draw(int(counts.max())).reshape(len(rates), 2, 4, -1)
+    estimates = []
+    for i, count in enumerate(counts.tolist()):
+        mean, variance = means[i], variances[i]
+        if count > pilot:
+            (mean,), (variance,) = _cross_fit(sample[i : i + 1, ..., :count])
+        estimates.append(McEstimate(max(0.0, float(mean)), float(np.sqrt(variance / count)), count))
+    return estimates

@@ -276,13 +276,21 @@ def reference_run_sweep(config, include_mc=True):
 
 
 def reference_secrecy_estimate(sample):
-    """The control-variate estimate of one rate from its links' sample,
-    (2, 4, n) as montecarlo._sample returns it, by np.linalg.lstsq on an
-    intercept and both links' variates: (mean, std_error), the mean
-    clamped at 0. The oracle for mc_secrecy_rate's stacked regression."""
+    """The cross-fitted control-variate estimate of one rate from its
+    links' sample, (2, 4, n) as montecarlo._Sampler draws it: for each
+    fold k, realizations i with i mod 8 = k, np.linalg.lstsq of the
+    difference on an intercept and both links' variates over the other
+    folds, with singular values at most 1e-6 of the largest cut; each
+    realization's term is its difference less its variates times its
+    fold's slopes. Returns (mean, std_error) of the terms, the mean
+    clamped at 0: the oracle for mc_secrecy_rate's stacked cross-fit."""
+    folds = montecarlo._FOLDS
     n = sample.shape[-1]
     diff = sample[0, 0] - sample[1, 0]
     design = np.column_stack([np.ones(n), sample[:, 1:].reshape(-1, n).T])
-    coef, _, rank, _ = np.linalg.lstsq(design, diff, rcond=None)
-    resid = diff - design @ coef
-    return max(0.0, float(coef[0])), float(np.sqrt(resid @ resid / (n - rank) / n))
+    terms = np.empty(n)
+    for k in range(folds):
+        own = np.arange(n) % folds == k
+        coef = np.linalg.lstsq(design[~own], diff[~own], rcond=math.sqrt(montecarlo._RANK_CUT))[0]
+        terms[own] = diff[own] - design[own, 1:] @ coef[1:]
+    return max(0.0, float(terms.mean())), float(terms.std(ddof=1) / math.sqrt(n))

@@ -81,7 +81,7 @@ class TestPresets:
 class TestParseConfig:
     def test_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "c.json"))
-        assert cfg.mc_realizations == 1_792
+        assert cfg.mc_realizations == 16_384
         assert cfg.array_main.mean_angle_deg == 40.0
         assert cfg.array_eave.mean_angle_deg == -10.0
         assert cfg.array_main.angle_spread_deg == 5.0

@@ -14,7 +14,11 @@ from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep, write_csv
 from wiretap_lsl.linalg import hermitianize
 from wiretap_lsl.montecarlo import (
+    _BLOCK_SIZE,
+    _COLUMNS,
+    _PILOT_BLOCKS,
     _SMALL_GRAM,
+    McEstimate,
     _Eliminator,
     _logdet_cholesky,
     _upper_gram,
@@ -452,7 +456,10 @@ class TestSpectra:
         original = np.linalg.eigh
 
         def counting(a, *args, **kwargs):
-            calls.append(a)
+            # The cross-fit's stacks of 7 x 7 Gram matrices are no
+            # channel's: the links here have M and N other than 7.
+            if np.shape(a)[-2:] != (_COLUMNS, _COLUMNS):
+                calls.append(a)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -472,7 +479,8 @@ class TestSpectra:
 
         monkeypatch.setattr(channel, "congruence", counting_congruence)
         # The rate's fixed points hold both links' spectra: MC factors
-        # nothing and builds no square root.
+        # nothing but its regressions' Gram matrices and builds no square
+        # root.
         mc_secrecy_rate([rate], 600, seed=1)
         assert not eighs and not congruences
 
@@ -589,13 +597,13 @@ class TestMcSecrecyRate:
         est = mc_secrecy_rate([rate], 600, seed=2)[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
-    @pytest.mark.parametrize("n", [1, 6, 7, 9, DEFAULT_MC_REALIZATIONS])
+    @pytest.mark.parametrize("n", [1, 6, 7, 9, 1_792, DEFAULT_MC_REALIZATIONS])
     def test_identical_links_exact_zero_at_every_n(self, n):
         stats = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
         est = mc_secrecy_rate([lsl_secrecy_rate(stats, stats, generic_precoder(3, 7))], n, seed=5)[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
-    @pytest.mark.parametrize("n", [1, 6, 8])
+    @pytest.mark.parametrize("n", [1, 6, 8, 10])
     def test_few_realizations_give_the_plain_paired_mean(self, n):
         # Alone, a link with N rows draws the same W as when paired with
         # another link of N rows.
@@ -613,13 +621,15 @@ class TestMcSecrecyRate:
         [(3, 4, 2), (3, 4, 4), (8, 8, 9), (4, 4, 2), (6, 6, 2), (6, 6, 8), (4, 8, 3)],
         ids=["unequal-n", "equal-n", "large-gram", "fig4", "fig2", "tall-eave", "tall-main"],
     )
-    @pytest.mark.parametrize("n", [1, 6, 7, 257, 700])
+    @pytest.mark.parametrize("n", [1, 6, 7, 257, 700, DEFAULT_MC_REALIZATIONS])
     def test_sequence_matches_each_rate_alone(self, monkeypatch, m, n_main, n_eave, n):
         # The rates of one sweep point: the same two links at three
-        # precoders. One W per block serves all six links, and each
-        # rate's estimate is, bit for bit, the one it gets alone. A rate
+        # precoders. One W per block serves all six links, the blocks of
+        # the largest count any rate takes, and each rate's estimate,
+        # count included, is, bit for bit, the one it gets alone. A rate
         # alone with unequal N runs each link as a stack of one; at n = 1
-        # and n = 257 its last block holds a single matrix.
+        # and n = 257 its last block holds a single matrix. At the default
+        # the rates take different counts past the pilot.
         main = correlated_stats(10.0, n_main, m, r_corr=receive_correlation(n_main))
         eave = correlated_stats(4.0, n_eave, m)
         precoders = (np.eye(m), generic_precoder(m, 1), generic_precoder(m, 2))
@@ -635,8 +645,66 @@ class TestMcSecrecyRate:
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "sample_channel_block", recording)
             estimates = mc_secrecy_rate(rates, n, seed=(5, 1))
-        assert shapes == [(min(256, n - start), max(n_main, n_eave), m) for start in range(0, n, 256)]
+        drawn = max(e.num_realizations for e in estimates)
+        assert shapes == [(min(256, drawn - start), max(n_main, n_eave), m) for start in range(0, drawn, 256)]
         assert estimates == [mc_secrecy_rate([rate], n, seed=(5, 1))[0] for rate in rates]
+
+    @pytest.mark.parametrize("n", [300, 512, 700, 1_000, 5_000, DEFAULT_MC_REALIZATIONS])
+    def test_counts_are_whole_blocks_from_the_start(self, n):
+        # Each rate fits the first count realizations of the point's
+        # stream, count no more than n: all n up to the pilot's two
+        # blocks, else whole blocks from the pilot up, or all n. Identical
+        # links stop at the pilot; the two others pass it at larger n.
+        same = correlated_stats(10.0, 3, 2)
+        rates = [
+            lsl_secrecy_rate(same, same, generic_precoder(2)),
+            lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), generic_precoder(2, 1)),
+            lsl_secrecy_rate(correlated_stats(1e6, 1, 2), correlated_stats(1e3, 3, 2), np.eye(2)),
+        ]
+        estimates = mc_secrecy_rate(rates, n, seed=4)
+        fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
+        sample = montecarlo._sample(fps, n, seed=4).reshape(len(rates), 2, 4, n)
+        pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+        counts = [e.num_realizations for e in estimates]
+        for i, (estimate, count) in enumerate(zip(estimates, counts)):
+            assert pilot <= count <= n
+            assert count == n or count % _BLOCK_SIZE == 0
+            (mean,), (variance,) = montecarlo._cross_fit(sample[i : i + 1, ..., :count])
+            assert estimate == McEstimate(max(0.0, float(mean)), float(np.sqrt(variance / count)), count)
+        assert counts[0] == pilot
+        assert (min(counts[1:]) > pilot) == (n >= 5_000)
+
+    def test_count_never_passes_n(self, monkeypatch):
+        # A pilot whose cross-fitted variance exceeds the MIs' own, as
+        # with variates that explain nothing, asks for more than n
+        # realizations: the rate takes all n, its last block partial.
+        original = montecarlo._cross_fit
+
+        def inflated(sample):
+            means, variances = original(sample)
+            return means, 1e3 * variances
+
+        monkeypatch.setattr(montecarlo, "_cross_fit", inflated)
+        rate = lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), generic_precoder(2, 1))
+        (estimate,) = mc_secrecy_rate([rate], 700, seed=4)
+        assert estimate.num_realizations == 700
+
+    @pytest.mark.parametrize("count", [512, 2_048])
+    def test_fits_give_exact_zeros_at_and_past_the_pilot(self, count):
+        # Identical links give a difference of 0 at every realization, and
+        # rho = 0 gives zero MIs and zero variates: a fit on the pilot or
+        # a refit past it returns 0 with a variance of 0, and so does the
+        # sized estimate at the default target.
+        same = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
+        rates = [
+            lsl_secrecy_rate(same, same, generic_precoder(3, 7)),
+            lsl_secrecy_rate(correlated_stats(0.0, 3, 3), correlated_stats(0.0, 5, 3), generic_precoder(3)),
+        ]
+        fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
+        means, variances = montecarlo._cross_fit(montecarlo._sample(fps, count, seed=5).reshape(2, 2, 4, count))
+        assert not means.any() and not variances.any()
+        for estimate in mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=5):
+            assert (estimate.mean, estimate.std_error, estimate.num_realizations) == (0.0, 0.0, 512)
 
     def test_rates_must_share_m(self):
         # A rate at M = 1 after one at M = 4 was sampled with W's four
@@ -668,37 +736,46 @@ class TestMcSecrecyRate:
 
 def regressions(monkeypatch):
     """Record each (sample, estimates) pair that mc_secrecy_rate's
-    stacked regression takes and returns."""
+    cross-fits take and return: the estimates as (mean, std_error) per
+    rate, the mean clamped at 0."""
     calls = []
-    original = montecarlo._secrecy_estimates
+    original = montecarlo._cross_fit
 
     def recording(sample):
-        calls.append((sample, original(sample)))
-        return calls[-1][1]
+        means, variances = original(sample)
+        n = sample.shape[-1]
+        calls.append((sample.copy(), [(max(0.0, m), np.sqrt(v / n)) for m, v in zip(means, variances)]))
+        return means, variances
 
-    monkeypatch.setattr(montecarlo, "_secrecy_estimates", recording)
+    monkeypatch.setattr(montecarlo, "_cross_fit", recording)
     return calls
 
 
-def assert_matches_lstsq(sample, estimate):
+def assert_matches_oracle(sample, estimate):
     mean, std_error = reference_secrecy_estimate(sample)
-    assert estimate.mean == pytest.approx(mean, rel=1e-10, abs=1e-10 * std_error)
-    assert estimate.std_error == pytest.approx(std_error, rel=1e-10)
+    assert estimate[0] == pytest.approx(mean, rel=1e-10, abs=1e-10 * std_error)
+    assert estimate[1] == pytest.approx(std_error, rel=1e-10)
 
 
 class TestStackedRegression:
-    """One QR of [design, difference] per rate, stacked, and the SVD of
-    its R, against np.linalg.lstsq on each rate's own design."""
+    """One stacked eigendecomposition of every rate's and fold's Gram
+    matrix, against np.linalg.lstsq on each fold's own design."""
 
     def test_every_preset_point_matches_lstsq(self, monkeypatch):
+        # Each point's pilot fits its three rates in one stack; a rate
+        # whose count passes the pilot is refitted alone on all of it.
         calls = regressions(monkeypatch)
         for config in PRESETS.values():
             run_sweep(config)
-        assert sum(len(estimates) for _, estimates in calls) == 189
+        pilot = _PILOT_BLOCKS * _BLOCK_SIZE
+        pilots = [estimates for sample, estimates in calls if sample.shape[-1] == pilot]
+        assert sum(len(estimates) for estimates in pilots) == 189
+        assert len(calls) > len(pilots)
         for sample, estimates in calls:
-            assert sample.shape[-1] == DEFAULT_MC_REALIZATIONS
+            assert sample.shape[-1] == pilot or len(sample) == 1
+            assert pilot <= sample.shape[-1] <= DEFAULT_MC_REALIZATIONS
             for rate_sample, estimate in zip(sample, estimates, strict=True):
-                assert_matches_lstsq(rate_sample, estimate)
+                assert_matches_oracle(rate_sample, estimate)
 
     @pytest.mark.parametrize(
         "main, eave, m",
@@ -708,22 +785,22 @@ class TestStackedRegression:
     def test_edge_designs_match_lstsq(self, monkeypatch, main, eave, m):
         # At rho = 0 the eavesdropper's three columns are all 0; at M = 1
         # q is z^2 - 1, a column twice; at 60 dB the rank cut must keep
-        # the intercept.
+        # the intercept. The pilot and every refit past it.
         (snr_main, n_main), (snr_eave, n_eave) = main, eave
         rates = [
             lsl_secrecy_rate(correlated_stats(snr_main, n_main, m), correlated_stats(snr_eave, n_eave, m), p)
             for p in (np.eye(m), generic_precoder(m, 3))
         ]
         calls = regressions(monkeypatch)
-        mc_secrecy_rate(rates, 1_000, seed=3)
-        ((sample, estimates),) = calls
-        if m == 1:
-            assert np.allclose(sample[:, :, 2], sample[:, :, 3], rtol=1e-12, atol=1e-12)
-        if snr_eave == 0.0:
-            assert not sample[:, 1, 1:].any()
-        for rate_sample, estimate in zip(sample, estimates, strict=True):
-            assert estimate.std_error > 0.0
-            assert_matches_lstsq(rate_sample, estimate)
+        mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=3)
+        for sample, estimates in calls:
+            if m == 1:
+                assert np.allclose(sample[:, :, 2], sample[:, :, 3], rtol=1e-12, atol=1e-12)
+            if snr_eave == 0.0:
+                assert not sample[:, 1, 1:].any()
+            for rate_sample, estimate in zip(sample, estimates, strict=True):
+                assert estimate[1] > 0.0
+                assert_matches_oracle(rate_sample, estimate)
 
 
 def gamma_mi(rho, n):
@@ -750,22 +827,27 @@ class TestPairedEstimator:
     def test_exact_oracle_seed_sweep(self, rho):
         # M = 1, N_M = 2, N_E = 1 and T = R = 1: the secrecy rate is
         # gamma_mi(rho, 2) - gamma_mi(rho, 1) exactly. Over 100 seeds at
-        # the default count, the mean z-score measured -0.26 (rho = 0.1)
-        # and +0.10 (rho = 10), against a standard deviation of 0.1 for
-        # an unbiased estimator; the spread of the estimates over the mean
-        # reported SE measured 1.06 and 0.93, against a standard deviation
-        # of 0.07 from 100 seeds. Both bounds are 3.5 of those deviations.
-        # At rho = 0.1 seeds 100-499 gave -0.30: the regression's O(1/n)
-        # bias, against an SE 120 times smaller than the unpaired one.
+        # the default target, each sized from its pilot, the mean z-score
+        # measured -0.26 (rho = 0.1, 512 realizations at every seed) and
+        # +0.04 (rho = 10, 768 to 3,072), against a standard deviation of
+        # 0.1 for an unbiased estimator; the spread of the estimates over
+        # the mean reported SE measured 1.11 and 0.94, against a standard
+        # deviation of 0.07 from 100 seeds. Both bounds are 3.5 of those
+        # deviations. Seeds 100-399 gave -0.36 and -0.06. The cross-fit
+        # leaves the estimate unbiased: at rho = 0.1 over seeds 0-399 its
+        # bias was -0.10 +- 0.06 of the mean SE. What remains of the mean
+        # z comes from the SE, which correlates with the error (0.57
+        # there): a draw that raises the estimate raises its spread too.
         rate = lsl_secrecy_rate(iid_stats(rho, 2, 1), iid_stats(rho, 1, 1), np.eye(1))
         truth = gamma_mi(rho, 2) - gamma_mi(rho, 1)
-        n = DEFAULT_MC_REALIZATIONS
-        estimates = [mc_secrecy_rate([rate], n, seed=s)[0] for s in range(100)]
+        estimates = [mc_secrecy_rate([rate], DEFAULT_MC_REALIZATIONS, seed=s)[0] for s in range(100)]
         means = np.array([e.mean for e in estimates])
         errors = np.array([e.std_error for e in estimates])
         assert abs(np.mean((means - truth) / errors)) <= 0.35
         assert np.std(means, ddof=1) / np.mean(errors) == pytest.approx(1.0, abs=0.25)
-        # Treating the links as independent overstates that spread.
+        # Treating the links as independent, at seed 0's own count,
+        # overstates that spread.
+        n = estimates[0].num_realizations
         em, ee = mc_ergodic_mi(rate.fp_main, n, seed=0), mc_ergodic_mi(rate.fp_eave, n, seed=0)
         assert np.hypot(em.std_error, ee.std_error) >= 3.0 * np.std(means, ddof=1)
 
@@ -795,6 +877,8 @@ class TestPairedEstimator:
         assert len(generators) == 1 and not spawned
 
     def test_first_full_blocks_independent_of_n(self, monkeypatch):
+        # A call draws the blocks of its largest count: at n = 512 the
+        # pilot's two, at n = 20,000 this rate's count past the pilot.
         blocks = []
         original = montecarlo.sample_channel_block
 
@@ -807,18 +891,19 @@ class TestPairedEstimator:
         mc_secrecy_rate([rate], 512, seed=8)
         short = blocks[:]
         blocks.clear()
-        mc_secrecy_rate([rate], 700, seed=8)
+        (estimate,) = mc_secrecy_rate([rate], 20_000, seed=8)
         assert [b.shape for b in short] == [(256, 5, 3)] * 2
-        assert [len(b) for b in blocks] == [256, 256, 188]
+        assert estimate.num_realizations > 512
+        assert [len(b) for b in blocks] == [256] * (estimate.num_realizations // 256)
         assert all(np.array_equal(a, b) for a, b in zip(short, blocks))
 
 
 class TestPresetStandardErrors:
     def test_every_row_at_or_below_the_reference(self, tmp_path):
         # perfbench/reference.json holds each fig2-fig5 row at seed 0 with
-        # 10,000 unpaired realizations. At the default count the weakest
-        # row, fig2 at 20 dB with wf, reports 0.909 of its reference SE
-        # (0.888-0.970 over seeds 1-9).
+        # 10,000 unpaired realizations. At the default target each row
+        # aims at 0.78 of that SE; the weakest, fig2 at 12.5 dB with wf,
+        # reports 0.828 of its reference SE (0.780-0.889 over seeds 1-9).
         # The deterministic columns pass the benchmark's own gate: 1e-9
         # relative, absolute below 1 bit (worst gap today 2.45e-10), and
         # the same outer iteration count. The CSVs, MC columns included,
