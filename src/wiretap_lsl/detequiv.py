@@ -26,6 +26,11 @@ _FP_MAX_ITER = 10_000
 # Matrix entries of one stacked eigendecomposition of Ks: every batch of
 # the presets fits, and it bounds the stack's temporaries (64 kB each).
 _STACK_ENTRIES = 4096
+# Links with at most this many receive antennas share one Newton stack per
+# M, their r zero-padded to the largest N among them: numpy sums fewer
+# than 8 terms one after another, so trailing zeros change no bit. Links
+# with more keep one stack per (N, M).
+_PADDED_ROWS = 7
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class LslRate:
         return max(0.0, self.fp_main.mi - self.fp_eave.mi)
 
 
-def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
+def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray, start: float | None = None) -> FixedPoint:
     """Solve e = (rho/N) tr{R(I+dR)^-1}, d = (rho/M) tr{K(I+b e K)^-1}.
 
     K is the symmetrized T^(1/2) P T^(1/2), factored here and nowhere
@@ -96,9 +101,14 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
     The sum is positive and at most (rho/M) sum_i k_i, so g(0) <= 0 <=
     g(hi) on the bracket [0, hi = (rho/M) sum_i k_i], and the root is
     unique because g(d)/d increases. Newton steps d - g(d)/g'(d), with
-    g' from the chain rule through e'(d), start at hi; each evaluation
-    shrinks the bracket to the side that keeps the sign change, and a
-    step that would leave the bracket is replaced by its midpoint.
+    g' from the chain rule through e'(d), start at start if it lies in
+    (0, hi), and at hi otherwise: without a start, or with one that is
+    out of the bracket or not a number, the solve is the cold one. Each
+    evaluation shrinks the bracket to the side that keeps the sign
+    change, and a step that would leave the bracket is replaced by its
+    midpoint. A start near the root, such as the delta of the same link
+    at a nearby precoder, saves iterations; the root is the same to the
+    tolerance, not bit for bit.
 
     The solve stops once one more substitution step would move d by at
     most 1e-12 relative to max(1, d); that size is the returned
@@ -106,35 +116,44 @@ def solve_fixed_point(stats: ChannelStatistics, p: np.ndarray) -> FixedPoint:
 
     This is the one-pair case of solve_fixed_points.
     """
-    (result,) = solve_fixed_points([(stats, p)])
+    (result,) = solve_fixed_points([(stats, p)], [start])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def solve_fixed_points(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]]) -> list[FixedPoint | Exception]:
-    """solve_fixed_point of every (stats, p) in pairs, solved together.
+def solve_fixed_points(
+    pairs: Sequence[tuple[ChannelStatistics, np.ndarray]],
+    starts: Sequence[float | None] | None = None,
+) -> list[FixedPoint | Exception]:
+    """solve_fixed_point of every (stats, p) in pairs, each from its start
+    in starts (all cold when starts is None), solved together.
 
     The Ks of all pairs with the same M are factored in one stacked
     eigendecomposition, and the Newton iterations of all pairs with the
-    same (N, M) run together: their arrays stack as columns, each
-    reduced along its own contiguous column, so every sum and every
-    elementwise operation is the one a pair alone makes. Each pair keeps
-    its own bracket, step test and stop, in Python floats, and leaves
-    the stack when it stops. So each result is bit for bit what
-    solve_fixed_point returns for its pair alone; a pair that fails
-    gets, in place of its FixedPoint, the exception it would raise there
-    (NotPsd, NoConvergence, or a LinAlgError from LAPACK), without a
-    traceback, and fails alone. The Ks are stacked at most
-    _STACK_ENTRIES matrix entries at a time.
+    same M run together, one stack for the links with N <= _PADDED_ROWS
+    and one per larger N: their arrays stack as columns, each reduced
+    along its own contiguous column, with n, beta and rho/n held per
+    column, so every sum and every elementwise operation is the one a
+    pair alone makes. Each pair keeps its own bracket, start, step test
+    and stop, in Python floats, and leaves the stack when it stops. So
+    each result is bit for bit what solve_fixed_point returns for its
+    pair alone from the same start; a pair that fails gets, in place of
+    its FixedPoint, the exception it would raise there (NotPsd,
+    NoConvergence, or a LinAlgError from LAPACK), without a traceback,
+    and fails alone. The Ks are stacked at most _STACK_ENTRIES matrix
+    entries at a time.
     """
+    if starts is None:
+        starts = [None] * len(pairs)
     results = _k_spectra(pairs)
     groups = {}
     for i, ((stats, _), k_eigs) in enumerate(zip(pairs, results)):
         if not isinstance(k_eigs, Exception):
-            groups.setdefault((stats.num_rx, stats.num_tx), []).append(i)
+            n = stats.num_rx
+            groups.setdefault((stats.num_tx, n if n > _PADDED_ROWS else 0), []).append(i)
     for slots in groups.values():
-        _newton([pairs[i][0] for i in slots], [results[i] for i in slots], slots, results)
+        _newton([pairs[i][0] for i in slots], [results[i] for i in slots], [starts[i] for i in slots], slots, results)
     return results
 
 
@@ -177,17 +196,21 @@ def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: lis
         spectra[i] = k if error is None else error
 
 
-def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: list[int], results: list) -> None:
+def _newton(
+    stats: list[ChannelStatistics], k_eigs: list[np.ndarray], starts: list, slots: list[int], results: list
+) -> None:
     """The safeguarded Newton iteration of solve_fixed_point for links
-    that share (N, M), writing each FixedPoint or NoConvergence to
-    results[slot]. The links run on (N, B) and (M, B) arrays whose
-    columns are contiguous, so each column's sum is a 1-D sum. The MIs
-    of all links that solve are evaluated together at the end."""
-    n, m = stats[0].num_rx, stats[0].num_tx
-    beta = n / m
-    spectra = np.stack([s.r_eigs for s in stats]).T, np.stack(k_eigs).T
-    r, k = spectra
-    rho = np.array([s.snr for s in stats])
+    that share M, each from its start, writing each FixedPoint or
+    NoConvergence to results[slot]. The links run on (N, B) and (M, B)
+    arrays whose columns are contiguous, so each column's sum is a 1-D
+    sum; N is the largest of the links', each r zero-padded to it. The
+    MIs of all links that solve are evaluated together at the end."""
+    m = stats[0].num_tx
+    r = np.zeros((len(stats), max(s.num_rx for s in stats)))
+    for row, s in zip(r, stats):
+        row[: s.num_rx] = s.r_eigs
+    link_columns = r.T, np.stack(k_eigs).T, np.array([s.snr for s in stats]), np.array([s.beta for s in stats])
+    r, k, rho, beta = link_columns
     # Per link: its (e, delta, iterations, residual) once solved; and the
     # links still iterating, by index.
     solved = [None] * len(stats)
@@ -198,11 +221,11 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
     # each column without its Python wrappers, so every iterate is
     # bit-identical to the plain transcription.
     column_sum = np.add.reduce
-    rho_n, rho_m = rho / n, rho / m
+    rho_n, rho_m = rho / np.array([s.num_rx for s in stats]), rho / m
     rho_m_beta = rho_m * beta
     hi = (rho_m * column_sum(k, 0)).tolist()
     lo = [0.0] * len(hi)
-    delta = list(hi)
+    delta = [top if start is None or not 0.0 < start < top else float(start) for start, top in zip(starts, hi)]
     residual = [np.inf] * len(hi)
     for it in range(1, _FP_MAX_ITER + 1):
         d = np.array(delta)
@@ -228,7 +251,7 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
             g_list, residual = [g_list[j] for j in keep], [residual[j] for j in keep]
             # Rows of the transposes, so that the columns stay contiguous.
             r, k, r_q, k_q = (x.T[keep].T for x in (r, k, r_q, k_q))
-            rho_n, rho_m, rho_m_beta = rho_n[keep], rho_m[keep], rho_m_beta[keep]
+            rho_n, rho_m, rho_m_beta, beta = rho_n[keep], rho_m[keep], rho_m_beta[keep], beta[keep]
         de = -rho_n * column_sum(r_q * r_q, 0)
         dg = 1.0 + rho_m_beta * de * column_sum(k_q * k_q, 0)
         dg_list = dg.tolist()
@@ -248,20 +271,20 @@ def _newton(stats: list[ChannelStatistics], k_eigs: list[np.ndarray], slots: lis
     done = [j for j, fp in enumerate(solved) if fp is not None]
     if not done:
         return
-    r, k = spectra
+    r, k, rho, beta = link_columns
     if len(done) < len(solved):
-        r, k, rho = r.T[done].T, k.T[done].T, rho[done]
+        r, k, rho, beta = r.T[done].T, k.T[done].T, rho[done], beta[done]
     e, delta = np.array([solved[j][0] for j in done]), np.array([solved[j][1] for j in done])
     for j, mi in zip(done, _mi(beta, r, k, rho, e, delta)):
         results[slots[j]] = FixedPoint(*solved[j], mi, k_eigs[j], stats[j])
 
 
-def _mi(beta: float, r: np.ndarray, k: np.ndarray, rho: np.ndarray, e: np.ndarray, delta: np.ndarray) -> list[float]:
+def _mi(beta: np.ndarray, r: np.ndarray, k: np.ndarray, rho: np.ndarray, e: np.ndarray, delta: np.ndarray) -> list[float]:
     """FixedPoint.mi of each column of _newton's (N, B) spectra r and
-    (M, B) spectra k, whose columns are contiguous, at its rho, e and
-    delta (B,). Each product keeps the formula's left-to-right grouping
-    and each column's sum is a 1-D sum, so every MI is bit for bit that
-    of its link alone. rho = 0 gives 0.0."""
+    (M, B) spectra k, whose columns are contiguous, at its beta, rho, e
+    and delta (B,). Each product keeps the formula's left-to-right
+    grouping and each column's sum is a 1-D sum, so every MI is bit for
+    bit that of its link alone. rho = 0 gives 0.0."""
     m = k.shape[0]
     term_t = np.add.reduce(np.log1p(beta * e * k), 0)
     term_r = np.add.reduce(np.log1p(delta * r), 0)
@@ -271,10 +294,15 @@ def _mi(beta: float, r: np.ndarray, k: np.ndarray, rho: np.ndarray, e: np.ndarra
     return np.where(positive, mi, 0.0).tolist()
 
 
-def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p: np.ndarray) -> LslRate:
+def lsl_secrecy_rate(
+    stats_m: ChannelStatistics,
+    stats_e: ChannelStatistics,
+    p: np.ndarray,
+    starts: tuple[float | None, float | None] | None = None,
+) -> LslRate:
     """Clamped difference of both links' deterministic-equivalent MIs;
     the one-item case of lsl_secrecy_rates."""
-    (result,) = lsl_secrecy_rates([(stats_m, stats_e, p)])
+    (result,) = lsl_secrecy_rates([(stats_m, stats_e, p)], None if starts is None else [starts])
     if isinstance(result, Exception):
         raise result
     return result
@@ -282,13 +310,20 @@ def lsl_secrecy_rate(stats_m: ChannelStatistics, stats_e: ChannelStatistics, p: 
 
 def lsl_secrecy_rates(
     items: Sequence[tuple[ChannelStatistics, ChannelStatistics, np.ndarray]],
+    starts: Sequence[tuple[float | None, float | None]] | None = None,
 ) -> list[LslRate | Exception]:
     """lsl_secrecy_rate of every (stats_m, stats_e, p) in items, with both
-    links of all of them in one solve_fixed_points call. An item that
-    fails gets its main link's error, else its eavesdropper's."""
+    links of all of them in one solve_fixed_points call. starts holds,
+    per item, the start delta of its main link's solve and of its
+    eavesdropper's (see solve_fixed_point); without it every solve is
+    cold. An item that fails gets its main link's error, else its
+    eavesdropper's."""
     if any(stats_m.num_tx != stats_e.num_tx for stats_m, stats_e, _ in items):
         raise ValueError("both links must share the transmit antenna count")
-    fps = solve_fixed_points([(stats, p) for stats_m, stats_e, p in items for stats in (stats_m, stats_e)])
+    fps = solve_fixed_points(
+        [(stats, p) for stats_m, stats_e, p in items for stats in (stats_m, stats_e)],
+        None if starts is None else [start for pair in starts for start in pair],
+    )
     return [
         main if isinstance(main, Exception) else eave if isinstance(eave, Exception) else LslRate(main, eave)
         for main, eave in zip(fps[::2], fps[1::2])

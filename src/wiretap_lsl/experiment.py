@@ -235,8 +235,9 @@ def _error_row(config: ExperimentConfig, value: float, strategy: Strategy, exc: 
 
 # Grid points whose outer loops run in lockstep at a time. Each point of
 # a chunk keeps its links, start and loops alive until the chunk is done,
-# so this bounds what a sweep holds at once, whatever its grid length.
-_LOCKSTEP_POINTS = 16
+# so this bounds what a sweep holds at once, whatever its grid length;
+# every preset grid, fig5's 29 points the longest, runs as one chunk.
+_LOCKSTEP_POINTS = 32
 
 
 def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:

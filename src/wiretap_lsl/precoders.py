@@ -492,11 +492,14 @@ def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, i
     stats are read from its fixed points, and every strategy at a point
     can share it. iso returns (I, start, 1).
 
-    Each precoder matrix determines the next one, so a matrix that
-    recurs bit for bit puts the loop on a cycle whose steps have all
-    failed the convergence test: it would run to the cap. The loop then
-    stops and returns the cycle's state at the cap, the same result as
-    iterating there.
+    Each outer iteration solves both links at the new precoder from the
+    deltas of the rate before it (solve_fixed_point's start); the solve
+    at the isotropic start stays cold. So a precoder matrix and the two
+    deltas it is solved from determine the next matrix and deltas, and
+    a state that recurs bit for bit puts the loop on a cycle whose steps
+    have all failed the convergence test: it would run to the cap. The
+    loop then stops and returns the cycle's state at the cap, the same
+    result as iterating there.
 
     This is the one-start case of optimize_many.
     """
@@ -512,14 +515,15 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
 
     Each outer iteration designs the next precoder of every running
     loop, those of each (strategy, M) as one stack, then solves both
-    links at all of them in one lsl_secrecy_rates call. A loop leaves
-    the lockstep when it converges, reaches a cycle or fails, and each
-    keeps its own cap, cycle detection and OuterLoopNoConvergence
-    warning; the cycle replay stays until the
-    benchmark stops pinning it (ROADMAP items 1 and 3). Returns, in the
-    order of jobs, what optimize returns for each, or the numerical
-    failure it would raise (a WiretapError or a LinAlgError), without its
-    traceback; any other exception propagates.
+    links at all of them in one lsl_secrecy_rates call, each link from
+    its loop's previous delta. A loop leaves the lockstep when it
+    converges, reaches a cycle or fails, and each keeps its own cap,
+    cycle detection and OuterLoopNoConvergence warning; the cycle replay
+    stays until the benchmark stops pinning it (ROADMAP items 1 and 3).
+    Returns, in the order of jobs, what optimize returns for each, or
+    the numerical failure it would raise (a WiretapError or a
+    LinAlgError), without its traceback; any other exception
+    propagates.
     """
     results = [None] * len(jobs)
     running = []
@@ -538,7 +542,10 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
                 results[slot] = p
             else:
                 designed.append((slot, loop, p))
-        rates = lsl_secrecy_rates([(loop.stats_m, loop.stats_e, p) for _, loop, p in designed])
+        rates = lsl_secrecy_rates(
+            [(loop.stats_m, loop.stats_e, p) for _, loop, p in designed],
+            [loop.starts for _, loop, _ in designed],
+        )
         running = []
         for (slot, loop, p), rate in zip(designed, rates):
             outcome = rate if isinstance(rate, Exception) else loop.advance(it, p, rate)
@@ -572,23 +579,32 @@ def _designs(loops: list[_OuterLoop]) -> list[np.ndarray | Exception]:
 
 class _OuterLoop:
     """One optimize call between outer iterations: the current precoder
-    and its rate, and the precoders seen so far."""
+    and its rate, and the states seen so far, each a precoder and the
+    start deltas of its solve. The isotropic start, solved cold, is not
+    one of them: a later state at P = I is solved warm."""
 
     def __init__(self, strategy: Strategy, start: LslRate):
         self.strategy = strategy
         self.stats_m, self.stats_e = start.fp_main.stats, start.fp_eave.stats
         self.p, self.rate = isotropic_precoder(self.stats_m.num_tx), start
         self.history = [(self.p, self.rate)]
-        self.first_seen = {self.p.tobytes(): 0}
+        self.first_seen = {}
+
+    @property
+    def starts(self) -> tuple[float, float]:
+        """The start deltas of both links' solves at the next precoder."""
+        return self.rate.fp_main.delta, self.rate.fp_eave.delta
 
     def advance(self, it: int, p: np.ndarray, rate: LslRate) -> tuple[np.ndarray, LslRate, int] | None:
-        """Move to outer iteration it's precoder p and its rate; return
-        optimize's result if the loop stops there, else None."""
+        """Move to outer iteration it's precoder p and its rate, solved
+        from self.starts; return optimize's result if the loop stops
+        there, else None."""
         converged = abs(rate.rs - self.rate.rs) < _OUTER_TOL
+        key = p.tobytes(), *self.starts
         self.p, self.rate = p, rate
         if converged:
             return p, rate, it
-        start = self.first_seen.setdefault(p.tobytes(), it)
+        start = self.first_seen.setdefault(key, it)
         if start != it:
             return _capped(*self.history[start + (_OUTER_MAX_ITER - start) % (it - start)])
         self.history.append((p, rate))

@@ -181,12 +181,14 @@ def reference_mi(stats, e, delta, k_eigs):
     return float((term_t + term_r) / m - (beta / rho) * delta * e)
 
 
-def reference_solve_fixed_point(stats, p):
+def reference_solve_fixed_point(stats, p, start=None):
     """The fixed-point solve of one link on 1-D arrays, with K factored
-    by its own np.linalg.eigh call: the oracle that every element of a
-    batched solve must match field for field, k_eigs byte for byte, and
-    NotPsd and NoConvergence messages included. It reads _FP_MAX_ITER
-    from detequiv, so a test that patches it there patches it here."""
+    by its own np.linalg.eigh call, from start if it lies inside the
+    bracket (0, hi) and from hi otherwise: the oracle that every element
+    of a batched solve must match field for field, k_eigs byte for byte,
+    and NotPsd and NoConvergence messages included. It reads
+    _FP_MAX_ITER from detequiv, so a test that patches it there patches
+    it here."""
     k = np.asarray(stats.t_sqrt @ p @ stats.t_sqrt, dtype=complex)
     lam = np.linalg.eigh(0.5 * (k + k.conj().T))[0]
     if lam[0] < -1e-12:
@@ -196,7 +198,7 @@ def reference_solve_fixed_point(stats, p):
     n, m = stats.num_rx, stats.num_tx
     r_eigs = stats.r_eigs
     lo, hi = 0.0, (rho / m) * float(k_eigs.sum())
-    delta = hi
+    delta = start if start is not None and 0.0 < start < hi else hi
     residual = np.inf
     for it in range(1, detequiv._FP_MAX_ITER + 1):
         r_q = r_eigs / (1.0 + delta * r_eigs)

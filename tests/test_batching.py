@@ -30,10 +30,10 @@ def fields(fp):
     return fp.e, fp.delta, fp.iterations, fp.residual, fp.mi, fp.k_eigs.tobytes(), fp.stats
 
 
-def outcome(solve, stats, p):
+def outcome(solve, stats, p, start=None):
     """A solve's fields, or its error's type and message."""
     try:
-        return fields(solve(stats, p))
+        return fields(solve(stats, p, start))
     except WiretapError as err:
         return type(err), str(err)
 
@@ -44,13 +44,13 @@ def batch_outcome(result):
 
 @pytest.fixture(scope="module")
 def preset_pairs():
-    """Every (link, P) that one no-MC fig2-fig5 pass solves."""
+    """Every (link, P, start) that one no-MC fig2-fig5 pass solves."""
     pairs = []
     original = detequiv.solve_fixed_points
 
-    def recording(batch):
-        pairs.extend(batch)
-        return original(batch)
+    def recording(batch, starts=None):
+        pairs.extend((stats, p, start) for (stats, p), start in zip(batch, starts or [None] * len(batch)))
+        return original(batch, starts)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detequiv, "solve_fixed_points", recording)
@@ -73,16 +73,27 @@ def random_pair(rng):
     return stats, m * p / np.trace(p).real
 
 
+def random_start(rng, stats, p):
+    """None, a point inside the bracket (0, hi) of the solve of (stats,
+    p), one above hi, 0 or NaN, with those odds."""
+    hi = stats.snr / stats.num_tx * np.trace(stats.t_sqrt @ p @ stats.t_sqrt).real
+    return [None, hi * rng.uniform(0.0, 1.0), hi * rng.uniform(1.0, 2.0) + 1e-300, 0.0, np.nan][
+        rng.choice(5, p=[0.2, 0.5, 0.1, 0.1, 0.1])
+    ]
+
+
 def in_random_batches(rng, pairs):
-    """solve_fixed_points over a random partition of pairs into batches of
-    1 to 32, in random order; the results in the order of pairs."""
+    """solve_fixed_points of the (stats, p, start) of pairs over a random
+    partition into batches of 1 to 32, in random order; the results in
+    the order of pairs."""
     order = rng.permutation(len(pairs))
     results = [None] * len(pairs)
-    start = 0
-    while start < len(order):
-        chunk = order[start : start + int(rng.integers(1, 33))]
-        start += len(chunk)
-        for i, result in zip(chunk, solve_fixed_points([pairs[i] for i in chunk])):
+    first = 0
+    while first < len(order):
+        chunk = order[first : first + int(rng.integers(1, 33))]
+        first += len(chunk)
+        batch = [pairs[i] for i in chunk]
+        for i, result in zip(chunk, solve_fixed_points([pair[:2] for pair in batch], [pair[2] for pair in batch])):
             results[i] = result
     return results
 
@@ -90,20 +101,64 @@ def in_random_batches(rng, pairs):
 class TestBatchedSolve:
     def test_preset_pass_matches_single_solves(self, preset_pairs):
         assert len(preset_pairs) == 1066
+        assert sum(start is None for _, _, start in preset_pairs) == 2 * 63  # the isotropic starts
         results = in_random_batches(np.random.default_rng(20), preset_pairs)
-        for (stats, p), result in zip(preset_pairs, results):
-            expected = fields(reference_solve_fixed_point(stats, p))
-            assert fields(solve_fixed_point(stats, p)) == expected
+        for (stats, p, start), result in zip(preset_pairs, results):
+            expected = fields(reference_solve_fixed_point(stats, p, start))
+            assert fields(solve_fixed_point(stats, p, start)) == expected
             assert fields(result) == expected
 
+    def test_warm_starts_keep_the_root(self, preset_pairs):
+        # A warm solve stops at the tolerance like a cold one, and the MI,
+        # stationary in (e, delta), moves far less than the root.
+        for stats, p, start in preset_pairs:
+            if start is not None:
+                warm, cold = solve_fixed_point(stats, p, start), solve_fixed_point(stats, p)
+                assert warm.residual <= 1e-12
+                assert abs(warm.mi - cold.mi) <= 1e-12 * abs(cold.mi)
+
     def test_random_links_match_single_solves(self):
+        # Mixed N in every batch, so that the links with N <= 7 of each M
+        # share a zero-padded stack, each from its own start.
         rng = np.random.default_rng(21)
-        pairs = [random_pair(rng) for _ in range(1000)]
+        pairs = [(stats, p, random_start(rng, stats, p)) for stats, p in (random_pair(rng) for _ in range(1000))]
         results = in_random_batches(rng, pairs)
-        for (stats, p), result in zip(pairs, results):
-            expected = outcome(reference_solve_fixed_point, stats, p)
-            assert outcome(solve_fixed_point, stats, p) == expected
+        for (stats, p, start), result in zip(pairs, results):
+            expected = outcome(reference_solve_fixed_point, stats, p, start)
+            assert outcome(solve_fixed_point, stats, p, start) == expected
             assert batch_outcome(result) == expected
+
+    def test_one_stack_pads_small_receive_counts(self, monkeypatch):
+        # N = 1, 3 and 7 share one Newton stack, padded to 7 rows; N = 8
+        # and N = 12 keep one each. Every element is its pair alone.
+        rng = np.random.default_rng(24)
+        t = gen_correlation(ArraySpec(4, 0.5, 20.0, 10.0))
+        pairs = []
+        for n in (7, 12, 1, 8, 3, 7, 1):
+            stats = ChannelStatistics(10.0 ** rng.uniform(-1.0, 3.0), t, rng.exponential(1.0, n))
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            pairs.append((stats, 4.0 * (g @ g.conj().T) / np.trace(g @ g.conj().T).real))
+        starts = [None, 0.3, 0.01, None, 2.0, None, 0.5]
+        stacks = []
+        original = detequiv._newton
+
+        def recording(stats, k_eigs, starts, slots, results):
+            stacks.append(sorted(s.num_rx for s in stats))
+            return original(stats, k_eigs, starts, slots, results)
+
+        monkeypatch.setattr(detequiv, "_newton", recording)
+        results = solve_fixed_points(pairs, starts)
+        assert sorted(stacks) == [[1, 1, 3, 7, 7], [8], [12]]
+        for (stats, p), start, result in zip(pairs, starts, results):
+            assert fields(result) == fields(reference_solve_fixed_point(stats, p, start))
+
+    def test_start_outside_the_bracket_is_cold(self):
+        rng = np.random.default_rng(25)
+        for stats, p in (random_pair(rng) for _ in range(20)):
+            cold = solve_fixed_point(stats, p)
+            hi = stats.snr / stats.num_tx * float(np.sum(cold.k_eigs))
+            for start in (hi, 2.0 * hi, np.inf, 0.0, -1.0, np.nan, -np.inf):
+                assert fields(solve_fixed_point(stats, p, start)) == fields(cold)
 
     def test_failures_stay_with_their_pairs(self, monkeypatch):
         rng = np.random.default_rng(22)
@@ -120,8 +175,8 @@ class TestBatchedSolve:
 
     def test_nan_residual_hides_no_other_pair(self, monkeypatch):
         # An infinite SNR gives e = inf * 0, so that link's residual is NaN
-        # at every iteration; the links after it in the batch, with the
-        # same (N, M), still stop when their own residuals are small.
+        # at every iteration; the links after it in the batch, in the
+        # same Newton stack, still stop when their own residuals are small.
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
         pairs = [(ChannelStatistics(snr, t, np.ones(2)), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
         monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 50)
@@ -287,10 +342,12 @@ class TestWorkGuard:
         # iterations and outer iterations of optimizing each (point,
         # strategy) pair on its own, in far fewer eigendecompositions:
         # 1,318 when every K was factored alone, against one stack per
-        # batched solve: the starts of 5 chunks (fig5's 29 points run as
-        # 16 and 13) and 47 lockstep outer iterations. Every link still
-        # factors its T twice, 252 in all, and the 1,066 solves run as
-        # 154 Newton groups of one (N, M).
+        # batched solve: the starts of 4 chunks, one per preset, and 40
+        # lockstep outer iterations. Every link still factors its T
+        # twice, 252 in all. The 1,066 solves run as 59 Newton stacks,
+        # one per M and batch plus one per larger N, and each outer
+        # iteration's solves start from the deltas before them: 3,178
+        # iterations, against 4,944 from the top of every bracket.
         eighs, batches, iterations, groups = [], [], [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
         original_newton = detequiv._newton
@@ -299,20 +356,20 @@ class TestWorkGuard:
             eighs.append(a)
             return original_eigh(a, *args, **kwargs)
 
-        def counting_solve(pairs):
-            results = original_solve(pairs)
+        def counting_solve(pairs, starts=None):
+            results = original_solve(pairs, starts)
             batches.append(len(pairs))
             iterations.extend(fp.iterations for fp in results)
             return results
 
-        def counting_newton(stats, k_eigs, slots, results):
+        def counting_newton(stats, k_eigs, starts, slots, results):
             groups.append(len(slots))
-            return original_newton(stats, k_eigs, slots, results)
+            return original_newton(stats, k_eigs, starts, slots, results)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
         monkeypatch.setattr(detequiv, "_newton", counting_newton)
         rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
-        assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 4944, 533)
-        assert (len(batches), len(eighs)) == (52, 52 + 252)
-        assert (len(groups), sum(groups)) == (154, 1066)
+        assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 3178, 533)
+        assert (len(batches), len(eighs)) == (44, 44 + 252)
+        assert (len(groups), sum(groups)) == (59, 1066)

@@ -36,8 +36,10 @@ class TestFixedPoint:
         assert fp.delta == pytest.approx(GOLDEN, abs=1e-9)
 
     def test_zero_snr(self):
-        fp = solve_fixed_point(iid_stats(0.0, 1, 1), np.eye(1))
-        assert fp.e == 0.0 and fp.delta == 0.0
+        # The bracket is [0, 0], so no start lies inside it.
+        for start in (None, 0.5, 1e-300):
+            fp = solve_fixed_point(iid_stats(0.0, 1, 1), np.eye(1), start)
+            assert fp.e == 0.0 and fp.delta == 0.0 and fp.iterations == 1
 
     def test_scalar_rho_ten(self):
         fp = solve_fixed_point(iid_stats(10.0, 4, 4), np.eye(4))

@@ -369,12 +369,12 @@ class TestRunSweep:
     def test_isotropic_start_failure_fails_every_strategy(self, monkeypatch):
         original = detequiv.solve_fixed_points
 
-        def failing_at_identity(pairs):
+        def failing_at_identity(pairs, starts=None):
             return [
                 NoConvergence("fixed point residual 1.000e-03 after 10000 iterations")
                 if np.array_equal(p, np.eye(stats.num_tx))
                 else fp
-                for (stats, p), fp in zip(pairs, original(pairs))
+                for (stats, p), fp in zip(pairs, original(pairs, starts))
             ]
 
         monkeypatch.setattr(detequiv, "solve_fixed_points", failing_at_identity)
@@ -390,9 +390,9 @@ class TestRunSweep:
         batches = []
         original = detequiv.solve_fixed_points
 
-        def counting(pairs):
+        def counting(pairs, starts=None):
             batches.append([stats for stats, _ in pairs])
-            return original(pairs)
+            return original(pairs, starts)
 
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting)
         config = dataclasses.replace(figure_preset("fig5"), sweep_grid=(1.0, 2.0))
@@ -417,9 +417,9 @@ class TestRunSweep:
             eighs.append(len(a))
             return original_eigh(a, *args, **kwargs)
 
-        def counting_solve(pairs):
+        def counting_solve(pairs, starts=None):
             batches.append(len(pairs))
-            return original_solve(pairs)
+            return original_solve(pairs, starts)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
