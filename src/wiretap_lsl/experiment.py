@@ -12,6 +12,7 @@ import math
 import typing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import islice
 
 import numpy as np
 
@@ -251,20 +252,24 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
     loop at the point shares. If either step fails at a point, so does
     every row of the point. Then the outer loops of all (point,
     strategy) pairs of the chunk run in lockstep (optimize_many), and
-    last, point by point, one Monte Carlo call, seeded by (seed, grid
-    index), estimates the rates of all strategies that succeeded there
-    on shared draws; if it fails, so do their rows. Every row is what
-    optimizing each pair on its own gives, in grid order, then strategy
-    order.
+    last one Monte Carlo call estimates the rates of every pair that
+    succeeded, on shared draws: seeded by the sweep's seed alone, with W
+    as tall as the sweep's tallest receiver. A row whose estimate fails
+    fails alone. Every row is what optimizing each pair on its own gives,
+    and its estimate, bit for bit, what mc_secrecy_rate gives its
+    point's rates alone at that seed and height of W, whatever the grid
+    index or the chunk; rows come in grid order, then strategy order.
     """
     rows = []
+    tallest = max(config.n_main, point_config(config, config.sweep_grid[-1]).n_eave)
     for first in range(0, len(config.sweep_grid), _LOCKSTEP_POINTS):
-        rows.extend(_sweep_chunk(config, first, include_mc))
+        rows.extend(_sweep_chunk(config, first, include_mc, tallest))
     return SweepResult(rows=tuple(rows))
 
 
-def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool) -> list[SweepRow]:
-    """The rows of the _LOCKSTEP_POINTS grid points from index first."""
+def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool, tallest: int) -> list[SweepRow]:
+    """The rows of the _LOCKSTEP_POINTS grid points from index first;
+    Monte Carlo draws W with tallest rows."""
     values = config.sweep_grid[first : first + _LOCKSTEP_POINTS]
     # Per grid point: its links, then its start rate, or the exception
     # that fails the point.
@@ -280,29 +285,28 @@ def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool) -> list
         points[i] = start
     started = [point for point in points if not isinstance(point, Exception)]
     optimized = iter(optimize_many([(strategy, start) for start in started for strategy in config.strategies]))
+    # Per started point, per strategy: [rate, outer iterations, MC
+    # estimate], or the exception.
+    outcomes = {}
+    for i, point in enumerate(points):
+        if not isinstance(point, Exception):
+            jobs = islice(optimized, len(config.strategies))
+            outcomes[i] = [o if isinstance(o, Exception) else [o[1], o[2], None] for o in jobs]
+    solved = [o for point in outcomes.values() for o in point if not isinstance(o, Exception)]
+    if include_mc and solved:
+        estimates = mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, config.seed, tallest)
+        for outcome, mc in zip(solved, estimates):
+            outcome[2] = mc
 
     ln2 = math.log(2.0)
     rows = []
-    for gi, (value, point) in enumerate(zip(values, points), start=first):
+    for i, (value, point) in enumerate(zip(values, points)):
         if isinstance(point, Exception):
             rows.extend(_error_row(config, value, strategy, point) for strategy in config.strategies)
             continue
-        # Per strategy: [rate, outer iterations, MC estimate], or the exception.
-        outcomes = []
-        for _ in config.strategies:
-            outcome = next(optimized)
-            outcomes.append(outcome if isinstance(outcome, Exception) else [outcome[1], outcome[2], None])
-        solved = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
-        if include_mc and solved:
-            try:
-                estimates = mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, (config.seed, gi))
-            except NUMERICAL_FAILURES as exc:
-                exc = as_value(exc)
-                outcomes = [o if isinstance(o, Exception) else exc for o in outcomes]
-            else:
-                for outcome, mc in zip(solved, estimates):
-                    outcome[2] = mc
-        for strategy, outcome in zip(config.strategies, outcomes):
+        for strategy, outcome in zip(config.strategies, outcomes[i]):
+            if not isinstance(outcome, Exception) and isinstance(outcome[2], Exception):
+                outcome = outcome[2]  # the estimate failed
             if isinstance(outcome, Exception):
                 rows.append(_error_row(config, value, strategy, outcome))
                 continue

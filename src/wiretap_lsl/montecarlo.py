@@ -6,8 +6,9 @@ caller, in blocks of 256 realizations taken in order, so a seed gives
 the same estimate every time and the first k full blocks do not depend
 on n. Each block draws all real parts of W, then all imaginary parts.
 mc_secrecy_rate takes a sequence of rates and returns the list of
-their estimates; a sweep makes one call per grid point, seeded by
-(seed, grid index), for the rates of all its strategies.
+their estimates; a sweep makes one call per chunk of grid points,
+seeded by its seed alone, for the rates of every strategy at every
+point of the chunk.
 
 W is unitarily invariant, so a link at a precoder P enters only through
 the eigenvalues r of R and k of K = T^(1/2) P T^(1/2), with eigenvectors
@@ -21,19 +22,22 @@ of N and M. Blocks bound the memory: drawing all n realizations at once
 would allocate n * N * M complex values per array.
 
 Every link of every rate in a call shares each block's W, drawn once by
-sample_channel_block with the rows of the tallest link, unscaled; each
-link reads W's first N rows. The links that share N and r form a group,
-whose Gram matrices are built once per block. Where N >= M a link's
-Gram matrix is Gᴴ G = diag(s) A diag(s), with A = Wᴴ diag(r) W over W's
-first N rows and s = sqrt((rho/2M) k), whose 1/2 undoes the variance 2
-of W's entries as drawn: the group forms A once and scales it per link,
-and no tall link's channel is ever built. The links of all strategies at a sweep
-point share N and r, hence A. Where N < M each link scales its rows of W
-into G and builds G Gᴴ. Up to Gram order _SMALL_GRAM the batch stays on
-the last axis, and one vectorized operation per entry row builds the
-Gram matrices and eliminates them; larger ones take stacked matmuls and
-a batched Cholesky. Both kernels return log-dets only; the group reads
-the control variates off the same Gram matrices, or off A.
+sample_channel_block, unscaled, with as many rows as the caller asks,
+by default those of the tallest link; each link reads W's first N rows.
+The links that share N and r form a group, whose Gram matrices are
+built once per block. Where N >= M a link's Gram matrix is
+Gᴴ G = diag(s) A diag(s), with A = Wᴴ diag(r) W over W's first N rows
+and s = sqrt((rho/2M) k), whose 1/2 undoes the variance 2 of W's
+entries as drawn: the group forms A once and scales it per link, and no
+tall link's channel is ever built. Where N < M each link scales its
+rows of W into G and builds G Gᴴ. A group's links run in tiles of up to
+_TILE links, which bound the kernels' arrays whatever the number of
+links. Up to Gram order _SMALL_GRAM the batch stays on the last axis,
+and one vectorized operation per entry row builds the Gram matrices and
+eliminates them, in work arrays that every group of a call shares;
+larger ones take stacked matmuls and a batched Cholesky. Both kernels
+return log-dets only; the group reads the control variates off the
+same Gram matrices, or off A.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -61,11 +65,11 @@ that n unpaired realizations would give, sqrt((Var I_M + Var I_E) / n).
 Its pilot, the first _PILOT_BLOCKS blocks, estimates both variances and
 the cross-fitted one, and so the count that reaches that target, in
 whole blocks and at most n; the rate then fits the first count
-realizations of the stream. The point draws the largest count of its
-rates. A rate's count and estimate depend on its own realizations only,
-so where all links of a call have the same numbers of receive antennas,
-as at a sweep point, each rate's estimate is, bit for bit, the one it
-gets alone.
+realizations of the stream. Each block past the pilot computes only
+the links of the rates whose count it has not reached. A link's
+realizations depend on W and its own statistics only, whatever the
+other links of its group and tile, so each rate's count and estimate
+are, bit for bit, those it gets alone from the same seed and rows of W.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ import numpy as np
 
 from .channel import ChannelStatistics, sample_channel_block
 from .detequiv import FixedPoint, LslRate
+from .errors import NUMERICAL_FAILURES, as_value
 
 _BLOCK_SIZE = 256
 # A rate's pilot, the blocks that size its sample (see mc_secrecy_rate).
@@ -101,6 +106,13 @@ _RANK_CUT = 1e-12
 # N < M, one BLAS thread). No workload runs above order 6, so none has
 # timed a higher threshold end to end.
 _SMALL_GRAM = 6
+# Links per kernel call, and rates per pilot tile and stacked fit. The MC
+# calls of a fig2-fig5 pass at seed 0, one per preset, on a 2-core Xeon
+# with one BLAS thread (medians of 16 interleaved passes, two runs) took
+# 197-208 ms at 3, 183-189 at 4, 164-169 at 6, 160-162 at 8 and 152-154
+# at 12. The traced peak of fig2's sweep, the largest, was 3.30, 3.61,
+# 4.23, 4.94 and 6.47 MB; TestSweepWork holds it to 5.43 MB.
+_TILE = 6
 
 
 @dataclass(frozen=True)
@@ -136,8 +148,8 @@ class _Eliminator:
     value by a real one as its product with the reciprocal, so the bits
     are those of the division, at less than half its cost.
 
-    The work arrays are allocated once, for the size given, and a smaller
-    stack uses their leading columns.
+    The work arrays are allocated once, for the order and size given, and
+    a stack of a smaller order or size uses their leading rows and columns.
     """
 
     def __init__(self, d: int, size: int):
@@ -148,7 +160,7 @@ class _Eliminator:
     def __call__(self, gram: np.ndarray) -> np.ndarray:
         """ln det(I + Gram), (size,), of gram, which it overwrites."""
         d, size = gram.shape[1:]
-        pivots = self.pivots[:, :size]
+        pivots = self.pivots[:d, :size]
         for k in range(d):
             np.add(gram[k, k].real, 1.0, out=pivots[k])
             row = gram[k, k + 1 :]
@@ -177,28 +189,51 @@ def _upper_gram(rows: np.ndarray, gram: np.ndarray, products: np.ndarray) -> Non
         part.sum(axis=1, out=gram[i, i:])
 
 
-class _Group:
-    """The links of one _Sampler that share N and r, and the work
-    arrays of their blocks.
+class _Work:
+    """The work arrays of the groups up to Gram order _SMALL_GRAM, shared
+    by every group of a sampler and reused by every block, for blocks of
+    up to cols realizations.
 
-    Up to Gram order _SMALL_GRAM the arrays are allocated once, for blocks
-    of up to size realizations, and every block reuses them; a shorter
-    block uses their leading columns. Fresh arrays for every block
-    page-faulted on each call and took twice the time. Every step works
-    on two realizations per link at least: numpy sums a lone column
-    pairwise but several in sequence, so a block of one realization would
-    differ in its last bits from the same realization in a larger block.
-    The padding column holds zeros or an earlier block's rows, so its
-    Gram matrices, which are rebuilt with every block, stay valid; its
-    results are dropped.
+    Fresh arrays for every block page-faulted on each call and took twice
+    the time; a set per group would grow with the number of groups, one
+    per N_E in fig4's sweep. So one set serves all: the Gram matrices of a
+    tile of order d take the leading d x d entries of gram, whose lower
+    triangles are never written and stay 0, and the rows of a tile or of
+    A take the leading part of rows and products, viewed in the tile's
+    own shape. Every step works on two realizations per link at least:
+    numpy sums a lone column pairwise but several in sequence, so a block
+    of one realization would differ in its last bits from the same
+    realization in a larger block. The padding column holds zeros or the
+    rows of an earlier tile, so its Gram matrices, which are rebuilt with
+    every tile, stay valid; its results are dropped.
     """
 
-    def __init__(self, stats: ChannelStatistics, weights: np.ndarray, size: int):
+    def __init__(self, m: int, cols: int, groups: Sequence[tuple[int, int]]):
+        """groups holds (N, links) of every group the arrays serve."""
+        d = max(min(n, m) for n, _ in groups)
+        width = cols * max(min(links, _TILE) for _, links in groups)
+        rows = max(m * n * cols if n >= m else n * m * min(links, _TILE) * cols for n, links in groups)
+        self.cols = cols
+        self.gram = np.zeros((d, d, width), dtype=complex)
+        self.kernel = _Eliminator(d, width)
+        self.rows = np.zeros(rows, dtype=complex)
+        self.products = np.empty(rows, dtype=complex)
+        self.a = np.zeros((m, m, cols), dtype=complex) if any(n >= m for n, _ in groups) else None
+
+
+class _Group:
+    """The links of one _Sampler that share N and r: their laws, their
+    scales, and their kernels, which run in tiles of up to _TILE links."""
+
+    def __init__(self, stats: ChannelStatistics, weights: np.ndarray, size: int, work: _Work | None = None):
         """stats is any link of the group, whose N, M and r it reads;
-        weights, (links, M), holds each link's (rho/2M) k."""
+        weights, (links, M), holds each link's (rho/2M) k. Blocks hold up
+        to size realizations. Up to Gram order _SMALL_GRAM the group
+        computes in work, or in arrays of its own if none is given."""
         n, m = stats.num_rx, stats.num_tx
         links, d = len(weights), min(n, m)
-        self.n, self.links, self.shared, self.small = n, links, n >= m, d <= _SMALL_GRAM
+        self.n, self.m, self.d, self.links = n, m, d, links
+        self.shared, self.small = n >= m, d <= _SMALL_GRAM
         # On the diagonal of a link's Gram matrix S, Gᴴ G where shared, else
         # G Gᴴ, S_ii = sum_j alpha_i beta_j |W_ij|^2, each |W_ij|^2 / 2 an
         # independent unit exponential: E S = diag(s0), and b = 1 / (1 + s0).
@@ -249,81 +284,114 @@ class _Group:
             self.scales = scales[:, None]
             return
         self.scales = np.ascontiguousarray(scales.transpose(1, 2, 0))[..., None]
-        cols = max(2, size)
-        # The rows whose products build the Gram matrices: those of Wᵀ
-        # weighted by sqrt(r) for the shared A, else those of each link's G.
-        self.rows = np.zeros((m, n, cols) if self.shared else (n, m, links * cols), dtype=complex)
-        self.products = np.empty_like(self.rows)
-        # Only the upper triangles are ever written: the lower stay 0.
-        if self.shared:
-            self.a = np.zeros((m, m, cols), dtype=complex)
-        self.gram = np.zeros((d, d, links * cols), dtype=complex)
-        self.kernel = _Eliminator(d, links * cols)
+        self.work = work if work is not None else _Work(m, max(2, size), [(n, links)])
 
-    def grams(self, w: np.ndarray) -> np.ndarray:
-        """The Gram matrices of the group's links on a block w of W,
-        (count, rows, M). Up to order _SMALL_GRAM, their upper triangles
-        batch-last, (d, d, links * c) with c = max(2, count) realizations
-        per link and the lower triangles 0; where N < M they are the
-        conjugates of G Gᴴ, with the same determinant and moments. Above
-        it the full matrices, (links, count, d, d). Where shared, self.a
-        holds A."""
+    def source(self, w: np.ndarray) -> np.ndarray:
+        """What every link of the group reads of a block w of W, (count,
+        rows, M): where shared, A = Wᴴ diag(r) W over W's first N rows,
+        formed once for all links, as upper triangles batch-last, (M, M,
+        c), in the work arrays up to _SMALL_GRAM, and as (count, M, M)
+        above it; else W's first N rows."""
         x = w[:, : self.n]
+        if not self.shared:
+            return x
+        if not self.small:
+            x = x * self.sqrt_r[:, None]
+            return x.conj().swapaxes(-1, -2) @ x
+        count, (m, n, cols) = len(w), (self.m, self.n, self.work.cols)
+        c = max(2, count)
+        rows = self.work.rows[: m * n * cols].reshape(m, n, cols)[:, :, :c]
+        products = self.work.products[: m * n * cols].reshape(m, n, cols)[:, :, :c]
+        a = self.work.a[:, :, :c]
+        np.multiply(x.transpose(2, 1, 0), self.sqrt_r[:, None], out=rows[:, :, :count])
+        _upper_gram(rows, a, products)
+        return a
+
+    def grams(self, source: np.ndarray, tile: np.ndarray, count: int) -> np.ndarray:
+        """The Gram matrices of the group's links tile, indices into its
+        links, on a block of count realizations whose source is given. Up
+        to order _SMALL_GRAM, their upper triangles batch-last, (d, d,
+        tile * c) with c = max(2, count) realizations per link and the
+        lower triangles 0; where N < M they are the conjugates of G Gᴴ,
+        with the same determinant and moments. Above it the full
+        matrices, (tile, count, d, d)."""
+        scales = self.scales[tile] if not self.small else self.scales[:, :, tile]
         if not self.small:
             if self.shared:
-                x = x * self.sqrt_r[:, None]
-                self.a = x.conj().swapaxes(-1, -2) @ x
-                return self.a * self.scales
-            g = x * self.scales
+                return source * scales
+            g = source * scales
             return g @ g.conj().swapaxes(-1, -2)
-        count = len(w)
-        c = max(2, count)
-        d, size = len(self.gram), self.links * c
-        gram = self.gram[:, :, :size]
+        d, c, links = self.d, max(2, count), len(tile)
+        gram = self.work.gram[:d, :d, : links * c]
         if self.shared:
-            rows, a = self.rows[:, :, :c], self.a[:, :, :c]
-            np.multiply(x.transpose(2, 1, 0), self.sqrt_r[:, None], out=rows[:, :, :count])
-            _upper_gram(rows, a, self.products[:, :, :c])
-            np.multiply(a[:, :, None], self.scales, out=gram.reshape(d, d, self.links, c))
-        else:
-            rows = self.rows[:, :, :size].reshape(d, -1, self.links, c)
-            np.multiply(x.transpose(1, 2, 0)[:, :, None], self.scales, out=rows[..., :count])
-            products = self.products[:, :, :size].reshape(rows.shape)
-            _upper_gram(rows, gram.reshape(d, d, self.links, c), products)
+            np.multiply(source[:, :, None], scales, out=gram.reshape(d, d, links, c))
+            return gram
+        size = self.n * self.m * links * c
+        rows = self.work.rows[:size].reshape(d, self.m, links, c)
+        np.multiply(source.transpose(1, 2, 0)[:, :, None], scales, out=rows[..., :count])
+        _upper_gram(rows, gram.reshape(d, d, links, c), self.work.products[:size].reshape(rows.shape))
         return gram
 
-    def variates(self, source: np.ndarray) -> np.ndarray:
-        """The control variates z = L1 / sd(L1), q = L2 / E L2 - 1 and
-        z^2 - 1 of each link, (3, links, c), from the upper triangles of
-        source, (d, d, 1, c) A where shared, else (d, d, links, c) the
-        Gram matrices. Each has mean 0. Each link takes one einsum call,
-        whose shapes do not depend on the number of links."""
+    def parts(self, source: np.ndarray) -> np.ndarray:
+        """[|source_ij|^2; source_ii], (d + 1, d, ..., c), what the
+        variates read of source, (d, d, ..., c): A where shared, else the
+        Gram matrices."""
         d = len(source)
         parts = np.empty((d + 1,) + source.shape[1:])
         np.square(source.real, out=parts[:d])
         parts[:d] += np.square(source.imag)
         parts[d] = np.einsum("ii...->i...", source).real
-        variates = np.empty((3, self.links, source.shape[-1]))
-        for link in range(self.links):
-            variates[:2, link] = np.einsum("tik,ikc->tc", self.terms[link], parts[:, :, 0 if self.shared else link])
-        variates[:2] += self.constants
+        return parts
+
+    def variates(self, parts: np.ndarray, tile: np.ndarray) -> np.ndarray:
+        """The control variates z = L1 / sd(L1), q = L2 / E L2 - 1 and
+        z^2 - 1 of the links tile, (3, tile, c), from parts of A where
+        shared, (d + 1, d, 1, c), else of the tile's Gram matrices, (d + 1,
+        d, tile, c). Each has mean 0. Each link takes one einsum call,
+        whose shapes do not depend on the number of links."""
+        variates = np.empty((3, len(tile), parts.shape[-1]))
+        for j, link in enumerate(tile):
+            variates[:2, j] = np.einsum("tik,ikc->tc", self.terms[link], parts[:, :, 0 if self.shared else j])
+        variates[:2] += self.constants[:, tile]
         np.multiply(variates[0], variates[0], out=variates[2])
-        variates[2] -= self.live
+        variates[2] -= self.live[tile]
         return variates
 
-    def __call__(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """ln det(I + Gram), (links, count), and the control variates,
-        (3, links, count), of the group's links on a block w of W."""
+    def __call__(
+        self,
+        w: np.ndarray,
+        links: np.ndarray | None = None,
+        out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+        source: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The MI ln det(I + Gram) / M and the three control variates of
+        the group's links, indices into them, all by default, on a block w
+        of W, (4, count) per link, written to out's rows rows, by default
+        to a new (links, 4, count) array in order. source is what
+        self.source(w) returns, formed here if not given."""
         count = len(w)
-        gram = self.grams(w)
-        if not self.small:
-            variates = self.variates(np.moveaxis(self.a[None] if self.shared else gram, (-2, -1), (0, 1)))
-            return _logdet_cholesky(gram), variates
-        c = max(2, count)
-        source = self.a[:, :, None, :c] if self.shared else gram.reshape(len(gram), -1, self.links, c)
-        variates = self.variates(source)
-        logdet = self.kernel(gram)
-        return logdet.reshape(self.links, c)[:, :count], variates[:, :, :count]
+        links = np.arange(self.links) if links is None else links
+        rows = np.arange(len(links)) if rows is None else rows
+        out = np.empty((len(links), 4, count)) if out is None else out
+        source = self.source(w) if source is None else source
+        c = max(2, count) if self.small else count
+        if self.shared:
+            parts = self.parts(source[:, :, None] if self.small else np.moveaxis(source[None], (-2, -1), (0, 1)))
+        for first in range(0, len(links), _TILE):
+            tile, at = links[first : first + _TILE], rows[first : first + _TILE]
+            gram = self.grams(source, tile, count)
+            if not self.shared:
+                batch = gram if self.small else np.moveaxis(gram, (-2, -1), (0, 1))
+                parts = self.parts(batch.reshape(self.d, self.d, len(tile), c))
+            variates = self.variates(parts, tile)
+            if self.small:
+                logdet = self.work.kernel(gram).reshape(len(tile), c)[:, :count]
+            else:
+                logdet = _logdet_cholesky(gram)
+            out[at, 0] = logdet / self.m
+            out[at, 1:] = variates[:, :, :count].swapaxes(0, 1)
+        return out
 
 
 def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndarray]) -> np.ndarray:
@@ -342,49 +410,83 @@ def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndar
 
 
 class _Sampler:
-    """Per-realization MI and the three control variates (see
-    _Group.variates) of each link of fps, shape (links, 4, n), drawn in
-    blocks from one generator seeded by seed, as far as asked. All links
-    share every W; the links with the same N and r form one _Group. The
-    realizations are written into one array, allocated for n and filled
-    from the start."""
+    """The blocks of W, drawn in order from one generator seeded by seed
+    with rows rows, by default the tallest link's, and on each the
+    per-realization MI and the three control variates (see
+    _Group.variates) of any links of fps. The links with the same N and r
+    form one _Group; the groups up to _SMALL_GRAM share one _Work."""
 
-    def __init__(self, fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.out = np.empty((len(fps), 4, n))
-        self.drawn = 0 if fps else n
-        if not fps:
-            return
+    def __init__(self, fps: Sequence[FixedPoint], size: int, seed: int | tuple[int, ...], rows: int | None = None):
+        """Blocks hold up to size realizations."""
         stats = [fp.stats for fp in fps]
         weights = _column_weights(stats, [fp.k_eigs for fp in fps])
+        tallest = max(s.num_rx for s in stats)
+        if rows is not None and rows < tallest:
+            raise ValueError(f"W needs at least the {tallest} rows of the tallest link, not {rows}")
+        self.rows, self.m = tallest if rows is None else rows, stats[0].num_tx
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         members = {}
         for i, s in enumerate(stats):
             members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
-        size = min(n, _BLOCK_SIZE)
-        self.groups = [(links, _Group(stats[links[0]], weights[links], size)) for links in members.values()]
-        self.rows, self.m = max(s.num_rx for s in stats), stats[0].num_tx
+        small = [(n, len(links)) for (n, _), links in members.items() if min(n, self.m) <= _SMALL_GRAM]
+        work = _Work(self.m, max(2, size), small) if small else None
+        self.links = len(fps)
+        self.groups = [
+            (np.array(links), _Group(stats[links[0]], weights[links], size, work)) for links in members.values()
+        ]
 
-    def draw(self, count: int) -> np.ndarray:
-        """The first count realizations, (links, 4, count), drawing the
-        blocks not drawn yet; count is n or ends a block."""
-        n = self.out.shape[-1]
-        while self.drawn < count:
-            size = min(_BLOCK_SIZE, n - self.drawn)
-            w = sample_channel_block(size, self.rows, self.m, self.rng)
-            block = self.out[:, :, self.drawn : self.drawn + size]
-            for links, group in self.groups:
-                logdet, variates = group(w)
-                block[links, 0] = logdet / self.m
-                block[links, 1:] = variates.swapaxes(0, 1)
-            self.drawn += size
-        return self.out[:, :, :count]
+    def draw(self, size: int) -> np.ndarray:
+        """The next block of size realizations of W."""
+        return sample_channel_block(size, self.rows, self.m, self.rng)
+
+    def compute(
+        self, w: np.ndarray, out: np.ndarray, links: np.ndarray | None = None, sources: dict | None = None
+    ) -> dict[int, Exception]:
+        """Write the realizations of links, indices into fps, all by
+        default, on the block w, to out, (links, 4, count), in that order.
+        Each group with links among them forms its source of w once for
+        all of them; given sources, a dict kept with w, the source of each
+        group that forms A is kept there for later calls on the same w.
+        Returns the numerical failure of each link whose kernel failed on
+        its own, by index: a tile that fails is run again link by link."""
+        row = np.arange(self.links) if links is None else np.full(self.links, -1)
+        if links is not None:
+            row[links] = np.arange(len(links))
+        failures = {}
+        for index, (members, group) in enumerate(self.groups):
+            chosen = np.flatnonzero(row[members] >= 0)
+            if not len(chosen):
+                continue
+            source = None
+            if sources is not None and group.shared:
+                source = sources.get(index)
+                if source is None:
+                    # A small group forms A in the work arrays, which the
+                    # next group's source overwrites.
+                    source = sources[index] = group.source(w).copy()
+            try:
+                group(w, chosen, out, row[members[chosen]], source)
+            except NUMERICAL_FAILURES:
+                for link in chosen:
+                    try:
+                        group(w, link[None], out, row[members[link, None]], source)
+                    except NUMERICAL_FAILURES as exc:
+                        failures[int(members[link])] = as_value(exc)
+        return failures
 
 
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
-    """All n realizations of _Sampler(fps, n, seed), (links, 4, n)."""
-    return _Sampler(fps, n, seed).draw(n)
+    """All n realizations of every link of fps, (links, 4, n), from one
+    _Sampler; a kernel's failure is raised."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sampler = _Sampler(fps, min(n, _BLOCK_SIZE), seed)
+    out = np.empty((len(fps), 4, n))
+    for start in range(0, n, _BLOCK_SIZE):
+        w = sampler.draw(min(_BLOCK_SIZE, n - start))
+        for exc in sampler.compute(w, out[:, :, start : start + len(w)]).values():
+            raise exc
+    return out
 
 
 def _mean_and_error(values: np.ndarray) -> tuple[float, float]:
@@ -430,10 +532,12 @@ def _cross_fit(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounds = -(-n // _FOLDS)
     system = np.zeros((rates, _COLUMNS + 1, rounds * _FOLDS))
     system[:, 0, :n] = 1.0
-    system[:, 1:_COLUMNS, :n] = sample[:, :, 1:].reshape(rates, -1, n)
+    for link, first in enumerate(range(1, _COLUMNS, 3)):
+        system[:, first : first + 3, :n] = sample[:, link, 1:]
     centre = diff.mean(axis=-1)
     np.subtract(diff, centre[:, None], out=system[:, _COLUMNS, :n])
     folds = np.ascontiguousarray(system.reshape(rates, _COLUMNS + 1, rounds, _FOLDS).transpose(0, 3, 1, 2))
+    del system
     grams = folds @ folds.swapaxes(-1, -2)
     held_out = grams.sum(axis=1, keepdims=True) - grams
     lam, vec = np.linalg.eigh(held_out[..., :_COLUMNS, :_COLUMNS])
@@ -445,10 +549,74 @@ def _cross_fit(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centre + terms.mean(axis=-1), terms.var(axis=-1, ddof=1)
 
 
-def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...]) -> list[McEstimate]:
+def _fits(sample: np.ndarray) -> list:
+    """(estimate, variance) of each rate of sample, as _cross_fit gives
+    them, or the numerical failure of its fit: if the stacked fit fails,
+    the rates are fitted one at a time, so that the failure stays with
+    its rate."""
+    try:
+        return list(zip(*_cross_fit(sample)))
+    except NUMERICAL_FAILURES as exc:
+        if len(sample) == 1:
+            return [as_value(exc)]
+        return [fit for i in range(len(sample)) for fit in _fits(sample[i : i + 1])]
+
+
+def _fail(results: list, failures: dict[int, Exception]) -> None:
+    """Give each rate of results, whose links are 2 i and 2 i + 1, the
+    first failure of its links, unless it has a result."""
+    for link, exc in failures.items():
+        if results[link // 2] is None:
+            results[link // 2] = exc
+
+
+def _pilots(sampler: _Sampler, n: int, results: list) -> dict[int, tuple[int, list[np.ndarray]]]:
+    """Draw the pilot's blocks, sample every rate's pilot on them and fit
+    it, _TILE rates at a time, and size its count (see mc_secrecy_rate).
+    The blocks are kept until every tile has read them, and so is each
+    group's A of each block, formed once. A rate whose kernel or fit
+    fails gets the failure in results, and a rate whose count is the
+    pilot its estimate. Returns the other rates, by index, with their
+    counts and their realizations so far: a copy of the pilot's, to which
+    each later block's are appended, which one array would hold at the
+    count's full size from the start."""
+    pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+    blocks = [sampler.draw(min(_BLOCK_SIZE, pilot - start)) for start in range(0, pilot, _BLOCK_SIZE)]
+    sources = [{} for _ in blocks]
+    pending = {}
+    for first in range(0, len(results), _TILE):
+        tile = range(first, min(first + _TILE, len(results)))
+        sample = np.empty((len(tile), 2, 4, pilot))
+        for start, w, kept in zip(range(0, pilot, _BLOCK_SIZE), blocks, sources):
+            out = sample.reshape(-1, 4, pilot)[:, :, start : start + len(w)]
+            _fail(results, sampler.compute(w, out, np.arange(2 * tile.start, 2 * tile.stop), kept))
+        live = [j for j, i in enumerate(tile) if results[i] is None]
+        if not live:
+            continue
+        if len(live) < len(tile):
+            sample = sample[live]
+        fits = _fits(sample)
+        counts = [pilot] * len(live)
+        if pilot < n:
+            spread = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
+            variances = np.array([0.0 if isinstance(fit, Exception) else fit[1] for fit in fits])
+            ratio = np.divide(variances, spread, out=np.zeros_like(spread), where=spread > 0.0)
+            counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n).tolist()
+        for j, fit, count, realizations in zip(live, fits, counts, sample):
+            if isinstance(fit, Exception) or count == pilot:
+                results[tile[j]] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
+            else:
+                pending[tile[j]] = count, [realizations.copy()]
+    return pending
+
+
+def mc_secrecy_rate(
+    rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...], rows: int | None = None
+) -> list[McEstimate | Exception]:
     """Clamped Monte Carlo estimates, one per rate, of the difference of
     the mean MIs of the rate's two links, each at the standard error that
-    n unpaired realizations would give.
+    n unpaired realizations would give; a rate whose estimate fails
+    numerically gets that failure in its place.
 
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
@@ -467,32 +635,45 @@ def mc_secrecy_rate(rates: Sequence[LslRate], n: int, seed: int | tuple[int, ...
     variance the count that reaches it: n times their ratio, rounded up
     to whole blocks and clipped to [pilot, n]. A rate's estimate is the
     fit of its first count realizations: the pilot's fit, or a refit of
-    all count. The point draws the largest count. Where no variance is
-    seen, as at rho = 0, the count is the pilot.
+    all count. The pilots are sampled and fitted _TILE rates at a time on
+    the pilot's blocks, kept until every tile has read them. The call
+    draws the blocks of the largest count, and each block past the pilot
+    computes the links of the rates still short of their count only.
+    Where no variance is seen, as at rho = 0, the count is the pilot.
 
     All rates share every W, so they must share M, and each link's
-    k_eigs must hold M eigenvalues (else ValueError); each rate keeps
-    its own law, its own count and its own regression. Where all their
-    links have the same numbers of receive antennas, as the rates of one
-    sweep point do, each estimate equals that of its rate alone, bit for
-    bit. No rates give no estimates.
+    k_eigs must hold M eigenvalues (else ValueError). W has rows rows,
+    by default those of the tallest link of any rate, and at least
+    those (else ValueError); each link reads W's first N rows. Each rate
+    keeps its own law, its own count and its own regression, so its
+    estimate equals, bit for bit, the one it gets alone from the same
+    seed and rows: a rate alone, with rows left out, reads a W as tall
+    as its taller link. No rates give no estimates.
     """
-    sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], n, seed)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not rates:
         return []
-    pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
-    sample = sampler.draw(pilot).reshape(len(rates), 2, 4, pilot)
-    means, variances = _cross_fit(sample)
-    counts = np.full(len(rates), pilot)
-    if pilot < n:
-        spread = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
-        ratio = np.divide(variances, spread, out=np.zeros_like(spread), where=spread > 0.0)
-        counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n)
-    sample = sampler.draw(int(counts.max())).reshape(len(rates), 2, 4, -1)
-    estimates = []
-    for i, count in enumerate(counts.tolist()):
-        mean, variance = means[i], variances[i]
-        if count > pilot:
-            (mean,), (variance,) = _cross_fit(sample[i : i + 1, ..., :count])
-        estimates.append(McEstimate(max(0.0, float(mean)), float(np.sqrt(variance / count)), count))
-    return estimates
+    sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], min(n, _BLOCK_SIZE), seed, rows)
+    results: list = [None] * len(rates)
+    pending = _pilots(sampler, n, results)
+    drawn = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+    while pending:
+        w = sampler.draw(min(_BLOCK_SIZE, n - drawn))
+        drawn += len(w)
+        block = np.empty((2 * len(pending), 4, len(w)))
+        _fail(results, sampler.compute(w, block, np.array([link for i in pending for link in (2 * i, 2 * i + 1)])))
+        for j, (i, (count, realizations)) in enumerate(list(pending.items())):
+            if results[i] is None:
+                realizations.append(block[2 * j : 2 * j + 2].copy())
+                if count > drawn:
+                    continue
+                (fit,) = _fits(np.concatenate(realizations, axis=-1)[None])
+                results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
+            del pending[i]
+    return results
+
+
+def _estimate(mean: float, variance: float, count: int) -> McEstimate:
+    """A rate's estimate from its fit over count realizations, clamped at 0."""
+    return McEstimate(max(0.0, float(mean)), float(np.sqrt(variance / count)), count)

@@ -224,15 +224,18 @@ def reference_solve_fixed_point(stats, p, start=None):
 
 def reference_run_sweep(config, include_mc=True):
     """run_sweep one grid point at a time, each strategy optimized on its
-    own with optimize(strategy, start): the oracle whose rows run_sweep
-    must match, error texts included. It reads build_statistics and
-    mc_secrecy_rate from the experiment module and optimize from the
+    own with optimize(strategy, start), and the point's rates estimated
+    by one mc_secrecy_rate call of their own, seeded by the sweep's seed,
+    with W as tall as the sweep's tallest receiver: the oracle whose rows
+    run_sweep must match, error texts included. It reads build_statistics
+    and mc_secrecy_rate from the experiment module and optimize from the
     precoders module, so a test that patches them there patches them
     here."""
     failures = (WiretapError, np.linalg.LinAlgError)
     ln2 = math.log(2.0)
+    tallest = max(config.n_main, *(experiment.point_config(config, v).n_eave for v in config.sweep_grid))
     rows = []
-    for gi, value in enumerate(config.sweep_grid):
+    for value in config.sweep_grid:
         try:
             stats_m, stats_e = experiment.build_statistics(experiment.point_config(config, value))
             start = lsl_secrecy_rate(stats_m, stats_e, precoders.isotropic_precoder(config.m))
@@ -249,15 +252,12 @@ def reference_run_sweep(config, include_mc=True):
                 outcomes.append(exc)
         solved = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
         if include_mc and solved:
-            try:
-                rates = [o[0] for o in solved]
-                estimates = experiment.mc_secrecy_rate(rates, config.mc_realizations, (config.seed, gi))
-            except failures as exc:
-                outcomes = [o if isinstance(o, Exception) else exc for o in outcomes]
-            else:
-                for outcome, mc in zip(solved, estimates):
-                    outcome[2] = mc
+            estimates = experiment.mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, config.seed, tallest)
+            for outcome, mc in zip(solved, estimates):
+                outcome[2] = mc
         for strategy, outcome in zip(config.strategies, outcomes):
+            if not isinstance(outcome, Exception) and isinstance(outcome[2], Exception):
+                outcome = outcome[2]
             if isinstance(outcome, Exception):
                 rows.append(experiment._error_row(config, value, strategy, outcome))
                 continue

@@ -253,8 +253,8 @@ class TestLockstepSweep:
         assert not caught and not any(row.error for row in rows)
 
     def test_grid_longer_than_one_lockstep(self, monkeypatch):
-        # The 11 points of fig2 run in chunks of 4, one lockstep each,
-        # with MC still seeded by each point's index in the whole grid.
+        # The 11 points of fig2 run in chunks of 4, one lockstep and one
+        # MC call each, and every point's rows are still its own.
         jobs = []
         original = experiment.optimize_many
 
@@ -266,6 +266,18 @@ class TestLockstepSweep:
         monkeypatch.setattr(experiment, "optimize_many", counting)
         assert_same_sweep(dataclasses.replace(figure_preset("fig2"), mc_realizations=64), include_mc=True)
         assert jobs == [12, 12, 9]
+
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_csv_independent_of_lockstep_points(self, monkeypatch, tmp_path, name):
+        # At the default MC target, chunks of 4 points give the CSV bytes
+        # of one chunk of 32. fig4 is an N_E sweep: every chunk's W is as
+        # tall as N_E = 12, the tallest of the whole grid.
+        paths = []
+        for points in (4, 32):
+            monkeypatch.setattr(experiment, "_LOCKSTEP_POINTS", points)
+            paths.append(tmp_path / f"{points}.csv")
+            experiment.write_csv(run_sweep(figure_preset(name)), str(paths[-1]), timestamp=False)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     @pytest.mark.parametrize("index", range(3))
     def test_stress_pass(self, index):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import isotropic_start
-from wiretap_lsl import cli, detequiv, experiment, precoders
+from wiretap_lsl import cli, detequiv, experiment, montecarlo, precoders
 from wiretap_lsl.channel import ArraySpec
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import (
@@ -270,18 +270,39 @@ class TestRunSweep:
         with pytest.raises(BisectionFailure):
             optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(*build_statistics(point_config(cfg, -1000.0))))
 
-    def test_mc_once_per_grid_point_seeded_by_seed_and_grid_index(self, monkeypatch):
+    def test_mc_once_per_chunk_seeded_by_seed(self, monkeypatch):
+        # One call per lockstep chunk for the rates of all its points,
+        # seeded by the sweep's seed alone, with W as tall as the sweep's
+        # tallest receiver: N_E = 6, though the first chunk's is 5.
         calls = []
 
-        def recording(rates, n, seed):
-            calls.append((len(rates), n, seed))
+        def recording(rates, n, seed, rows):
+            calls.append((len(rates), n, seed, rows))
             return [McEstimate(mean=0.0, std_error=0.0, num_realizations=n)] * len(rates)
 
         monkeypatch.setattr(experiment, "mc_secrecy_rate", recording)
-        config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(0.0, 10.0), seed=7)
+        monkeypatch.setattr(experiment, "_LOCKSTEP_POINTS", 2)
+        config = dataclasses.replace(figure_preset("fig4"), sweep_grid=(2.0, 5.0, 6.0), seed=7)
         result = run_sweep(config)
-        assert calls == [(3, config.mc_realizations, (7, gi)) for gi in range(2)]
-        assert len(result.rows) == 6 and result.num_failed == 0
+        assert calls == [(6, config.mc_realizations, 7, 6), (3, config.mc_realizations, 7, 6)]
+        assert len(result.rows) == 9 and result.num_failed == 0
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    def test_mc_rows_are_each_points_rates_alone(self, preset):
+        # Every MC row is, bit for bit, what mc_secrecy_rate gives its
+        # point's rates alone at the sweep's seed and height of W, at the
+        # default target: fig2's rates pass the pilot, fig4's points
+        # differ in N_E.
+        config = dataclasses.replace(figure_preset(preset), seed=3)
+        tallest = max(config.n_main, point_config(config, config.sweep_grid[-1]).n_eave)
+        rows = iter(run_sweep(config).rows)
+        for value in config.sweep_grid:
+            start = isotropic_start(*build_statistics(point_config(config, value)))
+            rates = [optimize(strategy, start)[1] for strategy in config.strategies]
+            for estimate in experiment.mc_secrecy_rate(rates, config.mc_realizations, config.seed, tallest):
+                row = next(rows)
+                assert row.rs_mc_per_antenna_bits == estimate.mean / math.log(2.0)
+                assert row.rs_mc_std_error == estimate.std_error / math.log(2.0)
 
     @pytest.mark.parametrize(
         "preset, grid",
@@ -315,13 +336,15 @@ class TestRunSweep:
         assert [row.error for row in rows if row.strategy == "gsvd"] == ["no multiplier meets the budget"] * 2
         assert tuple(row for row in rows if row.strategy != "gsvd") == without
 
-    def test_mc_failure_fails_exactly_its_points_rows(self, monkeypatch):
+    def test_mc_failure_fails_exactly_its_rows(self, monkeypatch):
+        # An estimate returned as a failure fails its row alone.
         original = experiment.mc_secrecy_rate
 
-        def failing_at_point_1(rates, n, seed):
-            if seed[1] == 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return original(rates, n, seed)
+        def failing_at_point_1(rates, n, seed, rows):
+            estimates = original(rates, n, seed, rows)
+            at_point_1 = [rate.fp_main.stats.snr == experiment.db_to_linear(5.0) for rate in rates]
+            failure = np.linalg.LinAlgError("SVD did not converge")
+            return [failure if bad else estimate for bad, estimate in zip(at_point_1, estimates)]
 
         self.failing_gsvd(monkeypatch)
         monkeypatch.setattr(experiment, "mc_secrecy_rate", failing_at_point_1)
@@ -342,6 +365,34 @@ class TestRunSweep:
                 assert values == [None] * len(values)
             else:
                 assert all(math.isfinite(v) for v in values)
+
+    def test_failed_fit_fails_its_row_alone(self, monkeypatch):
+        # A stacked pilot fit that fails is refitted rate by rate: the
+        # rate whose fit fails, wf at the second point, gets its own error
+        # row, and every other row of the chunk is unchanged.
+        config = dataclasses.replace(figure_preset("fig2"), sweep_grid=(0.0, 5.0, 10.0), seed=2)
+        firsts, original = [], montecarlo._cross_fit
+
+        def recording(sample):
+            firsts.extend(sample[:, 0, 0, 0].tolist())
+            return original(sample)
+
+        monkeypatch.setattr(montecarlo, "_cross_fit", recording)
+        expected = run_sweep(config).rows
+        poison = firsts[4]
+
+        def failing(sample):
+            if poison in sample[:, 0, 0, 0]:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(sample)
+
+        monkeypatch.setattr(montecarlo, "_cross_fit", failing)
+        rows = run_sweep(config).rows
+        assert [(row.sweep_value, row.strategy, row.error) for row in rows if row.error] == [
+            (5.0, "wf", "Eigenvalues did not converge")
+        ]
+        kept = [row for row in expected if (row.sweep_value, row.strategy) != (5.0, "wf")]
+        assert [row for row in rows if not row.error] == kept
 
     def test_mc_changes_no_other_column_or_row_order(self):
         # At -1000 dB gsvd's mu range cannot bracket the budget: an error

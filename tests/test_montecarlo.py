@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from scipy import integrate, special
 
 from helpers import iid_stats, link_channels, reference_secrecy_estimate
-from wiretap_lsl import channel, montecarlo
+from wiretap_lsl import channel, experiment, montecarlo
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep, write_csv
@@ -18,6 +19,7 @@ from wiretap_lsl.montecarlo import (
     _COLUMNS,
     _PILOT_BLOCKS,
     _SMALL_GRAM,
+    _TILE,
     McEstimate,
     _Eliminator,
     _logdet_cholesky,
@@ -183,7 +185,7 @@ def group_moments(group, w):
     """L1 and L2, (2, links, count), of the links of a _Group on a block
     w, from the variates z = L1 / sd(L1) and q = L2 / E L2 - 1 that it
     returns."""
-    z, q, _ = group(w)[1]
+    z, q = group(w)[:, 1:3].swapaxes(0, 1)
     return np.array([z * group.spread[:, None], (q + 1.0) * group.mean[:, None]])
 
 
@@ -276,7 +278,7 @@ class TestLogdetKernels:
         for threshold in (_SMALL_GRAM, 0):
             monkeypatch.setattr(montecarlo, "_SMALL_GRAM", threshold)
             group = montecarlo._Group(stats, weights, 64)
-            results.append((group(w)[0], group_moments(group, w)))
+            results.append((group(w)[:, 0], group_moments(group, w)))
         (eliminated, moments), (cholesky, cholesky_moments) = results
         scale = expansion_oracle(stats, k_eigs, w)[1]
         assert np.allclose(eliminated, cholesky, rtol=1e-12, atol=0)
@@ -286,9 +288,10 @@ class TestLogdetKernels:
     @pytest.mark.parametrize("above", [0, 1], ids=["at", "above"])
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
     def test_sample_switches_kernel_above_small_gram(self, monkeypatch, n, m, above):
-        # The six links of three rates with one N and one r go as one
-        # stack of Gram matrices: up to Gram order _SMALL_GRAM through one
-        # eliminator, above it through the Cholesky kernel.
+        # The six links of three rates with one N and one r form one group,
+        # whose kernels take tiles of _TILE links: up to Gram order
+        # _SMALL_GRAM through one eliminator, above it through the Cholesky
+        # kernel, one stack per tile and block.
         rows, cols = _SMALL_GRAM + n + above, _SMALL_GRAM + m + above
         order = min(rows, cols)
         main, eave = correlated_stats(10.0, rows, cols), correlated_stats(3.0, rows, cols)
@@ -309,9 +312,10 @@ class TestLogdetKernels:
         mc_secrecy_rate(rates, 300, seed=1)
         if above:
             assert not eliminators
-            assert choleskys == [(6, 256, order, order), (6, 44, order, order)]
+            tiles = [min(_TILE, 6 - first) for first in range(0, 6, _TILE)]
+            assert choleskys == [(links, count, order, order) for count in (256, 44) for links in tiles]
         else:
-            assert eliminators == [(order, 6 * 256)] and not choleskys
+            assert eliminators == [(order, min(_TILE, 6) * 256)] and not choleskys
 
     def test_reused_eliminator_matches_a_fresh_one(self):
         # A group keeps its arrays, its eliminator's among them, across
@@ -336,23 +340,48 @@ class TestGroups:
     @pytest.mark.parametrize("n, m", [(5, 3), (2, 3), (9, 8)], ids=["n>m", "n<m", "large-gram"])
     def test_equal_n_and_different_r_form_two_groups(self, monkeypatch, n, m):
         # The main links of three rates share N and r, and so do their
-        # eavesdropper links; main and eavesdropper share N but not r.
+        # eavesdropper links; main and eavesdropper share N but not r. Up
+        # to _SMALL_GRAM both groups compute in one set of work arrays.
         main = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
         eave = correlated_stats(4.0, n, m)
         rates = [lsl_secrecy_rate(main, eave, generic_precoder(m, seed)) for seed in range(3)]
         fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
-        groups = []
+        groups, works = [], []
 
         class RecordingGroup(montecarlo._Group):
-            def __init__(self, stats, weights, size):
+            def __init__(self, stats, weights, size, work):
                 groups.append((stats.r_eigs.tobytes(), len(weights)))
-                super().__init__(stats, weights, size)
+                works.append(work)
+                super().__init__(stats, weights, size, work)
 
         monkeypatch.setattr(montecarlo, "_Group", RecordingGroup)
         sample = montecarlo._sample(fps, 300, seed=(2, 5))
         assert groups == [(main.r_eigs.tobytes(), 3), (eave.r_eigs.tobytes(), 3)]
+        small = min(n, m) <= _SMALL_GRAM
+        assert works[0] is works[1] and (works[0] is not None) == small
         for i, fp in enumerate(fps):
             assert np.array_equal(sample[i], montecarlo._sample([fp], 300, seed=(2, 5))[0])
+
+    def test_each_group_forms_a_once_per_block(self, monkeypatch):
+        # Every sweep chunk's groups with N >= M form A once per block,
+        # though the pilot's tiles of rates read each block in turn.
+        blocks, formed = [], []
+        original_block, original_source = montecarlo.sample_channel_block, montecarlo._Group.source
+
+        def recording_block(*args):
+            blocks.append(original_block(*args))
+            return blocks[-1]
+
+        def recording_source(group, w):
+            if group.shared:
+                formed.append((id(group), id(w)))
+            return original_source(group, w)
+
+        monkeypatch.setattr(montecarlo, "sample_channel_block", recording_block)
+        monkeypatch.setattr(montecarlo._Group, "source", recording_source)
+        for config in PRESETS.values():
+            run_sweep(config)
+        assert len(formed) == len(set(formed)) and len({w for _, w in formed}) == len(blocks)
 
     @pytest.mark.parametrize("n", [1, 257])
     @pytest.mark.parametrize("n_main, n_eave, m", [(2, 2, 2), (4, 4, 4), (6, 2, 4), (2, 3, 4), (8, 9, 8)])
@@ -390,7 +419,7 @@ class TestGroups:
             g_h = g.conj().swapaxes(-1, -2)
             expected = g_h @ g if n >= m else g @ g_h
             group = montecarlo._Group(stats, weights, 256)
-            gram = group.grams(w)
+            gram = group.grams(group.source(w), np.arange(links), count)
             if group.small:
                 d = len(gram)
                 upper = np.moveaxis(gram.reshape(d, d, links, -1)[..., :count], (0, 1), (-2, -1))
@@ -428,7 +457,7 @@ class TestExpansionLaws:
             assert group.spread[i] ** 2 == pytest.approx(c**2 * np.dot(y, y) * np.dot(b * x, b * x), rel=1e-12)
             assert group.mean[i] == pytest.approx(c**2 * np.dot(y, y) * np.dot(b, x) ** 2, rel=1e-12)
         rng = np.random.default_rng(n + m)
-        blocks = [group(sample_channel_block(256, n, m, rng))[1] for _ in range(256)]
+        blocks = [group(sample_channel_block(256, n, m, rng))[:, 1:].swapaxes(0, 1) for _ in range(256)]
         variates = np.concatenate(blocks, axis=-1)
         count = variates.shape[-1]
         assert count == 2**16
@@ -446,7 +475,7 @@ class TestExpansionLaws:
             montecarlo._Group(live, montecarlo._column_weights([live], [np.zeros(m)]), 256),
         ):
             assert not group.spread.any() and not group.mean.any()
-            assert not group(w)[1].any()
+            assert not group(w)[:, 1:].any()
 
 
 class TestSpectra:
@@ -706,6 +735,26 @@ class TestMcSecrecyRate:
         for estimate in mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=5):
             assert (estimate.mean, estimate.std_error, estimate.num_realizations) == (0.0, 0.0, 512)
 
+    def test_kernel_failure_stays_with_its_rate(self, monkeypatch):
+        # A tile of links whose kernel fails runs again link by link: the
+        # second rate's eavesdropper link fails alone, its rate gets the
+        # failure and stops drawing, and the others keep their estimates.
+        main = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
+        eave = correlated_stats(4.0, 2, 3)
+        rates = [lsl_secrecy_rate(main, eave, generic_precoder(3, seed)) for seed in range(3)]
+        expected = mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=6)
+        original = montecarlo._Group.__call__
+
+        def failing(group, w, links=None, out=None, rows=None, source=None):
+            if not group.shared and 1 in links:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return original(group, w, links, out, rows, source)
+
+        monkeypatch.setattr(montecarlo._Group, "__call__", failing)
+        first, failed, third = mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=6)
+        assert str(failed) == "Matrix is not positive definite"
+        assert [first, third] == [expected[0], expected[2]]
+
     def test_rates_must_share_m(self):
         # A rate at M = 1 after one at M = 4 was sampled with W's four
         # columns; in the other order the sampler failed to broadcast.
@@ -714,6 +763,13 @@ class TestMcSecrecyRate:
         for rates in ([wide, narrow], [narrow, wide]):
             with pytest.raises(ValueError, match="transmit antenna count"):
                 mc_secrecy_rate(rates, 300, seed=0)
+
+    def test_w_shorter_than_the_tallest_link_refused(self):
+        rate = lsl_secrecy_rate(correlated_stats(10.0, 4, 3), correlated_stats(1.0, 2, 3), np.eye(3))
+        with pytest.raises(ValueError, match="at least the 4 rows"):
+            mc_secrecy_rate([rate], 300, seed=0, rows=3)
+        (estimate,) = mc_secrecy_rate([rate], 300, seed=0, rows=4)
+        assert mc_secrecy_rate([rate], 300, seed=0) == [estimate] != mc_secrecy_rate([rate], 300, seed=0, rows=5)
 
     def test_no_rates_no_estimates(self):
         assert mc_secrecy_rate([], 300, seed=0) == []
@@ -902,8 +958,8 @@ class TestPresetStandardErrors:
     def test_every_row_at_or_below_the_reference(self, tmp_path):
         # perfbench/reference.json holds each fig2-fig5 row at seed 0 with
         # 10,000 unpaired realizations. At the default target each row
-        # aims at 0.78 of that SE; the weakest, fig2 at 12.5 dB with wf,
-        # reports 0.828 of its reference SE (0.780-0.889 over seeds 1-9).
+        # aims at 0.78 of that SE; the weakest, fig3 at 20 dB with iso,
+        # reports 0.770 of its reference SE (0.755-0.915 over seeds 1-9).
         # The deterministic columns pass the benchmark's own gate: 1e-9
         # relative, absolute below 1 bit (worst gap today 2.45e-10), and
         # the same outer iteration count. The CSVs, MC columns included,
@@ -927,6 +983,56 @@ class TestPresetStandardErrors:
                     gap = abs(getattr(row, column) - ref[column])
                     assert gap <= 1e-9 * max(1.0, abs(ref[column])), (name, column, row)
                 assert row.outer_iterations == ref["outer_iterations"], (name, row)
+
+
+class TestSweepWork:
+    # The traced peak of one MC sweep per preset with one call and one
+    # sampler per grid point, whose realizations were allocated for the
+    # whole target of 16,384: 5.43 MB at most, for fig2. One call per
+    # chunk holds every pilot of the chunk at once, fig5's 87 rates the
+    # most, and its kernels' work arrays are those of one tile of links.
+    PEAKS_MB = {"fig2": 5.43, "fig3": 4.05, "fig4": 5.17, "fig5": 4.71}
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_traced_peak_per_preset(self, name):
+        config = PRESETS[name]
+        run_sweep(config)
+        tracemalloc.start()
+        try:
+            run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAKS_MB[name] * 1e6
+
+    def test_blocks_past_the_pilot_compute_only_the_rates_short_of_their_count(self, monkeypatch):
+        # Each chunk draws the blocks of its largest count once, and every
+        # link is computed on exactly its rate's count of realizations.
+        blocks, computed, counts = [], [0], []
+        original_block, original_call = montecarlo.sample_channel_block, montecarlo._Group.__call__
+        original_rate = montecarlo.mc_secrecy_rate
+
+        def recording_block(count, *args):
+            blocks.append(count)
+            return original_block(count, *args)
+
+        def recording_call(group, w, links=None, out=None, rows=None, source=None):
+            computed[0] += len(w) * (group.links if links is None else len(links))
+            return original_call(group, w, links, out, rows, source)
+
+        def recording_rate(*args):
+            estimates = original_rate(*args)
+            counts.append([e.num_realizations for e in estimates])
+            return estimates
+
+        monkeypatch.setattr(montecarlo, "sample_channel_block", recording_block)
+        monkeypatch.setattr(montecarlo._Group, "__call__", recording_call)
+        monkeypatch.setattr(experiment, "mc_secrecy_rate", recording_rate)
+        for config in PRESETS.values():
+            run_sweep(config)
+        assert len(counts) == 4 and sum(map(len, counts)) == 189
+        assert computed[0] == 2 * sum(map(sum, counts))
+        assert sum(blocks) == sum(max(chunk) for chunk in counts)
 
 
 CLT_CASES = [
