@@ -32,12 +32,11 @@ entries as drawn: the group forms A once and scales it per link, and no
 tall link's channel is ever built. Where N < M each link scales its
 rows of W into G and builds G Gᴴ. A group's links run in tiles of up to
 _TILE links, which bound the kernels' arrays whatever the number of
-links. Up to Gram order _SMALL_GRAM the batch stays on the last axis,
-and one vectorized operation per entry row builds the Gram matrices and
-eliminates them, in work arrays that every group of a call shares;
-larger ones take stacked matmuls and a batched Cholesky. Both kernels
-return log-dets only; the group reads the control variates off the
-same Gram matrices, or off A.
+links. At every Gram order the batch stays on the last axis, and one
+vectorized operation per entry row builds the Gram matrices and
+eliminates them, in work arrays that every group of a call shares. The
+kernel returns log-dets only; the group reads the control variates off
+the same Gram matrices, or off A.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -99,13 +98,6 @@ _MIN_REGRESSION = 10
 # Eigenvalues of a fold's Gram matrix at most this times its largest are
 # cut: singular values of its design at most 1e-6 times the largest.
 _RANK_CUT = 1e-12
-# Largest Gram order min(N, M) that _Eliminator takes. A group of three
-# links with 256 realizations each, its Gram matrices built as _Group
-# builds them, took 1.4-2.7 times as long through _logdet_cholesky at
-# order 6 and 1.5-1.9 times at order 8 (medians over N = M, N > M and
-# N < M, one BLAS thread). No workload runs above order 6, so none has
-# timed a higher threshold end to end.
-_SMALL_GRAM = 6
 # Links per kernel call, and rates per pilot tile and stacked fit. The MC
 # calls of a fig2-fig5 pass at seed 0, one per preset, on a 2-core Xeon
 # with one BLAS thread (medians of 16 interleaved passes, two runs) took
@@ -124,22 +116,11 @@ class McEstimate:
     num_realizations: int
 
 
-def _logdet_cholesky(gram: np.ndarray) -> np.ndarray:
-    """The log-det kernel: ln det(I + Gram) of each Gram matrix of a
-    stack (..., d, d), by a batched Cholesky. The Gram matrices are not
-    symmetrized first: the factorization reads one triangle and the real
-    part of the diagonal. The stack is overwritten."""
-    diag = np.arange(gram.shape[-1])
-    gram[..., diag, diag] += 1.0
-    chol = np.linalg.cholesky(gram)
-    diags = np.diagonal(chol, axis1=-2, axis2=-1).real
-    return 2.0 * np.sum(np.log(diags), axis=-1)
-
-
 class _Eliminator:
-    """The same kernel for a stack of d x d Gram matrices held batch-last,
-    (d, d, size), so that each step is one vectorized operation over all
-    matrices. Only the upper triangle is read, and the lower must be 0.
+    """The log-det kernel: ln det(I + Gram) of each of a stack of d x d
+    Gram matrices held batch-last, (d, d, size), so that each step is one
+    vectorized operation over all matrices. Only the upper triangle is
+    read, and the lower must be 0.
 
     Gaussian elimination takes ln det(I + Gram) as the sum of the logs of
     its pivots. I + Gram is Hermitian positive definite with a unit lower
@@ -190,9 +171,8 @@ def _upper_gram(rows: np.ndarray, gram: np.ndarray, products: np.ndarray) -> Non
 
 
 class _Work:
-    """The work arrays of the groups up to Gram order _SMALL_GRAM, shared
-    by every group of a sampler and reused by every block, for blocks of
-    up to cols realizations.
+    """The work arrays of the groups, shared by every group of a sampler
+    and reused by every block, for blocks of up to cols realizations.
 
     Fresh arrays for every block page-faulted on each call and took twice
     the time; a set per group would grow with the number of groups, one
@@ -228,12 +208,12 @@ class _Group:
     def __init__(self, stats: ChannelStatistics, weights: np.ndarray, size: int, work: _Work | None = None):
         """stats is any link of the group, whose N, M and r it reads;
         weights, (links, M), holds each link's (rho/2M) k. Blocks hold up
-        to size realizations. Up to Gram order _SMALL_GRAM the group
-        computes in work, or in arrays of its own if none is given."""
+        to size realizations. The group computes in work, or in arrays of
+        its own if none is given."""
         n, m = stats.num_rx, stats.num_tx
         links, d = len(weights), min(n, m)
         self.n, self.m, self.d, self.links = n, m, d, links
-        self.shared, self.small = n >= m, d <= _SMALL_GRAM
+        self.shared = n >= m
         # On the diagonal of a link's Gram matrix S, Gᴴ G where shared, else
         # G Gᴴ, S_ii = sum_j alpha_i beta_j |W_ij|^2, each |W_ij|^2 / 2 an
         # independent unit exponential: E S = diag(s0), and b = 1 / (1 + s0).
@@ -278,11 +258,7 @@ class _Group:
             scales = s[:, :, None] * s[:, None, :]
         else:
             scales = np.sqrt(stats.r_eigs[:, None] * weights[:, None, :])
-        # Laid out to broadcast against the block: (links, 1, rows, M)
-        # above _SMALL_GRAM, (rows, M, links, 1) up to it.
-        if not self.small:
-            self.scales = scales[:, None]
-            return
+        # Laid out to broadcast against the block: (rows, M, links, 1).
         self.scales = np.ascontiguousarray(scales.transpose(1, 2, 0))[..., None]
         self.work = work if work is not None else _Work(m, max(2, size), [(n, links)])
 
@@ -290,14 +266,10 @@ class _Group:
         """What every link of the group reads of a block w of W, (count,
         rows, M): where shared, A = Wᴴ diag(r) W over W's first N rows,
         formed once for all links, as upper triangles batch-last, (M, M,
-        c), in the work arrays up to _SMALL_GRAM, and as (count, M, M)
-        above it; else W's first N rows."""
+        c), in the work arrays; else W's first N rows."""
         x = w[:, : self.n]
         if not self.shared:
             return x
-        if not self.small:
-            x = x * self.sqrt_r[:, None]
-            return x.conj().swapaxes(-1, -2) @ x
         count, (m, n, cols) = len(w), (self.m, self.n, self.work.cols)
         c = max(2, count)
         rows = self.work.rows[: m * n * cols].reshape(m, n, cols)[:, :, :c]
@@ -309,18 +281,12 @@ class _Group:
 
     def grams(self, source: np.ndarray, tile: np.ndarray, count: int) -> np.ndarray:
         """The Gram matrices of the group's links tile, indices into its
-        links, on a block of count realizations whose source is given. Up
-        to order _SMALL_GRAM, their upper triangles batch-last, (d, d,
-        tile * c) with c = max(2, count) realizations per link and the
-        lower triangles 0; where N < M they are the conjugates of G Gᴴ,
-        with the same determinant and moments. Above it the full
-        matrices, (tile, count, d, d)."""
-        scales = self.scales[tile] if not self.small else self.scales[:, :, tile]
-        if not self.small:
-            if self.shared:
-                return source * scales
-            g = source * scales
-            return g @ g.conj().swapaxes(-1, -2)
+        links, on a block of count realizations whose source is given:
+        their upper triangles batch-last, (d, d, tile * c) with c = max(2,
+        count) realizations per link and the lower triangles 0; where
+        N < M they are the conjugates of G Gᴴ, with the same determinant
+        and moments."""
+        scales = self.scales[:, :, tile]
         d, c, links = self.d, max(2, count), len(tile)
         gram = self.work.gram[:d, :d, : links * c]
         if self.shared:
@@ -375,20 +341,16 @@ class _Group:
         rows = np.arange(len(links)) if rows is None else rows
         out = np.empty((len(links), 4, count)) if out is None else out
         source = self.source(w) if source is None else source
-        c = max(2, count) if self.small else count
+        c = max(2, count)
         if self.shared:
-            parts = self.parts(source[:, :, None] if self.small else np.moveaxis(source[None], (-2, -1), (0, 1)))
+            parts = self.parts(source[:, :, None])
         for first in range(0, len(links), _TILE):
             tile, at = links[first : first + _TILE], rows[first : first + _TILE]
             gram = self.grams(source, tile, count)
             if not self.shared:
-                batch = gram if self.small else np.moveaxis(gram, (-2, -1), (0, 1))
-                parts = self.parts(batch.reshape(self.d, self.d, len(tile), c))
+                parts = self.parts(gram.reshape(self.d, self.d, len(tile), c))
             variates = self.variates(parts, tile)
-            if self.small:
-                logdet = self.work.kernel(gram).reshape(len(tile), c)[:, :count]
-            else:
-                logdet = _logdet_cholesky(gram)
+            logdet = self.work.kernel(gram).reshape(len(tile), c)[:, :count]
             out[at, 0] = logdet / self.m
             out[at, 1:] = variates[:, :, :count].swapaxes(0, 1)
         return out
@@ -414,7 +376,7 @@ class _Sampler:
     with rows rows, by default the tallest link's, and on each the
     per-realization MI and the three control variates (see
     _Group.variates) of any links of fps. The links with the same N and r
-    form one _Group; the groups up to _SMALL_GRAM share one _Work."""
+    form one _Group; all groups share one _Work."""
 
     def __init__(self, fps: Sequence[FixedPoint], size: int, seed: int | tuple[int, ...], rows: int | None = None):
         """Blocks hold up to size realizations."""
@@ -428,8 +390,7 @@ class _Sampler:
         members = {}
         for i, s in enumerate(stats):
             members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
-        small = [(n, len(links)) for (n, _), links in members.items() if min(n, self.m) <= _SMALL_GRAM]
-        work = _Work(self.m, max(2, size), small) if small else None
+        work = _Work(self.m, max(2, size), [(n, len(links)) for (n, _), links in members.items()])
         self.links = len(fps)
         self.groups = [
             (np.array(links), _Group(stats[links[0]], weights[links], size, work)) for links in members.values()
@@ -461,8 +422,8 @@ class _Sampler:
             if sources is not None and group.shared:
                 source = sources.get(index)
                 if source is None:
-                    # A small group forms A in the work arrays, which the
-                    # next group's source overwrites.
+                    # A group forms A in the work arrays, which the next
+                    # group's source overwrites.
                     source = sources[index] = group.source(w).copy()
             try:
                 group(w, chosen, out, row[members[chosen]], source)

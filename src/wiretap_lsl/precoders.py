@@ -12,7 +12,6 @@ import enum
 import math
 import warnings
 from collections.abc import Generator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,14 +43,6 @@ class Strategy(str, enum.Enum):
     ISOTROPIC = "iso"
     WATER_FILLING = "wf"
     GSVD_BEAMFORMING = "gsvd"
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-subchannel power levels and the water level / multiplier mu."""
-
-    levels: np.ndarray
-    mu: float
 
 
 def _within_budget(p: np.ndarray) -> list[np.ndarray | OverBudget]:
@@ -93,33 +84,20 @@ def _groups(links: Sequence[tuple[ChannelStatistics, ...]], results: list) -> li
     return list(groups.values())
 
 
-def waterfill_levels(gains, budget: float) -> PowerAllocation:
-    """Exact water-filling over parallel subchannels with power gains.
+def waterfill_stack(gains: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, list[AllZeroGains | None]]:
+    """Exact water-filling over parallel subchannels, for each row of
+    power gains (B, M) with one budget: the levels (B, M), the water
+    levels' reciprocals mu (B,) and, per row, None or the AllZeroGains
+    that fails it, whose row of levels and mu are NaN.
 
     levels[i] = max(0, 1/mu - 1/gains[i]), with mu fixed by the budget
     through an active-set computation (no numerical search). A gain whose
-    reciprocal overflows, such as a subnormal one, counts as zero; with
-    no other gain, raises AllZeroGains. The one-row case of
-    waterfill_stack.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be > 0")
-    levels, mu, (error,) = waterfill_stack(np.asarray(gains, dtype=float)[None], budget)
-    if error is not None:
-        raise error
-    return PowerAllocation(levels=levels[0], mu=mu[0])
-
-
-def waterfill_stack(gains: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, list[AllZeroGains | None]]:
-    """waterfill_levels of each row of gains (B, M) with one budget:
-    the levels (B, M), the multipliers mu (B,) and, per row, None or the
-    AllZeroGains that fails it, whose row of levels and mu are NaN.
-
-    Each row is sorted on its own, and its water levels are a cumsum
-    along the row, which is sequential, so every row's results are bit
-    for bit those of the row alone. A gain that counts as zero is never
-    inverted, so zero and subnormal gains raise no floating-point
-    warning.
+    reciprocal overflows, such as a subnormal one, counts as zero; a row
+    with no other gain fails. Each row is sorted on its own, and its
+    water levels are a cumsum along the row, which is sequential, so
+    every row's results are bit for bit those of the row alone. A gain
+    that counts as zero is never inverted, so zero and subnormal gains
+    raise no floating-point warning.
     """
     gains = np.asarray(gains, dtype=float)
     count, m = gains.shape
@@ -151,8 +129,8 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
 
     Gains are the eigenvalues of beta*em*T (the KKT-consistent squared
     singular values). em = 0 only at rho = 0, where no gain is positive
-    and waterfill_levels raises AllZeroGains. The one-item case of
-    waterfill_precoders.
+    and waterfill_stack fails the row with AllZeroGains. The one-item
+    case of waterfill_precoders.
     """
     (result,) = waterfill_precoders([(stats_m, em)])
     if isinstance(result, Exception):

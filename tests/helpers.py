@@ -17,7 +17,7 @@ from wiretap_lsl.errors import (
     WiretapError,
 )
 from wiretap_lsl.linalg import congruence, gsvd
-from wiretap_lsl.precoders import PowerAllocation, gsvd_power_allocation, isotropic_precoder, subchannel_terms
+from wiretap_lsl.precoders import gsvd_power_allocation, isotropic_precoder, subchannel_terms, waterfill_stack
 
 
 def iid_stats(snr, n, m):
@@ -67,9 +67,16 @@ def reference_gsvd(a, b):
     return sigma_m, sigma_e, (yh.conj().T / sv) @ w
 
 
+def waterfill_row(gains, budget):
+    """waterfill_stack of one gain vector: its row 0 of levels and of mu,
+    and its error, None or AllZeroGains."""
+    levels, mu, (error,) = waterfill_stack(np.asarray(gains, dtype=float)[None], budget)
+    return levels[0], mu[0], error
+
+
 def reference_waterfill_levels(gains, budget):
-    """Water-filling of one gain vector on 1-D arrays: the oracle that
-    every row of waterfill_stack must match byte for byte."""
+    """Water-filling of one gain vector on 1-D arrays, (levels, mu): the
+    oracle that every row of waterfill_stack must match byte for byte."""
     gains = np.asarray(gains, dtype=float)
     k_max = int(np.count_nonzero(gains > 1.0 / np.finfo(float).max))
     if k_max == 0:
@@ -83,7 +90,7 @@ def reference_waterfill_levels(gains, budget):
     level = water[active - 1]
     levels = np.zeros_like(gains)
     levels[order[:active]] = level - inv[:active]
-    return PowerAllocation(levels=levels, mu=1.0 / level)
+    return levels, 1.0 / level
 
 
 def reference_newton_bracket(terms, m):

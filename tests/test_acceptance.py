@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import exp1
 
-from helpers import gsvd_pair, iid_stats, isotropic_start
+from helpers import gsvd_pair, iid_stats, isotropic_start, waterfill_row
 from wiretap_lsl.detequiv import solve_fixed_point
 from wiretap_lsl.experiment import build_statistics, figure_preset, point_config
 from wiretap_lsl.montecarlo import mc_ergodic_mi, mc_secrecy_rate
@@ -16,7 +16,6 @@ from wiretap_lsl.precoders import (
     gsvd_power_allocation,
     optimize,
     subchannel_terms,
-    waterfill_levels,
 )
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -183,12 +182,11 @@ def test_criterion_11_waterfilling_kkt():
         k = int(rng.integers(1, 10))
         gains = rng.uniform(0.01, 20.0, size=k)
         budget = float(rng.uniform(0.5, 10.0))
-        alloc = waterfill_levels(gains, budget)
-        budget_ok = abs(alloc.levels.sum() - budget) <= 1e-10
+        levels, mu, error = waterfill_row(gains, budget)
+        budget_ok = error is None and abs(levels.sum() - budget) <= 1e-10
         slack_ok = all(
-            (level == 0 and 1.0 / alloc.mu <= 1.0 / gain + 1e-12)
-            or abs(level - (1.0 / alloc.mu - 1.0 / gain)) <= 1e-12
-            for level, gain in zip(alloc.levels, gains)
+            (level == 0 and 1.0 / mu <= 1.0 / gain + 1e-12) or abs(level - (1.0 / mu - 1.0 / gain)) <= 1e-12
+            for level, gain in zip(levels, gains)
         )
         if not (budget_ok and slack_ok):
             ok = False

@@ -18,11 +18,9 @@ from wiretap_lsl.montecarlo import (
     _BLOCK_SIZE,
     _COLUMNS,
     _PILOT_BLOCKS,
-    _SMALL_GRAM,
     _TILE,
     McEstimate,
     _Eliminator,
-    _logdet_cholesky,
     _upper_gram,
     mc_ergodic_mi,
     mc_secrecy_rate,
@@ -79,18 +77,11 @@ def generic_precoder(m, seed=0):
     return hermitianize(m * p / np.trace(p).real)
 
 
-def smaller_gram(g):
-    """The smaller Gram matrix of each channel of a stack g: Gᴴ G where
-    N > M, else G Gᴴ."""
-    g_h = g.conj().swapaxes(-1, -2)
-    return g_h @ g if g.shape[-2] > g.shape[-1] else g @ g_h
-
-
 def eliminated(g):
     """ln det(I + Gram) of each channel of a stack g, (..., N, M), as a
     group of links whose channels are built runs it: _upper_gram over
-    the rows of G, or of Gᵀ where N > M, batch-last, then _Eliminator."""
-    factor = g.swapaxes(-1, -2) if g.shape[-2] > g.shape[-1] else g
+    the rows of G, or of Gᵀ where N >= M, batch-last, then _Eliminator."""
+    factor = g.swapaxes(-1, -2) if g.shape[-2] >= g.shape[-1] else g
     rows = np.ascontiguousarray(np.moveaxis(factor, (-2, -1), (0, 1)).reshape(*factor.shape[-2:], -1))
     d, size = len(rows), rows.shape[-1]
     gram = np.zeros((d, d, size), dtype=complex)
@@ -98,11 +89,8 @@ def eliminated(g):
     return _Eliminator(d, size)(gram).reshape(g.shape[:-2])
 
 
-# Each kernel on the Gram matrices of a channel stack g, per antenna.
-BRANCHES = {
-    "elimination": lambda g: eliminated(g) / g.shape[-1],
-    "cholesky": lambda g: _logdet_cholesky(smaller_gram(g)) / g.shape[-1],
-}
+# The kernel on the Gram matrices of a channel stack g, per antenna.
+BRANCHES = {"elimination": lambda g: eliminated(g) / g.shape[-1]}
 
 
 class TestKernelOracle:
@@ -150,7 +138,7 @@ class TestKernelOracle:
     def test_high_snr_tall_channel_matches_svd(self, branch, n):
         # At 60 dB with N > M an N x N Gram I_N + G Gᴴ carries N - M unit
         # eigenvalues next to ~1e6 ones and is off from the SVD value by
-        # up to ~1e-11; the M x M Gram that both kernels take has none.
+        # up to ~1e-11; the M x M Gram that the kernel takes has none.
         stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
         k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
         g = link_channels([stats], [k_eigs], 256, np.random.default_rng(1))
@@ -229,7 +217,7 @@ def expansion_oracle(stats, k_eigs, w):
     return np.array(moments).swapaxes(0, 1), np.array(scales)
 
 
-# Gram orders up to _SMALL_GRAM, then above it; 1e6 is 60 dB.
+# Gram orders 1-32, N on both sides of M; 1e6 is 60 dB.
 KERNEL_CASES = [
     (1, 4, 10.0),
     (4, 1, 10.0),
@@ -243,6 +231,8 @@ KERNEL_CASES = [
     (12, 7, 10.0),
     (9, 9, 1e6),
     (16, 10, 1e6),
+    (24, 32, 1e6),
+    (40, 32, 1e6),
 ]
 KERNEL_IDS = [f"{n}x{m}-{10 * np.log10(snr):g}dB" for n, m, snr in KERNEL_CASES]
 
@@ -256,66 +246,40 @@ class TestLogdetKernels:
 
     @pytest.mark.parametrize("branch", BRANCHES)
     @pytest.mark.parametrize("n, m, snr", KERNEL_CASES, ids=KERNEL_IDS)
-    def test_moments_match_the_explicit_expansion(self, monkeypatch, branch, n, m, snr):
-        # A group of two links through either kernel, whatever its order:
-        # its L1 and L2 against those of each link's explicitly built Gram
-        # matrix, within 1e-12 of the size of their terms (L1 is centred).
-        monkeypatch.setattr(montecarlo, "_SMALL_GRAM", 16 if branch == "elimination" else 0)
+    def test_moments_match_the_explicit_expansion(self, branch, n, m, snr):
+        # A group of two links, whatever its order: its L1 and L2 against
+        # those of each link's explicitly built Gram matrix, within 1e-12
+        # of the size of their terms (L1 is centred), and its log-dets
+        # against the kernel on each link's explicitly scaled channel.
         stats, k_eigs, w = expansion_case(n, m, snr, 64, seed=n + m)
-        group = montecarlo._Group(stats, montecarlo._column_weights([stats] * 2, k_eigs), 64)
-        assert group.small == (branch == "elimination")
+        weights = montecarlo._column_weights([stats] * 2, k_eigs)
+        group = montecarlo._Group(stats, weights, 64)
         (l1, l2), scale = expansion_oracle(stats, k_eigs, w)
         moments = group_moments(group, w)
         assert (np.abs(moments[0] - l1) <= 1e-12 * scale).all()
         assert (np.abs(moments[1] - l2) <= 1e-12 * scale**2).all()
+        g = np.sqrt(stats.r_eigs)[:, None] * w[:, :n] * np.sqrt(weights)[:, None, None]
+        assert np.allclose(group(w)[:, 0], BRANCHES[branch](g), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("order", [6, 7, 12])
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
-    def test_branches_agree_at_the_crossover(self, monkeypatch, n, m):
-        # One group of three links on one block, through either kernel.
-        stats, k_eigs, w = expansion_case(_SMALL_GRAM + n, _SMALL_GRAM + m, 10.0, 64, seed=4, links=3)
-        weights = montecarlo._column_weights([stats] * 3, k_eigs)
-        results = []
-        for threshold in (_SMALL_GRAM, 0):
-            monkeypatch.setattr(montecarlo, "_SMALL_GRAM", threshold)
-            group = montecarlo._Group(stats, weights, 64)
-            results.append((group(w)[:, 0], group_moments(group, w)))
-        (eliminated, moments), (cholesky, cholesky_moments) = results
-        scale = expansion_oracle(stats, k_eigs, w)[1]
-        assert np.allclose(eliminated, cholesky, rtol=1e-12, atol=0)
-        assert (np.abs(moments[0] - cholesky_moments[0]) <= 1e-12 * scale).all()
-        assert (np.abs(moments[1] - cholesky_moments[1]) <= 1e-12 * scale**2).all()
-
-    @pytest.mark.parametrize("above", [0, 1], ids=["at", "above"])
-    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
-    def test_sample_switches_kernel_above_small_gram(self, monkeypatch, n, m, above):
+    def test_sample_runs_one_eliminator(self, monkeypatch, n, m, order):
         # The six links of three rates with one N and one r form one group,
-        # whose kernels take tiles of _TILE links: up to Gram order
-        # _SMALL_GRAM through one eliminator, above it through the Cholesky
-        # kernel, one stack per tile and block.
-        rows, cols = _SMALL_GRAM + n + above, _SMALL_GRAM + m + above
-        order = min(rows, cols)
+        # whose kernel takes tiles of _TILE links, at any Gram order through
+        # one eliminator, built once for the call.
+        rows, cols = order + n, order + m
         main, eave = correlated_stats(10.0, rows, cols), correlated_stats(3.0, rows, cols)
         rates = [lsl_secrecy_rate(main, eave, generic_precoder(cols, seed)) for seed in range(3)]
-        eliminators, choleskys = [], []
+        eliminators = []
 
         class RecordingEliminator(_Eliminator):
             def __init__(self, d, size):
                 eliminators.append((d, size))
                 super().__init__(d, size)
 
-        def recording_cholesky(gram):
-            choleskys.append(gram.shape)
-            return _logdet_cholesky(gram)
-
         monkeypatch.setattr(montecarlo, "_Eliminator", RecordingEliminator)
-        monkeypatch.setattr(montecarlo, "_logdet_cholesky", recording_cholesky)
         mc_secrecy_rate(rates, 300, seed=1)
-        if above:
-            assert not eliminators
-            tiles = [min(_TILE, 6 - first) for first in range(0, 6, _TILE)]
-            assert choleskys == [(links, count, order, order) for count in (256, 44) for links in tiles]
-        else:
-            assert eliminators == [(order, min(_TILE, 6) * 256)] and not choleskys
+        assert eliminators == [(order, min(_TILE, 6) * 256)]
 
     def test_reused_eliminator_matches_a_fresh_one(self):
         # A group keeps its arrays, its eliminator's among them, across
@@ -340,8 +304,8 @@ class TestGroups:
     @pytest.mark.parametrize("n, m", [(5, 3), (2, 3), (9, 8)], ids=["n>m", "n<m", "large-gram"])
     def test_equal_n_and_different_r_form_two_groups(self, monkeypatch, n, m):
         # The main links of three rates share N and r, and so do their
-        # eavesdropper links; main and eavesdropper share N but not r. Up
-        # to _SMALL_GRAM both groups compute in one set of work arrays.
+        # eavesdropper links; main and eavesdropper share N but not r.
+        # Both groups compute in one set of work arrays.
         main = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
         eave = correlated_stats(4.0, n, m)
         rates = [lsl_secrecy_rate(main, eave, generic_precoder(m, seed)) for seed in range(3)]
@@ -357,8 +321,7 @@ class TestGroups:
         monkeypatch.setattr(montecarlo, "_Group", RecordingGroup)
         sample = montecarlo._sample(fps, 300, seed=(2, 5))
         assert groups == [(main.r_eigs.tobytes(), 3), (eave.r_eigs.tobytes(), 3)]
-        small = min(n, m) <= _SMALL_GRAM
-        assert works[0] is works[1] and (works[0] is not None) == small
+        assert works[0] is not None and works[0] is works[1]
         for i, fp in enumerate(fps):
             assert np.array_equal(sample[i], montecarlo._sample([fp], 300, seed=(2, 5))[0])
 
@@ -384,7 +347,9 @@ class TestGroups:
         assert len(formed) == len(set(formed)) and len({w for _, w in formed}) == len(blocks)
 
     @pytest.mark.parametrize("n", [1, 257])
-    @pytest.mark.parametrize("n_main, n_eave, m", [(2, 2, 2), (4, 4, 4), (6, 2, 4), (2, 3, 4), (8, 9, 8)])
+    @pytest.mark.parametrize(
+        "n_main, n_eave, m", [(2, 2, 2), (4, 4, 4), (6, 2, 4), (2, 3, 4), (8, 9, 8), (16, 20, 16), (16, 16, 24)]
+    )
     def test_rate_alone_raises_no_warning(self, n, n_main, n_eave, m):
         # A block of one realization pads each link with a second column,
         # which holds zeros or an earlier block's rows; its Gram matrices
@@ -398,7 +363,7 @@ class TestGroups:
             (estimate,) = mc_secrecy_rate([rate], n, seed=4)
         assert np.isfinite([estimate.mean, estimate.std_error]).all()
 
-    @pytest.mark.parametrize("orders", [(1, 6), (7, 10)], ids=["eliminator", "cholesky"])
+    @pytest.mark.parametrize("orders", [(1, 6), (7, 10)], ids=["eliminator", "large-gram"])
     def test_grams_match_the_scaled_channels(self, orders):
         # Each link's Gram matrix against Gᴴ G or G Gᴴ of its explicitly
         # scaled channel G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), with
@@ -420,20 +385,17 @@ class TestGroups:
             expected = g_h @ g if n >= m else g @ g_h
             group = montecarlo._Group(stats, weights, 256)
             gram = group.grams(group.source(w), np.arange(links), count)
-            if group.small:
-                d = len(gram)
-                upper = np.moveaxis(gram.reshape(d, d, links, -1)[..., :count], (0, 1), (-2, -1))
-                assert not np.tril(upper, -1).any()
-                upper = upper.conj() if n < m else upper
-                gram = upper + np.triu(upper, 1).conj().swapaxes(-1, -2)
-            assert group.small == (min(n, m) <= _SMALL_GRAM)
+            d = len(gram)
+            upper = np.moveaxis(gram.reshape(d, d, links, -1)[..., :count], (0, 1), (-2, -1))
+            assert not np.tril(upper, -1).any()
+            upper = upper.conj() if n < m else upper
+            gram = upper + np.triu(upper, 1).conj().swapaxes(-1, -2)
             diag = np.einsum("...ii->...i", expected).real
             bound = 1e-13 * np.sqrt(diag[..., :, None] * diag[..., None, :])
             assert (np.abs(gram - expected) <= bound).all(), (n, m, links, count)
 
 
-# (N, M, rho), the Gram orders on both sides of _SMALL_GRAM, N on both
-# sides of M; expansion_case draws r != 1 and a k with zeros.
+# (N, M, rho), Gram orders 4-8, N on both sides of M; expansion_case draws r != 1 and a k with zeros.
 LAW_CASES = [(6, 4, 10.0), (6, 6, 10.0), (3, 5, 1e3), (8, 8, 10.0), (10, 8, 1e3), (8, 10, 10.0)]
 
 
@@ -449,7 +411,6 @@ class TestExpansionLaws:
         # errors of 0, z's for E L1, z^2 - 1's for Var L1, q's for E L2.
         stats, k_eigs, _ = expansion_case(n, m, snr, 1, seed=n * m)
         group = montecarlo._Group(stats, montecarlo._column_weights([stats] * 2, k_eigs), 256)
-        assert group.small == (min(n, m) <= _SMALL_GRAM)
         c = snr / m
         for i, k in enumerate(k_eigs):
             x, y = (k, stats.r_eigs) if n >= m else (stats.r_eigs, k)

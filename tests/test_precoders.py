@@ -10,6 +10,7 @@ from helpers import (
     reference_gsvd_precoder,
     reference_newton_bracket,
     reference_waterfill_levels,
+    waterfill_row,
 )
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
@@ -32,7 +33,6 @@ from wiretap_lsl.precoders import (
     isotropic_precoder,
     optimize,
     subchannel_terms,
-    waterfill_levels,
     waterfill_precoder,
     waterfill_precoders,
     waterfill_stack,
@@ -124,38 +124,41 @@ class TestIsotropic:
 
 
 class TestWaterfillLevels:
+    """waterfill_stack on one gain vector, read as its row 0."""
+
     def test_two_active_subchannels(self):
-        alloc = waterfill_levels([4.0, 1.0], 2.0)
-        assert np.allclose(alloc.levels, [1.375, 0.625])
-        assert 1.0 / alloc.mu == pytest.approx(1.625)
+        levels, mu, error = waterfill_row([4.0, 1.0], 2.0)
+        assert error is None
+        assert np.allclose(levels, [1.375, 0.625])
+        assert 1.0 / mu == pytest.approx(1.625)
 
     def test_single_subchannel(self):
-        alloc = waterfill_levels([0.3], 1.0)
-        assert np.allclose(alloc.levels, [1.0])
+        levels, _, error = waterfill_row([0.3], 1.0)
+        assert error is None and np.allclose(levels, [1.0])
 
     def test_weak_subchannel_shut_off(self):
         # Water level 1/mu = 1.1 < 100 = 1/g2, so the weak channel is off.
-        alloc = waterfill_levels([10.0, 0.01], 1.0)
-        assert np.allclose(alloc.levels, [1.0, 0.0])
+        levels, _, error = waterfill_row([10.0, 0.01], 1.0)
+        assert error is None and np.allclose(levels, [1.0, 0.0])
 
     def test_all_zero_gains(self):
-        with pytest.raises(AllZeroGains):
-            waterfill_levels([0.0, 0.0], 1.0)
+        levels, mu, error = waterfill_row([0.0, 0.0], 1.0)
+        assert isinstance(error, AllZeroGains)
+        assert np.isnan(levels).all() and np.isnan(mu)
 
     def test_gain_with_overflowing_reciprocal_counts_as_zero(self):
         # 1 / 1.36e-309 overflows; such a channel stays off, without a warning.
-        alloc = waterfill_levels([1.36e-309, 5.0, 0.0], 5.0)
-        assert alloc.levels.tolist() == [0.0, 5.0, 0.0]
-        assert alloc.mu == waterfill_levels([5.0], 5.0).mu
-        with pytest.raises(AllZeroGains):
-            waterfill_levels([1.36e-309, 0.0], 1.0)
+        levels, mu, error = waterfill_row([1.36e-309, 5.0, 0.0], 5.0)
+        assert error is None and levels.tolist() == [0.0, 5.0, 0.0]
+        assert mu == waterfill_row([5.0], 5.0)[1]
+        assert isinstance(waterfill_row([1.36e-309, 0.0], 1.0)[2], AllZeroGains)
 
     def test_budget_below_rounding_of_strongest_inverse_gain(self):
         # 4 + 1e20 rounds to 1e20, so even the one-channel water level
         # does not clear its channel in floating point; k = 1 is taken.
-        alloc = waterfill_levels([1e-20, 1e-21], 4.0)
-        assert alloc.levels.tolist() == [0.0, 0.0]
-        assert alloc.mu == 1e-20
+        levels, mu, error = waterfill_row([1e-20, 1e-21], 4.0)
+        assert error is None and levels.tolist() == [0.0, 0.0]
+        assert mu == 1e-20
 
     def test_matches_active_set_loop(self):
         # The largest active set whose water level clears its worst
@@ -171,13 +174,14 @@ class TestWaterfillLevels:
             k = max(k for k in range(1, len(inv) + 1) if (budget + inv[:k].sum()) / k > inv[k - 1])
             level = (budget + inv[:k].sum()) / k
             expected = np.where(1.0 / gains <= inv[k - 1], level - 1.0 / gains, 0.0)
-            alloc = waterfill_levels(gains, budget)
+            levels, mu, error = waterfill_row(gains, budget)
+            assert error is None
             if len(gains) < 8:
-                assert alloc.mu == 1.0 / level
-                assert np.array_equal(alloc.levels, expected)
+                assert mu == 1.0 / level
+                assert np.array_equal(levels, expected)
             else:
-                assert alloc.mu == pytest.approx(1.0 / level, rel=1e-13)
-                assert np.allclose(alloc.levels, expected, rtol=1e-13, atol=1e-13 * budget)
+                assert mu == pytest.approx(1.0 / level, rel=1e-13)
+                assert np.allclose(levels, expected, rtol=1e-13, atol=1e-13 * budget)
 
     @pytest.mark.parametrize("seed", range(50))
     def test_kkt_conditions(self, seed):
@@ -185,16 +189,17 @@ class TestWaterfillLevels:
         k = int(rng.integers(1, 9))
         gains = rng.uniform(0.01, 10.0, size=k)
         budget = float(rng.uniform(0.5, 5.0))
-        alloc = waterfill_levels(gains, budget)
-        assert np.all(alloc.levels >= 0)
-        assert alloc.levels.sum() == pytest.approx(budget, abs=1e-10)
-        for level, gain in zip(alloc.levels, gains):
+        levels, mu, error = waterfill_row(gains, budget)
+        assert error is None
+        assert np.all(levels >= 0)
+        assert levels.sum() == pytest.approx(budget, abs=1e-10)
+        for level, gain in zip(levels, gains):
             # complementary slackness: active levels sit exactly at the
             # water line, inactive gains fail the water-level test
             if level > 0:
-                assert level == pytest.approx(1.0 / alloc.mu - 1.0 / gain, abs=1e-12)
+                assert level == pytest.approx(1.0 / mu - 1.0 / gain, abs=1e-12)
             else:
-                assert 1.0 / alloc.mu <= 1.0 / gain + 1e-12
+                assert 1.0 / mu <= 1.0 / gain + 1e-12
 
 
 class TestWaterfillPrecoder:
@@ -548,7 +553,7 @@ def reference_waterfill_precoder(stats_m, em):
     """waterfill_precoder of one link, its levels from the 1-D oracle."""
     lam, q = stats_m.t_eigh
     m = stats_m.num_tx
-    p = congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(m)).levels)
+    p = congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(m))[0])
     if np.trace(p).real > m + precoders._TRACE_SLACK:
         raise OverBudget(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
     return p
@@ -559,13 +564,13 @@ def assert_rows_match_oracle(gains, budget):
     levels, mu, errors = waterfill_stack(gains, budget)
     for row, row_levels, row_mu, error in zip(gains, levels, mu, errors):
         try:
-            expected = reference_waterfill_levels(row, budget)
+            expected_levels, expected_mu = reference_waterfill_levels(row, budget)
         except AllZeroGains as err:
             assert isinstance(error, AllZeroGains) and str(error) == str(err)
             assert np.isnan(row_levels).all() and np.isnan(row_mu)
         else:
             assert error is None
-            assert (row_levels.tobytes(), row_mu) == (expected.levels.tobytes(), expected.mu)
+            assert (row_levels.tobytes(), row_mu) == (expected_levels.tobytes(), expected_mu)
 
 
 def assert_searches_match_oracle(terms, m):
