@@ -1,11 +1,12 @@
 """Correlation-matrix generation and Kronecker-model channel sampling.
 
-Transmit correlation follows a uniform linear array illuminated by a
-Gaussian power azimuth spectrum; entries are numerical integrals over
-the azimuth angle, normalized to a unit diagonal. The integrals run
-over the window theta +- 10 sigma clipped to [-pi, pi], outside which
-the spectrum is below exp(-50) of its peak, with Gauss-Legendre node
-doubling until two successive rows agree.
+Every receiver is uncorrelated, R = I, so a link's receive side is its
+antenna count alone. Transmit correlation follows a uniform linear
+array illuminated by a Gaussian power azimuth spectrum; entries are
+numerical integrals over the azimuth angle, normalized to a unit
+diagonal. The integrals run over the window theta +- 10 sigma clipped
+to [-pi, pi], outside which the spectrum is below exp(-50) of its peak,
+with Gauss-Legendre node doubling until two successive rows agree.
 
 The Gauss-Legendre rules, 64 * 2**k nodes up to _QUAD_MAX_NODES, are
 read from gauss_legendre.npz beside this module: for each node count,
@@ -60,13 +61,14 @@ class ArraySpec:
 
 @dataclass(frozen=True, eq=False)
 class ChannelStatistics:
-    """Statistical CSI of one link: SNR, transmit correlation T and R's
-    eigenvalues r_eigs, all that the solver and the sampler read of R (a
-    caller with a full R passes np.linalg.eigvalsh(R)); the antenna
-    counts are the orders of T and R. t_eigh is T's eigenvalues
-    (ascending, clipped at 0) and eigenvectors, and t_sqrt is built from
-    them, each once, on first use. The spectrum of K = T^(1/2) P T^(1/2)
-    belongs to the FixedPoint solved at P, not to the link.
+    """Statistical CSI of one link: SNR, transmit correlation T and the
+    number of receive antennas N, whose correlation is R = I; M is T's
+    order. t_eigh is T's eigenvalues (ascending, clipped at 0) and
+    eigenvectors, and t_sqrt is built from them, each once, on first use,
+    or placed in the link's __dict__ by a caller that already holds them,
+    as build_statistics does for every link of one ArraySpec. The
+    spectrum of K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at
+    P, not to the link.
 
     A link compares and hashes by identity: its fields are arrays, whose
     == is elementwise and which do not hash.
@@ -74,21 +76,15 @@ class ChannelStatistics:
 
     snr: float
     t_corr: np.ndarray
-    r_eigs: np.ndarray
+    num_rx: int
 
     def __post_init__(self):
         if not self.snr >= 0:
             raise ValueError("snr must be >= 0")
         if self.t_corr.ndim != 2 or self.t_corr.shape[0] != self.t_corr.shape[1] or not self.t_corr.size:
             raise ValueError("t_corr must be a nonempty square matrix")
-        r = np.asarray(self.r_eigs, dtype=float)
-        if r.ndim != 1 or not r.size or not ((0 <= r) & (r < np.inf)).all():
-            raise ValueError("r_eigs must be a nonempty 1-D array of finite values >= 0")
-        object.__setattr__(self, "r_eigs", r)
-
-    @cached_property
-    def num_rx(self) -> int:
-        return len(self.r_eigs)
+        if not isinstance(self.num_rx, (int, np.integer)) or isinstance(self.num_rx, bool) or self.num_rx < 1:
+            raise ValueError("num_rx must be an integer >= 1")
 
     @cached_property
     def num_tx(self) -> int:
@@ -181,7 +177,7 @@ def sample_channel_block(count: int, num_rx: int, num_tx: int, rng: np.random.Ge
     parts, then imaginary parts.
 
     W is drawn once per block and left unscaled: every link that shares
-    it folds W's variance of 2 and its own SNR and spectra into its Gram
+    it folds W's variance of 2 and its own SNR and spectrum into its Gram
     matrix (see montecarlo).
     """
     w = np.empty((count, num_rx, num_tx), dtype=complex)

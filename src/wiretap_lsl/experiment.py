@@ -12,6 +12,7 @@ import math
 import typing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -219,12 +220,30 @@ def point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
     )
 
 
+@lru_cache(maxsize=256)
+def _transmit(spec: ArraySpec) -> tuple[np.ndarray, dict]:
+    """T = gen_correlation(spec) and its factorization, {"t_eigh": ...,
+    "t_sqrt": ...}, every array read-only: what each link of that spec
+    shares. An SNR or N_E sweep keeps T at every point, so its links
+    factor T once per sweep; a failure (QuadratureFailure, NotPsd, or a
+    LinAlgError from LAPACK) is raised and not cached."""
+    template = ChannelStatistics(0.0, gen_correlation(spec), 1)
+    factors = {"t_eigh": template.t_eigh, "t_sqrt": template.t_sqrt}
+    for array in (template.t_corr, *template.t_eigh, template.t_sqrt):
+        array.flags.writeable = False
+    return template.t_corr, factors
+
+
 def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, ChannelStatistics]:
     """Materialize both links' statistical CSI for a config; every
-    receiver is uncorrelated, R = I, whose spectrum is all ones."""
+    receiver is uncorrelated, R = I. Each link takes T and its
+    factorization from the bounded per-ArraySpec cache (_transmit)."""
 
     def link(snr_db: float, num_rx: int, array: ArraySpec) -> ChannelStatistics:
-        return ChannelStatistics(db_to_linear(snr_db), gen_correlation(array), np.ones(num_rx))
+        t_corr, factors = _transmit(array)
+        stats = ChannelStatistics(db_to_linear(snr_db), t_corr, num_rx)
+        vars(stats).update(factors)  # the cached properties, as if computed here
+        return stats
 
     main = link(config.snr_main_db, config.n_main, config.array_main)
     return main, link(config.snr_eave_db, config.n_eave, config.array_eave)
@@ -248,17 +267,18 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
 
     The grid runs in chunks of _LOCKSTEP_POINTS points. In each, every
     point's links are built first, and both links of every point are
-    solved at P = I in one batch: the start that every strategy's outer
-    loop at the point shares. If either step fails at a point, so does
-    every row of the point. Then the outer loops of all (point,
-    strategy) pairs of the chunk run in lockstep (optimize_many), and
-    last one Monte Carlo call estimates the rates of every pair that
-    succeeded, on shared draws: seeded by the sweep's seed alone, with W
-    as tall as the sweep's tallest receiver. A row whose estimate fails
-    fails alone. Every row is what optimizing each pair on its own gives,
-    and its estimate, bit for bit, what mc_secrecy_rate gives its
-    point's rates alone at that seed and height of W, whatever the grid
-    index or the chunk; rows come in grid order, then strategy order.
+    solved at P = I in one batch, K's spectrum being T's: the start that
+    every strategy's outer loop at the point shares. If either step
+    fails at a point, so does every row of the point. Then the outer
+    loops of all (point, strategy) pairs of the chunk run in lockstep
+    (optimize_many), and last one Monte Carlo call estimates the rates
+    of every pair that succeeded, on shared draws: seeded by the sweep's
+    seed alone, with W as tall as the sweep's tallest receiver. A row
+    whose estimate fails fails alone. Every row is what optimizing each
+    pair on its own gives, and its estimate, bit for bit, what
+    mc_secrecy_rate gives its point's rates alone at that seed and
+    height of W, whatever the grid index or the chunk; rows come in grid
+    order, then strategy order.
     """
     rows = []
     tallest = max(config.n_main, point_config(config, config.sweep_grid[-1]).n_eave)
@@ -281,7 +301,8 @@ def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool, tallest
             points.append(as_value(exc))
     built = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
     identity = isotropic_precoder(config.m)
-    for i, start in zip(built, lsl_secrecy_rates([(*points[i], identity) for i in built])):
+    spectra = [(main.t_eigh[0], eave.t_eigh[0]) for main, eave in (points[i] for i in built)]
+    for i, start in zip(built, lsl_secrecy_rates([(*points[i], identity) for i in built], spectra=spectra)):
         points[i] = start
     started = [point for point in points if not isinstance(point, Exception)]
     optimized = iter(optimize_many([(strategy, start) for start in started for strategy in config.strategies]))

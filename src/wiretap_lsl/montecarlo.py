@@ -11,32 +11,32 @@ seeded by its seed alone, for the rates of every strategy at every
 point of the chunk.
 
 W is unitarily invariant, so a link at a precoder P enters only through
-the eigenvalues r of R and k of K = T^(1/2) P T^(1/2), with eigenvectors
-Q_R and Q_K, both spectra held by the FixedPoint solved at P: this
-module never sees P and makes no eigendecomposition. For the Kronecker
-channel H = sqrt(rho/M) R^(1/2) W T^(1/2), H P Hᴴ = Q_R G Gᴴ Q_Rᴴ with
-G = sqrt(rho/M) diag(sqrt(r)) W' diag(sqrt(k)), where W' = Q_Rᴴ W Q_K has
-the law of W; so ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ). Per
-block each link costs ln det(I + Gram) of its Gram matrix in the smaller
-of N and M. Blocks bound the memory: drawing all n realizations at once
-would allocate n * N * M complex values per array.
+its N (R = I) and the eigenvalues k of K = T^(1/2) P T^(1/2), with
+eigenvectors Q_K, held by the FixedPoint solved at P: this module never
+sees P and makes no eigendecomposition. For the Kronecker channel
+H = sqrt(rho/M) W T^(1/2), H P Hᴴ = G Gᴴ with
+G = sqrt(rho/M) W' diag(sqrt(k)), where W' = W Q_K has the law of W; so
+ln det(I + G Gᴴ) has the law of ln det(I + H P Hᴴ). Per block each link
+costs ln det(I + Gram) of its Gram matrix in the smaller of N and M.
+Blocks bound the memory: drawing all n realizations at once would
+allocate n * N * M complex values per array.
 
 Every link of every rate in a call shares each block's W, drawn once by
 sample_channel_block, unscaled, with as many rows as the caller asks,
 by default those of the tallest link; each link reads W's first N rows.
-The links that share N and r form a group, whose Gram matrices are
-built once per block. Where N >= M a link's Gram matrix is
-Gᴴ G = diag(s) A diag(s), with A = Wᴴ diag(r) W over W's first N rows
-and s = sqrt((rho/2M) k), whose 1/2 undoes the variance 2 of W's
-entries as drawn: the group forms A once and scales it per link, and no
-tall link's channel is ever built. Where N < M each link scales its
-rows of W into G and builds G Gᴴ. A group's links run in tiles of up to
-_TILE links, which bound the kernels' arrays whatever the number of
-links. At every Gram order the batch stays on the last axis, and one
-vectorized operation per entry row builds the Gram matrices and
-eliminates them, in work arrays that every group of a call shares. The
-kernel returns log-dets only; the group reads the control variates off
-the same Gram matrices, or off A.
+The links that share N form a group, whose Gram matrices are built once
+per block. Where N >= M a link's Gram matrix is Gᴴ G = diag(s) A
+diag(s), with A = Wᴴ W over W's first N rows and s = sqrt((rho/2M) k),
+whose 1/2 undoes the variance 2 of W's entries as drawn: the group
+forms A once and scales it per link, and no tall link's channel is ever
+built. Where N < M each link scales its rows of W into G and builds
+G Gᴴ. A group's links run in tiles of up to _TILE links, which bound
+the kernels' arrays whatever the number of links. At every Gram order
+the batch stays on the last axis, and one vectorized operation per
+entry row builds the Gram matrices and eliminates them, in work arrays
+that every group of a call shares. The kernel returns log-dets only;
+the group reads the control variates off the same Gram matrices, or
+off A.
 
 Each link keeps its law, so the per-realization difference of a rate's
 two MIs is unbiased, and its spread, not that of either MI, sets the
@@ -202,11 +202,11 @@ class _Work:
 
 
 class _Group:
-    """The links of one _Sampler that share N and r: their laws, their
-    scales, and their kernels, which run in tiles of up to _TILE links."""
+    """The links of one _Sampler that share N: their laws, their scales,
+    and their kernels, which run in tiles of up to _TILE links."""
 
     def __init__(self, stats: ChannelStatistics, weights: np.ndarray, size: int, work: _Work | None = None):
-        """stats is any link of the group, whose N, M and r it reads;
+        """stats is any link of the group, whose N and M it reads;
         weights, (links, M), holds each link's (rho/2M) k. Blocks hold up
         to size realizations. The group computes in work, or in arrays of
         its own if none is given."""
@@ -217,7 +217,8 @@ class _Group:
         # On the diagonal of a link's Gram matrix S, Gᴴ G where shared, else
         # G Gᴴ, S_ii = sum_j alpha_i beta_j |W_ij|^2, each |W_ij|^2 / 2 an
         # independent unit exponential: E S = diag(s0), and b = 1 / (1 + s0).
-        alpha, beta = (weights, stats.r_eigs) if self.shared else (stats.r_eigs, weights)
+        # The receive side's weights are ones (R = I).
+        alpha, beta = (weights, np.ones(n)) if self.shared else (np.ones(n), weights)
         s0 = 2.0 * alpha * beta.sum(axis=-1, keepdims=True)
         b = 1.0 / (1.0 + s0)
         # Per link, (4, links, d): b alpha, o = b s0 and their squares,
@@ -242,7 +243,7 @@ class _Group:
         # terms: L1's on the last row only.
         v, o = (parts[0] if self.shared else b), parts[1]
         # Both moments are identically 0 where E L2 = 0: at rho = 0, or
-        # where r or k is 0. Their variates are then 0 too, and the
+        # where k is 0. Their variates are then 0 too, and the
         # reciprocals of both laws, (2, links, 1), are taken as 0.
         live = self.mean > 0.0
         inv_spread, inv_mean = (live / (np.array([self.spread, self.mean]) + ~live))[:, :, None]
@@ -252,21 +253,17 @@ class _Group:
         np.multiply(-2.0 * v * o, inv_mean, out=self.terms[:, 1, d])
         self.live = live.astype(float)[:, None]
         self.constants = np.array([-o_sum * inv_spread[:, 0], o_sq * inv_mean[:, 0] - self.live[:, 0]])[:, :, None]
-        if self.shared:
-            self.sqrt_r = np.sqrt(stats.r_eigs)
-            s = np.sqrt(weights)
-            scales = s[:, :, None] * s[:, None, :]
-        else:
-            scales = np.sqrt(stats.r_eigs[:, None] * weights[:, None, :])
-        # Laid out to broadcast against the block: (rows, M, links, 1).
+        s = np.sqrt(weights)
+        scales = s[:, :, None] * s[:, None, :] if self.shared else s[:, None, :]
+        # Laid out to broadcast against the block: (M or 1, M, links, 1).
         self.scales = np.ascontiguousarray(scales.transpose(1, 2, 0))[..., None]
         self.work = work if work is not None else _Work(m, max(2, size), [(n, links)])
 
     def source(self, w: np.ndarray) -> np.ndarray:
         """What every link of the group reads of a block w of W, (count,
-        rows, M): where shared, A = Wᴴ diag(r) W over W's first N rows,
-        formed once for all links, as upper triangles batch-last, (M, M,
-        c), in the work arrays; else W's first N rows."""
+        rows, M): where shared, A = Wᴴ W over W's first N rows, formed
+        once for all links, as upper triangles batch-last, (M, M, c), in
+        the work arrays; else W's first N rows."""
         x = w[:, : self.n]
         if not self.shared:
             return x
@@ -275,7 +272,7 @@ class _Group:
         rows = self.work.rows[: m * n * cols].reshape(m, n, cols)[:, :, :c]
         products = self.work.products[: m * n * cols].reshape(m, n, cols)[:, :, :c]
         a = self.work.a[:, :, :c]
-        np.multiply(x.transpose(2, 1, 0), self.sqrt_r[:, None], out=rows[:, :, :count])
+        np.copyto(rows[:, :, :count], x.transpose(2, 1, 0))
         _upper_gram(rows, a, products)
         return a
 
@@ -359,7 +356,7 @@ class _Group:
 def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndarray]) -> np.ndarray:
     """(rho/2M) k of each link, (links, M), given as equal-length
     sequences of stats and k_eigs. With W as sample_channel_block draws
-    it, G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)). Links that differ in
+    it, G = W diag(sqrt((rho/2M) k)) over W's first N rows. Links that differ in
     M, a spectrum k without its link's M entries, or sequences of
     different lengths raise ValueError."""
     m = stats[0].num_tx
@@ -375,8 +372,8 @@ class _Sampler:
     """The blocks of W, drawn in order from one generator seeded by seed
     with rows rows, by default the tallest link's, and on each the
     per-realization MI and the three control variates (see
-    _Group.variates) of any links of fps. The links with the same N and r
-    form one _Group; all groups share one _Work."""
+    _Group.variates) of any links of fps. The links with the same N form
+    one _Group; all groups share one _Work."""
 
     def __init__(self, fps: Sequence[FixedPoint], size: int, seed: int | tuple[int, ...], rows: int | None = None):
         """Blocks hold up to size realizations."""
@@ -389,8 +386,8 @@ class _Sampler:
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         members = {}
         for i, s in enumerate(stats):
-            members.setdefault((s.num_rx, s.r_eigs.tobytes()), []).append(i)
-        work = _Work(self.m, max(2, size), [(n, len(links)) for (n, _), links in members.items()])
+            members.setdefault(s.num_rx, []).append(i)
+        work = _Work(self.m, max(2, size), [(n, len(links)) for n, links in members.items()])
         self.links = len(fps)
         self.groups = [
             (np.array(links), _Group(stats[links[0]], weights[links], size, work)) for links in members.values()

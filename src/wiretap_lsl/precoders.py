@@ -3,7 +3,9 @@ GSVD-based beamforming, plus the outer loop that couples the precoder to
 the large-system statistics.
 
 A precoder is its covariance: a Hermitian PSD (M, M) complex matrix
-with trace at most M.
+with trace at most M. The stacked designs return each as a Design, with
+the spectra of K = T^(1/2) P T^(1/2) that the design already holds, so
+that the solve at it factors no K it need not.
 """
 
 from __future__ import annotations
@@ -43,6 +45,26 @@ class Strategy(str, enum.Enum):
     ISOTROPIC = "iso"
     WATER_FILLING = "wf"
     GSVD_BEAMFORMING = "gsvd"
+
+
+class Design(NamedTuple):
+    """A designed precoder: its covariance p, and the eigenvalues of
+    K = T^(1/2) p T^(1/2) that the design holds in closed form for the
+    main link and for the eavesdropper, ascending, or None where it
+    holds none or they are not finite (see detequiv.solve_fixed_points).
+
+    Water-filling works in the main link's T eigenbasis, T = Q diag(lam)
+    Qᴴ and p = Q diag(levels) Qᴴ, so the main link's K is
+    Q diag(lam levels) Qᴴ; the eavesdropper's T has its own eigenbasis.
+    The GSVD maps A = sqrt(b_M e_M) T_M^(1/2) onto U_M diag(sigma_M)
+    through X, and p = X diag(levels) Xᴴ, so the main link's K is
+    U_M diag(sigma_M^2 levels) U_Mᴴ / (b_M e_M), and likewise for the
+    eavesdropper's with sigma_E, b_E and e_E.
+    """
+
+    p: np.ndarray
+    k_main: np.ndarray | None
+    k_eave: np.ndarray | None
 
 
 def _within_budget(p: np.ndarray) -> list[np.ndarray | OverBudget]:
@@ -135,13 +157,14 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
     (result,) = waterfill_precoders([(stats_m, em)])
     if isinstance(result, Exception):
         raise result
-    return result
+    return result.p
 
 
-def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> list[np.ndarray | Exception]:
-    """waterfill_precoder of every (stats_m, em) in items, those with the
-    same M as one stack: one waterfill_stack and one stacked congruence.
-    An item that fails gets, in place of its covariance, the error that
+def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> list[Design | Exception]:
+    """waterfill_precoder of every (stats_m, em) in items as a Design,
+    with the main link's spectrum lam * levels; those with the same M as
+    one stack: one waterfill_stack and one stacked congruence. An item
+    that fails gets, in place of its design, the error that
     waterfill_precoder raises for it."""
     results = [None] * len(items)
     for slots in _groups([item[:1] for item in items], results):
@@ -150,15 +173,21 @@ def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> lis
         q = np.stack([stats.t_eigh[1] for stats in links])
         scale = np.array([stats.beta * items[i][1] for stats, i in zip(links, slots)])
         levels, _, errors = waterfill_stack(scale[:, None] * lam, float(lam.shape[-1]))
-        _covariances(slots, q, levels, errors, results)
+        _covariances(slots, q, levels, errors, (lam * levels, None), results)
     return results
 
 
-def _covariances(slots: list[int], x: np.ndarray, levels: np.ndarray, errors: list, results: list) -> None:
+def _covariances(
+    slots: list[int], x: np.ndarray, levels: np.ndarray, errors: list, spectra: tuple, results: list
+) -> None:
     """Write to results[slot] the error of each slot that has one, and
-    else the covariance X diag(levels) Xᴴ of its rows of the stacks x
-    (B, M, M) and levels (B, M), all from one stacked congruence, or the
-    OverBudget error of a covariance whose trace exceeds M."""
+    else the Design of the covariance X diag(levels) Xᴴ of its rows of
+    the stacks x (B, M, M) and levels (B, M), all from one stacked
+    congruence, or the OverBudget error of a covariance whose trace
+    exceeds M. spectra holds, for the main link and the eavesdropper,
+    None or the stack (B, M) of K's eigenvalues in any order; each
+    design takes its row sorted, or None where that row is not
+    finite."""
     good = [j for j, error in enumerate(errors) if error is None]
     if len(good) < len(slots):
         for slot, error in zip(slots, errors):
@@ -166,8 +195,16 @@ def _covariances(slots: list[int], x: np.ndarray, levels: np.ndarray, errors: li
                 results[slot] = error
         x, levels = x[good], levels[good]
     if good:
-        for j, p in zip(good, _within_budget(congruence(x, levels))):
-            results[slots[j]] = p
+        known = [[None] * len(good) if k is None else _ascending(k[good]) for k in spectra]
+        for j, p, k_main, k_eave in zip(good, _within_budget(congruence(x, levels)), *known):
+            results[slots[j]] = p if isinstance(p, Exception) else Design(p, k_main, k_eave)
+
+
+def _ascending(k: np.ndarray) -> list[np.ndarray | None]:
+    """Each row of a stack (B, M), sorted ascending, or None where it is
+    not finite."""
+    k = np.sort(k, axis=-1)
+    return [row if finite else None for row, finite in zip(k, np.isfinite(k).all(axis=-1).tolist())]
 
 
 class SubchannelTerms(NamedTuple):
@@ -407,18 +444,19 @@ def gsvd_precoder(
     (result,) = gsvd_precoders([(stats_m, stats_e, em, ee)])
     if isinstance(result, Exception):
         raise result
-    return result
+    return result.p
 
 
 def gsvd_precoders(
     items: Sequence[tuple[ChannelStatistics, ChannelStatistics, float, float]],
-) -> list[np.ndarray | Exception]:
-    """gsvd_precoder of every (stats_m, stats_e, em, ee) in items, those
-    with the same M as one stack: one gsvd, the multiplier searches of
-    all of them in lockstep (_searches) and one stacked congruence. An
-    item that fails gets, in place of its covariance, the error that
-    gsvd_precoder raises for it (RankDeficient, BisectionFailure, or a
-    LinAlgError from LAPACK)."""
+) -> list[Design | Exception]:
+    """gsvd_precoder of every (stats_m, stats_e, em, ee) in items as a
+    Design, with both links' spectra sigma^2 levels / (beta e), or zeros
+    for the zero covariance; those with the same M as one stack: one
+    gsvd, the multiplier searches of all of them in lockstep (_searches)
+    and one stacked congruence. An item that fails gets, in place of its
+    design, the error that gsvd_precoder raises for it (RankDeficient,
+    BisectionFailure, or a LinAlgError from LAPACK)."""
     results = [None] * len(items)
     for slots in _groups([item[:2] for item in items], results):
         _gsvd_designs(items, slots, results)
@@ -430,10 +468,10 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
     mains = [items[i][0] for i in slots]
     eaves = [items[i][1] for i in slots]
     m = mains[0].num_tx
-    scale_m = np.sqrt(np.array([stats.beta * items[i][2] for stats, i in zip(mains, slots)]))
-    scale_e = np.sqrt(np.array([stats.beta * items[i][3] for stats, i in zip(eaves, slots)]))
-    a = scale_m[:, None, None] * np.stack([stats.t_sqrt for stats in mains])
-    b = scale_e[:, None, None] * np.stack([stats.t_sqrt for stats in eaves])
+    gain_m = np.array([stats.beta * items[i][2] for stats, i in zip(mains, slots)])
+    gain_e = np.array([stats.beta * items[i][3] for stats, i in zip(eaves, slots)])
+    a = np.sqrt(gain_m)[:, None, None] * np.stack([stats.t_sqrt for stats in mains])
+    b = np.sqrt(gain_e)[:, None, None] * np.stack([stats.t_sqrt for stats in eaves])
     sigma_m, sigma_e, x, errors = gsvd(a, b)
     sm2 = sigma_m**2
     se2 = sigma_e**2
@@ -449,7 +487,7 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
         if error is not None:
             results[slot] = error
         elif not any_favored:
-            results[slot] = np.zeros((m, m), dtype=complex)
+            results[slot] = Design(np.zeros((m, m), dtype=complex), np.zeros(m), np.zeros(m))
         else:
             powered.append(j)
     if not powered:
@@ -457,8 +495,13 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
     if len(powered) < len(slots):
         slots = [slots[j] for j in powered]
         x, sm2, se2, v_diag = x[powered], sm2[powered], se2[powered], v_diag[powered]
+        gain_m, gain_e = gain_m[powered], gain_e[powered]
     levels, errors, _ = _searches(subchannel_terms(sm2, se2, v_diag), m)
-    _covariances(slots, x, levels, errors, results)
+    # e = 0 (rho = 0) leaves a spectrum 0 / 0 or x / 0, which the solve
+    # then factors.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectra = sm2 * levels / gain_m[:, None], se2 * levels / gain_e[:, None]
+    _covariances(slots, x, levels, errors, spectra, results)
 
 
 def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, int]:
@@ -494,10 +537,12 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     Each outer iteration designs the next precoder of every running
     loop, those of each (strategy, M) as one stack, then solves both
     links at all of them in one lsl_secrecy_rates call, each link from
-    its loop's previous delta. A loop leaves the lockstep when it
-    converges, reaches a cycle or fails, and each keeps its own cap,
-    cycle detection and OuterLoopNoConvergence warning; the cycle replay
-    stays until the benchmark stops pinning it (ROADMAP items 1 and 3).
+    its loop's previous delta and with the spectrum of K that its design
+    holds: only the water-filling eavesdropper's K is factored. A loop
+    leaves the lockstep when it converges, reaches a cycle or fails, and
+    each keeps its own cap, cycle detection and OuterLoopNoConvergence
+    warning; the cycle replay stays until the benchmark stops pinning it
+    (ROADMAP items 1 and 3).
     Returns, in the order of jobs, what optimize returns for each, or
     the numerical failure it would raise (a WiretapError or a
     LinAlgError), without its traceback; any other exception
@@ -515,18 +560,19 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
         if not running:
             break
         designed = []
-        for (slot, loop), p in zip(running, _designs([loop for _, loop in running])):
-            if isinstance(p, Exception):
-                results[slot] = p
+        for (slot, loop), design in zip(running, _designs([loop for _, loop in running])):
+            if isinstance(design, Exception):
+                results[slot] = design
             else:
-                designed.append((slot, loop, p))
+                designed.append((slot, loop, design))
         rates = lsl_secrecy_rates(
-            [(loop.stats_m, loop.stats_e, p) for _, loop, p in designed],
+            [(loop.stats_m, loop.stats_e, design.p) for _, loop, design in designed],
             [loop.starts for _, loop, _ in designed],
+            [(design.k_main, design.k_eave) for _, _, design in designed],
         )
         running = []
-        for (slot, loop, p), rate in zip(designed, rates):
-            outcome = rate if isinstance(rate, Exception) else loop.advance(it, p, rate)
+        for (slot, loop, design), rate in zip(designed, rates):
+            outcome = rate if isinstance(rate, Exception) else loop.advance(it, design.p, rate)
             if outcome is None:
                 running.append((slot, loop))
             else:
@@ -536,11 +582,11 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     return results
 
 
-def _designs(loops: list[_OuterLoop]) -> list[np.ndarray | Exception]:
+def _designs(loops: list[_OuterLoop]) -> list[Design | Exception]:
     """The next precoder of each loop from the fixed points of its rate,
-    or the error that designing it raises: the water-filling loops in
-    one waterfill_precoders call and the GSVD loops in one
-    gsvd_precoders call, each stacking its loops by M."""
+    with the spectra it knows, or the error that designing it raises:
+    the water-filling loops in one waterfill_precoders call and the GSVD
+    loops in one gsvd_precoders call, each stacking its loops by M."""
     designs = [None] * len(loops)
     wf = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.WATER_FILLING]
     gs = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.GSVD_BEAMFORMING]

@@ -6,7 +6,7 @@ import numpy as np
 
 from wiretap_lsl import detequiv, experiment, montecarlo, precoders
 from wiretap_lsl.channel import ChannelStatistics, sample_channel_block
-from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rate
+from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rates
 from wiretap_lsl.errors import (
     AllZeroGains,
     BisectionFailure,
@@ -21,24 +21,30 @@ from wiretap_lsl.precoders import gsvd_power_allocation, isotropic_precoder, sub
 
 
 def iid_stats(snr, n, m):
-    """Uncorrelated link: T = I (M x M) and R = I (N x N)."""
-    return ChannelStatistics(snr=snr, t_corr=np.eye(m), r_eigs=np.ones(n))
+    """Uncorrelated link: T = I (M x M), with N receive antennas."""
+    return ChannelStatistics(snr=snr, t_corr=np.eye(m), num_rx=n)
 
 
 def link_channels(stats, k_eigs, count, rng):
-    """The channels G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)) of the
-    links stats at the spectra k_eigs, on one block of count draws of W
-    from sample_channel_block with the rows of the tallest link, stacked
-    by rows, (count, sum of the N, M): each link scales W's first N rows.
+    """The channels G = W diag(sqrt((rho/2M) k)) of the links stats at the
+    spectra k_eigs, on one block of count draws of W from
+    sample_channel_block with the rows of the tallest link, stacked by
+    rows, (count, sum of the N, M): each link scales W's first N rows.
     Monte Carlo builds the Gram matrices of these channels."""
     weights = montecarlo._column_weights(stats, k_eigs)
     w = sample_channel_block(count, max(s.num_rx for s in stats), stats[0].num_tx, rng)
-    return np.concatenate([np.sqrt(np.outer(s.r_eigs, v)) * w[:, : s.num_rx] for s, v in zip(stats, weights)], axis=1)
+    return np.concatenate([np.sqrt(v) * w[:, : s.num_rx] for s, v in zip(stats, weights)], axis=1)
 
 
 def isotropic_start(stats_m, stats_e):
-    """Both links solved at P = I: the start rate that optimize takes."""
-    return lsl_secrecy_rate(stats_m, stats_e, isotropic_precoder(stats_m.num_tx))
+    """Both links solved at P = I, K's spectrum being T's, as run_sweep
+    solves them: the start rate that optimize takes. A failure is
+    raised."""
+    spectra = [(stats_m.t_eigh[0], stats_e.t_eigh[0])]
+    (rate,) = lsl_secrecy_rates([(stats_m, stats_e, isotropic_precoder(stats_m.num_tx))], spectra=spectra)
+    if isinstance(rate, Exception):
+        raise rate
+    return rate
 
 
 def gsvd_pair(a, b):
@@ -138,11 +144,20 @@ def reference_newton_bracket(terms, m):
     return over, under, evaluated
 
 
+def design_spectrum(k):
+    """A design's spectrum of K on a 1-D array: sorted ascending, or None
+    where it is not finite."""
+    k = np.sort(k)
+    return k if np.isfinite(k).all() else None
+
+
 def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
-    """gsvd_precoder with a bisection that evaluates the allocation at
-    every step: the oracle that gsvd_precoder must match byte for byte,
-    BisectionFailure messages included. It takes the GSVD from
-    reference_gsvd, or uses the (sigma_m, sigma_e, x) given as factors."""
+    """gsvd_precoders' Design of one item, with a bisection that
+    evaluates the allocation at every step: the oracle that every element
+    of gsvd_precoders must match byte for byte, both links' spectra
+    sigma^2 levels / (beta e) and BisectionFailure messages included. It
+    takes the GSVD from reference_gsvd, or uses the (sigma_m, sigma_e,
+    x) given as factors."""
     m = stats_m.num_tx
     if factors is None:
         a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
@@ -154,7 +169,7 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
     v_diag = np.einsum("ij,ij->j", x, x.conj()).real
 
     if not np.any(sm2 > se2 + 1e-12):
-        return np.zeros((m, m), dtype=complex)
+        return precoders.Design(np.zeros((m, m), dtype=complex), np.zeros(m), np.zeros(m))
 
     terms = subchannel_terms(sm2, se2, v_diag)
     lo, hi = precoders._MU_LO, precoders._MU_HI
@@ -166,7 +181,9 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
             p = congruence(x, levels)
             if np.trace(p).real > m + precoders._TRACE_SLACK:
                 raise OverBudget(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
-            return p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                k_main, k_eave = sm2 * levels / (stats_m.beta * em), se2 * levels / (stats_e.beta * ee)
+            return precoders.Design(p, design_spectrum(k_main), design_spectrum(k_eave))
         if excess > 0:
             lo = mu
         else:
@@ -184,32 +201,31 @@ def reference_mi(stats, e, delta, k_eigs):
     if rho == 0.0:
         return 0.0
     term_t = np.log1p(beta * e * k_eigs).sum()
-    term_r = np.log1p(delta * stats.r_eigs).sum()
+    term_r = stats.num_rx * np.log1p(delta)
     return float((term_t + term_r) / m - (beta / rho) * delta * e)
 
 
-def reference_solve_fixed_point(stats, p, start=None):
-    """The fixed-point solve of one link on 1-D arrays, with K factored
-    by its own np.linalg.eigh call, from start if it lies inside the
-    bracket (0, hi) and from hi otherwise: the oracle that every element
-    of a batched solve must match field for field, k_eigs byte for byte,
-    and NotPsd and NoConvergence messages included. It reads
+def reference_solve_fixed_point(stats, p, start=None, k_eigs=None):
+    """The fixed-point solve of one link on 1-D arrays, from start if it
+    lies inside the bracket (0, hi) and from hi otherwise, with K's
+    spectrum k_eigs as given, the way a sweep hands a design's, or else
+    factored by its own np.linalg.eigh call: the oracle that every
+    element of a batched solve must match field for field, k_eigs byte
+    for byte, and NotPsd and NoConvergence messages included. It reads
     _FP_MAX_ITER from detequiv, so a test that patches it there patches
     it here."""
-    k = np.asarray(stats.t_sqrt @ p @ stats.t_sqrt, dtype=complex)
-    lam = np.linalg.eigh(0.5 * (k + k.conj().T))[0]
-    if lam[0] < -1e-12:
-        raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")
-    k_eigs = np.clip(lam, 0.0, None)
-    rho, beta = stats.snr, stats.beta
-    n, m = stats.num_rx, stats.num_tx
-    r_eigs = stats.r_eigs
+    if k_eigs is None:
+        k = np.asarray(stats.t_sqrt @ p @ stats.t_sqrt, dtype=complex)
+        lam = np.linalg.eigh(0.5 * (k + k.conj().T))[0]
+        if lam[0] < -1e-12:
+            raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")
+        k_eigs = np.clip(lam, 0.0, None)
+    rho, beta, m = stats.snr, stats.beta, stats.num_tx
     lo, hi = 0.0, (rho / m) * float(k_eigs.sum())
     delta = start if start is not None and 0.0 < start < hi else hi
     residual = np.inf
     for it in range(1, detequiv._FP_MAX_ITER + 1):
-        r_q = r_eigs / (1.0 + delta * r_eigs)
-        e = (rho / n) * np.sum(r_q)
+        e = rho / (1.0 + delta)  # (rho/N) tr (I + delta I)^-1 at R = I
         k_q = k_eigs / (1.0 + beta * e * k_eigs)
         g = delta - (rho / m) * np.sum(k_q)
         residual = abs(g) / max(1.0, delta)
@@ -220,7 +236,7 @@ def reference_solve_fixed_point(stats, p, start=None):
             lo = delta
         else:
             hi = delta
-        de = -(rho / n) * np.sum(r_q**2)
+        de = -e / (1.0 + delta)
         dg = 1.0 + (rho / m) * beta * de * np.sum(k_q**2)
         if dg > 0.0 and lo < delta - g / dg < hi:
             delta -= g / dg
@@ -244,8 +260,7 @@ def reference_run_sweep(config, include_mc=True):
     rows = []
     for value in config.sweep_grid:
         try:
-            stats_m, stats_e = experiment.build_statistics(experiment.point_config(config, value))
-            start = lsl_secrecy_rate(stats_m, stats_e, precoders.isotropic_precoder(config.m))
+            start = isotropic_start(*experiment.build_statistics(experiment.point_config(config, value)))
         except failures as exc:
             rows.extend(experiment._error_row(config, value, strategy, exc) for strategy in config.strategies)
             continue

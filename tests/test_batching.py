@@ -18,6 +18,7 @@ from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.detequiv import solve_fixed_point, solve_fixed_points
 from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
 from wiretap_lsl.experiment import ExperimentConfig, figure_preset, run_sweep
+from wiretap_lsl.linalg import hermitianize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -30,10 +31,20 @@ def fields(fp):
     return fp.e, fp.delta, fp.iterations, fp.residual, fp.mi, fp.k_eigs.tobytes(), fp.stats
 
 
-def outcome(solve, stats, p, start=None):
-    """A solve's fields, or its error's type and message."""
+def solve(stats, p, start=None, k_eigs=None):
+    """solve_fixed_points of the one pair, from start and with K's
+    spectrum k_eigs if given; its error is raised."""
+    (result,) = solve_fixed_points([(stats, p)], [start], [k_eigs])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def outcome(solve, stats, p, start=None, k_eigs=None):
+    """A solve's fields, or its error's type and message; k_eigs is
+    passed on only if given."""
     try:
-        return fields(solve(stats, p, start))
+        return fields(solve(stats, p, start) if k_eigs is None else solve(stats, p, start, k_eigs))
     except WiretapError as err:
         return type(err), str(err)
 
@@ -42,35 +53,46 @@ def batch_outcome(result):
     return (type(result), str(result)) if isinstance(result, Exception) else fields(result)
 
 
-@pytest.fixture(scope="module")
-def preset_pairs():
-    """Every (link, P, start) that one no-MC fig2-fig5 pass solves."""
+def recorded_solves(sweeps):
+    """Every (link, P, start, K's spectrum or None) that the calls in
+    sweeps, run after one another, hand solve_fixed_points."""
     pairs = []
     original = detequiv.solve_fixed_points
 
-    def recording(batch, starts=None):
-        pairs.extend((stats, p, start) for (stats, p), start in zip(batch, starts or [None] * len(batch)))
-        return original(batch, starts)
+    def recording(batch, starts=None, spectra=None):
+        starts, spectra = starts or [None] * len(batch), spectra or [None] * len(batch)
+        pairs.extend((stats, p, start, k) for (stats, p), start, k in zip(batch, starts, spectra))
+        return original(batch, starts, spectra)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(detequiv, "solve_fixed_points", recording)
-        for name in PRESETS:
-            run_sweep(figure_preset(name), include_mc=False)
+        for sweep in sweeps:
+            sweep()
     return pairs
+
+
+@pytest.fixture(scope="module")
+def preset_pairs():
+    """Every (link, P, start, spectrum) that one no-MC fig2-fig5 pass
+    solves."""
+    return recorded_solves([lambda name=name: run_sweep(figure_preset(name), include_mc=False) for name in PRESETS])
 
 
 def random_pair(rng):
     """A link of M = 1 to 32 antennas, N = 1 to 4M, -40 to +60 dB and
-    spacing 0 to 3 wavelengths, with R = I or a random spectrum, and a
-    random precoder of trace M."""
+    spacing 0 to 3 wavelengths, and a random precoder of trace M."""
     m = int(rng.integers(1, 33))
     n = int(rng.integers(1, 4 * m + 1))
     spec = ArraySpec(m, float(rng.uniform(0.0, 3.0)), float(rng.uniform(-90.0, 90.0)), float(rng.uniform(0.5, 60.0)))
-    r_eigs = np.ones(n) if rng.random() < 0.5 else rng.exponential(1.0, n)
-    stats = ChannelStatistics(10.0 ** (rng.uniform(-40.0, 60.0) / 10.0), gen_correlation(spec), r_eigs)
+    stats = ChannelStatistics(10.0 ** (rng.uniform(-40.0, 60.0) / 10.0), gen_correlation(spec), n)
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     p = g @ g.conj().T
     return stats, m * p / np.trace(p).real
+
+
+def factored_spectrum(stats, p):
+    """The ascending eigenvalues of T^(1/2) P T^(1/2), clipped at 0."""
+    return np.clip(np.linalg.eigvalsh(hermitianize(stats.t_sqrt @ p @ stats.t_sqrt)), 0.0, None)
 
 
 def random_start(rng, stats, p):
@@ -83,9 +105,9 @@ def random_start(rng, stats, p):
 
 
 def in_random_batches(rng, pairs):
-    """solve_fixed_points of the (stats, p, start) of pairs over a random
-    partition into batches of 1 to 32, in random order; the results in
-    the order of pairs."""
+    """solve_fixed_points of the (stats, p, start, spectrum) of pairs over
+    a random partition into batches of 1 to 32, in random order; the
+    results in the order of pairs."""
     order = rng.permutation(len(pairs))
     results = [None] * len(pairs)
     first = 0
@@ -93,49 +115,57 @@ def in_random_batches(rng, pairs):
         chunk = order[first : first + int(rng.integers(1, 33))]
         first += len(chunk)
         batch = [pairs[i] for i in chunk]
-        for i, result in zip(chunk, solve_fixed_points([pair[:2] for pair in batch], [pair[2] for pair in batch])):
+        solved = solve_fixed_points([pair[:2] for pair in batch], [pair[2] for pair in batch], [pair[3] for pair in batch])
+        for i, result in zip(chunk, solved):
             results[i] = result
     return results
 
 
 class TestBatchedSolve:
     def test_preset_pass_matches_single_solves(self, preset_pairs):
+        # Only the water-filling eavesdropper's K is factored: the other
+        # links of the 301 wf solves, of the 169 gsvd solves and of the
+        # 63 isotropic starts take their designs' spectra.
         assert len(preset_pairs) == 1066
-        assert sum(start is None for _, _, start in preset_pairs) == 2 * 63  # the isotropic starts
+        assert sum(start is None for _, _, start, _ in preset_pairs) == 2 * 63  # the isotropic starts
+        assert sum(k is None for *_, k in preset_pairs) == 301
         results = in_random_batches(np.random.default_rng(20), preset_pairs)
-        for (stats, p, start), result in zip(preset_pairs, results):
-            expected = fields(reference_solve_fixed_point(stats, p, start))
-            assert fields(solve_fixed_point(stats, p, start)) == expected
+        for pair, result in zip(preset_pairs, results):
+            expected = fields(reference_solve_fixed_point(*pair))
+            assert fields(solve(*pair)) == expected
             assert fields(result) == expected
 
     def test_warm_starts_keep_the_root(self, preset_pairs):
         # A warm solve stops at the tolerance like a cold one, and the MI,
         # stationary in (e, delta), moves far less than the root.
-        for stats, p, start in preset_pairs:
+        for stats, p, start, k in preset_pairs:
             if start is not None:
-                warm, cold = solve_fixed_point(stats, p, start), solve_fixed_point(stats, p)
+                warm, cold = solve(stats, p, start, k), solve(stats, p, None, k)
                 assert warm.residual <= 1e-12
                 assert abs(warm.mi - cold.mi) <= 1e-12 * abs(cold.mi)
 
     def test_random_links_match_single_solves(self):
-        # Mixed N in every batch, so that the links with N <= 7 of each M
-        # share a zero-padded stack, each from its own start.
+        # Mixed N in every batch, in one Newton stack per M, each link from
+        # its own start; half of them with K's spectrum given.
         rng = np.random.default_rng(21)
-        pairs = [(stats, p, random_start(rng, stats, p)) for stats, p in (random_pair(rng) for _ in range(1000))]
+        pairs = []
+        for stats, p in (random_pair(rng) for _ in range(1000)):
+            start = random_start(rng, stats, p)
+            pairs.append((stats, p, start, factored_spectrum(stats, p) if rng.random() < 0.5 else None))
         results = in_random_batches(rng, pairs)
-        for (stats, p, start), result in zip(pairs, results):
-            expected = outcome(reference_solve_fixed_point, stats, p, start)
-            assert outcome(solve_fixed_point, stats, p, start) == expected
+        for pair, result in zip(pairs, results):
+            expected = outcome(reference_solve_fixed_point, *pair)
+            assert outcome(solve, *pair) == expected
             assert batch_outcome(result) == expected
 
-    def test_one_stack_pads_small_receive_counts(self, monkeypatch):
-        # N = 1, 3 and 7 share one Newton stack, padded to 7 rows; N = 8
-        # and N = 12 keep one each. Every element is its pair alone.
+    def test_one_stack_per_m(self, monkeypatch):
+        # At R = I every N shares the Newton stack of its M. Every element
+        # is its pair alone.
         rng = np.random.default_rng(24)
         t = gen_correlation(ArraySpec(4, 0.5, 20.0, 10.0))
         pairs = []
         for n in (7, 12, 1, 8, 3, 7, 1):
-            stats = ChannelStatistics(10.0 ** rng.uniform(-1.0, 3.0), t, rng.exponential(1.0, n))
+            stats = ChannelStatistics(10.0 ** rng.uniform(-1.0, 3.0), t, n)
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             pairs.append((stats, 4.0 * (g @ g.conj().T) / np.trace(g @ g.conj().T).real))
         starts = [None, 0.3, 0.01, None, 2.0, None, 0.5]
@@ -148,7 +178,7 @@ class TestBatchedSolve:
 
         monkeypatch.setattr(detequiv, "_newton", recording)
         results = solve_fixed_points(pairs, starts)
-        assert sorted(stacks) == [[1, 1, 3, 7, 7], [8], [12]]
+        assert stacks == [[1, 1, 3, 7, 7, 8, 12]]
         for (stats, p), start, result in zip(pairs, starts, results):
             assert fields(result) == fields(reference_solve_fixed_point(stats, p, start))
 
@@ -165,8 +195,8 @@ class TestBatchedSolve:
         pairs = [random_pair(rng) for _ in range(12)]
         m = pairs[3][0].num_tx
         pairs[3] = pairs[3][0], np.diag(np.r_[-1e-6, np.ones(m - 1)]).astype(complex)
-        # Three iterations are too few for some pairs, not for all.
-        monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 3)
+        # Four iterations are too few for some pairs, not for all.
+        monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 4)
         expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
         kinds = [e[0] if isinstance(e[0], type) else "solved" for e in expected]
         assert kinds[3] is NotPsd and set(kinds) == {NotPsd, NoConvergence, "solved"}
@@ -178,7 +208,7 @@ class TestBatchedSolve:
         # at every iteration; the links after it in the batch, in the
         # same Newton stack, still stop when their own residuals are small.
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
-        pairs = [(ChannelStatistics(snr, t, np.ones(2)), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
+        pairs = [(ChannelStatistics(snr, t, 2), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
         monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 50)
         with np.errstate(invalid="ignore"):
             expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
@@ -218,6 +248,57 @@ class TestBatchedSolve:
     def test_empty_batch(self):
         assert solve_fixed_points([]) == [] and detequiv.lsl_secrecy_rates([]) == []
         assert precoders.optimize_many([]) == []
+
+
+class TestDesignSpectra:
+    """Each K spectrum a design hands the solve is the ascending eigvalsh
+    of the K it stands for, clipped at 0, within 1e-12 of its largest
+    eigenvalue. Where K is small beside T and P the bound is the
+    roundoff of forming P and K, 1e-15 of lam_max(T) lam_max(P): 17 of
+    the 1,840 spectra of these tests and of stress passes 0-2 need it,
+    with errors up to 3.9e-17 of it. There a 40-digit eigensolve of the
+    formed K sides with the factored spectrum or falls between the two:
+    the design's spectrum is that of P before its entries were
+    rounded."""
+
+    @staticmethod
+    def assert_match_factored(pairs):
+        given = [(stats, p, k) for stats, p, _, k in pairs if k is not None]
+        for stats, p, k in given:
+            expected = factored_spectrum(stats, p)
+            scale = np.linalg.eigvalsh(stats.t_corr)[-1] * np.linalg.eigvalsh(p)[-1]
+            assert (np.diff(k) >= 0.0).all() and k[0] >= 0.0
+            assert np.abs(k - expected).max() <= 1e-12 * expected[-1] + 1e-15 * scale
+        return given
+
+    def test_preset_points(self, preset_pairs):
+        assert len(self.assert_match_factored(preset_pairs)) == 1066 - 301
+
+    def test_stress_edges(self):
+        # -40 and +60 dB and spacing 0, every strategy, and an
+        # eavesdropper so strong that gsvd favors no subchannel and
+        # designs the zero covariance, whose spectra are zeros.
+        configs = [
+            ExperimentConfig(m=4, n_main=3, n_eave=5, sweep="snr", sweep_grid=(-40.0, 60.0)),
+            ExperimentConfig(m=6, n_main=8, n_eave=2, sweep="spacing", sweep_grid=(0.0, 0.01, 0.05)),
+            ExperimentConfig(m=4, n_main=2, n_eave=8, sweep="snr", sweep_grid=(0.0,), snr_eave_db=30.0),
+            *(config for _, config in stress_configs(1, 0, False)),
+        ]
+        pairs = recorded_solves([lambda config=config: run_sweep(config, include_mc=False) for config in configs])
+        given = self.assert_match_factored(pairs)
+        zero = [k for _, p, k in given if not p.any()]
+        assert zero and not any(k.any() for k in zero)
+        snrs_db = {round(10.0 * np.log10(stats.snr)) for stats, _, _ in given if stats.snr > 0}
+        assert {-40, 60} <= snrs_db
+
+    def test_caller_precoder_is_factored(self):
+        # A caller's own P has no known spectrum: its K is factored, and
+        # one that is not PSD raises NotPsd.
+        stats = experiment.build_statistics(figure_preset("fig2"))[0]
+        with pytest.raises(NotPsd):
+            solve_fixed_point(stats, np.diag(np.r_[-1e-6, np.ones(5)]).astype(complex))
+        p = np.diag(np.linspace(0.0, 2.0, 6)).astype(complex)
+        assert solve_fixed_point(stats, p).k_eigs.tobytes() == reference_solve_fixed_point(stats, p).k_eigs.tobytes()
 
 
 def sweep_rows(config, include_mc, sweep):
@@ -353,11 +434,13 @@ class TestWorkGuard:
         # One no-MC fig2-fig5 pass makes the element solves, fixed-point
         # iterations and outer iterations of optimizing each (point,
         # strategy) pair on its own, in far fewer eigendecompositions:
-        # 1,318 when every K was factored alone, against one stack per
-        # batched solve: the starts of 4 chunks, one per preset, and 40
-        # lockstep outer iterations. Every link still factors its T
-        # twice, 252 in all. The 1,066 solves run as 59 Newton stacks,
-        # one per M and batch plus one per larger N, and each outer
+        # 1,318 when every K was factored alone. Cold, each of the 62
+        # distinct ArraySpecs factors its T twice (gen_correlation's PSD
+        # check, then t_eigh), 124 in all, and 64 of the 126 links reuse
+        # a cached T; warm, all 126 do. Every K's spectrum comes from its
+        # design but the water-filling eavesdropper's: one stack in each
+        # of the 40 lockstep steps that run wf loops. The 1,066 solves run
+        # as 44 Newton stacks, one per M and batch, and each outer
         # iteration's solves start from the deltas before them: 3,178
         # iterations, against 4,944 from the top of every bracket.
         eighs, batches, iterations, groups = [], [], [], []
@@ -368,8 +451,8 @@ class TestWorkGuard:
             eighs.append(a)
             return original_eigh(a, *args, **kwargs)
 
-        def counting_solve(pairs, starts=None):
-            results = original_solve(pairs, starts)
+        def counting_solve(pairs, starts=None, spectra=None):
+            results = original_solve(pairs, starts, spectra)
             batches.append(len(pairs))
             iterations.extend(fp.iterations for fp in results)
             return results
@@ -381,7 +464,10 @@ class TestWorkGuard:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
         monkeypatch.setattr(detequiv, "_newton", counting_newton)
-        rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
-        assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 3178, 533)
-        assert (len(batches), len(eighs)) == (44, 44 + 252)
-        assert (len(groups), sum(groups)) == (59, 1066)
+        for cold in (True, False):
+            eighs.clear(), batches.clear(), iterations.clear(), groups.clear()
+            rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
+            assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 3178, 533)
+            assert (len(batches), len(eighs)) == (44, 40 + (2 * 62 if cold else 0))
+            assert (len(groups), sum(groups)) == (44, 1066)
+        assert experiment._transmit.cache_info()[:2] == (64 + 126, 62)

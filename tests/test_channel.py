@@ -236,9 +236,9 @@ class TestComplexGaussian:
 
 
 class TestSampleChannel:
-    """Each link's channel G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), as
-    helpers.link_channels scales it from the sampler's W with the column
-    weights that Monte Carlo uses."""
+    """Each link's channel G = W diag(sqrt((rho/2M) k)) over W's first N
+    rows, as helpers.link_channels scales it from the sampler's W with
+    the column weights that Monte Carlo uses."""
 
     def test_iid_unit_variance(self):
         m = 10
@@ -262,7 +262,7 @@ class TestSampleChannel:
     def test_links_share_w(self):
         # Each link scales the first N rows of one W draw; the taller link
         # sets the rows drawn.
-        main = ChannelStatistics(snr=2.0, t_corr=np.eye(3), r_eigs=np.array([0.5, 1.5]))
+        main = iid_stats(snr=2.0, n=2, m=3)
         eave = iid_stats(snr=6.0, n=4, m=3)
         k_main, k_eave = np.array([0.5, 1.0, 1.5]), np.array([0.0, 1.0, 2.0])
         g = link_channels([main, eave], [k_main, k_eave], 5, np.random.default_rng(3))
@@ -270,7 +270,7 @@ class TestSampleChannel:
         assert g.shape == (5, 6, 3)
         assert np.array_equal(g[:, 2:], alone)
         w = alone[:, :2, 1:] / np.sqrt(np.outer([1.0, 1.0], k_eave[1:]))
-        expected = w * np.sqrt(np.outer(main.r_eigs, (2.0 / 6.0) * k_main[1:]))
+        expected = w * np.sqrt((2.0 / 6.0) * k_main[1:])
         assert np.allclose(g[:, :2, 1:], expected, rtol=1e-14, atol=0)
 
     def test_links_must_share_m(self):
@@ -295,36 +295,41 @@ class TestSampleChannel:
             link_channels([iid_stats(2.0, 2, 3)] * links, [np.ones(3)] * spectra, 4, np.random.default_rng(0))
 
     @staticmethod
-    def covariance_error(t, r, snr, p):
-        # In the eigenbases of R and K = T^(1/2) P T^(1/2) the Kronecker
-        # covariance (rho/M) K^T (x) R is diagonal: (rho/M) r_i k_j.
+    def covariance_error(t, n, snr, p):
+        # In the eigenbasis of K = T^(1/2) P T^(1/2) the Kronecker
+        # covariance (rho/M) K^T (x) I_N is diagonal: (rho/M) k_j.
         m = t.shape[0]
-        stats = ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
+        stats = ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
         k = solve_fixed_point(stats, p).k_eigs
         samples = link_channels([stats], [k], 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
         emp = np.einsum("ki,kj->ij", vecs, vecs.conj()) / len(samples)
-        target = (snr / m) * np.diag(np.kron(k, np.linalg.eigvalsh(r)))
+        target = (snr / m) * np.diag(np.kron(k, np.ones(n)))
         return np.linalg.norm(emp - target) / np.linalg.norm(target)
 
     def test_kronecker_covariance(self):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
-        assert self.covariance_error(t, np.eye(4), snr=2.0, p=np.eye(3)) <= 0.05
+        assert self.covariance_error(t, 4, snr=2.0, p=np.eye(3)) <= 0.05
 
-    def test_kronecker_covariance_correlated_receiver(self):
+    def test_kronecker_covariance_precoded(self):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
-        r = gen_correlation(ArraySpec(4, 0.7, -30.0, 10.0))
         p = np.array([[1.5, 0.3j, 0.0], [-0.3j, 1.0, 0.2], [0.0, 0.2, 0.5]])
-        assert self.covariance_error(t, r, snr=2.0, p=p) <= 0.05
+        assert self.covariance_error(t, 4, snr=2.0, p=p) <= 0.05
 
 
 class TestStatisticsCache:
     @pytest.mark.parametrize("n", [1, 2, 5, 64])
     def test_identity_receiver_spectrum_is_exactly_ones(self, n):
-        # The sweep gives R = I as np.ones(N), bit for bit the spectrum
-        # that a factorization of I returns, so rates did not move when
-        # the sweep stopped factorizing it.
+        # R = I's spectrum is exactly ones, so the solver's closed forms at
+        # R = I, e = rho / (1 + delta) and the MI's receive term
+        # N ln(1 + delta), are the sums over that spectrum, to roundoff.
         assert psd_eigh(np.eye(n))[0].tolist() == np.linalg.eigvalsh(np.eye(n)).tolist() == [1.0] * n
+        stats = ChannelStatistics(snr=3.0, t_corr=gen_correlation(ArraySpec(4, 0.5, 40.0, 20.0)), num_rx=n)
+        fp = solve_fixed_point(stats, np.eye(4))
+        assert fp.e == 3.0 / (1.0 + fp.delta)
+        assert fp.e == pytest.approx((3.0 / n) * np.sum(np.ones(n) / (1.0 + fp.delta)), rel=1e-15)
+        terms = np.log1p(stats.beta * fp.e * fp.k_eigs).sum(), np.log1p(fp.delta * np.ones(n)).sum()
+        assert fp.mi == pytest.approx((terms[0] + terms[1]) / 4 - stats.beta / 3.0 * fp.delta * fp.e, rel=1e-14)
 
     def test_k_eigs_reuse_t_factorization(self, monkeypatch):
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
@@ -335,10 +340,10 @@ class TestStatisticsCache:
             calls.append(a)
             return original(a)
 
-        # T is factored once by the link, K once per solve. R is never
-        # factored; the link holds its spectrum.
+        # T is factored once by the link, K once per solve at a caller's
+        # own P. R = I is never factored.
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        stats = ChannelStatistics(snr=1.0, t_corr=t, r_eigs=np.ones(2))
+        stats = ChannelStatistics(snr=1.0, t_corr=t, num_rx=2)
         p = np.diag([0.5, 1.0, 1.5])
         k = solve_fixed_point(stats, p).k_eigs
         solve_fixed_point(stats, np.eye(3))
@@ -393,26 +398,33 @@ class TestValidation:
             ("t_corr", np.ones((2, 3))),
             ("t_corr", np.ones(3)),
             ("t_corr", np.empty((0, 0))),
-            ("r_eigs", np.array([-1e-3, 1.0])),
-            ("r_eigs", np.array([float("nan"), 1.0])),
-            ("r_eigs", np.array([float("inf"), 1.0])),
-            ("r_eigs", np.eye(2)),
-            ("r_eigs", np.empty(0)),
+            ("num_rx", 0),
+            ("num_rx", -1),
+            ("num_rx", float("nan")),
+            ("num_rx", float("inf")),
+            ("num_rx", 2.5),
+            ("num_rx", True),
+            ("num_rx", np.ones((2, 2))),
+            ("num_rx", np.empty(0)),
         ],
+        # The receive side, -r, is its antenna count N: an integer >= 1.
         ids=[
             "nan-snr",
             "negative-snr",
             "non-square-t",
             "1d-t",
             "empty-t",
+            "zero-r",
             "negative-r",
             "nan-r",
             "inf-r",
+            "fractional-r",
+            "bool-r",
             "2d-r",
             "empty-r",
         ],
     )
     def test_invalid_link_rejected(self, field, value):
-        link = {"snr": 1.0, "t_corr": np.eye(2), "r_eigs": np.ones(3), field: value}
+        link = {"snr": 1.0, "t_corr": np.eye(2), "num_rx": 3, field: value}
         with pytest.raises(ValueError, match=field):
             ChannelStatistics(**link)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import isotropic_start
 from wiretap_lsl import cli, detequiv, experiment, montecarlo, precoders
-from wiretap_lsl.channel import ArraySpec
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import (
     BisectionFailure,
@@ -420,12 +420,12 @@ class TestRunSweep:
     def test_isotropic_start_failure_fails_every_strategy(self, monkeypatch):
         original = detequiv.solve_fixed_points
 
-        def failing_at_identity(pairs, starts=None):
+        def failing_at_identity(pairs, starts=None, spectra=None):
             return [
                 NoConvergence("fixed point residual 1.000e-03 after 10000 iterations")
                 if np.array_equal(p, np.eye(stats.num_tx))
                 else fp
-                for (stats, p), fp in zip(pairs, original(pairs, starts))
+                for (stats, p), fp in zip(pairs, original(pairs, starts, spectra))
             ]
 
         monkeypatch.setattr(detequiv, "solve_fixed_points", failing_at_identity)
@@ -441,9 +441,9 @@ class TestRunSweep:
         batches = []
         original = detequiv.solve_fixed_points
 
-        def counting(pairs, starts=None):
+        def counting(pairs, starts=None, spectra=None):
             batches.append([stats for stats, _ in pairs])
-            return original(pairs, starts)
+            return original(pairs, starts, spectra)
 
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting)
         config = dataclasses.replace(figure_preset("fig5"), sweep_grid=(1.0, 2.0))
@@ -457,10 +457,12 @@ class TestRunSweep:
         assert sum(map(len, batches)) == 4 + 2 * sum(loops)
 
     def test_factorizations_per_point(self, monkeypatch):
-        # Two eigendecompositions of each link's T (gen_correlation's
-        # PSD check, then t_eigh), then one stack per batched solve that
-        # holds K of each of its links: the starts, then one per lockstep
-        # outer iteration. R is given by its spectrum and never factorized.
+        # Cold, two eigendecompositions of each ArraySpec's T
+        # (gen_correlation's PSD check, then t_eigh), which every link of
+        # the spec shares. Then one stack per batched solve that holds a
+        # K to factor: only the water-filling eavesdropper's, one per wf
+        # outer iteration, since every other K's spectrum comes from its
+        # design and R = I is never factored. Warm, only those stacks.
         eighs, batches = [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
 
@@ -468,15 +470,19 @@ class TestRunSweep:
             eighs.append(len(a))
             return original_eigh(a, *args, **kwargs)
 
-        def counting_solve(pairs, starts=None):
+        def counting_solve(pairs, starts=None, spectra=None):
             batches.append(len(pairs))
-            return original_solve(pairs, starts)
+            return original_solve(pairs, starts, spectra)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
-        rows = run_sweep(dataclasses.replace(figure_preset("fig3"), sweep_grid=(10.0,)), include_mc=False).rows
-        assert eighs == [1] * 4 + batches
-        assert len(batches) == 1 + max(row.outer_iterations for row in rows) and sum(batches) == 8
+        config = dataclasses.replace(figure_preset("fig3"), sweep_grid=(10.0,))
+        for cold in (True, False):
+            eighs.clear(), batches.clear()
+            rows = run_sweep(config, include_mc=False).rows
+            iterations = {row.strategy: row.outer_iterations for row in rows}
+            assert eighs == [1] * (4 * cold + iterations["wf"])
+            assert len(batches) == 1 + max(iterations.values()) and sum(batches) == 8
 
     def test_statistics_failure_fails_every_strategy(self, monkeypatch):
         def failing(spec):
@@ -487,6 +493,38 @@ class TestRunSweep:
         rows = run_sweep(cfg, include_mc=False).rows
         assert len(rows) == 6
         assert all(row.error == "row did not settle" for row in rows)
+
+    def test_links_of_one_spec_share_t(self):
+        # Both points of an SNR sweep read one T per link from the bounded
+        # per-ArraySpec cache, with the factorization a link of their own
+        # makes, all read-only.
+        config = figure_preset("fig2")
+        first, second = (build_statistics(point_config(config, value)) for value in (0.0, 5.0))
+        for a, b, spec in zip(first, second, (config.array_main, config.array_eave)):
+            assert a.t_corr is b.t_corr and a.t_eigh is b.t_eigh and a.t_sqrt is b.t_sqrt
+            own = ChannelStatistics(a.snr, gen_correlation(spec), a.num_rx)
+            assert [x.tobytes() for x in (a.t_corr, *a.t_eigh, a.t_sqrt)] == [
+                x.tobytes() for x in (own.t_corr, *own.t_eigh, own.t_sqrt)
+            ]
+            assert not any(x.flags.writeable for x in (a.t_corr, *a.t_eigh, a.t_sqrt))
+        assert experiment._transmit.cache_info()[:4] == (2, 2, 256, 2)
+
+    def test_statistics_failure_is_not_cached(self, monkeypatch):
+        # The first point's main link fails its quadrature; the second
+        # point builds that spec afresh and runs.
+        specs = []
+
+        def failing_once(spec):
+            specs.append(spec)
+            if len(specs) == 1:
+                raise QuadratureFailure("row did not settle")
+            return gen_correlation(spec)
+
+        monkeypatch.setattr(experiment, "gen_correlation", failing_once)
+        cfg = ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", sweep_grid=(0.0, 5.0))
+        rows = run_sweep(cfg, include_mc=False).rows
+        assert [row.error for row in rows] == ["row did not settle"] * 3 + [""] * 3
+        assert specs == [cfg.array_main, cfg.array_main, cfg.array_eave]
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(jobs):

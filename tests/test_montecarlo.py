@@ -32,16 +32,14 @@ def principal_sqrt(a):
     return (q * np.sqrt(np.clip(lam, 0.0, None))) @ q.conj().T
 
 
-def reference_mc_ergodic_mi(stats, r_corr, p, n, seed):
-    """The direct kernel: H = sqrt(rho/M) R^(1/2) W T^(1/2), Cholesky of I_N + H P Hᴴ.
+def reference_mc_ergodic_mi(stats, p, n, seed):
+    """The direct kernel: H = sqrt(rho/M) W T^(1/2), Cholesky of I_N + H P Hᴴ.
 
-    R^(1/2) and T^(1/2) are built here from the full R, r_corr, whose
-    spectrum alone the link holds, and from t_corr, apart from the
-    package's spectra. Returns (mean, std_error) over n realizations
-    drawn in blocks of 256, in order, from one generator seeded as
-    mc_ergodic_mi seeds its own.
+    T^(1/2) is built here from t_corr, apart from the package's spectra.
+    Returns (mean, std_error) over n realizations drawn in blocks of 256,
+    in order, from one generator seeded as mc_ergodic_mi seeds its own.
     """
-    r_sqrt, t_sqrt = principal_sqrt(r_corr), principal_sqrt(stats.t_corr)
+    t_sqrt = principal_sqrt(stats.t_corr)
     values = []
     rng = np.random.default_rng(seed)
     for start in range(0, n, 256):
@@ -50,7 +48,7 @@ def reference_mc_ergodic_mi(stats, r_corr, p, n, seed):
         re = rng.standard_normal((count, nr, m))
         im = rng.standard_normal((count, nr, m))
         w = (re + 1j * im) / np.sqrt(2.0)
-        h = np.sqrt(stats.snr / m) * (r_sqrt @ w @ t_sqrt)
+        h = np.sqrt(stats.snr / m) * (w @ t_sqrt)
         gram = np.eye(nr) + h @ p @ h.conj().transpose(0, 2, 1)
         gram = 0.5 * (gram + gram.conj().transpose(0, 2, 1))
         chol = np.linalg.cholesky(gram)
@@ -60,14 +58,9 @@ def reference_mc_ergodic_mi(stats, r_corr, p, n, seed):
     return values.mean(), (values.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0)
 
 
-def correlated_stats(snr, n, m, r_corr=None):
+def correlated_stats(snr, n, m):
     t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
-    r_eigs = np.ones(n) if r_corr is None else np.linalg.eigvalsh(r_corr)
-    return ChannelStatistics(snr=snr, t_corr=t, r_eigs=r_eigs)
-
-
-def receive_correlation(n):
-    return gen_correlation(ArraySpec(n, 0.7, -30.0, 10.0))
+    return ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
 
 
 def generic_precoder(m, seed=0):
@@ -95,41 +88,39 @@ BRANCHES = {"elimination": lambda g: eliminated(g) / g.shape[-1]}
 
 class TestKernelOracle:
     @pytest.mark.parametrize(
-        "snr, n, m, p, r",
+        "snr, n, m, p",
         [
-            (10.0, 2, 4, generic_precoder(4), receive_correlation(2)),
-            (10.0, 4, 4, generic_precoder(4, 1), receive_correlation(4)),
-            (10.0, 12, 4, generic_precoder(4, 2), receive_correlation(12)),
-            (3.0, 3, 1, np.eye(1), None),
-            (1e6, 3, 4, generic_precoder(4, 3), None),
-            (5.0, 6, 4, np.diag([2.0, 0.0, 2.0, 0.0]).astype(complex), None),
-            (5.0, 2, 4, np.diag([4.0, 0.0, 0.0, 0.0]).astype(complex), None),
-            (10.0, 5, 4, generic_precoder(4, 5), receive_correlation(5)),
+            (10.0, 2, 4, generic_precoder(4)),
+            (10.0, 4, 4, generic_precoder(4, 1)),
+            (10.0, 12, 4, generic_precoder(4, 2)),
+            (3.0, 3, 1, np.eye(1)),
+            (1e6, 3, 4, generic_precoder(4, 3)),
+            (5.0, 6, 4, np.diag([2.0, 0.0, 2.0, 0.0]).astype(complex)),
+            (5.0, 2, 4, np.diag([4.0, 0.0, 0.0, 0.0]).astype(complex)),
         ],
-        ids=["n<m", "n=m", "n>m", "m=1", "60dB", "rank2-p", "rank1-p", "correlated-r"],
+        ids=["n<m", "n=m", "n>m", "m=1", "60dB", "rank2-p", "rank1-p"],
     )
-    def test_matches_direct_kernel(self, snr, n, m, p, r):
+    def test_matches_direct_kernel(self, snr, n, m, p):
         # The spectral sampler maps W to a different channel than the
         # direct kernel does, so the two agree in distribution only: the
         # means, from independent seeds, within 4 combined standard
         # errors, and the standard errors within 5%.
-        stats = correlated_stats(snr, n, m, r_corr=r)
+        stats = correlated_stats(snr, n, m)
         est = mc_ergodic_mi(solve_fixed_point(stats, p), 20_000, seed=17)
-        mean, std_error = reference_mc_ergodic_mi(stats, np.eye(n) if r is None else r, p, 20_000, seed=18)
+        mean, std_error = reference_mc_ergodic_mi(stats, p, 20_000, seed=18)
         assert abs(est.mean - mean) <= 4.0 * np.hypot(est.std_error, std_error)
         assert est.std_error == pytest.approx(std_error, rel=0.05)
 
     @pytest.mark.parametrize("n, m", [(2, 4), (4, 4), (6, 4)], ids=["n<m", "n=m", "n>m"])
     def test_diagonal_inputs_match_draw_for_draw(self, n, m):
-        # With diagonal T, R and P whose diagonals (and that of T P)
-        # ascend, the eigenbases are the identity and both kernels map
-        # each W to the same channel.
+        # With diagonal T and P whose diagonals (and that of T P) ascend,
+        # K's eigenbasis is the identity and both kernels map each W to
+        # the same channel.
         t = np.diag(np.linspace(0.4, 1.6, m)).astype(complex)
-        r = np.diag(np.linspace(0.5, 1.5, n)).astype(complex)
         p = np.diag(np.linspace(0.0, 2.0, m)).astype(complex)
-        stats = ChannelStatistics(snr=10.0, t_corr=t, r_eigs=np.linalg.eigvalsh(r))
+        stats = ChannelStatistics(snr=10.0, t_corr=t, num_rx=n)
         est = mc_ergodic_mi(solve_fixed_point(stats, p), 700, seed=17)
-        mean, std_error = reference_mc_ergodic_mi(stats, r, p, 700, seed=17)
+        mean, std_error = reference_mc_ergodic_mi(stats, p, 700, seed=17)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
         assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=1e-14)
 
@@ -139,7 +130,7 @@ class TestKernelOracle:
         # At 60 dB with N > M an N x N Gram I_N + G Gᴴ carries N - M unit
         # eigenvalues next to ~1e6 ones and is off from the SVD value by
         # up to ~1e-11; the M x M Gram that the kernel takes has none.
-        stats = correlated_stats(1e6, n, 4, r_corr=receive_correlation(n))
+        stats = correlated_stats(1e6, n, 4)
         k_eigs = solve_fixed_point(stats, generic_precoder(4, 4)).k_eigs
         g = link_channels([stats], [k_eigs], 256, np.random.default_rng(1))
         sv = np.linalg.svd(g, compute_uv=False)
@@ -150,7 +141,7 @@ class TestKernelOracle:
     def test_zero_snr_exact(self, n, m):
         stats = correlated_stats(0.0, n, m)
         est = mc_ergodic_mi(solve_fixed_point(stats, generic_precoder(m)), 300, seed=2)
-        assert reference_mc_ergodic_mi(stats, np.eye(n), generic_precoder(m), 300, seed=2) == (0.0, 0.0)
+        assert reference_mc_ergodic_mi(stats, generic_precoder(m), 300, seed=2) == (0.0, 0.0)
         assert est.mean == 0.0 and est.std_error == 0.0
 
 
@@ -178,12 +169,11 @@ def group_moments(group, w):
 
 
 def expansion_case(n, m, snr, count, seed, links=2):
-    """A link's statistics with a receive spectrum r = a^2, a uniform in
-    [0.2, 1.5]; one transmit spectrum k per link, the first an even ramp
-    from 0 to 2, the others uniform in [0, 2] with a 0 at a random entry;
-    and a block of count draws of W."""
+    """A link's statistics; one transmit spectrum k per link, the first
+    an even ramp from 0 to 2, the others uniform in [0, 2] with a 0 at a
+    random entry; and a block of count draws of W."""
     rng = np.random.default_rng(seed)
-    stats = ChannelStatistics(snr=snr, t_corr=np.eye(m), r_eigs=rng.uniform(0.2, 1.5, n) ** 2)
+    stats = ChannelStatistics(snr=snr, t_corr=np.eye(m), num_rx=n)
     k_eigs = [np.linspace(0.0, 2.0, m)]
     for _ in range(links - 1):
         k = rng.uniform(0.0, 2.0, m)
@@ -196,19 +186,19 @@ def expansion_oracle(stats, k_eigs, w):
     """The moments L1 = sum b_i D_ii and L2 = sum b_i b_j |D_ij|^2 of
     each link's Gram matrix S on the block w, (2, links, count): S is
     Gᴴ G where N >= M, else G Gᴴ, D = S - diag(s0), b = 1 / (1 + s0),
-    and E S = diag(s0) with s0 = (rho/M) sum(y) x, (x, y) = (k, r) where
-    N >= M, else (r, k). Built from each link's channel
-    G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), apart from the package's
+    and E S = diag(s0) with s0 = (rho/M) sum(y) x, (x, y) = (k, 1) where
+    N >= M, else (1, k), with 1 the N ones of R = I. Built from each
+    link's channel G = W diag(sqrt((rho/2M) k)), apart from the package's
     Gram matrices. Also the size of their terms, sum b_i (S_ii + s0_i),
     (links, count)."""
     n, m = stats.num_rx, stats.num_tx
     c = stats.snr / m
     moments, scales = [], []
     for k in k_eigs:
-        g = np.sqrt(stats.r_eigs)[:, None] * w[:, :n] * np.sqrt(c * k / 2.0)
+        g = w[:, :n] * np.sqrt(c * k / 2.0)
         g_h = g.conj().swapaxes(-1, -2)
         gram = g_h @ g if n >= m else g @ g_h
-        x, y = (k, stats.r_eigs) if n >= m else (stats.r_eigs, k)
+        x, y = (k, np.ones(n)) if n >= m else (np.ones(n), k)
         s0 = c * y.sum() * x
         b = 1.0 / (1.0 + s0)
         dev = gram - np.diag(s0)
@@ -258,13 +248,13 @@ class TestLogdetKernels:
         moments = group_moments(group, w)
         assert (np.abs(moments[0] - l1) <= 1e-12 * scale).all()
         assert (np.abs(moments[1] - l2) <= 1e-12 * scale**2).all()
-        g = np.sqrt(stats.r_eigs)[:, None] * w[:, :n] * np.sqrt(weights)[:, None, None]
+        g = w[:, :n] * np.sqrt(weights)[:, None, None]
         assert np.allclose(group(w)[:, 0], BRANCHES[branch](g), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("order", [6, 7, 12])
     @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)], ids=["n=m", "n<m", "n>m"])
     def test_sample_runs_one_eliminator(self, monkeypatch, n, m, order):
-        # The six links of three rates with one N and one r form one group,
+        # The six links of three rates with one N form one group,
         # whose kernel takes tiles of _TILE links, at any Gram order through
         # one eliminator, built once for the call.
         rows, cols = order + n, order + m
@@ -286,7 +276,7 @@ class TestLogdetKernels:
         # calls; a shorter last block uses their leading part, and a block
         # of one realization pads it with an earlier block's column.
         for n, m in [(4, 6), (6, 4)]:
-            stats = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
+            stats = correlated_stats(10.0, n, m)
             weights = montecarlo._column_weights([stats] * 3, [np.linspace(0.0, 2.0, m) * (i + 1) for i in range(3)])
             group = montecarlo._Group(stats, weights, 256)
             rng = np.random.default_rng(n)
@@ -298,32 +288,34 @@ class TestLogdetKernels:
 
 class TestGroups:
     """Each block's Gram matrices are built once per group of links that
-    share N and r: from one A = Wᴴ diag(r) W where N >= M, scaled per
-    link, and from each link's own channel where N < M."""
+    share N: from one A = Wᴴ W where N >= M, scaled per link, and from
+    each link's own channel where N < M."""
 
     @pytest.mark.parametrize("n, m", [(5, 3), (2, 3), (9, 8)], ids=["n>m", "n<m", "large-gram"])
-    def test_equal_n_and_different_r_form_two_groups(self, monkeypatch, n, m):
-        # The main links of three rates share N and r, and so do their
-        # eavesdropper links; main and eavesdropper share N but not r.
-        # Both groups compute in one set of work arrays.
-        main = correlated_stats(10.0, n, m, r_corr=receive_correlation(n))
-        eave = correlated_stats(4.0, n, m)
-        rates = [lsl_secrecy_rate(main, eave, generic_precoder(m, seed)) for seed in range(3)]
-        fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
-        groups, works = [], []
+    def test_links_group_by_n(self, monkeypatch, n, m):
+        # The links of three rates at one N form one group, and every
+        # link's realizations are its own alone; with an eavesdropper one
+        # antenna taller, its links form a second group. Both groups
+        # compute in one set of work arrays.
+        for n_eave, expected in [(n, [(n, 6)]), (n + 1, [(n, 3), (n + 1, 3)])]:
+            main, eave = correlated_stats(10.0, n, m), correlated_stats(4.0, n_eave, m)
+            rates = [lsl_secrecy_rate(main, eave, generic_precoder(m, seed)) for seed in range(3)]
+            fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
+            groups, works = [], []
 
-        class RecordingGroup(montecarlo._Group):
-            def __init__(self, stats, weights, size, work):
-                groups.append((stats.r_eigs.tobytes(), len(weights)))
-                works.append(work)
-                super().__init__(stats, weights, size, work)
+            class RecordingGroup(montecarlo._Group):
+                def __init__(self, stats, weights, size, work):
+                    groups.append((stats.num_rx, len(weights)))
+                    works.append(work)
+                    super().__init__(stats, weights, size, work)
 
-        monkeypatch.setattr(montecarlo, "_Group", RecordingGroup)
-        sample = montecarlo._sample(fps, 300, seed=(2, 5))
-        assert groups == [(main.r_eigs.tobytes(), 3), (eave.r_eigs.tobytes(), 3)]
-        assert works[0] is not None and works[0] is works[1]
-        for i, fp in enumerate(fps):
-            assert np.array_equal(sample[i], montecarlo._sample([fp], 300, seed=(2, 5))[0])
+            monkeypatch.setattr(montecarlo, "_Group", RecordingGroup)
+            sample = montecarlo._sample(fps, 300, seed=(2, 5))
+            assert groups == expected
+            assert works[0] is not None and all(work is works[0] for work in works)
+            monkeypatch.undo()
+            for i, fp in enumerate(fps if n_eave == n else []):
+                assert np.array_equal(sample[i], montecarlo._sample([fp], 300, seed=(2, 5))[0])
 
     def test_each_group_forms_a_once_per_block(self, monkeypatch):
         # Every sweep chunk's groups with N >= M form A once per block,
@@ -356,7 +348,7 @@ class TestGroups:
         # are rebuilt with the block, so they stay valid. At 40 dB an
         # earlier block's eliminated values, eliminated again, give
         # negative pivots.
-        main = correlated_stats(1e4, n_main, m, r_corr=receive_correlation(n_main))
+        main = correlated_stats(1e4, n_main, m)
         rate = lsl_secrecy_rate(main, correlated_stats(3.0, n_eave, m), generic_precoder(m, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -366,21 +358,19 @@ class TestGroups:
     @pytest.mark.parametrize("orders", [(1, 6), (7, 10)], ids=["eliminator", "large-gram"])
     def test_grams_match_the_scaled_channels(self, orders):
         # Each link's Gram matrix against Gᴴ G or G Gᴴ of its explicitly
-        # scaled channel G = diag(sqrt(r)) W diag(sqrt((rho/2M) k)), with
-        # zeros in r and k, N on both sides of M and W taller than N. An
-        # entry is at most sqrt(gram_ii gram_jj), which the tolerance is
-        # relative to.
+        # scaled channel G = W diag(sqrt((rho/2M) k)), with zeros in k, N
+        # on both sides of M and W taller than N. An entry is at most
+        # sqrt(gram_ii gram_jj), which the tolerance is relative to.
         rng = np.random.default_rng(orders[0])
         for _ in range(40):
             m = int(rng.integers(orders[0], orders[1] + 1))
             n = int(rng.integers(orders[0], orders[1] + 4))
             links, count = int(rng.integers(1, 4)), int(rng.integers(1, 257))
-            r = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2)
-            stats = ChannelStatistics(snr=10.0 ** rng.uniform(-2.0, 6.0), t_corr=np.eye(m), r_eigs=r)
+            stats = ChannelStatistics(snr=10.0 ** rng.uniform(-2.0, 6.0), t_corr=np.eye(m), num_rx=n)
             k_eigs = [rng.uniform(0.0, 2.0, m) * (rng.random(m) > 0.2) for _ in range(links)]
             weights = montecarlo._column_weights([stats] * links, k_eigs)
             w = sample_channel_block(count, n + int(rng.integers(0, 3)), m, rng)
-            g = np.sqrt(r)[:, None] * w[None, :, :n] * np.sqrt(weights)[:, None, None]
+            g = w[None, :, :n] * np.sqrt(weights)[:, None, None]
             g_h = g.conj().swapaxes(-1, -2)
             expected = g_h @ g if n >= m else g @ g_h
             group = montecarlo._Group(stats, weights, 256)
@@ -395,7 +385,7 @@ class TestGroups:
             assert (np.abs(gram - expected) <= bound).all(), (n, m, links, count)
 
 
-# (N, M, rho), Gram orders 4-8, N on both sides of M; expansion_case draws r != 1 and a k with zeros.
+# (N, M, rho), Gram orders 4-8, N on both sides of M; expansion_case draws a k with zeros.
 LAW_CASES = [(6, 4, 10.0), (6, 6, 10.0), (3, 5, 1e3), (8, 8, 10.0), (10, 8, 1e3), (8, 10, 10.0)]
 
 
@@ -413,7 +403,7 @@ class TestExpansionLaws:
         group = montecarlo._Group(stats, montecarlo._column_weights([stats] * 2, k_eigs), 256)
         c = snr / m
         for i, k in enumerate(k_eigs):
-            x, y = (k, stats.r_eigs) if n >= m else (stats.r_eigs, k)
+            x, y = (k, np.ones(n)) if n >= m else (np.ones(n), k)
             b = 1.0 / (1.0 + c * y.sum() * x)
             assert group.spread[i] ** 2 == pytest.approx(c**2 * np.dot(y, y) * np.dot(b * x, b * x), rel=1e-12)
             assert group.mean[i] == pytest.approx(c**2 * np.dot(y, y) * np.dot(b, x) ** 2, rel=1e-12)
@@ -456,7 +446,7 @@ class TestSpectra:
         return calls
 
     def test_no_eigendecomposition_and_no_square_root(self, eighs, monkeypatch):
-        main = correlated_stats(10.0, 5, 4, r_corr=receive_correlation(5))
+        main = correlated_stats(10.0, 5, 4)
         eave = correlated_stats(10.0, 2, 4)
         rate = lsl_secrecy_rate(main, eave, generic_precoder(4, 6))
         eighs.clear()
@@ -476,6 +466,8 @@ class TestSpectra:
 
     def test_sweep_factors_as_often_with_mc_as_without(self, eighs):
         config = replace(figure_preset("fig3"), sweep_grid=(10.0,), mc_realizations=16)
+        run_sweep(config, include_mc=False)  # factors and caches both links' T
+        eighs.clear()
         run_sweep(config, include_mc=False)
         without_mc = len(eighs)
         eighs.clear()
@@ -589,7 +581,7 @@ class TestMcSecrecyRate:
 
     @pytest.mark.parametrize("n", [1, 6, 7, 9, 1_792, DEFAULT_MC_REALIZATIONS])
     def test_identical_links_exact_zero_at_every_n(self, n):
-        stats = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
+        stats = correlated_stats(10.0, 4, 3)
         est = mc_secrecy_rate([lsl_secrecy_rate(stats, stats, generic_precoder(3, 7))], n, seed=5)[0]
         assert est.mean == 0.0 and est.std_error == 0.0
 
@@ -620,7 +612,7 @@ class TestMcSecrecyRate:
         # alone with unequal N runs each link as a stack of one; at n = 1
         # and n = 257 its last block holds a single matrix. At the default
         # the rates take different counts past the pilot.
-        main = correlated_stats(10.0, n_main, m, r_corr=receive_correlation(n_main))
+        main = correlated_stats(10.0, n_main, m)
         eave = correlated_stats(4.0, n_eave, m)
         precoders = (np.eye(m), generic_precoder(m, 1), generic_precoder(m, 2))
         rates = [lsl_secrecy_rate(main, eave, p) for p in precoders]
@@ -685,7 +677,7 @@ class TestMcSecrecyRate:
         # rho = 0 gives zero MIs and zero variates: a fit on the pilot or
         # a refit past it returns 0 with a variance of 0, and so does the
         # sized estimate at the default target.
-        same = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
+        same = correlated_stats(10.0, 4, 3)
         rates = [
             lsl_secrecy_rate(same, same, generic_precoder(3, 7)),
             lsl_secrecy_rate(correlated_stats(0.0, 3, 3), correlated_stats(0.0, 5, 3), generic_precoder(3)),
@@ -700,7 +692,7 @@ class TestMcSecrecyRate:
         # A tile of links whose kernel fails runs again link by link: the
         # second rate's eavesdropper link fails alone, its rate gets the
         # failure and stops drawing, and the others keep their estimates.
-        main = correlated_stats(10.0, 4, 3, r_corr=receive_correlation(4))
+        main = correlated_stats(10.0, 4, 3)
         eave = correlated_stats(4.0, 2, 3)
         rates = [lsl_secrecy_rate(main, eave, generic_precoder(3, seed)) for seed in range(3)]
         expected = mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=6)
@@ -742,8 +734,8 @@ class TestMcSecrecyRate:
         # same W alone and paired.
         t_main = gen_correlation(ArraySpec(4, 0.5, 40.0, 10.0))
         t_eave = gen_correlation(ArraySpec(4, 0.5, -10.0, 10.0))
-        main = ChannelStatistics(snr=1e6, t_corr=t_main, r_eigs=np.ones(4))
-        eave = ChannelStatistics(snr=2.5e5, t_corr=t_eave, r_eigs=np.ones(4))
+        main = ChannelStatistics(snr=1e6, t_corr=t_main, num_rx=4)
+        eave = ChannelStatistics(snr=2.5e5, t_corr=t_eave, num_rx=4)
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         est = mc_secrecy_rate([rate], 3000, seed=1)[0]
         em, ee = mc_ergodic_mi(rate.fp_main, 3000, seed=1), mc_ergodic_mi(rate.fp_eave, 3000, seed=1)
@@ -836,7 +828,7 @@ class TestPairedEstimator:
 
     @staticmethod
     def unequal_rate():
-        main = correlated_stats(10.0, 5, 3, r_corr=receive_correlation(5))
+        main = correlated_stats(10.0, 5, 3)
         eave = correlated_stats(4.0, 2, 3)
         return lsl_secrecy_rate(main, eave, generic_precoder(3, 4))
 
@@ -1013,14 +1005,13 @@ CLT_CASES = [
 class TestCltVariance:
     @pytest.mark.parametrize("m, n, snr_db", CLT_CASES, ids=[f"m{m}-n{n}-{s:g}dB" for m, n, s in CLT_CASES])
     def test_sample_variance_matches_fixed_point(self, m, n, snr_db):
-        # The CLT's variance is noise-free and depends on rho/M, r and k
+        # The CLT's variance is noise-free and depends on rho/M, N and k
         # the way the sampler's scaling does. Over these cases at 20,480
-        # realizations, sample variance / prediction measured 0.993-1.046
-        # (worst at M = N = 2); the sample variance alone is uncertain by
-        # about 1.5% there.
+        # realizations, sample variance / prediction measured 0.974-1.021
+        # (worst at M = N = 4, 20 dB); the sample variance alone is
+        # uncertain by about 1.5%.
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
-        r_eigs = np.linalg.eigvalsh(receive_correlation(n))
-        stats = ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, r_eigs=r_eigs)
+        stats = ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, num_rx=n)
         fp = solve_fixed_point(stats, generic_precoder(m, CLT_CASES.index((m, n, snr_db))))
         est = mc_ergodic_mi(fp, 20_480, seed=CLT_CASES.index((m, n, snr_db)))
         assert est.std_error**2 * 20_480 == pytest.approx(fp.mi_variance, rel=0.08)

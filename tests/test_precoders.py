@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq, minimize_scalar
 
 from helpers import (
+    design_spectrum,
     gsvd_pair,
     iid_stats,
     isotropic_start,
@@ -14,7 +15,7 @@ from helpers import (
 )
 from wiretap_lsl import detequiv, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
-from wiretap_lsl.detequiv import lsl_secrecy_rate
+from wiretap_lsl.detequiv import lsl_secrecy_rate, lsl_secrecy_rates
 from wiretap_lsl.errors import (
     AllZeroGains,
     BisectionFailure,
@@ -41,7 +42,7 @@ from wiretap_lsl.precoders import (
 
 def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
     t = gen_correlation(ArraySpec(m, spacing, theta, spread))
-    return ChannelStatistics(snr=snr, t_corr=t, r_eigs=np.ones(n))
+    return ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
 
 
 def column_norms2(x):
@@ -70,17 +71,20 @@ def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
 
 def reference_optimize(strategy, stats_m, stats_e):
     """The outer loop run to convergence or to the cap, step by step, each
-    step's solves started from the deltas of the step before and the
-    isotropic start's cold: the oracle for optimize, which skips ahead
-    once the loop cycles."""
+    step's solves started from the deltas of the step before, with the
+    spectra of K that the step's design holds, and the isotropic start's
+    cold: the oracle for optimize, which skips ahead once the loop
+    cycles."""
     p = isotropic_precoder(stats_m.num_tx)
-    rate = lsl_secrecy_rate(stats_m, stats_e, p)
+    rate = isotropic_start(stats_m, stats_e)
     for it in range(1, precoders._OUTER_MAX_ITER + 1):
         if strategy is Strategy.WATER_FILLING:
-            new_p = waterfill_precoder(stats_m, rate.fp_main.e)
+            (design,) = waterfill_precoders([(stats_m, rate.fp_main.e)])
         else:
-            new_p = gsvd_precoder(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)
-        new_rate = lsl_secrecy_rate(stats_m, stats_e, new_p, (rate.fp_main.delta, rate.fp_eave.delta))
+            (design,) = gsvd_precoders([(stats_m, stats_e, rate.fp_main.e, rate.fp_eave.e)])
+        starts = (rate.fp_main.delta, rate.fp_eave.delta)
+        (new_rate,) = lsl_secrecy_rates([(stats_m, stats_e, design.p)], [starts], [design[1:]])
+        new_p = design.p
         converged = abs(new_rate.rs - rate.rs) < precoders._OUTER_TOL
         p, rate = new_p, new_rate
         if converged:
@@ -219,7 +223,7 @@ class TestWaterfillPrecoder:
         # two-channel case with budget 2.
         em, beta = 0.7, 1.5
         t = np.diag([4.0, 1.0]) / (beta * em)
-        stats = ChannelStatistics(snr=1.0, t_corr=t, r_eigs=np.ones(3))
+        stats = ChannelStatistics(snr=1.0, t_corr=t, num_rx=3)
         p = waterfill_precoder(stats, em=em)
         lam = np.sort(np.linalg.eigvalsh(p))
         assert np.allclose(lam, [0.625, 1.375], atol=1e-10)
@@ -395,7 +399,7 @@ def same_outcome(args, factors=None):
     """gsvd_precoder returns the oracle's bytes, or raises its error; the
     oracle uses the GSVD factors given, if any."""
     try:
-        expected = reference_gsvd_precoder(*args, factors=factors)
+        expected = reference_gsvd_precoder(*args, factors=factors).p
     except WiretapError as err:  # BisectionFailure, or RankDeficient from the GSVD
         with pytest.raises(type(err)) as raised:
             gsvd_precoder(*args)
@@ -450,8 +454,8 @@ def random_link_pair(rng):
     lam_e[rng.random(m) < 0.2] = 0.0
     lam_m[np.argmax(lam_m)] += 1.0  # keeps [A; B] of full rank where lam_e is 0
     lam_m[lam_e == 0.0] = np.maximum(lam_m[lam_e == 0.0], 0.1)
-    main = ChannelStatistics(snr=1.0, t_corr=(q * lam_m) @ q.conj().T, r_eigs=np.ones(n))
-    eave = ChannelStatistics(snr=1.0, t_corr=(q * lam_e) @ q.conj().T, r_eigs=np.ones(n))
+    main = ChannelStatistics(snr=1.0, t_corr=(q * lam_m) @ q.conj().T, num_rx=n)
+    eave = ChannelStatistics(snr=1.0, t_corr=(q * lam_e) @ q.conj().T, num_rx=n)
     em = 10.0 ** rng.uniform(-20.0, 6.0)
     ee = em if rng.random() < 0.3 else 10.0 ** rng.uniform(-20.0, 6.0)
     return main, eave, em, ee
@@ -536,27 +540,35 @@ class TestGsvdSkips:
             assert all(b <= a for a, b in zip(powers, powers[1:]))
 
 
+def design_bytes(design):
+    """The bytes of a Design's covariance and spectra (None where it has
+    none)."""
+    return tuple(None if x is None else x.tobytes() for x in design)
+
+
 def outcome_bytes(result):
     """A design's bytes, or its error's type and message."""
-    return (type(result), str(result)) if isinstance(result, Exception) else result.tobytes()
+    return (type(result), str(result)) if isinstance(result, Exception) else design_bytes(result)
 
 
 def oracle_bytes(oracle, *args, **kwargs):
     """What outcome_bytes reads of the oracle's result or error."""
     try:
-        return oracle(*args, **kwargs).tobytes()
+        return design_bytes(oracle(*args, **kwargs))
     except WiretapError as err:
         return type(err), str(err)
 
 
 def reference_waterfill_precoder(stats_m, em):
-    """waterfill_precoder of one link, its levels from the 1-D oracle."""
+    """waterfill_precoders' Design of one link, its levels from the 1-D
+    oracle and the main link's spectrum lam * levels."""
     lam, q = stats_m.t_eigh
     m = stats_m.num_tx
-    p = congruence(q, reference_waterfill_levels(stats_m.beta * em * lam, float(m))[0])
+    levels = reference_waterfill_levels(stats_m.beta * em * lam, float(m))[0]
+    p = congruence(q, levels)
     if np.trace(p).real > m + precoders._TRACE_SLACK:
         raise OverBudget(f"trace {np.trace(p).real:.6f} exceeds budget {float(m)}")
-    return p
+    return precoders.Design(p, design_spectrum(lam * levels), None)
 
 
 def assert_rows_match_oracle(gains, budget):
@@ -608,7 +620,7 @@ def rank_deficient_pair(rng):
     for _ in range(2):
         lam = rng.exponential(1.0, m)
         lam[0] = 0.0
-        links.append(ChannelStatistics(snr=1.0, t_corr=(q * lam) @ q.conj().T, r_eigs=np.ones(2)))
+        links.append(ChannelStatistics(snr=1.0, t_corr=(q * lam) @ q.conj().T, num_rx=2))
     return links[0], links[1], 1.0, 1.0
 
 
@@ -708,9 +720,9 @@ class TestStackedDesigns:
         # loses the budget to cancellation and the levels sum to 16. That
         # element gets OverBudget as its result, and the other elements
         # of its stack keep their bytes.
-        tiny = ChannelStatistics(snr=1.0, t_corr=np.diag(np.linspace(0.04, 1.1, 13)), r_eigs=np.ones(13))
+        tiny = ChannelStatistics(snr=1.0, t_corr=np.diag(np.linspace(0.04, 1.1, 13)), num_rx=13)
         assert tiny.beta * 1e-17 * tiny.t_eigh[0].min() == pytest.approx(4e-19)
-        good = ChannelStatistics(snr=1.0, t_corr=gen_correlation(ArraySpec(13, 0.5, 20.0, 10.0)), r_eigs=np.ones(13))
+        good = ChannelStatistics(snr=1.0, t_corr=gen_correlation(ArraySpec(13, 0.5, 20.0, 10.0)), num_rx=13)
         items = [(good, 1.0), (tiny, 1e-17), (good, 3.0)]
         expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in items]
         assert expected[1] == (OverBudget, "trace 16.000000 exceeds budget 13.0")
@@ -724,9 +736,9 @@ class TestOptimize:
         calls = []
         original = detequiv.solve_fixed_points
 
-        def counting(pairs, starts=None):
+        def counting(pairs, starts=None, spectra=None):
             calls.extend(stats for stats, _ in pairs)
-            return original(pairs, starts)
+            return original(pairs, starts, spectra)
 
         start = isotropic_start(*build_statistics(point_config(figure_preset("fig5"), 1.0)))
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting)
@@ -750,9 +762,10 @@ class TestOptimize:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         _, _, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert 1 < iterations < precoders._OUTER_MAX_ITER
-        # One stack of both links' K per precoder: the water-filling
-        # steps reuse the main link's cached T spectrum.
-        assert [len(a) for a in calls] == [2] * (iterations + 1)
+        # The water-filling steps reuse the main link's cached T spectrum,
+        # and so does its K, lam * levels; the start's Ks are the links'
+        # T. Only the eavesdropper's K is factored, one per precoder.
+        assert [a.shape for a in calls] == [(1, 4, 4)] * iterations
 
     @pytest.mark.parametrize("point", CYCLING_POINTS)
     def test_cycle_skip_matches_the_full_loop(self, point):
