@@ -35,6 +35,11 @@ _QUAD_WINDOW_SPREADS = 10.0
 _QUAD_TABLE = Path(__file__).with_name("gauss_legendre.npz")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a NumPy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Uniform linear array plus the angular power profile seen by it.
@@ -49,8 +54,8 @@ class ArraySpec:
     angle_spread_deg: float = 5.0
 
     def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
+        if not is_integer(self.num_antennas) or self.num_antennas < 1:
+            raise ValueError("num_antennas must be an integer >= 1")
         if not np.isfinite([self.spacing_wavelengths, self.mean_angle_deg, self.angle_spread_deg]).all():
             raise ValueError("spacing_wavelengths, mean_angle_deg and angle_spread_deg must be finite")
         if self.spacing_wavelengths < 0:
@@ -83,7 +88,7 @@ class ChannelStatistics:
             raise ValueError("snr must be >= 0")
         if self.t_corr.ndim != 2 or self.t_corr.shape[0] != self.t_corr.shape[1] or not self.t_corr.size:
             raise ValueError("t_corr must be a nonempty square matrix")
-        if not isinstance(self.num_rx, (int, np.integer)) or isinstance(self.num_rx, bool) or self.num_rx < 1:
+        if not is_integer(self.num_rx) or self.num_rx < 1:
             raise ValueError("num_rx must be an integer >= 1")
 
     @cached_property
@@ -112,13 +117,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
-@lru_cache(maxsize=256)
 def _correlation_row(spec: ArraySpec) -> np.ndarray:
     """First row of the (Toeplitz) correlation matrix.
 
     Gauss-Legendre over [theta - 10 sigma, theta + 10 sigma] clipped to
     [-pi, pi], starting at _QUAD_MIN_NODES and doubling; the finer of the
     first two successive rows that agree within _QUAD_TOL is returned.
+    Nothing is cached here: a sweep builds each spec's T once, through
+    experiment._transmit.
     """
     # Wrap the mean angle into (-180, 180] so theta and theta + 360 agree.
     theta = np.deg2rad((spec.mean_angle_deg + 180.0) % 360.0 - 180.0)

@@ -24,9 +24,6 @@ from .linalg import psd_eigh_stack
 
 _FP_TOL = 1e-12
 _FP_MAX_ITER = 10_000
-# Matrix entries of one stacked eigendecomposition of Ks: every batch of
-# the presets fits, and it bounds the stack's temporaries (64 kB each).
-_STACK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -130,8 +127,7 @@ def solve_fixed_points(
     caller already knows them, ascending and clipped at 0, as the designs
     do (precoders.Design); such a pair's K is not factored, and its
     FixedPoint carries the spectrum given. The other Ks with the same M
-    are factored in one stacked eigendecomposition, at most
-    _STACK_ENTRIES matrix entries at a time.
+    are factored in one stacked eigendecomposition.
 
     The Newton iterations of all pairs with the same M run together, as
     one stack, whatever their N: their arrays stack as columns, each
@@ -161,9 +157,10 @@ def _k_spectra(
     pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], spectra: Sequence[np.ndarray | None] | None
 ) -> list[np.ndarray | Exception]:
     """The clipped eigenvalues of each pair's K: the one given in spectra,
-    else from one psd_eigh_stack per transmit size M and at most
-    _STACK_ENTRIES matrix entries, or the error that factoring it (or
-    its link's T) raises."""
+    else from one psd_eigh_stack per transmit size M, or the error that
+    factoring it (or its link's T) raises. The stacks stay small: at
+    most 29 Ks of order 4 in a fig2-fig5 pass, and 4 of order 8 in the
+    benchmark's stress sweeps."""
     known = [None] * len(pairs) if spectra is None else list(spectra)
     by_m = {}
     for i, (stats, _) in enumerate(pairs):
@@ -175,10 +172,8 @@ def _k_spectra(
             known[i] = as_value(exc)
         else:
             by_m.setdefault(stats.num_tx, []).append(i)
-    for m, same_m in by_m.items():
-        size = max(1, _STACK_ENTRIES // (m * m))
-        for first in range(0, len(same_m), size):
-            _factor_ks(pairs, same_m[first : first + size], known)
+    for same_m in by_m.values():
+        _factor_ks(pairs, same_m, known)
     return known
 
 

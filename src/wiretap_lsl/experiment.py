@@ -13,11 +13,11 @@ import typing
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import lru_cache
-from itertools import islice
+from itertools import product
 
 import numpy as np
 
-from .channel import ArraySpec, ChannelStatistics, gen_correlation
+from .channel import ArraySpec, ChannelStatistics, gen_correlation, is_integer
 from .detequiv import lsl_secrecy_rates
 from .errors import NUMERICAL_FAILURES, ParseError, UnknownPreset, ValidationError, as_value
 from .montecarlo import mc_secrecy_rate
@@ -53,6 +53,8 @@ class ExperimentConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
+        if not all(is_integer(v) for v in (self.m, self.n_main, self.n_eave, self.mc_realizations, self.seed)):
+            raise ValidationError("m, n_main, n_eave, mc_realizations and seed must be integers")
         if min(self.m, self.n_main, self.n_eave) < 1:
             raise ValidationError("antenna counts must be >= 1")
         if self.sweep not in SWEEP_KINDS:
@@ -208,25 +210,32 @@ def config_from_dict(raw: dict, source: str = "<dict>") -> ExperimentConfig:
 
 
 def point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
-    """The config of one sweep point: the grid value in the swept field."""
+    """The config of one sweep point: a one-value sweep, grid (value,),
+    with the value in the swept field. Building it validates that value
+    alone, so a point costs the same whatever the grid's length. Without
+    Monte Carlo, run_sweep of it gives the sweep's rows at that value;
+    with it, W is only as tall as the point's own tallest receiver."""
     if config.sweep == "snr":
-        return replace(config, snr_main_db=value, snr_eave_db=value)
-    if config.sweep == "ne":
-        return replace(config, n_eave=int(round(value)))
-    return replace(
-        config,
-        array_main=replace(config.array_main, spacing_wavelengths=value),
-        array_eave=replace(config.array_eave, spacing_wavelengths=value),
-    )
+        swept = dict(snr_main_db=value, snr_eave_db=value)
+    elif config.sweep == "ne":
+        swept = dict(n_eave=int(round(value)))
+    else:
+        swept = dict(
+            array_main=replace(config.array_main, spacing_wavelengths=value),
+            array_eave=replace(config.array_eave, spacing_wavelengths=value),
+        )
+    return replace(config, sweep_grid=(value,), **swept)
 
 
 @lru_cache(maxsize=256)
 def _transmit(spec: ArraySpec) -> tuple[np.ndarray, dict]:
     """T = gen_correlation(spec) and its factorization, {"t_eigh": ...,
     "t_sqrt": ...}, every array read-only: what each link of that spec
-    shares. An SNR or N_E sweep keeps T at every point, so its links
-    factor T once per sweep; a failure (QuadratureFailure, NotPsd, or a
-    LinAlgError from LAPACK) is raised and not cached."""
+    shares. This is the one cache keyed by ArraySpec: gen_correlation
+    runs once per distinct spec, and an SNR or N_E sweep keeps T at
+    every point, so its links factor T once per sweep. A failure
+    (QuadratureFailure, NotPsd, or a LinAlgError from LAPACK) is raised
+    and not cached."""
     template = ChannelStatistics(0.0, gen_correlation(spec), 1)
     factors = {"t_eigh": template.t_eigh, "t_sqrt": template.t_sqrt}
     for array in (template.t_corr, *template.t_eigh, template.t_sqrt):
@@ -289,7 +298,11 @@ def run_sweep(config: ExperimentConfig, include_mc: bool = True) -> SweepResult:
 
 def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool, tallest: int) -> list[SweepRow]:
     """The rows of the _LOCKSTEP_POINTS grid points from index first;
-    Monte Carlo draws W with tallest rows."""
+    Monte Carlo draws W with tallest rows. Each (point, strategy) row has
+    one outcome, in row order: optimize_many's tuple, or the exception
+    that fails the row (its point's, or its loop's). The solved outcomes
+    take their Monte Carlo estimates in that order, and an estimate that
+    failed fails its row."""
     values = config.sweep_grid[first : first + _LOCKSTEP_POINTS]
     # Per grid point: its links, then its start rate, or the exception
     # that fails the point.
@@ -306,44 +319,34 @@ def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool, tallest
         points[i] = start
     started = [point for point in points if not isinstance(point, Exception)]
     optimized = iter(optimize_many([(strategy, start) for start in started for strategy in config.strategies]))
-    # Per started point, per strategy: [rate, outer iterations, MC
-    # estimate], or the exception.
-    outcomes = {}
-    for i, point in enumerate(points):
-        if not isinstance(point, Exception):
-            jobs = islice(optimized, len(config.strategies))
-            outcomes[i] = [o if isinstance(o, Exception) else [o[1], o[2], None] for o in jobs]
-    solved = [o for point in outcomes.values() for o in point if not isinstance(o, Exception)]
-    if include_mc and solved:
-        estimates = mc_secrecy_rate([o[0] for o in solved], config.mc_realizations, config.seed, tallest)
-        for outcome, mc in zip(solved, estimates):
-            outcome[2] = mc
+    outcomes = [p if isinstance(p, Exception) else next(optimized) for p in points for _ in config.strategies]
+    rates = [o[1] for o in outcomes if not isinstance(o, Exception)]
+    if include_mc and rates:
+        estimates = iter(mc_secrecy_rate(rates, config.mc_realizations, config.seed, tallest))
+    else:
+        estimates = iter([None] * len(rates))
 
     ln2 = math.log(2.0)
     rows = []
-    for i, (value, point) in enumerate(zip(values, points)):
-        if isinstance(point, Exception):
-            rows.extend(_error_row(config, value, strategy, point) for strategy in config.strategies)
+    for (value, strategy), outcome in zip(product(values, config.strategies), outcomes):
+        mc = None if isinstance(outcome, Exception) else next(estimates)
+        failure = mc if isinstance(mc, Exception) else outcome
+        if isinstance(failure, Exception):
+            rows.append(_error_row(config, value, strategy, failure))
             continue
-        for strategy, outcome in zip(config.strategies, outcomes[i]):
-            if not isinstance(outcome, Exception) and isinstance(outcome[2], Exception):
-                outcome = outcome[2]  # the estimate failed
-            if isinstance(outcome, Exception):
-                rows.append(_error_row(config, value, strategy, outcome))
-                continue
-            rate, iterations, mc = outcome
-            rows.append(
-                SweepRow(
-                    sweep_var=config.sweep,
-                    sweep_value=value,
-                    strategy=strategy.value,
-                    rs_lsl_per_antenna_bits=rate.rs / ln2,
-                    rs_lsl_total_bits=rate.rs * config.m / ln2,
-                    rs_mc_per_antenna_bits=None if mc is None else mc.mean / ln2,
-                    rs_mc_std_error=None if mc is None else mc.std_error / ln2,
-                    outer_iterations=iterations,
-                )
+        _, rate, iterations = outcome
+        rows.append(
+            SweepRow(
+                sweep_var=config.sweep,
+                sweep_value=value,
+                strategy=strategy.value,
+                rs_lsl_per_antenna_bits=rate.rs / ln2,
+                rs_lsl_total_bits=rate.rs * config.m / ln2,
+                rs_mc_per_antenna_bits=None if mc is None else mc.mean / ln2,
+                rs_mc_std_error=None if mc is None else mc.std_error / ln2,
+                outer_iterations=iterations,
             )
+        )
     return rows
 
 

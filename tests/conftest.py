@@ -6,7 +6,7 @@ outcome depends on the code alone."""
 import pytest
 from hypothesis import settings
 
-from wiretap_lsl import channel, experiment
+from wiretap_lsl import experiment
 
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
@@ -14,8 +14,6 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with the per-ArraySpec caches empty, T's and its
-    correlation row's, so that a test that counts work sees a cold cache
-    whatever ran before it."""
+    """Every test starts with the per-ArraySpec cache of T empty, so that
+    a test that counts work sees a cold cache whatever ran before it."""
     experiment._transmit.cache_clear()
-    channel._correlation_row.cache_clear()

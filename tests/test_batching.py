@@ -218,30 +218,27 @@ class TestBatchedSolve:
         assert [batch_outcome(r) for r in results] == expected
 
     def test_stacks_split_and_lapack_failure_stays_with_its_pair(self, monkeypatch):
-        # A stack holds at most _STACK_ENTRIES matrix entries. When LAPACK
-        # fails on a stack, its matrices are factored one at a time, and
-        # only the one it fails on gets the error.
+        # When LAPACK fails on a stack, its matrices are factored one at a
+        # time, and only the one it fails on gets the error.
         rng = np.random.default_rng(23)
         pairs = [random_pair(rng) for _ in range(40)]
         sizes = [stats.num_tx for stats, _ in pairs]
-        bad = next(i for i, m in enumerate(sizes) if m <= 4 and sizes.count(m) > 1)
+        bad = next(i for i, m in enumerate(sizes) if sizes.count(m) > 1)
         stats, p = pairs[bad]
         k_bad = stats.t_sqrt @ p @ stats.t_sqrt
         expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
-        stacks, failed = [], []
+        failed = []
         original = detequiv.psd_eigh_stack
 
         def flaky(ks):
-            stacks.append(ks.shape)
             if any(np.array_equal(k, k_bad) for k in ks):
                 failed.append(len(ks))
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(ks)
 
-        monkeypatch.setattr(detequiv, "_STACK_ENTRIES", 64)
         monkeypatch.setattr(detequiv, "psd_eigh_stack", flaky)
         results = solve_fixed_points(pairs)
-        assert all(b * m * m <= 64 or b == 1 for b, m, _ in stacks) and failed[0] > 1 and failed[1:] == [1]
+        assert failed[0] > 1 and failed[1:] == [1]
         assert isinstance(results[bad], np.linalg.LinAlgError) and str(results[bad]) == "Eigenvalues did not converge"
         assert [batch_outcome(r) for i, r in enumerate(results) if i != bad] == expected[:bad] + expected[bad + 1 :]
 
@@ -437,15 +434,16 @@ class TestWorkGuard:
         # 1,318 when every K was factored alone. Cold, each of the 62
         # distinct ArraySpecs factors its T twice (gen_correlation's PSD
         # check, then t_eigh), 124 in all, and 64 of the 126 links reuse
-        # a cached T; warm, all 126 do. Every K's spectrum comes from its
-        # design but the water-filling eavesdropper's: one stack in each
-        # of the 40 lockstep steps that run wf loops. The 1,066 solves run
+        # a cached T; warm, all 126 do. So gen_correlation runs once per
+        # distinct spec cold and never warm. Every K's spectrum comes from
+        # its design but the water-filling eavesdropper's: one stack in
+        # each of the 40 lockstep steps that run wf loops. The 1,066 solves run
         # as 44 Newton stacks, one per M and batch, and each outer
         # iteration's solves start from the deltas before them: 3,178
         # iterations, against 4,944 from the top of every bracket.
-        eighs, batches, iterations, groups = [], [], [], []
+        eighs, batches, iterations, groups, specs = [], [], [], [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
-        original_newton = detequiv._newton
+        original_newton, original_correlation = detequiv._newton, experiment.gen_correlation
 
         def counting_eigh(a, *args, **kwargs):
             eighs.append(a)
@@ -461,13 +459,19 @@ class TestWorkGuard:
             groups.append(len(slots))
             return original_newton(stats, k_eigs, starts, slots, results)
 
+        def counting_correlation(spec):
+            specs.append(spec)
+            return original_correlation(spec)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(detequiv, "solve_fixed_points", counting_solve)
         monkeypatch.setattr(detequiv, "_newton", counting_newton)
+        monkeypatch.setattr(experiment, "gen_correlation", counting_correlation)
         for cold in (True, False):
-            eighs.clear(), batches.clear(), iterations.clear(), groups.clear()
+            eighs.clear(), batches.clear(), iterations.clear(), groups.clear(), specs.clear()
             rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
             assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 3178, 533)
             assert (len(batches), len(eighs)) == (44, 40 + (2 * 62 if cold else 0))
+            assert (len(specs), len(set(specs))) == ((62, 62) if cold else (0, 0))
             assert (len(groups), sum(groups)) == (44, 1066)
         assert experiment._transmit.cache_info()[:2] == (64 + 126, 62)

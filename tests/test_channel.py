@@ -161,14 +161,12 @@ class TestQuadrature:
             return real(nodes)
 
         monkeypatch.setattr(channel, "_leggauss", recording)
-        channel._correlation_row.cache_clear()
         gen_correlation(ArraySpec(6, 1.0, 40.0, 5.0))
         assert max(used) <= 256
 
     def test_failure_when_rows_never_settle(self, monkeypatch):
         spec = ArraySpec(32, 3.0, 0.0, 60.0)
         monkeypatch.setattr(channel, "_QUAD_MAX_NODES", 128)
-        channel._correlation_row.cache_clear()
         with pytest.raises(QuadratureFailure):
             gen_correlation(spec)
 

@@ -196,6 +196,26 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="sweep_grid"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize(
+        "value",
+        [2.5, 2.0, True, np.True_, np.float64(2.0), "2"],
+        ids=["fraction", "integral-float", "bool", "numpy-bool", "numpy-float", "string"],
+    )
+    @pytest.mark.parametrize("field", ["m", "n_main", "n_eave", "mc_realizations", "seed", "num_antennas"])
+    def test_non_integer_count_rejected(self, field, value):
+        # Through the Python API, not only through JSON: a count that is
+        # not an int or a NumPy integer, or is a bool, fails at
+        # construction, not as an IndexError or TypeError mid-sweep.
+        counts = {"m": 2, "n_main": 3, "n_eave": 4, "mc_realizations": 64, "seed": 1}
+        if field == "num_antennas":
+            assert ArraySpec(np.int64(2)).num_antennas == 2
+            with pytest.raises(ValueError, match="num_antennas must be an integer"):
+                ArraySpec(value)
+            return
+        assert ExperimentConfig(**{**counts, field: np.int64(counts[field])}, sweep="snr", sweep_grid=(0.0,))
+        with pytest.raises(ValidationError, match="must be integers"):
+            ExperimentConfig(**{**counts, field: value}, sweep="snr", sweep_grid=(0.0,))
+
 
 class TestRunSweep:
     def test_row_count_and_units(self):
@@ -213,6 +233,30 @@ class TestRunSweep:
         assert result.num_failed == 0
         for row in result.rows:
             assert row.rs_lsl_total_bits == pytest.approx(row.rs_lsl_per_antenna_bits * 2, abs=1e-12)
+
+    def test_point_configs_are_one_value_sweeps(self, monkeypatch):
+        # Each point's config validates its own value alone, so building
+        # the point configs costs the same per point whatever the grid's
+        # length.
+        config = ExperimentConfig(m=2, n_main=3, n_eave=4, sweep="snr", sweep_grid=tuple(np.linspace(-10, 20, 50)))
+        grids = []
+        original = ExperimentConfig.__post_init__
+
+        def recording(self):
+            original(self)
+            grids.append(self.sweep_grid)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", recording)
+        assert len(run_sweep(config, include_mc=False).rows) == 150
+        assert len(grids) >= 50 and all(len(grid) == 1 for grid in grids)
+
+    @pytest.mark.parametrize("preset", experiment.PRESETS)
+    def test_point_config_gives_the_sweeps_rows_at_its_value(self, preset):
+        config = figure_preset(preset)
+        rows = run_sweep(config, include_mc=False).rows
+        for value in config.sweep_grid:
+            alone = run_sweep(point_config(config, value), include_mc=False).rows
+            assert alone == tuple(row for row in rows if row.sweep_value == value)
 
     def test_single_point_grid(self):
         cfg = ExperimentConfig(

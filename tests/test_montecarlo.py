@@ -939,11 +939,13 @@ class TestPresetStandardErrors:
 
 
 class TestSweepWork:
-    # The traced peak of one MC sweep per preset with one call and one
-    # sampler per grid point, whose realizations were allocated for the
-    # whole target of 16,384: 5.43 MB at most, for fig2. One call per
-    # chunk holds every pilot of the chunk at once, fig5's 87 rates the
-    # most, and its kernels' work arrays are those of one tile of links.
+    # The bounds are the traced peaks of one MC sweep per preset when each
+    # grid point had its own call and sampler, whose realizations were
+    # allocated for the whole target of 16,384: 5.43 MB at most, for
+    # fig2. Now one call per chunk fits the pilots _TILE rates at a time
+    # on the pilot's blocks, kept until every tile has read them, and its
+    # kernels' work arrays are those of one tile of links: fig2 peaks at
+    # about 4.2 MB, and fig5, with the most rates (87), at about 2.6 MB.
     PEAKS_MB = {"fig2": 5.43, "fig3": 4.05, "fig4": 5.17, "fig5": 4.71}
 
     @pytest.mark.parametrize("name", PRESETS)
