@@ -3,7 +3,7 @@ large-system deterministic equivalents, with transmit-covariance
 optimization and seeded Monte Carlo validation.
 """
 
-from .channel import ArraySpec, ChannelStatistics, gen_correlation
+from .channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation
 from .experiment import ExperimentConfig, figure_preset, parse_config, run_sweep
 from .montecarlo import mc_secrecy_rate
 from .precoders import optimize
@@ -18,6 +18,7 @@ __all__ = [
     "optimize",
     "parse_config",
     "run_sweep",
+    "Transmit",
 ]
 
 __version__ = "0.1.0"

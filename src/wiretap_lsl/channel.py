@@ -8,6 +8,11 @@ diagonal. The integrals run over the window theta +- 10 sigma clipped
 to [-pi, pi], outside which the spectrum is below exp(-50) of its peak,
 with Gauss-Legendre node doubling until two successive rows agree.
 
+A link is its SNR, its receive antenna count and a Transmit: T with the
+eigendecomposition and square root that every solve and design reads,
+factored once, when the Transmit is made, and shared by every link
+that holds it.
+
 The Gauss-Legendre rules, 64 * 2**k nodes up to _QUAD_MAX_NODES, are
 read from gauss_legendre.npz beside this module: for each node count,
 the non-negative nodes (ascending) and their weights. The rules are
@@ -19,7 +24,7 @@ from the package root with scipy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -65,48 +70,62 @@ class ArraySpec:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelStatistics:
-    """Statistical CSI of one link: SNR, transmit correlation T and the
-    number of receive antennas N, whose correlation is R = I; M is T's
-    order. t_eigh is T's eigenvalues (ascending, clipped at 0) and
-    eigenvectors, and t_sqrt is built from them, each once, on first use,
-    or placed in the link's __dict__ by a caller that already holds them,
-    as build_statistics does for every link of one ArraySpec. The
-    spectrum of K = T^(1/2) P T^(1/2) belongs to the FixedPoint solved at
-    P, not to the link.
+class Transmit:
+    """A transmit correlation T, factored once, when it is made: t_eigh
+    is T's eigenvalues (ascending, clipped at 0) and eigenvectors, and
+    t_sqrt = T^(1/2) is built from them. All three arrays are read-only
+    and belong to the Transmit, which works on its own copy of the
+    matrix given, so every link that holds it can share them. A T with
+    an eigenvalue below the PSD tolerance raises NotPsd here, and LAPACK
+    failing on it a LinAlgError.
+    """
 
-    A link compares and hashes by identity: its fields are arrays, whose
-    == is elementwise and which do not hash.
+    t_corr: np.ndarray
+    t_eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    t_sqrt: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t = np.array(self.t_corr)
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
+            raise ValueError("t_corr must be a nonempty square matrix")
+        lam, q = psd_eigh(t)
+        for name, value in (("t_corr", t), ("t_eigh", (lam, q)), ("t_sqrt", congruence(q, np.sqrt(lam)))):
+            object.__setattr__(self, name, value)
+        for array in (t, lam, q, self.t_sqrt):
+            array.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelStatistics:
+    """Statistical CSI of one link: SNR, transmit correlation T, factored
+    (a Transmit, which the links of one ArraySpec share), and the number
+    of receive antennas N, whose correlation is R = I; M is T's order.
+    The spectrum of K = T^(1/2) P T^(1/2) belongs to the FixedPoint
+    solved at P, not to the link.
+
+    A link compares and hashes by identity: its transmit side holds
+    arrays, whose == is elementwise and which do not hash.
     """
 
     snr: float
-    t_corr: np.ndarray
+    transmit: Transmit
     num_rx: int
 
     def __post_init__(self):
         if not self.snr >= 0:
             raise ValueError("snr must be >= 0")
-        if self.t_corr.ndim != 2 or self.t_corr.shape[0] != self.t_corr.shape[1] or not self.t_corr.size:
-            raise ValueError("t_corr must be a nonempty square matrix")
+        if not isinstance(self.transmit, Transmit):
+            raise ValueError("transmit must be a Transmit")
         if not is_integer(self.num_rx) or self.num_rx < 1:
             raise ValueError("num_rx must be an integer >= 1")
 
     @cached_property
     def num_tx(self) -> int:
-        return self.t_corr.shape[0]
+        return self.transmit.t_corr.shape[0]
 
     @property
     def beta(self) -> float:
         return self.num_rx / self.num_tx
-
-    @cached_property
-    def t_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return psd_eigh(self.t_corr)
-
-    @cached_property
-    def t_sqrt(self) -> np.ndarray:
-        lam, q = self.t_eigh
-        return congruence(q, np.sqrt(lam))
 
 
 @lru_cache(maxsize=8)
@@ -123,6 +142,9 @@ def _correlation_row(spec: ArraySpec) -> np.ndarray:
     Gauss-Legendre over [theta - 10 sigma, theta + 10 sigma] clipped to
     [-pi, pi], starting at _QUAD_MIN_NODES and doubling; the finer of the
     first two successive rows that agree within _QUAD_TOL is returned.
+    A spread so small that the window rounds to one point, or that its
+    square underflows, gives the plane-wave row exp(2 pi i d k sin theta),
+    the sigma -> 0 limit, which the quadrature reaches just above it.
     Nothing is cached here: a sweep builds each spec's T once, through
     experiment._transmit.
     """
@@ -132,12 +154,16 @@ def _correlation_row(spec: ArraySpec) -> np.ndarray:
     reach = _QUAD_WINDOW_SPREADS * spread
     lo, hi = max(-np.pi, theta - reach), min(np.pi, theta + reach)
     k = np.arange(spec.num_antennas)
+    with np.errstate(over="ignore"):  # inf at a huge spread: uniform weights
+        two_var = 2.0 * spread**2
+    if lo == hi or two_var == 0.0:  # nothing left to integrate: the sigma -> 0 limit
+        return np.exp(2j * np.pi * spec.spacing_wavelengths * k * np.sin(theta))
 
     def row_at(nodes: int) -> np.ndarray:
         x, w = _leggauss(nodes)
         half = 0.5 * (hi - lo)
         phi = half * x + 0.5 * (hi + lo)
-        weight = half * w * np.exp(-((phi - theta) ** 2) / (2.0 * spread**2))
+        weight = half * w * np.exp(-((phi - theta) ** 2) / two_var)
         phase = np.exp(2j * np.pi * spec.spacing_wavelengths * np.outer(k, np.sin(phi)))
         row = phase @ weight
         return row / row[0].real

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelStatistics
-from .errors import NUMERICAL_FAILURES, NoConvergence, as_value
+from .errors import NoConvergence, as_value
 from .linalg import psd_eigh_stack
 
 _FP_TOL = 1e-12
@@ -158,19 +158,13 @@ def _k_spectra(
 ) -> list[np.ndarray | Exception]:
     """The clipped eigenvalues of each pair's K: the one given in spectra,
     else from one psd_eigh_stack per transmit size M, or the error that
-    factoring it (or its link's T) raises. The stacks stay small: at
-    most 29 Ks of order 4 in a fig2-fig5 pass, and 4 of order 8 in the
-    benchmark's stress sweeps."""
+    factoring it raises. Each link's T^(1/2) was built with its
+    Transmit. The stacks stay small: at most 29 Ks of order 4 in a
+    fig2-fig5 pass, and 4 of order 8 in the benchmark's stress sweeps."""
     known = [None] * len(pairs) if spectra is None else list(spectra)
     by_m = {}
     for i, (stats, _) in enumerate(pairs):
-        if known[i] is not None:
-            continue
-        try:
-            stats.t_sqrt  # factors T on first use, which can fail too
-        except NUMERICAL_FAILURES as exc:
-            known[i] = as_value(exc)
-        else:
+        if known[i] is None:
             by_m.setdefault(stats.num_tx, []).append(i)
     for same_m in by_m.values():
         _factor_ks(pairs, same_m, known)
@@ -182,7 +176,7 @@ def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: lis
     the error that factoring it raises, for each i in slots, with one
     psd_eigh_stack. If LAPACK fails on the stack, its matrices are
     factored one at a time, so that the failure stays with its pair."""
-    t_sqrt = np.stack([pairs[i][0].t_sqrt for i in slots])
+    t_sqrt = np.stack([pairs[i][0].transmit.t_sqrt for i in slots])
     try:
         k_eigs, _, errors = psd_eigh_stack(t_sqrt @ np.stack([pairs[i][1] for i in slots]) @ t_sqrt)
     except np.linalg.LinAlgError as exc:

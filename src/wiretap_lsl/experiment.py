@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import ArraySpec, ChannelStatistics, gen_correlation, is_integer
+from .channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, is_integer
 from .detequiv import lsl_secrecy_rates
 from .errors import NUMERICAL_FAILURES, ParseError, UnknownPreset, ValidationError, as_value
 from .montecarlo import mc_secrecy_rate
@@ -79,15 +79,21 @@ class ExperimentConfig:
             raise ValidationError("mc_realizations must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        if not self.strategies:
-            raise ValidationError("strategies must be nonempty")
+        if isinstance(self.strategies, str):
+            raise ValidationError("strategies must be a sequence of names, not one string")
+        try:
+            strategies = tuple(Strategy(s) for s in self.strategies)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(str(exc)) from exc
+        if not strategies or len(set(strategies)) < len(strategies):
+            raise ValidationError("strategies must be nonempty and must not repeat")
         if self.array_main is None:
             object.__setattr__(self, "array_main", ArraySpec(self.m))
         if self.array_eave is None:
             object.__setattr__(self, "array_eave", ArraySpec(self.m, mean_angle_deg=DEFAULT_THETA_EAVE))
         if self.array_main.num_antennas != self.m or self.array_eave.num_antennas != self.m:
             raise ValidationError("array_main and array_eave must have m antennas")
-        object.__setattr__(self, "strategies", tuple(Strategy(s) for s in self.strategies))
+        object.__setattr__(self, "strategies", strategies)
 
 
 @dataclass(frozen=True)
@@ -228,34 +234,22 @@ def point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
 
 
 @lru_cache(maxsize=256)
-def _transmit(spec: ArraySpec) -> tuple[np.ndarray, dict]:
-    """T = gen_correlation(spec) and its factorization, {"t_eigh": ...,
-    "t_sqrt": ...}, every array read-only: what each link of that spec
-    shares. This is the one cache keyed by ArraySpec: gen_correlation
-    runs once per distinct spec, and an SNR or N_E sweep keeps T at
-    every point, so its links factor T once per sweep. A failure
-    (QuadratureFailure, NotPsd, or a LinAlgError from LAPACK) is raised
-    and not cached."""
-    template = ChannelStatistics(0.0, gen_correlation(spec), 1)
-    factors = {"t_eigh": template.t_eigh, "t_sqrt": template.t_sqrt}
-    for array in (template.t_corr, *template.t_eigh, template.t_sqrt):
-        array.flags.writeable = False
-    return template.t_corr, factors
+def _transmit(spec: ArraySpec) -> Transmit:
+    """Transmit(gen_correlation(spec)): T and its factorization, which
+    every link of that spec shares. This is the one cache keyed by
+    ArraySpec: gen_correlation runs and T is factored once per distinct
+    spec, so an SNR or N_E sweep, which keeps T at every point, factors
+    it once per sweep. A failure (QuadratureFailure, NotPsd, or a
+    LinAlgError from LAPACK) is raised and not cached."""
+    return Transmit(gen_correlation(spec))
 
 
 def build_statistics(config: ExperimentConfig) -> tuple[ChannelStatistics, ChannelStatistics]:
     """Materialize both links' statistical CSI for a config; every
-    receiver is uncorrelated, R = I. Each link takes T and its
-    factorization from the bounded per-ArraySpec cache (_transmit)."""
-
-    def link(snr_db: float, num_rx: int, array: ArraySpec) -> ChannelStatistics:
-        t_corr, factors = _transmit(array)
-        stats = ChannelStatistics(db_to_linear(snr_db), t_corr, num_rx)
-        vars(stats).update(factors)  # the cached properties, as if computed here
-        return stats
-
-    main = link(config.snr_main_db, config.n_main, config.array_main)
-    return main, link(config.snr_eave_db, config.n_eave, config.array_eave)
+    receiver is uncorrelated, R = I. Each link holds its ArraySpec's
+    Transmit from the bounded per-ArraySpec cache (_transmit)."""
+    main = ChannelStatistics(db_to_linear(config.snr_main_db), _transmit(config.array_main), config.n_main)
+    return main, ChannelStatistics(db_to_linear(config.snr_eave_db), _transmit(config.array_eave), config.n_eave)
 
 
 def _error_row(config: ExperimentConfig, value: float, strategy: Strategy, exc: Exception) -> SweepRow:
@@ -314,7 +308,7 @@ def _sweep_chunk(config: ExperimentConfig, first: int, include_mc: bool, tallest
             points.append(as_value(exc))
     built = [i for i, point in enumerate(points) if not isinstance(point, Exception)]
     identity = isotropic_precoder(config.m)
-    spectra = [(main.t_eigh[0], eave.t_eigh[0]) for main, eave in (points[i] for i in built)]
+    spectra = [(main.transmit.t_eigh[0], eave.transmit.t_eigh[0]) for main, eave in (points[i] for i in built)]
     for i, start in zip(built, lsl_secrecy_rates([(*points[i], identity) for i in built], spectra=spectra)):
         points[i] = start
     started = [point for point in points if not isinstance(point, Exception)]

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelStatistics
 from .detequiv import LslRate, lsl_secrecy_rates
-from .errors import NUMERICAL_FAILURES, AllZeroGains, BisectionFailure, OuterLoopNoConvergence, OverBudget, as_value
+from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, OverBudget
 from .linalg import congruence, gsvd
 
 _TRACE_SLACK = 1e-6
@@ -90,19 +90,12 @@ def isotropic_precoder(m: int) -> np.ndarray:
     return np.eye(m, dtype=complex)
 
 
-def _groups(links: Sequence[tuple[ChannelStatistics, ...]], results: list) -> list[list[int]]:
-    """The indices of the items whose links, links[i], factor their T,
-    grouped by M in order of first appearance; an item whose link fails
-    to factor gets that error in results[i] instead."""
+def _groups(items: Sequence[tuple]) -> list[list[int]]:
+    """The indices of items grouped by the M of their first link, in
+    order of first appearance."""
     groups = {}
-    for i, item_links in enumerate(links):
-        try:
-            for stats in item_links:
-                stats.t_eigh  # factors T on first use, which can fail
-        except NUMERICAL_FAILURES as exc:
-            results[i] = as_value(exc)
-        else:
-            groups.setdefault(item_links[0].num_tx, []).append(i)
+    for i, item in enumerate(items):
+        groups.setdefault(item[0].num_tx, []).append(i)
     return list(groups.values())
 
 
@@ -167,10 +160,10 @@ def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> lis
     that fails gets, in place of its design, the error that
     waterfill_precoder raises for it."""
     results = [None] * len(items)
-    for slots in _groups([item[:1] for item in items], results):
+    for slots in _groups(items):
         links = [items[i][0] for i in slots]
-        lam = np.stack([stats.t_eigh[0] for stats in links])
-        q = np.stack([stats.t_eigh[1] for stats in links])
+        lam = np.stack([stats.transmit.t_eigh[0] for stats in links])
+        q = np.stack([stats.transmit.t_eigh[1] for stats in links])
         scale = np.array([stats.beta * items[i][1] for stats, i in zip(links, slots)])
         levels, _, errors = waterfill_stack(scale[:, None] * lam, float(lam.shape[-1]))
         _covariances(slots, q, levels, errors, (lam * levels, None), results)
@@ -458,7 +451,7 @@ def gsvd_precoders(
     design, the error that gsvd_precoder raises for it (RankDeficient,
     BisectionFailure, or a LinAlgError from LAPACK)."""
     results = [None] * len(items)
-    for slots in _groups([item[:2] for item in items], results):
+    for slots in _groups(items):
         _gsvd_designs(items, slots, results)
     return results
 
@@ -470,8 +463,8 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
     m = mains[0].num_tx
     gain_m = np.array([stats.beta * items[i][2] for stats, i in zip(mains, slots)])
     gain_e = np.array([stats.beta * items[i][3] for stats, i in zip(eaves, slots)])
-    a = np.sqrt(gain_m)[:, None, None] * np.stack([stats.t_sqrt for stats in mains])
-    b = np.sqrt(gain_e)[:, None, None] * np.stack([stats.t_sqrt for stats in eaves])
+    a = np.sqrt(gain_m)[:, None, None] * np.stack([stats.transmit.t_sqrt for stats in mains])
+    b = np.sqrt(gain_e)[:, None, None] * np.stack([stats.transmit.t_sqrt for stats in eaves])
     sigma_m, sigma_e, x, errors = gsvd(a, b)
     sm2 = sigma_m**2
     se2 = sigma_e**2

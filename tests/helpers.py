@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from wiretap_lsl import detequiv, experiment, montecarlo, precoders
-from wiretap_lsl.channel import ChannelStatistics, sample_channel_block
+from wiretap_lsl.channel import ChannelStatistics, Transmit, sample_channel_block
 from wiretap_lsl.detequiv import FixedPoint, lsl_secrecy_rates
 from wiretap_lsl.errors import (
     AllZeroGains,
@@ -22,7 +22,7 @@ from wiretap_lsl.precoders import gsvd_power_allocation, isotropic_precoder, sub
 
 def iid_stats(snr, n, m):
     """Uncorrelated link: T = I (M x M), with N receive antennas."""
-    return ChannelStatistics(snr=snr, t_corr=np.eye(m), num_rx=n)
+    return ChannelStatistics(snr=snr, transmit=Transmit(np.eye(m)), num_rx=n)
 
 
 def link_channels(stats, k_eigs, count, rng):
@@ -40,7 +40,7 @@ def isotropic_start(stats_m, stats_e):
     """Both links solved at P = I, K's spectrum being T's, as run_sweep
     solves them: the start rate that optimize takes. A failure is
     raised."""
-    spectra = [(stats_m.t_eigh[0], stats_e.t_eigh[0])]
+    spectra = [(stats_m.transmit.t_eigh[0], stats_e.transmit.t_eigh[0])]
     (rate,) = lsl_secrecy_rates([(stats_m, stats_e, isotropic_precoder(stats_m.num_tx))], spectra=spectra)
     if isinstance(rate, Exception):
         raise rate
@@ -160,8 +160,8 @@ def reference_gsvd_precoder(stats_m, stats_e, em, ee, factors=None):
     x) given as factors."""
     m = stats_m.num_tx
     if factors is None:
-        a = np.sqrt(stats_m.beta * em) * stats_m.t_sqrt
-        b = np.sqrt(stats_e.beta * ee) * stats_e.t_sqrt
+        a = np.sqrt(stats_m.beta * em) * stats_m.transmit.t_sqrt
+        b = np.sqrt(stats_e.beta * ee) * stats_e.transmit.t_sqrt
         factors = reference_gsvd(a, b)
     sigma_m, sigma_e, x = factors
     sm2 = sigma_m**2
@@ -215,7 +215,7 @@ def reference_solve_fixed_point(stats, p, start=None, k_eigs=None):
     _FP_MAX_ITER from detequiv, so a test that patches it there patches
     it here."""
     if k_eigs is None:
-        k = np.asarray(stats.t_sqrt @ p @ stats.t_sqrt, dtype=complex)
+        k = np.asarray(stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt, dtype=complex)
         lam = np.linalg.eigh(0.5 * (k + k.conj().T))[0]
         if lam[0] < -1e-12:
             raise NotPsd(f"eigenvalue {lam[0]:.3e} below PSD tolerance")

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import reference_run_sweep, reference_solve_fixed_point
 from wiretap_lsl import detequiv, experiment, precoders
-from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation
 from wiretap_lsl.detequiv import solve_fixed_point, solve_fixed_points
 from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
 from wiretap_lsl.experiment import ExperimentConfig, figure_preset, run_sweep
@@ -84,7 +84,7 @@ def random_pair(rng):
     m = int(rng.integers(1, 33))
     n = int(rng.integers(1, 4 * m + 1))
     spec = ArraySpec(m, float(rng.uniform(0.0, 3.0)), float(rng.uniform(-90.0, 90.0)), float(rng.uniform(0.5, 60.0)))
-    stats = ChannelStatistics(10.0 ** (rng.uniform(-40.0, 60.0) / 10.0), gen_correlation(spec), n)
+    stats = ChannelStatistics(10.0 ** (rng.uniform(-40.0, 60.0) / 10.0), Transmit(gen_correlation(spec)), n)
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     p = g @ g.conj().T
     return stats, m * p / np.trace(p).real
@@ -92,13 +92,13 @@ def random_pair(rng):
 
 def factored_spectrum(stats, p):
     """The ascending eigenvalues of T^(1/2) P T^(1/2), clipped at 0."""
-    return np.clip(np.linalg.eigvalsh(hermitianize(stats.t_sqrt @ p @ stats.t_sqrt)), 0.0, None)
+    return np.clip(np.linalg.eigvalsh(hermitianize(stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt)), 0.0, None)
 
 
 def random_start(rng, stats, p):
     """None, a point inside the bracket (0, hi) of the solve of (stats,
     p), one above hi, 0 or NaN, with those odds."""
-    hi = stats.snr / stats.num_tx * np.trace(stats.t_sqrt @ p @ stats.t_sqrt).real
+    hi = stats.snr / stats.num_tx * np.trace(stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt).real
     return [None, hi * rng.uniform(0.0, 1.0), hi * rng.uniform(1.0, 2.0) + 1e-300, 0.0, np.nan][
         rng.choice(5, p=[0.2, 0.5, 0.1, 0.1, 0.1])
     ]
@@ -165,7 +165,7 @@ class TestBatchedSolve:
         t = gen_correlation(ArraySpec(4, 0.5, 20.0, 10.0))
         pairs = []
         for n in (7, 12, 1, 8, 3, 7, 1):
-            stats = ChannelStatistics(10.0 ** rng.uniform(-1.0, 3.0), t, n)
+            stats = ChannelStatistics(10.0 ** rng.uniform(-1.0, 3.0), Transmit(t), n)
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             pairs.append((stats, 4.0 * (g @ g.conj().T) / np.trace(g @ g.conj().T).real))
         starts = [None, 0.3, 0.01, None, 2.0, None, 0.5]
@@ -208,7 +208,7 @@ class TestBatchedSolve:
         # at every iteration; the links after it in the batch, in the
         # same Newton stack, still stop when their own residuals are small.
         t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
-        pairs = [(ChannelStatistics(snr, t, 2), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
+        pairs = [(ChannelStatistics(snr, Transmit(t), 2), np.eye(3)) for snr in (np.inf, 1.0, 10.0)]
         monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 50)
         with np.errstate(invalid="ignore"):
             expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
@@ -225,7 +225,7 @@ class TestBatchedSolve:
         sizes = [stats.num_tx for stats, _ in pairs]
         bad = next(i for i, m in enumerate(sizes) if sizes.count(m) > 1)
         stats, p = pairs[bad]
-        k_bad = stats.t_sqrt @ p @ stats.t_sqrt
+        k_bad = stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt
         expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
         failed = []
         original = detequiv.psd_eigh_stack
@@ -263,7 +263,7 @@ class TestDesignSpectra:
         given = [(stats, p, k) for stats, p, _, k in pairs if k is not None]
         for stats, p, k in given:
             expected = factored_spectrum(stats, p)
-            scale = np.linalg.eigvalsh(stats.t_corr)[-1] * np.linalg.eigvalsh(p)[-1]
+            scale = np.linalg.eigvalsh(stats.transmit.t_corr)[-1] * np.linalg.eigvalsh(p)[-1]
             assert (np.diff(k) >= 0.0).all() and k[0] >= 0.0
             assert np.abs(k - expected).max() <= 1e-12 * expected[-1] + 1e-15 * scale
         return given
@@ -433,14 +433,15 @@ class TestWorkGuard:
         # strategy) pair on its own, in far fewer eigendecompositions:
         # 1,318 when every K was factored alone. Cold, each of the 62
         # distinct ArraySpecs factors its T twice (gen_correlation's PSD
-        # check, then t_eigh), 124 in all, and 64 of the 126 links reuse
-        # a cached T; warm, all 126 do. So gen_correlation runs once per
-        # distinct spec cold and never warm. Every K's spectrum comes from
-        # its design but the water-filling eavesdropper's: one stack in
-        # each of the 40 lockstep steps that run wf loops. The 1,066 solves run
-        # as 44 Newton stacks, one per M and batch, and each outer
-        # iteration's solves start from the deltas before them: 3,178
-        # iterations, against 4,944 from the top of every bracket.
+        # check, then its Transmit's), 124 in all, and 64 of the 126 links
+        # reuse a cached Transmit; warm, all 126 do. So gen_correlation
+        # runs once per distinct spec cold and never warm. Every K's
+        # spectrum comes from its design but the water-filling
+        # eavesdropper's: one stack in each of the 40 lockstep steps that
+        # run wf loops. The 1,066 solves run as 44 Newton stacks, one per
+        # M and batch, and each outer iteration's solves start from the
+        # deltas before them: 3,178 iterations, against 4,944 from the top
+        # of every bracket.
         eighs, batches, iterations, groups, specs = [], [], [], [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
         original_newton, original_correlation = detequiv._newton, experiment.gen_correlation

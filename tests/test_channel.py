@@ -7,15 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.special import j0, roots_legendre
 
 from helpers import iid_stats, link_channels
 import wiretap_lsl
 from wiretap_lsl import channel, detequiv
-from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
-from wiretap_lsl.detequiv import solve_fixed_point
-from wiretap_lsl.errors import QuadratureFailure
-from wiretap_lsl.linalg import psd_eigh
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, sample_channel_block
+from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
+from wiretap_lsl.errors import NotPsd, QuadratureFailure
+from wiretap_lsl.linalg import congruence, psd_eigh
+from wiretap_lsl.precoders import Strategy, optimize
 
 
 @lru_cache(maxsize=2)
@@ -164,6 +165,24 @@ class TestQuadrature:
         gen_correlation(ArraySpec(6, 1.0, 40.0, 5.0))
         assert max(used) <= 256
 
+    @pytest.mark.parametrize("spread", [1e-15, 1e-16, 1e-100, 1e-200, 1e-300])
+    @pytest.mark.parametrize("theta", [0.0, 40.0, -90.0, 180.0])
+    def test_vanishing_spread_gives_plane_wave(self, theta, spread):
+        # Below about 1e-15 degrees the window theta +- 10 sigma rounds to
+        # one point, or sigma**2 underflows; there the row is the limit
+        # sigma -> 0, the plane wave from theta, as the quadrature gives
+        # just above, and no floating-point warning is raised.
+        spec = ArraySpec(6, 1.0, theta, spread)
+        plane = np.exp(2j * np.pi * np.arange(6) * np.sin(np.deg2rad(theta)))
+        assert np.abs(channel._correlation_row(spec) - plane).max() <= 1e-13
+        assert np.abs(gen_correlation(spec) - np.outer(plane, plane.conj())).max() <= 1e-12
+
+    def test_huge_spread_gives_uniform_limit(self):
+        # sigma**2 overflows to inf, so every node weighs the same: the
+        # uniform-azimuth limit J0(2 pi d k), with no overflow warning.
+        row = channel._correlation_row(ArraySpec(6, 1.0, 40.0, 1e300))
+        assert np.abs(row - j0(2 * np.pi * np.arange(6))).max() <= 1e-9
+
     def test_failure_when_rows_never_settle(self, monkeypatch):
         spec = ArraySpec(32, 3.0, 0.0, 60.0)
         monkeypatch.setattr(channel, "_QUAD_MAX_NODES", 128)
@@ -297,7 +316,7 @@ class TestSampleChannel:
         # In the eigenbasis of K = T^(1/2) P T^(1/2) the Kronecker
         # covariance (rho/M) K^T (x) I_N is diagonal: (rho/M) k_j.
         m = t.shape[0]
-        stats = ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
+        stats = ChannelStatistics(snr=snr, transmit=Transmit(t), num_rx=n)
         k = solve_fixed_point(stats, p).k_eigs
         samples = link_channels([stats], [k], 10_000, np.random.default_rng(5))
         vecs = samples.reshape(len(samples), -1, order="F")  # vec(G) stacks columns
@@ -322,7 +341,7 @@ class TestStatisticsCache:
         # R = I, e = rho / (1 + delta) and the MI's receive term
         # N ln(1 + delta), are the sums over that spectrum, to roundoff.
         assert psd_eigh(np.eye(n))[0].tolist() == np.linalg.eigvalsh(np.eye(n)).tolist() == [1.0] * n
-        stats = ChannelStatistics(snr=3.0, t_corr=gen_correlation(ArraySpec(4, 0.5, 40.0, 20.0)), num_rx=n)
+        stats = ChannelStatistics(snr=3.0, transmit=Transmit(gen_correlation(ArraySpec(4, 0.5, 40.0, 20.0))), num_rx=n)
         fp = solve_fixed_point(stats, np.eye(4))
         assert fp.e == 3.0 / (1.0 + fp.delta)
         assert fp.e == pytest.approx((3.0 / n) * np.sum(np.ones(n) / (1.0 + fp.delta)), rel=1e-15)
@@ -338,16 +357,51 @@ class TestStatisticsCache:
             calls.append(a)
             return original(a)
 
-        # T is factored once by the link, K once per solve at a caller's
+        # T is factored once by its Transmit, K once per solve at a caller's
         # own P. R = I is never factored.
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        stats = ChannelStatistics(snr=1.0, t_corr=t, num_rx=2)
+        stats = ChannelStatistics(snr=1.0, transmit=Transmit(t), num_rx=2)
         p = np.diag([0.5, 1.0, 1.5])
         k = solve_fixed_point(stats, p).k_eigs
         solve_fixed_point(stats, np.eye(3))
         assert len(calls) == 3 and np.array_equal(calls[0][0], t)
-        assert np.allclose(k, np.linalg.eigvalsh(stats.t_sqrt @ p @ stats.t_sqrt), atol=1e-12)
-        assert np.allclose(stats.t_sqrt @ stats.t_sqrt, t, atol=1e-12)
+        assert np.allclose(k, np.linalg.eigvalsh(stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt), atol=1e-12)
+        assert np.allclose(stats.transmit.t_sqrt @ stats.transmit.t_sqrt, t, atol=1e-12)
+
+
+class TestTransmit:
+    def test_factors_once(self, monkeypatch):
+        # T is factored when the Transmit is made, and never again: not
+        # by the links that share it, nor by a solve or a design.
+        t = gen_correlation(ArraySpec(4, 0.5, 40.0, 20.0))
+        calls = []
+        original = channel.psd_eigh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(channel, "psd_eigh", counting)
+        transmit = Transmit(t)
+        main, eave = (ChannelStatistics(1.0, transmit, n) for n in (4, 2))
+        rate = lsl_secrecy_rate(main, eave, np.eye(4))
+        optimize(Strategy.WATER_FILLING, rate)
+        assert len(calls) == 1
+
+    def test_holds_read_only_factors_of_its_own_copy(self):
+        t = gen_correlation(ArraySpec(3, 0.5, 40.0, 20.0))
+        transmit = Transmit(t)
+        lam, q = psd_eigh(t)
+        assert t.flags.writeable and transmit.t_corr is not t and np.array_equal(transmit.t_corr, t)
+        assert np.array_equal(transmit.t_eigh[0], lam) and np.array_equal(transmit.t_eigh[1], q)
+        assert np.array_equal(transmit.t_sqrt, congruence(q, np.sqrt(lam)))
+        assert not any(x.flags.writeable for x in (transmit.t_corr, *transmit.t_eigh, transmit.t_sqrt))
+        with pytest.raises(ValueError, match="read-only"):
+            transmit.t_sqrt[0, 0] = 0.0
+
+    def test_not_psd_raises_at_construction(self):
+        with pytest.raises(NotPsd):
+            Transmit(np.diag([1.0, -1e-6]))
 
 
 class TestIdentity:
@@ -393,9 +447,7 @@ class TestValidation:
         [
             ("snr", float("nan")),
             ("snr", -1.0),
-            ("t_corr", np.ones((2, 3))),
-            ("t_corr", np.ones(3)),
-            ("t_corr", np.empty((0, 0))),
+            ("transmit", np.eye(2)),
             ("num_rx", 0),
             ("num_rx", -1),
             ("num_rx", float("nan")),
@@ -409,9 +461,7 @@ class TestValidation:
         ids=[
             "nan-snr",
             "negative-snr",
-            "non-square-t",
-            "1d-t",
-            "empty-t",
+            "bare-array-t",
             "zero-r",
             "negative-r",
             "nan-r",
@@ -423,6 +473,16 @@ class TestValidation:
         ],
     )
     def test_invalid_link_rejected(self, field, value):
-        link = {"snr": 1.0, "t_corr": np.eye(2), "num_rx": 3, field: value}
+        # A link takes T as a Transmit, never as the bare matrix.
+        link = {"snr": 1.0, "transmit": Transmit(np.eye(2)), "num_rx": 3, field: value}
         with pytest.raises(ValueError, match=field):
             ChannelStatistics(**link)
+
+    @pytest.mark.parametrize(
+        "t_corr",
+        [np.ones((2, 3)), np.ones(3), np.empty((0, 0))],
+        ids=["non-square-t", "1d-t", "empty-t"],
+    )
+    def test_invalid_transmit_rejected(self, t_corr):
+        with pytest.raises(ValueError, match="t_corr"):
+            Transmit(t_corr)

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import iid_stats
 from wiretap_lsl import detequiv
-from wiretap_lsl.channel import ChannelStatistics, gen_correlation, ArraySpec
+from wiretap_lsl.channel import ChannelStatistics, Transmit, gen_correlation, ArraySpec
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.errors import NoConvergence, NotPsd
 from wiretap_lsl.linalg import hermitianize
@@ -26,7 +26,7 @@ def scalar_delta(rho, beta):
 
 def fig_default_stats(snr_db, m=4):
     t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
-    return ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, num_rx=m)
+    return ChannelStatistics(snr=10.0 ** (snr_db / 10.0), transmit=Transmit(t), num_rx=m)
 
 
 class TestFixedPoint:
@@ -119,16 +119,14 @@ class TestSpectraOnce:
     def test_one_eigendecomposition_per_link(self, eigh_calls):
         main = fig_default_stats(10.0)
         eave = iid_stats(10.0, 2, 4)
-        for stats in (main, eave):  # T's spectrum, cached per link
-            stats.t_sqrt
-        eigh_calls.clear()
+        eigh_calls.clear()  # each link's T, factored by its Transmit
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         # One stacked eigendecomposition holds K = T^(1/2) P T^(1/2) of
         # each link, main first.
         (stack,) = eigh_calls
         assert stack.shape == (2, 4, 4)
-        assert np.allclose(stack[0], main.t_corr, atol=1e-12)
-        assert np.allclose(stack[1], eave.t_corr, atol=1e-12)
+        assert np.allclose(stack[0], main.transmit.t_corr, atol=1e-12)
+        assert np.allclose(stack[1], eave.transmit.t_corr, atol=1e-12)
         assert rate.fp_main == solve_fixed_point(main, np.eye(4))
         assert rate.fp_eave == solve_fixed_point(eave, np.eye(4))
 
@@ -136,7 +134,7 @@ class TestSpectraOnce:
         stats = fig_default_stats(10.0)
         p = np.diag([2.0, 1.0, 0.5, 0.5])
         fp = solve_fixed_point(stats, p)
-        expected = np.linalg.eigvalsh(stats.t_sqrt @ p @ stats.t_sqrt)
+        expected = np.linalg.eigvalsh(stats.transmit.t_sqrt @ p @ stats.transmit.t_sqrt)
         assert np.allclose(fp.k_eigs, np.clip(expected, 0.0, None), atol=1e-12)
 
 
@@ -163,7 +161,7 @@ class TestMutualInformation:
         q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
 
         def mi(t_mat, p_mat):
-            stats = ChannelStatistics(snr=3.0, t_corr=t_mat, num_rx=m)
+            stats = ChannelStatistics(snr=3.0, transmit=Transmit(t_mat), num_rx=m)
             return solve_fixed_point(stats, p_mat).mi
 
         base = mi(t, p)
@@ -174,7 +172,7 @@ class TestMutualInformation:
         t = gen_correlation(ArraySpec(3, 1.0, 40.0, 5.0))
         previous = -1.0
         for snr in [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]:
-            stats = ChannelStatistics(snr=snr, t_corr=t, num_rx=3)
+            stats = ChannelStatistics(snr=snr, transmit=Transmit(t), num_rx=3)
             mi = solve_fixed_point(stats, np.eye(3)).mi
             assert mi > previous
             previous = mi
@@ -189,7 +187,7 @@ class TestMiVariance:
         # sum k / (1 + b e(d) k), e(d) = rho / (1 + d) at R = I.
         m, n, rho = 4, 6, 5.0
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
-        stats = ChannelStatistics(snr=rho, t_corr=t, num_rx=n)
+        stats = ChannelStatistics(snr=rho, transmit=Transmit(t), num_rx=n)
         fp = solve_fixed_point(stats, np.diag([2.0, 1.0, 0.6, 0.4]).astype(complex))
 
         def g(d):

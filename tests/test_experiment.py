@@ -7,7 +7,7 @@ import pytest
 
 from helpers import isotropic_start
 from wiretap_lsl import cli, detequiv, experiment, montecarlo, precoders
-from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
+from wiretap_lsl.channel import ArraySpec, Transmit, gen_correlation
 from wiretap_lsl.cli import main as cli_main
 from wiretap_lsl.errors import (
     BisectionFailure,
@@ -215,6 +215,30 @@ class TestParseConfig:
         assert ExperimentConfig(**{**counts, field: np.int64(counts[field])}, sweep="snr", sweep_grid=(0.0,))
         with pytest.raises(ValidationError, match="must be integers"):
             ExperimentConfig(**{**counts, field: value}, sweep="snr", sweep_grid=(0.0,))
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ("wf", "not one string"),
+            (Strategy.WATER_FILLING, "not one string"),
+            (("xx",), "not a valid Strategy"),
+            (("wf", 1), "not a valid Strategy"),
+            (("wf", "wf"), "must not repeat"),
+            (("iso", Strategy.ISOTROPIC), "must not repeat"),
+            ((), "nonempty"),
+        ],
+        ids=["bare-string", "bare-member", "unknown", "number", "repeated", "repeated-as-member", "empty"],
+    )
+    def test_invalid_strategies_rejected(self, strategies, message):
+        # Through the Python API: "wf" would iterate as "w", "f", and a
+        # repeated name would write its rows twice.
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(m=2, n_main=3, n_eave=4, sweep="snr", sweep_grid=(0.0,), strategies=strategies)
+
+    def test_repeated_strategy_rejected_from_json(self, tmp_path):
+        path = write_config(tmp_path / "c.json", strategies=["gsvd", "iso", "gsvd"])
+        with pytest.raises(ValidationError, match="must not repeat"):
+            parse_config(path)
 
 
 class TestRunSweep:
@@ -502,11 +526,12 @@ class TestRunSweep:
 
     def test_factorizations_per_point(self, monkeypatch):
         # Cold, two eigendecompositions of each ArraySpec's T
-        # (gen_correlation's PSD check, then t_eigh), which every link of
-        # the spec shares. Then one stack per batched solve that holds a
-        # K to factor: only the water-filling eavesdropper's, one per wf
-        # outer iteration, since every other K's spectrum comes from its
-        # design and R = I is never factored. Warm, only those stacks.
+        # (gen_correlation's PSD check, then its Transmit's), which every
+        # link of the spec shares. Then one stack per batched solve that
+        # holds a K to factor: only the water-filling eavesdropper's, one
+        # per wf outer iteration, since every other K's spectrum comes
+        # from its design and R = I is never factored. Warm, only those
+        # stacks.
         eighs, batches = [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
 
@@ -539,18 +564,18 @@ class TestRunSweep:
         assert all(row.error == "row did not settle" for row in rows)
 
     def test_links_of_one_spec_share_t(self):
-        # Both points of an SNR sweep read one T per link from the bounded
-        # per-ArraySpec cache, with the factorization a link of their own
-        # makes, all read-only.
+        # Both points of an SNR sweep hold one Transmit per link from the
+        # bounded per-ArraySpec cache, factored as a Transmit of their own
+        # is, all read-only.
         config = figure_preset("fig2")
         first, second = (build_statistics(point_config(config, value)) for value in (0.0, 5.0))
         for a, b, spec in zip(first, second, (config.array_main, config.array_eave)):
-            assert a.t_corr is b.t_corr and a.t_eigh is b.t_eigh and a.t_sqrt is b.t_sqrt
-            own = ChannelStatistics(a.snr, gen_correlation(spec), a.num_rx)
-            assert [x.tobytes() for x in (a.t_corr, *a.t_eigh, a.t_sqrt)] == [
+            assert a.transmit is b.transmit
+            shared, own = a.transmit, Transmit(gen_correlation(spec))
+            assert [x.tobytes() for x in (shared.t_corr, *shared.t_eigh, shared.t_sqrt)] == [
                 x.tobytes() for x in (own.t_corr, *own.t_eigh, own.t_sqrt)
             ]
-            assert not any(x.flags.writeable for x in (a.t_corr, *a.t_eigh, a.t_sqrt))
+            assert not any(x.flags.writeable for x in (shared.t_corr, *shared.t_eigh, shared.t_sqrt))
         assert experiment._transmit.cache_info()[:4] == (2, 2, 256, 2)
 
     def test_statistics_failure_is_not_cached(self, monkeypatch):

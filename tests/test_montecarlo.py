@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 from helpers import iid_stats, link_channels, reference_secrecy_estimate
 from wiretap_lsl import channel, experiment, montecarlo
-from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation, sample_channel_block
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
 from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_preset, run_sweep, write_csv
 from wiretap_lsl.linalg import hermitianize
@@ -39,7 +39,7 @@ def reference_mc_ergodic_mi(stats, p, n, seed):
     Returns (mean, std_error) over n realizations drawn in blocks of 256,
     in order, from one generator seeded as mc_ergodic_mi seeds its own.
     """
-    t_sqrt = principal_sqrt(stats.t_corr)
+    t_sqrt = principal_sqrt(stats.transmit.t_corr)
     values = []
     rng = np.random.default_rng(seed)
     for start in range(0, n, 256):
@@ -60,7 +60,7 @@ def reference_mc_ergodic_mi(stats, p, n, seed):
 
 def correlated_stats(snr, n, m):
     t = gen_correlation(ArraySpec(m, 1.0, 40.0, 5.0))
-    return ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
+    return ChannelStatistics(snr=snr, transmit=Transmit(t), num_rx=n)
 
 
 def generic_precoder(m, seed=0):
@@ -118,7 +118,7 @@ class TestKernelOracle:
         # the same channel.
         t = np.diag(np.linspace(0.4, 1.6, m)).astype(complex)
         p = np.diag(np.linspace(0.0, 2.0, m)).astype(complex)
-        stats = ChannelStatistics(snr=10.0, t_corr=t, num_rx=n)
+        stats = ChannelStatistics(snr=10.0, transmit=Transmit(t), num_rx=n)
         est = mc_ergodic_mi(solve_fixed_point(stats, p), 700, seed=17)
         mean, std_error = reference_mc_ergodic_mi(stats, p, 700, seed=17)
         assert est.mean == pytest.approx(mean, rel=1e-12, abs=1e-14)
@@ -173,7 +173,7 @@ def expansion_case(n, m, snr, count, seed, links=2):
     an even ramp from 0 to 2, the others uniform in [0, 2] with a 0 at a
     random entry; and a block of count draws of W."""
     rng = np.random.default_rng(seed)
-    stats = ChannelStatistics(snr=snr, t_corr=np.eye(m), num_rx=n)
+    stats = ChannelStatistics(snr=snr, transmit=Transmit(np.eye(m)), num_rx=n)
     k_eigs = [np.linspace(0.0, 2.0, m)]
     for _ in range(links - 1):
         k = rng.uniform(0.0, 2.0, m)
@@ -366,7 +366,7 @@ class TestGroups:
             m = int(rng.integers(orders[0], orders[1] + 1))
             n = int(rng.integers(orders[0], orders[1] + 4))
             links, count = int(rng.integers(1, 4)), int(rng.integers(1, 257))
-            stats = ChannelStatistics(snr=10.0 ** rng.uniform(-2.0, 6.0), t_corr=np.eye(m), num_rx=n)
+            stats = ChannelStatistics(snr=10.0 ** rng.uniform(-2.0, 6.0), transmit=Transmit(np.eye(m)), num_rx=n)
             k_eigs = [rng.uniform(0.0, 2.0, m) * (rng.random(m) > 0.2) for _ in range(links)]
             weights = montecarlo._column_weights([stats] * links, k_eigs)
             w = sample_channel_block(count, n + int(rng.integers(0, 3)), m, rng)
@@ -734,8 +734,8 @@ class TestMcSecrecyRate:
         # same W alone and paired.
         t_main = gen_correlation(ArraySpec(4, 0.5, 40.0, 10.0))
         t_eave = gen_correlation(ArraySpec(4, 0.5, -10.0, 10.0))
-        main = ChannelStatistics(snr=1e6, t_corr=t_main, num_rx=4)
-        eave = ChannelStatistics(snr=2.5e5, t_corr=t_eave, num_rx=4)
+        main = ChannelStatistics(snr=1e6, transmit=Transmit(t_main), num_rx=4)
+        eave = ChannelStatistics(snr=2.5e5, transmit=Transmit(t_eave), num_rx=4)
         rate = lsl_secrecy_rate(main, eave, np.eye(4))
         est = mc_secrecy_rate([rate], 3000, seed=1)[0]
         em, ee = mc_ergodic_mi(rate.fp_main, 3000, seed=1), mc_ergodic_mi(rate.fp_eave, 3000, seed=1)
@@ -1013,7 +1013,7 @@ class TestCltVariance:
         # (worst at M = N = 4, 20 dB); the sample variance alone is
         # uncertain by about 1.5%.
         t = gen_correlation(ArraySpec(m, 0.5, 40.0, 10.0))
-        stats = ChannelStatistics(snr=10.0 ** (snr_db / 10.0), t_corr=t, num_rx=n)
+        stats = ChannelStatistics(snr=10.0 ** (snr_db / 10.0), transmit=Transmit(t), num_rx=n)
         fp = solve_fixed_point(stats, generic_precoder(m, CLT_CASES.index((m, n, snr_db))))
         est = mc_ergodic_mi(fp, 20_480, seed=CLT_CASES.index((m, n, snr_db)))
         assert est.std_error**2 * 20_480 == pytest.approx(fp.mi_variance, rel=0.08)

@@ -14,7 +14,7 @@ from helpers import (
     waterfill_row,
 )
 from wiretap_lsl import detequiv, precoders
-from wiretap_lsl.channel import ArraySpec, ChannelStatistics, gen_correlation
+from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation
 from wiretap_lsl.detequiv import lsl_secrecy_rate, lsl_secrecy_rates
 from wiretap_lsl.errors import (
     AllZeroGains,
@@ -42,7 +42,7 @@ from wiretap_lsl.precoders import (
 
 def correlated_stats(snr, n, m, theta, spacing=1.0, spread=5.0):
     t = gen_correlation(ArraySpec(m, spacing, theta, spread))
-    return ChannelStatistics(snr=snr, t_corr=t, num_rx=n)
+    return ChannelStatistics(snr=snr, transmit=Transmit(t), num_rx=n)
 
 
 def column_norms2(x):
@@ -223,7 +223,7 @@ class TestWaterfillPrecoder:
         # two-channel case with budget 2.
         em, beta = 0.7, 1.5
         t = np.diag([4.0, 1.0]) / (beta * em)
-        stats = ChannelStatistics(snr=1.0, t_corr=t, num_rx=3)
+        stats = ChannelStatistics(snr=1.0, transmit=Transmit(t), num_rx=3)
         p = waterfill_precoder(stats, em=em)
         lam = np.sort(np.linalg.eigvalsh(p))
         assert np.allclose(lam, [0.625, 1.375], atol=1e-10)
@@ -314,8 +314,8 @@ class TestGsvdPrecoder:
         em, ee = 1.2, 0.9
         p = gsvd_precoder(main, eave, em=em, ee=ee)
 
-        a = np.sqrt(main.beta * em) * main.t_sqrt
-        b = np.sqrt(eave.beta * ee) * eave.t_sqrt
+        a = np.sqrt(main.beta * em) * main.transmit.t_sqrt
+        b = np.sqrt(eave.beta * ee) * eave.transmit.t_sqrt
         sigma_m, sigma_e, x = gsvd_pair(a, b)
         # P = X diag(levels) Xᴴ with X = V^-H, so X⁻¹ P X⁻ᴴ recovers the diagonal
         x_inv = np.linalg.inv(x)
@@ -324,8 +324,8 @@ class TestGsvdPrecoder:
         # uses the whole budget
         assert np.dot(levels, column_norms2(x)) == pytest.approx(m, abs=1e-8)
         # the log-det gap at frozen (em, ee) separates over subchannels
-        k_m = np.linalg.eigvalsh(main.t_sqrt @ p @ main.t_sqrt)
-        k_e = np.linalg.eigvalsh(eave.t_sqrt @ p @ eave.t_sqrt)
+        k_m = np.linalg.eigvalsh(main.transmit.t_sqrt @ p @ main.transmit.t_sqrt)
+        k_e = np.linalg.eigvalsh(eave.transmit.t_sqrt @ p @ eave.transmit.t_sqrt)
         direct = np.sum(np.log1p(main.beta * em * k_m)) - np.sum(np.log1p(eave.beta * ee * k_e))
         separable = np.sum(np.log1p(sigma_m**2 * levels) - np.log1p(sigma_e**2 * levels))
         assert direct / m == pytest.approx(separable / m, abs=1e-8)
@@ -351,7 +351,9 @@ class TestGsvdPrecoder:
         monkeypatch.setattr(precoders, "subchannel_terms", building)
         monkeypatch.setattr(precoders, "gsvd_power_allocation", recording)
         gsvd_precoder(main, eave, em=1.2, ee=0.9)
-        _, _, x = gsvd_pair(np.sqrt(main.beta * 1.2) * main.t_sqrt, np.sqrt(eave.beta * 0.9) * eave.t_sqrt)
+        _, _, x = gsvd_pair(
+            np.sqrt(main.beta * 1.2) * main.transmit.t_sqrt, np.sqrt(eave.beta * 0.9) * eave.transmit.t_sqrt
+        )
         assert len(built) == 1 and costs and all(cost.tobytes() == built[0].tobytes() for cost in costs)
         assert np.allclose(built[0][0], np.diag(x.conj().T @ x).real, atol=1e-10)
         assert np.all(built[0] > 0)
@@ -359,8 +361,8 @@ class TestGsvdPrecoder:
     def test_total_power_monotone_in_mu(self):
         main = correlated_stats(10.0, 3, 4, 40.0)
         eave = correlated_stats(10.0, 2, 4, -10.0)
-        a = np.sqrt(main.beta * 1.0) * main.t_sqrt
-        b = np.sqrt(eave.beta * 1.0) * eave.t_sqrt
+        a = np.sqrt(main.beta * 1.0) * main.transmit.t_sqrt
+        b = np.sqrt(eave.beta * 1.0) * eave.transmit.t_sqrt
         sigma_m, sigma_e, x = gsvd_pair(a, b)
         cost = column_norms2(x)
         powers = [
@@ -454,8 +456,8 @@ def random_link_pair(rng):
     lam_e[rng.random(m) < 0.2] = 0.0
     lam_m[np.argmax(lam_m)] += 1.0  # keeps [A; B] of full rank where lam_e is 0
     lam_m[lam_e == 0.0] = np.maximum(lam_m[lam_e == 0.0], 0.1)
-    main = ChannelStatistics(snr=1.0, t_corr=(q * lam_m) @ q.conj().T, num_rx=n)
-    eave = ChannelStatistics(snr=1.0, t_corr=(q * lam_e) @ q.conj().T, num_rx=n)
+    main = ChannelStatistics(snr=1.0, transmit=Transmit((q * lam_m) @ q.conj().T), num_rx=n)
+    eave = ChannelStatistics(snr=1.0, transmit=Transmit((q * lam_e) @ q.conj().T), num_rx=n)
     em = 10.0 ** rng.uniform(-20.0, 6.0)
     ee = em if rng.random() < 0.3 else 10.0 ** rng.uniform(-20.0, 6.0)
     return main, eave, em, ee
@@ -562,7 +564,7 @@ def oracle_bytes(oracle, *args, **kwargs):
 def reference_waterfill_precoder(stats_m, em):
     """waterfill_precoders' Design of one link, its levels from the 1-D
     oracle and the main link's spectrum lam * levels."""
-    lam, q = stats_m.t_eigh
+    lam, q = stats_m.transmit.t_eigh
     m = stats_m.num_tx
     levels = reference_waterfill_levels(stats_m.beta * em * lam, float(m))[0]
     p = congruence(q, levels)
@@ -620,7 +622,7 @@ def rank_deficient_pair(rng):
     for _ in range(2):
         lam = rng.exponential(1.0, m)
         lam[0] = 0.0
-        links.append(ChannelStatistics(snr=1.0, t_corr=(q * lam) @ q.conj().T, num_rx=2))
+        links.append(ChannelStatistics(snr=1.0, transmit=Transmit((q * lam) @ q.conj().T), num_rx=2))
     return links[0], links[1], 1.0, 1.0
 
 
@@ -651,8 +653,8 @@ class TestStackedDesigns:
         for items in calls:
             expected = [oracle_bytes(reference_gsvd_precoder, *item) for item in items]
             assert [outcome_bytes(p) for p in gsvd_precoders(items)] == expected
-            a = np.stack([np.sqrt(main.beta * em) * main.t_sqrt for main, _, em, _ in items])
-            b = np.stack([np.sqrt(eave.beta * ee) * eave.t_sqrt for _, eave, _, ee in items])
+            a = np.stack([np.sqrt(main.beta * em) * main.transmit.t_sqrt for main, _, em, _ in items])
+            b = np.stack([np.sqrt(eave.beta * ee) * eave.transmit.t_sqrt for _, eave, _, ee in items])
             *factors, errors = gsvd(a, b)
             assert errors == [None] * len(items)
             for i in range(len(items)):
@@ -664,7 +666,7 @@ class TestStackedDesigns:
         for items in preset_wf_calls:
             expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in items]
             assert [outcome_bytes(p) for p in waterfill_precoders(items)] == expected
-            gains = np.stack([main.beta * em * main.t_eigh[0] for main, em in items])
+            gains = np.stack([main.beta * em * main.transmit.t_eigh[0] for main, em in items])
             assert_rows_match_oracle(gains, float(gains.shape[-1]))
 
     def test_random_waterfill_stacks(self):
@@ -720,9 +722,9 @@ class TestStackedDesigns:
         # loses the budget to cancellation and the levels sum to 16. That
         # element gets OverBudget as its result, and the other elements
         # of its stack keep their bytes.
-        tiny = ChannelStatistics(snr=1.0, t_corr=np.diag(np.linspace(0.04, 1.1, 13)), num_rx=13)
-        assert tiny.beta * 1e-17 * tiny.t_eigh[0].min() == pytest.approx(4e-19)
-        good = ChannelStatistics(snr=1.0, t_corr=gen_correlation(ArraySpec(13, 0.5, 20.0, 10.0)), num_rx=13)
+        tiny = ChannelStatistics(snr=1.0, transmit=Transmit(np.diag(np.linspace(0.04, 1.1, 13))), num_rx=13)
+        assert tiny.beta * 1e-17 * tiny.transmit.t_eigh[0].min() == pytest.approx(4e-19)
+        good = ChannelStatistics(snr=1.0, transmit=Transmit(gen_correlation(ArraySpec(13, 0.5, 20.0, 10.0))), num_rx=13)
         items = [(good, 1.0), (tiny, 1e-17), (good, 3.0)]
         expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in items]
         assert expected[1] == (OverBudget, "trace 16.000000 exceeds budget 13.0")
@@ -757,9 +759,7 @@ class TestOptimize:
             calls.append(a)
             return original(a)
 
-        for stats in (main, eave):
-            stats.t_sqrt  # T factored once per link, before counting
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)  # after each Transmit factored its T
         _, _, iterations = optimize(Strategy.WATER_FILLING, isotropic_start(main, eave))
         assert 1 < iterations < precoders._OUTER_MAX_ITER
         # The water-filling steps reuse the main link's cached T spectrum,
