@@ -7,11 +7,14 @@ numerical integrals over the azimuth angle, normalized to a unit
 diagonal. The integrals run over the window theta +- 10 sigma clipped
 to [-pi, pi], outside which the spectrum is below exp(-50) of its peak,
 with Gauss-Legendre node doubling until two successive rows agree.
+gen_correlation only builds T; it is PSD up to the quadrature's
+roundoff.
 
 A link is its SNR, its receive antenna count and a Transmit: T with the
 eigendecomposition and square root that every solve and design reads,
 factored once, when the Transmit is made, and shared by every link
-that holds it.
+that holds it. The Transmit is the one place that checks T, clips its
+roundoff negative eigenvalues and factors it.
 
 The Gauss-Legendre rules, 64 * 2**k nodes up to _QUAD_MAX_NODES, are
 read from gauss_legendre.npz beside this module: for each node count,
@@ -71,13 +74,16 @@ class ArraySpec:
 
 @dataclass(frozen=True, eq=False)
 class Transmit:
-    """A transmit correlation T, factored once, when it is made: t_eigh
-    is T's eigenvalues (ascending, clipped at 0) and eigenvectors, and
-    t_sqrt = T^(1/2) is built from them. All three arrays are read-only
-    and belong to the Transmit, which works on its own copy of the
-    matrix given, so every link that holds it can share them. A T with
-    an eigenvalue below the PSD tolerance raises NotPsd here, and LAPACK
-    failing on it a LinAlgError.
+    """A transmit correlation T, checked and factored once, when it is
+    made: t_eigh is T's eigenvalues (ascending, clipped at 0) and
+    eigenvectors, and t_sqrt = T^(1/2) is built from them. All three
+    arrays are read-only and belong to the Transmit, which works on its
+    own copy of the matrix given, so every link that holds it can share
+    them. This is the one place where T is checked: an eigenvalue below
+    the PSD tolerance (-1e-12) raises NotPsd, one between it and 0 is
+    quadrature roundoff and is clipped to 0 in t_eigh and t_sqrt (t_corr
+    keeps the matrix given), and LAPACK failing on T raises a
+    LinAlgError.
     """
 
     t_corr: np.ndarray
@@ -183,19 +189,19 @@ def gen_correlation(spec: ArraySpec) -> np.ndarray:
     """Transmit correlation matrix of a ULA under a Gaussian azimuth spectrum.
 
     Entry (a, b) is the normalized integral over [-pi, pi] of
-    exp(2*pi*i*d*(a-b)*sin(phi)) against a Gaussian angular weight; the
-    diagonal is exactly 1. The result is Hermitian PSD (tiny negative
-    eigenvalues from the quadrature are clipped). Raises
+    exp(2*pi*i*d*(a-b)*sin(phi)) against a Gaussian angular weight: the
+    Toeplitz matrix of the first row, rescaled to an exactly unit
+    diagonal. The result is exactly Hermitian, and PSD up to the
+    quadrature's roundoff: it is neither checked nor factored here, but
+    by the Transmit made of it, which clips that roundoff. Raises
     QuadratureFailure if the quadrature does not settle.
     """
     row = _correlation_row(spec)
     m = spec.num_antennas
     idx = np.subtract.outer(np.arange(m), np.arange(m))
     t = np.where(idx >= 0, row[np.abs(idx)], row[np.abs(idx)].conj())
-    lam, q = psd_eigh(t)
-    if lam[0] == 0.0:  # an eigenvalue was clipped, or is exactly 0
-        t = congruence(q, lam)
-    # Rescale to an exactly unit diagonal (congruence, preserves PSD).
+    # Rescale to an exactly unit diagonal: D^-1 T D^-1 with D^2 = diag(T),
+    # which keeps T exactly Hermitian.
     d = np.sqrt(np.diag(t).real)
     t = t / np.outer(d, d)
     np.fill_diagonal(t, 1.0)

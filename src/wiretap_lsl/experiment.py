@@ -59,6 +59,11 @@ class ExperimentConfig:
             raise ValidationError("antenna counts must be >= 1")
         if self.sweep not in SWEEP_KINDS:
             raise ValidationError(f"sweep must be one of {SWEEP_KINDS}")
+        if isinstance(self.sweep_grid, (str, bytes)) or not np.iterable(self.sweep_grid):
+            raise ValidationError("sweep_grid must be a sequence of numbers, not one string or number")
+        values = (*self.sweep_grid, self.snr_main_db, self.snr_eave_db)
+        if not all(is_integer(v) or isinstance(v, (float, np.floating)) for v in values):
+            raise ValidationError("sweep_grid values, snr_main_db and snr_eave_db must be real numbers, not booleans")
         grid = tuple(float(v) for v in self.sweep_grid)
         if not grid:
             raise ValidationError("sweep_grid must be nonempty")

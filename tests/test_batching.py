@@ -432,16 +432,15 @@ class TestWorkGuard:
         # iterations and outer iterations of optimizing each (point,
         # strategy) pair on its own, in far fewer eigendecompositions:
         # 1,318 when every K was factored alone. Cold, each of the 62
-        # distinct ArraySpecs factors its T twice (gen_correlation's PSD
-        # check, then its Transmit's), 124 in all, and 64 of the 126 links
-        # reuse a cached Transmit; warm, all 126 do. So gen_correlation
-        # runs once per distinct spec cold and never warm. Every K's
-        # spectrum comes from its design but the water-filling
-        # eavesdropper's: one stack in each of the 40 lockstep steps that
-        # run wf loops. The 1,066 solves run as 44 Newton stacks, one per
-        # M and batch, and each outer iteration's solves start from the
-        # deltas before them: 3,178 iterations, against 4,944 from the top
-        # of every bracket.
+        # distinct ArraySpecs factors its T once, its Transmit's, and 64
+        # of the 126 links reuse a cached Transmit; warm, all 126 do. So
+        # gen_correlation runs once per distinct spec cold and never warm,
+        # and factors nothing. Every K's spectrum comes from its design
+        # but the water-filling eavesdropper's: one stack in each of the
+        # 40 lockstep steps that run wf loops. The 1,066 solves run as 44
+        # Newton stacks, one per M and batch, and each outer iteration's
+        # solves start from the deltas before them: 3,178 iterations,
+        # against 4,944 from the top of every bracket.
         eighs, batches, iterations, groups, specs = [], [], [], [], []
         original_eigh, original_solve = np.linalg.eigh, detequiv.solve_fixed_points
         original_newton, original_correlation = detequiv._newton, experiment.gen_correlation
@@ -472,7 +471,7 @@ class TestWorkGuard:
             eighs.clear(), batches.clear(), iterations.clear(), groups.clear(), specs.clear()
             rows = [row for name in PRESETS for row in run_sweep(figure_preset(name), include_mc=False).rows]
             assert (sum(batches), sum(iterations), sum(row.outer_iterations for row in rows)) == (1066, 3178, 533)
-            assert (len(batches), len(eighs)) == (44, 40 + (2 * 62 if cold else 0))
+            assert (len(batches), len(eighs)) == (44, 40 + (62 if cold else 0))
             assert (len(specs), len(set(specs))) == ((62, 62) if cold else (0, 0))
             assert (len(groups), sum(groups)) == (44, 1066)
         assert experiment._transmit.cache_info()[:2] == (64 + 126, 62)

@@ -81,16 +81,30 @@ class TestGenCorrelation:
         oracle = (re - 1j * im) / den
         assert abs(t[0, 1] - oracle) <= 1e-10
 
-    # Spacing 0 clips an eigenvalue and rebuilds T from its eigenpairs;
+    # Spacing 0 gives the rank-1 all-ones T, with M - 1 zero eigenvalues;
     # M = 64 is the largest accepted array.
     @pytest.mark.parametrize(
         "spec",
         [ArraySpec(5, 1.5, -10.0, 5.0), ArraySpec(5, 0.0, 40.0, 5.0), ArraySpec(64, 1.0, 40.0, 5.0)],
-        ids=["m5", "m5-spacing0-clipped", "m64"],
+        ids=["m5", "m5-spacing0", "m64"],
     )
     def test_hermitian_symmetry_exact(self, spec):
         t = gen_correlation(spec)
         assert np.array_equal(t, t.conj().T)
+
+    @pytest.mark.parametrize("spacing", [0.0, 1.5])
+    def test_builds_t_without_factoring_it(self, monkeypatch, spacing):
+        # Checking, clipping and factoring T is its Transmit's job alone.
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        t = gen_correlation(ArraySpec(5, spacing, 40.0, 5.0))
+        assert calls == [] and t.shape == (5, 5)
 
     def test_mean_angle_periodicity(self):
         t1 = gen_correlation(ArraySpec(3, 1.0, 40.0, 5.0))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestPresets:
     def test_unknown(self):
         with pytest.raises(UnknownPreset):
             figure_preset("fig9")
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_no_mc_csv_matches_golden(self, tmp_path, name):
+        # The deterministic columns alone, byte for byte: the MC goldens
+        # hold them too, but are regenerated whenever the RNG stream or
+        # the estimator changes, and would take a deterministic move along.
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["run", "--preset", name, "--no-mc", "--no-timestamp", "--out", str(out)]) == 0
+        golden = Path(__file__).resolve().parent / "data" / f"{name}-nomc.csv"
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestParseConfig:
@@ -234,6 +245,25 @@ class TestParseConfig:
         # repeated name would write its rows twice.
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig(m=2, n_main=3, n_eave=4, sweep="snr", sweep_grid=(0.0,), strategies=strategies)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sweep_grid", "159", "not one string or number"),
+            ("sweep_grid", 5.0, "not one string or number"),
+            ("sweep_grid", (True, 2.0), "must be real numbers"),
+            ("sweep_grid", ("a",), "must be real numbers"),
+            ("snr_main_db", "3", "must be real numbers"),
+            ("snr_main_db", None, "must be real numbers"),
+        ],
+        ids=["string-grid", "number-grid", "boolean-grid-value", "string-grid-value", "string-snr", "none-snr"],
+    )
+    def test_invalid_grid_or_snr_rejected(self, field, value, message):
+        # Through the Python API: "159" would iterate as the grid
+        # (1.0, 5.0, 9.0), and True as 1.0.
+        values = {"sweep_grid": (0.0,), field: value}
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(m=2, n_main=2, n_eave=2, sweep="snr", **values)
 
     def test_repeated_strategy_rejected_from_json(self, tmp_path):
         path = write_config(tmp_path / "c.json", strategies=["gsvd", "iso", "gsvd"])
@@ -525,9 +555,8 @@ class TestRunSweep:
         assert sum(map(len, batches)) == 4 + 2 * sum(loops)
 
     def test_factorizations_per_point(self, monkeypatch):
-        # Cold, two eigendecompositions of each ArraySpec's T
-        # (gen_correlation's PSD check, then its Transmit's), which every
-        # link of the spec shares. Then one stack per batched solve that
+        # Cold, one eigendecomposition of each ArraySpec's T, its
+        # Transmit's, which every link of the spec shares. Then one stack per batched solve that
         # holds a K to factor: only the water-filling eavesdropper's, one
         # per wf outer iteration, since every other K's spectrum comes
         # from its design and R = I is never factored. Warm, only those
@@ -550,7 +579,7 @@ class TestRunSweep:
             eighs.clear(), batches.clear()
             rows = run_sweep(config, include_mc=False).rows
             iterations = {row.strategy: row.outer_iterations for row in rows}
-            assert eighs == [1] * (4 * cold + iterations["wf"])
+            assert eighs == [1] * (2 * cold + iterations["wf"])
             assert len(batches) == 1 + max(iterations.values()) and sum(batches) == 8
 
     def test_statistics_failure_fails_every_strategy(self, monkeypatch):
