@@ -48,12 +48,19 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is an int or a float, NumPy ones included, and not a
+    bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """Uniform linear array plus the angular power profile seen by it.
 
     Angles are in degrees at this interface; spacing is in wavelengths.
-    All are finite: a large finite spread gives the uniform-azimuth limit.
+    All are finite real numbers (is_real): a large finite spread gives
+    the uniform-azimuth limit.
     """
 
     num_antennas: int
@@ -64,8 +71,9 @@ class ArraySpec:
     def __post_init__(self):
         if not is_integer(self.num_antennas) or self.num_antennas < 1:
             raise ValueError("num_antennas must be an integer >= 1")
-        if not np.isfinite([self.spacing_wavelengths, self.mean_angle_deg, self.angle_spread_deg]).all():
-            raise ValueError("spacing_wavelengths, mean_angle_deg and angle_spread_deg must be finite")
+        values = self.spacing_wavelengths, self.mean_angle_deg, self.angle_spread_deg
+        if not all(is_real(v) for v in values) or not np.isfinite(values).all():
+            raise ValueError("spacing_wavelengths, mean_angle_deg and angle_spread_deg must be finite real numbers")
         if self.spacing_wavelengths < 0:
             raise ValueError("spacing_wavelengths must be >= 0")
         if self.angle_spread_deg <= 0:
@@ -118,8 +126,8 @@ class ChannelStatistics:
     num_rx: int
 
     def __post_init__(self):
-        if not self.snr >= 0:
-            raise ValueError("snr must be >= 0")
+        if not is_real(self.snr) or not self.snr >= 0:
+            raise ValueError("snr must be a real number >= 0")
         if not isinstance(self.transmit, Transmit):
             raise ValueError("transmit must be a Transmit")
         if not is_integer(self.num_rx) or self.num_rx < 1:

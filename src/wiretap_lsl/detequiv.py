@@ -121,16 +121,18 @@ def solve_fixed_points(
     spectra: Sequence[np.ndarray | None] | None = None,
 ) -> list[FixedPoint | Exception]:
     """solve_fixed_point of every (stats, p) in pairs, each from its start
-    in starts (all cold when starts is None), solved together.
+    in starts (all cold when starts is None), solved together. The links
+    must share M (see shared_num_tx), and starts and spectra, where
+    given, must hold one entry per pair (else ValueError).
 
     spectra holds, per pair, None or the eigenvalues of its K as the
     caller already knows them, ascending and clipped at 0, as the designs
     do (precoders.Design); such a pair's K is not factored, and its
-    FixedPoint carries the spectrum given. The other Ks with the same M
-    are factored in one stacked eigendecomposition.
+    FixedPoint carries the spectrum given. The other Ks are factored in
+    one stacked eigendecomposition (_factor_ks).
 
-    The Newton iterations of all pairs with the same M run together, as
-    one stack, whatever their N: their arrays stack as columns, each
+    The Newton iterations of all pairs but those whose K failed to factor
+    run together, as one stack, whatever their N: their arrays stack as columns, each
     reduced along its own contiguous column, with beta and rho held per
     column, so every sum and every elementwise operation is the one a
     pair alone makes. Each pair keeps its own bracket, start, step test
@@ -141,41 +143,54 @@ def solve_fixed_points(
     (NotPsd, NoConvergence, or a LinAlgError from LAPACK), without a
     traceback, and fails alone.
     """
-    if starts is None:
-        starts = [None] * len(pairs)
-    results = _k_spectra(pairs, spectra)
-    groups = {}
-    for i, ((stats, _), k_eigs) in enumerate(zip(pairs, results)):
-        if not isinstance(k_eigs, Exception):
-            groups.setdefault(stats.num_tx, []).append(i)
-    for slots in groups.values():
+    _one_each(len(pairs), starts=starts, spectra=spectra)
+    starts = [None] * len(pairs) if starts is None else starts
+    results = [None] * len(pairs) if spectra is None else list(spectra)
+    if shared_num_tx([stats for stats, _ in pairs], results) is None:
+        return []
+    unknown = [i for i, k in enumerate(results) if k is None]
+    if unknown:
+        _factor_ks(pairs, unknown, results)
+    slots = [i for i, k in enumerate(results) if not isinstance(k, Exception)]
+    if slots:
         _newton([pairs[i][0] for i in slots], [results[i] for i in slots], [starts[i] for i in slots], slots, results)
     return results
 
 
-def _k_spectra(
-    pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], spectra: Sequence[np.ndarray | None] | None
-) -> list[np.ndarray | Exception]:
-    """The clipped eigenvalues of each pair's K: the one given in spectra,
-    else from one psd_eigh_stack per transmit size M, or the error that
-    factoring it raises. Each link's T^(1/2) was built with its
-    Transmit. The stacks stay small: at most 29 Ks of order 4 in a
-    fig2-fig5 pass, and 4 of order 8 in the benchmark's stress sweeps."""
-    known = [None] * len(pairs) if spectra is None else list(spectra)
-    by_m = {}
-    for i, (stats, _) in enumerate(pairs):
-        if known[i] is None:
-            by_m.setdefault(stats.num_tx, []).append(i)
-    for same_m in by_m.values():
-        _factor_ks(pairs, same_m, known)
-    return known
+def shared_num_tx(links: Sequence[ChannelStatistics], spectra: Sequence[np.ndarray | None] | None = None) -> int | None:
+    """The transmit antenna count M that the links of a batch share, or
+    None for an empty batch. Every batched call of the solve, the designs
+    and Monte Carlo stacks its links' M-sized arrays as one, so a batch
+    is one M, as every batch of a sweep is. Links that differ in M raise
+    ValueError, and so does a spectrum in spectra (one per link, None
+    where not given) without its link's M entries."""
+    if not links:
+        return None
+    m = links[0].num_tx
+    if any(s.num_tx != m for s in links):
+        raise ValueError("all links must share the transmit antenna count")
+    for i, k in enumerate(() if spectra is None else spectra):
+        if k is not None and np.shape(k) != (m,):
+            raise ValueError(f"spectrum {i} has shape {np.shape(k)}, not the ({m},) of its link's M")
+    return m
+
+
+def _one_each(count: int, **lists: Sequence | None) -> None:
+    """ValueError unless each of lists that is given (not None) holds
+    count entries, one for each pair or item of a batch."""
+    for name, values in lists.items():
+        if values is not None and len(values) != count:
+            raise ValueError(f"{name} must hold one entry for each of the {count} given, not {len(values)}")
 
 
 def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: list[int], spectra: list) -> None:
     """Write to spectra[i] the clipped eigenvalues of pairs[i]'s K, or
     the error that factoring it raises, for each i in slots, with one
-    psd_eigh_stack. If LAPACK fails on the stack, its matrices are
-    factored one at a time, so that the failure stays with its pair."""
+    psd_eigh_stack; each link's T^(1/2) was built with its Transmit. The
+    stack stays small: at most 29 Ks of order 4 in a fig2-fig5 pass, and
+    4 of order 8 in the benchmark's stress sweeps. If LAPACK fails on
+    the stack, its matrices are factored one at a time, so that the
+    failure stays with its pair."""
     t_sqrt = np.stack([pairs[i][0].transmit.t_sqrt for i in slots])
     try:
         k_eigs, _, errors = psd_eigh_stack(t_sqrt @ np.stack([pairs[i][1] for i in slots]) @ t_sqrt)
@@ -193,8 +208,9 @@ def _factor_ks(pairs: Sequence[tuple[ChannelStatistics, np.ndarray]], slots: lis
 def _newton(
     stats: list[ChannelStatistics], k_eigs: list[np.ndarray], starts: list, slots: list[int], results: list
 ) -> None:
-    """The safeguarded Newton iteration of solve_fixed_point for links
-    that share M, each from its start, writing each FixedPoint or
+    """The safeguarded Newton iteration of solve_fixed_point for the
+    links of one batch, which share M, each from its start and at its
+    spectrum k_eigs, as one stack, writing each FixedPoint or
     NoConvergence to results[slot]. The links run on (M, B) arrays whose
     columns are contiguous, so each column's sum is a 1-D sum; the
     receive equation at R = I is the closed form e = rho / (1 + d),
@@ -307,15 +323,16 @@ def lsl_secrecy_rates(
     spectra: Sequence[tuple[np.ndarray | None, np.ndarray | None]] | None = None,
 ) -> list[LslRate | Exception]:
     """lsl_secrecy_rate of every (stats_m, stats_e, p) in items, with both
-    links of all of them in one solve_fixed_points call. starts holds,
-    per item, the start delta of its main link's solve and of its
+    links of all of them in one solve_fixed_points call, so every link of
+    the batch must share M (else ValueError, see shared_num_tx). starts
+    holds, per item, the start delta of its main link's solve and of its
     eavesdropper's (see solve_fixed_point); without it every solve is
     cold. spectra holds, per item, K's known eigenvalues or None for
     each link, in the same order (see solve_fixed_points); without it
-    every K is factored. An item that fails gets its main link's error,
-    else its eavesdropper's."""
-    if any(stats_m.num_tx != stats_e.num_tx for stats_m, stats_e, _ in items):
-        raise ValueError("both links must share the transmit antenna count")
+    every K is factored. Each that is given holds one pair of entries per
+    item (else ValueError). An item that fails gets its main link's
+    error, else its eavesdropper's."""
+    _one_each(len(items), starts=starts, spectra=spectra)
     fps = solve_fixed_points(
         [(stats, p) for stats_m, stats_e, p in items for stats in (stats_m, stats_e)],
         None if starts is None else [start for pair in starts for start in pair],

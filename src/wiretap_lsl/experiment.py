@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, is_integer
+from .channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, is_integer, is_real
 from .detequiv import lsl_secrecy_rates
 from .errors import NUMERICAL_FAILURES, ParseError, UnknownPreset, ValidationError, as_value
 from .montecarlo import mc_secrecy_rate
@@ -62,7 +62,7 @@ class ExperimentConfig:
         if isinstance(self.sweep_grid, (str, bytes)) or not np.iterable(self.sweep_grid):
             raise ValidationError("sweep_grid must be a sequence of numbers, not one string or number")
         values = (*self.sweep_grid, self.snr_main_db, self.snr_eave_db)
-        if not all(is_integer(v) or isinstance(v, (float, np.floating)) for v in values):
+        if not all(is_real(v) for v in values):
             raise ValidationError("sweep_grid values, snr_main_db and snr_eave_db must be real numbers, not booleans")
         grid = tuple(float(v) for v in self.sweep_grid)
         if not grid:

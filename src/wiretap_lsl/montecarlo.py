@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelStatistics, sample_channel_block
-from .detequiv import FixedPoint, LslRate
+from .detequiv import FixedPoint, LslRate, shared_num_tx
 from .errors import NUMERICAL_FAILURES, as_value
 
 _BLOCK_SIZE = 256
@@ -356,15 +356,11 @@ class _Group:
 def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndarray]) -> np.ndarray:
     """(rho/2M) k of each link, (links, M), given as equal-length
     sequences of stats and k_eigs. With W as sample_channel_block draws
-    it, G = W diag(sqrt((rho/2M) k)) over W's first N rows. Links that differ in
-    M, a spectrum k without its link's M entries, or sequences of
-    different lengths raise ValueError."""
-    m = stats[0].num_tx
-    if any(s.num_tx != m for s in stats):
-        raise ValueError("all links must share the transmit antenna count")
-    for i, k in enumerate(k_eigs):
-        if np.shape(k) != (m,):
-            raise ValueError(f"spectrum {i} has shape {np.shape(k)}, not the ({m},) of its link's M")
+    it, G = W diag(sqrt((rho/2M) k)) over W's first N rows. Links that
+    differ in M or a spectrum k without its link's M entries
+    (detequiv.shared_num_tx), or sequences of different lengths, raise
+    ValueError."""
+    m = shared_num_tx(stats, k_eigs)
     return np.array([(s.snr / (2.0 * m)) * k for s, k in zip(stats, k_eigs, strict=True)])
 
 
@@ -599,8 +595,9 @@ def mc_secrecy_rate(
     computes the links of the rates still short of their count only.
     Where no variance is seen, as at rho = 0, the count is the pilot.
 
-    All rates share every W, so they must share M, and each link's
-    k_eigs must hold M eigenvalues (else ValueError). W has rows rows,
+    All rates share every W, so a call is one M: the links of all rates
+    must share M, and each link's k_eigs must hold M eigenvalues (else
+    ValueError, see detequiv.shared_num_tx). W has rows rows,
     by default those of the tallest link of any rate, and at least
     those (else ValueError); each link reads W's first N rows. Each rate
     keeps its own law, its own count and its own regression, so its

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelStatistics
-from .detequiv import LslRate, lsl_secrecy_rates
+from .detequiv import LslRate, lsl_secrecy_rates, shared_num_tx
 from .errors import AllZeroGains, BisectionFailure, OuterLoopNoConvergence, OverBudget
 from .linalg import congruence, gsvd
 
@@ -90,15 +90,6 @@ def isotropic_precoder(m: int) -> np.ndarray:
     return np.eye(m, dtype=complex)
 
 
-def _groups(items: Sequence[tuple]) -> list[list[int]]:
-    """The indices of items grouped by the M of their first link, in
-    order of first appearance."""
-    groups = {}
-    for i, item in enumerate(items):
-        groups.setdefault(item[0].num_tx, []).append(i)
-    return list(groups.values())
-
-
 def waterfill_stack(gains: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray, list[AllZeroGains | None]]:
     """Exact water-filling over parallel subchannels, for each row of
     power gains (B, M) with one budget: the levels (B, M), the water
@@ -155,42 +146,38 @@ def waterfill_precoder(stats_m: ChannelStatistics, em: float) -> np.ndarray:
 
 def waterfill_precoders(items: Sequence[tuple[ChannelStatistics, float]]) -> list[Design | Exception]:
     """waterfill_precoder of every (stats_m, em) in items as a Design,
-    with the main link's spectrum lam * levels; those with the same M as
-    one stack: one waterfill_stack and one stacked congruence. An item
-    that fails gets, in place of its design, the error that
-    waterfill_precoder raises for it."""
-    results = [None] * len(items)
-    for slots in _groups(items):
-        links = [items[i][0] for i in slots]
-        lam = np.stack([stats.transmit.t_eigh[0] for stats in links])
-        q = np.stack([stats.transmit.t_eigh[1] for stats in links])
-        scale = np.array([stats.beta * items[i][1] for stats, i in zip(links, slots)])
-        levels, _, errors = waterfill_stack(scale[:, None] * lam, float(lam.shape[-1]))
-        _covariances(slots, q, levels, errors, (lam * levels, None), results)
-    return results
+    with the main link's spectrum lam * levels, all as one stack: one
+    waterfill_stack and one stacked congruence. The links must share M
+    (else ValueError, see detequiv.shared_num_tx). An item that fails
+    gets, in place of its design, the error that waterfill_precoder
+    raises for it."""
+    links = [stats for stats, _ in items]
+    if shared_num_tx(links) is None:
+        return []
+    lam = np.stack([stats.transmit.t_eigh[0] for stats in links])
+    q = np.stack([stats.transmit.t_eigh[1] for stats in links])
+    scale = np.array([stats.beta * em for stats, em in items])
+    levels, _, errors = waterfill_stack(scale[:, None] * lam, float(lam.shape[-1]))
+    return _covariances(q, levels, errors, (lam * levels, None))
 
 
-def _covariances(
-    slots: list[int], x: np.ndarray, levels: np.ndarray, errors: list, spectra: tuple, results: list
-) -> None:
-    """Write to results[slot] the error of each slot that has one, and
-    else the Design of the covariance X diag(levels) Xᴴ of its rows of
-    the stacks x (B, M, M) and levels (B, M), all from one stacked
-    congruence, or the OverBudget error of a covariance whose trace
-    exceeds M. spectra holds, for the main link and the eavesdropper,
-    None or the stack (B, M) of K's eigenvalues in any order; each
-    design takes its row sorted, or None where that row is not
-    finite."""
+def _covariances(x: np.ndarray, levels: np.ndarray, errors: list, spectra: tuple) -> list[Design | Exception]:
+    """Per row of the stacks x (B, M, M) and levels (B, M), its error in
+    errors where it has one, and else the Design of the covariance
+    X diag(levels) Xᴴ, all from one stacked congruence, or the OverBudget
+    error of a covariance whose trace exceeds M. spectra holds, for the
+    main link and the eavesdropper, None or the stack (B, M) of K's
+    eigenvalues in any order; each design takes its row sorted, or None
+    where that row is not finite."""
+    results = list(errors)
     good = [j for j, error in enumerate(errors) if error is None]
-    if len(good) < len(slots):
-        for slot, error in zip(slots, errors):
-            if error is not None:
-                results[slot] = error
+    if len(good) < len(errors):
         x, levels = x[good], levels[good]
     if good:
         known = [[None] * len(good) if k is None else _ascending(k[good]) for k in spectra]
         for j, p, k_main, k_eave in zip(good, _within_budget(congruence(x, levels)), *known):
-            results[slots[j]] = p if isinstance(p, Exception) else Design(p, k_main, k_eave)
+            results[j] = p if isinstance(p, Exception) else Design(p, k_main, k_eave)
+    return results
 
 
 def _ascending(k: np.ndarray) -> list[np.ndarray | None]:
@@ -445,26 +432,19 @@ def gsvd_precoders(
 ) -> list[Design | Exception]:
     """gsvd_precoder of every (stats_m, stats_e, em, ee) in items as a
     Design, with both links' spectra sigma^2 levels / (beta e), or zeros
-    for the zero covariance; those with the same M as one stack: one
-    gsvd, the multiplier searches of all of them in lockstep (_searches)
-    and one stacked congruence. An item that fails gets, in place of its
+    for the zero covariance, all as one stack: one gsvd, the multiplier
+    searches of all of them in lockstep (_searches) and one stacked
+    congruence. The links must share M (else ValueError, see
+    detequiv.shared_num_tx). An item that fails gets, in place of its
     design, the error that gsvd_precoder raises for it (RankDeficient,
     BisectionFailure, or a LinAlgError from LAPACK)."""
-    results = [None] * len(items)
-    for slots in _groups(items):
-        _gsvd_designs(items, slots, results)
-    return results
-
-
-def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
-    """gsvd_precoders of the items at slots, which share M."""
-    mains = [items[i][0] for i in slots]
-    eaves = [items[i][1] for i in slots]
-    m = mains[0].num_tx
-    gain_m = np.array([stats.beta * items[i][2] for stats, i in zip(mains, slots)])
-    gain_e = np.array([stats.beta * items[i][3] for stats, i in zip(eaves, slots)])
-    a = np.sqrt(gain_m)[:, None, None] * np.stack([stats.transmit.t_sqrt for stats in mains])
-    b = np.sqrt(gain_e)[:, None, None] * np.stack([stats.transmit.t_sqrt for stats in eaves])
+    m = shared_num_tx([stats for main, eave, _, _ in items for stats in (main, eave)])
+    if m is None:
+        return []
+    gain_m = np.array([main.beta * em for main, _, em, _ in items])
+    gain_e = np.array([eave.beta * ee for _, eave, _, ee in items])
+    a = np.sqrt(gain_m)[:, None, None] * np.stack([main.transmit.t_sqrt for main, _, _, _ in items])
+    b = np.sqrt(gain_e)[:, None, None] * np.stack([eave.transmit.t_sqrt for _, eave, _, _ in items])
     sigma_m, sigma_e, x, errors = gsvd(a, b)
     sm2 = sigma_m**2
     se2 = sigma_e**2
@@ -475,18 +455,16 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
     # Rounding can split an exact sigma tie by ~1e-16; such subchannels
     # carry no secrecy gain and must not count as active.
     favored = (sm2 > se2 + 1e-12).any(-1).tolist()
+    results = list(errors)
     powered = []
-    for j, (slot, error, any_favored) in enumerate(zip(slots, errors, favored)):
-        if error is not None:
-            results[slot] = error
-        elif not any_favored:
-            results[slot] = Design(np.zeros((m, m), dtype=complex), np.zeros(m), np.zeros(m))
-        else:
+    for j, (error, any_favored) in enumerate(zip(errors, favored)):
+        if error is None and not any_favored:
+            results[j] = Design(np.zeros((m, m), dtype=complex), np.zeros(m), np.zeros(m))
+        elif error is None:
             powered.append(j)
     if not powered:
-        return
-    if len(powered) < len(slots):
-        slots = [slots[j] for j in powered]
+        return results
+    if len(powered) < len(items):
         x, sm2, se2, v_diag = x[powered], sm2[powered], se2[powered], v_diag[powered]
         gain_m, gain_e = gain_m[powered], gain_e[powered]
     levels, errors, _ = _searches(subchannel_terms(sm2, se2, v_diag), m)
@@ -494,7 +472,9 @@ def _gsvd_designs(items: Sequence, slots: list[int], results: list) -> None:
     # then factors.
     with np.errstate(divide="ignore", invalid="ignore"):
         spectra = sm2 * levels / gain_m[:, None], se2 * levels / gain_e[:, None]
-    _covariances(slots, x, levels, errors, spectra, results)
+    for j, design in zip(powered, _covariances(x, levels, errors, spectra)):
+        results[j] = design
+    return results
 
 
 def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, int]:
@@ -525,11 +505,12 @@ def optimize(strategy: Strategy, start: LslRate) -> tuple[np.ndarray, LslRate, i
 
 def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.ndarray, LslRate, int] | Exception]:
     """optimize(strategy, start) of every (strategy, start) in jobs, with
-    all their outer loops in lockstep.
+    all their outer loops in lockstep. The links of every start must
+    share M (else ValueError, see detequiv.shared_num_tx).
 
     Each outer iteration designs the next precoder of every running
-    loop, those of each (strategy, M) as one stack, then solves both
-    links at all of them in one lsl_secrecy_rates call, each link from
+    loop, those of each strategy as one stack, then solves both links
+    at all of them in one lsl_secrecy_rates call, each link from
     its loop's previous delta and with the spectrum of K that its design
     holds: only the water-filling eavesdropper's K is factored. A loop
     leaves the lockstep when it converges, reaches a cycle or fails, and
@@ -541,6 +522,7 @@ def optimize_many(jobs: Sequence[tuple[Strategy, LslRate]]) -> list[tuple[np.nda
     LinAlgError), without its traceback; any other exception
     propagates.
     """
+    shared_num_tx([fp.stats for _, start in jobs for fp in (start.fp_main, start.fp_eave)])
     results = [None] * len(jobs)
     running = []
     for slot, (strategy, start) in enumerate(jobs):
@@ -579,7 +561,7 @@ def _designs(loops: list[_OuterLoop]) -> list[Design | Exception]:
     """The next precoder of each loop from the fixed points of its rate,
     with the spectra it knows, or the error that designing it raises:
     the water-filling loops in one waterfill_precoders call and the GSVD
-    loops in one gsvd_precoders call, each stacking its loops by M."""
+    loops in one gsvd_precoders call, each of them one stack."""
     designs = [None] * len(loops)
     wf = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.WATER_FILLING]
     gs = [i for i, loop in enumerate(loops) if loop.strategy is Strategy.GSVD_BEAMFORMING]

@@ -36,6 +36,20 @@ def link_channels(stats, k_eigs, count, rng):
     return np.concatenate([np.sqrt(v) * w[:, : s.num_rx] for s, v in zip(stats, weights)], axis=1)
 
 
+def per_m(batched, items):
+    """batched, a batched call of the solve or the designs, over items of
+    mixed M, one batch per M: one call on the items whose first link has
+    that M, in their order. The results in the order of items."""
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item[0].num_tx, []).append(i)
+    results = [None] * len(items)
+    for slots in groups.values():
+        for i, result in zip(slots, batched([items[i] for i in slots])):
+            results[i] = result
+    return results
+
+
 def isotropic_start(stats_m, stats_e):
     """Both links solved at P = I, K's spectrum being T's, as run_sweep
     solves them: the start rate that optimize takes. A failure is

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import reference_run_sweep, reference_solve_fixed_point
+from helpers import iid_stats, isotropic_start, per_m, reference_run_sweep, reference_solve_fixed_point
 from wiretap_lsl import detequiv, experiment, precoders
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation
-from wiretap_lsl.detequiv import solve_fixed_point, solve_fixed_points
+from wiretap_lsl.detequiv import lsl_secrecy_rates, solve_fixed_point, solve_fixed_points
 from wiretap_lsl.errors import BisectionFailure, NoConvergence, NotPsd, WiretapError
 from wiretap_lsl.experiment import ExperimentConfig, figure_preset, run_sweep
 from wiretap_lsl.linalg import hermitianize
+from wiretap_lsl.montecarlo import mc_secrecy_rate
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -106,18 +107,23 @@ def random_start(rng, stats, p):
 
 def in_random_batches(rng, pairs):
     """solve_fixed_points of the (stats, p, start, spectrum) of pairs over
-    a random partition into batches of 1 to 32, in random order; the
-    results in the order of pairs."""
+    a random partition of each M's pairs into batches of 1 to 32, in
+    random order, since a batch is one M; the results in the order of
+    pairs."""
     order = rng.permutation(len(pairs))
     results = [None] * len(pairs)
-    first = 0
-    while first < len(order):
-        chunk = order[first : first + int(rng.integers(1, 33))]
-        first += len(chunk)
-        batch = [pairs[i] for i in chunk]
-        solved = solve_fixed_points([pair[:2] for pair in batch], [pair[2] for pair in batch], [pair[3] for pair in batch])
-        for i, result in zip(chunk, solved):
-            results[i] = result
+    for m in sorted({stats.num_tx for stats, *_ in pairs}):
+        same_m = [i for i in order if pairs[i][0].num_tx == m]
+        first = 0
+        while first < len(same_m):
+            chunk = same_m[first : first + int(rng.integers(1, 33))]
+            first += len(chunk)
+            batch = [pairs[i] for i in chunk]
+            solved = solve_fixed_points(
+                [pair[:2] for pair in batch], [pair[2] for pair in batch], [pair[3] for pair in batch]
+            )
+            for i, result in zip(chunk, solved):
+                results[i] = result
     return results
 
 
@@ -145,8 +151,8 @@ class TestBatchedSolve:
                 assert abs(warm.mi - cold.mi) <= 1e-12 * abs(cold.mi)
 
     def test_random_links_match_single_solves(self):
-        # Mixed N in every batch, in one Newton stack per M, each link from
-        # its own start; half of them with K's spectrum given.
+        # Mixed N in every batch of one M, in one Newton stack, each link
+        # from its own start; half of them with K's spectrum given.
         rng = np.random.default_rng(21)
         pairs = []
         for stats, p in (random_pair(rng) for _ in range(1000)):
@@ -159,8 +165,8 @@ class TestBatchedSolve:
             assert batch_outcome(result) == expected
 
     def test_one_stack_per_m(self, monkeypatch):
-        # At R = I every N shares the Newton stack of its M. Every element
-        # is its pair alone.
+        # At R = I every N shares the batch's one Newton stack. Every
+        # element is its pair alone.
         rng = np.random.default_rng(24)
         t = gen_correlation(ArraySpec(4, 0.5, 20.0, 10.0))
         pairs = []
@@ -193,14 +199,19 @@ class TestBatchedSolve:
     def test_failures_stay_with_their_pairs(self, monkeypatch):
         rng = np.random.default_rng(22)
         pairs = [random_pair(rng) for _ in range(12)]
-        m = pairs[3][0].num_tx
-        pairs[3] = pairs[3][0], np.diag(np.r_[-1e-6, np.ones(m - 1)]).astype(complex)
+        # One batch per M; the non-PSD pair's M holds more than one.
+        sizes = [stats.num_tx for stats, _ in pairs]
+        bad = next(i for i, m in enumerate(sizes) if sizes.count(m) > 1)
+        pairs[bad] = pairs[bad][0], np.diag(np.r_[-1e-6, np.ones(sizes[bad] - 1)]).astype(complex)
         # Four iterations are too few for some pairs, not for all.
         monkeypatch.setattr(detequiv, "_FP_MAX_ITER", 4)
         expected = [outcome(reference_solve_fixed_point, stats, p) for stats, p in pairs]
         kinds = [e[0] if isinstance(e[0], type) else "solved" for e in expected]
-        assert kinds[3] is NotPsd and set(kinds) == {NotPsd, NoConvergence, "solved"}
-        assert [batch_outcome(r) for r in solve_fixed_points(pairs)] == expected
+        assert kinds[bad] is NotPsd and set(kinds) == {NotPsd, NoConvergence, "solved"}
+        # Each batch of more than one pair mixes outcomes.
+        batches = {m: {kind for kind, size in zip(kinds, sizes) if size == m} for m in sizes if sizes.count(m) > 1}
+        assert all(len(batch) > 1 for batch in batches.values())
+        assert [batch_outcome(r) for r in per_m(solve_fixed_points, pairs)] == expected
         assert [outcome(solve_fixed_point, stats, p) for stats, p in pairs] == expected
 
     def test_nan_residual_hides_no_other_pair(self, monkeypatch):
@@ -219,7 +230,8 @@ class TestBatchedSolve:
 
     def test_stacks_split_and_lapack_failure_stays_with_its_pair(self, monkeypatch):
         # When LAPACK fails on a stack, its matrices are factored one at a
-        # time, and only the one it fails on gets the error.
+        # time, and only the one it fails on gets the error. One batch per
+        # M; the failing pair's M holds more than one.
         rng = np.random.default_rng(23)
         pairs = [random_pair(rng) for _ in range(40)]
         sizes = [stats.num_tx for stats, _ in pairs]
@@ -237,7 +249,7 @@ class TestBatchedSolve:
             return original(ks)
 
         monkeypatch.setattr(detequiv, "psd_eigh_stack", flaky)
-        results = solve_fixed_points(pairs)
+        results = per_m(solve_fixed_points, pairs)
         assert failed[0] > 1 and failed[1:] == [1]
         assert isinstance(results[bad], np.linalg.LinAlgError) and str(results[bad]) == "Eigenvalues did not converge"
         assert [batch_outcome(r) for i, r in enumerate(results) if i != bad] == expected[:bad] + expected[bad + 1 :]
@@ -245,6 +257,56 @@ class TestBatchedSolve:
     def test_empty_batch(self):
         assert solve_fixed_points([]) == [] and detequiv.lsl_secrecy_rates([]) == []
         assert precoders.optimize_many([]) == []
+        assert precoders.waterfill_precoders([]) == [] and precoders.gsvd_precoders([]) == []
+        assert mc_secrecy_rate([], 300, seed=0) == []
+
+
+def link_pair(m):
+    """A main link and an eavesdropper at T = I of order m."""
+    return iid_stats(10.0, 2, m), iid_stats(1.0, 3, m)
+
+
+# Each batched entry point on two items, the first at M = 2 and the
+# second at M = 3.
+MIXED_M_CALLS = {
+    "solve_fixed_points": lambda a, b: solve_fixed_points([(a[0], np.eye(2)), (b[0], np.eye(3))]),
+    "lsl_secrecy_rates": lambda a, b: lsl_secrecy_rates([(*a, np.eye(2)), (*b, np.eye(3))]),
+    "waterfill_precoders": lambda a, b: precoders.waterfill_precoders([(a[0], 1.0), (b[0], 1.0)]),
+    "gsvd_precoders": lambda a, b: precoders.gsvd_precoders([(*a, 1.0, 1.0), (*b, 1.0, 1.0)]),
+    "optimize_many-wf": lambda a, b: precoders.optimize_many([("wf", isotropic_start(*a)), ("wf", isotropic_start(*b))]),
+    "optimize_many-gsvd": lambda a, b: precoders.optimize_many(
+        [("gsvd", isotropic_start(*a)), ("gsvd", isotropic_start(*b))]
+    ),
+}
+
+
+class TestOneMPerBatch:
+    """A batch is one M: every batched call checks it with
+    detequiv.shared_num_tx, as Monte Carlo does, and each list given per
+    pair or item holds one entry for each."""
+
+    @pytest.mark.parametrize("call", MIXED_M_CALLS.values(), ids=MIXED_M_CALLS)
+    def test_mixed_m_refused(self, call):
+        # Each was split into one stack per M.
+        with pytest.raises(ValueError, match="transmit antenna count"):
+            call(link_pair(2), link_pair(3))
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_spectrum_without_m_entries_refused(self, length):
+        # The solve returned a FixedPoint of the spectrum given.
+        with pytest.raises(ValueError, match=rf"spectrum 1 has shape \({length},\), not the \(2,\)"):
+            solve_fixed_points([(link_pair(2)[0], np.eye(2))] * 2, None, [None, np.ones(length)])
+
+    @pytest.mark.parametrize("count", [1, 3], ids=["short", "long"])
+    @pytest.mark.parametrize("name", ["starts", "spectra"])
+    def test_one_entry_per_pair(self, name, count):
+        # A short list raised a bare IndexError; a long one was cut.
+        main, eave = link_pair(2)
+        entry = {"starts": 0.5, "spectra": np.ones(2)}[name]
+        with pytest.raises(ValueError, match=f"{name} must hold one entry for each of the 2 given, not {count}"):
+            solve_fixed_points([(main, np.eye(2))] * 2, **{name: [entry] * count})
+        with pytest.raises(ValueError, match=f"{name} must hold one entry for each of the 2 given, not {count}"):
+            lsl_secrecy_rates([(main, eave, np.eye(2))] * 2, **{name: [(entry, entry)] * count})
 
 
 class TestDesignSpectra:
@@ -438,7 +500,7 @@ class TestWorkGuard:
         # and factors nothing. Every K's spectrum comes from its design
         # but the water-filling eavesdropper's: one stack in each of the
         # 40 lockstep steps that run wf loops. The 1,066 solves run as 44
-        # Newton stacks, one per M and batch, and each outer iteration's
+        # Newton stacks, one per batch, and each outer iteration's
         # solves start from the deltas before them: 3,178 iterations,
         # against 4,944 from the top of every bracket.
         eighs, batches, iterations, groups, specs = [], [], [], [], []

@@ -446,11 +446,25 @@ class TestValidation:
             ("mean_angle_deg", float("-inf")),
             ("angle_spread_deg", float("nan")),
             ("angle_spread_deg", float("inf")),
+            # A bool was taken as 0 or 1 and a complex angle as given; a
+            # string or None raised a bare TypeError from np.isfinite.
+            ("spacing_wavelengths", True),
+            ("mean_angle_deg", 1j),
+            ("spacing_wavelengths", "1"),
+            ("angle_spread_deg", None),
         ],
     )
     def test_non_finite_array_spec(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite real numbers"):
             ArraySpec(2, **{field: value})
+
+    def test_numpy_and_infinite_values_accepted(self):
+        # NumPy ints and floats are real numbers; an infinite SNR stays
+        # accepted (see test_nan_residual_hides_no_other_pair).
+        spec = ArraySpec(np.int64(2), np.float32(0.5), np.int64(40), np.float64(5.0))
+        assert spec.spacing_wavelengths == 0.5
+        for snr in (np.float64(2.0), np.int32(2), 2, np.inf):
+            assert ChannelStatistics(snr, Transmit(np.eye(2)), 3).snr == snr
 
     def test_beta(self):
         stats = iid_stats(snr=1.0, n=3, m=2)
@@ -461,6 +475,10 @@ class TestValidation:
         [
             ("snr", float("nan")),
             ("snr", -1.0),
+            ("snr", True),
+            ("snr", "1"),
+            ("snr", 1j),
+            ("snr", None),
             ("transmit", np.eye(2)),
             ("num_rx", 0),
             ("num_rx", -1),
@@ -475,6 +493,10 @@ class TestValidation:
         ids=[
             "nan-snr",
             "negative-snr",
+            "bool-snr",
+            "str-snr",
+            "complex-snr",
+            "none-snr",
             "bare-array-t",
             "zero-r",
             "negative-r",

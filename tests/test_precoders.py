@@ -7,6 +7,7 @@ from helpers import (
     gsvd_pair,
     iid_stats,
     isotropic_start,
+    per_m,
     reference_gsvd,
     reference_gsvd_precoder,
     reference_newton_bracket,
@@ -702,20 +703,20 @@ class TestStackedDesigns:
             assert [outcome_bytes(p) for p in gsvd_precoders([(link, link, 1.0, 1.0)] * len(rows))] == expected
 
     def test_mixed_sizes_match_oracles(self):
-        # One call over links of M = 1 to 64 in random order, with
+        # Links of M = 1 to 64 in random order, one call per M, with
         # rank-deficient pairs among them for gsvd and e = 0 for wf.
         rng = np.random.default_rng(33)
         items = [random_link_pair(rng) for _ in range(60)] + [rank_deficient_pair(rng) for _ in range(6)]
         items = [items[i] for i in rng.permutation(len(items))]
         expected = [oracle_bytes(reference_gsvd_precoder, *item) for item in items]
         assert any(isinstance(e, tuple) and e[0] is RankDeficient for e in expected)
-        assert [outcome_bytes(p) for p in gsvd_precoders(items)] == expected
+        assert [outcome_bytes(p) for p in per_m(gsvd_precoders, items)] == expected
         # Gains below about 1e-16 lose the budget to cancellation in
         # water - 1/gain, so the water-filling's e stays above 1e-6.
         wf = [(main, 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6.0, 6.0)) for main, _, _, _ in items]
         expected = [oracle_bytes(reference_waterfill_precoder, *item) for item in wf]
         assert any(isinstance(e, tuple) and e[0] is AllZeroGains for e in expected)
-        assert [outcome_bytes(p) for p in waterfill_precoders(wf)] == expected
+        assert [outcome_bytes(p) for p in per_m(waterfill_precoders, wf)] == expected
 
     def test_over_budget_design_fails_alone(self):
         # At M = 13 with gains from 4e-19 to 1.1e-17, water - 1/gain
