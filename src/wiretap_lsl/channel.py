@@ -87,7 +87,8 @@ class Transmit:
     eigenvectors, and t_sqrt = T^(1/2) is built from them. All three
     arrays are read-only and belong to the Transmit, which works on its
     own copy of the matrix given, so every link that holds it can share
-    them. This is the one place where T is checked: an eigenvalue below
+    them. This is the one place where T is checked: a non-finite entry
+    raises ValueError before T is factored, an eigenvalue below
     the PSD tolerance (-1e-12) raises NotPsd, one between it and 0 is
     quadrature roundoff and is clipped to 0 in t_eigh and t_sqrt (t_corr
     keeps the matrix given), and LAPACK failing on T raises a
@@ -102,6 +103,8 @@ class Transmit:
         t = np.array(self.t_corr)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or not t.size:
             raise ValueError("t_corr must be a nonempty square matrix")
+        if not np.isfinite(t).all():
+            raise ValueError("t_corr must be finite")
         lam, q = psd_eigh(t)
         for name, value in (("t_corr", t), ("t_eigh", (lam, q)), ("t_sqrt", congruence(q, np.sqrt(lam)))):
             object.__setattr__(self, name, value)

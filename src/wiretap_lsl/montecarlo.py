@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStatistics, sample_channel_block
+from .channel import ChannelStatistics, is_integer, sample_channel_block
 from .detequiv import FixedPoint, LslRate, shared_num_tx
 from .errors import NUMERICAL_FAILURES, as_value
 
@@ -364,6 +364,22 @@ def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndar
     return np.array([(s.snr / (2.0 * m)) * k for s, k in zip(stats, k_eigs, strict=True)])
 
 
+def _check_draws(n: int, seed: int | tuple[int, ...]) -> None:
+    """Check a call's realization count n, an integer >= 1, and its seed,
+    an integer or a tuple of them. A wrong type raises TypeError, and
+    n < 1 raises ValueError, as SeedSequence does for a negative seed.
+    None would seed from fresh OS entropy, so that a seeded estimate
+    changed from call to call, and a Generator would be consumed by the
+    links in turn."""
+    if not is_integer(n):
+        raise TypeError(f"n must be an integer, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not all(is_integer(part) for part in parts):
+        raise TypeError(f"seed must be an integer or a tuple of integers, not {seed!r}")
+
+
 class _Sampler:
     """The blocks of W, drawn in order from one generator seeded by seed
     with rows rows, by default the tallest link's, and on each the
@@ -432,8 +448,7 @@ class _Sampler:
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """All n realizations of every link of fps, (links, 4, n), from one
     _Sampler; a kernel's failure is raised."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_draws(n, seed)
     sampler = _Sampler(fps, min(n, _BLOCK_SIZE), seed)
     out = np.empty((len(fps), 4, n))
     for start in range(0, n, _BLOCK_SIZE):
@@ -603,10 +618,11 @@ def mc_secrecy_rate(
     keeps its own law, its own count and its own regression, so its
     estimate equals, bit for bit, the one it gets alone from the same
     seed and rows: a rate alone, with rows left out, reads a W as tall
-    as its taller link. No rates give no estimates.
+    as its taller link. No rates give no estimates. n must be an integer
+    >= 1 and seed an integer or a tuple of them (else TypeError or
+    ValueError, see _check_draws).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_draws(n, seed)
     if not rates:
         return []
     sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], min(n, _BLOCK_SIZE), seed, rows)

@@ -26,6 +26,9 @@ from .linalg import congruence, gsvd
 _TRACE_SLACK = 1e-6
 # A gain at or below this has no finite reciprocal and counts as zero.
 _SMALLEST_GAIN = 1.0 / np.finfo(float).max
+# The smallest normal float: where 4p c is below it, c is the GSVD level
+# to full precision.
+_TINY = np.finfo(float).tiny
 _POWER_TOL = 1e-8
 _MU_LO = 1e-12
 _MU_HI = 1e12
@@ -190,19 +193,13 @@ def _ascending(k: np.ndarray) -> list[np.ndarray | None]:
 class SubchannelTerms(NamedTuple):
     """The mu-independent arrays of the GSVD power allocation, each
     (..., M): for squared generalized singular values sm, se and power
-    costs v, diff = sm - se, the multiples of p = sm * se that the closed
-    form reads, and its two masks. two_p is 1 where the subchannel is
-    linear (p <= 1e-14), so the quadratic root computed and discarded
-    there stays finite. gsvd_precoders builds them once per stack, not
-    once per mu."""
+    costs v, diff = sm - se, v, and four_p = 4p with p = sm * se. A
+    subchannel is favored where diff > 0. gsvd_precoders builds them once
+    per stack, not once per mu."""
 
     diff: np.ndarray
     v: np.ndarray
-    quadratic: np.ndarray
-    one_minus_4p: np.ndarray
     four_p: np.ndarray
-    two_p: np.ndarray
-    active: np.ndarray
 
     def rows(self, index) -> SubchannelTerms:
         """The terms of the rows index of a stack."""
@@ -210,40 +207,31 @@ class SubchannelTerms(NamedTuple):
 
 
 def subchannel_terms(sigma_m2, sigma_e2, v_diag) -> SubchannelTerms:
-    """The allocation's terms, grouped as its closed form evaluates them."""
+    """The allocation's terms, grouped as its closed form reads them."""
     sm = np.asarray(sigma_m2, dtype=float)
     se = np.asarray(sigma_e2, dtype=float)
-    prod = sm * se
-    four_p = 4.0 * prod
-    quadratic = prod > 1e-14
-    return SubchannelTerms(
-        diff=sm - se,
-        v=np.asarray(v_diag, dtype=float),
-        quadratic=quadratic,
-        one_minus_4p=1.0 - four_p,
-        four_p=four_p,
-        two_p=np.where(quadratic, 2.0 * prod, 1.0),
-        active=sm > se,
-    )
+    return SubchannelTerms(diff=sm - se, v=np.asarray(v_diag, dtype=float), four_p=4.0 * (sm * se))
 
 
 def gsvd_power_allocation(terms: SubchannelTerms, mu) -> np.ndarray:
     """Closed-form per-subchannel powers for GSVD beamforming at a given mu,
     or of each row of stacked terms (B, M) at its own mu (B, 1).
 
-    Subchannels where the main-channel share does not exceed the
-    eavesdropper's get zero power; a negative discriminant likewise
-    means the subchannel cannot pay for itself at this mu.
+    A subchannel's level is the root x >= 0 of p x^2 + x = c, with
+    gain = diff / (ln2 mu v) and c = max(0, gain - 1): zero where the
+    main link's share does not exceed the eavesdropper's or cannot pay
+    for itself at this mu. It is computed as
+    expm1(log1p(4p c) / 2) / (2p), which cancels nowhere, and as c where
+    4p c is below the smallest normal float, where c is the root to full
+    precision (p = 0 included). Every step is monotone in c (log1p and
+    expm1 as measured, see gsvd_precoder), so the level never decreases
+    as mu falls.
     """
     if np.less_equal(mu, 0.0).any():
         raise ValueError("mu must be > 0")
-    gain = terms.diff / (_LN2 * mu * terms.v)
-    disc = terms.one_minus_4p + terms.four_p * gain
-    # A non-positive discriminant gives the root -1/(2p) < 0, clipped to 0.
-    root = (-1.0 + np.sqrt(np.maximum(disc, 0.0))) / terms.two_p
-    # sigma_e -> 0 limit (prod <= 1e-14): the quadratic degenerates to linear.
-    levels = np.where(terms.quadratic, root, gain - 1.0)
-    return np.where(terms.active, np.maximum(0.0, levels), 0.0)
+    c = np.maximum(terms.diff / (_LN2 * mu * terms.v) - 1.0, 0.0)
+    four_pc = terms.four_p * c
+    return np.divide(np.expm1(0.5 * np.log1p(four_pc)), 0.5 * terms.four_p, out=c, where=four_pc >= _TINY)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -287,9 +275,9 @@ def _newton_step(mu: float, excess: float, slope: float, target: float) -> float
     return 1.0 / (1.0 / mu + (target - excess) * _LN2 / slope)
 
 
-def _search(diff: np.ndarray, v: np.ndarray, active: np.ndarray, m: int, evaluated: dict) -> Generator:
-    """The multiplier search of one row of the terms (its diff, v and
-    active): a generator that yields each mu it evaluates, finds
+def _search(diff: np.ndarray, v: np.ndarray, m: int, evaluated: dict) -> Generator:
+    """The multiplier search of one row of the terms (its diff and v): a
+    generator that yields each mu it evaluates, finds
     (levels, excess, slope) at mu in evaluated when resumed, and returns
     the levels at the mu that gsvd_precoder takes, or the
     BisectionFailure it raises.
@@ -300,15 +288,17 @@ def _search(diff: np.ndarray, v: np.ndarray, active: np.ndarray, m: int, evaluat
     outside the band |excess| <= tol, first on the side of the current
     point, then on the other, until the excess at both ends is within
     _NEWTON_TIGHT * tol. The first point is the root of the linear
-    model with every active subchannel powered, exact when all of them
-    are linear and powered. A step that leaves (over, under) or repeats
-    a point is replaced by the geometric midpoint, and the search ends
-    when that fails too: any evaluated ends are valid.
+    model with every favored subchannel (diff > 0) powered, exact when
+    all of them have p = 0 and are powered. A step that leaves
+    (over, under) or repeats a point is replaced by the geometric
+    midpoint, and the search ends when that fails too: any evaluated
+    ends are valid.
 
     Then the bisection of log mu over [_MU_LO, _MU_HI] evaluates only
     its steps inside (over, under); see gsvd_precoder.
     """
-    mu = float(np.sum(diff[active]) / (_LN2 * (m + np.sum(v[active]))))
+    favored = diff > 0
+    mu = float(np.sum(diff[favored]) / (_LN2 * (m + np.sum(v[favored]))))
     over, under = 0.0, math.inf
     excess_over, excess_under = math.inf, -math.inf
     for _ in range(_NEWTON_MAX_STEPS):
@@ -365,7 +355,7 @@ def _searches(terms: SubchannelTerms, m: int) -> tuple[np.ndarray, list, list[di
     BisectionFailure; and each row's evaluations, mu -> (levels, excess,
     slope)."""
     evaluated = [{} for _ in terms.diff]
-    searches = [_search(*row, m, ev) for *row, ev in zip(terms.diff, terms.v, terms.active, evaluated)]
+    searches = [_search(diff, v, m, ev) for diff, v, ev in zip(terms.diff, terms.v, evaluated)]
     waiting = list(enumerate(searches))
     found, errors = np.full(terms.diff.shape, np.nan), [None] * len(searches)
     asked, rows = list(range(len(searches))), terms
@@ -409,12 +399,17 @@ def gsvd_precoder(
     excess is above +tol and a mu = under whose excess is below -tol, both
     close to the root. The bisection then takes every step at mu <= over
     or mu >= under without evaluating it: such a step raises the lower end
-    or lowers the upper end of the bracket. These skips are exact. Every
-    operation of gsvd_power_allocation and of the dot product with the
-    power costs is correctly rounded and monotone in mu, so the computed
-    excess never increases with mu, and the bisection would have taken
-    the same branch at each skipped step. The stop, the covariance and
-    every BisectionFailure message are thus those of the bisection that
+    or lowers the upper end of the bracket. These skips are exact if the
+    computed excess never increases with mu, for then the bisection would
+    have taken the same branch at each skipped step. Their premise is
+    that the level is monotone in mu between adjacent floats. Every
+    arithmetic operation of gsvd_power_allocation and of the dot product
+    with the power costs is correctly rounded, and so monotone; log1p and
+    expm1 need not be, since IEEE 754 does not require them to be
+    correctly rounded. So the premise is measured, not proven, and a test
+    over adjacent floats of mu (TestGsvdSkips) checks it on each platform
+    that runs the tests. Given it, the stop, the covariance and
+    every BisectionFailure message are those of the bisection that
     evaluates each step. Each step stops or strictly shrinks the bracket,
     and no mu is evaluated twice; once the midpoint rounds onto an end of
     the bracket, BisectionFailure reports the excess at the last midpoint.

@@ -130,7 +130,7 @@ def reference_newton_bracket(terms, m):
             return mu * math.exp(min((excess - target) * ln2 * mu / slope, 700.0))
         return 1.0 / (1.0 / mu + (target - excess) * ln2 / slope)
 
-    active = terms.active
+    active = terms.diff > 0
     mu = float(np.sum(terms.diff[active]) / (ln2 * (m + np.sum(terms.v[active]))))
     evaluated = {}
     over, under = 0.0, math.inf

@@ -516,8 +516,10 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "t_corr",
-        [np.ones((2, 3)), np.ones(3), np.empty((0, 0))],
-        ids=["non-square-t", "1d-t", "empty-t"],
+        [np.ones((2, 3)), np.ones(3), np.empty((0, 0)), np.full((2, 2), np.nan), np.diag([1.0, np.inf])],
+        # NaN passed the PSD test and gave NaN factors; inf raised a
+        # RuntimeWarning from the factorization.
+        ids=["non-square-t", "1d-t", "empty-t", "nan-t", "inf-t"],
     )
     def test_invalid_transmit_rejected(self, t_corr):
         with pytest.raises(ValueError, match="t_corr"):

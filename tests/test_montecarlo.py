@@ -566,6 +566,34 @@ class TestMcSecrecyRate:
         with pytest.raises(TypeError):
             mc_secrecy_rate([lsl_secrecy_rate(stats, stats, np.eye(3))], 500, seed=np.random.default_rng(3))
 
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            # None seeded from fresh OS entropy, so the estimate changed
+            # from call to call; True was taken as seed 1.
+            (500, None, "seed must be"),
+            (500, True, "seed must be"),
+            (500, (3, 2.5), "seed must be"),
+            # Each raised a bare TypeError from inside the call, or none.
+            (True, 3, "n must be an integer"),
+            (2.5, 3, "n must be an integer"),
+            ("4", 3, "n must be an integer"),
+        ],
+    )
+    def test_unchecked_n_or_seed_refused(self, n, seed, message):
+        stats = iid_stats(2.0, 3, 3)
+        rates = [lsl_secrecy_rate(stats, stats, np.eye(3))]
+        for given in (rates, []):
+            with pytest.raises(TypeError, match=message):
+                mc_secrecy_rate(given, n, seed)
+
+    def test_numpy_integers_accepted(self):
+        stats = iid_stats(2.0, 3, 3)
+        rate = lsl_secrecy_rate(iid_stats(4.0, 3, 3), stats, np.eye(3))
+        (plain,) = mc_secrecy_rate([rate], 40, (3, 1))
+        (numpy,) = mc_secrecy_rate([rate], np.int64(40), (np.int64(3), np.uint8(1)))
+        assert numpy == plain
+
     def test_clamped_at_zero(self):
         main = iid_stats(1.0, 2, 2)
         eave = iid_stats(50.0, 2, 2)
@@ -914,7 +942,7 @@ class TestPresetStandardErrors:
         # aims at 0.78 of that SE; the weakest, fig3 at 20 dB with iso,
         # reports 0.770 of its reference SE (0.755-0.915 over seeds 1-9).
         # The deterministic columns pass the benchmark's own gate: 1e-9
-        # relative, absolute below 1 bit (worst gap today 2.45e-10), and
+        # relative, absolute below 1 bit (worst gap today 2.57e-10), and
         # the same outer iteration count. The CSVs, MC columns included,
         # are byte for byte those in tests/data: a change that moves the
         # RNG stream or the estimator regenerates them and says so.

@@ -25,7 +25,14 @@ from wiretap_lsl.errors import (
     RankDeficient,
     WiretapError,
 )
-from wiretap_lsl.experiment import ExperimentConfig, build_statistics, figure_preset, point_config, run_sweep
+from wiretap_lsl.experiment import (
+    ExperimentConfig,
+    build_statistics,
+    config_from_dict,
+    figure_preset,
+    point_config,
+    run_sweep,
+)
 from wiretap_lsl.linalg import congruence, gsvd
 from wiretap_lsl.precoders import (
     Strategy,
@@ -52,21 +59,21 @@ def column_norms2(x):
 
 
 def reference_power_allocation(sigma_m2, sigma_e2, v_diag, mu):
-    """Scalar loop over subchannels: the oracle for gsvd_power_allocation."""
+    """Scalar loop over subchannels: the oracle for gsvd_power_allocation.
+    Each level is the root of p x^2 + x = c, c = max(0, gain - 1), as
+    expm1(log1p(4p c) / 2) / (2p), or c where 4p c is not a normal float."""
     sm = np.asarray(sigma_m2, dtype=float)
     se = np.asarray(sigma_e2, dtype=float)
     v = np.asarray(v_diag, dtype=float)
     levels = np.zeros_like(sm)
-    gain = (sm - se) / (np.log(2.0) * mu * v)
-    prod = sm * se
-    for i in np.flatnonzero(sm > se):
-        if prod[i] > 1e-14:
-            disc = 1.0 - 4.0 * prod[i] + 4.0 * prod[i] * gain[i]
-            if disc <= 0:
-                continue
-            levels[i] = max(0.0, (-1.0 + np.sqrt(disc)) / (2.0 * prod[i]))
+    for i in range(len(sm)):
+        gain = (sm[i] - se[i]) / (np.log(2.0) * mu * v[i])
+        c = max(gain - 1.0, 0.0)
+        four_pc = 4.0 * (sm[i] * se[i]) * c
+        if four_pc >= np.finfo(float).tiny:
+            levels[i] = np.expm1(0.5 * np.log1p(four_pc)) / (2.0 * (sm[i] * se[i]))
         else:
-            levels[i] = max(0.0, gain[i] - 1.0)
+            levels[i] = c
     return levels
 
 
@@ -263,12 +270,13 @@ class TestGsvdPowerAllocation:
 
     def test_no_floating_point_error_on_discarded_branches(self):
         # errstate(all="raise") turns every divide or invalid operation
-        # into an error, even one whose result np.where would discard:
-        # the square root of a negative discriminant (p = 0.72) and the
-        # quadratic root's division where p = 0.
+        # into an error, even one whose result would be discarded: the
+        # division by 2p where p = 0, whose level is c, and a subchannel
+        # that cannot pay for itself (p = 0.72, whose quadratic has a
+        # negative discriminant: c = 0).
         sm, se, v, mu = np.array([0.9, 0.6]), np.array([0.8, 0.0]), np.ones(2), 0.5
         terms = subchannel_terms(sm, se, v)
-        assert terms.one_minus_4p[0] + terms.four_p[0] * 0.1 / (np.log(2.0) * mu) < 0
+        assert 1.0 - terms.four_p[0] + terms.four_p[0] * 0.1 / (np.log(2.0) * mu) < 0
         with np.errstate(all="raise"):
             levels = gsvd_power_allocation(terms, mu)
         assert levels[0] == 0.0
@@ -280,19 +288,45 @@ class TestGsvdPowerAllocation:
         k = 64
         sm = rng.uniform(0.0, 1.0, k)
         se = rng.uniform(0.0, 1.0, k)
-        se[:8] = rng.choice([0.0, 1e-17, 1e-15], 8)  # prod <= 1e-14: linear branch
+        se[:8] = rng.choice([0.0, 1e-310, 1e-17, 1e-15], 8)  # p = 0, subnormal or tiny
+        se[:2] = 0.0, 1e-310  # 4p c below the smallest normal: the level is c
         se[8:12] = sm[8:12]  # ties
-        sm[12:20], se[12:20] = 0.9, 0.5  # prod > 1/4: disc <= 0 once mu is large
+        sm[12:20], se[12:20] = 0.9, 0.5  # p > 1/4: c = 0 once mu is large
         v = 10.0 ** rng.uniform(-2.0, 2.0, k)
-        active, prod = sm > se, sm * se
-        assert np.any(~active) and np.any(active & (prod <= 1e-14))
-        disc_le_0 = False
+        favored, four_p = sm > se, 4.0 * (sm * se)
+        assert np.any(~favored)
+        linear = switched_off = False
         for mu in [1e-12, 1e-6, 1e-2, 0.3, 1.0, 7.0, 1e3, 1e12, 1e200]:
             expected = reference_power_allocation(sm, se, v, mu)
             assert np.array_equal(gsvd_power_allocation(subchannel_terms(sm, se, v), mu), expected)
-            disc = 1.0 - 4.0 * prod + 4.0 * prod * (sm - se) / (np.log(2.0) * mu * v)
-            disc_le_0 |= bool(np.any(active & (prod > 1e-14) & (disc <= 0)))
-        assert disc_le_0
+            c = np.maximum((sm - se) / (np.log(2.0) * mu * v) - 1.0, 0.0)
+            linear |= bool(np.any((c > 0) & (four_p * c < np.finfo(float).tiny)))
+            switched_off |= bool(np.any(favored & (four_p > 1.0) & (c == 0)))
+        assert linear and switched_off
+
+    def test_cancellation_free_at_large_m(self):
+        # p = sm * se falls to 4.6e-10 on favored subchannels here, where
+        # (-1 + sqrt(1 + 4p c)) / (2p) cancels: no mu met the power
+        # budget, and the design raised BisectionFailure ("last excess
+        # 2.769e-07").
+        config = config_from_dict(
+            {
+                "m": 32,
+                "n_main": 32,
+                "n_eave": 16,
+                "sweep": "snr",
+                "sweep_grid": [0.0],
+                "spacing_wavelengths": 0.5,
+                "angle_spread_deg": 10.0,
+                "strategies": ["gsvd"],
+            }
+        )
+        main, eave = build_statistics(point_config(config, 0.0))
+        p, rate, _ = optimize(Strategy.GSVD_BEAMFORMING, isotropic_start(main, eave))
+        # The power meets the budget M = 32 to the search's tolerance,
+        # which lies inside the budget's slack.
+        assert abs(np.trace(p).real - 32.0) <= precoders._POWER_TOL < precoders._TRACE_SLACK
+        assert rate.rs / np.log(2.0) == pytest.approx(0.2404, abs=5e-5)
 
 
 class TestGsvdPrecoder:
@@ -529,10 +563,12 @@ class TestGsvdSkips:
             kind = rng.random(k)
             se2[kind < 0.2] = 0.5
             se2[(kind >= 0.2) & (kind < 0.4)] = rng.choice([0.0, 1e-17, 1e-15])
+            small = (kind >= 0.4) & (kind < 0.6)  # p in [1e-14, 1e-6]: (-1 + sqrt(1 + 4p c)) / (2p) cancels
+            se2[small] = 10.0 ** rng.uniform(-14.0, -6.0, np.count_nonzero(small))
             sm2 = 1.0 - se2
             v = 10.0 ** rng.uniform(-3.0, 3.0, k) * 10.0 ** rng.uniform(-20.0, 20.0)
             terms = subchannel_terms(sm2, se2, v)
-            active = terms.active
+            active = terms.diff > 0
             if not active.any():
                 continue
             knees = terms.diff[active] / (np.log(2.0) * v[active])  # gain 1: a subchannel switches on
