@@ -35,6 +35,10 @@ class BisectionFailure(WiretapError):
     """No mu meets the power budget before the GSVD bisection's midpoint reaches a bracket end."""
 
 
+class NonFiniteSample(WiretapError):
+    """Monte Carlo realizations of a rate whose sums are not finite, so that it has no estimate."""
+
+
 class ParseError(WiretapError):
     """Experiment configuration file could not be parsed."""
 

@@ -59,16 +59,26 @@ standard deviation of those terms over sqrt(n), is the spread of the
 estimate across seeds; it is smaller than that of the plain paired mean
 wherever the variates correlate with the difference.
 
+A rate keeps sums, not realizations: per fold, the Gram sums of
+[1, variates, difference - shift], 8 x 8 floats, where the shift is the
+pilot's mean difference. The sums of the other folds are a fold's
+normal equations, and its own give the sums of its terms and of their
+squares, so the estimate and its standard error need nothing else
+(_cross_fit), and a rate's memory does not grow with its count.
+
 n sets a precision, not a count: each rate aims at the standard error
 that n unpaired realizations would give, sqrt((Var I_M + Var I_E) / n).
 Its pilot, the first _PILOT_BLOCKS blocks, estimates both variances and
 the cross-fitted one, and so the count that reaches that target, in
-whole blocks and at most n; the rate then fits the first count
-realizations of the stream. Each block past the pilot computes only
-the links of the rates whose count it has not reached. A link's
-realizations depend on W and its own statistics only, whatever the
-other links of its group and tile, so each rate's count and estimate
-are, bit for bit, those it gets alone from the same seed and rows of W.
+whole blocks and at most n; the rate's estimate is the fit of the first
+count realizations of the stream. Each block past the pilot computes
+only the links of the rates whose count it has not reached and adds
+their sums. A call fits the pilots of all its rates at once, and then
+all the rates past the pilot at once. A link's realizations depend on W
+and its own statistics only, whatever the other links of its group and
+tile, and a rate's fit depends on its own sums only, so each rate's
+count and estimate are, bit for bit, those it gets alone from the same
+seed and rows of W.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ import numpy as np
 
 from .channel import ChannelStatistics, is_integer, sample_channel_block
 from .detequiv import FixedPoint, LslRate, shared_num_tx
-from .errors import NUMERICAL_FAILURES, as_value
+from .errors import NUMERICAL_FAILURES, NonFiniteSample, as_value
 
 _BLOCK_SIZE = 256
 # A rate's pilot, the blocks that size its sample (see mc_secrecy_rate).
@@ -95,15 +105,16 @@ _FOLDS = 8
 # of the others, keeps at least 2 residual degrees of freedom: n = 11 is
 # the first n with n - ceil(n / _FOLDS) >= _COLUMNS + 2.
 _MIN_REGRESSION = 10
-# Eigenvalues of a fold's Gram matrix at most this times its largest are
-# cut: singular values of its design at most 1e-6 times the largest.
+# A column of a fold's fit whose pivot, the squared norm of its part
+# outside the columns kept before it, is at most this times its own
+# squared norm is cut: a residual at most 1e-6 of the column.
 _RANK_CUT = 1e-12
-# Links per kernel call, and rates per pilot tile and stacked fit. The MC
-# calls of a fig2-fig5 pass at seed 0, one per preset, on a 2-core Xeon
-# with one BLAS thread (medians of 16 interleaved passes, two runs) took
-# 197-208 ms at 3, 183-189 at 4, 164-169 at 6, 160-162 at 8 and 152-154
-# at 12. The traced peak of fig2's sweep, the largest, was 3.30, 3.61,
-# 4.23, 4.94 and 6.47 MB; TestSweepWork holds it to 5.43 MB.
+# Links per kernel call, and rates per pilot tile. The MC calls of a
+# fig2-fig5 pass at seed 0, one per preset, on a 2-core Xeon with one
+# BLAS thread (medians of 16 interleaved passes, two runs) took 81-83 ms
+# at 3, 77 at 4, 68-71 at 6, 68-69 at 8 and 65-72 at 12. The traced
+# peak of fig2's sweep was 2.40, 2.72, 3.44, 4.25 and 5.87 MB;
+# TestSweepWork holds it to 5.43 MB.
 _TILE = 6
 
 
@@ -310,11 +321,14 @@ class _Group:
         """The control variates z = L1 / sd(L1), q = L2 / E L2 - 1 and
         z^2 - 1 of the links tile, (3, tile, c), from parts of A where
         shared, (d + 1, d, 1, c), else of the tile's Gram matrices, (d + 1,
-        d, tile, c). Each has mean 0. Each link takes one einsum call,
-        whose shapes do not depend on the number of links."""
+        d, tile, c). Each has mean 0. The tile takes one einsum call,
+        which sums each link's products in the same order whatever the
+        tile's size."""
         variates = np.empty((3, len(tile), parts.shape[-1]))
-        for j, link in enumerate(tile):
-            variates[:2, j] = np.einsum("tik,ikc->tc", self.terms[link], parts[:, :, 0 if self.shared else j])
+        if self.shared:
+            np.einsum("ltik,ikc->tlc", self.terms[tile], parts[:, :, 0], out=variates[:2])
+        else:
+            np.einsum("ltik,iklc->tlc", self.terms[tile], parts, out=variates[:2])
         variates[:2] += self.constants[:, tile]
         np.multiply(variates[0], variates[0], out=variates[2])
         variates[2] -= self.live[tile]
@@ -472,63 +486,92 @@ def mc_ergodic_mi(fp: FixedPoint, n: int, seed: int | tuple[int, ...]) -> McEsti
     return McEstimate(mean=mean, std_error=std_error, num_realizations=n)
 
 
-def _cross_fit(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cross-fitted control-variate estimates of rates from their
-    links' sample, shape (rates, 2, 4, n): main link, then eavesdropper.
-    Returns each rate's estimate, unclamped, and the variance of its
-    per-realization terms, both (rates,); the standard error is the root
-    of that variance over n.
-
-    Realization i lies in fold i mod _FOLDS. Each fold's slopes come from
-    the least-squares fit of the difference, centred on its mean, on an
-    intercept and both links' variates over the other folds, so that no
-    realization's own draw enters the coefficients applied to it; the
-    terms are the differences less the variates times those slopes. Each
-    fold's normal equations are the Gram sums of [design, difference]
-    over all folds less its own, one stacked matmul and one stacked eigh
-    for all rates and folds; eigenvalues at most _RANK_CUT times the
-    largest are cut, so degenerate columns take the minimum-norm
-    coefficients. Every step's shapes per rate do not depend on the
-    number of rates. Up to _MIN_REGRESSION realizations the terms are the
-    plain paired differences."""
-    rates, n = len(sample), sample.shape[-1]
-    diff = sample[:, 0, 0] - sample[:, 1, 0]
-    if n <= _MIN_REGRESSION:
-        return diff.mean(axis=-1), (diff.var(axis=-1, ddof=1) if n > 1 else np.zeros(rates))
-    # [intercept, variates, centred difference] by rounds of the folds,
-    # padded with zero realizations to a whole round, which add nothing
-    # to any Gram sum: (rates, columns, rounds, folds).
-    rounds = -(-n // _FOLDS)
+def _fold_sums(sample: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The Gram sums, fold by fold, of the columns [intercept, variates,
+    difference - shift] over a run of realizations of rates, sample
+    (rates, 2, 4, count) as _Sampler writes them: main link, then
+    eavesdropper. The run starts at a multiple of _FOLDS, so that its j-th
+    realization lies in fold j mod _FOLDS, and each rate's difference is
+    taken less its shift, (rates,). Returns (rates, _FOLDS, 8, 8). The run
+    is padded with zero realizations to a whole round of the folds, which
+    add nothing to any sum. Sums of successive runs add up to those of
+    their concatenation, so a rate keeps its sums, not its realizations."""
+    rates, count = len(sample), sample.shape[-1]
+    rounds = -(-count // _FOLDS)
     system = np.zeros((rates, _COLUMNS + 1, rounds * _FOLDS))
-    system[:, 0, :n] = 1.0
+    system[:, 0, :count] = 1.0
     for link, first in enumerate(range(1, _COLUMNS, 3)):
-        system[:, first : first + 3, :n] = sample[:, link, 1:]
-    centre = diff.mean(axis=-1)
-    np.subtract(diff, centre[:, None], out=system[:, _COLUMNS, :n])
+        system[:, first : first + 3, :count] = sample[:, link, 1:]
+    np.subtract(sample[:, 0, 0], sample[:, 1, 0], out=system[:, _COLUMNS, :count])
+    system[:, _COLUMNS, :count] -= shift[:, None]
     folds = np.ascontiguousarray(system.reshape(rates, _COLUMNS + 1, rounds, _FOLDS).transpose(0, 3, 1, 2))
     del system
-    grams = folds @ folds.swapaxes(-1, -2)
-    held_out = grams.sum(axis=1, keepdims=True) - grams
-    lam, vec = np.linalg.eigh(held_out[..., :_COLUMNS, :_COLUMNS])
-    along = (vec * held_out[..., :_COLUMNS, _COLUMNS, None]).sum(axis=-2)
-    keep = lam > _RANK_CUT * lam[..., -1:]
-    coef = (vec * np.divide(along, lam, out=np.zeros_like(lam), where=keep)[..., None, :]).sum(axis=-1)
-    terms = folds[:, :, _COLUMNS] - (coef[..., 1:, None] * folds[:, :, 1:_COLUMNS]).sum(axis=-2)
-    terms = terms.swapaxes(1, 2).reshape(rates, -1)[:, :n]
-    return centre + terms.mean(axis=-1), terms.var(axis=-1, ddof=1)
+    return folds @ folds.swapaxes(-1, -2)
 
 
-def _fits(sample: np.ndarray) -> list:
-    """(estimate, variance) of each rate of sample, as _cross_fit gives
-    them, or the numerical failure of its fit: if the stacked fit fails,
-    the rates are fitted one at a time, so that the failure stays with
-    its rate."""
-    try:
-        return list(zip(*_cross_fit(sample)))
-    except NUMERICAL_FAILURES as exc:
-        if len(sample) == 1:
-            return [as_value(exc)]
-        return [fit for i in range(len(sample)) for fit in _fits(sample[i : i + 1])]
+def _residual_weights(held: np.ndarray) -> np.ndarray:
+    """u = [0, -slopes, 1] of each system of normal equations in held,
+    (..., 8, 8), the Gram sums of [intercept, variates, difference] over
+    the realizations it fits, so that a realization's term is u times its
+    columns. Gaussian elimination in column order, one vectorized step per
+    column over all systems, in place in held and with no LAPACK call: a
+    column whose pivot, the squared norm of its part outside the span of
+    the columns kept before it, is at most _RANK_CUT times its own squared
+    norm is cut and takes slope 0. So a column of zeros, as at rho = 0, or
+    one that repeats another, as z^2 - 1 repeats q on a link of rank 1,
+    takes no slope."""
+    cut = _RANK_CUT * np.diagonal(held, axis1=-2, axis2=-1)
+    kept = np.zeros(held.shape[:-1], dtype=bool)
+    for k in range(_COLUMNS):
+        pivot = held[..., k, k]
+        np.greater(pivot, cut[..., k], out=kept[..., k])
+        column = held[..., k + 1 : _COLUMNS, k]
+        factors = np.divide(column, pivot[..., None], out=np.zeros_like(column), where=kept[..., k, None])
+        held[..., k + 1 : _COLUMNS, k + 1 :] -= factors[..., None] * held[..., k, None, k + 1 :]
+    u = np.zeros(held.shape[:-1])
+    u[..., _COLUMNS] = 1.0
+    for k in range(_COLUMNS - 1, 0, -1):
+        along = -(held[..., k, k + 1 :] * u[..., k + 1 :]).sum(axis=-1)
+        np.divide(along, held[..., k, k], out=u[..., k], where=kept[..., k])
+    return u
+
+
+def _cross_fit(sums: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cross-fitted control-variate estimate of each rate, unclamped,
+    and the variance of its per-realization terms, both (rates,), from
+    its fold sums, (rates, _FOLDS, 8, 8), and its shift, (rates,), as
+    _fold_sums takes them; the standard error is the root of that variance
+    over the count, which the sums hold.
+
+    Realization i lies in fold i mod _FOLDS. Each fold's slopes come from
+    the least-squares fit of the difference on an intercept and both
+    links' variates over the other folds, so that no realization's own
+    draw enters the coefficients applied to it; a realization's term is its
+    difference less its variates times those slopes. A fold's normal
+    equations are the sums of all folds less its own, solved for every
+    rate and fold at once (_residual_weights). With u = [0, -slopes, 1] and
+    the columns c = [1, variates, difference - shift], a term is u . c, so
+    the fold's sum of its terms is u . sum(c) and their sum of squares
+    u . sum(c cᵀ) u, both read off its own sums. Up to _MIN_REGRESSION
+    realizations the slopes are 0: the terms are the plain paired
+    differences."""
+    count = sums[:, :, 0, 0].sum(axis=1)
+    u = _residual_weights(sums.sum(axis=1, keepdims=True) - sums)
+    u[count <= _MIN_REGRESSION, :, 1:_COLUMNS] = 0.0
+    total = np.einsum("rfi,rfi->r", u, sums[..., 0])
+    square = np.einsum("rfi,rfij,rfj->r", u, sums, u)
+    variance = np.divide(square - total * total / count, count - 1.0, out=np.zeros_like(count), where=count > 1.0)
+    return shift + total / count, np.maximum(variance, 0.0)
+
+
+def _fits(sums: np.ndarray, shift: np.ndarray) -> list:
+    """(estimate, variance) of each rate, as _cross_fit gives them from its
+    fold sums and shift, or, where its sums are not finite, a
+    NonFiniteSample in its place. The rates are fitted together, and a
+    rate's fit does not depend on the others."""
+    finite = np.isfinite(sums).all(axis=(1, 2, 3))
+    fits = zip(*_cross_fit(sums[finite], shift[finite]))
+    return [next(fits) if ok else NonFiniteSample("Monte Carlo realizations are not finite") for ok in finite]
 
 
 def _fail(results: list, failures: dict[int, Exception]) -> None:
@@ -539,20 +582,21 @@ def _fail(results: list, failures: dict[int, Exception]) -> None:
             results[link // 2] = exc
 
 
-def _pilots(sampler: _Sampler, n: int, results: list) -> dict[int, tuple[int, list[np.ndarray]]]:
-    """Draw the pilot's blocks, sample every rate's pilot on them and fit
-    it, _TILE rates at a time, and size its count (see mc_secrecy_rate).
-    The blocks are kept until every tile has read them, and so is each
-    group's A of each block, formed once. A rate whose kernel or fit
-    fails gets the failure in results, and a rate whose count is the
-    pilot its estimate. Returns the other rates, by index, with their
-    counts and their realizations so far: a copy of the pilot's, to which
-    each later block's are appended, which one array would hold at the
-    count's full size from the start."""
+def _pilots(sampler: _Sampler, n: int, results: list) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Draw the pilot's blocks, sample every rate's pilot on them, _TILE
+    rates at a time, and take its fold sums (see _fold_sums), shifted by
+    its pilot's mean difference; then fit every rate at once and size its
+    count (see mc_secrecy_rate). The blocks are kept until every tile has
+    read them, and so is each group's A of each block, formed once; both
+    are released before the fit. A rate whose kernel or fit fails gets
+    the failure in results, and a rate whose count is the pilot its
+    estimate. Returns every rate's fold sums and shift, (rates, _FOLDS, 8,
+    8) and (rates,), and the other rates, by index, with their counts."""
     pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
     blocks = [sampler.draw(min(_BLOCK_SIZE, pilot - start)) for start in range(0, pilot, _BLOCK_SIZE)]
     sources = [{} for _ in blocks]
-    pending = {}
+    sums = np.zeros((len(results), _FOLDS, _COLUMNS + 1, _COLUMNS + 1))
+    shift, spread = np.zeros(len(results)), np.zeros(len(results))
     for first in range(0, len(results), _TILE):
         tile = range(first, min(first + _TILE, len(results)))
         sample = np.empty((len(tile), 2, 4, pilot))
@@ -560,23 +604,28 @@ def _pilots(sampler: _Sampler, n: int, results: list) -> dict[int, tuple[int, li
             out = sample.reshape(-1, 4, pilot)[:, :, start : start + len(w)]
             _fail(results, sampler.compute(w, out, np.arange(2 * tile.start, 2 * tile.stop), kept))
         live = [j for j, i in enumerate(tile) if results[i] is None]
-        if not live:
-            continue
         if len(live) < len(tile):
             sample = sample[live]
-        fits = _fits(sample)
-        counts = [pilot] * len(live)
+        rates = np.array(tile)[live]
+        shift[rates] = (sample[:, 0, 0] - sample[:, 1, 0]).mean(axis=-1)
+        sums[rates] = _fold_sums(sample, shift[rates])
         if pilot < n:
-            spread = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
-            variances = np.array([0.0 if isinstance(fit, Exception) else fit[1] for fit in fits])
-            ratio = np.divide(variances, spread, out=np.zeros_like(spread), where=spread > 0.0)
-            counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n).tolist()
-        for j, fit, count, realizations in zip(live, fits, counts, sample):
-            if isinstance(fit, Exception) or count == pilot:
-                results[tile[j]] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
-            else:
-                pending[tile[j]] = count, [realizations.copy()]
-    return pending
+            spread[rates] = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
+    del blocks, sources
+    live = [i for i, result in enumerate(results) if result is None]
+    fits = _fits(sums[live], shift[live])
+    counts = [pilot] * len(live)
+    if pilot < n:
+        variances = np.array([0.0 if isinstance(fit, Exception) else fit[1] for fit in fits])
+        ratio = np.divide(variances, spread[live], out=np.zeros(len(live)), where=spread[live] > 0.0)
+        counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n).tolist()
+    pending = {}
+    for i, fit, count in zip(live, fits, counts):
+        if isinstance(fit, Exception) or count == pilot:
+            results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
+        else:
+            pending[i] = count
+    return sums, shift, pending
 
 
 def mc_secrecy_rate(
@@ -585,7 +634,8 @@ def mc_secrecy_rate(
     """Clamped Monte Carlo estimates, one per rate, of the difference of
     the mean MIs of the rate's two links, each at the standard error that
     n unpaired realizations would give; a rate whose estimate fails
-    numerically gets that failure in its place.
+    numerically gets that failure in its place: a kernel's, or a
+    NonFiniteSample where its realizations are not finite.
 
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
@@ -603,12 +653,15 @@ def mc_secrecy_rate(
     standard error, sqrt((Var I_M + Var I_E) / n), and its cross-fitted
     variance the count that reaches it: n times their ratio, rounded up
     to whole blocks and clipped to [pilot, n]. A rate's estimate is the
-    fit of its first count realizations: the pilot's fit, or a refit of
-    all count. The pilots are sampled and fitted _TILE rates at a time on
-    the pilot's blocks, kept until every tile has read them. The call
-    draws the blocks of the largest count, and each block past the pilot
-    computes the links of the rates still short of their count only.
-    Where no variance is seen, as at rho = 0, the count is the pilot.
+    fit of its first count realizations: the pilot's fit, or a fit of the
+    fold sums (see _fold_sums) of all count. The pilots are sampled _TILE
+    rates at a time on the pilot's blocks, kept until every tile has read
+    them, and fitted all at once. The call draws the blocks of the largest
+    count, and each block past the pilot computes the links of the rates
+    still short of their count only and adds to their sums; the rates
+    past the pilot are fitted all at once when the last reaches its
+    count. Where no variance is seen, as at rho = 0, the count is the
+    pilot.
 
     All rates share every W, so a call is one M: the links of all rates
     must share M, and each link's k_eigs must hold M eigenvalues (else
@@ -627,21 +680,26 @@ def mc_secrecy_rate(
         return []
     sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], min(n, _BLOCK_SIZE), seed, rows)
     results: list = [None] * len(rates)
-    pending = _pilots(sampler, n, results)
+    sums, shift, pending = _pilots(sampler, n, results)
+    counts = dict(pending)
     drawn = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
     while pending:
         w = sampler.draw(min(_BLOCK_SIZE, n - drawn))
         drawn += len(w)
-        block = np.empty((2 * len(pending), 4, len(w)))
-        _fail(results, sampler.compute(w, block, np.array([link for i in pending for link in (2 * i, 2 * i + 1)])))
-        for j, (i, (count, realizations)) in enumerate(list(pending.items())):
-            if results[i] is None:
-                realizations.append(block[2 * j : 2 * j + 2].copy())
-                if count > drawn:
-                    continue
-                (fit,) = _fits(np.concatenate(realizations, axis=-1)[None])
-                results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
-            del pending[i]
+        order = np.array(list(pending))
+        block = np.empty((len(order), 2, 4, len(w)))
+        links = np.stack([2 * order, 2 * order + 1], axis=-1).ravel()
+        _fail(results, sampler.compute(w, block.reshape(-1, 4, len(w)), links))
+        live = [j for j, i in enumerate(order) if results[i] is None]
+        if len(live) < len(order):
+            block, order = block[live], order[live]
+        sums[order] += _fold_sums(block, shift[order])
+        for i in list(pending):
+            if results[i] is not None or pending[i] <= drawn:
+                del pending[i]
+    past = [i for i in counts if results[i] is None]
+    for i, fit in zip(past, _fits(sums[past], shift[past])):
+        results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, counts[i])
     return results
 
 

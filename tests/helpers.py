@@ -313,6 +313,19 @@ def reference_run_sweep(config, include_mc=True):
     return experiment.SweepResult(rows=tuple(rows))
 
 
+def rate_sample(rate, count, seed, rows=None):
+    """The first count realizations of a rate's two links, (2, 4, count),
+    drawn alone by a montecarlo._Sampler from seed with rows rows of W, by
+    default its taller link's: mc_secrecy_rate fits, bit for bit, these
+    realizations of each of its rates."""
+    sampler = montecarlo._Sampler([rate.fp_main, rate.fp_eave], montecarlo._BLOCK_SIZE, seed, rows)
+    sample = np.empty((2, 4, count))
+    for start in range(0, count, montecarlo._BLOCK_SIZE):
+        w = sampler.draw(min(montecarlo._BLOCK_SIZE, count - start))
+        assert not sampler.compute(w, sample[:, :, start : start + len(w)])
+    return sample
+
+
 def reference_secrecy_estimate(sample):
     """The cross-fitted control-variate estimate of one rate from its
     links' sample, (2, 4, n) as montecarlo._Sampler draws it: for each

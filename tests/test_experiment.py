@@ -465,29 +465,30 @@ class TestRunSweep:
                 assert all(math.isfinite(v) for v in values)
 
     def test_failed_fit_fails_its_row_alone(self, monkeypatch):
-        # A stacked pilot fit that fails is refitted rate by rate: the
-        # rate whose fit fails, wf at the second point, gets its own error
-        # row, and every other row of the chunk is unchanged.
+        # A rate whose realizations are not finite has sums that are not
+        # finite, and a NonFiniteSample in place of its fit: the rate fed
+        # a NaN, wf at the second point, gets its own error row, and every
+        # other row of the chunk is unchanged.
         config = dataclasses.replace(figure_preset("fig2"), sweep_grid=(0.0, 5.0, 10.0), seed=2)
-        firsts, original = [], montecarlo._cross_fit
+        firsts, original = [], montecarlo._fold_sums
 
-        def recording(sample):
+        def recording(sample, shift):
             firsts.extend(sample[:, 0, 0, 0].tolist())
-            return original(sample)
+            return original(sample, shift)
 
-        monkeypatch.setattr(montecarlo, "_cross_fit", recording)
+        monkeypatch.setattr(montecarlo, "_fold_sums", recording)
         expected = run_sweep(config).rows
         poison = firsts[4]
 
-        def failing(sample):
-            if poison in sample[:, 0, 0, 0]:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return original(sample)
+        def poisoned(sample, shift):
+            sample = sample.copy()
+            sample[sample[:, 0, 0, 0] == poison, 0, 0, -1] = np.nan
+            return original(sample, shift)
 
-        monkeypatch.setattr(montecarlo, "_cross_fit", failing)
+        monkeypatch.setattr(montecarlo, "_fold_sums", poisoned)
         rows = run_sweep(config).rows
         assert [(row.sweep_value, row.strategy, row.error) for row in rows if row.error] == [
-            (5.0, "wf", "Eigenvalues did not converge")
+            (5.0, "wf", "Monte Carlo realizations are not finite")
         ]
         kept = [row for row in expected if (row.sweep_value, row.strategy) != (5.0, "wf")]
         assert [row for row in rows if not row.error] == kept

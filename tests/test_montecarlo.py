@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from helpers import iid_stats, link_channels, reference_secrecy_estimate
+from helpers import iid_stats, link_channels, rate_sample, reference_secrecy_estimate
 from wiretap_lsl import channel, experiment, montecarlo
 from wiretap_lsl.channel import ArraySpec, ChannelStatistics, Transmit, gen_correlation, sample_channel_block
 from wiretap_lsl.detequiv import lsl_secrecy_rate, solve_fixed_point
@@ -16,7 +16,6 @@ from wiretap_lsl.experiment import DEFAULT_MC_REALIZATIONS, PRESETS, figure_pres
 from wiretap_lsl.linalg import hermitianize
 from wiretap_lsl.montecarlo import (
     _BLOCK_SIZE,
-    _COLUMNS,
     _PILOT_BLOCKS,
     _TILE,
     McEstimate,
@@ -436,10 +435,7 @@ class TestSpectra:
         original = np.linalg.eigh
 
         def counting(a, *args, **kwargs):
-            # The cross-fit's stacks of 7 x 7 Gram matrices are no
-            # channel's: the links here have M and N other than 7.
-            if np.shape(a)[-2:] != (_COLUMNS, _COLUMNS):
-                calls.append(a)
+            calls.append(a)
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -459,8 +455,7 @@ class TestSpectra:
 
         monkeypatch.setattr(channel, "congruence", counting_congruence)
         # The rate's fixed points hold both links' spectra: MC factors
-        # nothing but its regressions' Gram matrices and builds no square
-        # root.
+        # nothing and builds no square root.
         mc_secrecy_rate([rate], 600, seed=1)
         assert not eighs and not congruences
 
@@ -552,6 +547,19 @@ class TestMcErgodicMi:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             mc_ergodic_mi(solve_fixed_point(iid_stats(1.0, 2, 2), np.eye(2)), 0, seed=0)
+
+
+def blockwise_fit(sample, count):
+    """mc_secrecy_rate's fit of rates' first count realizations, sample
+    (rates, 2, 4, >= count): the fold sums of the pilot's realizations,
+    shifted by the pilot's mean difference, plus those of each later
+    block in turn, fitted by _cross_fit."""
+    pilot = min(count, _PILOT_BLOCKS * _BLOCK_SIZE)
+    shift = (sample[:, 0, 0, :pilot] - sample[:, 1, 0, :pilot]).mean(axis=-1)
+    sums = montecarlo._fold_sums(sample[..., :pilot], shift)
+    for start in range(pilot, count, _BLOCK_SIZE):
+        sums += montecarlo._fold_sums(sample[..., start : min(start + _BLOCK_SIZE, count)], shift)
+    return montecarlo._cross_fit(sums, shift)
 
 
 class TestMcSecrecyRate:
@@ -679,7 +687,7 @@ class TestMcSecrecyRate:
         for i, (estimate, count) in enumerate(zip(estimates, counts)):
             assert pilot <= count <= n
             assert count == n or count % _BLOCK_SIZE == 0
-            (mean,), (variance,) = montecarlo._cross_fit(sample[i : i + 1, ..., :count])
+            (mean,), (variance,) = blockwise_fit(sample[i : i + 1], count)
             assert estimate == McEstimate(max(0.0, float(mean)), float(np.sqrt(variance / count)), count)
         assert counts[0] == pilot
         assert (min(counts[1:]) > pilot) == (n >= 5_000)
@@ -690,8 +698,8 @@ class TestMcSecrecyRate:
         # realizations: the rate takes all n, its last block partial.
         original = montecarlo._cross_fit
 
-        def inflated(sample):
-            means, variances = original(sample)
+        def inflated(sums, shift):
+            means, variances = original(sums, shift)
             return means, 1e3 * variances
 
         monkeypatch.setattr(montecarlo, "_cross_fit", inflated)
@@ -711,7 +719,7 @@ class TestMcSecrecyRate:
             lsl_secrecy_rate(correlated_stats(0.0, 3, 3), correlated_stats(0.0, 5, 3), generic_precoder(3)),
         ]
         fps = [fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)]
-        means, variances = montecarlo._cross_fit(montecarlo._sample(fps, count, seed=5).reshape(2, 2, 4, count))
+        means, variances = blockwise_fit(montecarlo._sample(fps, count, seed=5).reshape(2, 2, 4, count), count)
         assert not means.any() and not variances.any()
         for estimate in mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=5):
             assert (estimate.mean, estimate.std_error, estimate.num_realizations) == (0.0, 0.0, 512)
@@ -772,47 +780,68 @@ class TestMcSecrecyRate:
 
 
 def regressions(monkeypatch):
-    """Record each (sample, estimates) pair that mc_secrecy_rate's
-    cross-fits take and return: the estimates as (mean, std_error) per
-    rate, the mean clamped at 0."""
-    calls = []
-    original = montecarlo._cross_fit
+    """Record each call of mc_secrecy_rate, under the sweep's name for it
+    and the module's, as (rates, n, seed, rows, estimates, fits): fits
+    holds the (means, variances) of each _cross_fit the call makes."""
+    calls, fits = [], []
+    original_rate, original_fit = montecarlo.mc_secrecy_rate, montecarlo._cross_fit
 
-    def recording(sample):
-        means, variances = original(sample)
-        n = sample.shape[-1]
-        calls.append((sample.copy(), [(max(0.0, m), np.sqrt(v / n)) for m, v in zip(means, variances)]))
-        return means, variances
+    def recording_fit(sums, shift):
+        fits.append(original_fit(sums, shift))
+        return fits[-1]
 
-    monkeypatch.setattr(montecarlo, "_cross_fit", recording)
+    def recording_rate(rates, n, seed, rows=None):
+        fits.clear()
+        estimates = original_rate(rates, n, seed, rows)
+        calls.append((rates, n, seed, rows, estimates, fits[:]))
+        return estimates
+
+    monkeypatch.setattr(montecarlo, "_cross_fit", recording_fit)
+    monkeypatch.setattr(montecarlo, "mc_secrecy_rate", recording_rate)
+    monkeypatch.setattr(experiment, "mc_secrecy_rate", recording_rate)
     return calls
 
 
-def assert_matches_oracle(sample, estimate):
-    mean, std_error = reference_secrecy_estimate(sample)
-    assert estimate[0] == pytest.approx(mean, rel=1e-10, abs=1e-10 * std_error)
-    assert estimate[1] == pytest.approx(std_error, rel=1e-10)
+def assert_matches_oracle(mean, std_error, sample):
+    oracle_mean, oracle_std_error = reference_secrecy_estimate(sample)
+    assert mean == pytest.approx(oracle_mean, rel=1e-10, abs=1e-10 * oracle_std_error)
+    assert std_error == pytest.approx(oracle_std_error, rel=1e-10)
+
+
+def assert_call_matches_oracle(rates, n, seed, rows, estimates, fits):
+    """Check one recorded call's fits against np.linalg.lstsq on each
+    rate's own sample, drawn alone: the first fit is of every rate's
+    pilot, and the second of every rate past the pilot, on its whole
+    count (an empty one where no count passes the pilot). Returns the
+    samples."""
+    pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+    past = [i for i, estimate in enumerate(estimates) if estimate.num_realizations > pilot]
+    assert [len(means) for means, _ in fits] == [len(rates), len(past)]
+    samples = []
+    for rate, estimate, mean, variance in zip(rates, estimates, *fits[0], strict=True):
+        samples.append(rate_sample(rate, estimate.num_realizations, seed, rows))
+        assert_matches_oracle(max(0.0, mean), np.sqrt(variance / pilot), samples[-1][..., :pilot])
+        assert_matches_oracle(estimate.mean, estimate.std_error, samples[-1])
+    return samples
 
 
 class TestStackedRegression:
-    """One stacked eigendecomposition of every rate's and fold's Gram
-    matrix, against np.linalg.lstsq on each fold's own design."""
+    """One vectorized elimination of every rate's and fold's normal
+    equations from the rates' fold sums, against np.linalg.lstsq on each
+    fold's own design."""
 
     def test_every_preset_point_matches_lstsq(self, monkeypatch):
-        # Each point's pilot fits its three rates in one stack; a rate
-        # whose count passes the pilot is refitted alone on all of it.
+        # Each chunk's call fits the pilots of all its rates in one stack,
+        # and the rates whose counts pass the pilot in one more, from sums
+        # accumulated block by block.
         calls = regressions(monkeypatch)
         for config in PRESETS.values():
             run_sweep(config)
-        pilot = _PILOT_BLOCKS * _BLOCK_SIZE
-        pilots = [estimates for sample, estimates in calls if sample.shape[-1] == pilot]
-        assert sum(len(estimates) for estimates in pilots) == 189
-        assert len(calls) > len(pilots)
-        for sample, estimates in calls:
-            assert sample.shape[-1] == pilot or len(sample) == 1
-            assert pilot <= sample.shape[-1] <= DEFAULT_MC_REALIZATIONS
-            for rate_sample, estimate in zip(sample, estimates, strict=True):
-                assert_matches_oracle(rate_sample, estimate)
+        assert sum(len(call[0]) for call in calls) == 189
+        assert any(len(call[-1][1][0]) for call in calls)
+        for call in calls:
+            assert call[1] == DEFAULT_MC_REALIZATIONS
+            assert_call_matches_oracle(*call)
 
     @pytest.mark.parametrize(
         "main, eave, m",
@@ -822,22 +851,48 @@ class TestStackedRegression:
     def test_edge_designs_match_lstsq(self, monkeypatch, main, eave, m):
         # At rho = 0 the eavesdropper's three columns are all 0; at M = 1
         # q is z^2 - 1, a column twice; at 60 dB the rank cut must keep
-        # the intercept. The pilot and every refit past it.
+        # the intercept. The pilot fits and the fits past the pilot.
         (snr_main, n_main), (snr_eave, n_eave) = main, eave
         rates = [
             lsl_secrecy_rate(correlated_stats(snr_main, n_main, m), correlated_stats(snr_eave, n_eave, m), p)
             for p in (np.eye(m), generic_precoder(m, 3))
         ]
         calls = regressions(monkeypatch)
-        mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=3)
-        for sample, estimates in calls:
+        montecarlo.mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=3)
+        (call,) = calls
+        for sample, estimate in zip(assert_call_matches_oracle(*call), call[4]):
             if m == 1:
-                assert np.allclose(sample[:, :, 2], sample[:, :, 3], rtol=1e-12, atol=1e-12)
+                assert np.allclose(sample[:, 2], sample[:, 3], rtol=1e-12, atol=1e-12)
             if snr_eave == 0.0:
-                assert not sample[:, 1, 1:].any()
-            for rate_sample, estimate in zip(sample, estimates, strict=True):
-                assert estimate[1] > 0.0
-                assert_matches_oracle(rate_sample, estimate)
+                assert not sample[1, 1:].any()
+            assert estimate.std_error > 0.0
+        assert all((variances > 0.0).all() for _, variances in call[5])
+
+    def test_fit_calls_no_linalg(self, monkeypatch):
+        # Rates past the pilot, one at a precoder of rank 1, whose q
+        # repeats z^2 - 1 on both links: no np.linalg function runs, per
+        # (rate, fold) matrix or at all.
+        called = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in np.linalg.__all__:
+            function = getattr(np.linalg, name)
+            if callable(function) and not isinstance(function, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, function))
+        rates = [
+            lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), generic_precoder(2, 1)),
+            lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), np.diag([2.0, 0.0])),
+        ]
+        called.clear()
+        estimates = mc_secrecy_rate(rates, 20_000, seed=4)
+        assert min(e.num_realizations for e in estimates) > _PILOT_BLOCKS * _BLOCK_SIZE
+        assert called == []
 
 
 def gamma_mi(rho, n):
@@ -970,10 +1025,12 @@ class TestSweepWork:
     # The bounds are the traced peaks of one MC sweep per preset when each
     # grid point had its own call and sampler, whose realizations were
     # allocated for the whole target of 16,384: 5.43 MB at most, for
-    # fig2. Now one call per chunk fits the pilots _TILE rates at a time
-    # on the pilot's blocks, kept until every tile has read them, and its
-    # kernels' work arrays are those of one tile of links: fig2 peaks at
-    # about 4.2 MB, and fig5, with the most rates (87), at about 2.6 MB.
+    # fig2. Now one call per chunk samples the pilots _TILE rates at a
+    # time on the pilot's blocks, kept until every tile has read them,
+    # its kernels' work arrays are those of one tile of links, and each
+    # rate keeps fold sums, not realizations: fig2, fig3, fig4 and fig5
+    # peak at about 3.4, 1.3, 3.5 and 3.4 MB. fig5's peak, with the most
+    # rates (87), is the fit of all their pilots at once.
     PEAKS_MB = {"fig2": 5.43, "fig3": 4.05, "fig4": 5.17, "fig5": 4.71}
 
     @pytest.mark.parametrize("name", PRESETS)
@@ -987,6 +1044,32 @@ class TestSweepWork:
         finally:
             tracemalloc.stop()
         assert peak <= self.PEAKS_MB[name] * 1e6
+
+    def test_memory_flat_in_n(self):
+        # A rate keeps its fold sums past the pilot, not its realizations:
+        # six rates whose counts run far past it peak as high at n =
+        # 65,536 as at 4,096, 1.99 MB at both. Keeping the realizations
+        # took 3.97 times as much (8.52 MB against 2.14).
+        transmit = Transmit(gen_correlation(ArraySpec(4, 0.5, 40.0, 30.0)))
+        rates = [
+            lsl_secrecy_rate(
+                ChannelStatistics(snr=10.0 ** (snr_db / 10.0), transmit=transmit, num_rx=4),
+                ChannelStatistics(snr=10.0 ** ((snr_db - 3.0) / 10.0), transmit=transmit, num_rx=2),
+                np.eye(4),
+            )
+            for snr_db in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+        ]
+        mc_secrecy_rate(rates, 4_096, seed=3)
+        peaks = {}
+        for n in (4_096, 65_536):
+            tracemalloc.start()
+            try:
+                estimates = mc_secrecy_rate(rates, n, seed=3)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(e.num_realizations for e in estimates) > 16 * _PILOT_BLOCKS * _BLOCK_SIZE
+        assert peaks[65_536] <= 1.25 * peaks[4_096]
 
     def test_blocks_past_the_pilot_compute_only_the_rates_short_of_their_count(self, monkeypatch):
         # Each chunk draws the blocks of its largest count once, and every
