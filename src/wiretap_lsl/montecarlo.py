@@ -78,7 +78,9 @@ all the rates past the pilot at once. A link's realizations depend on W
 and its own statistics only, whatever the other links of its group and
 tile, and a rate's fit depends on its own sums only, so each rate's
 count and estimate are, bit for bit, those it gets alone from the same
-seed and rows of W.
+seed and rows of W. No kernel or fit raises per rate: a rate whose sums
+are not finite gets a NonFiniteSample in place of its estimate, and the
+others keep theirs.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ import numpy as np
 
 from .channel import ChannelStatistics, is_integer, sample_channel_block
 from .detequiv import FixedPoint, LslRate, shared_num_tx
-from .errors import NUMERICAL_FAILURES, NonFiniteSample, as_value
+from .errors import NonFiniteSample
 
 _BLOCK_SIZE = 256
 # A rate's pilot, the blocks that size its sample (see mc_secrecy_rate).
@@ -378,13 +380,13 @@ def _column_weights(stats: Sequence[ChannelStatistics], k_eigs: Sequence[np.ndar
     return np.array([(s.snr / (2.0 * m)) * k for s, k in zip(stats, k_eigs, strict=True)])
 
 
-def _check_draws(n: int, seed: int | tuple[int, ...]) -> None:
-    """Check a call's realization count n, an integer >= 1, and its seed,
-    an integer or a tuple of them. A wrong type raises TypeError, and
-    n < 1 raises ValueError, as SeedSequence does for a negative seed.
-    None would seed from fresh OS entropy, so that a seeded estimate
-    changed from call to call, and a Generator would be consumed by the
-    links in turn."""
+def _check_draws(n: int, seed: int | tuple[int, ...], rows: int | None = None) -> None:
+    """Check a call's realization count n, an integer >= 1, its seed, an
+    integer or a tuple of them, and its rows of W, an integer or None. A
+    wrong type raises TypeError, and n < 1 raises ValueError, as
+    SeedSequence does for a negative seed. None would seed from fresh OS
+    entropy, so that a seeded estimate changed from call to call, and a
+    Generator would be consumed by the links in turn."""
     if not is_integer(n):
         raise TypeError(f"n must be an integer, not {type(n).__name__}")
     if n < 1:
@@ -392,6 +394,8 @@ def _check_draws(n: int, seed: int | tuple[int, ...]) -> None:
     parts = seed if isinstance(seed, tuple) else (seed,)
     if not all(is_integer(part) for part in parts):
         raise TypeError(f"seed must be an integer or a tuple of integers, not {seed!r}")
+    if rows is not None and not is_integer(rows):
+        raise TypeError(f"rows must be an integer or None, not {rows!r}")
 
 
 class _Sampler:
@@ -425,18 +429,17 @@ class _Sampler:
 
     def compute(
         self, w: np.ndarray, out: np.ndarray, links: np.ndarray | None = None, sources: dict | None = None
-    ) -> dict[int, Exception]:
+    ) -> None:
         """Write the realizations of links, indices into fps, all by
         default, on the block w, to out, (links, 4, count), in that order.
         Each group with links among them forms its source of w once for
         all of them; given sources, a dict kept with w, the source of each
         group that forms A is kept there for later calls on the same w.
-        Returns the numerical failure of each link whose kernel failed on
-        its own, by index: a tile that fails is run again link by link."""
+        Nothing here fails per link: a realization that is not finite is
+        written as it is, and its rate's fit fails (_fits)."""
         row = np.arange(self.links) if links is None else np.full(self.links, -1)
         if links is not None:
             row[links] = np.arange(len(links))
-        failures = {}
         for index, (members, group) in enumerate(self.groups):
             chosen = np.flatnonzero(row[members] >= 0)
             if not len(chosen):
@@ -448,27 +451,18 @@ class _Sampler:
                     # A group forms A in the work arrays, which the next
                     # group's source overwrites.
                     source = sources[index] = group.source(w).copy()
-            try:
-                group(w, chosen, out, row[members[chosen]], source)
-            except NUMERICAL_FAILURES:
-                for link in chosen:
-                    try:
-                        group(w, link[None], out, row[members[link, None]], source)
-                    except NUMERICAL_FAILURES as exc:
-                        failures[int(members[link])] = as_value(exc)
-        return failures
+            group(w, chosen, out, row[members[chosen]], source)
 
 
 def _sample(fps: Sequence[FixedPoint], n: int, seed: int | tuple[int, ...]) -> np.ndarray:
     """All n realizations of every link of fps, (links, 4, n), from one
-    _Sampler; a kernel's failure is raised."""
+    _Sampler."""
     _check_draws(n, seed)
     sampler = _Sampler(fps, min(n, _BLOCK_SIZE), seed)
     out = np.empty((len(fps), 4, n))
     for start in range(0, n, _BLOCK_SIZE):
         w = sampler.draw(min(_BLOCK_SIZE, n - start))
-        for exc in sampler.compute(w, out[:, :, start : start + len(w)]).values():
-            raise exc
+        sampler.compute(w, out[:, :, start : start + len(w)])
     return out
 
 
@@ -568,18 +562,12 @@ def _fits(sums: np.ndarray, shift: np.ndarray) -> list:
     """(estimate, variance) of each rate, as _cross_fit gives them from its
     fold sums and shift, or, where its sums are not finite, a
     NonFiniteSample in its place. The rates are fitted together, and a
-    rate's fit does not depend on the others."""
+    rate's fit does not depend on the others. The sums are read in place
+    unless some rate's are not finite."""
     finite = np.isfinite(sums).all(axis=(1, 2, 3))
-    fits = zip(*_cross_fit(sums[finite], shift[finite]))
+    fitted = slice(None) if finite.all() else finite
+    fits = zip(*_cross_fit(sums[fitted], shift[fitted]))
     return [next(fits) if ok else NonFiniteSample("Monte Carlo realizations are not finite") for ok in finite]
-
-
-def _fail(results: list, failures: dict[int, Exception]) -> None:
-    """Give each rate of results, whose links are 2 i and 2 i + 1, the
-    first failure of its links, unless it has a result."""
-    for link, exc in failures.items():
-        if results[link // 2] is None:
-            results[link // 2] = exc
 
 
 def _pilots(sampler: _Sampler, n: int, results: list) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
@@ -588,39 +576,35 @@ def _pilots(sampler: _Sampler, n: int, results: list) -> tuple[np.ndarray, np.nd
     its pilot's mean difference; then fit every rate at once and size its
     count (see mc_secrecy_rate). The blocks are kept until every tile has
     read them, and so is each group's A of each block, formed once; both
-    are released before the fit. A rate whose kernel or fit fails gets
-    the failure in results, and a rate whose count is the pilot its
-    estimate. Returns every rate's fold sums and shift, (rates, _FOLDS, 8,
-    8) and (rates,), and the other rates, by index, with their counts."""
+    are released before the fit, which reads the sums in place (_fits).
+    A rate whose fit fails gets its NonFiniteSample in results, and a rate
+    whose count is the pilot its estimate. Returns every rate's fold sums
+    and shift, (rates, _FOLDS, 8, 8) and (rates,), and the other rates, by
+    index, with their counts."""
     pilot = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
     blocks = [sampler.draw(min(_BLOCK_SIZE, pilot - start)) for start in range(0, pilot, _BLOCK_SIZE)]
     sources = [{} for _ in blocks]
     sums = np.zeros((len(results), _FOLDS, _COLUMNS + 1, _COLUMNS + 1))
     shift, spread = np.zeros(len(results)), np.zeros(len(results))
     for first in range(0, len(results), _TILE):
-        tile = range(first, min(first + _TILE, len(results)))
-        sample = np.empty((len(tile), 2, 4, pilot))
+        tile = slice(first, min(first + _TILE, len(results)))
+        sample = np.empty((tile.stop - first, 2, 4, pilot))
         for start, w, kept in zip(range(0, pilot, _BLOCK_SIZE), blocks, sources):
             out = sample.reshape(-1, 4, pilot)[:, :, start : start + len(w)]
-            _fail(results, sampler.compute(w, out, np.arange(2 * tile.start, 2 * tile.stop), kept))
-        live = [j for j, i in enumerate(tile) if results[i] is None]
-        if len(live) < len(tile):
-            sample = sample[live]
-        rates = np.array(tile)[live]
-        shift[rates] = (sample[:, 0, 0] - sample[:, 1, 0]).mean(axis=-1)
-        sums[rates] = _fold_sums(sample, shift[rates])
+            sampler.compute(w, out, np.arange(2 * first, 2 * tile.stop), kept)
+        shift[tile] = (sample[:, 0, 0] - sample[:, 1, 0]).mean(axis=-1)
+        sums[tile] = _fold_sums(sample, shift[tile])
         if pilot < n:
-            spread[rates] = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
+            spread[tile] = sample[:, :, 0].var(axis=-1, ddof=1).sum(axis=-1)
     del blocks, sources
-    live = [i for i, result in enumerate(results) if result is None]
-    fits = _fits(sums[live], shift[live])
-    counts = [pilot] * len(live)
+    fits = _fits(sums, shift)
+    counts = [pilot] * len(results)
     if pilot < n:
         variances = np.array([0.0 if isinstance(fit, Exception) else fit[1] for fit in fits])
-        ratio = np.divide(variances, spread[live], out=np.zeros(len(live)), where=spread[live] > 0.0)
+        ratio = np.divide(variances, spread, out=np.zeros(len(results)), where=spread > 0.0)
         counts = np.clip(np.ceil(n * ratio / _BLOCK_SIZE).astype(int) * _BLOCK_SIZE, pilot, n).tolist()
     pending = {}
-    for i, fit, count in zip(live, fits, counts):
+    for i, (fit, count) in enumerate(zip(fits, counts)):
         if isinstance(fit, Exception) or count == pilot:
             results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, count)
         else:
@@ -633,9 +617,9 @@ def mc_secrecy_rate(
 ) -> list[McEstimate | Exception]:
     """Clamped Monte Carlo estimates, one per rate, of the difference of
     the mean MIs of the rate's two links, each at the standard error that
-    n unpaired realizations would give; a rate whose estimate fails
-    numerically gets that failure in its place: a kernel's, or a
-    NonFiniteSample where its realizations are not finite.
+    n unpaired realizations would give; a rate whose realizations are not
+    finite gets a NonFiniteSample in its place, the one failure of a call
+    that passes its checks.
 
     Both links see the same W each realization (common random numbers),
     so identical statistics yield an exact zero. The per-realization
@@ -672,32 +656,26 @@ def mc_secrecy_rate(
     estimate equals, bit for bit, the one it gets alone from the same
     seed and rows: a rate alone, with rows left out, reads a W as tall
     as its taller link. No rates give no estimates. n must be an integer
-    >= 1 and seed an integer or a tuple of them (else TypeError or
-    ValueError, see _check_draws).
+    >= 1, seed an integer or a tuple of them and rows an integer or None
+    (else TypeError or ValueError, see _check_draws).
     """
-    _check_draws(n, seed)
+    _check_draws(n, seed, rows)
     if not rates:
         return []
     sampler = _Sampler([fp for rate in rates for fp in (rate.fp_main, rate.fp_eave)], min(n, _BLOCK_SIZE), seed, rows)
     results: list = [None] * len(rates)
-    sums, shift, pending = _pilots(sampler, n, results)
-    counts = dict(pending)
-    drawn = min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
+    sums, shift, counts = _pilots(sampler, n, results)
+    pending, drawn = counts, min(n, _PILOT_BLOCKS * _BLOCK_SIZE)
     while pending:
         w = sampler.draw(min(_BLOCK_SIZE, n - drawn))
         drawn += len(w)
         order = np.array(list(pending))
         block = np.empty((len(order), 2, 4, len(w)))
         links = np.stack([2 * order, 2 * order + 1], axis=-1).ravel()
-        _fail(results, sampler.compute(w, block.reshape(-1, 4, len(w)), links))
-        live = [j for j, i in enumerate(order) if results[i] is None]
-        if len(live) < len(order):
-            block, order = block[live], order[live]
+        sampler.compute(w, block.reshape(-1, 4, len(w)), links)
         sums[order] += _fold_sums(block, shift[order])
-        for i in list(pending):
-            if results[i] is not None or pending[i] <= drawn:
-                del pending[i]
-    past = [i for i in counts if results[i] is None]
+        pending = {i: count for i, count in pending.items() if count > drawn}
+    past = list(counts)
     for i, fit in zip(past, _fits(sums[past], shift[past])):
         results[i] = fit if isinstance(fit, Exception) else _estimate(*fit, counts[i])
     return results

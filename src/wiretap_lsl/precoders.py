@@ -225,9 +225,9 @@ def gsvd_power_allocation(terms: SubchannelTerms, mu) -> np.ndarray:
     4p c is below the smallest normal float, where c is the root to full
     precision (p = 0 included). Every step is monotone in c (log1p and
     expm1 as measured, see gsvd_precoder), so the level never decreases
-    as mu falls.
+    as mu falls. Every mu must be > 0, and NaN is not (else ValueError).
     """
-    if np.less_equal(mu, 0.0).any():
+    if not np.greater(mu, 0.0).all():
         raise ValueError("mu must be > 0")
     c = np.maximum(terms.diff / (_LN2 * mu * terms.v) - 1.0, 0.0)
     four_pc = terms.four_p * c

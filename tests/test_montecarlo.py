@@ -724,26 +724,6 @@ class TestMcSecrecyRate:
         for estimate in mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=5):
             assert (estimate.mean, estimate.std_error, estimate.num_realizations) == (0.0, 0.0, 512)
 
-    def test_kernel_failure_stays_with_its_rate(self, monkeypatch):
-        # A tile of links whose kernel fails runs again link by link: the
-        # second rate's eavesdropper link fails alone, its rate gets the
-        # failure and stops drawing, and the others keep their estimates.
-        main = correlated_stats(10.0, 4, 3)
-        eave = correlated_stats(4.0, 2, 3)
-        rates = [lsl_secrecy_rate(main, eave, generic_precoder(3, seed)) for seed in range(3)]
-        expected = mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=6)
-        original = montecarlo._Group.__call__
-
-        def failing(group, w, links=None, out=None, rows=None, source=None):
-            if not group.shared and 1 in links:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return original(group, w, links, out, rows, source)
-
-        monkeypatch.setattr(montecarlo._Group, "__call__", failing)
-        first, failed, third = mc_secrecy_rate(rates, DEFAULT_MC_REALIZATIONS, seed=6)
-        assert str(failed) == "Matrix is not positive definite"
-        assert [first, third] == [expected[0], expected[2]]
-
     def test_rates_must_share_m(self):
         # A rate at M = 1 after one at M = 4 was sampled with W's four
         # columns; in the other order the sampler failed to broadcast.
@@ -757,6 +737,13 @@ class TestMcSecrecyRate:
         rate = lsl_secrecy_rate(correlated_stats(10.0, 4, 3), correlated_stats(1.0, 2, 3), np.eye(3))
         with pytest.raises(ValueError, match="at least the 4 rows"):
             mc_secrecy_rate([rate], 300, seed=0, rows=3)
+        # rows of the wrong type: 5.0 failed inside np.empty at the first
+        # draw, "5" in a comparison, and True was taken as 1 row. The check
+        # runs before any draw, and with no rates too.
+        for rows in (5.0, "5", True):
+            for given in ([rate], []):
+                with pytest.raises(TypeError, match="rows must be an integer or None"):
+                    mc_secrecy_rate(given, 300, seed=0, rows=rows)
         (estimate,) = mc_secrecy_rate([rate], 300, seed=0, rows=4)
         assert mc_secrecy_rate([rate], 300, seed=0) == [estimate] != mc_secrecy_rate([rate], 300, seed=0, rows=5)
 
@@ -870,8 +857,10 @@ class TestStackedRegression:
 
     def test_fit_calls_no_linalg(self, monkeypatch):
         # Rates past the pilot, one at a precoder of rank 1, whose q
-        # repeats z^2 - 1 on both links: no np.linalg function runs, per
-        # (rate, fold) matrix or at all.
+        # repeats z^2 - 1 on both links, and one whose eavesdropper has
+        # N < M, whose Gram matrices are G Gᴴ per link, not scaled from a
+        # shared A: no np.linalg function runs, per (rate, fold) matrix or
+        # at all.
         called = []
 
         def counting(name, function):
@@ -888,7 +877,9 @@ class TestStackedRegression:
         rates = [
             lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), generic_precoder(2, 1)),
             lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 3, 2), np.diag([2.0, 0.0])),
+            lsl_secrecy_rate(correlated_stats(1e3, 2, 2), correlated_stats(10.0, 1, 2), generic_precoder(2, 2)),
         ]
+        assert rates[-1].fp_eave.stats.num_rx < rates[-1].fp_eave.stats.num_tx
         called.clear()
         estimates = mc_secrecy_rate(rates, 20_000, seed=4)
         assert min(e.num_realizations for e in estimates) > _PILOT_BLOCKS * _BLOCK_SIZE
@@ -1028,9 +1019,9 @@ class TestSweepWork:
     # fig2. Now one call per chunk samples the pilots _TILE rates at a
     # time on the pilot's blocks, kept until every tile has read them,
     # its kernels' work arrays are those of one tile of links, and each
-    # rate keeps fold sums, not realizations: fig2, fig3, fig4 and fig5
-    # peak at about 3.4, 1.3, 3.5 and 3.4 MB. fig5's peak, with the most
-    # rates (87), is the fit of all their pilots at once.
+    # rate keeps fold sums, not realizations, which the fit of all pilots
+    # at once reads in place: fig2, fig3, fig4 and fig5 peak at about 3.4,
+    # 1.2, 3.5 and 2.7 MB.
     PEAKS_MB = {"fig2": 5.43, "fig3": 4.05, "fig4": 5.17, "fig5": 4.71}
 
     @pytest.mark.parametrize("name", PRESETS)

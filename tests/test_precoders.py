@@ -264,6 +264,16 @@ class TestGsvdPowerAllocation:
         root = brentq(slope, 0.0, 1e3, xtol=1e-13)
         assert level == pytest.approx(root, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "mu", [0.0, -1.0, np.nan, np.array([[0.1], [np.nan]])], ids=["0", "-1", "nan", "stacked-nan"]
+    )
+    def test_mu_not_positive_refused(self, mu):
+        # A check of mu <= 0 passed NaN, whose levels were all NaN.
+        rows = np.ones((np.size(mu), 2))
+        terms = subchannel_terms(0.8 * rows, 0.2 * rows, rows)
+        with pytest.raises(ValueError, match="mu must be > 0"):
+            gsvd_power_allocation(terms, mu)
+
     def test_high_mu_shuts_everything_off(self):
         levels = gsvd_power_allocation(subchannel_terms([0.8, 0.6], [0.2, 0.4], [1.0, 2.0]), 1e9)
         assert np.all(levels == 0)
